@@ -195,22 +195,40 @@ fn model_config(name: &str) -> Result<ModelConfig, String> {
     })
 }
 
+/// The one name → optimizer table.
+///
+/// `param_index` is `None` for a serial optimizer over the whole model. A
+/// data-parallel run builds one instance per parameter and passes that
+/// parameter's global index: APOLLO's base seed shifts by it, so the
+/// instance derives exactly the projector seed the serial optimizer would
+/// have derived for its `i`-th parameter (`seed + i`) and sharding is
+/// invisible to the math. GaLore-family seeds are not externally
+/// controllable, so those methods refuse an index.
 fn build_optimizer(
     name: &str,
     rank: usize,
     cfg: &ModelConfig,
+    param_index: Option<usize>,
 ) -> Result<Box<dyn Optimizer>, String> {
     let freq = 200;
     let mini_alpha = (cfg.hidden as f32 / 4.0).sqrt();
+    // Apollo's default base seed, unchanged at index 0.
+    let seed = 0xA90110u64.wrapping_add(param_index.unwrap_or(0) as u64);
     Ok(match name {
         "adamw" => Box::new(AdamW::new()),
         "adamw-8bit" => Box::new(AdamW::adam8bit(128)),
         "adam-mini" => Box::new(AdamMini::new()),
         "sgd" => Box::new(Sgd::new()),
         "sgd-m" => Box::new(SgdMomentum::new(0.9)),
-        "apollo" => Box::new(Apollo::new(rank, freq)),
-        "apollo-svd" => Box::new(Apollo::new(rank, freq).with_svd()),
-        "apollo-mini" => Box::new(Apollo::mini(freq).with_alpha(mini_alpha)),
+        "apollo" => Box::new(Apollo::new(rank, freq).with_seed(seed)),
+        "apollo-svd" => Box::new(Apollo::new(rank, freq).with_svd().with_seed(seed)),
+        "apollo-mini" => Box::new(Apollo::mini(freq).with_alpha(mini_alpha).with_seed(seed)),
+        "galore" | "galore-rp" | "galore-8bit" | "fira" | "flora" if param_index.is_some() => {
+            return Err(format!(
+                "optimizer `{name}` is not supported with --replicas (its \
+                 projector seeds are not externally controllable)"
+            ))
+        }
         "galore" => Box::new(GaLore::new(rank, freq)),
         "galore-rp" => Box::new(GaLore::new(rank, freq).with_random_projection()),
         "galore-8bit" => Box::new(GaLore::galore8bit(rank, freq, 128)),
@@ -220,50 +238,19 @@ fn build_optimizer(
     })
 }
 
-/// Builds a per-parameter optimizer factory for data-parallel runs: the
-/// instance owning parameter `i` derives exactly the state (APOLLO
-/// projector seed included) the serial optimizer would have derived for
-/// its `i`-th parameter, so sharding is invisible to the math.
+/// Builds the per-parameter optimizer factory for data-parallel runs from
+/// [`build_optimizer`].
 fn build_opt_factory(
     name: &str,
     rank: usize,
     cfg: &ModelConfig,
 ) -> Result<Box<OptimizerFactory>, String> {
-    let freq = 200;
-    let mini_alpha = (cfg.hidden as f32 / 4.0).sqrt();
-    // Apollo's default base seed; per-parameter instances shift it by the
-    // global parameter index, matching the serial `seed + local_index`.
-    let seed = 0xA90110u64;
-    Ok(match name {
-        "adamw" => Box::new(|_| Box::new(AdamW::new())),
-        "adamw-8bit" => Box::new(|_| Box::new(AdamW::adam8bit(128))),
-        "adam-mini" => Box::new(|_| Box::new(AdamMini::new())),
-        "sgd" => Box::new(|_| Box::new(Sgd::new())),
-        "sgd-m" => Box::new(|_| Box::new(SgdMomentum::new(0.9))),
-        "apollo" => Box::new(move |i| {
-            Box::new(Apollo::new(rank, freq).with_seed(seed.wrapping_add(i as u64)))
-        }),
-        "apollo-svd" => Box::new(move |i| {
-            Box::new(
-                Apollo::new(rank, freq)
-                    .with_svd()
-                    .with_seed(seed.wrapping_add(i as u64)),
-            )
-        }),
-        "apollo-mini" => Box::new(move |i| {
-            Box::new(
-                Apollo::mini(freq)
-                    .with_alpha(mini_alpha)
-                    .with_seed(seed.wrapping_add(i as u64)),
-            )
-        }),
-        other => {
-            return Err(format!(
-                "optimizer `{other}` is not supported with --replicas (its \
-                 projector seeds are not externally controllable)"
-            ))
-        }
-    })
+    // Reject an unknown or unshardable name here, not inside a replica.
+    build_optimizer(name, rank, cfg, Some(0))?;
+    let (name, cfg) = (name.to_string(), cfg.clone());
+    Ok(Box::new(move |i| {
+        build_optimizer(&name, rank, &cfg, Some(i)).expect("name validated at factory build")
+    }))
 }
 
 /// Parses a `--fault-plan` spec: comma-separated `kill:STEP:REPLICA`.
@@ -492,7 +479,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         if a.has("fault-plan") {
             return Err("--fault-plan needs --replicas".into());
         }
-        let mut opt = build_optimizer(&opt_name, rank, &cfg)?;
+        let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch})",
             cfg.name,
@@ -551,7 +538,7 @@ fn cmd_finetune(a: &Args) -> Result<(), String> {
         lr: a.get_num("lr", 3e-3f32)?,
         eval_examples: 100,
     };
-    let mut opt = build_optimizer(&opt_name, rank, &cfg)?;
+    let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
     eprintln!(
         "fine-tuning on {task_name} with {} ({steps} steps)",
         opt.name()

@@ -12,7 +12,7 @@
 use apollo_tensor::Matrix;
 
 use crate::state::{StateReader, StateWriter};
-use crate::{check_state_header, save_state_header, Optimizer, ParamUpdate};
+use crate::{load_records, save_records, Optimizer, ParamUpdate};
 
 /// Per-tensor Adam-mini state: full first moment, block-wise second moment.
 #[derive(Debug, Clone)]
@@ -162,25 +162,15 @@ impl Optimizer for AdamMini {
     }
 
     fn state_save(&self) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        w.u64(self.states.len() as u64);
-        for st in &self.states {
-            st.save_into(&mut w);
-        }
-        Ok(w.into_bytes())
+        Ok(save_records(
+            &self.name(),
+            &self.states,
+            MiniState::save_into,
+        ))
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        let n = r.len()?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(MiniState::load_from(&mut r)?);
-        }
-        r.expect_exhausted()?;
-        self.states = states;
+        self.states = load_records(bytes, &self.name(), MiniState::load_from)?;
         Ok(())
     }
 }

@@ -1,14 +1,7 @@
 //! AdamW (full-precision and 8-bit state variants) and the Section-3
 //! structured channel-wise AdamW used to motivate APOLLO.
 
-use apollo_obs::{Obs, TraceEvent};
-use apollo_tensor::Matrix;
-
-use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
-use crate::state::{StateReader, StateWriter};
-use crate::{
-    check_state_header, norm_ratio_scales, save_state_header, AdamMoments, Optimizer, ParamUpdate,
-};
+use crate::engine::{Engine, Lift, Plan, Recipe, ScaleGranularity};
 
 /// The AdamW baseline (Loshchilov & Hutter), with optional block-wise
 /// 8-bit state quantization.
@@ -26,7 +19,7 @@ pub struct AdamW {
     /// Decoupled weight decay λ.
     pub weight_decay: f32,
     quant_group: Option<usize>,
-    states: Vec<AdamMoments>,
+    engine: Engine,
 }
 
 impl AdamW {
@@ -38,7 +31,7 @@ impl AdamW {
             eps: 1e-8,
             weight_decay: 0.0,
             quant_group: None,
-            states: Vec::new(),
+            engine: Engine::default(),
         }
     }
 
@@ -64,74 +57,33 @@ impl Default for AdamW {
     }
 }
 
-impl Optimizer for AdamW {
-    fn name(&self) -> String {
+impl Recipe for AdamW {
+    fn label(&self) -> String {
         match self.quant_group {
             None => "AdamW".to_string(),
             Some(g) => format!("8-bit Adam(g={g})"),
         }
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        if self.states.is_empty() {
-            self.states = params
-                .iter()
-                .map(|p| {
-                    let (r, c) = p.value.shape();
-                    match self.quant_group {
-                        None => AdamMoments::new(r, c),
-                        Some(group) => AdamMoments::new_quantized(r, c, group),
-                    }
-                })
-                .collect();
-        }
-        assert_eq!(self.states.len(), params.len(), "parameter list changed");
-        for (p, st) in params.iter_mut().zip(&mut self.states) {
-            st.step_weight(
-                p.value,
-                p.grad,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                lr,
-                self.weight_decay,
-            );
+    fn plan(&self) -> Plan {
+        Plan {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            quant_group: self.quant_group,
+            subspace: None,
+            lift: Lift::Elementwise,
+            limiter: false,
         }
     }
 
-    fn state_elems(&self) -> usize {
-        self.states.iter().map(AdamMoments::elems).sum()
+    fn engine(&self) -> &Engine {
+        &self.engine
     }
 
-    fn state_bytes(&self) -> usize {
-        self.states.iter().map(AdamMoments::bytes).sum()
-    }
-
-    fn reset_state(&mut self) {
-        self.states.clear();
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        w.u64(self.states.len() as u64);
-        for st in &self.states {
-            st.save_into(&mut w);
-        }
-        Ok(w.into_bytes())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        let n = r.len()?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(AdamMoments::load_from(&mut r)?);
-        }
-        r.expect_exhausted()?;
-        self.states = states;
-        Ok(())
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.engine, None)
     }
 }
 
@@ -142,7 +94,8 @@ impl Optimizer for AdamW {
 ///
 /// Same memory as AdamW — this optimizer exists to *validate the coarsening*
 /// that APOLLO later makes memory-efficient, and to provide the full-rank
-/// golden reference for the √(n/r) scaling-factor study (Fig. 4).
+/// golden reference for the √(n/r) scaling-factor study (Fig. 4): it runs
+/// the very scaling lift APOLLO runs, on unprojected moments.
 #[derive(Debug, Clone)]
 pub struct AdamWChannelwise {
     /// First-moment decay β₁.
@@ -155,17 +108,10 @@ pub struct AdamWChannelwise {
     pub weight_decay: f32,
     /// Whether the norm-growth limiter guards each tensor update.
     pub use_limiter: bool,
-    states: Vec<AdamMoments>,
-    limiters: Vec<NormGrowthLimiter>,
-    /// Per-param full-rank scratch for the scaled update — reused
-    /// allocations, not optimizer state (excluded from `state_elems` and
-    /// save/load).
-    bufs: Vec<Matrix>,
     /// Channel scaling factors of the last step, per parameter (empty for
     /// non-projectable tensors). Consumed by the Fig. 4 probe.
     pub last_scales: Vec<Vec<f32>>,
-    /// Observability handle; disabled (free) unless attached.
-    obs: Obs,
+    engine: Engine,
 }
 
 impl AdamWChannelwise {
@@ -177,11 +123,8 @@ impl AdamWChannelwise {
             eps: 1e-8,
             weight_decay: 0.0,
             use_limiter: true,
-            states: Vec::new(),
-            limiters: Vec::new(),
-            bufs: Vec::new(),
             last_scales: Vec::new(),
-            obs: Obs::disabled(),
+            engine: Engine::default(),
         }
     }
 
@@ -198,8 +141,8 @@ impl Default for AdamWChannelwise {
     }
 }
 
-impl Optimizer for AdamWChannelwise {
-    fn name(&self) -> String {
+impl Recipe for AdamWChannelwise {
+    fn label(&self) -> String {
         if self.use_limiter {
             "AdamW-channelwise+NL".to_string()
         } else {
@@ -207,155 +150,35 @@ impl Optimizer for AdamWChannelwise {
         }
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        if self.states.is_empty() {
-            self.states = params
-                .iter()
-                .map(|p| AdamMoments::new(p.value.rows(), p.value.cols()))
-                .collect();
-            self.limiters = params
-                .iter()
-                .map(|_| NormGrowthLimiter::paper_default())
-                .collect();
-            self.bufs = params.iter().map(|_| Matrix::zeros(0, 0)).collect();
-            self.last_scales = vec![Vec::new(); params.len()];
-        }
-        assert_eq!(self.states.len(), params.len(), "parameter list changed");
-        for (i, p) in params.iter_mut().enumerate() {
-            let gt = self.states[i].update(p.grad, self.beta1, self.beta2, self.eps);
-            // Build the applied update in per-param scratch instead of
-            // cloning a full matrix every step.
-            let update = &mut self.bufs[i];
-            if p.projectable && p.value.rows() > 1 && p.value.cols() > 1 {
-                // Channel along the larger dimension (Eq. 3).
-                let along_cols = p.value.rows() <= p.value.cols();
-                let s = norm_ratio_scales(gt, p.grad, along_cols);
-                update.copy_from(p.grad);
-                if along_cols {
-                    update.scale_cols(&s);
-                } else {
-                    update.scale_rows(&s);
-                }
-                self.last_scales[i] = s;
-            } else {
-                update.copy_from(gt);
-                self.last_scales[i].clear();
-            }
-            if self.obs.sample_due() && self.obs.has_trace() {
-                if let Some(ev) =
-                    apollo_obs::scale_summary(self.obs.step(), p.name, &self.last_scales[i])
-                {
-                    self.obs.emit(|| ev);
-                }
-            }
-            if self.use_limiter {
-                let pre = if self.obs.has_trace() {
-                    update.fro_norm()
-                } else {
-                    0.0
-                };
-                match self.limiters[i].apply(update) {
-                    LimiterOutcome::Clamped => {
-                        self.obs.counter("limiter_clips", 1);
-                        if self.obs.has_trace() {
-                            let post = update.fro_norm();
-                            let ratio = if post > 1e-30 { pre / post } else { 1.0 };
-                            let step = self.obs.step();
-                            let name = p.name;
-                            self.obs.emit(|| TraceEvent::LimiterClip {
-                                step,
-                                param: name.to_string(),
-                                ratio,
-                            });
-                        }
-                    }
-                    LimiterOutcome::NonFinite => {
-                        self.obs.counter("limiter_non_finite", 1);
-                    }
-                    LimiterOutcome::Passed => {}
-                }
-            }
-            let decay = if self.weight_decay > 0.0 {
-                1.0 - lr * self.weight_decay
-            } else {
-                1.0
-            };
-            apollo_tensor::fused::fused_axpy_chain(p.value, decay, -lr, update);
+    fn plan(&self) -> Plan {
+        Plan {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            quant_group: None,
+            subspace: None,
+            lift: Lift::Scale {
+                granularity: ScaleGranularity::Channel,
+                alpha: 1.0,
+            },
+            limiter: self.use_limiter,
         }
     }
 
-    fn state_elems(&self) -> usize {
-        let moments: usize = self.states.iter().map(AdamMoments::elems).sum();
-        let limiter = if self.use_limiter {
-            self.limiters.len()
-        } else {
-            0
-        };
-        moments + limiter
+    fn engine(&self) -> &Engine {
+        &self.engine
     }
 
-    fn reset_state(&mut self) {
-        self.states.clear();
-        self.limiters.clear();
-        self.bufs.clear();
-        self.last_scales.clear();
-    }
-
-    fn attach_observer(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        w.u64(self.states.len() as u64);
-        for st in &self.states {
-            st.save_into(&mut w);
-        }
-        w.u64(self.limiters.len() as u64);
-        for l in &self.limiters {
-            l.save_into(&mut w);
-        }
-        w.u64(self.last_scales.len() as u64);
-        for s in &self.last_scales {
-            w.f32_slice(s);
-        }
-        Ok(w.into_bytes())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        let n = r.len()?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(AdamMoments::load_from(&mut r)?);
-        }
-        let nl = r.len()?;
-        if nl != n {
-            return Err(format!("limiter count {nl} != moment count {n}"));
-        }
-        let mut limiters = Vec::with_capacity(nl);
-        for _ in 0..nl {
-            limiters.push(NormGrowthLimiter::load_from(&mut r)?);
-        }
-        let ns = r.len()?;
-        let mut last_scales = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            last_scales.push(r.f32_slice()?);
-        }
-        r.expect_exhausted()?;
-        self.bufs = (0..states.len()).map(|_| Matrix::zeros(0, 0)).collect();
-        self.states = states;
-        self.limiters = limiters;
-        self.last_scales = last_scales;
-        Ok(())
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.engine, Some(&mut self.last_scales))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Optimizer, ParamUpdate};
     use apollo_tensor::{Matrix, Rng};
 
     fn one_param_step(opt: &mut dyn Optimizer, w: &mut Matrix, g: &Matrix, lr: f32) {

@@ -1,41 +1,7 @@
 //! APOLLO and APOLLO-Mini (Algorithm 1 of the paper).
 
-use apollo_obs::{Obs, TraceEvent};
-use apollo_tensor::{fused, Matrix};
-
-use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
-use crate::projector::{ProjKind, Projector};
-use crate::state::{StateReader, StateWriter};
-use crate::{
-    check_state_header, norm_ratio_scales, save_state_header, AdamMoments, Optimizer, ParamUpdate,
-};
-
-/// Granularity of the approximated gradient scaling factor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleGranularity {
-    /// One factor per channel along the larger tensor dimension — APOLLO
-    /// (Eq. 5).
-    Channel,
-    /// One factor per tensor — APOLLO-Mini (Section 4.2), required for
-    /// rank-1 spaces where channel-wise estimates are too noisy.
-    Tensor,
-}
-
-/// Per-tensor state of the APOLLO optimizer.
-#[derive(Debug, Clone)]
-enum ApolloState {
-    /// Dense AdamW fallback (norm gains, embeddings).
-    Dense(AdamMoments),
-    /// The auxiliary low-rank optimizer state of Algorithm 1.
-    LowRank {
-        moments: AdamMoments,
-        projector: Projector,
-        limiter: NormGrowthLimiter,
-        /// Full-rank scratch for the scaled update — a reused allocation,
-        /// not optimizer state (excluded from `state_elems` and save/load).
-        update: Matrix,
-    },
-}
+use crate::engine::{Engine, Lift, Plan, Recipe, ScaleGranularity, Subspace};
+use crate::projector::ProjKind;
 
 /// **APOLLO**: Approximated Gradient Scaling for Memory-Efficient LLM
 /// Optimization (Algorithm 1).
@@ -82,13 +48,11 @@ pub struct Apollo {
     /// Whether the norm-growth limiter guards each tensor update.
     pub use_limiter: bool,
     seed: u64,
-    states: Vec<ApolloState>,
     /// Scaling factors from the last step, per parameter (length 1 for
     /// tensor granularity; empty for dense-fallback tensors). Consumed by
     /// the Fig. 4 probe.
     pub last_scales: Vec<Vec<f32>>,
-    /// Observability handle; disabled (free) unless attached.
-    obs: Obs,
+    engine: Engine,
 }
 
 impl Apollo {
@@ -106,9 +70,8 @@ impl Apollo {
             update_freq,
             use_limiter: true,
             seed: 0xA90110,
-            states: Vec::new(),
             last_scales: Vec::new(),
-            obs: Obs::disabled(),
+            engine: Engine::default(),
         }
     }
 
@@ -171,8 +134,8 @@ impl Apollo {
     /// config field and every initialized low-rank state's projector are
     /// re-pointed together, so a restored-then-perturbed optimizer behaves
     /// identically to one perturbed in place (the population-search
-    /// explore step relies on this). Safe before the first step too — the
-    /// states are empty and `init_states` picks up the new value.
+    /// explore step relies on this). Safe before the first step too — no
+    /// state exists yet and the first step picks up the new value.
     ///
     /// # Panics
     ///
@@ -180,48 +143,12 @@ impl Apollo {
     pub fn set_update_freq(&mut self, update_freq: usize) {
         assert!(update_freq > 0, "update_freq must be positive");
         self.update_freq = update_freq;
-        for st in &mut self.states {
-            if let ApolloState::LowRank { projector, .. } = st {
-                projector.set_update_freq(update_freq);
-            }
-        }
-    }
-
-    fn init_states(&mut self, params: &[ParamUpdate<'_>]) {
-        self.states = params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let (r, c) = p.value.shape();
-                if p.projectable && r > 1 && c > 1 {
-                    let rank = self.rank.min(r).min(c);
-                    let large = r.max(c);
-                    // Moments live in the projected space; the projected
-                    // gradient is rank × large (or large × rank — the
-                    // element count is what matters here).
-                    let (mr, mc) = if r <= c { (rank, large) } else { (large, rank) };
-                    ApolloState::LowRank {
-                        moments: AdamMoments::new(mr, mc),
-                        projector: Projector::new(
-                            self.proj_kind,
-                            rank,
-                            self.update_freq,
-                            self.seed.wrapping_add(i as u64),
-                        ),
-                        limiter: NormGrowthLimiter::paper_default(),
-                        update: Matrix::zeros(0, 0),
-                    }
-                } else {
-                    ApolloState::Dense(AdamMoments::new(r, c))
-                }
-            })
-            .collect();
-        self.last_scales = vec![Vec::new(); params.len()];
+        self.engine.set_update_freq(update_freq);
     }
 }
 
-impl Optimizer for Apollo {
-    fn name(&self) -> String {
+impl Recipe for Apollo {
+    fn label(&self) -> String {
         let base = match self.granularity {
             ScaleGranularity::Channel => "APOLLO",
             ScaleGranularity::Tensor => {
@@ -238,217 +165,40 @@ impl Optimizer for Apollo {
         }
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        if self.states.is_empty() {
-            self.init_states(params);
-        }
-        assert_eq!(self.states.len(), params.len(), "parameter list changed");
-        for (i, p) in params.iter_mut().enumerate() {
-            match &mut self.states[i] {
-                ApolloState::Dense(moments) => {
-                    moments.step_weight(
-                        p.value,
-                        p.grad,
-                        self.beta1,
-                        self.beta2,
-                        self.eps,
-                        lr,
-                        self.weight_decay,
-                    );
-                    self.last_scales[i].clear();
-                }
-                ApolloState::LowRank {
-                    moments,
-                    projector,
-                    limiter,
-                    update,
-                } => {
-                    // Step 1: project the gradient into the auxiliary space.
-                    if projector.begin_step(p.grad) {
-                        self.obs.counter("projector_refresh", 1);
-                        let step = self.obs.step();
-                        let rank = projector.effective_rank(p.grad);
-                        let kind = projector.kind_label();
-                        let name = p.name;
-                        self.obs.emit(|| TraceEvent::ProjectorRefresh {
-                            step,
-                            param: name.to_string(),
-                            kind: kind.to_string(),
-                            rank,
-                        });
-                    }
-                    let r = projector.project(p.grad);
-                    // Step 2: low-rank AdamW moments.
-                    let rt = moments.update(&r, self.beta1, self.beta2, self.eps);
-                    // Steps 3+4a, fused: scale the raw gradient by the
-                    // approximated factors and by α in one traversal of the
-                    // per-param scratch, getting ‖update‖_F as a by-product
-                    // for the limiter (the kernel's flat f64 accumulation is
-                    // the same as `Matrix::fro_norm`).
-                    let norm = match self.granularity {
-                        ScaleGranularity::Channel => {
-                            let along_cols = p.grad.rows() <= p.grad.cols();
-                            let s = norm_ratio_scales(rt, &r, along_cols);
-                            let scale = if along_cols {
-                                fused::ChannelScale::Cols(&s)
-                            } else {
-                                fused::ChannelScale::Rows(&s)
-                            };
-                            let norm = fused::fused_apollo_scale(update, p.grad, scale, self.alpha);
-                            self.last_scales[i] = s;
-                            norm
-                        }
-                        ScaleGranularity::Tensor => {
-                            let denom = r.fro_norm();
-                            let s = if denom > 1e-30 {
-                                rt.fro_norm() / denom
-                            } else {
-                                0.0
-                            };
-                            let norm = fused::fused_apollo_scale(
-                                update,
-                                p.grad,
-                                fused::ChannelScale::Tensor(s),
-                                self.alpha,
-                            );
-                            self.last_scales[i] = vec![s];
-                            norm
-                        }
-                    };
-                    if self.obs.sample_due() && self.obs.has_trace() {
-                        if let Some(ev) =
-                            apollo_obs::scale_summary(self.obs.step(), p.name, &self.last_scales[i])
-                        {
-                            self.obs.emit(|| ev);
-                        }
-                    }
-                    if self.use_limiter {
-                        match limiter.apply_with_norm(update, norm) {
-                            LimiterOutcome::Clamped => {
-                                self.obs.counter("limiter_clips", 1);
-                                if self.obs.has_trace() {
-                                    let post = update.fro_norm();
-                                    let ratio = if post > 1e-30 { norm / post } else { 1.0 };
-                                    let step = self.obs.step();
-                                    let name = p.name;
-                                    self.obs.emit(|| TraceEvent::LimiterClip {
-                                        step,
-                                        param: name.to_string(),
-                                        ratio,
-                                    });
-                                }
-                            }
-                            LimiterOutcome::NonFinite => {
-                                self.obs.counter("limiter_non_finite", 1);
-                            }
-                            LimiterOutcome::Passed => {}
-                        }
-                    }
-                    // Step 4b, fused: decoupled weight decay + weight write.
-                    let decay = if self.weight_decay > 0.0 {
-                        1.0 - lr * self.weight_decay
-                    } else {
-                        1.0
-                    };
-                    fused::fused_axpy_chain(p.value, decay, -lr, update);
-                    r.recycle();
-                }
-            }
+    fn plan(&self) -> Plan {
+        Plan {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            quant_group: None,
+            subspace: Some(Subspace {
+                kind: self.proj_kind,
+                rank: self.rank,
+                update_freq: self.update_freq,
+                seed: self.seed,
+            }),
+            lift: Lift::Scale {
+                granularity: self.granularity,
+                alpha: self.alpha,
+            },
+            limiter: self.use_limiter,
         }
     }
 
-    fn state_elems(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| match s {
-                ApolloState::Dense(m) => m.elems(),
-                ApolloState::LowRank {
-                    moments, projector, ..
-                } => {
-                    // Table 1: moments (2nr) + seed + limiter norm = +2 for
-                    // the random kind; SVD additionally stores its basis
-                    // (mr) but needs no seed (+1).
-                    let consts = match projector.kind() {
-                        ProjKind::Random => 2,
-                        ProjKind::Svd => 1,
-                    };
-                    moments.elems() + projector.state_elems() + consts
-                }
-            })
-            .sum()
+    fn engine(&self) -> &Engine {
+        &self.engine
     }
 
-    fn reset_state(&mut self) {
-        self.states.clear();
-        self.last_scales.clear();
-    }
-
-    fn attach_observer(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        w.u64(self.states.len() as u64);
-        for st in &self.states {
-            match st {
-                ApolloState::Dense(moments) => {
-                    w.u8(0);
-                    moments.save_into(&mut w);
-                }
-                ApolloState::LowRank {
-                    moments,
-                    projector,
-                    limiter,
-                    ..
-                } => {
-                    w.u8(1);
-                    moments.save_into(&mut w);
-                    projector.save_into(&mut w);
-                    limiter.save_into(&mut w);
-                }
-            }
-        }
-        w.u64(self.last_scales.len() as u64);
-        for s in &self.last_scales {
-            w.f32_slice(s);
-        }
-        Ok(w.into_bytes())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        let n = r.len()?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(match r.u8()? {
-                0 => ApolloState::Dense(AdamMoments::load_from(&mut r)?),
-                1 => ApolloState::LowRank {
-                    moments: AdamMoments::load_from(&mut r)?,
-                    projector: Projector::load_from(&mut r)?,
-                    limiter: NormGrowthLimiter::load_from(&mut r)?,
-                    update: Matrix::zeros(0, 0),
-                },
-                other => return Err(format!("unknown APOLLO state tag {other}")),
-            });
-        }
-        let ns = r.len()?;
-        let mut last_scales = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            last_scales.push(r.f32_slice()?);
-        }
-        r.expect_exhausted()?;
-        self.states = states;
-        self.last_scales = last_scales;
-        Ok(())
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.engine, Some(&mut self.last_scales))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Optimizer, ParamUpdate};
     use apollo_tensor::{Matrix, Rng};
 
     fn one_step(opt: &mut Apollo, w: &mut Matrix, g: &Matrix, lr: f32) {

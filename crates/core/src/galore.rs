@@ -5,24 +5,8 @@
 //! *estimates scaling factors* there and applies them to the raw full-rank
 //! gradient.
 
-use apollo_obs::{Obs, TraceEvent};
-
-use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
-use crate::projector::{ProjKind, Projector};
-use crate::state::{StateReader, StateWriter};
-use crate::{
-    check_state_header, norm_ratio_scales, save_state_header, AdamMoments, Optimizer, ParamUpdate,
-};
-
-#[derive(Debug, Clone)]
-enum LowRankState {
-    Dense(AdamMoments),
-    LowRank {
-        moments: AdamMoments,
-        projector: Projector,
-        limiter: NormGrowthLimiter,
-    },
-}
+use crate::engine::{Engine, Lift, Plan, Recipe, Subspace};
+use crate::projector::ProjKind;
 
 /// **GaLore** (Zhao et al., 2024): AdamW moments on the projected gradient,
 /// update projected back to full rank:
@@ -53,11 +37,8 @@ pub struct GaLore {
     pub proj_kind: ProjKind,
     quant_group: Option<usize>,
     seed: u64,
-    states: Vec<LowRankState>,
-    name_override: Option<&'static str>,
-    /// Observability handle; disabled (free) unless attached. Shared by
-    /// the Fira/Flora wrappers through their inner `GaLore`.
-    obs: Obs,
+    /// Shared by the Fira/Flora wrappers through their inner `GaLore`.
+    engine: Engine,
 }
 
 impl GaLore {
@@ -74,9 +55,7 @@ impl GaLore {
             proj_kind: ProjKind::Svd,
             quant_group: None,
             seed: 0x6A10,
-            states: Vec::new(),
-            name_override: None,
-            obs: Obs::disabled(),
+            engine: Engine::default(),
         }
     }
 
@@ -107,229 +86,32 @@ impl GaLore {
         self
     }
 
-    fn moments_for(&self, rows: usize, cols: usize) -> AdamMoments {
-        match self.quant_group {
-            None => AdamMoments::new(rows, cols),
-            Some(g) => AdamMoments::new_quantized(rows, cols, g),
+    /// The plan GaLore, Fira (`fira`: residual term + limiter) and Flora
+    /// share.
+    fn plan_with(&self, fira: bool) -> Plan {
+        Plan {
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            weight_decay: self.weight_decay,
+            quant_group: self.quant_group,
+            subspace: Some(Subspace {
+                kind: self.proj_kind,
+                rank: self.rank,
+                update_freq: self.update_freq,
+                seed: self.seed,
+            }),
+            lift: Lift::ProjectBack {
+                scale: self.scale,
+                residual: fira,
+            },
+            limiter: fira,
         }
-    }
-
-    fn init_states(&mut self, params: &[ParamUpdate<'_>]) {
-        self.states = params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let (r, c) = p.value.shape();
-                if p.projectable && r > 1 && c > 1 {
-                    let rank = self.rank.min(r).min(c);
-                    let (mr, mc) = if r <= c { (rank, c) } else { (r, rank) };
-                    LowRankState::LowRank {
-                        moments: self.moments_for(mr, mc),
-                        projector: Projector::new(
-                            self.proj_kind,
-                            rank,
-                            self.update_freq,
-                            self.seed.wrapping_add(i as u64),
-                        ),
-                        limiter: NormGrowthLimiter::paper_default(),
-                    }
-                } else {
-                    LowRankState::Dense(self.moments_for(r, c))
-                }
-            })
-            .collect();
-    }
-
-    /// Shared step used by GaLore itself and by Fira (which adds the
-    /// norm-scaled residual term).
-    fn step_inner(&mut self, params: &mut [ParamUpdate<'_>], lr: f32, fira_residual: bool) {
-        if self.states.is_empty() {
-            self.init_states(params);
-        }
-        assert_eq!(self.states.len(), params.len(), "parameter list changed");
-        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
-        let decay = 1.0 - lr * self.weight_decay;
-        for (p, st) in params.iter_mut().zip(&mut self.states) {
-            // The two arms apply the update inline: the dense arm borrows
-            // the moments' scratch, the low-rank arm recycles its
-            // temporaries — neither clones a full matrix.
-            match st {
-                LowRankState::Dense(moments) => {
-                    moments.step_weight(p.value, p.grad, beta1, beta2, eps, lr, self.weight_decay);
-                }
-                LowRankState::LowRank {
-                    moments,
-                    projector,
-                    limiter,
-                } => {
-                    if projector.begin_step(p.grad) {
-                        self.obs.counter("projector_refresh", 1);
-                        let step = self.obs.step();
-                        let rank = projector.effective_rank(p.grad);
-                        let kind = projector.kind_label();
-                        let name = p.name;
-                        self.obs.emit(|| TraceEvent::ProjectorRefresh {
-                            step,
-                            param: name.to_string(),
-                            kind: kind.to_string(),
-                            rank,
-                        });
-                    }
-                    let r = projector.project(p.grad);
-                    let nt = moments.update(&r, beta1, beta2, eps);
-                    let mut back = projector.project_back(nt, p.grad.shape());
-                    back.scale_assign(self.scale);
-                    if fira_residual {
-                        // Fira: add the residual (G − P·PᵀG), scaled
-                        // channel-wise by ‖back‖/‖P·PᵀG‖ norm ratios.
-                        let low = projector.project_back(&r, p.grad.shape());
-                        let mut residual = p.grad.sub(&low);
-                        let along_cols = p.grad.rows() <= p.grad.cols();
-                        let s = norm_ratio_scales(&back, &low, along_cols);
-                        if along_cols {
-                            residual.scale_cols(&s);
-                        } else {
-                            residual.scale_rows(&s);
-                        }
-                        if self.obs.sample_due() && self.obs.has_trace() {
-                            if let Some(ev) = apollo_obs::scale_summary(self.obs.step(), p.name, &s)
-                            {
-                                self.obs.emit(|| ev);
-                            }
-                        }
-                        back.add_assign(&residual);
-                        low.recycle();
-                        residual.recycle();
-                        let pre = if self.obs.has_trace() {
-                            back.fro_norm()
-                        } else {
-                            0.0
-                        };
-                        match limiter.apply(&mut back) {
-                            LimiterOutcome::Clamped => {
-                                self.obs.counter("limiter_clips", 1);
-                                if self.obs.has_trace() {
-                                    let post = back.fro_norm();
-                                    let ratio = if post > 1e-30 { pre / post } else { 1.0 };
-                                    let step = self.obs.step();
-                                    let name = p.name;
-                                    self.obs.emit(|| TraceEvent::LimiterClip {
-                                        step,
-                                        param: name.to_string(),
-                                        ratio,
-                                    });
-                                }
-                            }
-                            LimiterOutcome::NonFinite => {
-                                self.obs.counter("limiter_non_finite", 1);
-                            }
-                            LimiterOutcome::Passed => {}
-                        }
-                    }
-                    // `decay` is exactly 1.0 when weight decay is off, and
-                    // a decay-1.0 multiply is a bit-exact no-op, so the
-                    // fused tail needs no branch.
-                    apollo_tensor::fused::fused_axpy_chain(p.value, decay, -lr, &back);
-                    back.recycle();
-                    r.recycle();
-                }
-            }
-        }
-    }
-
-    fn state_elems_inner(&self, fira: bool) -> usize {
-        self.states
-            .iter()
-            .map(|s| match s {
-                LowRankState::Dense(m) => m.elems(),
-                LowRankState::LowRank {
-                    moments, projector, ..
-                } => {
-                    // Table 1 — GaLore: mr + 2nr (SVD basis + moments);
-                    // random projection stores only a seed (+1, as Flora);
-                    // Fira adds the limiter scalar (+1).
-                    let proj = match projector.kind() {
-                        ProjKind::Svd => projector.state_elems(),
-                        ProjKind::Random => 1,
-                    };
-                    moments.elems() + proj + usize::from(fira)
-                }
-            })
-            .sum()
-    }
-
-    /// Shared `state_save` used by GaLore, Fira, and Flora; `name` embeds
-    /// the concrete optimizer so checkpoints cannot cross wrappers.
-    fn state_save_inner(&self, name: &str) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, name);
-        w.u64(self.states.len() as u64);
-        for st in &self.states {
-            match st {
-                LowRankState::Dense(moments) => {
-                    w.u8(0);
-                    moments.save_into(&mut w);
-                }
-                LowRankState::LowRank {
-                    moments,
-                    projector,
-                    limiter,
-                } => {
-                    w.u8(1);
-                    moments.save_into(&mut w);
-                    projector.save_into(&mut w);
-                    limiter.save_into(&mut w);
-                }
-            }
-        }
-        Ok(w.into_bytes())
-    }
-
-    fn state_load_inner(&mut self, bytes: &[u8], name: &str) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, name)?;
-        let n = r.len()?;
-        let mut states = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(match r.u8()? {
-                0 => LowRankState::Dense(AdamMoments::load_from(&mut r)?),
-                1 => LowRankState::LowRank {
-                    moments: AdamMoments::load_from(&mut r)?,
-                    projector: Projector::load_from(&mut r)?,
-                    limiter: NormGrowthLimiter::load_from(&mut r)?,
-                },
-                other => return Err(format!("unknown GaLore state tag {other}")),
-            });
-        }
-        r.expect_exhausted()?;
-        self.states = states;
-        Ok(())
-    }
-
-    fn state_bytes_inner(&self) -> usize {
-        self.states
-            .iter()
-            .map(|s| match s {
-                LowRankState::Dense(m) => m.bytes(),
-                LowRankState::LowRank {
-                    moments, projector, ..
-                } => {
-                    let proj = match projector.kind() {
-                        ProjKind::Svd => 4 * projector.state_elems(),
-                        ProjKind::Random => 8,
-                    };
-                    moments.bytes() + proj
-                }
-            })
-            .sum()
     }
 }
 
-impl Optimizer for GaLore {
-    fn name(&self) -> String {
-        if let Some(n) = self.name_override {
-            return n.to_string();
-        }
+impl Recipe for GaLore {
+    fn label(&self) -> String {
         match (self.quant_group, self.proj_kind) {
             (Some(g), _) => format!("8-bit GaLore(g={g})"),
             (None, ProjKind::Svd) => "GaLore".to_string(),
@@ -337,32 +119,16 @@ impl Optimizer for GaLore {
         }
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        self.step_inner(params, lr, false);
+    fn plan(&self) -> Plan {
+        self.plan_with(false)
     }
 
-    fn state_elems(&self) -> usize {
-        self.state_elems_inner(false)
+    fn engine(&self) -> &Engine {
+        &self.engine
     }
 
-    fn state_bytes(&self) -> usize {
-        self.state_bytes_inner()
-    }
-
-    fn reset_state(&mut self) {
-        self.states.clear();
-    }
-
-    fn attach_observer(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        self.state_save_inner(&self.name())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.state_load_inner(bytes, &self.name())
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.engine, None)
     }
 }
 
@@ -394,41 +160,24 @@ impl Fira {
     }
 }
 
-impl Optimizer for Fira {
-    fn name(&self) -> String {
+impl Recipe for Fira {
+    fn label(&self) -> String {
         match self.0.proj_kind {
             ProjKind::Svd => "Fira".to_string(),
             ProjKind::Random => "Fira w. RP".to_string(),
         }
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        self.0.step_inner(params, lr, true);
+    fn plan(&self) -> Plan {
+        self.0.plan_with(true)
     }
 
-    fn state_elems(&self) -> usize {
-        self.0.state_elems_inner(true)
+    fn engine(&self) -> &Engine {
+        &self.0.engine
     }
 
-    fn state_bytes(&self) -> usize {
-        self.0.state_bytes_inner() + self.0.states.len()
-    }
-
-    fn reset_state(&mut self) {
-        self.0.states.clear();
-    }
-
-    fn attach_observer(&mut self, obs: Obs) {
-        self.0.obs = obs;
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        self.0.state_save_inner(&self.name())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let name = self.name();
-        self.0.state_load_inner(bytes, &name)
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.0.engine, None)
     }
 }
 
@@ -443,52 +192,36 @@ pub struct Flora(GaLore);
 impl Flora {
     /// Flora with scale 1.0 (no GaLore-style damping).
     pub fn new(rank: usize, update_freq: usize) -> Self {
-        let mut inner = GaLore::new(rank, update_freq)
-            .with_random_projection()
-            .with_scale(1.0);
-        inner.name_override = Some("Flora");
-        Flora(inner)
+        Flora(
+            GaLore::new(rank, update_freq)
+                .with_random_projection()
+                .with_scale(1.0),
+        )
     }
 }
 
-impl Optimizer for Flora {
-    fn name(&self) -> String {
+impl Recipe for Flora {
+    fn label(&self) -> String {
         "Flora".to_string()
     }
 
-    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
-        self.0.step_inner(params, lr, false);
+    fn plan(&self) -> Plan {
+        self.0.plan_with(false)
     }
 
-    fn state_elems(&self) -> usize {
-        self.0.state_elems_inner(false)
+    fn engine(&self) -> &Engine {
+        &self.0.engine
     }
 
-    fn state_bytes(&self) -> usize {
-        self.0.state_bytes_inner()
-    }
-
-    fn reset_state(&mut self) {
-        self.0.states.clear();
-    }
-
-    fn attach_observer(&mut self, obs: Obs) {
-        self.0.obs = obs;
-    }
-
-    fn state_save(&self) -> Result<Vec<u8>, String> {
-        self.0.state_save_inner(&self.name())
-    }
-
-    fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let name = self.name();
-        self.0.state_load_inner(bytes, &name)
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (&mut self.0.engine, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Optimizer, ParamUpdate};
     use apollo_tensor::{Matrix, Rng};
 
     fn one_step(opt: &mut dyn Optimizer, w: &mut Matrix, g: &Matrix, lr: f32) {

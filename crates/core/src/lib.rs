@@ -17,17 +17,30 @@
 //!
 //! # Provided optimizers
 //!
-//! | Type | Paper role |
-//! |---|---|
-//! | [`Apollo`] | the contribution (channel-wise, random projection) |
-//! | [`Apollo::mini`] | APOLLO-Mini (rank-1, tensor-wise, α=√128) |
-//! | [`AdamW`] | the de-facto baseline (also 8-bit variant) |
-//! | [`AdamWChannelwise`] | Section 3 structured-LR study (Fig. 3) |
-//! | [`GaLore`] | low-rank gradient projection baseline (also 8-bit) |
-//! | [`Fira`] | GaLore + full-rank residual baseline |
-//! | [`Flora`] | random-projection momentum compression baseline |
-//! | [`AdamMini`] | block-wise second-moment baseline (Adam-mini) |
-//! | [`Sgd`] / [`SgdMomentum`] | memory floor reference |
+//! Every Adam-family method is the one update `W ← W − η·lift(Ñ, G)` with
+//! `Ñ = M̂/(√V̂+ε)`; one private per-tensor engine runs *refresh → project →
+//! moments → lift → limiter → decay + axpy* for all of them, and the named
+//! types are hyper-parameter structs picking a row of this matrix (state
+//! per projectable `m × n` tensor, `m ≤ n`, rank `r` — Table 1):
+//!
+//! | Type | Moments live in | Lift | Granularity | Limiter | State |
+//! |---|---|---|---|---|---|
+//! | [`AdamW`] (also 8-bit) | full space | element-wise `Ñ` | element | – | `2mn` |
+//! | [`AdamWChannelwise`] (Section 3, Fig. 3) | full space | scale `G·diag(s)` | channel | optional | `2mn + 1` |
+//! | [`Apollo`] | `R = P·G`, random `P` | scale `α·G·diag(s)` | channel | yes | `2nr + 2` |
+//! | [`Apollo::mini`] | `R = P·G`, random, `r = 1` | scale `α·s·G` | tensor | yes | `2n + 2` |
+//! | [`Apollo::with_svd`] | `R = P·G`, SVD `P` | scale `α·G·diag(s)` | channel | yes | `mr + 2nr + 1` |
+//! | [`GaLore`] (also 8-bit) | `R = PᵀG`, SVD `P` | project back `¼·P·Ñ` | element | – | `mr + 2nr` |
+//! | [`GaLore::with_random_projection`], [`Flora`] | `R = PᵀG`, random `P` | project back `P·Ñ` | element | – | `2nr + 1` |
+//! | [`Fira`] | `R = PᵀG`, SVD `P` | project back + `s ⊙ (G − P·PᵀG)` | channel (residual) | yes | `mr + 2nr + 1` |
+//!
+//! A random projector stores only its seed (1), an SVD one its basis
+//! (`mr`), the limiter one norm (1); non-projectable tensors (norm gains,
+//! embeddings) take dense AdamW under every projected method, as in the
+//! official implementations. Adding a method is one more lift arm or
+//! estimator space in the engine plus a constructor — not another loop.
+//! [`AdamMini`] (block-wise second moments, `mn + n`) and [`Sgd`] /
+//! [`SgdMomentum`] (`0` / `mn`) keep no Adam moments and stay separate.
 //!
 //! All optimizers implement [`Optimizer`] and report their true optimizer
 //! state footprint via [`Optimizer::state_elems`], which the tests check
@@ -54,6 +67,7 @@
 mod adamini;
 mod adamw;
 mod apollo;
+mod engine;
 mod galore;
 mod limiter;
 pub mod memory;
@@ -63,13 +77,14 @@ pub mod state;
 
 pub use adamini::AdamMini;
 pub use adamw::{AdamW, AdamWChannelwise};
-pub use apollo::{Apollo, ScaleGranularity};
+pub use apollo::Apollo;
+pub use engine::ScaleGranularity;
 pub use galore::{Fira, Flora, GaLore};
 pub use limiter::{LimiterOutcome, NormGrowthLimiter};
 pub use projector::{ProjKind, Projector};
 pub use sgd::{Sgd, SgdMomentum};
 
-use apollo_tensor::{fused, Matrix};
+use apollo_tensor::Matrix;
 
 /// One parameter's view for an optimizer step: current value, fresh
 /// gradient, and whether the low-rank projection path applies (2-D
@@ -133,7 +148,11 @@ pub trait Optimizer {
 
     /// Restores state captured by [`Optimizer::state_save`]. Errors (leaving
     /// existing state untouched) on a name mismatch, layout-version
-    /// mismatch, truncation, or trailing bytes.
+    /// mismatch, truncation, trailing bytes, or — for the Adam family — a
+    /// per-tensor record whose clamped rank, projection kind, INT8 group or
+    /// limiter disagrees with this optimizer's configuration. The subspace
+    /// refresh period is not compared: it can be re-pointed on a live
+    /// optimizer ([`Apollo::set_update_freq`]).
     fn state_load(&mut self, _bytes: &[u8]) -> Result<(), String> {
         Err(format!(
             "optimizer `{}` does not support state checkpointing",
@@ -149,239 +168,59 @@ pub trait Optimizer {
     fn attach_observer(&mut self, _obs: apollo_obs::Obs) {}
 }
 
-/// Writes the shared `state_save` header: optimizer name + layout version.
-pub(crate) fn save_state_header(w: &mut state::StateWriter, name: &str) {
+/// Version byte of the `state_save` layout. 2 is the first in which the
+/// Adam-family optimizers share one per-tensor record (weight shape,
+/// moments, optional projector, optional limiter); older blobs are
+/// rejected, not migrated.
+const STATE_LAYOUT_VERSION: u8 = 2;
+
+/// The one `state_save` frame: optimizer name, layout version, record
+/// count, then each record as written by `save`.
+pub(crate) fn save_records<T>(
+    name: &str,
+    records: &[T],
+    save: impl Fn(&T, &mut state::StateWriter),
+) -> Vec<u8> {
+    let mut w = state::StateWriter::new();
     w.str(name);
-    w.u8(1);
+    w.u8(STATE_LAYOUT_VERSION);
+    w.u64(records.len() as u64);
+    for record in records {
+        save(record, &mut w);
+    }
+    w.into_bytes()
 }
 
-/// Validates the shared header against the loading optimizer's name.
-pub(crate) fn check_state_header(r: &mut state::StateReader<'_>, name: &str) -> Result<(), String> {
+/// Reads a [`save_records`] frame back, checking it was written by an
+/// optimizer of this `name` at the current layout version and is consumed
+/// exactly. The caller installs the records only on `Ok`.
+pub(crate) fn load_records<'a, T>(
+    bytes: &'a [u8],
+    name: &str,
+    mut load: impl FnMut(&mut state::StateReader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut r = state::StateReader::new(bytes);
     let tag = r.str()?;
     if tag != name {
         return Err(format!("optimizer state is for `{tag}`, not `{name}`"));
     }
     match r.u8()? {
-        1 => Ok(()),
-        v => Err(format!("unknown `{name}` state layout version {v}")),
+        STATE_LAYOUT_VERSION => {}
+        v => return Err(format!("unsupported `{name}` state layout version {v}")),
     }
-}
-
-/// Shared helper: channel-wise norm-ratio scaling factors.
-///
-/// Computes `s_c = ‖num[c]‖₂ / ‖den[c]‖₂` per channel, where channels are
-/// columns when `along_cols` (the `m ≤ n` case of Eq. 5) or rows otherwise.
-/// Channels with zero denominator get factor 0 (their update is zero
-/// anyway).
-pub(crate) fn norm_ratio_scales(num: &Matrix, den: &Matrix, along_cols: bool) -> Vec<f32> {
-    let (n_num, n_den) = if along_cols {
-        (num.col_norms(), den.col_norms())
-    } else {
-        (num.row_norms(), den.row_norms())
-    };
-    n_num
-        .iter()
-        .zip(&n_den)
-        .map(|(&a, &b)| if b > 1e-30 { a / b } else { 0.0 })
-        .collect()
-}
-
-/// Shared helper: bias-corrected AdamW moment state for one tensor,
-/// optionally stored block-wise INT8-quantized (8-bit Adam / 8-bit GaLore).
-#[derive(Debug, Clone)]
-pub(crate) struct AdamMoments {
-    m: Matrix,
-    v: Matrix,
-    t: u32,
-    /// INT8 group size; `None` keeps full-precision state.
-    quant_group: Option<usize>,
-    /// Scratch holding the most recent normalized update. Purely a reused
-    /// allocation — not optimizer state, so excluded from
-    /// [`AdamMoments::elems`]/[`AdamMoments::bytes`] and from save/load.
-    upd: Matrix,
-}
-
-impl AdamMoments {
-    pub(crate) fn new(rows: usize, cols: usize) -> Self {
-        AdamMoments {
-            m: Matrix::zeros(rows, cols),
-            v: Matrix::zeros(rows, cols),
-            t: 0,
-            quant_group: None,
-            upd: Matrix::zeros(0, 0),
-        }
+    let n = r.len()?;
+    let mut records = Vec::new();
+    for i in 0..n {
+        records.push(load(&mut r).map_err(|e| format!("`{name}` state record {i}: {e}"))?);
     }
-
-    pub(crate) fn new_quantized(rows: usize, cols: usize, group: usize) -> Self {
-        AdamMoments {
-            quant_group: Some(group),
-            ..Self::new(rows, cols)
-        }
-    }
-
-    /// Updates the moments with gradient `g` and returns the bias-corrected
-    /// normalized update `M̂ / (√V̂ + ε)`.
-    ///
-    /// Full-precision state goes through the single-pass
-    /// [`fused::fused_adam_moments`] kernel (bit-identical to the staged
-    /// EMA + zip path). Quantized variants keep the staged path: they
-    /// round-trip the moments through INT8 after each update, so the
-    /// persistent state is exactly what an 8-bit optimizer would hold.
-    pub(crate) fn update(&mut self, g: &Matrix, beta1: f32, beta2: f32, eps: f32) -> &Matrix {
-        self.t += 1;
-        let bc1 = 1.0 - beta1.powi(self.t as i32);
-        let bc2 = 1.0 - beta2.powi(self.t as i32);
-        if let Some(group) = self.quant_group {
-            self.m.ema_assign(beta1, g);
-            self.v.ema_square_assign(beta2, g);
-            // Companded (nonlinear) code, as real 8-bit optimizers use —
-            // linear absmax INT8 would zero small second-moment entries.
-            let m = apollo_quant::fake_quantize_companded(&self.m, group, 0.5);
-            std::mem::replace(&mut self.m, m).recycle();
-            let mut v = apollo_quant::fake_quantize_companded(&self.v, group, 0.25);
-            // v is non-negative by construction; keep it that way.
-            v.map_assign(|x| x.max(0.0));
-            std::mem::replace(&mut self.v, v).recycle();
-            self.upd.zip_map_from(&self.m, &self.v, |m, v| {
-                (m / bc1) / ((v / bc2).sqrt() + eps)
-            });
-        } else {
-            fused::fused_adam_moments(
-                &mut self.m,
-                &mut self.v,
-                &mut self.upd,
-                g,
-                beta1,
-                beta2,
-                bc1,
-                bc2,
-                eps,
-            );
-        }
-        &self.upd
-    }
-
-    /// Fully fused AdamW tensor step: moment EMAs, bias correction,
-    /// decoupled weight decay, and the weight write in one traversal, with
-    /// no normalized-update temporary. Quantized state takes the staged
-    /// path, since the INT8 round-trip must interpose between the moment
-    /// update and the weight write.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn step_weight(
-        &mut self,
-        w: &mut Matrix,
-        g: &Matrix,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        lr: f32,
-        weight_decay: f32,
-    ) {
-        // `decay = 1.0` is a bit-exact no-op multiply, matching the staged
-        // path that skips `scale_assign` entirely when decay is off.
-        let decay = if weight_decay > 0.0 {
-            1.0 - lr * weight_decay
-        } else {
-            1.0
-        };
-        if self.quant_group.is_none() {
-            self.t += 1;
-            let bc1 = 1.0 - beta1.powi(self.t as i32);
-            let bc2 = 1.0 - beta2.powi(self.t as i32);
-            fused::fused_adam_update(
-                w,
-                g,
-                &mut self.m,
-                &mut self.v,
-                beta1,
-                beta2,
-                bc1,
-                bc2,
-                eps,
-                lr,
-                decay,
-            );
-        } else {
-            let update = self.update(g, beta1, beta2, eps);
-            fused::fused_axpy_chain(w, decay, -lr, update);
-        }
-    }
-
-    /// State footprint in f32-equivalent *elements*: the two moment tensors.
-    pub(crate) fn elems(&self) -> usize {
-        self.m.len() + self.v.len()
-    }
-
-    /// State footprint in bytes, honouring INT8 storage (1 byte/element plus
-    /// one f32 scale per group).
-    pub(crate) fn bytes(&self) -> usize {
-        match self.quant_group {
-            None => 4 * self.elems(),
-            Some(group) => {
-                let per = |len: usize| len + 4 * len.div_ceil(group);
-                per(self.m.len()) + per(self.v.len())
-            }
-        }
-    }
-
-    pub(crate) fn save_into(&self, w: &mut state::StateWriter) {
-        w.matrix(&self.m);
-        w.matrix(&self.v);
-        w.u32(self.t);
-        w.opt_u64(self.quant_group.map(|g| g as u64));
-    }
-
-    pub(crate) fn load_from(r: &mut state::StateReader<'_>) -> Result<Self, String> {
-        let m = r.matrix()?;
-        let v = r.matrix()?;
-        if m.shape() != v.shape() {
-            return Err(format!(
-                "moment shape mismatch: m {:?} vs v {:?}",
-                m.shape(),
-                v.shape()
-            ));
-        }
-        let t = r.u32()?;
-        let quant_group = r.opt_u64()?.map(|g| g as usize);
-        Ok(AdamMoments {
-            m,
-            v,
-            t,
-            quant_group,
-            upd: Matrix::zeros(0, 0),
-        })
-    }
+    r.expect_exhausted()?;
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use apollo_tensor::Rng;
-
-    #[test]
-    fn adam_moments_single_step_matches_hand_math() {
-        let mut st = AdamMoments::new(1, 2);
-        let g = Matrix::from_rows(&[&[0.5, -1.0]]);
-        let upd = st.update(&g, 0.9, 0.999, 1e-8);
-        // After one step the bias-corrected update is g/(|g|+eps) ≈ sign(g).
-        assert!((upd.get(0, 0) - 1.0).abs() < 1e-3, "{}", upd.get(0, 0));
-        assert!((upd.get(0, 1) + 1.0).abs() < 1e-3, "{}", upd.get(0, 1));
-    }
-
-    #[test]
-    fn norm_ratio_scales_cols_and_rows() {
-        let num = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-        let den = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(norm_ratio_scales(&num, &den, true), vec![2.0, 4.0]);
-        assert_eq!(norm_ratio_scales(&num, &den, false), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn norm_ratio_scales_zero_denominator_is_zero() {
-        let num = Matrix::from_rows(&[&[1.0], &[1.0]]);
-        let den = Matrix::zeros(2, 1);
-        assert_eq!(norm_ratio_scales(&num, &den, true), vec![0.0]);
-    }
 
     #[test]
     fn crate_example_runs() {

@@ -88,11 +88,6 @@ impl NormGrowthLimiter {
         }
     }
 
-    /// Number of stored scalars (for memory accounting): the previous norm.
-    pub fn state_elems(&self) -> usize {
-        1
-    }
-
     /// Resets the history (used when a training run restarts).
     pub fn reset(&mut self) {
         self.prev_norm = None;
@@ -116,7 +111,7 @@ impl NormGrowthLimiter {
 
     pub(crate) fn save_into(&self, w: &mut crate::state::StateWriter) {
         w.f32(self.gamma);
-        w.opt_f32(self.prev_norm);
+        w.opt(self.prev_norm, crate::state::StateWriter::f32);
     }
 
     pub(crate) fn load_from(r: &mut crate::state::StateReader<'_>) -> Result<Self, String> {
@@ -125,7 +120,7 @@ impl NormGrowthLimiter {
             return Err(format!("limiter gamma {gamma} must exceed 1"));
         }
         let mut limiter = NormGrowthLimiter::new(gamma);
-        limiter.set_prev_norm(r.opt_f32()?);
+        limiter.set_prev_norm(r.opt(crate::state::StateReader::f32)?);
         Ok(limiter)
     }
 }

@@ -139,22 +139,21 @@ impl Projector {
         Matrix::randn_scaled(small_dim, r, (1.0 / r as f32).sqrt(), &mut rng)
     }
 
-    /// Resolves the basis as a borrow: the SVD kind lends its cached basis
-    /// (no clone), the random kind regenerates into `generated`, whose
-    /// storage the caller recycles.
-    fn basis<'a>(
-        &'a self,
-        generated: &'a mut Option<Matrix>,
-        small: usize,
-        rank: usize,
-        what: &str,
-    ) -> &'a Matrix {
+    /// Runs `f` on the basis (`small × rank`): the SVD kind lends its cached
+    /// one (no clone), the random kind regenerates its own for the call and
+    /// recycles the storage.
+    fn with_basis<T>(&self, small: usize, rank: usize, f: impl FnOnce(&Matrix) -> T) -> T {
         match self.kind {
-            ProjKind::Random => generated.insert(self.random_basis(small, rank)),
-            ProjKind::Svd => self
+            ProjKind::Random => {
+                let basis = self.random_basis(small, rank);
+                let out = f(&basis);
+                basis.recycle();
+                out
+            }
+            ProjKind::Svd => f(self
                 .cached_basis
                 .as_ref()
-                .unwrap_or_else(|| panic!("begin_step must run before {what} for the SVD kind")),
+                .expect("begin_step must run before projecting with the SVD kind")),
         }
     }
 
@@ -162,37 +161,27 @@ impl Projector {
     /// `rows ≤ cols`, `m × r` otherwise.
     pub fn project(&self, g: &Matrix) -> Matrix {
         let small = g.rows().min(g.cols());
-        let mut generated = None;
-        let b = self.basis(&mut generated, small, self.effective_rank(g), "project");
-        let out = if g.rows() <= g.cols() {
-            b.matmul_transa(g) // (r × m)·(m × n) = r × n
-        } else {
-            g.matmul(b) // (m × n)·(n × r) = m × r
-        };
-        if let Some(m) = generated {
-            m.recycle();
-        }
-        out
+        self.with_basis(small, self.effective_rank(g), |b| {
+            if g.rows() <= g.cols() {
+                b.matmul_transa(g) // (r × m)·(m × n) = r × n
+            } else {
+                g.matmul(b) // (m × n)·(n × r) = m × r
+            }
+        })
     }
 
     /// Maps a low-rank tensor back to the full space (GaLore's
     /// `G̃ = P·Ñ`).
-    pub fn project_back(&self, r: &Matrix, full_shape: (usize, usize)) -> Matrix {
-        let (m, n) = full_shape;
+    pub fn project_back(&self, r: &Matrix, (m, n): (usize, usize)) -> Matrix {
         // Rebuild the basis for the full shape; `r` carries the other dim.
-        let small = m.min(n);
         let rank = r.rows().min(r.cols()).min(self.rank);
-        let mut generated = None;
-        let b = self.basis(&mut generated, small, rank, "project_back");
-        let out = if m <= n {
-            b.matmul(r) // (m × r)·(r × n)
-        } else {
-            r.matmul_transb(b) // (m × r)·(r × n)ᵀ… (m × r)·(n × r)ᵀ = m × n
-        };
-        if let Some(g) = generated {
-            g.recycle();
-        }
-        out
+        self.with_basis(m.min(n), rank, |b| {
+            if m <= n {
+                b.matmul(r) // (m × r)·(r × n)
+            } else {
+                r.matmul_transb(b) // (m × r)·(n × r)ᵀ = m × n
+            }
+        })
     }
 
     pub(crate) fn save_into(&self, w: &mut crate::state::StateWriter) {
@@ -204,7 +193,10 @@ impl Projector {
         w.u64(self.update_freq as u64);
         w.u64(self.seed);
         w.u64(self.step as u64);
-        w.opt_matrix(self.cached_basis.as_ref());
+        w.opt(
+            self.cached_basis.as_ref(),
+            crate::state::StateWriter::matrix,
+        );
     }
 
     pub(crate) fn load_from(r: &mut crate::state::StateReader<'_>) -> Result<Self, String> {
@@ -222,7 +214,7 @@ impl Projector {
         }
         let seed = r.u64()?;
         let step = r.len()?;
-        let cached_basis = r.opt_matrix()?;
+        let cached_basis = r.opt(crate::state::StateReader::matrix)?;
         Ok(Projector {
             kind,
             rank,

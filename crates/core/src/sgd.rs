@@ -2,8 +2,8 @@
 
 use apollo_tensor::Matrix;
 
-use crate::state::{StateReader, StateWriter};
-use crate::{check_state_header, save_state_header, Optimizer, ParamUpdate};
+use crate::state::StateReader;
+use crate::{load_records, save_records, Optimizer, ParamUpdate};
 
 /// Plain stochastic gradient descent with decoupled weight decay.
 ///
@@ -48,17 +48,14 @@ impl Optimizer for Sgd {
     }
 
     fn state_save(&self) -> Result<Vec<u8>, String> {
-        // Stateless, but still checkpointable: the header alone lets a
+        // Stateless, but still checkpointable: the frame alone lets a
         // resumed run verify the optimizer kind matches.
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        Ok(w.into_bytes())
+        Ok(save_records::<()>(&self.name(), &[], |_, _| {}))
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        r.expect_exhausted()
+        // The frame must hold zero records; any record is one too many.
+        load_records::<()>(bytes, &self.name(), |_| Err("SGD keeps no state".into())).map(|_| ())
     }
 }
 
@@ -118,25 +115,13 @@ impl Optimizer for SgdMomentum {
     }
 
     fn state_save(&self) -> Result<Vec<u8>, String> {
-        let mut w = StateWriter::new();
-        save_state_header(&mut w, &self.name());
-        w.u64(self.momenta.len() as u64);
-        for m in &self.momenta {
-            w.matrix(m);
-        }
-        Ok(w.into_bytes())
+        Ok(save_records(&self.name(), &self.momenta, |m, w| {
+            w.matrix(m)
+        }))
     }
 
     fn state_load(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = StateReader::new(bytes);
-        check_state_header(&mut r, &self.name())?;
-        let n = r.len()?;
-        let mut momenta = Vec::with_capacity(n);
-        for _ in 0..n {
-            momenta.push(r.matrix()?);
-        }
-        r.expect_exhausted()?;
-        self.momenta = momenta;
+        self.momenta = load_records(bytes, &self.name(), StateReader::matrix)?;
         Ok(())
     }
 }

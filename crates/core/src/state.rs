@@ -83,25 +83,12 @@ impl StateWriter {
         self.u8(u8::from(x));
     }
 
-    /// Writes `Option<f32>` as presence byte + value.
-    pub fn opt_f32(&mut self, x: Option<f32>) {
-        match x {
-            Some(v) => {
-                self.u8(1);
-                self.f32(v);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Writes `Option<u64>` as presence byte + value.
-    pub fn opt_u64(&mut self, x: Option<u64>) {
-        match x {
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-            None => self.u8(0),
+    /// Writes an `Option` as presence byte + whatever `write` emits for the
+    /// value.
+    pub(crate) fn opt<T>(&mut self, x: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        self.bool(x.is_some());
+        if let Some(v) = x {
+            write(self, v);
         }
     }
 
@@ -122,17 +109,6 @@ impl StateWriter {
         self.u64(m.rows() as u64);
         self.u64(m.cols() as u64);
         extend_f32_le(&mut self.buf, m.as_slice());
-    }
-
-    /// Writes `Option<Matrix>` as presence byte + matrix.
-    pub fn opt_matrix(&mut self, m: Option<&Matrix>) {
-        match m {
-            Some(m) => {
-                self.u8(1);
-                self.matrix(m);
-            }
-            None => self.u8(0),
-        }
     }
 }
 
@@ -222,22 +198,12 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    /// Reads `Option<f32>`.
-    pub fn opt_f32(&mut self) -> Result<Option<f32>, String> {
-        Ok(if self.bool()? {
-            Some(self.f32()?)
-        } else {
-            None
-        })
-    }
-
-    /// Reads `Option<u64>`.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        Ok(if self.bool()? {
-            Some(self.u64()?)
-        } else {
-            None
-        })
+    /// Reads an `Option` written by [`StateWriter::opt`].
+    pub(crate) fn opt<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.bool()?.then(|| read(self)).transpose()
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -263,15 +229,6 @@ impl<'a> StateReader<'a> {
         let data = f32_from_le(bytes)?;
         Ok(Matrix::from_vec(rows, cols, data))
     }
-
-    /// Reads `Option<Matrix>`.
-    pub fn opt_matrix(&mut self) -> Result<Option<Matrix>, String> {
-        Ok(if self.bool()? {
-            Some(self.matrix()?)
-        } else {
-            None
-        })
-    }
 }
 
 #[cfg(test)]
@@ -286,14 +243,14 @@ mod tests {
         w.u64(u64::MAX);
         w.f32(f32::NAN);
         w.bool(true);
-        w.opt_f32(None);
-        w.opt_f32(Some(-0.0));
-        w.opt_u64(Some(42));
+        w.opt(None, StateWriter::f32);
+        w.opt(Some(-0.0), StateWriter::f32);
+        w.opt(Some(42), StateWriter::u64);
         w.str("projector/π");
         w.f32_slice(&[1.0, -2.5, 3.25]);
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         w.matrix(&m);
-        w.opt_matrix(None);
+        w.opt(None::<&Matrix>, StateWriter::matrix);
         let bytes = w.into_bytes();
 
         let mut r = StateReader::new(&bytes);
@@ -302,13 +259,16 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert!(r.f32().unwrap().is_nan());
         assert!(r.bool().unwrap());
-        assert_eq!(r.opt_f32().unwrap(), None);
-        assert_eq!(r.opt_f32().unwrap().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(r.opt_u64().unwrap(), Some(42));
+        assert_eq!(r.opt(StateReader::f32).unwrap(), None);
+        assert_eq!(
+            r.opt(StateReader::f32).unwrap().unwrap().to_bits(),
+            (-0.0f32).to_bits()
+        );
+        assert_eq!(r.opt(StateReader::u64).unwrap(), Some(42));
         assert_eq!(r.str().unwrap(), "projector/π");
         assert_eq!(r.f32_slice().unwrap(), vec![1.0, -2.5, 3.25]);
         assert_eq!(r.matrix().unwrap(), m);
-        assert_eq!(r.opt_matrix().unwrap(), None);
+        assert_eq!(r.opt(StateReader::matrix).unwrap(), None);
         r.expect_exhausted().unwrap();
     }
 

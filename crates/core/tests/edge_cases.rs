@@ -183,3 +183,63 @@ fn mixed_projectable_and_dense_params_route_correctly() {
     // low-rank part: 2·16·4 + 2; dense part: 2·16.
     assert_eq!(opt.state_elems(), (2 * 16 * 4 + 2) + 2 * 16);
 }
+
+#[test]
+fn state_load_rejects_a_differently_configured_blob() {
+    let g = Matrix::full(8, 32, 1.0);
+    let saved_by = |mut opt: Box<dyn Optimizer>| {
+        let mut w = Matrix::zeros(8, 32);
+        step_once(opt.as_mut(), &mut w, &g);
+        opt.state_save().unwrap()
+    };
+
+    // Same display name, different rank: used to load `Ok(())` and carry on
+    // at rank 4 (258 state elems instead of 514).
+    let rank4 = saved_by(Box::new(Apollo::new(4, 10)));
+    let mut rank8 = Apollo::new(8, 10);
+    let mut w = Matrix::zeros(8, 32);
+    step_once(&mut rank8, &mut w, &g);
+    assert_eq!(rank8.state_elems(), 2 * 32 * 8 + 2);
+    let err = rank8.state_load(&rank4).unwrap_err();
+    assert!(
+        err.contains("(Random, 4)") && err.contains("(Random, 8)"),
+        "error: {err}"
+    );
+    assert_eq!(rank8.state_elems(), 2 * 32 * 8 + 2, "state must survive");
+
+    // 8-bit GaLore names its group but not its projection kind.
+    let svd = saved_by(Box::new(GaLore::galore8bit(4, 10, 32)));
+    let mut random = GaLore::galore8bit(4, 10, 32).with_random_projection();
+    assert!(random.state_load(&svd).is_err());
+
+    // A limiter the loading optimizer would not have built.
+    let limited = saved_by(Box::new(Apollo::new(4, 10)));
+    assert!(Apollo::new(4, 10)
+        .without_limiter()
+        .state_load(&limited)
+        .is_err());
+
+    // The refresh period is not part of the comparison (`apollo-search`
+    // re-points it after a load), and neither is a rank the shape clamps.
+    Apollo::new(4, 50).state_load(&rank4).unwrap();
+    let mut clamped = Apollo::new(1000, 10);
+    let mut small = Matrix::zeros(4, 6);
+    step_once(&mut clamped, &mut small, &Matrix::full(4, 6, 1.0));
+    Apollo::new(500, 10)
+        .state_load(&clamped.state_save().unwrap())
+        .unwrap();
+}
+
+#[test]
+fn state_load_rejects_older_layout_versions() {
+    for opt in all_optimizers() {
+        let mut blob = opt.state_save().unwrap();
+        // Header: u64 name length, name, version byte.
+        let version_at = 8 + opt.name().len();
+        assert_eq!(blob[version_at], 2, "{}", opt.name());
+        blob[version_at] = 1;
+        let mut fresh = opt;
+        let err = fresh.state_load(&blob).unwrap_err();
+        assert!(err.contains("version 1"), "{}: {err}", fresh.name());
+    }
+}

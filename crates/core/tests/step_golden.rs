@@ -9,6 +9,12 @@
 //! were recorded before the Adam-family optimizers were folded onto one
 //! per-tensor step engine: any reordering of float operations, change of
 //! per-tensor seed derivation or drift in the Table-1 accounting shows here.
+//!
+//! Four rows' `state_bytes` constants are deliberately not what the old
+//! per-optimizer accounting returned, but `4 × state_elems`: Fira added one
+//! *byte* per tensor for its limiter scalar (2,435 B), and GaLore-RP/Flora
+//! charged the projector seed 8 B (2,192 B) where `state_elems` — and
+//! APOLLO's `state_bytes` — count one f32.
 
 use apollo_obs::Obs;
 use apollo_optim::{
@@ -110,14 +116,6 @@ const GOLDEN: &[(&str, u64, usize, usize)] = &[
     ("fira+wd", 0xe49aa65ff1390de6, 610, 2440),
 ];
 
-/// Rows whose `state_bytes` the per-optimizer accounting miscounts: Fira
-/// adds one *byte* per tensor for the limiter scalar `state_elems` counts
-/// as one f32 (2,435 B here), and GaLore-RP/Flora charge the projector seed
-/// 8 B where `state_elems` — and APOLLO's `state_bytes` — count one f32
-/// (2,192 B here). GOLDEN holds `4 × state_elems`; until the one shared
-/// accounting routine lands, only weights and elems are compared for them.
-const BYTES_MISCOUNTED: [&str; 4] = ["galore-rp", "fira", "flora", "fira+wd"];
-
 /// Configs whose updates pass through the norm-growth limiter; the ramp
 /// must make it clamp, or the golden would not cover that code.
 const LIMITED: [&str; 9] = [
@@ -195,10 +193,12 @@ fn every_config_matches_its_recorded_fingerprint() {
             clips > 0,
             "{name}: {clips} limiter clamps"
         );
-        let mut got = (name, fnv, elems, bytes);
-        if BYTES_MISCOUNTED.contains(&name) {
-            got.3 = 4 * elems;
+        // One accounting routine: every f32-equivalent element is 4 bytes
+        // unless the moments are INT8.
+        if !name.ends_with("8bit") {
+            assert_eq!(bytes, 4 * elems, "{name}: state_bytes != 4·state_elems");
         }
+        let got = (name, fnv, elems, bytes);
         if GOLDEN.get(i) != Some(&got) {
             mismatches.push(format!("    (\"{name}\", {fnv:#018x}, {elems}, {bytes}),"));
         }

@@ -21,6 +21,19 @@ cargo test -q
 echo "== cargo test --workspace"
 cargo test -q --workspace
 
+echo "== standing benchmark (own workspace: unit tests + optstep replay check)"
+# benchmark/ is a workspace of its own, so the --workspace stages above
+# never compile it and an apollo-optim API break would go unseen. Its
+# optstep workload also replays each step's fused kernels and projector
+# draws by hand from outside the crate; any drift in the per-tensor kernel
+# sequence or in the `seed + i` derivation counts as a failed op.
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+OPTSTEP_OUT="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload optstep --seed 11 --seconds 1 --trace 0)"
+echo "$OPTSTEP_OUT"
+grep -q '^== optstep .* ops_failed=0 ' <<<"$OPTSTEP_OUT" \
+    || { echo "benchmark optstep reported failed ops"; exit 1; }
+
 echo "== trace smoke run (pretrain --trace-out + trace-check)"
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT

@@ -2,7 +2,8 @@
 //! core numeric invariants, via proptest.
 
 use apollo_repro::optim::{
-    Apollo, NormGrowthLimiter, Optimizer, ParamUpdate, ProjKind, Projector, ScaleGranularity,
+    AdamWChannelwise, Apollo, NormGrowthLimiter, Optimizer, ParamUpdate, ProjKind, Projector,
+    ScaleGranularity,
 };
 use apollo_repro::quant::QuantizedMatrix;
 use apollo_repro::tensor::linalg::svd_jacobi;
@@ -128,34 +129,68 @@ proptest! {
         prop_assert!(w.all_finite());
     }
 
-    /// Tensor-wise scaling factors shrink roughly as √(r/m) with the
-    /// projected dimension m (Theorem A.4's trend, loose band).
+    /// Theorem A.4 / Fig. 4, swept over shape, orientation, rank and
+    /// granularity: the scaling factors APOLLO estimates at rank `r` are
+    /// `√(r / min(m, n))` of the full-rank ones. The full-rank reference is
+    /// `AdamWChannelwise` on the same gradient stream — the same scaling
+    /// lift on unprojected moments — so the ratio is checked directly.
+    /// The band is the theorem's `O(1/√r)` concentration: `1 + 3/√r` either
+    /// way (about 1.6× the worst of 12,000 sampled cases).
     #[test]
-    fn scaling_factor_trend_with_rank(seed in any::<u64>()) {
-        let (m, n) = (64usize, 96usize);
+    fn scaling_factor_trend_with_rank(
+        seed in any::<u64>(),
+        small in 16usize..=48,
+        extra in 0usize..=48,
+        rank_shift in 0usize..=5,
+        tall in any::<bool>(),
+        tensor_wise in any::<bool>(),
+    ) {
+        let large = small + extra;
+        let (m, n) = if tall { (large, small) } else { (small, large) };
+        let rank = (small >> rank_shift).max(1);
+        let gran = if tensor_wise { ScaleGranularity::Tensor } else { ScaleGranularity::Channel };
+        let mut apollo = Apollo::new(rank, 1000)
+            .with_granularity(gran)
+            .with_seed(seed)
+            .without_limiter();
+        let mut full = AdamWChannelwise::new().without_limiter();
         let mut rng = Rng::seed_from_u64(seed);
-        let mut scale_at = |rank: usize| {
-            let mut opt = Apollo::new(rank, 1000)
-                .with_granularity(ScaleGranularity::Tensor)
-                .without_limiter();
-            let mut w = Matrix::zeros(m, n);
-            let mut s = 0.0;
-            for _ in 0..12 {
-                let g = Matrix::randn(m, n, &mut rng);
+        let (mut w_apollo, mut w_full) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+        let mut g = Matrix::zeros(m, n);
+        for _ in 0..12 {
+            g = Matrix::randn(m, n, &mut rng);
+            for (opt, w) in [
+                (&mut apollo as &mut dyn Optimizer, &mut w_apollo),
+                (&mut full, &mut w_full),
+            ] {
                 let mut params = [ParamUpdate {
                     name: "w",
-                    value: &mut w,
+                    value: w,
                     grad: &g,
                     projectable: true,
                 }];
                 opt.step(&mut params, 1e-5);
-                s = opt.last_scales[0][0];
             }
-            s
+        }
+        let s_full = &full.last_scales[0];
+        let s_apollo = &apollo.last_scales[0];
+        prop_assert_eq!(s_full.len(), large);
+        let ratio = if tensor_wise {
+            // The full-rank tensor factor ‖G̃‖/‖G‖, rebuilt from the
+            // channel factors: ‖G̃[:,j]‖ = s_j·‖G[:,j]‖.
+            let norms = if m <= n { g.col_norms() } else { g.row_norms() };
+            let scaled: f32 = s_full.iter().zip(&norms).map(|(s, c)| (s * c).powi(2)).sum();
+            s_apollo[0] / (scaled.sqrt() / g.fro_norm())
+        } else {
+            let mut ratios: Vec<f32> = s_apollo.iter().zip(s_full).map(|(a, f)| a / f).collect();
+            ratios.sort_by(f32::total_cmp);
+            ratios[ratios.len() / 2]
         };
-        let s4 = scale_at(4);
-        let s64 = scale_at(64);
-        let ratio = s4 / s64; // expect ≈ √(4/64) = 0.25
-        prop_assert!((0.1..0.7).contains(&ratio), "ratio {ratio}");
+        let rel = ratio / (rank as f32 / small as f32).sqrt();
+        let band = 1.0 + 3.0 / (rank as f32).sqrt();
+        prop_assert!(
+            rel.max(1.0 / rel) <= band,
+            "{m}x{n} r={rank} {gran:?}: ratio {ratio} is {rel}× √(r/min(m,n))"
+        );
     }
 }
