@@ -369,10 +369,6 @@ fn serve(
                     }
                 }
             };
-            if cancelled_early.remove(&env.ticket) {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-                continue; // dropped before it ever reached the scheduler
-            }
             // Clone so the envelope survives the (rare) hold-and-retry path.
             match sched.submit(env.req.clone()) {
                 Ok(id) => {
@@ -384,6 +380,13 @@ fn serve(
                             reply: env.reply,
                         },
                     );
+                    if cancelled_early.remove(&env.ticket) {
+                        // The handle was dropped before the envelope got
+                        // here: retire it as the queued cancel it is, so
+                        // it is counted and traced like one that lost the
+                        // race the other way.
+                        sched.cancel(id);
+                    }
                 }
                 Err(SubmitError::QueueFull) => {
                     // Raced a concurrent burst past the depth check; hold
@@ -395,6 +398,7 @@ fn serve(
                     // Invalid request (rejection already counted by the
                     // scheduler): drop the reply sender so the handle's
                     // `wait()` returns `None`.
+                    cancelled_early.remove(&env.ticket);
                     in_flight.fetch_sub(1, Ordering::Relaxed);
                     drop(env.reply);
                 }

@@ -17,12 +17,18 @@
 //!   ([`apollo_tensor::fused`]), and RoPE goes through the shared
 //!   [`fused::rope_rotate_row`] rotation with the frequency table hoisted
 //!   out of the row loop (`powf` is pure, so precomputing it is exact);
-//! - attention scores, the running softmax max/denominator, and the
-//!   probability-weighted value sum all ascend over cache positions exactly
-//!   like the graph's per-row loops — the graph's `probs · V` product
-//!   includes zero-probability future positions, but `±0 · finite` never
-//!   changes an accumulator, so summing only positions `0..=pos` is
-//!   bit-identical.
+//! - every attention score is one accumulator taking its `head_dim`
+//!   products in ascending dimension, and the running softmax
+//!   max/denominator and every element of the probability-weighted value
+//!   sum ascend over cache positions, exactly like the graph's per-row
+//!   loops. The two hot loops only choose which *independent* elements
+//!   share a vector: scores run with cache positions as lanes (keys are
+//!   stored position-major for it), the value sum with hidden dimensions
+//!   as lanes and all heads' chains in one pass over each V row. No
+//!   element's own op sequence changes, so neither do its bits. The
+//!   graph's `probs · V` product includes zero-probability future
+//!   positions, but `±0 · finite` never changes an accumulator, so summing
+//!   only positions `0..=pos` is bit-identical.
 //!
 //! `nn/tests/decode_equivalence.rs` pins this contract across adversarial
 //! sequence lengths, prefill chunkings, and interleaved batches.
@@ -33,13 +39,20 @@ use crate::adapter::{AdapterLayer, LoraAdapter, LowRankDelta};
 use crate::model::LlamaModel;
 
 /// Per-sequence attention cache: one post-RoPE key matrix and one value
-/// matrix per layer, each `capacity × hidden`, where row `t` holds the
-/// projection of the token at absolute position `t`.
+/// matrix per layer.
+///
+/// Values are `capacity × hidden`: row `t` is the value projection of the
+/// token at absolute position `t`. Keys are stored **position-major**,
+/// `hidden × capacity`: row `d` holds dimension `d` of every cached key,
+/// so the positions a query is scored against are contiguous per
+/// dimension and the score loop runs with positions as SIMD lanes (see
+/// [`attention_scores`]). Spans exported from the cache are row-major for
+/// both; the transpose happens at the copy.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    /// Per-layer keys (RoPE already applied).
+    /// Per-layer keys (RoPE already applied), `hidden × capacity`.
     k: Vec<Matrix>,
-    /// Per-layer values.
+    /// Per-layer values, `capacity × hidden`.
     v: Vec<Matrix>,
     /// Number of positions filled so far (shared by all layers).
     len: usize,
@@ -58,7 +71,7 @@ impl KvCache {
 
     /// Maximum number of positions the cache can hold.
     pub fn capacity(&self) -> usize {
-        self.k.first().map_or(0, Matrix::rows)
+        self.v.first().map_or(0, Matrix::rows)
     }
 
     /// Positions still available before the cache is full.
@@ -66,8 +79,8 @@ impl KvCache {
         self.capacity() - self.len
     }
 
-    /// Resets the cache for a new sequence. Rows past `len` are never read,
-    /// so the buffers need no clearing.
+    /// Resets the cache for a new sequence. Positions past `len` are never
+    /// read, so the buffers need no clearing.
     pub fn clear(&mut self) {
         self.len = 0;
     }
@@ -81,10 +94,11 @@ impl KvCache {
             .sum()
     }
 
-    /// Copies rows `lo..hi` of every layer out into an owned [`KvSpan`].
-    /// Because KV rows at position `t` are a pure function of the token
-    /// prefix `0..=t` (and the adapter), the copy is reusable by any later
-    /// sequence sharing that prefix — the foundation of the prefix cache.
+    /// Copies positions `lo..hi` of every layer out into an owned
+    /// [`KvSpan`]. Because KV rows at position `t` are a pure function of
+    /// the token prefix `0..=t` (and the adapter), the copy is reusable by
+    /// any later sequence sharing that prefix — the foundation of the
+    /// prefix cache.
     ///
     /// # Panics
     ///
@@ -95,30 +109,33 @@ impl KvCache {
             "export_rows: {lo}..{hi} of {}",
             self.len
         );
-        let hidden = self.k.first().map_or(0, Matrix::cols);
-        let copy = |mats: &[Matrix]| -> Vec<Vec<f32>> {
-            mats.iter()
-                .map(|m| {
-                    let mut flat = Vec::with_capacity((hi - lo) * hidden);
-                    for r in lo..hi {
-                        flat.extend_from_slice(m.row(r));
+        let hidden = self.v.first().map_or(0, Matrix::cols);
+        let rows = hi - lo;
+        let k = self
+            .k
+            .iter()
+            .map(|kt| {
+                let mut flat = vec![0.0f32; rows * hidden];
+                for d in 0..hidden {
+                    for (r, &kv) in kt.row(d)[lo..hi].iter().enumerate() {
+                        flat[r * hidden + d] = kv;
                     }
-                    flat
-                })
-                .collect()
-        };
-        KvSpan {
-            k: copy(&self.k),
-            v: copy(&self.v),
-            rows: hi - lo,
-            hidden,
-        }
+                }
+                flat
+            })
+            .collect();
+        let v = self
+            .v
+            .iter()
+            .map(|m| m.as_slice()[lo * hidden..hi * hidden].to_vec())
+            .collect();
+        KvSpan { k, v, rows, hidden }
     }
 
     /// Appends a span's rows at the cache's current length and advances it,
     /// exactly as if those positions had just been prefetched by
-    /// [`LlamaModel::forward_cached`]. A bitwise row copy, so decoding on
-    /// top of an appended span is bit-identical to cold prefill of the same
+    /// [`LlamaModel::forward_cached`]. A bitwise copy, so decoding on top
+    /// of an appended span is bit-identical to cold prefill of the same
     /// prefix (pinned by `nn/tests/decode_equivalence.rs`).
     ///
     /// # Panics
@@ -128,23 +145,32 @@ impl KvCache {
         assert_eq!(span.k.len(), self.k.len(), "append_span: layer count");
         assert_eq!(
             span.hidden,
-            self.k.first().map_or(0, Matrix::cols),
+            self.v.first().map_or(0, Matrix::cols),
             "append_span: hidden width"
         );
         assert!(span.rows <= self.remaining(), "append_span: cache full");
-        for (dst, src) in self.k.iter_mut().zip(&span.k) {
-            for r in 0..span.rows {
-                dst.row_mut(self.len + r)
-                    .copy_from_slice(&src[r * span.hidden..(r + 1) * span.hidden]);
+        let (at, hidden) = (self.len, span.hidden);
+        for (kt, src) in self.k.iter_mut().zip(&span.k) {
+            for d in 0..hidden {
+                for (r, kv) in kt.row_mut(d)[at..at + span.rows].iter_mut().enumerate() {
+                    *kv = src[r * hidden + d];
+                }
             }
         }
         for (dst, src) in self.v.iter_mut().zip(&span.v) {
-            for r in 0..span.rows {
-                dst.row_mut(self.len + r)
-                    .copy_from_slice(&src[r * span.hidden..(r + 1) * span.hidden]);
-            }
+            dst.as_mut_slice()[at * hidden..(at + span.rows) * hidden].copy_from_slice(src);
         }
         self.len += span.rows;
+    }
+
+    /// Stores one new key/value row pair of layer `l` at position `pos`.
+    fn write(&mut self, l: usize, pos: usize, krow: &[f32], vrow: &[f32]) {
+        let cap = self.capacity();
+        let kt = self.k[l].as_mut_slice();
+        for (d, &kv) in krow.iter().enumerate() {
+            kt[d * cap + pos] = kv;
+        }
+        self.v[l].row_mut(pos).copy_from_slice(vrow);
     }
 }
 
@@ -248,13 +274,85 @@ fn add_lora_deltas(
     }
 }
 
+/// Cache positions scored per register block of [`attention_scores`].
+const POS_LANES: usize = 32;
+
+/// Scaled attention scores of one head against cache positions
+/// `0..s.len()`: `s[j] = (Σ_d q[d] · k_j[d]) · scale`.
+///
+/// `kh` is the head's `head_dim` rows of a position-major key matrix (row
+/// stride `cap`), so the lanes of one accumulation step are *positions*:
+/// for `d` ascending, `acc[j] += q[d] · kh[d][j]`. Each score is still its
+/// own accumulator, started at zero, taking one product per dimension in
+/// ascending `d`, then scaled — the float ops and order of the graph's
+/// `q·kᵀ` dot and `scale_assign`, hence the same bits; only now
+/// [`POS_LANES`] independent chains run per pass instead of one.
+fn attention_scores(qh: &[f32], kh: &[f32], cap: usize, scale: f32, s: &mut [f32]) {
+    for (blk, sb) in s.chunks_mut(POS_LANES).enumerate() {
+        let j0 = blk * POS_LANES;
+        // A literal width keeps a full block's accumulators in registers.
+        if sb.len() == POS_LANES {
+            score_block(qh, kh, cap, j0, POS_LANES, scale, sb);
+        } else {
+            score_block(qh, kh, cap, j0, sb.len(), scale, sb);
+        }
+    }
+}
+
+#[inline(always)]
+fn score_block(
+    qh: &[f32],
+    kh: &[f32],
+    cap: usize,
+    j0: usize,
+    w: usize,
+    scale: f32,
+    sb: &mut [f32],
+) {
+    let mut acc = [0.0f32; POS_LANES];
+    for (d, &qd) in qh.iter().enumerate() {
+        let krow = &kh[d * cap + j0..d * cap + j0 + w];
+        for (a, &kv) in acc[..w].iter_mut().zip(krow) {
+            *a += qd * kv;
+        }
+    }
+    for (sv, &a) in sb.iter_mut().zip(&acc[..w]) {
+        *sv = a * scale;
+    }
+}
+
+/// `probs · V` for every head of one query row: `orow[c] += p_h(c)[j] ·
+/// v_j[c]` for `j` ascending, where `probs` is `heads × n_pos` and `v` the
+/// row-major `capacity × hidden` value matrix.
+///
+/// One pass over each V row feeds all heads, so the lanes are the hidden
+/// dimensions and every output element is an independent chain that adds
+/// its products in ascending position — the order of the graph's `probs ·
+/// V` matmul (whose extra zero-probability future terms never change an
+/// accumulator). `orow` must come in zeroed.
+fn attention_mix(probs: &[f32], n_pos: usize, v: &[f32], hd: usize, orow: &mut [f32]) {
+    let h = orow.len();
+    for (j, vrow) in v.chunks_exact(h).take(n_pos).enumerate() {
+        for ((oh, vh), ph) in orow
+            .chunks_exact_mut(hd)
+            .zip(vrow.chunks_exact(hd))
+            .zip(probs.chunks_exact(n_pos))
+        {
+            let pj = ph[j];
+            for (ov, &vv) in oh.iter_mut().zip(vh) {
+                *ov += pj * vv;
+            }
+        }
+    }
+}
+
 impl LlamaModel {
     /// Allocates a fresh [`KvCache`] able to hold `capacity` positions.
     pub fn new_kv_cache(&self, capacity: usize) -> KvCache {
         let h = self.cfg.hidden;
         KvCache {
             k: (0..self.layers.len())
-                .map(|_| Matrix::zeros(capacity, h))
+                .map(|_| Matrix::zeros(h, capacity))
                 .collect(),
             v: (0..self.layers.len())
                 .map(|_| Matrix::zeros(capacity, h))
@@ -359,6 +457,7 @@ impl LlamaModel {
         // RoPE frequency table, hoisted out of the per-layer/per-row loops
         // (pure `powf` of the geometry, so precomputing is bit-exact).
         let freqs = fused::rope_freqs(hd, self.cfg.rope_theta);
+        let mut probs = Vec::new();
         for (l, layer) in self.layers.iter().enumerate() {
             let hn = rmsnorm_rows(&x, &self.params[layer.attn_norm].value);
             let mut q = layer.wq.forward_nograd(&hn, &self.params);
@@ -374,71 +473,58 @@ impl LlamaModel {
             // Keys/values land in the caches first so that later rows of the
             // same call attend to earlier ones, as in the full forward.
             for (r, &(c, _)) in rows.iter().enumerate() {
-                caches[c].k[l]
-                    .row_mut(positions[r])
-                    .copy_from_slice(k.row(r));
-                caches[c].v[l]
-                    .row_mut(positions[r])
-                    .copy_from_slice(v.row(r));
+                caches[c].write(l, positions[r], k.row(r), v.row(r));
             }
             let mut att = Matrix::zeros(n_rows, h);
-            let mut s = Vec::new();
             for (r, &(c, _)) in rows.iter().enumerate() {
-                let pos = positions[r];
-                let kc = &caches[c].k[l];
-                let vc = &caches[c].v[l];
-                let qrow = q.row(r);
-                let orow = att.row_mut(r);
-                for hh in 0..heads {
-                    let lanes = hh * hd..(hh + 1) * hd;
-                    let qh = &qrow[lanes.clone()];
+                let n_pos = positions[r] + 1;
+                let cache = &caches[c];
+                let (kt, vc, cap) = (
+                    cache.k[l].as_slice(),
+                    cache.v[l].as_slice(),
+                    cache.capacity(),
+                );
+                // Every head's probabilities first (`heads × n_pos`), so
+                // the value mix below can make one pass over the V rows.
+                probs.clear();
+                probs.resize(heads * n_pos, 0.0);
+                for (hh, ph) in probs.chunks_exact_mut(n_pos).enumerate() {
+                    let dims = hh * hd..(hh + 1) * hd;
+                    let kh = &kt[dims.start * cap..dims.end * cap];
+                    attention_scores(&q.row(r)[dims], kh, cap, scale, ph);
                     if fast {
-                        // Fast tier: fused whole-head score and mix kernels
-                        // (one dispatched call each per head, not one per
-                        // cached position), with the softmax denominator
+                        // Fast tier: vectorized exp with the denominator
                         // folded into the probabilities. Reassociated, so
                         // covered by the tolerance tests rather than the
                         // bitwise contract.
-                        s.resize(pos + 1, 0.0);
-                        simd::attn_scores(qh, kc.as_slice(), h, hh * hd, scale, &mut s);
-                        let maxv = simd::max_slice(&s);
-                        let inv = 1.0 / simd::softmax_exp_sum(&mut s, maxv);
-                        for pj in s.iter_mut() {
+                        let maxv = simd::max_slice(ph);
+                        let inv = 1.0 / simd::softmax_exp_sum(ph, maxv);
+                        for pj in ph.iter_mut() {
                             *pj *= inv;
                         }
-                        simd::attn_mix(&s, vc.as_slice(), h, hh * hd, &mut orow[lanes]);
-                        continue;
-                    }
-                    // Scaled scores against every cached position: the same
-                    // ascending-dimension dot and per-element scale as the
-                    // graph's `q·kᵀ` / `scale_assign`.
-                    s.clear();
-                    for j in 0..=pos {
-                        let kh = &kc.row(j)[lanes.clone()];
-                        let mut acc = 0.0f32;
-                        for (&qv, &kv) in qh.iter().zip(kh) {
-                            acc += qv * kv;
+                    } else {
+                        // Softmax over 0..=pos in the graph's exact order.
+                        let maxv = ph.iter().cloned().fold(f32::MIN, f32::max);
+                        let mut denom = 0.0f32;
+                        for e in ph.iter_mut() {
+                            *e = (*e - maxv).exp();
+                            denom += *e;
                         }
-                        s.push(acc * scale);
-                    }
-                    // Softmax over 0..=pos in the graph's exact order.
-                    let maxv = s.iter().cloned().fold(f32::MIN, f32::max);
-                    let mut denom = 0.0f32;
-                    for e in s.iter_mut() {
-                        *e = (*e - maxv).exp();
-                        denom += *e;
-                    }
-                    for e in s.iter_mut() {
-                        *e /= denom;
-                    }
-                    // probs · V, ascending positions per output element.
-                    let oh = &mut orow[lanes];
-                    for (j, &pj) in s.iter().enumerate() {
-                        let vh = &vc.row(j)[hh * hd..(hh + 1) * hd];
-                        for (ov, &vv) in oh.iter_mut().zip(vh) {
-                            *ov += pj * vv;
+                        for e in ph.iter_mut() {
+                            *e /= denom;
                         }
                     }
+                }
+                let orow = att.row_mut(r);
+                if fast {
+                    // Fast tier: one fused FMA mix per head, accumulators
+                    // in registers across the position loop.
+                    for (hh, ph) in probs.chunks_exact(n_pos).enumerate() {
+                        let dims = hh * hd..(hh + 1) * hd;
+                        simd::attn_mix(ph, vc, h, dims.start, &mut orow[dims]);
+                    }
+                } else {
+                    attention_mix(&probs, n_pos, vc, hd, orow);
                 }
             }
             let mut o = layer.wo.forward_nograd(&att, &self.params);

@@ -316,6 +316,92 @@ fn cached_prefix_spans_decode_identically_to_cold_prefill() {
     }
 }
 
+/// A geometry the vector loops do not divide: `head_dim` 12 (not a
+/// multiple of the 8-lane vector width) and an odd head count.
+fn odd_config() -> ModelConfig {
+    ModelConfig::new("odd-heads", 64, 36, 40, 3, 2, 80)
+}
+
+/// Cache positions the score loop handles per register block (`POS_LANES`
+/// in `nn/src/decode.rs`).
+const POS_LANES: usize = 32;
+
+#[test]
+fn cache_lengths_straddling_the_position_block_match_full_forward() {
+    let len = 2 * POS_LANES + 2;
+    for cfg in [ModelConfig::test_tiny(), odd_config()] {
+        let mut rng = Rng::seed_from_u64(0xDEC5);
+        let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+        let tokens = random_tokens(len, cfg.vocab_size, &mut rng);
+        let full = model.full_logits(&tokens, 1);
+        // One token at a time scores every cache length 1..=2W+2: a partial
+        // block alone (W-1), exactly one block (W), a block plus one
+        // position (W+1), two blocks plus one (2W+1).
+        let inc = cached_logits_chunked(&model, &tokens, &vec![1; len]);
+        assert_bits_eq(&inc, &full, &format!("{} one-by-one", cfg.name));
+        // Prefill chunks whose edges sit on and around the block width.
+        let chunks = [POS_LANES - 1, 1, 1, POS_LANES, 1];
+        let inc = cached_logits_chunked(&model, &tokens, &chunks);
+        assert_bits_eq(&inc, &full, &format!("{} chunks={chunks:?}", cfg.name));
+    }
+}
+
+#[test]
+fn partial_spans_appended_at_an_offset_decode_identically_to_cold_prefill() {
+    // export_rows → KvSpan::slice → append_span with nothing aligned: the
+    // export starts mid-cache, is cut in two, and lands behind positions
+    // the consumer prefilled itself. Spans are row-major whatever the
+    // cache's own layout, so their size is rows × hidden × 4 bytes for K
+    // and again for V, per layer.
+    let cfg = odd_config();
+    let mut rng = Rng::seed_from_u64(0xCAC2);
+    let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+    let seq = 2 * POS_LANES + 6;
+    let tokens = random_tokens(seq, cfg.vocab_size, &mut rng);
+    let (own, cut, shared) = (5, 25, 47);
+
+    let mut cold = vec![model.new_kv_cache(seq)];
+    let rows: Vec<(usize, u32)> = tokens.iter().map(|&t| (0, t)).collect();
+    let cold_hidden = model.forward_cached(&mut cold, &rows);
+    let cold_logits = model.lm_logits(&cold_hidden);
+
+    let mut donor = vec![model.new_kv_cache(seq)];
+    model.forward_cached(&mut donor, &rows[..shared + 3]);
+    let span = donor[0].export_rows(own, shared);
+    assert_eq!(span.rows(), shared - own);
+    assert_eq!(
+        span.memory_bytes(),
+        (shared - own) * cfg.hidden * 4 * 2 * cfg.n_layers
+    );
+    let head = span.slice(0, cut - own);
+    let tail = span.slice(cut - own, shared - own);
+    assert_eq!(
+        head.memory_bytes() + tail.memory_bytes(),
+        span.memory_bytes()
+    );
+
+    let mut cons = vec![model.new_kv_cache(seq)];
+    model.forward_cached(&mut cons, &rows[..own]);
+    cons[0].append_span(&head);
+    assert_eq!(cons[0].len(), cut);
+    cons[0].append_span(&tail);
+    assert_eq!(cons[0].len(), shared);
+    let warm_hidden = model.forward_cached(&mut cons, &rows[shared..]);
+    let warm_logits = model.lm_logits(&warm_hidden);
+    for (r, t) in (shared..seq).enumerate() {
+        for (g, w) in warm_logits.row(r).iter().zip(cold_logits.row(t)) {
+            assert!(g.to_bits() == w.to_bits(), "pos={t}: {g} vs {w}");
+        }
+    }
+    // The consumer's cache now exports the same bytes the donor's did.
+    let again = cons[0].export_rows(own, shared);
+    let mut back = vec![model.new_kv_cache(seq)];
+    model.forward_cached(&mut back, &rows[..own]);
+    back[0].append_span(&again);
+    let hidden = model.forward_cached(&mut back, &rows[shared..]);
+    assert_bits_eq(&model.lm_logits(&hidden), &warm_logits, "re-exported span");
+}
+
 #[test]
 fn kv_blocks_roundtrip_on_both_backend_tiers() {
     // The tier-agnostic KvBlock path: cached-prefix decode is bit-identical

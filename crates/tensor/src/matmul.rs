@@ -7,13 +7,13 @@
 //! load+store sweep over the output row. Strided operands are packed into
 //! contiguous panels first (`aᵀ` column panels, `bᵀ` interleaved panels)
 //! via the scratch-buffer pool, which is what lets rustc autovectorize the
-//! inner loops.
+//! inner loops; `a·b` with too few rows to amortise a pack reads `b`'s
+//! rows in place instead (`PACK_MIN_ROWS`).
 //!
 //! Numerics are deliberately pinned: every output element accumulates its
-//! `k` products in ascending-`p` order (with the same skip of exactly-zero
-//! `a` entries as the reference loop), so results are bit-identical to the
-//! naive serial kernel — and, because rows are computed independently,
-//! bit-identical across thread counts too.
+//! `k` products in ascending-`p` order into one `f32` accumulator, so
+//! results are bit-identical to the naive serial kernel — and, because rows
+//! are computed independently, bit-identical across thread counts too.
 //!
 //! Parallel kernels run row bands on the persistent worker pool
 //! ([`crate::pool`]); the band partition depends only on `(rows, threads)`,
@@ -38,10 +38,39 @@ const PAR_MIN_FLOPS: usize = 1 << 20;
 /// scaling well past 8 bands at proxy sizes.
 const DEFAULT_MAX_THREADS: usize = 8;
 
-/// Register-tile width (output columns per accumulator block). 32 f32
-/// accumulators fit the vector register file with room for operands on
-/// both SSE2 (8×4) and AVX2 (4×8) lowerings.
+/// Register-tile width (output columns per accumulator block). One row of
+/// 32 f32 accumulators is 4 AVX2 registers: the two-row packed tile holds
+/// 8 and leaves half of a 16-register file for the `b` lanes and `a`
+/// broadcasts; the [`MR`]-row tile holds 16, which fits the 32 registers
+/// of an AVX-512VL host and spills on a 16-register one (measured there:
+/// ~40 instead of ~55 GFLOP/s, still ahead of packing below ~32 rows).
 const NR: usize = 32;
+
+/// Rows per [`tile_rows`] register tile: the rows' accumulator sets are
+/// independent chains sharing every `b` load.
+const MR: usize = 4;
+
+/// `a · b` packs `b` into panels only from this many rows of `a` up. The
+/// pack copies `k·n` floats once per call, so its cost per row of `a` falls
+/// with `m`: which side wins is a property of the input, hence one
+/// threshold on `m` and nothing to tune.
+///
+/// Measured on the reference box (AVX-512VL, 1 thread), µs per call,
+/// in-place / packed, on the decode and prefill shapes:
+///
+/// | `k×n`   | m = 4    | 8         | 16        | 32        | 64         | 128         |
+/// |---------|----------|-----------|-----------|-----------|------------|-------------|
+/// | 192×192 | 5–8 / 19 | 10–16 / 21 | 21–32 / 31 | 41–64 / 51 | 82–103 / 91 | 164–212 / 175 |
+/// | 192×512 | 14 / 50  | 28 / 55   | 57 / 82   | 114 / 135 | 230 / 244  | 466 / 467   |
+/// | 512×192 | 14 / 42  | 28 / 68   | 56 / 100  | 112 / 167 | 225 / 300  | 447 / 480   |
+///
+/// (Ranges are run to run: at a 768-byte row stride the in-place read
+/// depends on where the allocator put `b`.) In place is ahead through
+/// m = 48 and the two meet between 64 and 128. The same code built for a
+/// 16-register AVX2 target meets near m = 32, where the four-row tile
+/// spills. 64 keeps every decode batch and the 32-row prefill chunk in
+/// place and the m ≥ 128 training and optimizer GEMMs packed on both.
+const PACK_MIN_ROWS: usize = 64;
 
 /// FLOP count of an `m×k · k×n` multiplication (one multiply + one add per
 /// inner-product term), used for the [`PAR_MIN_FLOPS`] gate.
@@ -144,14 +173,6 @@ impl Drop for ThreadOverrideGuard {
     }
 }
 
-/// Register-tiled row-band kernel: `out[lo..hi] = a_rows[lo..hi] · b` where
-/// `a_rows` is row-major with stride `k` and `b` row-major with stride `n`.
-///
-/// Each [`NR`]-column block of an output row accumulates in a register
-/// array across the whole `k` loop; per `p` that costs one `a` broadcast
-/// plus `NR` contiguous `b` lanes. Accumulation per element is ascending-`p`
-/// with exactly-zero `a` entries skipped — the same order and skips as the
-/// reference loop, hence bit-identical results.
 /// Packs a row-major `k×n` operand (stride `n`) into column-band
 /// interleaved panels: the `w`-wide band at column `j0` is a contiguous
 /// `k×w` block at offset `j0·k` with `block[p·w + j] = src[p·n + j0 + j]`.
@@ -255,16 +276,62 @@ fn run_packed(
                 );
             }
         } else {
-            for (band_r, arow) in rows.chunks_exact(k).enumerate() {
-                tile_packed_tail(
-                    arow,
-                    block,
-                    w,
-                    &mut out[band_r * n + j0..band_r * n + j0 + w],
-                );
-            }
+            sweep_rows(rows, k, block, w, w, &mut out[j0..], n);
         }
         j0 += w;
+    }
+}
+
+/// The no-pack band sweep for a few rows: computes output rows `[lo, hi)`
+/// of `a_rows · b` reading the row-major `b` (stride `n`) in place — its
+/// rows are already contiguous per `p`, so a column band is `k` runs of
+/// [`NR`] floats, and with only a handful of rows to share it a packed
+/// copy of `b` costs more than it saves (see [`PACK_MIN_ROWS`]). Column
+/// band outer, row tiles inner, so the band's lines stay cache-hot across
+/// the row tiles.
+fn run_unpacked(
+    a_rows: &[f32],
+    k: usize,
+    b: &[f32],
+    n: usize,
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+) {
+    if lo == hi {
+        return; // a zero-row product (an LM-head call with nothing to decode)
+    }
+    let rows = &a_rows[lo * k..hi * k];
+    let mut j0 = 0;
+    while j0 < n {
+        let w = NR.min(n - j0);
+        sweep_rows(rows, k, &b[j0..], n, w, &mut out[j0..], n);
+        j0 += w;
+    }
+}
+
+/// Every row of `rows` (stride `k`) against one `w`-wide column band,
+/// [`MR`] rows per [`tile_rows`] call. `out` starts at the band's first
+/// column of the first row and has row stride `n`.
+fn sweep_rows(
+    rows: &[f32],
+    k: usize,
+    band: &[f32],
+    stride: usize,
+    w: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    // An empty inner dimension adds nothing to the pre-zeroed output.
+    let n_rows = rows.len().checked_div(k).unwrap_or(0);
+    for r in (0..n_rows).step_by(MR) {
+        let (a, o) = (&rows[r * k..], &mut out[r * n..]);
+        match n_rows - r {
+            1 => tile_rows::<1>(a, k, band, stride, w, o, n),
+            2 => tile_rows::<2>(a, k, band, stride, w, o, n),
+            3 => tile_rows::<3>(a, k, band, stride, w, o, n),
+            _ => tile_rows::<MR>(a, k, band, stride, w, o, n),
+        }
     }
 }
 
@@ -311,16 +378,59 @@ fn tile_packed(arow: &[f32], block: &[f32], orow: &mut [f32]) {
     orow.copy_from_slice(&acc);
 }
 
-/// Remainder tile (`w < NR` columns) of the packed-panel kernel.
-#[inline]
-fn tile_packed_tail(arow: &[f32], block: &[f32], w: usize, orow: &mut [f32]) {
-    let mut acc = [0.0f32; NR];
-    for (brow, &av) in block.chunks_exact(w).zip(arow) {
-        for (aj, &bv) in acc[..w].iter_mut().zip(brow) {
-            *aj += av * bv;
+/// `R`-row register tile over one `w ≤ NR`-column band read in place:
+/// `out[r·n + j] = Σ_p a[r·k + p] · band[p·stride + j]`. The band is a
+/// packed remainder block (`stride = w`) or the row-major operand itself
+/// (`stride = n`, the slice starting at the band's first column).
+///
+/// Each output element accumulates in ascending-`p` order into its own
+/// accumulator, exactly as in [`tile_packed`]; the `R` rows only share the
+/// band loads. Their chains being independent is the point: a single row
+/// at `w < 8` is one scalar add-latency chain, and `R` of them overlap.
+#[inline(always)]
+fn tile_rows<const R: usize>(
+    a: &[f32],
+    k: usize,
+    band: &[f32],
+    stride: usize,
+    w: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    // A literal width lets LLVM keep the full-band accumulators in vector
+    // registers for the whole `p` loop; the remainder band runs the same
+    // body at its runtime width.
+    if w == NR {
+        tile_rows_at::<R>(a, k, band, stride, NR, out, n);
+    } else {
+        tile_rows_at::<R>(a, k, band, stride, w, out, n);
+    }
+}
+
+#[inline(always)]
+fn tile_rows_at<const R: usize>(
+    a: &[f32],
+    k: usize,
+    band: &[f32],
+    stride: usize,
+    w: usize,
+    out: &mut [f32],
+    n: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[0.0f32; NR]; R];
+    for p in 0..k {
+        let brow = &band[p * stride..p * stride + w];
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[p];
+            for (aj, &bv) in accr[..w].iter_mut().zip(brow) {
+                *aj += av * bv;
+            }
         }
     }
-    orow.copy_from_slice(&acc[..w]);
+    for (r, accr) in acc.iter().enumerate() {
+        out[r * n..r * n + w].copy_from_slice(&accr[..w]);
+    }
 }
 
 /// Raw output pointer shared across pool tasks; tasks write disjoint row
@@ -447,29 +557,18 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let data = gemv(a.row(0), b);
         return Matrix::from_vec(1, n, data);
     }
-    let fast = fast_mode();
-    // Packing costs k·n copies against 2·m·k·n FLOPs of compute; for a
-    // handful of rows the straight row-sweep wins.
-    if m < 4 {
-        let run = |lo: usize, hi: usize, out: &mut [f32]| {
-            for (band_r, r) in (lo..hi).enumerate() {
-                let arow = a.row(r);
-                let crow = &mut out[band_r * n..(band_r + 1) * n];
-                if fast {
-                    simd::gemv_band(arow, b.as_slice(), n, 0, n, crow);
-                    continue;
-                }
-                for (p, &av) in arow.iter().enumerate() {
-                    let brow = b.row(p);
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += av * bv;
-                    }
-                }
-            }
-        };
-        let data = parallel_rows(m, matmul_flops(m, k, n), run, n);
+    // Few rows: read `b` in place. The exact tile serves both numerics
+    // tiers here (it is inside the Fast envelope by construction).
+    if m < PACK_MIN_ROWS {
+        let data = parallel_rows(
+            m,
+            matmul_flops(m, k, n),
+            |lo, hi, out| run_unpacked(a.as_slice(), k, b.as_slice(), n, lo, hi, out),
+            n,
+        );
         return Matrix::from_vec(m, n, data);
     }
+    let fast = fast_mode();
     let panel = pack_panels(b.as_slice(), k, n);
     let data = parallel_rows(
         m,

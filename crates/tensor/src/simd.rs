@@ -300,27 +300,6 @@ pub fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
 // call: one call scores a whole head against the cache, one call mixes
 // probs·V for a whole head.
 
-/// Attention scores for one head over `out.len()` cached positions:
-/// `out[j] = scale · Σ_d q[d] · kc[j·stride + off + d]` with f32 keys.
-///
-/// # Panics
-///
-/// Panics if the last position's head segment overruns `kc`.
-pub fn attn_scores(q: &[f32], kc: &[f32], stride: usize, off: usize, scale: f32, out: &mut [f32]) {
-    let n = out.len();
-    assert!(
-        n == 0 || (n - 1) * stride + off + q.len() <= kc.len(),
-        "simd::attn_scores: cache overrun"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma; bounds asserted above.
-        unsafe { avx2::attn_scores(q, kc, stride, off, scale, out) };
-        return;
-    }
-    portable::attn_scores(q, kc, stride, off, scale, out);
-}
-
 /// Attention scores for one head with BF16 keys decoded in register:
 /// `out[j] = scale · Σ_d q[d] · decode(kc[j·stride + off + d])`.
 ///
@@ -581,20 +560,6 @@ mod portable {
     pub fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
         for (o, &bv) in out.iter_mut().zip(vb) {
             *o += s * decode(bv);
-        }
-    }
-
-    pub fn attn_scores(
-        q: &[f32],
-        kc: &[f32],
-        stride: usize,
-        off: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        for (j, o) in out.iter_mut().enumerate() {
-            let kh = &kc[j * stride + off..j * stride + off + q.len()];
-            *o = dot(q, kh) * scale;
         }
     }
 
@@ -1092,37 +1057,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn attn_scores(
-        q: &[f32],
-        kc: &[f32],
-        stride: usize,
-        off: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        unsafe {
-            let hd = q.len();
-            let chunks = hd / 8;
-            for (j, o) in out.iter_mut().enumerate() {
-                let kp = kc.as_ptr().add(j * stride + off);
-                let mut acc = _mm256_setzero_ps();
-                for c in 0..chunks {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(q.as_ptr().add(c * 8)),
-                        _mm256_loadu_ps(kp.add(c * 8)),
-                        acc,
-                    );
-                }
-                let mut tail = 0.0f32;
-                for (d, &qv) in q.iter().enumerate().skip(chunks * 8) {
-                    tail += qv * *kp.add(d);
-                }
-                *o = (hsum(acc) + tail) * scale;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn attn_scores_bf16(
         q: &[f32],
         kc: &[u16],
@@ -1347,18 +1281,6 @@ mod tests {
             let kb: Vec<u16> = kc.iter().map(|&v| (v.to_bits() >> 16) as u16).collect();
             let scale = 0.25f32;
 
-            let mut scores = vec![0.0f32; n_pos];
-            attn_scores(&q, &kc, stride, off, scale, &mut scores);
-            for (j, &got) in scores.iter().enumerate() {
-                let want: f64 = (0..hd)
-                    .map(|d| f64::from(q[d]) * f64::from(kc[j * stride + off + d]))
-                    .sum::<f64>()
-                    * f64::from(scale);
-                assert!(
-                    (f64::from(got) - want).abs() <= 1e-4 * want.abs().max(1.0),
-                    "j={j}"
-                );
-            }
             let mut scores_b = vec![0.0f32; n_pos];
             attn_scores_bf16(&q, &kb, stride, off, scale, &mut scores_b);
             for (j, &got) in scores_b.iter().enumerate() {

@@ -137,6 +137,35 @@ fn adversarial_shapes_match_reference_at_all_thread_counts() {
 }
 
 #[test]
+fn small_row_counts_and_band_widths_match_reference() {
+    // `a·b` around its two input-dependent switches: the row count at which
+    // `b` starts being packed (`PACK_MIN_ROWS` = 64 in `matmul.rs`; below it
+    // the multi-row tile reads `b` in place, four rows at a time with a
+    // 1–3 row remainder) and the column-band width (full 32-wide bands vs
+    // the narrow remainder band, alone or after full ones). `k` is odd, and
+    // the wide shapes cross the FLOP gate so the pooled row split runs too.
+    // Zero rows is the LM-head call of a tick that decodes nothing.
+    let k = 129;
+    let mut rng = Rng::seed_from_u64(0x5eed_1000);
+    for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
+        for n in [1, 4, 31, 32, 33, 192, 512] {
+            let a = Matrix::randn(m, k, &mut rng);
+            let b = Matrix::randn(k, n, &mut rng);
+            let want = naive_matmul(&a, &b);
+            for threads in [1, 2, 4] {
+                set_thread_override(Some(threads));
+                assert_bits_eq(
+                    &a.matmul(&b),
+                    &want,
+                    &format!("matmul ({m}x{k}x{n}, threads={threads})"),
+                );
+            }
+        }
+    }
+    set_thread_override(None);
+}
+
+#[test]
 fn results_are_invariant_across_thread_counts() {
     // Large enough to parallelize; compare thread counts against each other
     // directly (not just against the reference).

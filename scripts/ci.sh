@@ -21,18 +21,24 @@ cargo test -q
 echo "== cargo test --workspace"
 cargo test -q --workspace
 
-echo "== standing benchmark (own workspace: unit tests + optstep replay check)"
+echo "== standing benchmark (own workspace: unit tests + optstep replay + decode-batch identity)"
 # benchmark/ is a workspace of its own, so the --workspace stages above
 # never compile it and an apollo-optim API break would go unseen. Its
 # optstep workload also replays each step's fused kernels and projector
 # draws by hand from outside the crate; any drift in the per-tensor kernel
-# sequence or in the `seed + i` derivation counts as a failed op.
+# sequence or in the `seed + i` derivation counts as a failed op. Its
+# decode-batch workload checks one batched result in 16 byte-for-byte
+# against serial `generate`, which pins the small-m GEMM and the
+# position-major attention loops from outside the workspace.
 cargo test -q --release --manifest-path benchmark/Cargo.toml
-OPTSTEP_OUT="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload optstep --seed 11 --seconds 1 --trace 0)"
-echo "$OPTSTEP_OUT"
-grep -q '^== optstep .* ops_failed=0 ' <<<"$OPTSTEP_OUT" \
-    || { echo "benchmark optstep reported failed ops"; exit 1; }
+for run in "optstep 1" "decode-batch 2"; do
+    read -r workload seconds <<<"$run"
+    BENCH_OUT="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 11 --seconds "$seconds" --trace 0)"
+    echo "$BENCH_OUT"
+    grep -q "^== $workload .* ops_failed=0 " <<<"$BENCH_OUT" \
+        || { echo "benchmark $workload reported failed ops"; exit 1; }
+done
 
 echo "== trace smoke run (pretrain --trace-out + trace-check)"
 TRACE_TMP="$(mktemp -d)"
