@@ -59,14 +59,6 @@ fn random_tokens(n: usize, vocab: usize, rng: &mut Rng) -> Vec<u32> {
     (0..n).map(|_| rng.below(vocab) as u32).collect()
 }
 
-/// LM-head logits of the last hidden row.
-fn last_logits(model: &LlamaModel, hidden: &Matrix) -> Vec<f32> {
-    let mut row = Matrix::zeros(1, hidden.cols());
-    row.row_mut(0)
-        .copy_from_slice(hidden.row(hidden.rows() - 1));
-    model.lm_logits(&row).as_slice().to_vec()
-}
-
 /// Seconds per prefill of the whole prompt into a fresh cache.
 fn time_prefill(model: &LlamaModel, prompt: &[u32], t: Timing) -> f64 {
     let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
@@ -80,87 +72,35 @@ fn time_prefill(model: &LlamaModel, prompt: &[u32], t: Timing) -> f64 {
 }
 
 /// Greedy KV-cached decode: seconds per rep (prefill excluded) and the
-/// decoded tokens (identical across reps by determinism).
-fn time_kv_decode(model: &LlamaModel, prompt: &[u32], t: Timing) -> (f64, Vec<u32>) {
-    let greedy = GenConfig::default();
-    let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
-    let mut out = Vec::new();
-    let secs = median_of(t.reps, t.min_secs, || {
-        let mut caches = vec![model.new_kv_cache(prompt.len() + DECODE_TOKENS)];
-        let hidden = model.forward_cached(&mut caches, &rows);
-        let mut logits = last_logits(model, &hidden);
-        let mut rng = Rng::seed_from_u64(0);
-        out.clear();
-        let t0 = Instant::now();
-        for _ in 0..DECODE_TOKENS {
-            let tok = sample(&logits, &greedy, &mut rng);
-            out.push(tok);
-            let hidden = model.forward_cached(&mut caches, &[(0, tok)]);
-            logits = last_logits(model, &hidden);
-        }
-        t0.elapsed().as_secs_f64()
-    });
-    (secs, out)
-}
-
-/// LM-head logits of the last hidden row, via the backend interface.
-fn last_logits_backend(backend: &DecodeBackend, hidden: &Matrix) -> Vec<f32> {
-    let mut row = Matrix::zeros(1, hidden.cols());
-    row.row_mut(0)
-        .copy_from_slice(hidden.row(hidden.rows() - 1));
-    backend.lm_logits(&row).as_slice().to_vec()
-}
-
-/// Greedy KV-cached decode through a [`DecodeBackend`] — same workload as
-/// [`time_kv_decode`], used for the INT8+BF16 snapshot path.
-fn time_backend_decode(backend: &DecodeBackend, prompt: &[u32], t: Timing) -> (f64, Vec<u32>) {
-    let greedy = GenConfig::default();
-    let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
-    let mut out = Vec::new();
-    let secs = median_of(t.reps, t.min_secs, || {
-        let mut caches = backend.new_caches(1, prompt.len() + DECODE_TOKENS);
-        let hidden = backend.forward_cached(&mut caches, &rows);
-        let mut logits = last_logits_backend(backend, &hidden);
-        let mut rng = Rng::seed_from_u64(0);
-        out.clear();
-        let t0 = Instant::now();
-        for _ in 0..DECODE_TOKENS {
-            let tok = sample(&logits, &greedy, &mut rng);
-            out.push(tok);
-            let hidden = backend.forward_cached(&mut caches, &[(0, tok)]);
-            logits = last_logits_backend(backend, &hidden);
-        }
-        t0.elapsed().as_secs_f64()
-    });
-    (secs, out)
-}
-
-/// Greedy KV-cached decode with a LoRA adapter's low-rank delta applied
-/// to every projection — the multi-tenant serving fast path. Same
-/// workload as [`time_kv_decode`], so the ratio of the two is the cost of
-/// carrying a tenant's delta without materializing its dense weights.
-fn time_adapter_decode(
-    model: &LlamaModel,
-    adapter: &apollo_nn::LoraAdapter,
+/// decoded tokens (identical across reps by determinism). The one loop for
+/// every cached path — bare model, backend, model + adapter — over the two
+/// calls a decoder offers: `open` allocates a fresh cache of `capacity`
+/// positions and returns its forward (new `(cache 0, token)` rows in,
+/// their hidden states out); `head` maps hidden rows to logits.
+fn time_kv_decode<F: FnMut(&[(usize, u32)]) -> Matrix>(
+    mut open: impl FnMut(usize) -> F,
+    head: impl Fn(&Matrix) -> Matrix,
     prompt: &[u32],
     t: Timing,
 ) -> (f64, Vec<u32>) {
     let greedy = GenConfig::default();
     let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
-    let ads = vec![Some(adapter); rows.len()];
     let mut out = Vec::new();
     let secs = median_of(t.reps, t.min_secs, || {
-        let mut caches = vec![model.new_kv_cache(prompt.len() + DECODE_TOKENS)];
-        let hidden = model.forward_cached_with(&mut caches, &rows, &ads);
-        let mut logits = last_logits(model, &hidden);
+        let mut forward = open(prompt.len() + DECODE_TOKENS);
+        // The LM head runs on the last hidden row alone.
+        let mut step = |rows: &[(usize, u32)]| {
+            let hidden = forward(rows);
+            head(&hidden.gather_rows(&[hidden.rows() - 1]))
+        };
+        let mut logits = step(&rows);
         let mut rng = Rng::seed_from_u64(0);
         out.clear();
         let t0 = Instant::now();
         for _ in 0..DECODE_TOKENS {
-            let tok = sample(&logits, &greedy, &mut rng);
+            let tok = sample(logits.as_slice(), &greedy, &mut rng);
             out.push(tok);
-            let hidden = model.forward_cached_with(&mut caches, &[(0, tok)], &[Some(adapter)]);
-            logits = last_logits(model, &hidden);
+            logits = step(&[(0, tok)]);
         }
         t0.elapsed().as_secs_f64()
     });
@@ -278,7 +218,12 @@ fn main() {
     let prefill_tps = PROMPT_TOKENS as f64 / prefill_secs;
     eprintln!("[infer] prefill          {prefill_tps:9.1} tok/s ({PROMPT_TOKENS} tokens)");
 
-    let (kv_secs, kv_tokens) = time_kv_decode(&model, &prompt, t);
+    let open_dense = |capacity| {
+        let (model, mut caches) = (&model, [model.new_kv_cache(capacity)]);
+        move |rows: &[(usize, u32)]| model.forward_cached(&mut caches, rows)
+    };
+    let dense_head = |h: &Matrix| model.lm_logits(h);
+    let (kv_secs, kv_tokens) = time_kv_decode(open_dense, dense_head, &prompt, t);
     let kv_tps = DECODE_TOKENS as f64 / kv_secs;
     eprintln!("[infer] kv decode        {kv_tps:9.1} tok/s ({DECODE_TOKENS} tokens)");
 
@@ -288,7 +233,7 @@ fn main() {
     // for throughput — but the decode must still run to completion over
     // the full workload.
     set_numerics_override(Some(NumericsMode::Fast));
-    let (fast_secs, fast_tokens) = time_kv_decode(&model, &prompt, t);
+    let (fast_secs, fast_tokens) = time_kv_decode(open_dense, dense_head, &prompt, t);
     set_numerics_override(None);
     let fast_tps = DECODE_TOKENS as f64 / fast_secs;
     let fast_speedup = fast_tps / kv_tps;
@@ -298,7 +243,11 @@ fn main() {
     // INT8 weights + BF16 KV decode: group-128 quantized snapshot through
     // the fused dequant-gemv path (always the relaxed tier).
     let int8: DecodeBackend = QuantizedModel::from_model(&model).into();
-    let (int8_secs, int8_tokens) = time_backend_decode(&int8, &prompt, t);
+    let open_int8 = |capacity| {
+        let (int8, mut caches) = (&int8, int8.new_caches(1, capacity));
+        move |rows: &[(usize, u32)]| int8.forward_cached(&mut caches, rows)
+    };
+    let (int8_secs, int8_tokens) = time_kv_decode(open_int8, |h| int8.lm_logits(h), &prompt, t);
     let int8_tps = DECODE_TOKENS as f64 / int8_secs;
     let int8_speedup = int8_tps / kv_tps;
     eprintln!("[infer] int8 decode      {int8_tps:9.1} tok/s  (vs exact {int8_speedup:.2}x)");
@@ -328,7 +277,16 @@ fn main() {
         }
         apollo_nn::LoraAdapter::from_model(&lora).expect("LoRA source model")
     };
-    let (adapter_secs, adapter_tokens) = time_adapter_decode(&model, &adapter, &prompt, t);
+    // One `Some(adapter)` per row of the longest call (the prefill), built
+    // once so the timed steps slice it instead of allocating.
+    let per_row = vec![Some(&adapter); PROMPT_TOKENS];
+    let open_adapted = |capacity| {
+        let (model, per_row, mut caches) = (&model, &per_row, [model.new_kv_cache(capacity)]);
+        move |rows: &[(usize, u32)]| {
+            model.forward_cached_with(&mut caches, rows, &per_row[..rows.len()])
+        }
+    };
+    let (adapter_secs, adapter_tokens) = time_kv_decode(open_adapted, dense_head, &prompt, t);
     let adapter_tps = DECODE_TOKENS as f64 / adapter_secs;
     let adapter_relative = adapter_tps / kv_tps;
     eprintln!(

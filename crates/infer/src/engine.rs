@@ -24,80 +24,53 @@ pub fn generate(
     model: &LlamaModel,
     prompt: &[u32],
     cfg: &GenConfig,
-    mut on_token: impl FnMut(u32),
+    on_token: impl FnMut(u32),
 ) -> Vec<u32> {
-    assert!(!prompt.is_empty(), "generate: empty prompt");
-    let mut caches = vec![model.new_kv_cache(prompt.len() + cfg.max_new_tokens)];
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut out = Vec::with_capacity(cfg.max_new_tokens);
-
-    // Prefill the whole prompt in one call; only the last row's logits are
-    // needed (chunking would give bit-identical logits either way).
-    let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
-    let hidden = model.forward_cached(&mut caches, &rows);
-    let mut last = last_row_logits(model, &hidden);
-
-    while out.len() < cfg.max_new_tokens {
-        let tok = sample(&last, cfg, &mut rng);
-        out.push(tok);
-        on_token(tok);
-        if cfg.stop_token == Some(tok) || out.len() == cfg.max_new_tokens {
-            break;
-        }
-        let hidden = model.forward_cached(&mut caches, &[(0, tok)]);
-        last = last_row_logits(model, &hidden);
-    }
-    out
+    let mut caches = [model.new_kv_cache(prompt.len() + cfg.max_new_tokens)];
+    let forward = |rows: &[_]| model.forward_cached(&mut caches, rows);
+    generate_with(forward, |h| model.lm_logits(h), prompt, cfg, on_token)
 }
 
-/// Serial generation against any [`DecodeBackend`] — the exact f32 model
-/// or an INT8+BF16 snapshot. Semantics match [`generate`] (same sampling,
-/// same stopping rules); with [`DecodeBackend::Exact`] the produced tokens
-/// are byte-identical to [`generate`] on the wrapped model.
-///
-/// # Panics
-///
-/// Panics if the prompt is empty or a token is out of vocabulary.
+/// [`generate`] against any [`DecodeBackend`] — the exact f32 model or an
+/// INT8+BF16 snapshot. It is the same loop, so [`DecodeBackend::Exact`]
+/// yields tokens byte-identical to [`generate`] on the wrapped model, and
+/// it panics on the same inputs.
 pub fn generate_backend(
     backend: &DecodeBackend,
     prompt: &[u32],
     cfg: &GenConfig,
+    on_token: impl FnMut(u32),
+) -> Vec<u32> {
+    let mut caches = backend.new_caches(1, prompt.len() + cfg.max_new_tokens);
+    let forward = |rows: &[_]| backend.forward_cached(&mut caches, rows);
+    generate_with(forward, |h| backend.lm_logits(h), prompt, cfg, on_token)
+}
+
+/// The one serial loop, over a decoder's two calls: `forward` runs new
+/// `(cache 0, token)` rows to hidden states, `head` maps those to logits.
+fn generate_with(
+    mut forward: impl FnMut(&[(usize, u32)]) -> Matrix,
+    head: impl Fn(&Matrix) -> Matrix,
+    prompt: &[u32],
+    cfg: &GenConfig,
     mut on_token: impl FnMut(u32),
 ) -> Vec<u32> {
-    assert!(!prompt.is_empty(), "generate_backend: empty prompt");
-    let mut caches = backend.new_caches(1, prompt.len() + cfg.max_new_tokens);
+    assert!(!prompt.is_empty(), "generate: empty prompt");
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut out = Vec::with_capacity(cfg.max_new_tokens);
-
+    // Prefill the whole prompt in one call; only the last row's logits are
+    // needed (chunking would give bit-identical logits either way).
     let rows: Vec<(usize, u32)> = prompt.iter().map(|&t| (0, t)).collect();
-    let hidden = backend.forward_cached(&mut caches, &rows);
-    let mut last = last_row_logits_backend(backend, &hidden);
-
+    let mut hidden = forward(&rows);
     while out.len() < cfg.max_new_tokens {
-        let tok = sample(&last, cfg, &mut rng);
+        let logits = head(&hidden.gather_rows(&[hidden.rows() - 1]));
+        let tok = sample(logits.as_slice(), cfg, &mut rng);
         out.push(tok);
         on_token(tok);
         if cfg.stop_token == Some(tok) || out.len() == cfg.max_new_tokens {
             break;
         }
-        let hidden = backend.forward_cached(&mut caches, &[(0, tok)]);
-        last = last_row_logits_backend(backend, &hidden);
+        hidden = forward(&[(0, tok)]);
     }
     out
-}
-
-/// LM-head logits of the last hidden row only.
-fn last_row_logits(model: &LlamaModel, hidden: &Matrix) -> Vec<f32> {
-    let mut row = Matrix::zeros(1, hidden.cols());
-    row.row_mut(0)
-        .copy_from_slice(hidden.row(hidden.rows() - 1));
-    model.lm_logits(&row).as_slice().to_vec()
-}
-
-/// LM-head logits of the last hidden row only, via the backend interface.
-fn last_row_logits_backend(backend: &DecodeBackend, hidden: &Matrix) -> Vec<f32> {
-    let mut row = Matrix::zeros(1, hidden.cols());
-    row.row_mut(0)
-        .copy_from_slice(hidden.row(hidden.rows() - 1));
-    backend.lm_logits(&row).as_slice().to_vec()
 }

@@ -40,17 +40,9 @@ pub(crate) struct LowRankDelta {
     pub(crate) scale: f32,
 }
 
-/// The seven projection deltas of one transformer layer.
-#[derive(Debug, Clone)]
-pub(crate) struct AdapterLayer {
-    pub(crate) wq: LowRankDelta,
-    pub(crate) wk: LowRankDelta,
-    pub(crate) wv: LowRankDelta,
-    pub(crate) wo: LowRankDelta,
-    pub(crate) gate: LowRankDelta,
-    pub(crate) up: LowRankDelta,
-    pub(crate) down: LowRankDelta,
-}
+/// The seven projection deltas of one transformer layer, indexed by
+/// [`crate::model::Proj`].
+pub(crate) type AdapterLayer = [LowRankDelta; 7];
 
 /// The low-rank deltas of a LoRA fine-tune, ready to apply per batch row.
 #[derive(Debug, Clone)]
@@ -85,18 +77,15 @@ impl LoraAdapter {
             .layers
             .iter()
             .map(|l| {
-                Ok(AdapterLayer {
-                    wq: delta(&l.wq)?,
-                    wk: delta(&l.wk)?,
-                    wv: delta(&l.wv)?,
-                    wo: delta(&l.wo)?,
-                    gate: delta(&l.gate)?,
-                    up: delta(&l.up)?,
-                    down: delta(&l.down)?,
-                })
+                let deltas: Vec<LowRankDelta> = l
+                    .linears()
+                    .into_iter()
+                    .map(delta)
+                    .collect::<Result<_, _>>()?;
+                Ok(deltas.try_into().expect("a layer has seven projections"))
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let rank = layers.first().map_or(0, |l| l.wq.a.cols());
+            .collect::<Result<Vec<AdapterLayer>, String>>()?;
+        let rank = layers.first().map_or(0, |l| l[0].a.cols());
         let cfg = model.config();
         Ok(LoraAdapter {
             layers,
@@ -120,7 +109,7 @@ impl LoraAdapter {
     pub fn memory_bytes(&self) -> usize {
         self.layers
             .iter()
-            .flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.gate, &l.up, &l.down])
+            .flatten()
             .map(|d| (d.a.len() + d.b.len()) * 4)
             .sum()
     }

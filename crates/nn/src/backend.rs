@@ -1,10 +1,10 @@
 //! Decode backend selection: exact f32 vs INT8+BF16 fast path.
 //!
-//! [`DecodeBackend`] lets the serving stack (`apollo-infer`) run either the
-//! bit-exact [`LlamaModel::forward_cached`] path or the quantized
-//! [`QuantizedModel`] path through one interface. Caches come as
-//! [`DecodeCaches`] — a homogeneous pool matching the backend's tier, so a
-//! scheduler never mixes f32 and BF16 caches.
+//! [`DecodeBackend`] lets the serving stack (`apollo-infer`) hold either
+//! the bit-exact [`LlamaModel`] or the quantized [`QuantizedModel`] behind
+//! one interface. Both run the same cached walk over the same [`KvCache`]
+//! type; a backend's [`DecodeCaches`] pool holds caches of the element
+//! width its model allocates, and the walk refuses any other.
 //!
 //! The enum is deliberately *not* a trait object: both variants are known,
 //! the dispatch is one match in a hot loop, and keeping the concrete types
@@ -19,7 +19,7 @@ use crate::adapter::LoraAdapter;
 use crate::config::ModelConfig;
 use crate::decode::{KvCache, KvSpan};
 use crate::model::LlamaModel;
-use crate::quantized::{Bf16KvCache, Bf16Span, QuantizedModel};
+use crate::quantized::QuantizedModel;
 
 /// A decode-capable model: the exact f32 model or an INT8 snapshot.
 #[derive(Debug, Clone)]
@@ -54,141 +54,65 @@ impl From<QuantizedModel> for DecodeBackend {
     }
 }
 
-/// One KV cache per scheduler slot, all of the backend's tier.
+/// One KV cache per scheduler slot, all allocated by one backend.
 #[derive(Debug, Clone)]
-pub enum DecodeCaches {
-    /// f32 caches for [`DecodeBackend::Exact`].
-    F32(Vec<KvCache>),
-    /// BF16 caches for [`DecodeBackend::Int8`].
-    Bf16(Vec<Bf16KvCache>),
-}
+pub struct DecodeCaches(Vec<KvCache>);
 
 impl DecodeCaches {
     /// Number of cache slots.
     pub fn num_slots(&self) -> usize {
-        match self {
-            DecodeCaches::F32(c) => c.len(),
-            DecodeCaches::Bf16(c) => c.len(),
-        }
+        self.0.len()
     }
 
     /// Positions filled in slot `i`.
     pub fn slot_len(&self, i: usize) -> usize {
-        match self {
-            DecodeCaches::F32(c) => c[i].len(),
-            DecodeCaches::Bf16(c) => c[i].len(),
-        }
+        self.0[i].len()
     }
 
     /// Positions still available in slot `i`.
     pub fn remaining(&self, i: usize) -> usize {
-        match self {
-            DecodeCaches::F32(c) => c[i].remaining(),
-            DecodeCaches::Bf16(c) => c[i].remaining(),
-        }
+        self.0[i].remaining()
     }
 
     /// Resets slot `i` for a new sequence.
     pub fn clear(&mut self, i: usize) {
-        match self {
-            DecodeCaches::F32(c) => c[i].clear(),
-            DecodeCaches::Bf16(c) => c[i].clear(),
-        }
+        self.0[i].clear()
     }
 
     /// Total bytes of K/V storage across all slots and layers — the
     /// `infer.mem.kv_bytes` gauge.
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            DecodeCaches::F32(c) => c.iter().map(KvCache::memory_bytes).sum(),
-            DecodeCaches::Bf16(c) => c.iter().map(Bf16KvCache::memory_bytes).sum(),
-        }
+        self.0.iter().map(KvCache::memory_bytes).sum()
     }
 
     /// Bytes of K/V storage actually filled (positions `0..len` of every
     /// slot) — the live-usage number `GET /stats` reports, as opposed to
     /// [`DecodeCaches::memory_bytes`]'s allocated capacity.
     pub fn used_bytes(&self) -> usize {
-        let per_pos = |total: usize, slots: usize, cap: usize| {
-            if slots == 0 || cap == 0 {
-                0
-            } else {
-                total / (slots * cap)
-            }
-        };
-        match self {
-            DecodeCaches::F32(c) => {
-                let cap = c.first().map_or(0, KvCache::capacity);
-                let unit = per_pos(self.memory_bytes(), c.len(), cap);
-                c.iter().map(|s| s.len() * unit).sum()
-            }
-            DecodeCaches::Bf16(c) => {
-                let cap = c.first().map_or(0, Bf16KvCache::capacity);
-                let unit = per_pos(self.memory_bytes(), c.len(), cap);
-                c.iter().map(|s| s.len() * unit).sum()
-            }
-        }
+        let used = |c: &KvCache| c.memory_bytes() / c.capacity().max(1) * c.len();
+        self.0.iter().map(used).sum()
     }
 
-    /// Copies positions `lo..hi` of slot `i` into an owned [`KvBlock`] of
-    /// the pool's tier.
+    /// Copies positions `lo..hi` of slot `i` into an owned [`KvBlock`].
     pub fn export_rows(&self, i: usize, lo: usize, hi: usize) -> KvBlock {
-        match self {
-            DecodeCaches::F32(c) => KvBlock::F32(c[i].export_rows(lo, hi)),
-            DecodeCaches::Bf16(c) => KvBlock::Bf16(c[i].export_rows(lo, hi)),
-        }
+        self.0[i].export_rows(lo, hi)
     }
 
     /// Appends a block's rows at slot `i`'s current length (bitwise copy).
     ///
     /// # Panics
     ///
-    /// Panics if the block's tier does not match the pool's.
+    /// Panics if the block's geometry or element width does not match
+    /// the slot's.
     pub fn append_block(&mut self, i: usize, block: &KvBlock) {
-        match (self, block) {
-            (DecodeCaches::F32(c), KvBlock::F32(s)) => c[i].append_span(s),
-            (DecodeCaches::Bf16(c), KvBlock::Bf16(s)) => c[i].append_span(s),
-            _ => panic!("append_block: block tier does not match caches"),
-        }
+        self.0[i].append_span(block)
     }
 }
 
-/// An owned KV span at either tier — what the prefix cache stores. Blocks
-/// hold their own copies, so cache eviction never touches rows already
-/// appended into a slot.
-#[derive(Debug, Clone)]
-pub enum KvBlock {
-    /// Exact-tier span.
-    F32(KvSpan),
-    /// BF16-tier span.
-    Bf16(Bf16Span),
-}
-
-impl KvBlock {
-    /// Token positions covered.
-    pub fn rows(&self) -> usize {
-        match self {
-            KvBlock::F32(s) => s.rows(),
-            KvBlock::Bf16(s) => s.rows(),
-        }
-    }
-
-    /// Bytes of storage across all layers.
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            KvBlock::F32(s) => s.memory_bytes(),
-            KvBlock::Bf16(s) => s.memory_bytes(),
-        }
-    }
-
-    /// An owned copy of rows `lo..hi`.
-    pub fn slice(&self, lo: usize, hi: usize) -> KvBlock {
-        match self {
-            KvBlock::F32(s) => KvBlock::F32(s.slice(lo, hi)),
-            KvBlock::Bf16(s) => KvBlock::Bf16(s.slice(lo, hi)),
-        }
-    }
-}
+/// An owned KV span — what the prefix cache stores. Blocks hold their own
+/// copies, so cache eviction never touches rows already appended into a
+/// slot.
+pub type KvBlock = KvSpan;
 
 impl DecodeBackend {
     /// The model configuration.
@@ -218,16 +142,13 @@ impl DecodeBackend {
     }
 
     /// Allocates `slots` caches of `capacity` positions each, at the
-    /// backend's tier.
+    /// element width the backend's model decodes against.
     pub fn new_caches(&self, slots: usize, capacity: usize) -> DecodeCaches {
-        match self {
-            DecodeBackend::Exact(m) => {
-                DecodeCaches::F32((0..slots).map(|_| m.new_kv_cache(capacity)).collect())
-            }
-            DecodeBackend::Int8(m) => {
-                DecodeCaches::Bf16((0..slots).map(|_| m.new_kv_cache(capacity)).collect())
-            }
-        }
+        let one = || match self {
+            DecodeBackend::Exact(m) => m.new_kv_cache(capacity),
+            DecodeBackend::Int8(m) => m.new_kv_cache(capacity),
+        };
+        DecodeCaches((0..slots).map(|_| one()).collect())
     }
 
     /// Runs the trunk over a batch of rows (see
@@ -236,13 +157,9 @@ impl DecodeBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `caches` is not the tier this backend allocates.
+    /// Panics if `caches` were allocated by a backend of the other tier.
     pub fn forward_cached(&self, caches: &mut DecodeCaches, rows: &[(usize, u32)]) -> Matrix {
-        match (self, caches) {
-            (DecodeBackend::Exact(m), DecodeCaches::F32(c)) => m.forward_cached(c, rows),
-            (DecodeBackend::Int8(m), DecodeCaches::Bf16(c)) => m.forward_cached(c, rows),
-            _ => panic!("forward_cached: cache tier does not match backend"),
-        }
+        self.forward_cached_with(caches, rows, &[])
     }
 
     /// [`DecodeBackend::forward_cached`] with optional per-row LoRA
@@ -259,18 +176,15 @@ impl DecodeBackend {
         rows: &[(usize, u32)],
         adapters: &[Option<&LoraAdapter>],
     ) -> Matrix {
-        match (self, caches) {
-            (DecodeBackend::Exact(m), DecodeCaches::F32(c)) => {
-                m.forward_cached_with(c, rows, adapters)
-            }
-            (DecodeBackend::Int8(m), DecodeCaches::Bf16(c)) => {
+        match self {
+            DecodeBackend::Exact(m) => m.forward_cached_with(&mut caches.0, rows, adapters),
+            DecodeBackend::Int8(m) => {
                 assert!(
                     adapters.iter().all(Option::is_none),
                     "forward_cached_with: adapters require the exact backend"
                 );
-                m.forward_cached(c, rows)
+                m.forward_cached(&mut caches.0, rows)
             }
-            _ => panic!("forward_cached: cache tier does not match backend"),
         }
     }
 

@@ -49,4 +49,4 @@ pub use decode::{KvCache, KvSpan};
 pub use linear::{Linear, LinearMode};
 pub use model::LlamaModel;
 pub use param::{Param, ParamKind};
-pub use quantized::{Bf16KvCache, Bf16Span, QuantizedModel, DECODE_QUANT_GROUP};
+pub use quantized::{QuantizedModel, DECODE_QUANT_GROUP};

@@ -22,6 +22,29 @@ pub(crate) struct Layer {
     pub(crate) down: Linear,
 }
 
+/// One of a layer's seven projections. The discriminant is the index into
+/// every per-projection array in this crate ([`Layer::linears`], an
+/// adapter's deltas, a quantized layer's INT8 weights).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Proj {
+    Q,
+    K,
+    V,
+    O,
+    Gate,
+    Up,
+    Down,
+}
+
+impl Layer {
+    /// The seven projection linears, in [`Proj`] order.
+    pub(crate) fn linears(&self) -> [&Linear; 7] {
+        [
+            &self.wq, &self.wk, &self.wv, &self.wo, &self.gate, &self.up, &self.down,
+        ]
+    }
+}
+
 /// A decoder-only transformer: embedding → N × (attention + SwiGLU) →
 /// final norm → LM head.
 ///
@@ -324,15 +347,7 @@ impl LlamaModel {
     pub fn merge_adapters(&mut self, rng: &mut Rng) {
         let layers = self.layers.clone();
         for layer in &layers {
-            for lin in [
-                &layer.wq,
-                &layer.wk,
-                &layer.wv,
-                &layer.wo,
-                &layer.gate,
-                &layer.up,
-                &layer.down,
-            ] {
+            for lin in layer.linears() {
                 lin.merge_adapter(&mut self.params, rng);
             }
         }

@@ -1,95 +1,30 @@
-//! INT8 weight / BF16 KV-cache decode path (the `NumericsMode::Fast` +
+//! INT8 weight / BF16 KV-cache decode tier (the `NumericsMode::Fast` +
 //! `--int8-decode` tier).
 //!
 //! [`QuantizedModel`] snapshots a trained [`LlamaModel`] into group-128
 //! INT8 weights (one [`QuantizedMatrix`] per attention/MLP linear and the
-//! LM head) and decodes against BF16 key/value caches. Every matmul is a
-//! fused dequantize-GEMV — the f32 weight matrix is never materialized —
-//! and the attention/norm/activation loops run on the explicit-SIMD
-//! kernels in [`apollo_tensor::simd`] with BF16 operands loaded in
-//! register.
+//! LM head) and decodes against BF16 key/value caches. It runs the same
+//! cached walk as the dense model (`decode.rs`); what is INT8-specific
+//! lives here: the snapshot, and a projection that is a fused
+//! dequantize-GEMV per activation row — the f32 weight matrix is never
+//! materialized. Being relaxed by construction, the walk gives it the
+//! explicit-SIMD norm/softmax/activation kernels of
+//! [`apollo_tensor::simd`] and the attention kernels that load BF16
+//! operands in register.
 //!
-//! Unlike [`LlamaModel::forward_cached`], this path makes **no bitwise
-//! promise**: it is gated by the Fast-tier tolerance tests
-//! (`nn/tests/quantized_decode.rs`), which bound its divergence from an
-//! exact model holding the same dequantized weights.
-
-use std::cell::RefCell;
+//! Unlike [`LlamaModel::forward_cached`], this tier makes **no bitwise
+//! promise against the graph forward**: it is gated by the Fast-tier
+//! tolerance tests (`nn/tests/quantized_decode.rs`), which bound its
+//! divergence from an exact model holding the same dequantized weights.
+//! It *is* bitwise invariant to how rows are batched or chunked (every
+//! relaxed op runs per row), which `nn/tests/decode_equivalence.rs` pins.
 
 use apollo_quant::QuantizedMatrix;
-use apollo_tensor::bf16::bf16_encode_slice;
-use apollo_tensor::{fused, simd, Matrix};
+use apollo_tensor::Matrix;
 
 use crate::config::ModelConfig;
-use crate::model::LlamaModel;
-
-/// Per-thread reusable temporaries for [`QuantizedModel::forward_cached`].
-/// A decode step is one token, so the ~dozen per-layer activations would
-/// otherwise churn the allocator every token; reusing them turns each into
-/// a `resize_to` of already-owned storage.
-struct Scratch {
-    x: Matrix,
-    hn: Matrix,
-    q: Matrix,
-    k: Matrix,
-    v: Matrix,
-    att: Matrix,
-    o: Matrix,
-    mn: Matrix,
-    gate: Matrix,
-    up: Matrix,
-    act: Matrix,
-    mlp: Matrix,
-    s: Vec<f32>,
-}
-
-impl Scratch {
-    fn new() -> Self {
-        let m = || Matrix::zeros(0, 0);
-        Scratch {
-            x: m(),
-            hn: m(),
-            q: m(),
-            k: m(),
-            v: m(),
-            att: m(),
-            o: m(),
-            mn: m(),
-            gate: m(),
-            up: m(),
-            act: m(),
-            mlp: m(),
-            s: Vec::new(),
-        }
-    }
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
-
-/// Applies one quantized linear to every row of `x` via the fused
-/// dequant-GEMV, reshaping `y` to `x.rows() × out_dim`.
-fn linear_into(w: &QuantizedMatrix, x: &Matrix, y: &mut Matrix) {
-    let (_, out_dim) = w.shape();
-    y.resize_to(x.rows(), out_dim);
-    for r in 0..x.rows() {
-        w.dequant_gemv_into(x.row(r), y.row_mut(r));
-    }
-}
-
-/// Row-wise RMSNorm via the SIMD kernels (`1/√(mean(x²)+ε)` with learned
-/// gain) into `y` — same math as the exact path's fused kernel, fast
-/// association.
-fn rmsnorm_into(x: &Matrix, gain: &[f32], y: &mut Matrix) {
-    let n = x.cols() as f32;
-    y.resize_to(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let inv = 1.0 / (simd::sum_squares(row) / n + 1e-5).sqrt();
-        simd::scale_gain(y.row_mut(r), row, inv, gain);
-    }
-}
+use crate::decode::{self, KvCache, Weights};
+use crate::model::{LlamaModel, Proj};
 
 /// INT8 weight-group size; 128 as in Q-GaLore / the paper's Q-APOLLO runs.
 pub const DECODE_QUANT_GROUP: usize = 128;
@@ -97,166 +32,10 @@ pub const DECODE_QUANT_GROUP: usize = 128;
 /// One transformer layer with INT8 projection weights and f32 norm gains.
 #[derive(Debug, Clone)]
 struct QuantizedLayer {
-    attn_norm: Vec<f32>,
-    wq: QuantizedMatrix,
-    wk: QuantizedMatrix,
-    wv: QuantizedMatrix,
-    wo: QuantizedMatrix,
-    mlp_norm: Vec<f32>,
-    gate: QuantizedMatrix,
-    up: QuantizedMatrix,
-    down: QuantizedMatrix,
-}
-
-/// A BF16 key/value cache for one sequence: per layer, `capacity × hidden`
-/// u16 payloads for post-RoPE keys and values (2 bytes per element vs the
-/// exact cache's 4).
-#[derive(Debug, Clone)]
-pub struct Bf16KvCache {
-    /// Per-layer keys, flat row-major `capacity × hidden` BF16 payloads.
-    k: Vec<Vec<u16>>,
-    /// Per-layer values, same layout.
-    v: Vec<Vec<u16>>,
-    hidden: usize,
-    capacity: usize,
-    len: usize,
-}
-
-impl Bf16KvCache {
-    /// Positions filled so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no positions have been filled yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum number of positions the cache can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Positions still available before the cache is full.
-    pub fn remaining(&self) -> usize {
-        self.capacity - self.len
-    }
-
-    /// Resets the cache for a new sequence.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Bytes of K/V storage across all layers (2 per BF16 element).
-    pub fn memory_bytes(&self) -> usize {
-        self.k
-            .iter()
-            .chain(self.v.iter())
-            .map(|m| m.len() * 2)
-            .sum()
-    }
-
-    /// Copies rows `lo..hi` of every layer into an owned [`Bf16Span`].
-    /// BF16 payloads are copied verbatim (no re-encode), so a later
-    /// [`Bf16KvCache::append_span`] restores exactly the cached bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi <= len()`.
-    pub fn export_rows(&self, lo: usize, hi: usize) -> Bf16Span {
-        assert!(
-            lo <= hi && hi <= self.len,
-            "export_rows: {lo}..{hi} of {}",
-            self.len
-        );
-        let cut = |layers: &[Vec<u16>]| -> Vec<Vec<u16>> {
-            layers
-                .iter()
-                .map(|l| l[lo * self.hidden..hi * self.hidden].to_vec())
-                .collect()
-        };
-        Bf16Span {
-            k: cut(&self.k),
-            v: cut(&self.v),
-            rows: hi - lo,
-            hidden: self.hidden,
-        }
-    }
-
-    /// Appends a span's rows at the current length and advances it — a
-    /// bitwise payload copy, mirroring [`crate::KvCache::append_span`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on layer/width mismatch or if the span does not fit.
-    pub fn append_span(&mut self, span: &Bf16Span) {
-        assert_eq!(span.k.len(), self.k.len(), "append_span: layer count");
-        assert_eq!(span.hidden, self.hidden, "append_span: hidden width");
-        assert!(span.rows <= self.remaining(), "append_span: cache full");
-        let lo = self.len * self.hidden;
-        let hi = (self.len + span.rows) * self.hidden;
-        for (dst, src) in self.k.iter_mut().zip(&span.k) {
-            dst[lo..hi].copy_from_slice(src);
-        }
-        for (dst, src) in self.v.iter_mut().zip(&span.v) {
-            dst[lo..hi].copy_from_slice(src);
-        }
-        self.len += span.rows;
-    }
-}
-
-/// An owned copy of consecutive BF16 KV rows, the [`crate::KvSpan`] mirror
-/// for the INT8/BF16 decode tier.
-#[derive(Debug, Clone)]
-pub struct Bf16Span {
-    /// Per-layer keys, `rows × hidden` BF16 payloads.
-    k: Vec<Vec<u16>>,
-    /// Per-layer values, same layout.
-    v: Vec<Vec<u16>>,
-    rows: usize,
-    hidden: usize,
-}
-
-impl Bf16Span {
-    /// Token positions covered.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Bytes of BF16 storage across all layers.
-    pub fn memory_bytes(&self) -> usize {
-        self.k
-            .iter()
-            .chain(self.v.iter())
-            .map(|l| l.len() * 2)
-            .sum()
-    }
-
-    /// An owned copy of rows `lo..hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo <= hi <= rows()`.
-    pub fn slice(&self, lo: usize, hi: usize) -> Bf16Span {
-        assert!(
-            lo <= hi && hi <= self.rows,
-            "slice: {lo}..{hi} of {}",
-            self.rows
-        );
-        let cut = |layers: &[Vec<u16>]| -> Vec<Vec<u16>> {
-            layers
-                .iter()
-                .map(|l| l[lo * self.hidden..hi * self.hidden].to_vec())
-                .collect()
-        };
-        Bf16Span {
-            k: cut(&self.k),
-            v: cut(&self.v),
-            rows: hi - lo,
-            hidden: self.hidden,
-        }
-    }
+    attn_norm: Matrix,
+    mlp_norm: Matrix,
+    /// The seven projections, indexed by [`Proj`].
+    proj: [QuantizedMatrix; 7],
 }
 
 /// An INT8-quantized snapshot of a [`LlamaModel`] for fast decode.
@@ -270,11 +49,8 @@ pub struct QuantizedModel {
     cfg: ModelConfig,
     embed: Matrix,
     layers: Vec<QuantizedLayer>,
-    final_norm: Vec<f32>,
+    final_norm: Matrix,
     head: QuantizedMatrix,
-    /// RoPE frequency table, precomputed once at quantization time (pure
-    /// `powf` of the fixed geometry) instead of per decode step.
-    freqs: Vec<f32>,
 }
 
 impl QuantizedModel {
@@ -295,7 +71,7 @@ impl QuantizedModel {
         let q = |lin: &crate::linear::Linear| {
             QuantizedMatrix::quantize(&lin.effective_weight(&model.params), group)
         };
-        let gain = |idx: usize| model.params[idx].value.as_slice().to_vec();
+        let gain = |idx: usize| model.params[idx].value.clone();
         QuantizedModel {
             cfg: model.cfg.clone(),
             embed: model.params[model.embed].value.clone(),
@@ -304,19 +80,12 @@ impl QuantizedModel {
                 .iter()
                 .map(|l| QuantizedLayer {
                     attn_norm: gain(l.attn_norm),
-                    wq: q(&l.wq),
-                    wk: q(&l.wk),
-                    wv: q(&l.wv),
-                    wo: q(&l.wo),
                     mlp_norm: gain(l.mlp_norm),
-                    gate: q(&l.gate),
-                    up: q(&l.up),
-                    down: q(&l.down),
+                    proj: l.linears().map(q),
                 })
                 .collect(),
             final_norm: gain(model.final_norm),
             head: QuantizedMatrix::quantize(&model.params[model.head].value, group),
-            freqs: fused::rope_freqs(model.cfg.head_dim(), model.cfg.rope_theta),
         }
     }
 
@@ -331,160 +100,30 @@ impl QuantizedModel {
         let mut total = self.embed.len() * 4 + self.final_norm.len() * 4 + self.head.memory_bytes();
         for l in &self.layers {
             total += (l.attn_norm.len() + l.mlp_norm.len()) * 4;
-            for w in [&l.wq, &l.wk, &l.wv, &l.wo, &l.gate, &l.up, &l.down] {
-                total += w.memory_bytes();
-            }
+            total += l
+                .proj
+                .iter()
+                .map(QuantizedMatrix::memory_bytes)
+                .sum::<usize>();
         }
         total
     }
 
-    /// Allocates a fresh [`Bf16KvCache`] able to hold `capacity` positions.
-    pub fn new_kv_cache(&self, capacity: usize) -> Bf16KvCache {
-        let h = self.cfg.hidden;
-        let n = self.layers.len();
-        Bf16KvCache {
-            k: (0..n).map(|_| vec![0u16; capacity * h]).collect(),
-            v: (0..n).map(|_| vec![0u16; capacity * h]).collect(),
-            hidden: h,
-            capacity,
-            len: 0,
-        }
+    /// Allocates a fresh BF16 [`KvCache`] able to hold `capacity` positions.
+    pub fn new_kv_cache(&self, capacity: usize) -> KvCache {
+        KvCache::new(&self.cfg, capacity, true)
     }
 
-    /// Runs the trunk over a batch of new token rows against BF16 caches
-    /// and returns the final-norm hidden states. Row semantics (cache
-    /// index, absolute position, in-call attention) match
-    /// [`LlamaModel::forward_cached`] exactly; only the arithmetic tier
-    /// differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cache index or token is out of range, or a row's
-    /// position would exceed its cache's capacity.
-    pub fn forward_cached(&self, caches: &mut [Bf16KvCache], rows: &[(usize, u32)]) -> Matrix {
-        SCRATCH.with(|cell| self.forward_scratch(&mut cell.borrow_mut(), caches, rows))
-    }
-
-    fn forward_scratch(
-        &self,
-        sc: &mut Scratch,
-        caches: &mut [Bf16KvCache],
-        rows: &[(usize, u32)],
-    ) -> Matrix {
-        let h = self.cfg.hidden;
-        let heads = self.cfg.n_heads;
-        let hd = self.cfg.head_dim();
-        let n_rows = rows.len();
-        assert!(n_rows > 0, "forward_cached: no rows");
-
-        let mut next_len: Vec<usize> = caches.iter().map(|c| c.len).collect();
-        let positions: Vec<usize> = rows
-            .iter()
-            .map(|&(c, tok)| {
-                assert!(
-                    (tok as usize) < self.cfg.vocab_size,
-                    "forward_cached: token {tok} out of vocab"
-                );
-                assert_eq!(caches[c].hidden, h, "forward_cached: cache geometry");
-                let pos = next_len[c];
-                assert!(
-                    pos < caches[c].capacity,
-                    "forward_cached: cache {c} full at position {pos}"
-                );
-                next_len[c] += 1;
-                pos
-            })
-            .collect();
-
-        // Split borrows: every temporary is an independent scratch field.
-        let Scratch {
-            x,
-            hn,
-            q,
-            k,
-            v,
-            att,
-            o,
-            mn,
-            gate,
-            up,
-            act,
-            mlp,
-            s,
-        } = sc;
-
-        x.resize_to(n_rows, h);
-        for (r, &(_, tok)) in rows.iter().enumerate() {
-            x.row_mut(r).copy_from_slice(self.embed.row(tok as usize));
-        }
-
-        let scale = 1.0 / (hd as f32).sqrt();
-        for (l, layer) in self.layers.iter().enumerate() {
-            rmsnorm_into(x, &layer.attn_norm, hn);
-            linear_into(&layer.wq, hn, q);
-            linear_into(&layer.wk, hn, k);
-            linear_into(&layer.wv, hn, v);
-            for (r, &pos) in positions.iter().enumerate() {
-                fused::rope_rotate_row(q.row_mut(r), pos as f32, heads, hd, &self.freqs, false);
-                fused::rope_rotate_row(k.row_mut(r), pos as f32, heads, hd, &self.freqs, false);
-            }
-            for (r, &(c, _)) in rows.iter().enumerate() {
-                let pos = positions[r];
-                let cache = &mut caches[c];
-                bf16_encode_slice(k.row(r), &mut cache.k[l][pos * h..(pos + 1) * h]);
-                bf16_encode_slice(v.row(r), &mut cache.v[l][pos * h..(pos + 1) * h]);
-            }
-            att.resize_to(n_rows, h);
-            for (r, &(c, _)) in rows.iter().enumerate() {
-                let pos = positions[r];
-                let kc = &caches[c].k[l];
-                let vc = &caches[c].v[l];
-                let qrow = q.row(r);
-                let orow = att.row_mut(r);
-                for hh in 0..heads {
-                    let lanes = hh * hd..(hh + 1) * hd;
-                    let qh = &qrow[lanes.clone()];
-                    // Scores against every cached position in one fused
-                    // call, BF16 keys decoded in register.
-                    s.resize(pos + 1, 0.0);
-                    simd::attn_scores_bf16(qh, kc, h, hh * hd, scale, s);
-                    let maxv = simd::max_slice(s);
-                    let denom = simd::softmax_exp_sum(s, maxv);
-                    // probs · V with the softmax denominator folded into
-                    // the probabilities (one fewer pass over the output).
-                    let inv = 1.0 / denom;
-                    for pj in s.iter_mut() {
-                        *pj *= inv;
-                    }
-                    simd::attn_mix_bf16(s, vc, h, hh * hd, &mut orow[lanes]);
-                }
-            }
-            linear_into(&layer.wo, att, o);
-            x.add_assign(o);
-
-            rmsnorm_into(x, &layer.mlp_norm, mn);
-            linear_into(&layer.gate, mn, gate);
-            linear_into(&layer.up, mn, up);
-            act.resize_to(n_rows, gate.cols());
-            for r in 0..n_rows {
-                simd::silu_mul(gate.row(r), up.row(r), act.row_mut(r));
-            }
-            linear_into(&layer.down, act, mlp);
-            x.add_assign(mlp);
-        }
-        for (c, len) in next_len.into_iter().enumerate() {
-            caches[c].len = len;
-        }
-        let mut out = Matrix::zeros(0, 0);
-        rmsnorm_into(x, &self.final_norm, &mut out);
-        out
+    /// [`LlamaModel::forward_cached`] on the INT8 tier: the same walk and
+    /// row semantics against BF16 caches, panicking on the same conditions;
+    /// only the projection and the kernels that read the cache differ.
+    pub fn forward_cached(&self, caches: &mut [KvCache], rows: &[(usize, u32)]) -> Matrix {
+        decode::forward_cached(self, caches, rows)
     }
 
     /// Decodes final-norm hidden rows through the INT8 LM head.
     pub fn lm_logits(&self, hidden: &Matrix) -> Matrix {
-        let mut y = Matrix::zeros(0, 0);
-        linear_into(&self.head, hidden, &mut y);
-        y
+        self.head.dequant_matmul(hidden)
     }
 
     /// Rebuilds a dense [`LlamaModel`] holding this snapshot's
@@ -499,20 +138,44 @@ impl QuantizedModel {
     pub fn dequantize_into(&self, template: &LlamaModel) -> LlamaModel {
         let mut m = template.clone();
         for (l, ql) in m.layers.clone().iter().zip(&self.layers) {
-            for (lin, qw) in [
-                (&l.wq, &ql.wq),
-                (&l.wk, &ql.wk),
-                (&l.wv, &ql.wv),
-                (&l.wo, &ql.wo),
-                (&l.gate, &ql.gate),
-                (&l.up, &ql.up),
-                (&l.down, &ql.down),
-            ] {
+            for (lin, qw) in l.linears().into_iter().zip(&ql.proj) {
                 lin.overwrite_dense(&mut m.params, qw.dequantize());
             }
         }
         m.params[m.head].value = self.head.dequantize();
         m
+    }
+}
+
+/// Every projection is the fused dequantize-GEMV, one activation row at a
+/// time; the f32 weight matrix is never materialized.
+impl Weights for QuantizedModel {
+    fn cfg(&self) -> &ModelConfig {
+        &self.cfg
+    }
+
+    fn embed_row(&self, tok: usize) -> &[f32] {
+        self.embed.row(tok)
+    }
+
+    fn attn_norm(&self, l: usize) -> &Matrix {
+        &self.layers[l].attn_norm
+    }
+
+    fn mlp_norm(&self, l: usize) -> &Matrix {
+        &self.layers[l].mlp_norm
+    }
+
+    fn final_norm(&self) -> &Matrix {
+        &self.final_norm
+    }
+
+    fn project(&self, l: usize, which: Proj, x: &Matrix, y: &mut Matrix) {
+        self.layers[l].proj[which as usize].dequant_matmul_into(x, y)
+    }
+
+    fn is_relaxed(&self) -> bool {
+        true
     }
 }
 

@@ -447,6 +447,113 @@ fn kv_blocks_roundtrip_on_both_backend_tiers() {
     }
 }
 
+/// An MLP width the 8-lane vector loops do not divide either (`44 % 8 ≠
+/// 0`; `odd_config()`'s 40 divides), on top of the odd head geometry.
+fn odd_mlp_config() -> ModelConfig {
+    ModelConfig::new("odd-mlp", 64, 36, 44, 3, 2, 80)
+}
+
+#[test]
+// Indexing by `c`/`t` mirrors the (cache, position) addressing under test.
+#[allow(clippy::needless_range_loop)]
+fn int8_decode_is_bitwise_invariant_to_chunking_and_batching() {
+    // The INT8 tier has no bitwise oracle (the graph forward is f32), but
+    // a row's bits must not depend on which other rows share its call:
+    // token-at-a-time == ragged chunked prefill == interleaved batch. The
+    // scheduler's INT8 byte-identity with serial generation rests on it.
+    for cfg in [odd_config(), odd_mlp_config()] {
+        let mut rng = Rng::seed_from_u64(0x1278);
+        let qm = QuantizedModel::from_model(&LlamaModel::new(&cfg, LinearMode::Dense, &mut rng));
+        let (batch, seq) = (3, 19);
+        let seqs: Vec<Vec<u32>> = (0..batch)
+            .map(|_| random_tokens(seq, cfg.vocab_size, &mut rng))
+            .collect();
+
+        // Reference: every sequence alone, one token per call.
+        let mut want: Vec<Matrix> = Vec::new();
+        for s in &seqs {
+            let mut cache = [qm.new_kv_cache(seq)];
+            let mut out = Matrix::zeros(seq, cfg.vocab_size);
+            for (t, &tok) in s.iter().enumerate() {
+                let hidden = qm.forward_cached(&mut cache, &[(0, tok)]);
+                out.row_mut(t).copy_from_slice(qm.lm_logits(&hidden).row(0));
+            }
+            want.push(out);
+        }
+
+        // Ragged chunked prefill of one sequence.
+        let mut cache = [qm.new_kv_cache(seq)];
+        let mut fed = 0;
+        for chunk in [3usize, 7, 1, 8] {
+            let rows: Vec<(usize, u32)> =
+                seqs[0][fed..fed + chunk].iter().map(|&t| (0, t)).collect();
+            let logits = qm.lm_logits(&qm.forward_cached(&mut cache, &rows));
+            for r in 0..chunk {
+                let what = format!("{} chunked pos {}", cfg.name, fed + r);
+                assert_bits_eq(
+                    &logits.gather_rows(&[r]),
+                    &want[0].gather_rows(&[fed + r]),
+                    &what,
+                );
+            }
+            fed += chunk;
+        }
+        assert_eq!(fed, seq);
+
+        // Interleaved batch: two tokens per sequence in one call, then one
+        // row per sequence per call with the row order rotating, so every
+        // sequence sits at every batch position.
+        let mut caches: Vec<_> = (0..batch).map(|_| qm.new_kv_cache(seq)).collect();
+        let mut calls: Vec<Vec<(usize, usize)>> =
+            vec![(0..batch).flat_map(|c| [(c, 0), (c, 1)]).collect()];
+        for t in 2..seq {
+            calls.push((0..batch).map(|i| ((i + t) % batch, t)).collect());
+        }
+        for call in calls {
+            let rows: Vec<(usize, u32)> = call.iter().map(|&(c, t)| (c, seqs[c][t])).collect();
+            let logits = qm.lm_logits(&qm.forward_cached(&mut caches, &rows));
+            for (r, &(c, t)) in call.iter().enumerate() {
+                let what = format!("{} batched seq {c} pos {t}", cfg.name);
+                assert_bits_eq(&logits.gather_rows(&[r]), &want[c].gather_rows(&[t]), &what);
+            }
+        }
+    }
+}
+
+/// A dense model and an INT8 snapshot of `cfg`'s geometry.
+fn tier_pair(cfg: &ModelConfig) -> (LlamaModel, QuantizedModel) {
+    let model = LlamaModel::new(cfg, LinearMode::Dense, &mut Rng::seed_from_u64(0x6E0));
+    let qm = QuantizedModel::from_model(&model);
+    (model, qm)
+}
+
+// A cache must come from a model of the walk's geometry and tier; each
+// mismatch is refused up front, naming the cache, before any K/V is written.
+
+#[test]
+#[should_panic(expected = "cache 1 has hidden width 16, the model 36")]
+fn cache_of_another_hidden_width_is_refused() {
+    let (model, _) = tier_pair(&odd_config());
+    let (other, _) = tier_pair(&ModelConfig::test_tiny());
+    let mut caches = [model.new_kv_cache(4), other.new_kv_cache(4)];
+    model.forward_cached(&mut caches, &[(0, 1), (1, 2)]);
+}
+
+#[test]
+#[should_panic(expected = "cache 0 has 3 layers, the model 2")]
+fn cache_with_more_layers_is_refused_on_the_int8_tier() {
+    let (_, qm) = tier_pair(&odd_config());
+    let (_, deeper) = tier_pair(&ModelConfig::new("deeper", 64, 36, 40, 3, 3, 80));
+    qm.forward_cached(&mut [deeper.new_kv_cache(4)], &[(0, 1)]);
+}
+
+#[test]
+#[should_panic(expected = "cache tier does not match the model (cache 0)")]
+fn f32_cache_is_refused_by_the_int8_model() {
+    let (model, qm) = tier_pair(&odd_config());
+    qm.forward_cached(&mut [model.new_kv_cache(4)], &[(0, 1)]);
+}
+
 #[test]
 fn decode_is_thread_invariant() {
     // Wider geometry so the head matmul crosses shapes where kernels pick

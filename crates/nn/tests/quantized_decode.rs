@@ -8,7 +8,7 @@
 //! single-token decode runs.
 
 use apollo_nn::{DecodeBackend, KvCache, LinearMode, LlamaModel, ModelConfig, QuantizedModel};
-use apollo_tensor::{Matrix, Rng};
+use apollo_tensor::{set_numerics_override, Matrix, NumericsMode, Rng};
 
 fn tiny_pair(seed: u64) -> (LlamaModel, QuantizedModel) {
     let cfg = ModelConfig::test_tiny();
@@ -35,6 +35,21 @@ fn assert_rows_close(step: &str, exact: &Matrix, fast: &Matrix) {
     }
 }
 
+/// Runs `f` with this thread's kernels pinned to the Fast tier — the dense
+/// model's relaxed arms (`simd::softmax_exp_sum`, `simd::attn_mix`, the
+/// per-row norm and SwiGLU) — restoring the default on the way out.
+fn fast<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore;
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_numerics_override(None);
+        }
+    }
+    let _restore = Restore;
+    set_numerics_override(Some(NumericsMode::Fast));
+    f()
+}
+
 #[test]
 fn chunked_prefill_tracks_oracle_within_tolerance() {
     let (model, qm) = tiny_pair(0xA1);
@@ -46,11 +61,15 @@ fn chunked_prefill_tracks_oracle_within_tolerance() {
     // Prefill in ragged chunks (3, then 7, then the rest), then decode.
     let mut ec: Vec<KvCache> = vec![oracle.new_kv_cache(32)];
     let mut qc = vec![qm.new_kv_cache(32)];
+    // The dense model's own relaxed tier, against the same exact oracle.
+    let mut fc = vec![oracle.new_kv_cache(32)];
     for chunk in [&tokens[..3], &tokens[3..10], &tokens[10..]] {
         let rows: Vec<(usize, u32)> = chunk.iter().map(|&t| (0, t)).collect();
         let he = oracle.forward_cached(&mut ec, &rows);
         let hq = qm.forward_cached(&mut qc, &rows);
         assert_rows_close("prefill chunk", &he, &hq);
+        let hf = fast(|| oracle.forward_cached(&mut fc, &rows));
+        assert_rows_close("dense fast prefill chunk", &he, &hf);
     }
     for step in 0..8 {
         let t = (step * 5 % vocab) as u32;
@@ -60,6 +79,13 @@ fn chunked_prefill_tracks_oracle_within_tolerance() {
         let le = oracle.lm_logits(&he);
         let lq = qm.lm_logits(&hq);
         assert_rows_close(&format!("logits step {step}"), &le, &lq);
+        let (hf, lf) = fast(|| {
+            let hf = oracle.forward_cached(&mut fc, &[(0, t)]);
+            let lf = oracle.lm_logits(&hf);
+            (hf, lf)
+        });
+        assert_rows_close(&format!("dense fast decode step {step}"), &he, &hf);
+        assert_rows_close(&format!("dense fast logits step {step}"), &le, &lf);
     }
 }
 
@@ -73,6 +99,7 @@ fn interleaved_batches_track_oracle_within_tolerance() {
     // the quantized path must respect the same row/position semantics.
     let mut ec: Vec<KvCache> = (0..2).map(|_| oracle.new_kv_cache(16)).collect();
     let mut qc = (0..2).map(|_| qm.new_kv_cache(16)).collect::<Vec<_>>();
+    let mut fc: Vec<KvCache> = (0..2).map(|_| oracle.new_kv_cache(16)).collect();
     let schedule: &[&[(usize, u32)]] = &[
         &[(0, 1), (1, 2), (0, 3), (1, 4), (1, 5)],
         &[(1, 6), (0, 7)],
@@ -83,6 +110,8 @@ fn interleaved_batches_track_oracle_within_tolerance() {
         let he = oracle.forward_cached(&mut ec, rows);
         let hq = qm.forward_cached(&mut qc, rows);
         assert_rows_close(&format!("batch call {i}"), &he, &hq);
+        let hf = fast(|| oracle.forward_cached(&mut fc, rows));
+        assert_rows_close(&format!("dense fast batch call {i}"), &he, &hf);
     }
     assert_eq!(qc[0].len(), 5);
     assert_eq!(qc[1].len(), 5);

@@ -125,18 +125,27 @@ impl QuantizedMatrix {
     }
 
     /// Multi-row version of [`Self::dequant_gemv_into`]: `x · W` where `x`
-    /// is `(m × rows)`. Used for prompt prefill against INT8 weights.
+    /// is `(m × rows)`, each output row from its input row alone — the
+    /// projection of `apollo-nn`'s INT8 decode tier, prefill and decode
+    /// step alike.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != rows`.
     pub fn dequant_matmul(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.dequant_matmul_into(x, &mut out);
+        out
+    }
+
+    /// [`Self::dequant_matmul`] into `out`, reshaped to `m × cols` in its
+    /// existing storage (no allocation when capacity suffices).
+    pub fn dequant_matmul_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.rows, "dequant_matmul: inner dim mismatch");
-        let mut out = Matrix::zeros(x.rows(), self.cols);
+        out.resize_to(x.rows(), self.cols);
         for r in 0..x.rows() {
             self.dequant_gemv_into(x.row(r), out.row_mut(r));
         }
-        out
     }
 
     /// Applies a full-precision update to the quantized weight:

@@ -72,14 +72,23 @@ echo "== fast-numerics smoke (ULP sweep, pretrain loss delta, INT8 decode)"
 cargo test -q --release -p apollo-tensor --test fast_numerics
 cargo test -q --release -p apollo-train --test numerics_fast
 cargo test -q --release -p apollo-infer --test quantized_generation
+# The one cached walk under both contracts, in release mode (where the
+# vectoriser could legally diverge): bitwise vs the graph forward on the
+# exact tier, bitwise batch-/chunk-invariance on the INT8 tier, and the
+# relaxed tiers' tolerance vs their exact oracle.
+cargo test -q --release -p apollo-nn --test decode_equivalence --test quantized_decode
 # INT8-decode generation smoke through the CLI: the group-128 INT8
 # weights + BF16 KV cache path must stream in-vocab tokens and be
-# run-to-run deterministic (seeded sampling, deterministic kernels).
+# thread-invariant (seeded sampling; every relaxed op of the walk runs
+# per row, whatever the kernel pool does), so 1 and 4 threads must match
+# byte-for-byte as the exact tier's pair above does.
 FAST_ARGS=(generate --resume "$TRACE_TMP/gen.ckpt" --prompt-ids "5,9,2,14"
            --max-new-tokens 24 --temperature 0.8 --top-k 16 --seed 11
            --numerics fast --int8-decode)
-./target/release/apollo "${FAST_ARGS[@]}" >"$TRACE_TMP/gen_int8_a.txt"
-./target/release/apollo "${FAST_ARGS[@]}" >"$TRACE_TMP/gen_int8_b.txt"
+APOLLO_NUM_THREADS=1 ./target/release/apollo "${FAST_ARGS[@]}" \
+    >"$TRACE_TMP/gen_int8_a.txt"
+APOLLO_NUM_THREADS=4 ./target/release/apollo "${FAST_ARGS[@]}" \
+    >"$TRACE_TMP/gen_int8_b.txt"
 cmp "$TRACE_TMP/gen_int8_a.txt" "$TRACE_TMP/gen_int8_b.txt"
 [ -s "$TRACE_TMP/gen_int8_a.txt" ] || { echo "int8 generate printed nothing"; exit 1; }
 
