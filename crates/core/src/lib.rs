@@ -168,11 +168,15 @@ pub trait Optimizer {
     fn attach_observer(&mut self, _obs: apollo_obs::Obs) {}
 }
 
-/// Version byte of the `state_save` layout. 2 is the first in which the
+/// Version byte of the `state_save` layout. 2 was the first in which the
 /// Adam-family optimizers share one per-tensor record (weight shape,
-/// moments, optional projector, optional limiter); older blobs are
+/// moments, optional projector, optional limiter). 3 has the same bytes
+/// but a different meaning: a random projector's `(seed, step)` now
+/// regenerates `P` from the counter-based draw
+/// ([`apollo_tensor::fill_normal`]), so the moments of a version-2 blob
+/// live in a subspace its seed can no longer reproduce. Older blobs are
 /// rejected, not migrated.
-const STATE_LAYOUT_VERSION: u8 = 2;
+const STATE_LAYOUT_VERSION: u8 = 3;
 
 /// The one `state_save` frame: optimizer name, layout version, record
 /// count, then each record as written by `save`.
@@ -206,7 +210,13 @@ pub(crate) fn load_records<'a, T>(
     }
     match r.u8()? {
         STATE_LAYOUT_VERSION => {}
-        v => return Err(format!("unsupported `{name}` state layout version {v}")),
+        v => {
+            return Err(format!(
+                "unsupported `{name}` state layout version {v} (this build reads \
+                 {STATE_LAYOUT_VERSION}; versions up to 2 were written when a projector seed \
+                 regenerated a different random `P`, so their moments cannot be resumed)"
+            ))
+        }
     }
     let n = r.len()?;
     let mut records = Vec::new();

@@ -2,7 +2,7 @@
 //! or SVD-based (GaLore's choice, and the "APOLLO w. SVD" variant).
 
 use apollo_tensor::linalg::{randomized_svd, svd_jacobi};
-use apollo_tensor::{Matrix, Rng};
+use apollo_tensor::{fill_normal, scratch, Matrix, Rng};
 
 /// How the projection subspace is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,10 +133,12 @@ impl Projector {
     }
 
     /// The random Gaussian factor for the current seed (`small_dim × r`,
-    /// entries `N(0, 1/r)`), regenerated on demand.
+    /// entries `N(0, 1/r)`), regenerated on demand: element `(i, j)` is
+    /// element `i·r + j` of the seed's counter-based normal stream.
     fn random_basis(&self, small_dim: usize, r: usize) -> Matrix {
-        let mut rng = Rng::seed_from_u64(self.seed);
-        Matrix::randn_scaled(small_dim, r, (1.0 / r as f32).sqrt(), &mut rng)
+        let mut data = scratch::take_stale(small_dim * r);
+        fill_normal(self.seed, 0, (1.0 / r as f32).sqrt(), &mut data);
+        Matrix::from_vec(small_dim, r, data)
     }
 
     /// Runs `f` on the basis (`small × rank`): the SVD kind lends its cached

@@ -15,6 +15,14 @@
 //! *byte* per tensor for its limiter scalar (2,435 B), and GaLore-RP/Flora
 //! charged the projector seed 8 B (2,192 B) where `state_elems` — and
 //! APOLLO's `state_bytes` — count one f32.
+//!
+//! Deliberate re-pins since (weight fingerprints only; no row's
+//! `state_elems`/`state_bytes` has ever moved):
+//!
+//! - the random projector draws `P` from the counter-based normal stream
+//!   (`apollo_tensor::fill_normal`) instead of a sequential `Rng::gauss`:
+//!   exactly the `ProjKind::Random` rows — `apollo`, `apollo-mini`,
+//!   `galore-rp`, `flora`, `apollo-tensor-r4`, `apollo+wd`.
 
 use apollo_obs::Obs;
 use apollo_optim::{
@@ -98,20 +106,20 @@ const GOLDEN: &[(&str, u64, usize, usize)] = &[
     ("adam-mini", 0xa6f9f3f3fa241f72, 608, 2432),
     ("sgd", 0x669dc617a7a63d8b, 0, 0),
     ("sgd-m", 0x870ed5ea8f696525, 528, 2112),
-    ("apollo", 0x2d20f9944602f3ed, 548, 2192),
+    ("apollo", 0x6b1fa12ef24b5336, 548, 2192),
     ("apollo-svd", 0x5a271104e3f845db, 610, 2440),
-    ("apollo-mini", 0xcbba3f7941b7e87b, 164, 656),
+    ("apollo-mini", 0xe88324fb12dd0917, 164, 656),
     ("galore", 0x117e3289f80b4279, 608, 2432),
-    ("galore-rp", 0x968fbbb5804bd6e2, 546, 2184),
+    ("galore-rp", 0xbc01fe683984c08d, 546, 2184),
     ("galore-8bit", 0x7a37ff1fb47d1071, 608, 872),
     ("fira", 0x67a6c66468182a13, 610, 2440),
-    ("flora", 0x326f7075ae0f8919, 546, 2184),
+    ("flora", 0x73d11de5fd3488ab, 546, 2184),
     ("adamw-channelwise+nl", 0xd30042a0e87e6f10, 1059, 4236),
     ("adamw-channelwise", 0xfbfd55e653d3188b, 1056, 4224),
-    ("apollo-tensor-r4", 0xe1bc0e4d01806740, 548, 2192),
+    ("apollo-tensor-r4", 0x881fc271a6a86ea9, 548, 2192),
     ("adamw+wd", 0x7366091cd7a0ce5b, 1056, 4224),
     ("adamw-channelwise+wd", 0x4f572886ca17db55, 1059, 4236),
-    ("apollo+wd", 0xaa8fba5ad427708e, 548, 2192),
+    ("apollo+wd", 0xc0fa945af56cd0a8, 548, 2192),
     ("galore+wd", 0x042885db21a01ccb, 608, 2432),
     ("fira+wd", 0xe49aa65ff1390de6, 610, 2440),
 ];

@@ -38,7 +38,7 @@ pub use numerics::{
     current_numerics, set_numerics_default, set_numerics_override, simd_tier, NumericsMode,
     SimdTier,
 };
-pub use rng::Rng;
+pub use rng::{fill_normal, Rng};
 
 /// Machine-epsilon-scale tolerance used by tests and iterative algorithms.
 pub const EPS: f32 = 1e-6;

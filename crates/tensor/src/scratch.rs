@@ -81,9 +81,10 @@ pub fn stats() -> ScratchStats {
     }
 }
 
-/// Takes a zeroed buffer of exactly `len` elements, reusing pooled storage
-/// when a large-enough buffer is available (best capacity fit).
-pub fn take_zeroed(len: usize) -> Vec<f32> {
+/// Pops this thread's best-fitting pooled buffer of capacity ≥ `len`
+/// (contents and length as its last user left them), counting the hit or
+/// miss.
+fn take_pooled(len: usize) -> Option<Vec<f32>> {
     let reused = FREE.with(|f| {
         let free = &mut f.borrow_mut().0;
         let mut best: Option<(usize, usize)> = None;
@@ -98,24 +99,49 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
         }
         best.map(|(i, _)| free.swap_remove(i))
     });
-    match reused {
-        Some(mut buf) => {
+    match &reused {
+        Some(buf) => {
             HITS.fetch_add(1, Ordering::Relaxed);
             RETAINED_BYTES.fetch_sub(4 * buf.capacity(), Ordering::Relaxed);
+        }
+        None => {
+            MISSES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    reused
+}
+
+/// Takes a zeroed buffer of exactly `len` elements, reusing pooled storage
+/// when a large-enough buffer is available (best capacity fit).
+pub fn take_zeroed(len: usize) -> Vec<f32> {
+    match take_pooled(len) {
+        Some(mut buf) => {
             buf.clear();
             buf.resize(len, 0.0);
             buf
         }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            vec![0.0; len]
-        }
+        None => vec![0.0; len],
     }
 }
 
-/// Returns a buffer's storage to the thread's freelist. Buffers beyond the
-/// count/byte caps are dropped (truly freed) instead.
-pub fn recycle(mut buf: Vec<f32>) {
+/// Takes a buffer of exactly `len` elements for a caller that overwrites
+/// every one of them: pooled storage comes back holding whatever its last
+/// user left (only a grown tail is zero-filled), so a full-size reuse
+/// costs no memory pass at all. Which values those are is unspecified.
+pub fn take_stale(len: usize) -> Vec<f32> {
+    match take_pooled(len) {
+        Some(mut buf) => {
+            buf.resize(len, 0.0);
+            buf
+        }
+        None => vec![0.0; len],
+    }
+}
+
+/// Returns a buffer's storage to the thread's freelist, contents intact
+/// ([`take_stale`] hands them out again). Buffers beyond the count/byte
+/// caps are dropped (truly freed) instead.
+pub fn recycle(buf: Vec<f32>) {
     if buf.capacity() == 0 {
         return;
     }
@@ -125,7 +151,6 @@ pub fn recycle(mut buf: Vec<f32>) {
         if free.len() >= MAX_BUFS || held + buf.capacity() > MAX_ELEMS {
             return;
         }
-        buf.clear();
         RETAINED_BYTES.fetch_add(4 * buf.capacity(), Ordering::Relaxed);
         free.push(buf);
     });
