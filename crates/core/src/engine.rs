@@ -286,7 +286,8 @@ impl TensorState {
         // `ProjectBack` builds its update in a pooled temporary.
         let mut pooled = None;
         // The update, with its Frobenius norm where the lift's kernel gives
-        // it as a by-product (same flat f64 sum as `Matrix::fro_norm`).
+        // it as a by-product (`fused`'s lane norm; the other lifts take
+        // `Matrix::fro_norm`).
         let (update, norm) = match lift {
             Lift::Elementwise => (nt, None),
             Lift::Scale { granularity, alpha } => {

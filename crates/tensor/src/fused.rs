@@ -19,20 +19,25 @@
 //! - every element's float expression is copied verbatim from the staged
 //!   ops, including associativity (`(v * inv) * g`, `(beta * m) +
 //!   (((1 - beta) * g) * g)`, …);
-//! - reductions (row mean-squares, softmax denominators, Frobenius norms,
-//!   the loss sum) keep the reference's strict ascending single-accumulator
-//!   order — the 8-lane unrolling applies only to independent elementwise
-//!   work, never to a reduction, because float addition does not
-//!   reassociate;
+//! - reductions (row mean-squares, softmax denominators, the loss sum)
+//!   keep the reference's strict ascending single-accumulator order — the
+//!   8-lane unrolling applies only to independent elementwise work, never
+//!   to such a reduction, because float addition does not reassociate. The
+//!   one exception is defined as lanes on both sides: the APOLLO update
+//!   norm ([`lane_norm`]) is eight `f64` lanes per row, rows added in
+//!   ascending order, for the fused kernels and the staged reference alike;
 //! - large inputs are split into row bands on the worker pool exactly like
 //!   the matmuls: the partition is a pure function of `(rows, threads)`
 //!   and each band owns a disjoint output slice, so results match the
 //!   serial path bit-for-bit at any thread count. Cross-row reductions
-//!   (the RMSNorm gain gradient, loss and norm sums) always run serially.
+//!   (the RMSNorm gain gradient, the loss sum, the final add over
+//!   [`lane_norm`]'s per-row sums) always run serially.
 //!
 //! `tensor/tests/fused_equivalence.rs` pins the contract per kernel across
 //! adversarial shapes and thread counts; the train-loop test in
 //! `apollo-nn` pins it end-to-end against the staged graph arm.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::matmul::{current_threads, should_parallelize};
 use crate::numerics::{current_numerics, NumericsMode};
@@ -692,15 +697,67 @@ pub enum ChannelScale<'a> {
     Rows(&'a [f32]),
 }
 
-/// APOLLO's scaled-update construction in one pass: writes
-/// `update ← (grad ⊙ s) · alpha` (reshaping `update` to `grad`) and
-/// returns its Frobenius norm.
+/// Sum of `u(j)²` over one row of `cols` elements, the row half of
+/// [`lane_norm`]: the square of element `j` goes to `f64` lane `j % 8`
+/// (ascending `j` within a lane), then the lanes are added in ascending
+/// order. Eight independent add chains instead of one is what lets the
+/// pass run at memory speed; the fixed lane assignment is what makes it a
+/// definition rather than a reassociation.
+#[inline]
+fn sumsq_lanes(cols: usize, u: impl Fn(usize) -> f32) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    let chunks = cols / 8;
+    for c in 0..chunks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let v = u(c * 8 + i) as f64;
+            *lane += v * v;
+        }
+    }
+    for (j, lane) in (chunks * 8..cols).zip(&mut lanes) {
+        let v = u(j) as f64;
+        *lane += v * v;
+    }
+    lanes.iter().fold(0.0, |acc, &lane| acc + lane)
+}
+
+/// The Frobenius norm the APOLLO update kernels and their staged
+/// reference share: `row_sumsq(r)` per row (a [`sumsq_lanes`] sum; rows
+/// may run as pool bands, each storing only its own sums), the rows added
+/// in ascending order on the calling thread, one `f64` square root,
+/// rounded to `f32`. No step depends on the band partition, so the value
+/// is the same at every thread count.
+fn lane_norm(rows: usize, cols: usize, row_sumsq: impl Fn(usize) -> f64 + Sync) -> f32 {
+    let sums: Vec<AtomicU64> = (0..rows).map(|_| AtomicU64::new(0)).collect();
+    par_bands(rows, rows * cols * SCALE_NORM_FLOPS, |lo, hi| {
+        for (r, sum) in (lo..hi).zip(&sums[lo..hi]) {
+            // Relaxed: read back only after the blocking pool call returns.
+            sum.store(row_sumsq(r).to_bits(), Ordering::Relaxed);
+        }
+    });
+    let total = sums.iter().fold(0.0f64, |acc, sum| {
+        acc + f64::from_bits(sum.load(Ordering::Relaxed))
+    });
+    total.sqrt() as f32
+}
+
+/// [`lane_norm`] of a materialised matrix.
+fn lane_fro_norm(x: &Matrix) -> f32 {
+    let (rows, cols) = x.shape();
+    let xs = x.as_slice();
+    lane_norm(rows, cols, |r| {
+        let row = &xs[r * cols..(r + 1) * cols];
+        sumsq_lanes(cols, |j| row[j])
+    })
+}
+
+/// APOLLO's scaled-update construction: writes `update ← (grad ⊙ s) ·
+/// alpha` (reshaping `update` to `grad`) in one banded pass and returns its
+/// Frobenius norm ([`lane_norm`]'s definition; the Fast tier returns its
+/// own reassociated `f32` sum instead).
 ///
 /// Replaces the staged `copy_from` → `scale_cols`/`scale_rows`/
-/// `scale_assign` → `scale_assign(alpha)` → `fro_norm` chain (four to five
-/// traversals). The norm accumulates in flat ascending `f64` order — the
-/// exact [`Matrix::fro_norm`] reduction — and therefore runs serially; on
-/// the pooled path it is a second, read-only sweep of the update.
+/// `scale_assign` → `scale_assign(alpha)` → norm chain (four to five
+/// traversals).
 ///
 /// # Panics
 ///
@@ -727,60 +784,27 @@ pub fn fused_apollo_scale(
     }
     update.resize_to(rows, cols);
     let gs = grad.as_slice();
-    let threads = current_threads();
-    let flops = rows * cols * SCALE_NORM_FLOPS;
-    let parallel = should_parallelize(threads, rows, flops);
-    let write_row = |r: usize, out: &mut [f32]| {
-        let grow = &gs[r * cols..(r + 1) * cols];
-        match scale {
-            ChannelScale::Tensor(s) => for_each_lane(out, |j| grow[j] * s * alpha),
-            ChannelScale::Cols(s) => for_each_lane(out, |j| grow[j] * s[j] * alpha),
-            ChannelScale::Rows(s) => {
-                let sr = s[r];
-                for_each_lane(out, |j| grow[j] * sr * alpha);
+    let up = BandPtr(update.as_mut_slice().as_mut_ptr());
+    par_bands(rows, rows * cols * SCALE_NORM_FLOPS, |lo, hi| {
+        // SAFETY: disjoint row bands of `update`, which outlives the call.
+        let band = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
+        for r in lo..hi {
+            let out = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
+            let grow = &gs[r * cols..(r + 1) * cols];
+            match scale {
+                ChannelScale::Tensor(s) => for_each_lane(out, |j| grow[j] * s * alpha),
+                ChannelScale::Cols(s) => for_each_lane(out, |j| grow[j] * s[j] * alpha),
+                ChannelScale::Rows(s) => {
+                    let sr = s[r];
+                    for_each_lane(out, |j| grow[j] * sr * alpha);
+                }
             }
         }
-    };
+    });
     if fast_mode() {
-        // Relaxed tier: banded write plus one reassociated f32 SIMD
-        // norm sweep instead of the latency-bound serial f64 chain.
-        let up = BandPtr(update.as_mut_slice().as_mut_ptr());
-        par_bands(rows, flops, |lo, hi| {
-            // SAFETY: disjoint row bands of `update`, which outlives the
-            // call.
-            let band = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
-            for r in lo..hi {
-                write_row(r, &mut band[(r - lo) * cols..(r - lo + 1) * cols]);
-            }
-        });
         simd::sum_squares(update.as_slice()).sqrt()
-    } else if parallel {
-        let up = BandPtr(update.as_mut_slice().as_mut_ptr());
-        par_bands(rows, flops, |lo, hi| {
-            // SAFETY: disjoint row bands of `update`, which outlives the
-            // call.
-            let band = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
-            for r in lo..hi {
-                write_row(r, &mut band[(r - lo) * cols..(r - lo + 1) * cols]);
-            }
-        });
-        // Norm: flat ascending f64 reduction (fro_norm's exact order).
-        let mut acc = 0.0f64;
-        for &u in update.as_slice() {
-            acc += (u as f64) * (u as f64);
-        }
-        acc.sqrt() as f32
     } else {
-        let mut acc = 0.0f64;
-        let us = update.as_mut_slice();
-        for r in 0..rows {
-            let out = &mut us[r * cols..(r + 1) * cols];
-            write_row(r, out);
-            for &u in out.iter() {
-                acc += (u as f64) * (u as f64);
-            }
-        }
-        acc.sqrt() as f32
+        lane_fro_norm(update)
     }
 }
 
@@ -950,7 +974,8 @@ pub mod reference {
     }
 
     /// Staged APOLLO update construction: `copy_from` + channel scaling +
-    /// `scale_assign(alpha)` + `fro_norm` (four to five traversals).
+    /// `scale_assign(alpha)` + the shared lane norm (four to five
+    /// traversals).
     pub fn apollo_scale(
         update: &mut Matrix,
         grad: &Matrix,
@@ -964,7 +989,7 @@ pub mod reference {
             super::ChannelScale::Rows(s) => update.scale_rows(s),
         }
         update.scale_assign(alpha);
-        update.fro_norm()
+        super::lane_fro_norm(update)
     }
 
     /// Staged RoPE (the autograd graph's original in-place rotation).

@@ -3,8 +3,9 @@
 //! gradchecks of every fused backward.
 //!
 //! Each fused kernel replicates the reference's per-element float
-//! expressions and keeps every reduction in the reference's strict
-//! sequential order, and the pooled row-band partition is a pure function
+//! expressions and keeps every reduction in the reference's order (strict
+//! sequential, or for the APOLLO update norm the lane order both sides
+//! share), and the pooled row-band partition is a pure function
 //! of `(rows, threads)` — so for finite inputs the results must be
 //! *bit-identical*, not merely close, at every thread count. Shapes
 //! include degenerate, prime, and pool-crossing sizes (the elementwise
@@ -215,6 +216,48 @@ fn results_are_invariant_across_thread_counts() {
         set_thread_override(Some(t));
         let (y, _) = fused::fused_rmsnorm_fwd(&x, &gain, 1e-5);
         assert_bits_eq(&y, &base, &format!("rmsnorm threads={t} vs threads=1"));
+    }
+    set_thread_override(None);
+}
+
+/// Shapes for the APOLLO update kernels: a single row, `cols % 8 != 0`
+/// (the lane tail), and one that crosses the pool gate at 2+ threads.
+const APOLLO_SHAPES: [(usize, usize); 5] = [(1, 37), (5, 8), (13, 45), (64, 96), (512, 600)];
+
+#[test]
+fn apollo_update_norm_is_the_lane_norm_at_every_thread_count() {
+    for (si, &(rows, cols)) in APOLLO_SHAPES.iter().enumerate() {
+        let mut rng = Rng::seed_from_u64(0xA0_0000 + si as u64);
+        let grad = Matrix::randn(rows, cols, &mut rng).scale(3.0);
+        let col_s: Vec<f32> = (0..cols).map(|_| rng.uniform_in(0.2, 2.0)).collect();
+        let row_s: Vec<f32> = (0..rows).map(|_| rng.uniform_in(0.2, 2.0)).collect();
+        let scales = [
+            ChannelScale::Tensor(0.83),
+            ChannelScale::Cols(&col_s),
+            ChannelScale::Rows(&row_s),
+        ];
+        for (ci, &scale) in scales.iter().enumerate() {
+            let ctx = format!("({rows}x{cols}, scale[{ci}])");
+            let mut update = Matrix::zeros(0, 0);
+            set_thread_override(Some(1));
+            let base = fused::fused_apollo_scale(&mut update, &grad, scale, 2.5);
+            // Two-pass f64 reference: materialise, then one flat f64 sum.
+            let want = update
+                .as_slice()
+                .iter()
+                .map(|&u| u as f64 * u as f64)
+                .sum::<f64>()
+                .sqrt();
+            assert!(
+                (base as f64 - want).abs() <= 1e-6 * want,
+                "{ctx}: lane norm {base} vs f64 reference {want}"
+            );
+            for t in [2, 4, 8] {
+                set_thread_override(Some(t));
+                let norm = fused::fused_apollo_scale(&mut update, &grad, scale, 2.5);
+                assert_scalar_bits_eq(norm, base, &format!("{ctx} norm at threads={t}"));
+            }
+        }
     }
     set_thread_override(None);
 }
