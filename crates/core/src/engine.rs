@@ -212,10 +212,16 @@ struct TensorState {
     /// Present when the moments live in a projected space.
     projector: Option<Projector>,
     limiter: Option<NormGrowthLimiter>,
-    /// Full-rank scratch the `Scale` lift builds its update in — a reused
-    /// allocation, not optimizer state (excluded from accounting and
-    /// save/load). Stays empty under the other lifts.
-    update: Matrix,
+}
+
+/// The lifted update, before the limiter and the weight write.
+enum Lifted<'a> {
+    /// `α·G·diag(s)`, never written out: the norm and apply kernels form
+    /// its elements from `G` and the factors.
+    Scaled(fused::ChannelScale<'a>, f32),
+    /// A materialised update (the normalised moments, or a pooled
+    /// project-back).
+    Update(&'a mut Matrix),
 }
 
 impl TensorState {
@@ -230,11 +236,10 @@ impl TensorState {
                 Projector::new(kind, rank, s.update_freq, s.seed.wrapping_add(index as u64))
             }),
             limiter: layout.limiter.then(NormGrowthLimiter::paper_default),
-            update: Matrix::zeros(0, 0),
         }
     }
 
-    /// refresh → project → moments → lift → limiter → decay + axpy.
+    /// refresh → project → moments → lift → limiter → decay + apply.
     /// Returns the scaling factors the lift used (empty if none).
     fn step(&mut self, plan: &Plan, p: &mut ParamUpdate<'_>, lr: f32, obs: &Obs) -> Vec<f32> {
         assert_eq!(self.shape, p.value.shape(), "parameter list changed");
@@ -285,11 +290,8 @@ impl TensorState {
         let mut scales = Vec::new();
         // `ProjectBack` builds its update in a pooled temporary.
         let mut pooled = None;
-        // The update, with its Frobenius norm where the lift's kernel gives
-        // it as a by-product (`fused`'s lane norm; the other lifts take
-        // `Matrix::fro_norm`).
-        let (update, norm) = match lift {
-            Lift::Elementwise => (nt, None),
+        let lifted = match lift {
+            Lift::Elementwise => Lifted::Update(nt),
             Lift::Scale { granularity, alpha } => {
                 let scale = match granularity {
                     ScaleGranularity::Channel => {
@@ -311,8 +313,7 @@ impl TensorState {
                         fused::ChannelScale::Tensor(s)
                     }
                 };
-                let norm = fused::fused_apollo_scale(&mut self.update, p.grad, scale, alpha);
-                (&mut self.update, Some(norm))
+                Lifted::Scaled(scale, alpha)
             }
             Lift::ProjectBack { scale, residual } => {
                 let proj = self
@@ -334,7 +335,7 @@ impl TensorState {
                     low.recycle();
                     rest.recycle();
                 }
-                (pooled.insert(back), None)
+                Lifted::Update(pooled.insert(back))
             }
         };
         if obs.sample_due() && obs.has_trace() {
@@ -342,26 +343,38 @@ impl TensorState {
                 obs.emit(|| ev);
             }
         }
-
+        let mut clamp = 1.0;
         if let Some(limiter) = &mut self.limiter {
-            let norm = norm.unwrap_or_else(|| update.fro_norm());
-            match limiter.apply_with_norm(update, norm) {
+            let norm = match &lifted {
+                Lifted::Scaled(scale, alpha) => fused::fused_apollo_norm(p.grad, *scale, *alpha),
+                Lifted::Update(update) => update.fro_norm(),
+            };
+            let (outcome, factor) = limiter.admit(norm);
+            clamp = factor;
+            match outcome {
                 LimiterOutcome::Clamped => {
                     obs.counter("limiter_clips", 1);
-                    if obs.has_trace() {
-                        let post = update.fro_norm();
-                        obs.emit(|| TraceEvent::LimiterClip {
-                            step: obs.step(),
-                            param: p.name.to_string(),
-                            ratio: if post > 1e-30 { norm / post } else { 1.0 },
-                        });
-                    }
+                    obs.emit(|| TraceEvent::LimiterClip {
+                        step: obs.step(),
+                        param: p.name.to_string(),
+                        ratio: 1.0 / factor,
+                    });
                 }
                 LimiterOutcome::NonFinite => obs.counter("limiter_non_finite", 1),
                 LimiterOutcome::Passed => {}
             }
         }
-        fused::fused_axpy_chain(p.value, decay, -lr, update);
+        match lifted {
+            Lifted::Scaled(scale, alpha) => {
+                fused::fused_apollo_apply(p.value, p.grad, scale, alpha, clamp, decay, -lr);
+            }
+            Lifted::Update(update) => {
+                if clamp != 1.0 {
+                    update.scale_assign(clamp);
+                }
+                fused::fused_axpy_chain(p.value, decay, -lr, update);
+            }
+        }
         for m in [pooled, projected].into_iter().flatten() {
             m.recycle();
         }
@@ -420,7 +433,6 @@ impl TensorState {
             moments,
             projector,
             limiter,
-            update: Matrix::zeros(0, 0),
         })
     }
 }

@@ -67,23 +67,33 @@ impl NormGrowthLimiter {
     }
 
     /// Same as [`NormGrowthLimiter::apply`], but takes the update's already
-    /// computed Frobenius norm. Callers that obtain the norm as a by-product
-    /// of building the update (the fused APOLLO scaling kernel) skip a full
-    /// re-traversal of the tensor; passing `update.fro_norm()` makes this
+    /// computed Frobenius norm; passing `update.fro_norm()` makes this
     /// identical to `apply`.
     pub fn apply_with_norm(&mut self, update: &mut Matrix, norm: f32) -> LimiterOutcome {
+        let (outcome, factor) = self.admit(norm);
+        if outcome == LimiterOutcome::Clamped {
+            update.scale_assign(factor);
+        }
+        outcome
+    }
+
+    /// The limiter's decision from the update's norm alone: records the
+    /// (post-clamp) norm and returns the factor the update must be
+    /// multiplied by — `γ·prev/norm` when clamped, exactly `1.0` otherwise.
+    /// For callers that never materialise the update (the fused APOLLO
+    /// scale-and-apply folds the factor into its weight write).
+    pub fn admit(&mut self, norm: f32) -> (LimiterOutcome, f32) {
         if !norm.is_finite() {
-            return LimiterOutcome::NonFinite;
+            return (LimiterOutcome::NonFinite, 1.0);
         }
         match self.prev_norm {
             Some(prev) if prev > 0.0 && norm > self.gamma * prev => {
-                update.scale_assign(self.gamma * prev / norm);
                 self.prev_norm = Some(self.gamma * prev);
-                LimiterOutcome::Clamped
+                (LimiterOutcome::Clamped, self.gamma * prev / norm)
             }
             _ => {
                 self.prev_norm = Some(norm);
-                LimiterOutcome::Passed
+                (LimiterOutcome::Passed, 1.0)
             }
         }
     }

@@ -63,6 +63,7 @@ const ROPE_FLOPS: usize = 16;
 const AXPY_FLOPS: usize = 3;
 const ADAM_FLOPS: usize = 12;
 const SCALE_NORM_FLOPS: usize = 5;
+const SCALE_APPLY_FLOPS: usize = 6;
 
 /// Raw output pointer shared across pool tasks; tasks carve disjoint
 /// ranges out of it (same pattern as the matmul kernels' `OutPtr`).
@@ -697,24 +698,66 @@ pub enum ChannelScale<'a> {
     Rows(&'a [f32]),
 }
 
-/// Sum of `u(j)²` over one row of `cols` elements, the row half of
-/// [`lane_norm`]: the square of element `j` goes to `f64` lane `j % 8`
-/// (ascending `j` within a lane), then the lanes are added in ascending
-/// order. Eight independent add chains instead of one is what lets the
-/// pass run at memory speed; the fixed lane assignment is what makes it a
-/// definition rather than a reassociation.
+/// One row's share of a [`ChannelScale`].
+#[derive(Clone, Copy)]
+enum RowScale<'a> {
+    /// The same factor for every element of the row.
+    Uniform(f32),
+    /// One factor per column.
+    PerCol(&'a [f32]),
+}
+
+impl<'a> ChannelScale<'a> {
+    /// # Panics
+    ///
+    /// Panics if a per-channel factor list disagrees with `rows × cols`.
+    fn check(self, rows: usize, cols: usize) {
+        match self {
+            ChannelScale::Cols(s) => assert_eq!(s.len(), cols, "need one factor per column"),
+            ChannelScale::Rows(s) => assert_eq!(s.len(), rows, "need one factor per row"),
+            ChannelScale::Tensor(_) => {}
+        }
+    }
+
+    fn row(self, r: usize) -> RowScale<'a> {
+        match self {
+            ChannelScale::Tensor(s) => RowScale::Uniform(s),
+            ChannelScale::Rows(s) => RowScale::Uniform(s[r]),
+            ChannelScale::Cols(s) => RowScale::PerCol(s),
+        }
+    }
+}
+
+/// One element of APOLLO's update, `(g · s) · alpha` — the single
+/// expression the scale, norm and apply kernels (and, spelled as staged
+/// `Matrix` ops, the reference) all evaluate.
+#[inline(always)]
+fn scaled(g: f32, s: f32, alpha: f32) -> f32 {
+    g * s * alpha
+}
+
+/// Sum of `u²` over one row, the row half of [`lane_norm`]: `u` is
+/// evaluated on element `j` of each of the `N` equal-length `srcs`, its
+/// square goes to `f64` lane `j % 8` (ascending `j` within a lane), then
+/// the lanes are added in ascending order. Eight independent add chains
+/// instead of one is what lets the pass run at memory speed; the fixed lane
+/// assignment is what makes it a definition rather than a reassociation.
 #[inline]
-fn sumsq_lanes(cols: usize, u: impl Fn(usize) -> f32) -> f64 {
+fn sumsq_lanes<const N: usize>(srcs: [&[f32]; N], u: impl Fn([f32; N]) -> f32) -> f64 {
     let mut lanes = [0.0f64; 8];
-    let chunks = cols / 8;
-    for c in 0..chunks {
+    let len = srcs[0].len();
+    let full = len - len % 8;
+    for base in (0..full).step_by(8) {
+        // One bounds check per source per chunk; the fixed-trip lane loop
+        // has none and vectorizes.
+        let chunk: [&[f32; 8]; N] = srcs.map(|s| s[base..base + 8].try_into().unwrap());
         for (i, lane) in lanes.iter_mut().enumerate() {
-            let v = u(c * 8 + i) as f64;
+            let v = u(chunk.map(|c| c[i])) as f64;
             *lane += v * v;
         }
     }
-    for (j, lane) in (chunks * 8..cols).zip(&mut lanes) {
-        let v = u(j) as f64;
+    for (i, lane) in lanes.iter_mut().enumerate().take(len - full) {
+        let v = u(srcs.map(|s| s[full + i])) as f64;
         *lane += v * v;
     }
     lanes.iter().fold(0.0, |acc, &lane| acc + lane)
@@ -743,11 +786,7 @@ fn lane_norm(rows: usize, cols: usize, row_sumsq: impl Fn(usize) -> f64 + Sync) 
 /// [`lane_norm`] of a materialised matrix.
 fn lane_fro_norm(x: &Matrix) -> f32 {
     let (rows, cols) = x.shape();
-    let xs = x.as_slice();
-    lane_norm(rows, cols, |r| {
-        let row = &xs[r * cols..(r + 1) * cols];
-        sumsq_lanes(cols, |j| row[j])
-    })
+    lane_norm(rows, cols, |r| sumsq_lanes([x.row(r)], |[v]| v))
 }
 
 /// APOLLO's scaled-update construction: writes `update ← (grad ⊙ s) ·
@@ -757,7 +796,9 @@ fn lane_fro_norm(x: &Matrix) -> f32 {
 ///
 /// Replaces the staged `copy_from` → `scale_cols`/`scale_rows`/
 /// `scale_assign` → `scale_assign(alpha)` → norm chain (four to five
-/// traversals).
+/// traversals). The optimizer step itself no longer builds the update
+/// ([`fused_apollo_norm`] + [`fused_apollo_apply`]); this kernel is the
+/// staged form those two must equal.
 ///
 /// # Panics
 ///
@@ -769,35 +810,19 @@ pub fn fused_apollo_scale(
     alpha: f32,
 ) -> f32 {
     let (rows, cols) = grad.shape();
-    match scale {
-        ChannelScale::Cols(s) => {
-            assert_eq!(
-                s.len(),
-                cols,
-                "fused_apollo_scale: need one factor per column"
-            );
-        }
-        ChannelScale::Rows(s) => {
-            assert_eq!(s.len(), rows, "fused_apollo_scale: need one factor per row");
-        }
-        ChannelScale::Tensor(_) => {}
-    }
+    scale.check(rows, cols);
     update.resize_to(rows, cols);
-    let gs = grad.as_slice();
     let up = BandPtr(update.as_mut_slice().as_mut_ptr());
     par_bands(rows, rows * cols * SCALE_NORM_FLOPS, |lo, hi| {
         // SAFETY: disjoint row bands of `update`, which outlives the call.
         let band = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
-        for r in lo..hi {
-            let out = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-            let grow = &gs[r * cols..(r + 1) * cols];
-            match scale {
-                ChannelScale::Tensor(s) => for_each_lane(out, |j| grow[j] * s * alpha),
-                ChannelScale::Cols(s) => for_each_lane(out, |j| grow[j] * s[j] * alpha),
-                ChannelScale::Rows(s) => {
-                    let sr = s[r];
-                    for_each_lane(out, |j| grow[j] * sr * alpha);
-                }
+        for (r, out) in (lo..hi).zip(band.chunks_exact_mut(cols.max(1))) {
+            let out = out.iter_mut().zip(grad.row(r));
+            match scale.row(r) {
+                RowScale::Uniform(s) => out.for_each(|(o, &g)| *o = scaled(g, s, alpha)),
+                RowScale::PerCol(s) => out
+                    .zip(s)
+                    .for_each(|((o, &g), &s)| *o = scaled(g, s, alpha)),
             }
         }
     });
@@ -806,6 +831,70 @@ pub fn fused_apollo_scale(
     } else {
         lane_fro_norm(update)
     }
+}
+
+/// The norm [`fused_apollo_scale`] would return, without the update: one
+/// read-only pass over `grad` with each update element formed in a
+/// register and squared straight into [`lane_norm`]'s lanes. Feeds the
+/// norm-growth limiter before [`fused_apollo_apply`] writes the weights.
+/// Serves both numerics tiers (the lane sum is inside the Fast envelope).
+///
+/// # Panics
+///
+/// Panics if a channel-scale length disagrees with `grad`'s shape.
+pub fn fused_apollo_norm(grad: &Matrix, scale: ChannelScale<'_>, alpha: f32) -> f32 {
+    let (rows, cols) = grad.shape();
+    scale.check(rows, cols);
+    lane_norm(rows, cols, |r| match scale.row(r) {
+        RowScale::Uniform(s) => sumsq_lanes([grad.row(r)], |[g]| scaled(g, s, alpha)),
+        RowScale::PerCol(s) => sumsq_lanes([grad.row(r), s], |[g, s]| scaled(g, s, alpha)),
+    })
+}
+
+/// APOLLO's scale-and-apply in one pass with no update matrix:
+/// `w ← w · decay + step · (((g · s) · alpha) · clamp)`.
+///
+/// Bit-identical to the staged [`fused_apollo_scale`] → optional
+/// `scale_assign(clamp)` → [`fused_axpy_chain`]`(w, decay, step, update)`
+/// chain: the update element is the same `f32` expression, rounded at the
+/// same points, it just never leaves a register. `clamp = 1.0` is the
+/// limiter's "passed" case (an exact multiply, like `decay = 1.0`).
+///
+/// # Panics
+///
+/// Panics if `w` and `grad` differ in shape or a channel-scale length
+/// disagrees with it.
+pub fn fused_apollo_apply(
+    w: &mut Matrix,
+    grad: &Matrix,
+    scale: ChannelScale<'_>,
+    alpha: f32,
+    clamp: f32,
+    decay: f32,
+    step: f32,
+) {
+    assert_eq!(
+        w.shape(),
+        grad.shape(),
+        "fused_apollo_apply: shape mismatch"
+    );
+    let (rows, cols) = grad.shape();
+    scale.check(rows, cols);
+    let wp = BandPtr(w.as_mut_slice().as_mut_ptr());
+    par_bands(rows, rows * cols * SCALE_APPLY_FLOPS, |lo, hi| {
+        // SAFETY: disjoint row bands of `w`, which outlives the call.
+        let band = unsafe { wp.slice(lo * cols, (hi - lo) * cols) };
+        let put = |wv: &mut f32, u: f32| *wv = *wv * decay + step * (u * clamp);
+        for (r, wrow) in (lo..hi).zip(band.chunks_exact_mut(cols.max(1))) {
+            let wrow = wrow.iter_mut().zip(grad.row(r));
+            match scale.row(r) {
+                RowScale::Uniform(s) => wrow.for_each(|(wv, &g)| put(wv, scaled(g, s, alpha))),
+                RowScale::PerCol(s) => wrow
+                    .zip(s)
+                    .for_each(|((wv, &g), &s)| put(wv, scaled(g, s, alpha))),
+            }
+        }
+    });
 }
 
 // ----- unfused references ----------------------------------------------------

@@ -182,7 +182,8 @@ impl Drop for ThreadOverrideGuard {
 /// the strided form costs a TLB/prefetch stall per `p` once `n` spans
 /// hundreds of pages.
 fn pack_panels(src: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut panel = scratch::take_zeroed(k * n);
+    // Every element is written below, so stale scratch needs no zero-fill.
+    let mut panel = scratch::take_stale(k * n);
     if k == 0 {
         return panel;
     }
@@ -203,7 +204,7 @@ fn pack_panels(src: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// src[(j0+j)·k + p]`, i.e. panel columns are `src` *rows* (the `a·bᵀ`
 /// case).
 fn pack_panels_transposed(src: &[f32], n: usize, k: usize) -> Vec<f32> {
-    let mut panel = scratch::take_zeroed(k * n);
+    let mut panel = scratch::take_stale(k * n);
     if k == 0 {
         return panel;
     }
@@ -399,9 +400,14 @@ fn tile_rows<const R: usize>(
 ) {
     // A literal width lets LLVM keep the full-band accumulators in vector
     // registers for the whole `p` loop; the remainder band runs the same
-    // body at its runtime width.
+    // body at its runtime width. Width 1 is literal too: a column-vector
+    // product (a tall gradient's rank-1 projection) is all remainder band,
+    // and there the runtime-width loop costs more than the `R` multiply-adds
+    // it wraps (0.6 vs 1.4 ms on 1376×512 · 512×1).
     if w == NR {
         tile_rows_at::<R>(a, k, band, stride, NR, out, n);
+    } else if w == 1 {
+        tile_rows_at::<R>(a, k, band, stride, 1, out, n);
     } else {
         tile_rows_at::<R>(a, k, band, stride, w, out, n);
     }
@@ -534,6 +540,42 @@ fn gemv_band(arow: &[f32], b: &Matrix, lo: usize, hi: usize, out: &mut [f32]) {
     }
 }
 
+/// `rows · b` for `m` row-major rows of length `b.rows()`: the dispatch on
+/// output rows that [`matmul`] and [`matmul_transa`] share. Whichever arm
+/// runs, every output element accumulates its products in ascending-`p`
+/// order, so the arms agree bit for bit and the choice is only about speed.
+fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
+    let (k, n) = b.shape();
+    // Single-row products — the KV-cached decode-step hot shape, and a
+    // rank-1 projection — go through the column-banded gemv path: the
+    // row-band partition the other paths parallelize over degenerates to
+    // one task at m = 1.
+    if m == 1 {
+        return Matrix::from_vec(1, n, gemv(a_rows, b));
+    }
+    // Few rows: read `b` in place. The exact tile serves both numerics
+    // tiers here (it is inside the Fast envelope by construction).
+    if m < PACK_MIN_ROWS {
+        let data = parallel_rows(
+            m,
+            matmul_flops(m, k, n),
+            |lo, hi, out| run_unpacked(a_rows, k, b.as_slice(), n, lo, hi, out),
+            n,
+        );
+        return Matrix::from_vec(m, n, data);
+    }
+    let fast = fast_mode();
+    let panel = pack_panels(b.as_slice(), k, n);
+    let data = parallel_rows(
+        m,
+        matmul_flops(m, k, n),
+        |lo, hi, out| run_packed(a_rows, k, &panel, n, lo, hi, out, fast),
+        n,
+    );
+    scratch::recycle(panel);
+    Matrix::from_vec(m, n, data)
+}
+
 /// `a · b`.
 ///
 /// # Panics
@@ -549,35 +591,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    // Single-row products — the KV-cached decode-step hot shape — go
-    // through the column-banded gemv path: the row-band partition the other
-    // paths parallelize over degenerates to one task at m = 1.
-    if m == 1 {
-        let data = gemv(a.row(0), b);
-        return Matrix::from_vec(1, n, data);
-    }
-    // Few rows: read `b` in place. The exact tile serves both numerics
-    // tiers here (it is inside the Fast envelope by construction).
-    if m < PACK_MIN_ROWS {
-        let data = parallel_rows(
-            m,
-            matmul_flops(m, k, n),
-            |lo, hi, out| run_unpacked(a.as_slice(), k, b.as_slice(), n, lo, hi, out),
-            n,
-        );
-        return Matrix::from_vec(m, n, data);
-    }
-    let fast = fast_mode();
-    let panel = pack_panels(b.as_slice(), k, n);
-    let data = parallel_rows(
-        m,
-        matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(a.as_slice(), k, &panel, n, lo, hi, out, fast),
-        n,
-    );
-    scratch::recycle(panel);
-    Matrix::from_vec(m, n, data)
+    rows_times(a.as_slice(), a.rows(), b)
 }
 
 /// `a · bᵀ` without materializing the transpose.
@@ -638,12 +652,14 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_vec(m, n, data)
 }
 
-/// `aᵀ · b` without materializing the transpose.
+/// `aᵀ · b` without materializing the transpose as a `Matrix`.
 ///
-/// `a`'s columns are the output rows; the kernel packs `aᵀ` (a `k`-strided
-/// gather per column) into a contiguous row-major panel once, then reuses
-/// the shared register-tiled band kernel. Per-element accumulation stays
-/// ascending-`p` with the same zero skip as the reference loop.
+/// `a`'s columns are the output rows: the kernel gathers `aᵀ` (a
+/// `k`-strided read per column) into contiguous row-major scratch once,
+/// then dispatches on its row count exactly as [`matmul`] does — gemv at
+/// one row (where `aᵀ` is `a`'s own storage and nothing is copied),
+/// `b` read in place below [`PACK_MIN_ROWS`], packed panels above.
+/// Per-element accumulation is ascending-`p` on every arm.
 ///
 /// # Panics
 ///
@@ -658,32 +674,14 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    if m * k * n < 4096 {
-        // Tiny products (projector rank-1 paths, tests): the transpose
-        // pack would rival the compute. out[r, c] = sum_p a[p, r]·b[p, c];
-        // p ascends per element, as in the tiled path.
-        let run = |lo: usize, hi: usize, out: &mut [f32]| {
-            for p in 0..k {
-                let arow = a.row(p);
-                let brow = b.row(p);
-                for (band_r, r) in (lo..hi).enumerate() {
-                    let av = arow[r];
-                    let orow = &mut out[band_r * n..(band_r + 1) * n];
-                    for (ov, &bv) in orow.iter_mut().zip(brow) {
-                        *ov += av * bv;
-                    }
-                }
-            }
-        };
-        let data = parallel_rows(m, matmul_flops(m, k, n), run, n);
-        return Matrix::from_vec(m, n, data);
+    let (k, m) = a.shape();
+    if m == 1 {
+        return rows_times(a.as_slice(), 1, b);
     }
-    // Pack aᵀ row-major with a cache-blocked transpose (both the reads and
-    // the writes stay within a TB×TB tile that fits L1), then reuse the
-    // shared packed band sweep.
+    // Cache-blocked transpose: both the reads and the writes stay within a
+    // TB×TB tile that fits L1. Every element of `at` is written.
     const TB: usize = 32;
-    let mut at = scratch::take_zeroed(m * k);
+    let mut at = scratch::take_stale(m * k);
     let mut pb = 0;
     while pb < k {
         let p_hi = (pb + TB).min(k);
@@ -700,17 +698,9 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Matrix {
         }
         pb = p_hi;
     }
-    let panel = pack_panels(b.as_slice(), k, n);
-    let fast = fast_mode();
-    let data = parallel_rows(
-        m,
-        matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(&at, k, &panel, n, lo, hi, out, fast),
-        n,
-    );
-    scratch::recycle(panel);
+    let out = rows_times(&at, m, b);
     scratch::recycle(at);
-    Matrix::from_vec(m, n, data)
+    out
 }
 
 #[cfg(test)]

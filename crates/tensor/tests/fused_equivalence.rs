@@ -263,6 +263,51 @@ fn apollo_update_norm_is_the_lane_norm_at_every_thread_count() {
 }
 
 #[test]
+fn apollo_apply_matches_the_staged_chain_at_every_thread_count() {
+    // norm + apply (no update matrix) against fused_apollo_scale →
+    // scale_assign(clamp) when the limiter clamped → fused_axpy_chain.
+    for (si, &(rows, cols)) in APOLLO_SHAPES.iter().enumerate() {
+        let mut rng = Rng::seed_from_u64(0xA1_0000 + si as u64);
+        let grad = Matrix::randn(rows, cols, &mut rng).scale(3.0);
+        let w0 = Matrix::randn(rows, cols, &mut rng);
+        let col_s: Vec<f32> = (0..cols).map(|_| rng.uniform_in(0.2, 2.0)).collect();
+        let row_s: Vec<f32> = (0..rows).map(|_| rng.uniform_in(0.2, 2.0)).collect();
+        let scales = [
+            ChannelScale::Tensor(0.83),
+            ChannelScale::Cols(&col_s),
+            ChannelScale::Rows(&row_s),
+        ];
+        for (ci, &scale) in scales.iter().enumerate() {
+            for clamp in [1.0f32, 0.37] {
+                for decay in [1.0f32, 0.999] {
+                    let mut update = Matrix::zeros(0, 0);
+                    let mut staged = w0.clone();
+                    set_thread_override(Some(1));
+                    let staged_norm = fused::fused_apollo_scale(&mut update, &grad, scale, 2.5);
+                    if clamp != 1.0 {
+                        update.scale_assign(clamp);
+                    }
+                    fused::fused_axpy_chain(&mut staged, decay, -0.01, &update);
+                    for threads in [1, 2, 4] {
+                        set_thread_override(Some(threads));
+                        let ctx = format!(
+                            "({rows}x{cols}, scale[{ci}], clamp={clamp}, decay={decay}, \
+                             threads={threads})"
+                        );
+                        let norm = fused::fused_apollo_norm(&grad, scale, 2.5);
+                        assert_scalar_bits_eq(norm, staged_norm, &format!("norm {ctx}"));
+                        let mut w = w0.clone();
+                        fused::fused_apollo_apply(&mut w, &grad, scale, 2.5, clamp, decay, -0.01);
+                        assert_bits_eq(&w, &staged, &format!("apply {ctx}"));
+                    }
+                }
+            }
+        }
+    }
+    set_thread_override(None);
+}
+
+#[test]
 fn rope_row_matches_rope_apply_per_row() {
     // Cross-impl equivalence of the decode path's per-row entry point
     // against the graph path's whole-matrix rotation: row r of rope_apply

@@ -145,12 +145,16 @@ fn small_row_counts_and_band_widths_match_reference() {
     // the narrow remainder band, alone or after full ones). `k` is odd, and
     // the wide shapes cross the FLOP gate so the pooled row split runs too.
     // Zero rows is the LM-head call of a tick that decodes nothing.
+    // `aᵀ·b` takes the same switches on its own output rows (`a`'s columns:
+    // a projection rank — 1 for APOLLO-Mini, 48 in the pretrain proxy), so
+    // it is checked on the transposed `a` against the same product.
     let k = 129;
     let mut rng = Rng::seed_from_u64(0x5eed_1000);
-    for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65] {
+    for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 48, 63, 64, 65] {
         for n in [1, 4, 31, 32, 33, 192, 512] {
             let a = Matrix::randn(m, k, &mut rng);
             let b = Matrix::randn(k, n, &mut rng);
+            let at = a.transpose();
             let want = naive_matmul(&a, &b);
             for threads in [1, 2, 4] {
                 set_thread_override(Some(threads));
@@ -158,6 +162,11 @@ fn small_row_counts_and_band_widths_match_reference() {
                     &a.matmul(&b),
                     &want,
                     &format!("matmul ({m}x{k}x{n}, threads={threads})"),
+                );
+                assert_bits_eq(
+                    &at.matmul_transa(&b),
+                    &want,
+                    &format!("matmul_transa ({m}x{k}x{n}, threads={threads})"),
                 );
             }
         }
