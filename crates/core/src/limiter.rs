@@ -62,15 +62,7 @@ impl NormGrowthLimiter {
     /// update is left untouched and [`LimiterOutcome::NonFinite`] is
     /// returned for the caller's recovery policy to act on.
     pub fn apply(&mut self, update: &mut Matrix) -> LimiterOutcome {
-        let norm = update.fro_norm();
-        self.apply_with_norm(update, norm)
-    }
-
-    /// Same as [`NormGrowthLimiter::apply`], but takes the update's already
-    /// computed Frobenius norm; passing `update.fro_norm()` makes this
-    /// identical to `apply`.
-    pub fn apply_with_norm(&mut self, update: &mut Matrix, norm: f32) -> LimiterOutcome {
-        let (outcome, factor) = self.admit(norm);
+        let (outcome, factor) = self.admit(update.fro_norm());
         if outcome == LimiterOutcome::Clamped {
             update.scale_assign(factor);
         }

@@ -657,9 +657,8 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
 /// `a`'s columns are the output rows: the kernel gathers `aᵀ` (a
 /// `k`-strided read per column) into contiguous row-major scratch once,
 /// then dispatches on its row count exactly as [`matmul`] does — gemv at
-/// one row (where `aᵀ` is `a`'s own storage and nothing is copied),
-/// `b` read in place below [`PACK_MIN_ROWS`], packed panels above.
-/// Per-element accumulation is ascending-`p` on every arm.
+/// one row, `b` read in place below [`PACK_MIN_ROWS`], packed panels
+/// above. Per-element accumulation is ascending-`p` on every arm.
 ///
 /// # Panics
 ///
@@ -675,9 +674,6 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let (k, m) = a.shape();
-    if m == 1 {
-        return rows_times(a.as_slice(), 1, b);
-    }
     // Cache-blocked transpose: both the reads and the writes stay within a
     // TB×TB tile that fits L1. Every element of `at` is written.
     const TB: usize = 32;

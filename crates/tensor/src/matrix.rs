@@ -126,8 +126,8 @@ impl Matrix {
 
     /// Creates a matrix with i.i.d. normal entries of the given std-dev.
     ///
-    /// This is the generator used for APOLLO's projection matrices
-    /// (`P ~ N(0, 1/r)`, i.e. `std = sqrt(1/r)`) and for weight init.
+    /// This is the generator used for weight init. (APOLLO's projection
+    /// matrices draw from [`crate::fill_normal`] instead.)
     pub fn randn_scaled(rows: usize, cols: usize, std: f32, rng: &mut Rng) -> Self {
         let mut m = Matrix::zeros(rows, cols);
         for v in &mut m.data {

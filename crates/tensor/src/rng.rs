@@ -2,10 +2,15 @@
 //!
 //! APOLLO's headline memory trick is that the projection matrix `P` is never
 //! stored: only a 64-bit seed is kept, and `P` is regenerated on demand from
-//! that seed (Algorithm 1, "Step 1"). That requires a fully deterministic,
-//! cheap, seedable generator — so we implement xoshiro256++ with a splitmix64
-//! seeder rather than relying on an external crate whose stream might change
-//! between versions.
+//! that seed (Algorithm 1, "Step 1") — on every optimizer step, so the
+//! regeneration has to cost bandwidth, not a libm call per element. Two
+//! generators live here, both implemented in-crate so no external crate's
+//! stream can change under a stored seed:
+//!
+//! - [`Rng`], a sequential xoshiro256++ with a splitmix64 seeder, for weight
+//!   init, data and everything else that draws once;
+//! - [`fill_normal`], a counter-based normal stream — element `i` is a pure
+//!   function of `(seed, i)` — which is what `P` is drawn from.
 
 /// A seedable xoshiro256++ pseudo-random number generator.
 ///

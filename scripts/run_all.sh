@@ -2,6 +2,7 @@
 # Regenerates every table and figure. Logs to results/logs/<id>.log and
 # JSON to results/<id>.json. APOLLO_SCALE can trade fidelity vs time.
 set -x
+mkdir -p results/logs
 run() {
   bin=$1; scale=${2:-1}
   APOLLO_SCALE=$scale cargo run -q --release -p apollo-bench --bin "$bin" \
