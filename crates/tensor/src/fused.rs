@@ -37,19 +37,8 @@
 //! adversarial shapes and thread counts; the train-loop test in
 //! `apollo-nn` pins it end-to-end against the staged graph arm.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::matmul::{current_threads, should_parallelize};
-use crate::numerics::{current_numerics, NumericsMode};
-use crate::pool;
-use crate::{simd, Matrix};
-
-/// Whether kernels issued from this thread run the relaxed SIMD tier
-/// (resolved once at kernel entry, on the issuing thread — see
-/// `crate::numerics`).
-fn fast_mode() -> bool {
-    current_numerics() == NumericsMode::Fast
-}
+use crate::pool::par_bands;
+use crate::{numerics, simd, Matrix};
 
 // Per-element cost estimates feeding the shared parallelism gate
 // (`should_parallelize`, threshold 2^20 FLOPs). Transcendental-heavy
@@ -64,49 +53,6 @@ const AXPY_FLOPS: usize = 3;
 const ADAM_FLOPS: usize = 12;
 const SCALE_NORM_FLOPS: usize = 5;
 const SCALE_APPLY_FLOPS: usize = 6;
-
-/// Raw output pointer shared across pool tasks; tasks carve disjoint
-/// ranges out of it (same pattern as the matmul kernels' `OutPtr`).
-#[derive(Clone, Copy)]
-struct BandPtr(*mut f32);
-
-impl BandPtr {
-    /// Reborrows `len` elements starting at `start` as a mutable slice.
-    ///
-    /// # Safety
-    ///
-    /// Callers must hand out non-overlapping `start..start + len` ranges
-    /// and keep the underlying buffer alive for the duration of use; both
-    /// hold for the disjoint row bands of a blocking [`pool::Pool::run`].
-    unsafe fn slice<'a>(self, start: usize, len: usize) -> &'a mut [f32] {
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
-    }
-}
-
-// SAFETY: tasks index disjoint ranges, established by the band partition
-// in `par_bands`.
-unsafe impl Send for BandPtr {}
-unsafe impl Sync for BandPtr {}
-
-/// Runs `run(lo, hi)` over row bands of an `rows`-row problem, on the
-/// worker pool when the FLOP gate passes, serially otherwise. The band
-/// partition is a pure function of `(rows, threads)`, so any output
-/// produced from disjoint per-band writes is bit-identical for every
-/// thread count (including 1).
-fn par_bands(rows: usize, flops: usize, run: impl Fn(usize, usize) + Sync) {
-    let threads = current_threads();
-    if !should_parallelize(threads, rows, flops) {
-        run(0, rows);
-        return;
-    }
-    let band = rows.div_ceil(threads);
-    let n_bands = rows.div_ceil(band);
-    pool::Pool::run(threads, n_bands, &|t| {
-        let lo = t * band;
-        let hi = ((t + 1) * band).min(rows);
-        run(lo, hi);
-    });
-}
 
 /// `1 / (1 + e^{-x})`, the graph's SiLU sigmoid expression.
 #[inline]
@@ -155,74 +101,64 @@ pub fn fused_rmsnorm_fwd(x: &Matrix, gain: &Matrix, eps: f32) -> (Matrix, Vec<f3
     let mut y = Matrix::zeros(rows, cols);
     let mut inv_rms = vec![0.0f32; rows];
     let xs = x.as_slice();
-    let gs = gain.row(0);
-    let yp = BandPtr(y.as_mut_slice().as_mut_ptr());
-    let ip = BandPtr(inv_rms.as_mut_ptr());
-    if fast_mode() {
-        // Relaxed tier: 8-lane reassociated mean-square reduction and a
-        // SIMD gain write per row (tolerances pinned by fast_numerics.rs).
-        par_bands(rows, rows * cols * RMSNORM_FWD_FLOPS, |lo, hi| {
-            // SAFETY: bands are disjoint row ranges; `y` and `inv_rms`
-            // outlive the blocking pool call.
-            let yband = unsafe { yp.slice(lo * cols, (hi - lo) * cols) };
-            let iband = unsafe { ip.slice(lo, hi - lo) };
-            for r in lo..hi {
-                let row = &xs[r * cols..][..cols];
-                let inv = 1.0 / (simd::sum_squares(row) / n + eps).sqrt();
+    let gsl = &gain.row(0)[..cols];
+    let fast = numerics::fast();
+    let flops = rows * cols * RMSNORM_FWD_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(y.as_mut_slice(), cols), (&mut inv_rms[..], 1)],
+        |lo, hi, [yband, iband]| {
+            let xrow = |r: usize| &xs[r * cols..][..cols];
+            // From row `r`'s sum of squares: its cached `1 / rms` and its output.
+            let mut write = |r: usize, sumsq: f32| {
+                let inv = 1.0 / (sumsq / n + eps).sqrt();
                 iband[r - lo] = inv;
                 let out = &mut yband[(r - lo) * cols..][..cols];
-                simd::scale_gain(out, row, inv, &gs[..cols]);
-            }
-        });
-        return (y, inv_rms);
-    }
-    par_bands(rows, rows * cols * RMSNORM_FWD_FLOPS, |lo, hi| {
-        // SAFETY: bands are disjoint row ranges; `y` and `inv_rms` outlive
-        // the blocking pool call.
-        let yband = unsafe { yp.slice(lo * cols, (hi - lo) * cols) };
-        let iband = unsafe { ip.slice(lo, hi - lo) };
-        let gsl = &gs[..cols];
-        let mut r = lo;
-        // Four rows at a time: each row's mean-square sum is a strict
-        // sequential chain (bit-identity forbids reassociating it), so a
-        // single row is f32-add-latency-bound. Four independent rows'
-        // chains interleave to hide that latency while every row still
-        // accumulates in exactly the reference's ascending order.
-        while r + 4 <= hi {
-            let x0 = &xs[r * cols..][..cols];
-            let x1 = &xs[(r + 1) * cols..][..cols];
-            let x2 = &xs[(r + 2) * cols..][..cols];
-            let x3 = &xs[(r + 3) * cols..][..cols];
-            let mut acc = [0.0f32; 4];
-            for j in 0..cols {
-                acc[0] += x0[j] * x0[j];
-                acc[1] += x1[j] * x1[j];
-                acc[2] += x2[j] * x2[j];
-                acc[3] += x3[j] * x3[j];
-            }
-            for (i, xrow) in [x0, x1, x2, x3].into_iter().enumerate() {
-                let inv = 1.0 / (acc[i] / n + eps).sqrt();
-                iband[r - lo + i] = inv;
-                let out = &mut yband[(r - lo + i) * cols..][..cols];
-                for ((o, &v), &g) in out.iter_mut().zip(xrow).zip(gsl) {
-                    *o = v * inv * g;
+                if fast {
+                    simd::scale_gain(out, xrow(r), inv, gsl);
+                } else {
+                    for ((o, &v), &g) in out.iter_mut().zip(xrow(r)).zip(gsl) {
+                        *o = v * inv * g;
+                    }
                 }
+            };
+            if fast {
+                // Relaxed tier: 8-lane reassociated mean-square reduction and
+                // a SIMD gain write per row (tolerances pinned by
+                // fast_numerics.rs).
+                for r in lo..hi {
+                    write(r, simd::sum_squares(xrow(r)));
+                }
+                return;
             }
-            r += 4;
-        }
-        while r < hi {
-            let row = &xs[r * cols..][..cols];
-            // Strict ascending single-accumulator sum (reduction: no lanes).
-            let ms = row.iter().map(|&v| v * v).sum::<f32>() / n;
-            let inv = 1.0 / (ms + eps).sqrt();
-            iband[r - lo] = inv;
-            let out = &mut yband[(r - lo) * cols..][..cols];
-            for ((o, &v), &g) in out.iter_mut().zip(row).zip(gsl) {
-                *o = v * inv * g;
+            let mut r = lo;
+            // Four rows at a time: each row's mean-square sum is a strict
+            // sequential chain (bit-identity forbids reassociating it), so a
+            // single row is f32-add-latency-bound. Four independent rows'
+            // chains interleave to hide that latency while every row still
+            // accumulates in exactly the reference's ascending order.
+            while r + 4 <= hi {
+                let (x0, x1, x2, x3) = (xrow(r), xrow(r + 1), xrow(r + 2), xrow(r + 3));
+                let mut acc = [0.0f32; 4];
+                for j in 0..cols {
+                    acc[0] += x0[j] * x0[j];
+                    acc[1] += x1[j] * x1[j];
+                    acc[2] += x2[j] * x2[j];
+                    acc[3] += x3[j] * x3[j];
+                }
+                for (i, sumsq) in acc.into_iter().enumerate() {
+                    write(r + i, sumsq);
+                }
+                r += 4;
             }
-            r += 1;
-        }
-    });
+            while r < hi {
+                // Strict ascending single-accumulator sum (reduction: no lanes).
+                write(r, xrow(r).iter().map(|&v| v * v).sum::<f32>());
+                r += 1;
+            }
+        },
+    );
     (y, inv_rms)
 }
 
@@ -244,8 +180,6 @@ pub fn fused_rmsnorm_bwd(
     let xs = x.as_slice();
     let gs = gain.row(0);
     let gos = gout.as_slice();
-    let threads = current_threads();
-    let flops = rows * cols * RMSNORM_BWD_FLOPS;
     let gsl = &gs[..cols];
     // Four-row block: each row's `t = Σ_j dy_j · g_j · x_j` reduction is a
     // strict sequential chain (the reference's ascending order), so one
@@ -291,27 +225,23 @@ pub fn fused_rmsnorm_bwd(
             *o = gy * gv * inv - inv * inv * inv / n * xv * t;
         }
     };
-    let dx_band = |lo: usize, hi: usize, band: &mut [f32]| {
-        let mut r = lo;
-        while r + 4 <= hi {
-            dx_rows4(r, &mut band[(r - lo) * cols..][..4 * cols]);
-            r += 4;
-        }
-        while r < hi {
-            dx_row(r, inv_rms[r], &mut band[(r - lo) * cols..][..cols]);
-            r += 1;
-        }
-    };
-    if should_parallelize(threads, rows, flops) {
-        let dxp = BandPtr(dx.as_mut_slice().as_mut_ptr());
-        par_bands(rows, flops, |lo, hi| {
-            // SAFETY: disjoint row bands of `dx`, which outlives the call.
-            let band = unsafe { dxp.slice(lo * cols, (hi - lo) * cols) };
-            dx_band(lo, hi, band);
-        });
-    } else {
-        dx_band(0, rows, dx.as_mut_slice());
-    }
+    let flops = rows * cols * RMSNORM_BWD_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(dx.as_mut_slice(), cols)],
+        |lo, hi, [band]| {
+            let mut r = lo;
+            while r + 4 <= hi {
+                dx_rows4(r, &mut band[(r - lo) * cols..][..4 * cols]);
+                r += 4;
+            }
+            while r < hi {
+                dx_row(r, inv_rms[r], &mut band[(r - lo) * cols..][..cols]);
+                r += 1;
+            }
+        },
+    );
     // Gain gradient: sequential ascending-row accumulation (a cross-row
     // reduction, so it never runs on the pool); per-column chains are
     // independent, so the inner loop vectorizes.
@@ -342,23 +272,26 @@ pub fn fused_swiglu_fwd(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(rows, cols);
     let avs = a.as_slice();
     let bvs = b.as_slice();
-    let op = BandPtr(out.as_mut_slice().as_mut_ptr());
-    let fast = fast_mode();
-    par_bands(rows, rows * cols * SWIGLU_FWD_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `out`, which outlives the call.
-        let band = unsafe { op.slice(lo * cols, (hi - lo) * cols) };
-        let aband = &avs[lo * cols..hi * cols];
-        let bband = &bvs[lo * cols..hi * cols];
-        if fast {
-            // Relaxed tier: vectorized polynomial exp inside the sigmoid.
-            simd::silu_mul(aband, bband, band);
-            return;
-        }
-        for_each_lane(band, |i| {
-            let av = aband[i];
-            av * sigmoid(av) * bband[i]
-        });
-    });
+    let fast = numerics::fast();
+    let flops = rows * cols * SWIGLU_FWD_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(out.as_mut_slice(), cols)],
+        |lo, hi, [band]| {
+            let aband = &avs[lo * cols..hi * cols];
+            let bband = &bvs[lo * cols..hi * cols];
+            if fast {
+                // Relaxed tier: vectorized polynomial exp inside the sigmoid.
+                simd::silu_mul(aband, bband, band);
+                return;
+            }
+            for_each_lane(band, |i| {
+                let av = aband[i];
+                av * sigmoid(av) * bband[i]
+            });
+        },
+    );
     out
 }
 
@@ -374,23 +307,24 @@ pub fn fused_swiglu_bwd(a: &Matrix, b: &Matrix, gout: &Matrix) -> (Matrix, Matri
     let avs = a.as_slice();
     let bvs = b.as_slice();
     let gos = gout.as_slice();
-    let dap = BandPtr(da.as_mut_slice().as_mut_ptr());
-    let dbp = BandPtr(db.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * SWIGLU_BWD_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `da`/`db`, which outlive the call.
-        let daband = unsafe { dap.slice(lo * cols, (hi - lo) * cols) };
-        let dbband = unsafe { dbp.slice(lo * cols, (hi - lo) * cols) };
-        let base = lo * cols;
-        for i in 0..(hi - lo) * cols {
-            let x = avs[base + i];
-            let g = gos[base + i];
-            let s = sigmoid(x);
-            // Staged arm: mul backward feeds `g · b` into silu backward
-            // (`(g·b) · s · (1 + x·(1 − s))`) and `g · silu(a)` into db.
-            daband[i] = g * bvs[base + i] * s * (1.0 + x * (1.0 - s));
-            dbband[i] = g * (x * s);
-        }
-    });
+    let flops = rows * cols * SWIGLU_BWD_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(da.as_mut_slice(), cols), (db.as_mut_slice(), cols)],
+        |lo, hi, [daband, dbband]| {
+            let base = lo * cols;
+            for i in 0..(hi - lo) * cols {
+                let x = avs[base + i];
+                let g = gos[base + i];
+                let s = sigmoid(x);
+                // Staged arm: mul backward feeds `g · b` into silu backward
+                // (`(g·b) · s · (1 + x·(1 − s))`) and `g · silu(a)` into db.
+                daband[i] = g * bvs[base + i] * s * (1.0 + x * (1.0 - s));
+                dbband[i] = g * (x * s);
+            }
+        },
+    );
     (da, db)
 }
 
@@ -424,35 +358,35 @@ pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix,
     let mut exps = Matrix::zeros(rows, cols);
     let mut denoms = vec![0.0f32; rows];
     let ls = logits.as_slice();
-    let ep = BandPtr(exps.as_mut_slice().as_mut_ptr());
-    let dp = BandPtr(denoms.as_mut_ptr());
-    let fast = fast_mode();
-    par_bands(rows, rows * cols * XENT_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `exps`/`denoms`, which outlive the
-        // call.
-        let eband = unsafe { ep.slice(lo * cols, (hi - lo) * cols) };
-        let dband = unsafe { dp.slice(lo, hi - lo) };
-        for r in lo..hi {
-            let row = &ls[r * cols..(r + 1) * cols];
-            let erow = &mut eband[(r - lo) * cols..(r - lo + 1) * cols];
-            if fast {
-                // Relaxed tier: SIMD max, vectorized exp, reassociated sum.
-                let maxv = simd::max_slice(row);
-                erow.copy_from_slice(row);
-                dband[r - lo] = simd::softmax_exp_sum(erow, maxv);
-                continue;
+    let fast = numerics::fast();
+    let flops = rows * cols * XENT_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(exps.as_mut_slice(), cols), (&mut denoms[..], 1)],
+        |lo, hi, [eband, dband]| {
+            for r in lo..hi {
+                let row = &ls[r * cols..(r + 1) * cols];
+                let erow = &mut eband[(r - lo) * cols..(r - lo + 1) * cols];
+                if fast {
+                    // Relaxed tier: SIMD max, vectorized exp, reassociated sum.
+                    let maxv = simd::max_slice(row);
+                    erow.copy_from_slice(row);
+                    dband[r - lo] = simd::softmax_exp_sum(erow, maxv);
+                    continue;
+                }
+                // Pass 1: row max (sequential fold, reference order).
+                let maxv = row.iter().cloned().fold(f32::MIN, f32::max);
+                // Pass 2: shifted exponentials and their ascending sum.
+                let mut denom = 0.0f32;
+                for (e, &x) in erow.iter_mut().zip(row) {
+                    *e = (x - maxv).exp();
+                    denom += *e;
+                }
+                dband[r - lo] = denom;
             }
-            // Pass 1: row max (sequential fold, reference order).
-            let maxv = row.iter().cloned().fold(f32::MIN, f32::max);
-            // Pass 2: shifted exponentials and their ascending sum.
-            let mut denom = 0.0f32;
-            for (e, &x) in erow.iter_mut().zip(row) {
-                *e = (x - maxv).exp();
-                denom += *e;
-            }
-            dband[r - lo] = denom;
-        }
-    });
+        },
+    );
     // Loss: sequential ascending-row f64 accumulation (reference order),
     // reading one cached cell per row.
     let mut loss = 0.0f64;
@@ -482,19 +416,22 @@ pub fn fused_softmax_xent_bwd(
     let f = upstream / n;
     let mut dl = Matrix::zeros(rows, cols);
     let es = exps.as_slice();
-    let dlp = BandPtr(dl.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * AXPY_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `dl`, which outlives the call.
-        let band = unsafe { dlp.slice(lo * cols, (hi - lo) * cols) };
-        for r in lo..hi {
-            let erow = &es[r * cols..(r + 1) * cols];
-            let denom = denoms[r];
-            let drow = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-            for_each_lane(drow, |j| erow[j] / denom * f);
-            let t = targets[r] as usize;
-            drow[t] = (erow[t] / denom - 1.0) * f;
-        }
-    });
+    let flops = rows * cols * AXPY_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(dl.as_mut_slice(), cols)],
+        |lo, hi, [band]| {
+            for r in lo..hi {
+                let erow = &es[r * cols..(r + 1) * cols];
+                let denom = denoms[r];
+                let drow = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
+                for_each_lane(drow, |j| erow[j] / denom * f);
+                let t = targets[r] as usize;
+                drow[t] = (erow[t] / denom - 1.0) * f;
+            }
+        },
+    );
     dl
 }
 
@@ -549,12 +486,9 @@ pub fn rope_row(row: &mut [f32], pos: usize, heads: usize, hd: usize, theta_base
 pub fn rope_apply(x: &mut Matrix, seq: usize, heads: usize, theta_base: f32, inverse: bool) {
     let (rows, cols) = x.shape();
     let hd = cols / heads;
-    let freqs = rope_freqs(hd, theta_base);
-    let xp = BandPtr(x.as_mut_slice().as_mut_ptr());
-    let freqs = &freqs;
-    par_bands(rows, rows * cols * ROPE_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `x`, which outlives the call.
-        let band = unsafe { xp.slice(lo * cols, (hi - lo) * cols) };
+    let freqs = &rope_freqs(hd, theta_base);
+    let flops = rows * cols * ROPE_FLOPS;
+    par_bands(rows, flops, [(x.as_mut_slice(), cols)], |lo, hi, [band]| {
         for r in lo..hi {
             let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
             rope_rotate_row(row, (r % seq) as f32, heads, hd, freqs, inverse);
@@ -576,10 +510,8 @@ pub fn fused_axpy_chain(y: &mut Matrix, decay: f32, alpha: f32, x: &Matrix) {
     assert_eq!(y.shape(), x.shape(), "fused_axpy_chain: shape mismatch");
     let (rows, cols) = y.shape();
     let xs = x.as_slice();
-    let yp = BandPtr(y.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * AXPY_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `y`, which outlives the call.
-        let band = unsafe { yp.slice(lo * cols, (hi - lo) * cols) };
+    let flops = rows * cols * AXPY_FLOPS;
+    par_bands(rows, flops, [(y.as_mut_slice(), cols)], |lo, hi, [band]| {
         let xband = &xs[lo * cols..hi * cols];
         for (yv, &xv) in band.iter_mut().zip(xband) {
             *yv = *yv * decay + alpha * xv;
@@ -609,25 +541,27 @@ pub fn fused_adam_moments(
     let (rows, cols) = g.shape();
     upd.resize_to(rows, cols);
     let gs = g.as_slice();
-    let mp = BandPtr(m.as_mut_slice().as_mut_ptr());
-    let vp = BandPtr(v.as_mut_slice().as_mut_ptr());
-    let up = BandPtr(upd.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * ADAM_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `m`/`v`/`upd`, which outlive the
-        // call.
-        let mband = unsafe { mp.slice(lo * cols, (hi - lo) * cols) };
-        let vband = unsafe { vp.slice(lo * cols, (hi - lo) * cols) };
-        let uband = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
-        let gband = &gs[lo * cols..hi * cols];
-        for i in 0..gband.len() {
-            let gv = gband[i];
-            let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
-            let vv = beta2 * vband[i] + (1.0 - beta2) * gv * gv;
-            mband[i] = mv;
-            vband[i] = vv;
-            uband[i] = (mv / bc1) / ((vv / bc2).sqrt() + eps);
-        }
-    });
+    let flops = rows * cols * ADAM_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [
+            (m.as_mut_slice(), cols),
+            (v.as_mut_slice(), cols),
+            (upd.as_mut_slice(), cols),
+        ],
+        |lo, hi, [mband, vband, uband]| {
+            let gband = &gs[lo * cols..hi * cols];
+            for i in 0..gband.len() {
+                let gv = gband[i];
+                let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
+                let vv = beta2 * vband[i] + (1.0 - beta2) * gv * gv;
+                mband[i] = mv;
+                vband[i] = vv;
+                uband[i] = (mv / bc1) / ((vv / bc2).sqrt() + eps);
+            }
+        },
+    );
 }
 
 /// The full fused Adam parameter step: moments, bias correction, weight
@@ -656,35 +590,37 @@ pub fn fused_adam_update(
     assert_eq!(v.shape(), g.shape(), "fused_adam_update: v/g mismatch");
     let (rows, cols) = g.shape();
     let gs = g.as_slice();
-    let wp = BandPtr(w.as_mut_slice().as_mut_ptr());
-    let mp = BandPtr(m.as_mut_slice().as_mut_ptr());
-    let vp = BandPtr(v.as_mut_slice().as_mut_ptr());
-    let fast = fast_mode();
-    par_bands(rows, rows * cols * ADAM_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `w`/`m`/`v`, which outlive the
-        // call.
-        let wband = unsafe { wp.slice(lo * cols, (hi - lo) * cols) };
-        let mband = unsafe { mp.slice(lo * cols, (hi - lo) * cols) };
-        let vband = unsafe { vp.slice(lo * cols, (hi - lo) * cols) };
-        let gband = &gs[lo * cols..hi * cols];
-        if fast {
-            // Relaxed tier: FMA moment chain with vector sqrt (divides by
-            // bc become multiplies by the reciprocal).
-            simd::adam_weight_update(
-                wband, gband, mband, vband, beta1, beta2, bc1, bc2, eps, lr, decay,
-            );
-            return;
-        }
-        for i in 0..gband.len() {
-            let gv = gband[i];
-            let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
-            let vv = beta2 * vband[i] + (1.0 - beta2) * gv * gv;
-            mband[i] = mv;
-            vband[i] = vv;
-            let u = (mv / bc1) / ((vv / bc2).sqrt() + eps);
-            wband[i] = wband[i] * decay + (-lr) * u;
-        }
-    });
+    let fast = numerics::fast();
+    let flops = rows * cols * ADAM_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [
+            (w.as_mut_slice(), cols),
+            (m.as_mut_slice(), cols),
+            (v.as_mut_slice(), cols),
+        ],
+        |lo, hi, [wband, mband, vband]| {
+            let gband = &gs[lo * cols..hi * cols];
+            if fast {
+                // Relaxed tier: FMA moment chain with vector sqrt (divides by
+                // bc become multiplies by the reciprocal).
+                simd::adam_weight_update(
+                    wband, gband, mband, vband, beta1, beta2, bc1, bc2, eps, lr, decay,
+                );
+                return;
+            }
+            for i in 0..gband.len() {
+                let gv = gband[i];
+                let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
+                let vv = beta2 * vband[i] + (1.0 - beta2) * gv * gv;
+                mband[i] = mv;
+                vband[i] = vv;
+                let u = (mv / bc1) / ((vv / bc2).sqrt() + eps);
+                wband[i] = wband[i] * decay + (-lr) * u;
+            }
+        },
+    );
 }
 
 /// Which channel geometry an APOLLO scaling factor applies along.
@@ -770,16 +706,14 @@ fn sumsq_lanes<const N: usize>(srcs: [&[f32]; N], u: impl Fn([f32; N]) -> f32) -
 /// rounded to `f32`. No step depends on the band partition, so the value
 /// is the same at every thread count.
 fn lane_norm(rows: usize, cols: usize, row_sumsq: impl Fn(usize) -> f64 + Sync) -> f32 {
-    let sums: Vec<AtomicU64> = (0..rows).map(|_| AtomicU64::new(0)).collect();
-    par_bands(rows, rows * cols * SCALE_NORM_FLOPS, |lo, hi| {
-        for (r, sum) in (lo..hi).zip(&sums[lo..hi]) {
-            // Relaxed: read back only after the blocking pool call returns.
-            sum.store(row_sumsq(r).to_bits(), Ordering::Relaxed);
+    let mut sums = vec![0.0f64; rows];
+    let flops = rows * cols * SCALE_NORM_FLOPS;
+    par_bands(rows, flops, [(&mut sums[..], 1)], |lo, hi, [band]| {
+        for (r, sum) in (lo..hi).zip(band) {
+            *sum = row_sumsq(r);
         }
     });
-    let total = sums.iter().fold(0.0f64, |acc, sum| {
-        acc + f64::from_bits(sum.load(Ordering::Relaxed))
-    });
+    let total = sums.iter().fold(0.0f64, |acc, &sum| acc + sum);
     total.sqrt() as f32
 }
 
@@ -812,21 +746,24 @@ pub fn fused_apollo_scale(
     let (rows, cols) = grad.shape();
     scale.check(rows, cols);
     update.resize_to(rows, cols);
-    let up = BandPtr(update.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * SCALE_NORM_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `update`, which outlives the call.
-        let band = unsafe { up.slice(lo * cols, (hi - lo) * cols) };
-        for (r, out) in (lo..hi).zip(band.chunks_exact_mut(cols.max(1))) {
-            let out = out.iter_mut().zip(grad.row(r));
-            match scale.row(r) {
-                RowScale::Uniform(s) => out.for_each(|(o, &g)| *o = scaled(g, s, alpha)),
-                RowScale::PerCol(s) => out
-                    .zip(s)
-                    .for_each(|((o, &g), &s)| *o = scaled(g, s, alpha)),
+    let flops = rows * cols * SCALE_NORM_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(update.as_mut_slice(), cols)],
+        |lo, hi, [band]| {
+            for (r, out) in (lo..hi).zip(band.chunks_exact_mut(cols.max(1))) {
+                let out = out.iter_mut().zip(grad.row(r));
+                match scale.row(r) {
+                    RowScale::Uniform(s) => out.for_each(|(o, &g)| *o = scaled(g, s, alpha)),
+                    RowScale::PerCol(s) => out
+                        .zip(s)
+                        .for_each(|((o, &g), &s)| *o = scaled(g, s, alpha)),
+                }
             }
-        }
-    });
-    if fast_mode() {
+        },
+    );
+    if numerics::fast() {
         simd::sum_squares(update.as_slice()).sqrt()
     } else {
         lane_fro_norm(update)
@@ -880,10 +817,8 @@ pub fn fused_apollo_apply(
     );
     let (rows, cols) = grad.shape();
     scale.check(rows, cols);
-    let wp = BandPtr(w.as_mut_slice().as_mut_ptr());
-    par_bands(rows, rows * cols * SCALE_APPLY_FLOPS, |lo, hi| {
-        // SAFETY: disjoint row bands of `w`, which outlives the call.
-        let band = unsafe { wp.slice(lo * cols, (hi - lo) * cols) };
+    let flops = rows * cols * SCALE_APPLY_FLOPS;
+    par_bands(rows, flops, [(w.as_mut_slice(), cols)], |lo, hi, [band]| {
         let put = |wv: &mut f32, u: f32| *wv = *wv * decay + step * (u * clamp);
         for (r, wrow) in (lo..hi).zip(band.chunks_exact_mut(cols.max(1))) {
             let wrow = wrow.iter_mut().zip(grad.row(r));

@@ -19,6 +19,10 @@
 //! assert_eq!((c.rows(), c.cols()), (4, 3));
 //! ```
 
+// Every `unsafe` block and impl states why it is sound, in place
+// (ROADMAP item 4); the clippy stage of `scripts/ci.sh` enforces it.
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod bf16;
 
 mod matmul;

@@ -20,15 +20,8 @@
 //! never on pool scheduling.
 
 use crate::matrix::Matrix;
-use crate::numerics::{current_numerics, NumericsMode};
-use crate::{pool, scratch, simd};
-
-/// Whether kernels issued from this thread run the relaxed SIMD tier.
-/// Resolved once per kernel entry (on the issuing thread) so a single
-/// call never mixes tiers across pool bands.
-fn fast_mode() -> bool {
-    current_numerics() == NumericsMode::Fast
-}
+use crate::pool::par_bands;
+use crate::{numerics, scratch, simd};
 
 /// Multiplications below this many FLOPs (`2 * m * k * n`) run
 /// single-threaded; the dispatch cost dominates for tiny matrices.
@@ -78,19 +71,14 @@ fn matmul_flops(m: usize, k: usize, n: usize) -> usize {
     2 * m * k * n
 }
 
-/// Whether an `m`-row kernel invocation of `flops` total FLOPs should run
-/// on the worker pool. Pure so the threshold boundary is unit-testable.
-/// Shared with the fused elementwise kernels (`crate::fused`), which gate
-/// on the same threshold so one contract governs all pooled row splits.
+/// Whether an invocation of `flops` total FLOPs over `m` splittable units —
+/// output rows, or output columns for the m = 1 gemv, where the row count
+/// could never pass — should run on the worker pool. Pure so the threshold
+/// boundary is unit-testable. It is the gate of [`par_bands`], so one
+/// contract governs every pooled split, the fused elementwise kernels'
+/// included.
 pub(crate) fn should_parallelize(threads: usize, m: usize, flops: usize) -> bool {
     threads > 1 && flops >= PAR_MIN_FLOPS && m >= 2 * threads
-}
-
-/// Column-band variant of the gate for the m = 1 gemv path: the row gate
-/// can never pass at a single output row, so gemv splits output *columns*
-/// across the pool instead.
-fn should_parallelize_gemv(threads: usize, n: usize, flops: usize) -> bool {
-    threads > 1 && flops >= PAR_MIN_FLOPS && n >= 2 * threads
 }
 
 /// Resolves the thread count from an optional `APOLLO_NUM_THREADS` override.
@@ -439,90 +427,39 @@ fn tile_rows_at<const R: usize>(
     }
 }
 
-/// Raw output pointer shared across pool tasks; tasks write disjoint row
-/// bands.
-#[derive(Clone, Copy)]
-struct OutPtr(*mut f32);
-
-impl OutPtr {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole `Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-// SAFETY: tasks index disjoint bands, established by the band partition in
-// `parallel_rows`.
-unsafe impl Send for OutPtr {}
-unsafe impl Sync for OutPtr {}
-
-/// Runs `run(lo, hi, band_out)` over row bands of an `m × n_out` output,
-/// on the worker pool when the FLOP gate passes, serially otherwise.
-///
-/// The band partition is a pure function of `(m, threads)` and every row
-/// is computed independently, so the output is bit-identical for any
-/// thread count (including 1).
+/// An `m × n_out` output from `run(lo, hi, band_out)` over row bands
+/// ([`par_bands`]: on the worker pool when the FLOP gate passes, serially
+/// otherwise). Every row is computed independently, so the output is
+/// bit-identical for any thread count (including 1).
 fn parallel_rows(
     m: usize,
     flops: usize,
     run: impl Fn(usize, usize, &mut [f32]) + Sync,
     n_out: usize,
 ) -> Vec<f32> {
-    let threads = current_threads();
     let mut out = scratch::take_zeroed(m * n_out);
-    if !should_parallelize(threads, m, flops) {
-        run(0, m, &mut out);
-        return out;
-    }
-    let band = m.div_ceil(threads);
-    let n_bands = m.div_ceil(band);
-    let ptr = OutPtr(out.as_mut_ptr());
-    let run = &run;
-    pool::Pool::run(threads, n_bands, &move |t| {
-        let lo = t * band;
-        let hi = ((t + 1) * band).min(m);
-        // SAFETY: bands are disjoint row ranges of `out`, and `out` outlives
-        // the blocking `Pool::run` call.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo * n_out), (hi - lo) * n_out) };
-        run(lo, hi, chunk);
+    par_bands(m, flops, [(&mut out[..], n_out)], |lo, hi, [band]| {
+        run(lo, hi, band)
     });
     out
 }
 
 /// `1×k · k×n` product, the hot shape of a KV-cached decode step (one
-/// residual row against every weight matrix). Output columns are split
-/// into per-thread bands on the worker pool; each element still
-/// accumulates its `k` products in ascending-`p` order, so results are
-/// bit-identical to the reference loop and invariant across thread counts
-/// (the band partition is a pure function of `(n, threads)`).
+/// residual row against every weight matrix). Output *columns* are the
+/// units [`par_bands`] splits; each element still accumulates its `k`
+/// products in ascending-`p` order, so results are bit-identical to the
+/// reference loop and invariant across thread counts (the band partition is
+/// a pure function of `(n, threads)`).
 fn gemv(arow: &[f32], b: &Matrix) -> Vec<f32> {
     let (k, n) = b.shape();
-    let threads = current_threads();
-    let fast = fast_mode();
+    let fast = numerics::fast();
     let mut out = scratch::take_zeroed(n);
-    if !should_parallelize_gemv(threads, n, matmul_flops(1, k, n)) {
+    let flops = matmul_flops(1, k, n);
+    par_bands(n, flops, [(&mut out[..], 1)], |lo, hi, [band]| {
         if fast {
-            simd::gemv_band(arow, b.as_slice(), n, 0, n, &mut out);
+            simd::gemv_band(arow, b.as_slice(), n, lo, hi, band);
         } else {
-            gemv_band(arow, b, 0, n, &mut out);
-        }
-        return out;
-    }
-    let band = n.div_ceil(threads);
-    let n_bands = n.div_ceil(band);
-    let ptr = OutPtr(out.as_mut_ptr());
-    pool::Pool::run(threads, n_bands, &move |t| {
-        let lo = t * band;
-        let hi = ((t + 1) * band).min(n);
-        // SAFETY: bands are disjoint column ranges of `out`, which outlives
-        // the blocking `Pool::run` call.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
-        if fast {
-            simd::gemv_band(arow, b.as_slice(), n, lo, hi, chunk);
-        } else {
-            gemv_band(arow, b, lo, hi, chunk);
+            gemv_band(arow, b, lo, hi, band);
         }
     });
     out
@@ -564,7 +501,7 @@ fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
         );
         return Matrix::from_vec(m, n, data);
     }
-    let fast = fast_mode();
+    let fast = numerics::fast();
     let panel = pack_panels(b.as_slice(), k, n);
     let data = parallel_rows(
         m,
@@ -616,7 +553,7 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let fast = fast_mode();
+    let fast = numerics::fast();
     // Packing costs k·n writes against 2·m·k·n FLOPs of compute; below a
     // few rows the scalar dot loop wins (and rank-1 projector products with
     // k = 0 or n = 0 have nothing to pack).
@@ -804,16 +741,6 @@ mod tests {
         assert!(matmul_flops(m, k, n) >= PAR_MIN_FLOPS);
         assert!(m * k * n < PAR_MIN_FLOPS);
         assert!(should_parallelize(2, m, matmul_flops(m, k, n)));
-    }
-
-    #[test]
-    fn gemv_gate_boundary() {
-        // The column gate mirrors the row gate with n in place of m.
-        let n = 4096;
-        assert!(should_parallelize_gemv(2, n, PAR_MIN_FLOPS));
-        assert!(!should_parallelize_gemv(2, n, PAR_MIN_FLOPS - 1));
-        assert!(!should_parallelize_gemv(1, n, PAR_MIN_FLOPS));
-        assert!(!should_parallelize_gemv(8, 15, PAR_MIN_FLOPS));
     }
 
     #[test]

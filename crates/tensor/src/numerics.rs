@@ -9,9 +9,9 @@
 //!   equality tests, checkpoints, and DDP replica invariance run in this
 //!   mode.
 //! - [`NumericsMode::Fast`] opts into the explicit-SIMD tier
-//!   (`crate::simd`): 8-lane reassociated reductions and AVX2 FMA kernels
-//!   where the CPU supports them, with a hand-unrolled 8-accumulator
-//!   portable fallback otherwise. Fast-mode results are *not* bitwise
+//!   (`crate::simd`): 8-lane reassociated reductions, each kernel one body
+//!   that runs on `__m256` with FMA where the CPU has AVX2 and on a plain
+//!   `[f32; 8]` otherwise. Fast-mode results are *not* bitwise
 //!   reproducible against exact mode; they are held to the documented
 //!   relative-error tolerances pinned by `tensor/tests/fast_numerics.rs`
 //!   (see DESIGN.md "Numerics modes").
@@ -111,12 +111,20 @@ pub fn current_numerics() -> NumericsMode {
     }
 }
 
+/// Whether kernels issued from the calling thread run the relaxed SIMD tier.
+/// Kernels ask once at entry, on the issuing thread, so a single call never
+/// mixes tiers across pool bands.
+pub(crate) fn fast() -> bool {
+    current_numerics() == NumericsMode::Fast
+}
+
 /// Which SIMD instruction tier the fast kernels dispatch to on this host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdTier {
-    /// AVX2 + FMA `std::arch` intrinsics (f32x8).
+    /// The kernels over `__m256`: AVX2 + FMA `std::arch` intrinsics.
     Avx2,
-    /// Hand-unrolled 8-lane portable fallback.
+    /// The same kernels over `[f32; 8]`: no FMA, whatever the compiler
+    /// makes of array arithmetic on the build's target.
     Portable,
 }
 

@@ -16,9 +16,16 @@
 //! Jobs from concurrent submitter threads serialize on a submit lock; the
 //! submitting thread always participates in its own job, so a pool with
 //! zero spawned workers (thread count 1) degrades to the serial loop.
+//!
+//! [`par_bands`] is that caller-side partition, written once: the matmul and
+//! fused kernels give it their output buffers and get back, per task, the
+//! rows that task owns as ordinary `&mut` slices.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
+
+use crate::matmul::{current_threads, should_parallelize};
 
 /// Type-erased pointer to a job's task closure.
 ///
@@ -30,6 +37,7 @@ struct TaskPtr(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` (shared-callable from any thread) and the
 // pool only dereferences it while the owning `run` call keeps it alive.
 unsafe impl Send for TaskPtr {}
+// SAFETY: as for `Send` — a shared `TaskPtr` is only ever read and called.
 unsafe impl Sync for TaskPtr {}
 
 #[derive(Clone, Copy)]
@@ -206,6 +214,76 @@ impl Pool {
     }
 }
 
+/// One output buffer of a banded kernel — `rows` rows of `width` elements —
+/// that the tasks of one [`Pool::run`] take disjoint row bands of.
+struct Banded<'a, T> {
+    ptr: *mut T,
+    width: usize,
+    /// The buffer stays mutably borrowed for as long as bands can be taken.
+    _buffer: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: sharing a `Banded` only lets threads take bands, `par_bands` hands
+// every task a band no other task gets, and a band is a `&mut [T]`, which may
+// move to another thread when `T: Send`.
+unsafe impl<T: Send> Sync for Banded<'_, T> {}
+
+/// The one band splitter of the matmul and fused kernels: runs
+/// `run(lo, hi, bands)` over row bands `[lo, hi)` of a `rows`-row problem,
+/// where `bands[i]` is rows `lo..hi` of `outs[i].0`, a buffer of `rows` rows
+/// of `outs[i].1` elements. On the worker pool when the FLOP gate
+/// ([`should_parallelize`]) passes, as the single band `[0, rows)` on the
+/// calling thread otherwise.
+///
+/// The partition is a pure function of `(rows, threads)` — `threads` bands
+/// of `rows.div_ceil(threads)` rows — and each task can write only its own
+/// rows, so whatever `run` computes per row is bit-identical at every thread
+/// count (including 1).
+///
+/// # Panics
+///
+/// Panics if a buffer is not `rows × width` long.
+pub(crate) fn par_bands<T: Send, const N: usize>(
+    rows: usize,
+    flops: usize,
+    outs: [(&mut [T], usize); N],
+    run: impl Fn(usize, usize, [&mut [T]; N]) + Sync,
+) {
+    for (out, width) in &outs {
+        assert_eq!(
+            out.len(),
+            rows * width,
+            "par_bands: buffer is not rows x width"
+        );
+    }
+    let threads = current_threads();
+    if !should_parallelize(threads, rows, flops) {
+        run(0, rows, outs.map(|(out, _)| out));
+        return;
+    }
+    let band = rows.div_ceil(threads);
+    let outs = outs.map(|(out, width)| Banded {
+        ptr: out.as_mut_ptr(),
+        width,
+        _buffer: PhantomData,
+    });
+    Pool::run(threads, rows.div_ceil(band), &|t| {
+        let (lo, hi) = (t * band, ((t + 1) * band).min(rows));
+        let bands = outs.each_ref().map(|out| {
+            // SAFETY: `lo..hi` lies inside `0..rows` and the buffer holds
+            // `rows * width` elements (asserted above), so the range is in
+            // bounds; `Pool::run` calls each `t` exactly once and bands of
+            // different `t` are disjoint, so no other reference to these
+            // rows exists; and it returns only after every task has, so the
+            // borrow `Banded` holds outlives the slice.
+            unsafe {
+                std::slice::from_raw_parts_mut(out.ptr.add(lo * out.width), (hi - lo) * out.width)
+            }
+        });
+        run(lo, hi, bands);
+    });
+}
+
 /// Snapshot of the global pool's counters.
 pub fn stats() -> PoolStats {
     let pool = Pool::global();
@@ -258,6 +336,57 @@ mod tests {
     #[test]
     fn zero_tasks_is_a_no_op() {
         Pool::run(8, 0, &|_| panic!("no tasks to run"));
+    }
+
+    /// Flops that pass the gate, so only the row count decides.
+    const OVER_GATE: usize = 1 << 30;
+
+    #[test]
+    fn par_bands_hands_each_row_to_exactly_one_task() {
+        let rows = 37;
+        for threads in [1usize, 2, 4, 8] {
+            let _pin = crate::ThreadOverrideGuard::new(threads);
+            let (mut wide, mut narrow) = (vec![0u32; rows * 5], vec![0u32; rows]);
+            par_bands(
+                rows,
+                OVER_GATE,
+                [(&mut wide[..], 5), (&mut narrow[..], 1)],
+                |lo, hi, [wband, nband]| {
+                    assert_eq!((wband.len(), nband.len()), ((hi - lo) * 5, hi - lo));
+                    for (r, (wrow, n)) in (lo..hi).zip(wband.chunks_exact_mut(5).zip(nband)) {
+                        wrow.iter_mut().for_each(|w| *w += r as u32 + 1);
+                        *n += r as u32 + 1;
+                    }
+                },
+            );
+            for r in 0..rows {
+                assert_eq!(narrow[r], r as u32 + 1, "threads={threads} row {r}");
+                assert_eq!(wide[r * 5..r * 5 + 5], [r as u32 + 1; 5], "row {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_bands_below_the_gate_is_one_serial_band() {
+        let _pin = crate::ThreadOverrideGuard::new(4);
+        let calls = AtomicUsize::new(0);
+        let mut out = vec![0.0f64; 64];
+        par_bands(64, 1, [(&mut out[..], 1)], |lo, hi, [band]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            assert_eq!((lo, hi, band.len()), (0, 64, 64));
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        // No rows at all is still one (empty) band, not a division by zero.
+        par_bands(0, OVER_GATE, [(&mut out[..0], 3)], |lo, hi, [band]| {
+            assert_eq!((lo, hi, band.len()), (0, 0, 0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "par_bands: buffer is not rows x width")]
+    fn par_bands_rejects_a_buffer_of_the_wrong_size() {
+        let mut out = [0.0f32; 10];
+        par_bands(4, OVER_GATE, [(&mut out[..], 3)], |_, _, _| {});
     }
 
     #[test]

@@ -4,83 +4,411 @@
 //! exact counterpart in `matmul.rs` / `fused.rs`, but relaxes the bitwise
 //! contract: reductions run over 8 independent lanes and are combined at
 //! the end (reassociation), multiplies and adds contract into FMA where
-//! the hardware has it, and `exp` uses a vectorized polynomial instead of
-//! libm. Two implementations back each entry point:
+//! the hardware has it, and `exp` is a vectorized polynomial instead of
+//! libm. These kernels must never be reached from exact mode — callers gate
+//! on [`crate::numerics::current_numerics`].
 //!
-//! - **AVX2 + FMA** via `std::arch` f32x8 intrinsics, selected when the
+//! # One body per kernel
+//!
+//! Each kernel is written once, as `fn <kernel>_body<L: Lanes>`, in safe
+//! slice code (`as_chunks::<8>` for the vector part, a scalar loop for the
+//! tail) over the private 8-lane trait `Lanes`. The trait's contract: a
+//! value is eight `f32` lanes; every operation is lane-wise and IEEE
+//! (`max`/`min` return the *second* operand on a tie or NaN, as `maxps`
+//! does); `fma`/`fnma` may round once or twice; `pow2` takes integer-valued
+//! lanes; `hsum` and `exp` are provided on top of those and are therefore
+//! the same tree and the same polynomial everywhere. Two types implement it:
+//!
+//! - `Avx(__m256)`, one intrinsic per operation (`fma` is `vfmadd`), entered
+//!   through a `#[target_feature(enable = "avx2,fma")]` function when the
 //!   one-shot runtime probe ([`crate::numerics::simd_tier`]) reports
-//!   [`SimdTier::Avx2`];
-//! - a **portable fallback** written as hand-unrolled 8-lane loops with
-//!   the same reassociated lane structure, so both tiers satisfy the same
-//!   tolerance contract (and LLVM still autovectorizes the lanes on
-//!   whatever the target baseline is).
+//!   [`SimdTier::Avx2`]. The selection is made at run time, from the
+//!   platform, so that a binary built for baseline x86-64 still reaches
+//!   `vfmadd` — and so that the bits do not depend on `target-cpu`.
+//! - `Portable([f32; 8])`, plain array arithmetic (`fma` is multiply then
+//!   add), for every other host. Same lane structure, same accumulator
+//!   counts, same polynomial, so it sits in the same tolerance envelope;
+//!   where no FMA or reduction is involved it is bit-equal to `Avx`. The
+//!   unit tests below run both side by side on every kernel, which is the
+//!   only place an AVX2 host executes it.
+//!
+//! There is no third instantiation (AVX-512, NEON): nothing here is measured
+//! on such a host, and a type nobody runs is what the old `portable` module
+//! was. Adding one is an `impl Lanes` and a `by_tier!` arm, not new kernels.
+//!
+//! The array form alone is **not** enough, which is why `Avx` exists.
+//! Deleting the intrinsics and letting `target-cpu=native` autovectorise
+//! `Portable` was measured: LLVM's SLP pass picks 2-lane vectors for the
+//! reductions and spills the `exp` chain — `dot` 2.3×, `adam_weight_update`
+//! 1.75×, `softmax_exp_sum` 2.2×, `silu_mul` 1.6× slower with bounds checks
+//! already hoisted (2× / 3.7× / 4× and `attn_scores_bf16` 2.5× before), and
+//! `int8_out_tok_per_s` −8 % on `decode-batch`.
+//!
+//! To add a kernel: write `fn foo_body<L: Lanes>(…)` with
+//! `#[inline(always)]` (it must inline into the `#[target_feature]` entry,
+//! or each lane operation becomes a call), using only `Lanes` operations and
+//! scalar code; add `pub fn foo` that asserts every length the body relies
+//! on and ends in `by_tier!(foo_body(args…))`; add a row to
+//! `tests/simd_golden.rs` and a case to `bodies_agree_across_lane_types`.
 //!
 //! Accuracy contract (pinned by `tensor/tests/fast_numerics.rs`, see
 //! DESIGN.md "Numerics modes"): dot-product-shaped reductions over `k`
 //! terms stay within a relative error of a few `k`-scaled ULPs of the
 //! exact kernels; the polynomial `exp` is accurate to ≲2 ULP over the
-//! softmax/SiLU input range. These kernels must never be reached from
-//! exact mode — callers gate on [`crate::numerics::current_numerics`].
+//! softmax/SiLU input range. On the AVX2 tier the bits themselves are
+//! pinned by `tensor/tests/simd_golden.rs`.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
+
+use crate::bf16::bf16_decode;
 use crate::numerics::{simd_tier, SimdTier};
+
+// ---------------------------------------------------------------------------
+// The lane abstraction
+// ---------------------------------------------------------------------------
+
+/// Eight `f32` lanes; see the module docs for the contract.
+trait Lanes: Copy {
+    fn splat(v: f32) -> Self;
+    fn load(src: &[f32; 8]) -> Self;
+    /// Eight `i8` widened to `f32`.
+    fn load_i8(src: &[i8; 8]) -> Self;
+    /// Eight BF16 payloads widened to `f32` (shift-left-16 bit cast).
+    fn load_bf16(src: &[u16; 8]) -> Self;
+    fn store(self, dst: &mut [f32; 8]);
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn mul(self, o: Self) -> Self;
+    fn div(self, o: Self) -> Self;
+    /// `self > o ? self : o` per lane.
+    fn max(self, o: Self) -> Self;
+    /// `self < o ? self : o` per lane.
+    fn min(self, o: Self) -> Self;
+    /// `self · b + c`.
+    fn fma(self, b: Self, c: Self) -> Self;
+    /// `c − self · b`.
+    fn fnma(self, b: Self, c: Self) -> Self;
+    fn floor(self) -> Self;
+    fn sqrt(self) -> Self;
+    /// `2^self` for integer-valued lanes in `[−127, 128]`, built in the
+    /// exponent field (−127 gives 0, 128 gives +∞).
+    fn pow2(self) -> Self;
+
+    #[inline(always)]
+    fn lanes(self) -> [f32; 8] {
+        let mut out = [0.0; 8];
+        self.store(&mut out);
+        out
+    }
+
+    /// Horizontal sum as a fixed pairwise tree: halves, then quarters, then
+    /// the last pair.
+    #[inline(always)]
+    fn hsum(self) -> f32 {
+        let l = self.lanes();
+        ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
+    }
+
+    /// Polynomial `exp` (Cephes-style), ≲2 ULP over the softmax/SiLU range;
+    /// inputs are clamped to ±88.37 so extremes saturate to 0 / +∞ like
+    /// libm does.
+    #[inline(always)]
+    fn exp(self) -> Self {
+        let s = Self::splat;
+        let x = self.max(s(-88.376_26)).min(s(88.376_26));
+        let fx = x.fma(s(std::f32::consts::LOG2_E), s(0.5)).floor();
+        // x −= fx·ln2, split into high/low parts for accuracy.
+        let x = fx.fnma(s(0.693_359_4), x);
+        let x = fx.fnma(s(-2.121_944_4e-4), x);
+        let z = x.mul(x);
+        let mut y = s(1.987_569_1e-4);
+        y = y.fma(x, s(1.398_199_9e-3));
+        y = y.fma(x, s(8.333_452e-3));
+        y = y.fma(x, s(4.166_579_6e-2));
+        y = y.fma(x, s(1.666_666_5e-1));
+        y = y.fma(x, s(0.5));
+        y = y.fma(z, x);
+        y.add(s(1.0)).mul(fx.pow2())
+    }
+}
+
+/// The AVX2 + FMA instantiation: one `__m256`, one intrinsic per operation.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx(__m256);
+
+/// The lane-wise register-to-register operations of [`Avx`], which share
+/// one shape and one safety argument.
+#[cfg(target_arch = "x86_64")]
+macro_rules! avx_ops {
+    ($($name:ident($($arg:ident),*) = $intrinsic:ident;)*) => {$(
+        #[inline(always)]
+        fn $name(self $(, $arg: Self)*) -> Self {
+            // SAFETY: `Avx` values are only made inside `by_tier!`'s
+            // `#[target_feature]` entry (or a test) after the avx2+fma
+            // probe passed; the intrinsic has no other requirement.
+            Avx(unsafe { $intrinsic(self.0 $(, $arg.0)*) })
+        }
+    )*};
+}
+
+// Every method's requirement is the CPU features, which hold wherever an
+// `Avx` can exist (see `avx_ops!`); the pointer intrinsics additionally read
+// or write exactly the array their reference argument borrows.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx {
+    avx_ops! {
+        add(o) = _mm256_add_ps;
+        sub(o) = _mm256_sub_ps;
+        mul(o) = _mm256_mul_ps;
+        div(o) = _mm256_div_ps;
+        max(o) = _mm256_max_ps;
+        min(o) = _mm256_min_ps;
+        fma(b, c) = _mm256_fmadd_ps;
+        fnma(b, c) = _mm256_fnmadd_ps;
+        floor() = _mm256_floor_ps;
+        sqrt() = _mm256_sqrt_ps;
+    }
+
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        // SAFETY: avx2+fma probed, as for `avx_ops!`.
+        Avx(unsafe { _mm256_set1_ps(v) })
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32; 8]) -> Self {
+        // SAFETY: avx2+fma probed; unaligned 32-byte read of `*src`.
+        Avx(unsafe { _mm256_loadu_ps(src.as_ptr()) })
+    }
+
+    #[inline(always)]
+    fn load_i8(src: &[i8; 8]) -> Self {
+        // SAFETY: avx2+fma probed; unaligned 8-byte read of `*src`.
+        Avx(unsafe {
+            _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_loadl_epi64(src.as_ptr().cast())))
+        })
+    }
+
+    #[inline(always)]
+    fn load_bf16(src: &[u16; 8]) -> Self {
+        // SAFETY: avx2+fma probed; unaligned 16-byte read of `*src`.
+        Avx(unsafe {
+            let wide = _mm256_cvtepu16_epi32(_mm_loadu_si128(src.as_ptr().cast()));
+            _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16))
+        })
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32; 8]) {
+        // SAFETY: avx2+fma probed; unaligned 32-byte write of `*dst`.
+        unsafe { _mm256_storeu_ps(dst.as_mut_ptr(), self.0) }
+    }
+
+    #[inline(always)]
+    fn pow2(self) -> Self {
+        // SAFETY: avx2+fma probed, as for `avx_ops!`.
+        Avx(unsafe {
+            let biased = _mm256_add_epi32(_mm256_cvttps_epi32(self.0), _mm256_set1_epi32(127));
+            _mm256_castsi256_ps(_mm256_slli_epi32(biased, 23))
+        })
+    }
+}
+
+/// The everywhere-else instantiation: the same eight lanes as an array.
+#[derive(Clone, Copy)]
+struct Portable([f32; 8]);
+
+/// The lane-wise operations of [`Portable`], each from its scalar form.
+macro_rules! portable_ops {
+    ($($name:ident($($arg:ident),*) = $scalar:expr;)*) => {$(
+        #[inline(always)]
+        fn $name(self $(, $arg: Self)*) -> Self {
+            Portable(std::array::from_fn(|i| $scalar(self.0[i] $(, $arg.0[i])*)))
+        }
+    )*};
+}
+
+impl Lanes for Portable {
+    portable_ops! {
+        add(o) = |a: f32, b: f32| a + b;
+        sub(o) = |a: f32, b: f32| a - b;
+        mul(o) = |a: f32, b: f32| a * b;
+        div(o) = |a: f32, b: f32| a / b;
+        max(o) = |a: f32, b: f32| if a > b { a } else { b };
+        min(o) = |a: f32, b: f32| if a < b { a } else { b };
+        fma(b, c) = |a: f32, b: f32, c: f32| a * b + c;
+        fnma(b, c) = |a: f32, b: f32, c: f32| c - a * b;
+        floor() = f32::floor;
+        sqrt() = f32::sqrt;
+        pow2() = |v: f32| f32::from_bits(((v as i32 + 127) << 23) as u32);
+    }
+
+    #[inline(always)]
+    fn splat(v: f32) -> Self {
+        Portable([v; 8])
+    }
+
+    #[inline(always)]
+    fn load(src: &[f32; 8]) -> Self {
+        Portable(*src)
+    }
+
+    #[inline(always)]
+    fn load_i8(src: &[i8; 8]) -> Self {
+        Portable(src.map(f32::from))
+    }
+
+    #[inline(always)]
+    fn load_bf16(src: &[u16; 8]) -> Self {
+        Portable(src.map(bf16_decode))
+    }
+
+    #[inline(always)]
+    fn store(self, dst: &mut [f32; 8]) {
+        *dst = self.0;
+    }
+}
+
+/// An element type the kernels widen to `f32` in registers: `f32` itself, a
+/// quantised `i8`, or a BF16 payload.
+trait Operand: Copy {
+    fn widen(self) -> f32;
+    fn load<L: Lanes>(src: &[Self; 8]) -> L;
+}
+
+macro_rules! operand {
+    ($elem:ty, $widen:expr, $load:ident) => {
+        impl Operand for $elem {
+            #[inline(always)]
+            fn widen(self) -> f32 {
+                $widen(self)
+            }
+            #[inline(always)]
+            fn load<L: Lanes>(src: &[$elem; 8]) -> L {
+                L::$load(src)
+            }
+        }
+    };
+}
+
+operand!(f32, std::convert::identity, load);
+operand!(i8, f32::from, load_i8);
+operand!(u16, bf16_decode, load_bf16);
+
+/// Runs `body::<L>(args)` on the lane type the probe selects. The entry
+/// function is what carries the CPU features: the `#[inline(always)]` body
+/// and every `Avx` operation inline into it and are compiled as AVX2 code,
+/// whatever the crate's own target is.
+macro_rules! by_tier {
+    ($(#[$attr:meta])* $body:ident $(::<$elem:ty>)? ($($arg:ident: $ty:ty),*) $(-> $ret:ty)?) => {{
+        #[cfg(target_arch = "x86_64")]
+        if simd_tier() == SimdTier::Avx2 {
+            $(#[$attr])*
+            #[target_feature(enable = "avx2,fma")]
+            fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $body::<Avx $(, $elem)?>($($arg),*)
+            }
+            // SAFETY: the probe found avx2 and fma on this CPU.
+            return unsafe { avx2($($arg),*) };
+        }
+        $body::<Portable $(, $elem)?>($($arg),*)
+    }};
+}
 
 // ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
 
-/// Reassociated dot product `Σ a[i]·b[i]` (8 lanes + FMA on AVX2).
+/// Reassociated dot product `Σ a[i]·b[i]` (two 8-lane accumulators, FMA on
+/// AVX2).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "simd::dot: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        return unsafe { avx2::dot(a, b) };
+    by_tier!(dot_body(a: &[f32], b: &[f32]) -> f32)
+}
+
+#[inline(always)]
+fn dot_body<L: Lanes>(a: &[f32], b: &[f32]) -> f32 {
+    let ((ac, at), (bc, bt)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    let (apairs, bpairs) = (ac.chunks_exact(2), bc.chunks_exact(2));
+    let odd = (apairs.remainder(), bpairs.remainder());
+    let (mut acc0, mut acc1) = (L::splat(0.0), L::splat(0.0));
+    for (a2, b2) in apairs.zip(bpairs) {
+        acc0 = L::load(&a2[0]).fma(L::load(&b2[0]), acc0);
+        acc1 = L::load(&a2[1]).fma(L::load(&b2[1]), acc1);
     }
-    portable::dot(a, b)
+    // A vector left over after the 16-wide steps joins the first chain.
+    if let ([av], [bv]) = odd {
+        acc0 = L::load(av).fma(L::load(bv), acc0);
+    }
+    acc0.add(acc1).hsum() + dot_tail(at, bt)
+}
+
+/// The sub-vector remainder of a dot product: one ascending chain from 0.
+#[inline(always)]
+fn dot_tail<T: Operand>(a: &[f32], b: &[T]) -> f32 {
+    a.iter()
+        .zip(b)
+        .fold(0.0, |acc, (&av, &bv)| acc + av * bv.widen())
+}
+
+/// One-accumulator dot product against an [`Operand`] slice: the body of
+/// [`sum_squares`] (`a` against itself) and of each position of
+/// [`attn_scores_bf16`].
+#[inline(always)]
+fn dot1_body<L: Lanes, T: Operand>(a: &[f32], b: &[T]) -> f32 {
+    let ((ac, at), (bc, bt)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    let acc = ac.iter().zip(bc).fold(L::splat(0.0), |acc, (av, bv)| {
+        L::load(av).fma(T::load(bv), acc)
+    });
+    acc.hsum() + dot_tail(at, bt)
 }
 
 /// Reassociated sum of squares `Σ x[i]²`.
 pub fn sum_squares(x: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        return unsafe { avx2::sum_squares(x) };
-    }
-    portable::sum_squares(x)
+    let (a, b) = (x, x);
+    by_tier!(dot1_body::<f32>(a: &[f32], b: &[f32]) -> f32)
 }
 
 /// Maximum element (`f32::max` fold; NaN-free inputs by contract).
 pub fn max_slice(x: &[f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        return unsafe { avx2::max_slice(x) };
+    by_tier!(max_slice_body(x: &[f32]) -> f32)
+}
+
+#[inline(always)]
+fn max_slice_body<L: Lanes>(x: &[f32]) -> f32 {
+    let (chunks, tail) = x.as_chunks::<8>();
+    let mut best = f32::MIN;
+    if let Some((first, rest)) = chunks.split_first() {
+        let m = rest.iter().fold(L::load(first), |m, c| m.max(L::load(c)));
+        best = m.lanes().into_iter().fold(best, f32::max);
     }
-    portable::max_slice(x)
+    tail.iter().fold(best, |best, &v| best.max(v))
 }
 
 // ---------------------------------------------------------------------------
 // Elementwise chains
 // ---------------------------------------------------------------------------
 
-/// `out[i] += s · x[i]` (FMA on AVX2).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy(out: &mut [f32], s: f32, x: &[f32]) {
-    assert_eq!(out.len(), x.len(), "simd::axpy: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::axpy(out, s, x) };
-        return;
+/// `out[i] += s · x[i]` over any [`Operand`] (FMA on AVX2; the tail is a
+/// scalar multiply then add): the inner loop of [`gemv_band`] (`f32`) and of
+/// [`i8_gemv`]'s segment walk (`i8`, converted in registers so the f32
+/// weight row is never materialized).
+#[inline(always)]
+fn axpy_body<L: Lanes, T: Operand>(out: &mut [f32], s: f32, x: &[T]) {
+    let sv = L::splat(s);
+    let ((oc, ot), (xc, xt)) = (out.as_chunks_mut::<8>(), x.as_chunks::<8>());
+    for (o, xv) in oc.iter_mut().zip(xc) {
+        sv.fma(T::load(xv), L::load(o)).store(o);
     }
-    portable::axpy(out, s, x);
+    for (o, &xv) in ot.iter_mut().zip(xt) {
+        *o += s * xv.widen();
+    }
 }
 
 /// RMSNorm write: `out[i] = x[i] · inv · gain[i]`.
@@ -91,17 +419,24 @@ pub fn axpy(out: &mut [f32], s: f32, x: &[f32]) {
 pub fn scale_gain(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
     assert_eq!(out.len(), x.len(), "simd::scale_gain: length mismatch");
     assert_eq!(out.len(), gain.len(), "simd::scale_gain: gain mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::scale_gain(out, x, inv, gain) };
-        return;
+    by_tier!(scale_gain_body(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]))
+}
+
+#[inline(always)]
+fn scale_gain_body<L: Lanes>(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
+    let iv = L::splat(inv);
+    let ((oc, ot), (xc, xt)) = (out.as_chunks_mut::<8>(), x.as_chunks::<8>());
+    let (gc, gt) = gain.as_chunks::<8>();
+    for ((o, xv), gv) in oc.iter_mut().zip(xc).zip(gc) {
+        L::load(xv).mul(iv).mul(L::load(gv)).store(o);
     }
-    portable::scale_gain(out, x, inv, gain);
+    for ((o, &xv), &gv) in ot.iter_mut().zip(xt).zip(gt) {
+        *o = xv * inv * gv;
+    }
 }
 
 /// SwiGLU forward: `out[i] = a[i] · σ(a[i]) · b[i]` with the vectorized
-/// polynomial `exp` on AVX2 (scalar libm `exp` on the portable tier).
+/// polynomial `exp` (scalar libm `exp` in the sub-vector tail).
 ///
 /// # Panics
 ///
@@ -109,29 +444,57 @@ pub fn scale_gain(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
 pub fn silu_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), b.len(), "simd::silu_mul: length mismatch");
     assert_eq!(a.len(), out.len(), "simd::silu_mul: out mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::silu_mul(a, b, out) };
-        return;
+    by_tier!(silu_mul_body(a: &[f32], b: &[f32], out: &mut [f32]))
+}
+
+#[inline(always)]
+fn silu_mul_body<L: Lanes>(a: &[f32], b: &[f32], out: &mut [f32]) {
+    let (zero, one) = (L::splat(0.0), L::splat(1.0));
+    let ((ac, at), (bc, bt)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    let (oc, ot) = out.as_chunks_mut::<8>();
+    for ((o, av), bv) in oc.iter_mut().zip(ac).zip(bc) {
+        let av = L::load(av);
+        // σ(a) = 1 / (1 + e^{−a}); silu = a·σ(a).
+        let sig = one.div(one.add(zero.sub(av).exp()));
+        av.mul(sig).mul(L::load(bv)).store(o);
     }
-    portable::silu_mul(a, b, out);
+    for ((o, &av), &bv) in ot.iter_mut().zip(at).zip(bt) {
+        *o = av / (1.0 + (-av).exp()) * bv;
+    }
 }
 
 /// Softmax inner pass: `row[i] = exp(row[i] − maxv)`, returning the
 /// reassociated sum of the exponentials.
 pub fn softmax_exp_sum(row: &mut [f32], maxv: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        return unsafe { avx2::softmax_exp_sum(row, maxv) };
+    by_tier!(softmax_exp_sum_body(row: &mut [f32], maxv: f32) -> f32)
+}
+
+#[inline(always)]
+fn softmax_exp_sum_body<L: Lanes>(row: &mut [f32], maxv: f32) -> f32 {
+    let mv = L::splat(maxv);
+    let (chunks, tail) = row.as_chunks_mut::<8>();
+    let mut acc = L::splat(0.0);
+    for c in chunks {
+        let e = L::load(c).sub(mv).exp();
+        e.store(c);
+        acc = acc.add(e);
     }
-    portable::softmax_exp_sum(row, maxv)
+    let mut tail_sum = 0.0f32;
+    for e in tail {
+        *e = (*e - maxv).exp();
+        tail_sum += *e;
+    }
+    acc.hsum() + tail_sum
 }
 
 /// Fused Adam element chain (the fast arm of `fused_adam_update`):
 /// updates `m`/`v` in place and writes
-/// `w ← w · decay − lr · (m/bc₁)/(√(v/bc₂) + eps)`.
+/// `w ← w · decay − lr · (m/bc₁)/(√(v/bc₂) + eps)`, the divides by `bc`
+/// as multiplies by the reciprocal.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
 #[allow(clippy::too_many_arguments)]
 pub fn adam_weight_update(
     w: &mut [f32],
@@ -149,13 +512,49 @@ pub fn adam_weight_update(
     assert_eq!(w.len(), g.len(), "simd::adam_weight_update: w/g mismatch");
     assert_eq!(m.len(), g.len(), "simd::adam_weight_update: m/g mismatch");
     assert_eq!(v.len(), g.len(), "simd::adam_weight_update: v/g mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::adam_weight_update(w, g, m, v, beta1, beta2, bc1, bc2, eps, lr, decay) };
-        return;
+    by_tier!(adam_weight_update_body(
+        w: &mut [f32], g: &[f32], m: &mut [f32], v: &mut [f32], beta1: f32, beta2: f32,
+        bc1: f32, bc2: f32, eps: f32, lr: f32, decay: f32
+    ))
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn adam_weight_update_body<L: Lanes>(
+    w: &mut [f32],
+    g: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    beta1: f32,
+    beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+    lr: f32,
+    decay: f32,
+) {
+    let (ob1, ob2, ibc1, ibc2) = (1.0 - beta1, 1.0 - beta2, 1.0 / bc1, 1.0 / bc2);
+    let s = L::splat;
+    let ((wc, wt), (gc, gt)) = (w.as_chunks_mut::<8>(), g.as_chunks::<8>());
+    let ((mc, mt), (vc, vt)) = (m.as_chunks_mut::<8>(), v.as_chunks_mut::<8>());
+    for (((wo, gv), mo), vo) in wc.iter_mut().zip(gc).zip(mc).zip(vc) {
+        let gv = L::load(gv);
+        let mv = s(beta1).fma(L::load(mo), s(ob1).mul(gv));
+        let vv = s(beta2).fma(L::load(vo), s(ob2).mul(gv).mul(gv));
+        mv.store(mo);
+        vv.store(vo);
+        let denom = vv.mul(s(ibc2)).sqrt().add(s(eps));
+        let u = mv.mul(s(ibc1)).div(denom);
+        L::load(wo).fma(s(decay), s(-lr).mul(u)).store(wo);
     }
-    portable::adam_weight_update(w, g, m, v, beta1, beta2, bc1, bc2, eps, lr, decay);
+    for (((wo, &gv), mo), vo) in wt.iter_mut().zip(gt).zip(mt).zip(vt) {
+        let mv = beta1 * *mo + ob1 * gv;
+        let vv = beta2 * *vo + ob2 * gv * gv;
+        *mo = mv;
+        *vo = vv;
+        let u = (mv * ibc1) / ((vv * ibc2).sqrt() + eps);
+        *wo = *wo * decay + (-lr) * u;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -166,62 +565,79 @@ pub fn adam_weight_update(
 /// `j ∈ [lo, hi)`, `p` outer with one broadcast and FMA over contiguous
 /// 8-lane `b` runs. Per-element accumulation order matches the exact
 /// kernel (`p` ascending); only the multiply-add contraction differs.
-pub fn gemv_band(arow: &[f32], b: &[f32], n: usize, lo: usize, hi: usize, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), hi - lo);
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::gemv_band(arow, b, n, lo, hi, out) };
-        return;
-    }
-    portable::gemv_band(arow, b, n, lo, hi, out);
-}
-
-/// Fast full-width packed register tile (width 32, the packed kernels'
-/// `NR`): `orow[j] = Σ_p arow[p] · block[p·32 + j]` with four f32x8 FMA
-/// accumulators on AVX2.
 ///
 /// # Panics
 ///
-/// Panics if `orow` is not exactly 32 wide.
+/// Panics unless `lo ≤ hi ≤ n`, `out` is `hi − lo` long and `b` holds
+/// `arow.len()` rows of `n`.
+pub fn gemv_band(arow: &[f32], b: &[f32], n: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    assert!(lo <= hi && hi <= n, "simd::gemv_band: band outside 0..n");
+    assert_eq!(out.len(), hi - lo, "simd::gemv_band: out is not the band");
+    assert!(arow.len() * n <= b.len(), "simd::gemv_band: b too short");
+    by_tier!(gemv_band_body(arow: &[f32], b: &[f32], n: usize, lo: usize, out: &mut [f32]))
+}
+
+/// The band is `out.len()` wide from column `lo`: taking each `b` row's
+/// share at that length is what lets one chunking of `out` serve every row.
+#[inline(always)]
+fn gemv_band_body<L: Lanes>(arow: &[f32], b: &[f32], n: usize, lo: usize, out: &mut [f32]) {
+    let mut at = lo;
+    for &av in arow {
+        axpy_body::<L, f32>(out, av, &b[at..at + out.len()]);
+        at += n;
+    }
+}
+
+/// Fast full-width packed register tile (width 32, the packed kernels'
+/// `NR`): `orow[j] = Σ_p arow[p] · block[p·32 + j]` with four 8-lane FMA
+/// accumulators.
+///
+/// # Panics
+///
+/// Panics if `orow` is not exactly 32 wide or `block` holds fewer than
+/// `arow.len()` rows of 32.
 pub fn tile_packed32(arow: &[f32], block: &[f32], orow: &mut [f32]) {
     assert_eq!(orow.len(), 32, "simd::tile_packed32: tile must be 32 wide");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::tile_packed32(arow, block, orow) };
-        return;
+    assert!(
+        block.len() >= arow.len() * 32,
+        "simd::tile_packed32: block too short"
+    );
+    by_tier!(tile_packed32_body(arow: &[f32], block: &[f32], orow: &mut [f32]))
+}
+
+#[inline(always)]
+fn tile_packed32_body<L: Lanes>(arow: &[f32], block: &[f32], orow: &mut [f32]) {
+    let mut acc = [L::splat(0.0); 4];
+    for (brow, &av) in block.as_chunks::<32>().0.iter().zip(arow) {
+        let sv = L::splat(av);
+        for (a, bv) in acc.iter_mut().zip(brow.as_chunks::<8>().0) {
+            *a = sv.fma(L::load(bv), *a);
+        }
     }
-    portable::tile_packed32(arow, block, orow);
+    for (a, o) in acc.into_iter().zip(orow.as_chunks_mut::<8>().0) {
+        a.store(o);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Quantized / reduced-precision operand kernels
 // ---------------------------------------------------------------------------
 
-/// INT8 dequant-axpy: `out[j] += s · q[j]` converting each `i8` lane to
-/// `f32` in registers — the inner loop of the fused dequant-gemv, which
-/// never materializes the f32 weight row.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn i8_axpy(out: &mut [f32], s: f32, q: &[i8]) {
-    assert_eq!(out.len(), q.len(), "simd::i8_axpy: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::i8_axpy(out, s, q) };
-        return;
-    }
-    portable::i8_axpy(out, s, q);
-}
-
 /// Fused group-quantized INT8 GEMV:
 /// `out[j] += x[p] · scales[(p·cols + j)/group] · q[p·cols + j]` summed
 /// over `p` — one dispatched call for the whole matrix-vector product,
-/// walking constant-scale row segments internally and converting `i8`
-/// lanes to f32 in registers. Zero `x[p]` rows are skipped.
+/// converting `i8` lanes to f32 in registers.
+///
+/// Two walks, chosen from the shape. When both `cols` and `group` are
+/// multiples of 64, every 64-lane column panel of every row sits inside a
+/// single quantization group, so the panel accumulates in eight vector
+/// registers across all rows with one scale broadcast per row — no per-row
+/// output traffic, no segment walk — and is added to `out` once. This
+/// covers the square projections, row-major `down`, and the LM head.
+/// Ragged widths (e.g. the 172-wide gate/up) walk each row's
+/// constant-scale segments instead, accumulating into `out` row by row and
+/// skipping rows whose `x[p]` is exactly zero (the panel walk does not
+/// skip them: for finite weights they add `±0`).
 ///
 /// # Panics
 ///
@@ -235,57 +651,91 @@ pub fn i8_gemv(x: &[f32], q: &[i8], scales: &[f32], cols: usize, group: usize, o
         scales.len() * group >= q.len(),
         "simd::i8_gemv: scales too short"
     );
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // Register-blocked fast path: when both `cols` and `group` are
-        // multiples of 64, every 64-lane column panel of every row sits
-        // inside a single quantization group, so the panel accumulates in
-        // eight ymm registers across all rows with one scale broadcast per
-        // row — no per-row output traffic, no segment walk. This covers
-        // the square projections, row-major `down`, and the LM head;
-        // ragged widths (e.g. the 172-wide gate/up) take the general
-        // segment-walking kernel.
-        // SAFETY: tier probe confirmed avx2+fma; bounds asserted above.
-        if cols.is_multiple_of(64) && group.is_multiple_of(64) {
-            unsafe { avx2::i8_gemv_panels(x, q, scales, cols, group, out) };
-        } else {
-            unsafe { avx2::i8_gemv(x, q, scales, cols, group, out) };
+    // Two walks, two entries: compiled as one function their loop nests
+    // share a register allocation, and the panel loop — eight accumulators
+    // and every loop invariant live — ends up reloading its invariants from
+    // the stack on each row (10-15 % on the decode shapes).
+    if cols.is_multiple_of(64) && group.is_multiple_of(64) {
+        by_tier!(#[inline(never)] i8_gemv_panels_body(
+            x: &[f32], q: &[i8], scales: &[f32], cols: usize, group: usize, out: &mut [f32]
+        ))
+    } else {
+        by_tier!(#[inline(never)] i8_gemv_segments_body(
+            x: &[f32], q: &[i8], scales: &[f32], cols: usize, group: usize, out: &mut [f32]
+        ))
+    }
+}
+
+/// The quantization group of a flat offset and the offset's position in it:
+/// a shift and a mask for the power-of-two groups everything here quantizes
+/// with. Any other group size pays a division per row, which costs more than
+/// a panel row's eight multiply-adds.
+#[inline(always)]
+fn group_of(flat: usize, group: usize) -> (usize, usize) {
+    if group.is_power_of_two() {
+        (flat >> group.trailing_zeros(), flat & (group - 1))
+    } else {
+        (flat / group, flat % group)
+    }
+}
+
+/// [`i8_gemv`] for `cols` and `group` both multiples of 64.
+#[inline(always)]
+fn i8_gemv_panels_body<L: Lanes>(
+    x: &[f32],
+    q: &[i8],
+    scales: &[f32],
+    cols: usize,
+    group: usize,
+    out: &mut [f32],
+) {
+    // `q` as rows of 64-wide panels, so that which panel of a row feeds
+    // output panel `panel` is an index whose bounds check leaves the row loop.
+    let (qpanels, per_row) = (q.as_chunks::<64>().0, cols / 64);
+    for (panel, opanel) in out.as_chunks_mut::<64>().0.iter_mut().enumerate() {
+        let mut acc = [L::splat(0.0); 8];
+        // Flat offset of the panel in the current row.
+        let mut flat = panel * 64;
+        for (qrow, &xv) in qpanels.chunks_exact(per_row).zip(x) {
+            let sv = L::splat(xv * scales[group_of(flat, group).0]);
+            for (a, qv) in acc.iter_mut().zip(qrow[panel].as_chunks::<8>().0) {
+                *a = sv.fma(L::load_i8(qv), *a);
+            }
+            flat += cols;
         }
-        return;
+        for (a, o) in acc.into_iter().zip(opanel.as_chunks_mut::<8>().0) {
+            L::load(o).add(a).store(o);
+        }
     }
-    portable::i8_gemv(x, q, scales, cols, group, out);
 }
 
-/// BF16-operand dot product: `Σ a[i] · decode(kb[i])`, widening each
-/// `u16` bf16 payload to f32 in registers (shift-left-16 bit cast).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot_bf16(a: &[f32], kb: &[u16]) -> f32 {
-    assert_eq!(a.len(), kb.len(), "simd::dot_bf16: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        return unsafe { avx2::dot_bf16(a, kb) };
+/// [`i8_gemv`] for every other shape (`cols > 0`: zero is a multiple of 64).
+#[inline(always)]
+fn i8_gemv_segments_body<L: Lanes>(
+    x: &[f32],
+    q: &[i8],
+    scales: &[f32],
+    cols: usize,
+    group: usize,
+    out: &mut [f32],
+) {
+    for (p, (qrow, &xv)) in q.chunks_exact(cols).zip(x).enumerate() {
+        if xv == 0.0 {
+            continue;
+        }
+        // The row's first segment is what is left of its first element's
+        // group; the rest are whole groups, so only the row asks `group_of`.
+        let (mut g, rem) = group_of(p * cols, group);
+        let (mut j, mut seg_left) = (0, group - rem);
+        while j < cols {
+            let width = seg_left.min(cols - j);
+            let seg = j..j + width;
+            axpy_body::<L, i8>(&mut out[seg.clone()], xv * scales[g], &qrow[seg]);
+            j += width;
+            g += 1;
+            seg_left = group;
+        }
     }
-    portable::dot_bf16(a, kb)
-}
-
-/// BF16-operand axpy: `out[i] += s · decode(vb[i])`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
-    assert_eq!(out.len(), vb.len(), "simd::axpy_bf16: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma.
-        unsafe { avx2::axpy_bf16(out, s, vb) };
-        return;
-    }
-    portable::axpy_bf16(out, s, vb);
 }
 
 // ---------------------------------------------------------------------------
@@ -293,12 +743,21 @@ pub fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
 // ---------------------------------------------------------------------------
 //
 // Decode-time attention touches every cached position once per head; doing
-// that as one `dot`/`axpy` call per position costs a dispatch, a slice
-// bound check, and a horizontal reduction *per position* — thousands of
-// calls per decoded token on the tiny proxies, which dominates the decode
-// budget. These kernels move the position loop inside a single dispatched
-// call: one call scores a whole head against the cache, one call mixes
-// probs·V for a whole head.
+// that as one dot/axpy call per position costs a dispatch, a slice bound
+// check, and a horizontal reduction *per position* — thousands of calls per
+// decoded token on the tiny proxies, which dominates the decode budget.
+// These kernels move the position loop inside a single dispatched call: one
+// call scores a whole head against the cache, one call mixes probs·V for a
+// whole head.
+
+/// Panics unless `n_pos` head segments of `hd` elements, `stride` apart
+/// from `off`, fit in a cache of `cache_len` elements.
+fn assert_head_fits(kernel: &str, n_pos: usize, stride: usize, off: usize, hd: usize, len: usize) {
+    assert!(
+        n_pos == 0 || (n_pos - 1) * stride + off + hd <= len,
+        "simd::{kernel}: cache overrun"
+    );
+}
 
 /// Attention scores for one head with BF16 keys decoded in register:
 /// `out[j] = scale · Σ_d q[d] · decode(kc[j·stride + off + d])`.
@@ -314,18 +773,33 @@ pub fn attn_scores_bf16(
     scale: f32,
     out: &mut [f32],
 ) {
-    let n = out.len();
-    assert!(
-        n == 0 || (n - 1) * stride + off + q.len() <= kc.len(),
-        "simd::attn_scores_bf16: cache overrun"
+    assert_head_fits(
+        "attn_scores_bf16",
+        out.len(),
+        stride,
+        off,
+        q.len(),
+        kc.len(),
     );
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma; bounds asserted above.
-        unsafe { avx2::attn_scores_bf16(q, kc, stride, off, scale, out) };
-        return;
+    by_tier!(attn_scores_bf16_body(
+        q: &[f32], kc: &[u16], stride: usize, off: usize, scale: f32, out: &mut [f32]
+    ))
+}
+
+#[inline(always)]
+fn attn_scores_bf16_body<L: Lanes>(
+    q: &[f32],
+    kc: &[u16],
+    stride: usize,
+    off: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let mut at = off;
+    for o in out {
+        *o = dot1_body::<L, u16>(q, &kc[at..at + q.len()]) * scale;
+        at += stride;
     }
-    portable::attn_scores_bf16(q, kc, stride, off, scale, out);
 }
 
 /// probs·V mix for one head over f32 values:
@@ -336,18 +810,10 @@ pub fn attn_scores_bf16(
 ///
 /// Panics if the last position's head segment overruns `vc`.
 pub fn attn_mix(p: &[f32], vc: &[f32], stride: usize, off: usize, out: &mut [f32]) {
-    let n = p.len();
-    assert!(
-        n == 0 || (n - 1) * stride + off + out.len() <= vc.len(),
-        "simd::attn_mix: cache overrun"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma; bounds asserted above.
-        unsafe { avx2::attn_mix(p, vc, stride, off, out) };
-        return;
-    }
-    portable::attn_mix(p, vc, stride, off, out);
+    assert_head_fits("attn_mix", p.len(), stride, off, out.len(), vc.len());
+    by_tier!(attn_mix_body::<f32>(
+        p: &[f32], vc: &[f32], stride: usize, off: usize, out: &mut [f32]
+    ))
 }
 
 /// probs·V mix for one head over BF16 values decoded in register:
@@ -357,811 +823,63 @@ pub fn attn_mix(p: &[f32], vc: &[f32], stride: usize, off: usize, out: &mut [f32
 ///
 /// Panics if the last position's head segment overruns `vc`.
 pub fn attn_mix_bf16(p: &[f32], vc: &[u16], stride: usize, off: usize, out: &mut [f32]) {
-    let n = p.len();
-    assert!(
-        n == 0 || (n - 1) * stride + off + out.len() <= vc.len(),
-        "simd::attn_mix_bf16: cache overrun"
-    );
-    #[cfg(target_arch = "x86_64")]
-    if simd_tier() == SimdTier::Avx2 {
-        // SAFETY: tier probe confirmed avx2+fma; bounds asserted above.
-        unsafe { avx2::attn_mix_bf16(p, vc, stride, off, out) };
-        return;
-    }
-    portable::attn_mix_bf16(p, vc, stride, off, out);
+    assert_head_fits("attn_mix_bf16", p.len(), stride, off, out.len(), vc.len());
+    by_tier!(attn_mix_body::<u16>(
+        p: &[f32], vc: &[u16], stride: usize, off: usize, out: &mut [f32]
+    ))
 }
 
-// ---------------------------------------------------------------------------
-// Portable fallback: hand-unrolled 8-lane loops
-// ---------------------------------------------------------------------------
-
-mod portable {
-    /// Splits a reduction into 8 independent lane accumulators combined
-    /// pairwise at the end — the same association as the AVX2 tier's
-    /// horizontal sum, so both tiers land within the same tolerance.
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let chunks = a.len() / 8;
-        for c in 0..chunks {
-            let av = &a[c * 8..c * 8 + 8];
-            let bv = &b[c * 8..c * 8 + 8];
-            for i in 0..8 {
-                acc[i] += av[i] * bv[i];
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..a.len() {
-            tail += a[i] * b[i];
-        }
-        hsum8(acc) + tail
-    }
-
-    pub fn sum_squares(x: &[f32]) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let chunks = x.len() / 8;
-        for c in 0..chunks {
-            let xv = &x[c * 8..c * 8 + 8];
-            for i in 0..8 {
-                acc[i] += xv[i] * xv[i];
-            }
-        }
-        let mut tail = 0.0f32;
-        for &v in &x[chunks * 8..] {
-            tail += v * v;
-        }
-        hsum8(acc) + tail
-    }
-
-    pub fn max_slice(x: &[f32]) -> f32 {
-        x.iter().cloned().fold(f32::MIN, f32::max)
-    }
-
-    pub fn axpy(out: &mut [f32], s: f32, x: &[f32]) {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o += s * v;
+/// Accumulates up to 32 output lanes in registers across the whole position
+/// loop, so each `vc` element is touched exactly once and `out` is written
+/// exactly once: blocks of four vectors, then what vectors remain, then a
+/// scalar chain per leftover lane.
+#[inline(always)]
+fn attn_mix_body<L: Lanes, T: Operand>(
+    p: &[f32],
+    vc: &[T],
+    stride: usize,
+    off: usize,
+    out: &mut [f32],
+) {
+    let (vectors, tail) = out.as_chunks_mut::<8>();
+    let tail_at = off + vectors.len() * 8;
+    for (block, ovecs) in vectors.chunks_mut(4).enumerate() {
+        let at = off + block * 32;
+        // A literal count keeps the accumulators in registers.
+        match ovecs.len() {
+            4 => attn_mix_vectors::<L, T, 4>(p, vc, stride, at, ovecs),
+            3 => attn_mix_vectors::<L, T, 3>(p, vc, stride, at, ovecs),
+            2 => attn_mix_vectors::<L, T, 2>(p, vc, stride, at, ovecs),
+            _ => attn_mix_vectors::<L, T, 1>(p, vc, stride, at, ovecs),
         }
     }
-
-    pub fn scale_gain(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
-        for ((o, &v), &g) in out.iter_mut().zip(x).zip(gain) {
-            *o = v * inv * g;
-        }
-    }
-
-    pub fn silu_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-        for ((o, &av), &bv) in out.iter_mut().zip(a).zip(b) {
-            *o = av / (1.0 + (-av).exp()) * bv;
-        }
-    }
-
-    pub fn softmax_exp_sum(row: &mut [f32], maxv: f32) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let chunks = row.len() / 8;
-        for c in 0..chunks {
-            let lane = &mut row[c * 8..c * 8 + 8];
-            for (i, e) in lane.iter_mut().enumerate() {
-                *e = (*e - maxv).exp();
-                acc[i] += *e;
-            }
-        }
-        let mut tail = 0.0f32;
-        for e in row[chunks * 8..].iter_mut() {
-            *e = (*e - maxv).exp();
-            tail += *e;
-        }
-        hsum8(acc) + tail
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn adam_weight_update(
-        w: &mut [f32],
-        g: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        beta1: f32,
-        beta2: f32,
-        bc1: f32,
-        bc2: f32,
-        eps: f32,
-        lr: f32,
-        decay: f32,
-    ) {
-        for i in 0..g.len() {
-            let gv = g[i];
-            let mv = beta1 * m[i] + (1.0 - beta1) * gv;
-            let vv = beta2 * v[i] + (1.0 - beta2) * gv * gv;
-            m[i] = mv;
-            v[i] = vv;
-            let u = (mv / bc1) / ((vv / bc2).sqrt() + eps);
-            w[i] = w[i] * decay + (-lr) * u;
-        }
-    }
-
-    pub fn gemv_band(arow: &[f32], b: &[f32], n: usize, lo: usize, hi: usize, out: &mut [f32]) {
-        for (p, &av) in arow.iter().enumerate() {
-            let brow = &b[p * n + lo..p * n + hi];
-            for (ov, &bv) in out.iter_mut().zip(brow) {
-                *ov += av * bv;
-            }
-        }
-    }
-
-    pub fn tile_packed32(arow: &[f32], block: &[f32], orow: &mut [f32]) {
-        let mut acc = [0.0f32; 32];
-        for (brow, &av) in block.chunks_exact(32).zip(arow) {
-            for (aj, &bv) in acc.iter_mut().zip(brow) {
-                *aj += av * bv;
-            }
-        }
-        orow.copy_from_slice(&acc);
-    }
-
-    pub fn i8_axpy(out: &mut [f32], s: f32, q: &[i8]) {
-        for (o, &qv) in out.iter_mut().zip(q) {
-            *o += s * f32::from(qv);
-        }
-    }
-
-    pub fn i8_gemv(
-        x: &[f32],
-        q: &[i8],
-        scales: &[f32],
-        cols: usize,
-        group: usize,
-        out: &mut [f32],
-    ) {
-        // Same incremental group walk as the AVX2 tier — one division per
-        // segment would dominate these short rows.
-        let mut g = 0usize;
-        let mut rem = 0usize;
-        for (p, &xv) in x.iter().enumerate() {
-            if xv != 0.0 {
-                let base = p * cols;
-                let mut j = 0;
-                let mut gg = g;
-                let mut seg_left = group - rem;
-                while j < cols {
-                    let width = seg_left.min(cols - j);
-                    i8_axpy(
-                        &mut out[j..j + width],
-                        xv * scales[gg],
-                        &q[base + j..base + j + width],
-                    );
-                    j += width;
-                    gg += 1;
-                    seg_left = group;
-                }
-            }
-            rem += cols;
-            while rem >= group {
-                g += 1;
-                rem -= group;
-            }
-        }
-    }
-
-    pub fn dot_bf16(a: &[f32], kb: &[u16]) -> f32 {
-        let mut acc = [0.0f32; 8];
-        let chunks = a.len() / 8;
-        for c in 0..chunks {
-            let av = &a[c * 8..c * 8 + 8];
-            let kv = &kb[c * 8..c * 8 + 8];
-            for i in 0..8 {
-                acc[i] += av[i] * decode(kv[i]);
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in chunks * 8..a.len() {
-            tail += a[i] * decode(kb[i]);
-        }
-        hsum8(acc) + tail
-    }
-
-    pub fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
-        for (o, &bv) in out.iter_mut().zip(vb) {
-            *o += s * decode(bv);
-        }
-    }
-
-    pub fn attn_scores_bf16(
-        q: &[f32],
-        kc: &[u16],
-        stride: usize,
-        off: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        for (j, o) in out.iter_mut().enumerate() {
-            let kh = &kc[j * stride + off..j * stride + off + q.len()];
-            *o = dot_bf16(q, kh) * scale;
-        }
-    }
-
-    pub fn attn_mix(p: &[f32], vc: &[f32], stride: usize, off: usize, out: &mut [f32]) {
-        for (j, &pj) in p.iter().enumerate() {
-            let vh = &vc[j * stride + off..j * stride + off + out.len()];
-            axpy(out, pj, vh);
-        }
-    }
-
-    pub fn attn_mix_bf16(p: &[f32], vc: &[u16], stride: usize, off: usize, out: &mut [f32]) {
-        for (j, &pj) in p.iter().enumerate() {
-            let vh = &vc[j * stride + off..j * stride + off + out.len()];
-            axpy_bf16(out, pj, vh);
-        }
-    }
-
-    #[inline]
-    fn decode(bits: u16) -> f32 {
-        f32::from_bits(u32::from(bits) << 16)
-    }
-
-    /// Pairwise lane combine — mirrors the AVX2 horizontal-sum tree.
-    #[inline]
-    fn hsum8(acc: [f32; 8]) -> f32 {
-        ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
+    for (d, o) in tail.iter_mut().enumerate() {
+        let lane = p.iter().enumerate();
+        *o += lane.fold(0.0, |acc, (j, &pj)| {
+            acc + pj * vc[j * stride + tail_at + d].widen()
+        });
     }
 }
 
-// ---------------------------------------------------------------------------
-// AVX2 + FMA tier
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// Horizontal sum of one f32x8 accumulator (pairwise tree; the
-    /// portable tier's `hsum8` mirrors this association).
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        _mm_cvtss_f32(s)
-    }
-
-    /// Polynomial `exp` (Cephes-style), ≲2 ULP over the softmax/SiLU
-    /// range; inputs are clamped to ±88.37 so extremes saturate to
-    /// 0 / f32::MAX-scale like libm does.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp_ps(x: __m256) -> __m256 {
-        let hi = _mm256_set1_ps(88.376_26);
-        let lo = _mm256_set1_ps(-88.376_26);
-        let x = _mm256_min_ps(_mm256_max_ps(x, lo), hi);
-        let log2e = _mm256_set1_ps(std::f32::consts::LOG2_E);
-        let fx = _mm256_floor_ps(_mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5)));
-        // x −= fx·ln2, split into high/low parts for accuracy.
-        let c1 = _mm256_set1_ps(0.693_359_4);
-        let c2 = _mm256_set1_ps(-2.121_944_4e-4);
-        let x = _mm256_fnmadd_ps(fx, c1, x);
-        let x = _mm256_fnmadd_ps(fx, c2, x);
-        let z = _mm256_mul_ps(x, x);
-        let mut y = _mm256_set1_ps(1.987_569_1e-4);
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.398_199_9e-3));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(8.333_452e-3));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(4.166_579_6e-2));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(1.666_666_5e-1));
-        y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(0.5));
-        y = _mm256_fmadd_ps(y, z, x);
-        y = _mm256_add_ps(y, _mm256_set1_ps(1.0));
-        // y ·= 2^fx via exponent-field construction.
-        let emm0 = _mm256_cvttps_epi32(fx);
-        let emm0 = _mm256_add_epi32(emm0, _mm256_set1_epi32(127));
-        let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(emm0, 23));
-        _mm256_mul_ps(y, pow2n)
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-        unsafe {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let chunks = a.len() / 16;
-            for c in 0..chunks {
-                let pa = a.as_ptr().add(c * 16);
-                let pb = b.as_ptr().add(c * 16);
-                acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa), _mm256_loadu_ps(pb), acc0);
-                acc1 =
-                    _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(8)), _mm256_loadu_ps(pb.add(8)), acc1);
-            }
-            let mut i = chunks * 16;
-            if i + 8 <= a.len() {
-                acc0 = _mm256_fmadd_ps(
-                    _mm256_loadu_ps(a.as_ptr().add(i)),
-                    _mm256_loadu_ps(b.as_ptr().add(i)),
-                    acc0,
-                );
-                i += 8;
-            }
-            let mut tail = 0.0f32;
-            while i < a.len() {
-                tail += a[i] * b[i];
-                i += 1;
-            }
-            hsum(_mm256_add_ps(acc0, acc1)) + tail
+/// `N` vectors of one head's mix, starting at element `at` of each position.
+#[inline(always)]
+fn attn_mix_vectors<L: Lanes, T: Operand, const N: usize>(
+    p: &[f32],
+    vc: &[T],
+    stride: usize,
+    at: usize,
+    ovecs: &mut [[f32; 8]],
+) {
+    let (mut acc, mut at) = ([L::splat(0.0); N], at);
+    for &pj in p {
+        let sv = L::splat(pj);
+        for (a, vv) in acc.iter_mut().zip(vc[at..at + N * 8].as_chunks::<8>().0) {
+            *a = sv.fma(T::load(vv), *a);
         }
+        at += stride;
     }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_squares(x: &[f32]) -> f32 {
-        unsafe {
-            let mut acc = _mm256_setzero_ps();
-            let chunks = x.len() / 8;
-            for c in 0..chunks {
-                let v = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-                acc = _mm256_fmadd_ps(v, v, acc);
-            }
-            let mut tail = 0.0f32;
-            for &v in &x[chunks * 8..] {
-                tail += v * v;
-            }
-            hsum(acc) + tail
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn max_slice(x: &[f32]) -> f32 {
-        unsafe {
-            let mut best = f32::MIN;
-            let chunks = x.len() / 8;
-            if chunks > 0 {
-                let mut m = _mm256_loadu_ps(x.as_ptr());
-                for c in 1..chunks {
-                    m = _mm256_max_ps(m, _mm256_loadu_ps(x.as_ptr().add(c * 8)));
-                }
-                let mut lanes = [0.0f32; 8];
-                _mm256_storeu_ps(lanes.as_mut_ptr(), m);
-                for v in lanes {
-                    best = best.max(v);
-                }
-            }
-            for &v in &x[chunks * 8..] {
-                best = best.max(v);
-            }
-            best
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy(out: &mut [f32], s: f32, x: &[f32]) {
-        unsafe {
-            let sv = _mm256_set1_ps(s);
-            let chunks = out.len() / 8;
-            for c in 0..chunks {
-                let po = out.as_mut_ptr().add(c * 8);
-                let o = _mm256_loadu_ps(po);
-                let v = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-                _mm256_storeu_ps(po, _mm256_fmadd_ps(sv, v, o));
-            }
-            for i in chunks * 8..out.len() {
-                out[i] += s * x[i];
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scale_gain(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
-        unsafe {
-            let iv = _mm256_set1_ps(inv);
-            let chunks = out.len() / 8;
-            for c in 0..chunks {
-                let v = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-                let g = _mm256_loadu_ps(gain.as_ptr().add(c * 8));
-                let r = _mm256_mul_ps(_mm256_mul_ps(v, iv), g);
-                _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), r);
-            }
-            for i in chunks * 8..out.len() {
-                out[i] = x[i] * inv * gain[i];
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn silu_mul(a: &[f32], b: &[f32], out: &mut [f32]) {
-        unsafe {
-            let one = _mm256_set1_ps(1.0);
-            let chunks = out.len() / 8;
-            for c in 0..chunks {
-                let av = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-                let bv = _mm256_loadu_ps(b.as_ptr().add(c * 8));
-                // σ(a) = 1 / (1 + e^{−a}); silu = a·σ(a).
-                let e = exp_ps(_mm256_sub_ps(_mm256_setzero_ps(), av));
-                let sig = _mm256_div_ps(one, _mm256_add_ps(one, e));
-                let r = _mm256_mul_ps(_mm256_mul_ps(av, sig), bv);
-                _mm256_storeu_ps(out.as_mut_ptr().add(c * 8), r);
-            }
-            for i in chunks * 8..out.len() {
-                let av = a[i];
-                out[i] = av / (1.0 + (-av).exp()) * b[i];
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn softmax_exp_sum(row: &mut [f32], maxv: f32) -> f32 {
-        unsafe {
-            let mv = _mm256_set1_ps(maxv);
-            let mut acc = _mm256_setzero_ps();
-            let chunks = row.len() / 8;
-            for c in 0..chunks {
-                let p = row.as_mut_ptr().add(c * 8);
-                let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(p), mv));
-                _mm256_storeu_ps(p, e);
-                acc = _mm256_add_ps(acc, e);
-            }
-            let mut tail = 0.0f32;
-            for e in row[chunks * 8..].iter_mut() {
-                *e = (*e - maxv).exp();
-                tail += *e;
-            }
-            hsum(acc) + tail
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn adam_weight_update(
-        w: &mut [f32],
-        g: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        beta1: f32,
-        beta2: f32,
-        bc1: f32,
-        bc2: f32,
-        eps: f32,
-        lr: f32,
-        decay: f32,
-    ) {
-        unsafe {
-            let b1 = _mm256_set1_ps(beta1);
-            let ob1 = _mm256_set1_ps(1.0 - beta1);
-            let b2 = _mm256_set1_ps(beta2);
-            let ob2 = _mm256_set1_ps(1.0 - beta2);
-            let ibc1 = _mm256_set1_ps(1.0 / bc1);
-            let ibc2 = _mm256_set1_ps(1.0 / bc2);
-            let epsv = _mm256_set1_ps(eps);
-            let lrv = _mm256_set1_ps(-lr);
-            let dv = _mm256_set1_ps(decay);
-            let chunks = g.len() / 8;
-            for c in 0..chunks {
-                let pg = g.as_ptr().add(c * 8);
-                let pm = m.as_mut_ptr().add(c * 8);
-                let pv = v.as_mut_ptr().add(c * 8);
-                let pw = w.as_mut_ptr().add(c * 8);
-                let gv = _mm256_loadu_ps(pg);
-                let mv = _mm256_fmadd_ps(b1, _mm256_loadu_ps(pm), _mm256_mul_ps(ob1, gv));
-                let vv = _mm256_fmadd_ps(
-                    b2,
-                    _mm256_loadu_ps(pv),
-                    _mm256_mul_ps(_mm256_mul_ps(ob2, gv), gv),
-                );
-                _mm256_storeu_ps(pm, mv);
-                _mm256_storeu_ps(pv, vv);
-                let denom = _mm256_add_ps(_mm256_sqrt_ps(_mm256_mul_ps(vv, ibc2)), epsv);
-                let u = _mm256_div_ps(_mm256_mul_ps(mv, ibc1), denom);
-                let wv = _mm256_fmadd_ps(_mm256_loadu_ps(pw), dv, _mm256_mul_ps(lrv, u));
-                _mm256_storeu_ps(pw, wv);
-            }
-            for i in chunks * 8..g.len() {
-                let gv = g[i];
-                let mv = beta1 * m[i] + (1.0 - beta1) * gv;
-                let vv = beta2 * v[i] + (1.0 - beta2) * gv * gv;
-                m[i] = mv;
-                v[i] = vv;
-                let u = (mv * (1.0 / bc1)) / ((vv * (1.0 / bc2)).sqrt() + eps);
-                w[i] = w[i] * decay + (-lr) * u;
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv_band(
-        arow: &[f32],
-        b: &[f32],
-        n: usize,
-        lo: usize,
-        hi: usize,
-        out: &mut [f32],
-    ) {
-        unsafe {
-            let width = hi - lo;
-            let chunks = width / 8;
-            for (p, &av) in arow.iter().enumerate() {
-                let sv = _mm256_set1_ps(av);
-                let brow = b.as_ptr().add(p * n + lo);
-                for c in 0..chunks {
-                    let po = out.as_mut_ptr().add(c * 8);
-                    let o = _mm256_loadu_ps(po);
-                    _mm256_storeu_ps(po, _mm256_fmadd_ps(sv, _mm256_loadu_ps(brow.add(c * 8)), o));
-                }
-                for (j, o) in out.iter_mut().enumerate().skip(chunks * 8) {
-                    *o += av * *brow.add(j);
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn tile_packed32(arow: &[f32], block: &[f32], orow: &mut [f32]) {
-        unsafe {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for (p, &av) in arow.iter().enumerate() {
-                let sv = _mm256_set1_ps(av);
-                let pb = block.as_ptr().add(p * 32);
-                a0 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(pb), a0);
-                a1 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(pb.add(8)), a1);
-                a2 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(pb.add(16)), a2);
-                a3 = _mm256_fmadd_ps(sv, _mm256_loadu_ps(pb.add(24)), a3);
-            }
-            _mm256_storeu_ps(orow.as_mut_ptr(), a0);
-            _mm256_storeu_ps(orow.as_mut_ptr().add(8), a1);
-            _mm256_storeu_ps(orow.as_mut_ptr().add(16), a2);
-            _mm256_storeu_ps(orow.as_mut_ptr().add(24), a3);
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn i8_axpy(out: &mut [f32], s: f32, q: &[i8]) {
-        unsafe {
-            let sv = _mm256_set1_ps(s);
-            let chunks = out.len() / 8;
-            for c in 0..chunks {
-                // 8 × i8 → i32 → f32, then FMA into the accumulator row.
-                let qi = _mm_loadl_epi64(q.as_ptr().add(c * 8).cast());
-                let qw = _mm256_cvtepi8_epi32(qi);
-                let qf = _mm256_cvtepi32_ps(qw);
-                let po = out.as_mut_ptr().add(c * 8);
-                _mm256_storeu_ps(po, _mm256_fmadd_ps(sv, qf, _mm256_loadu_ps(po)));
-            }
-            for i in chunks * 8..out.len() {
-                out[i] += s * f32::from(q[i]);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn i8_gemv(
-        x: &[f32],
-        q: &[i8],
-        scales: &[f32],
-        cols: usize,
-        group: usize,
-        out: &mut [f32],
-    ) {
-        unsafe {
-            // Group index tracked incrementally across the flat row-major
-            // walk — an integer division per segment costs more than the
-            // whole 8-lane inner iteration at these row widths.
-            let mut g = 0usize; // group index of the row's first element
-            let mut rem = 0usize; // offset of the row start within group g
-            for (p, &xv) in x.iter().enumerate() {
-                if xv != 0.0 {
-                    let base = p * cols;
-                    let mut j = 0;
-                    let mut gg = g;
-                    let mut seg_left = group - rem;
-                    while j < cols {
-                        let width = seg_left.min(cols - j);
-                        let s = xv * *scales.get_unchecked(gg);
-                        let sv = _mm256_set1_ps(s);
-                        let qp = q.as_ptr().add(base + j);
-                        let chunks = width / 8;
-                        for c in 0..chunks {
-                            let qi = _mm_loadl_epi64(qp.add(c * 8).cast());
-                            let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                            let po = out.as_mut_ptr().add(j + c * 8);
-                            _mm256_storeu_ps(po, _mm256_fmadd_ps(sv, qf, _mm256_loadu_ps(po)));
-                        }
-                        for d in chunks * 8..width {
-                            out[j + d] += s * f32::from(*qp.add(d));
-                        }
-                        j += width;
-                        gg += 1;
-                        seg_left = group;
-                    }
-                }
-                rem += cols;
-                while rem >= group {
-                    g += 1;
-                    rem -= group;
-                }
-            }
-        }
-    }
-
-    /// Register-blocked dot-form gemv for shapes where every 64-lane column
-    /// panel of every row lies inside one quantization group (caller checks
-    /// `cols % 64 == 0 && group % 64 == 0`, which makes every panel's flat
-    /// offset a multiple of 64 and hence group-aligned). Each panel holds
-    /// its 64 partial sums in eight ymm accumulators across the whole row
-    /// loop: one scale broadcast and eight convert+FMA chains per row, no
-    /// per-row output loads/stores and no in-row segment walk.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn i8_gemv_panels(
-        x: &[f32],
-        q: &[i8],
-        scales: &[f32],
-        cols: usize,
-        group: usize,
-        out: &mut [f32],
-    ) {
-        unsafe {
-            let rows = x.len();
-            let mut jb = 0usize;
-            while jb < cols {
-                let mut acc = [_mm256_setzero_ps(); 8];
-                // Group index of flat offset `p*cols + jb`, advanced by
-                // remainder tracking instead of a division per row.
-                let mut g = jb / group;
-                let mut rem = jb % group;
-                let mut qp = q.as_ptr().add(jb);
-                for p in 0..rows {
-                    let s = *x.get_unchecked(p) * *scales.get_unchecked(g);
-                    let sv = _mm256_set1_ps(s);
-                    for (r, a) in acc.iter_mut().enumerate() {
-                        let qi = _mm_loadl_epi64(qp.add(r * 8).cast());
-                        let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
-                        *a = _mm256_fmadd_ps(sv, qf, *a);
-                    }
-                    qp = qp.add(cols);
-                    rem += cols;
-                    while rem >= group {
-                        g += 1;
-                        rem -= group;
-                    }
-                }
-                for (r, a) in acc.iter().enumerate() {
-                    let po = out.as_mut_ptr().add(jb + r * 8);
-                    _mm256_storeu_ps(po, _mm256_add_ps(_mm256_loadu_ps(po), *a));
-                }
-                jb += 64;
-            }
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load_bf16x8(p: *const u16) -> __m256 {
-        unsafe {
-            let half = _mm_loadu_si128(p.cast());
-            let wide = _mm256_cvtepu16_epi32(half);
-            _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16))
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_bf16(a: &[f32], kb: &[u16]) -> f32 {
-        unsafe {
-            let mut acc = _mm256_setzero_ps();
-            let chunks = a.len() / 8;
-            for c in 0..chunks {
-                let av = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-                let kv = load_bf16x8(kb.as_ptr().add(c * 8));
-                acc = _mm256_fmadd_ps(av, kv, acc);
-            }
-            let mut tail = 0.0f32;
-            for i in chunks * 8..a.len() {
-                tail += a[i] * f32::from_bits(u32::from(kb[i]) << 16);
-            }
-            hsum(acc) + tail
-        }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn attn_scores_bf16(
-        q: &[f32],
-        kc: &[u16],
-        stride: usize,
-        off: usize,
-        scale: f32,
-        out: &mut [f32],
-    ) {
-        unsafe {
-            let hd = q.len();
-            let chunks = hd / 8;
-            for (j, o) in out.iter_mut().enumerate() {
-                let kp = kc.as_ptr().add(j * stride + off);
-                let mut acc = _mm256_setzero_ps();
-                for c in 0..chunks {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(q.as_ptr().add(c * 8)),
-                        load_bf16x8(kp.add(c * 8)),
-                        acc,
-                    );
-                }
-                let mut tail = 0.0f32;
-                for (d, &qv) in q.iter().enumerate().skip(chunks * 8) {
-                    tail += qv * f32::from_bits(u32::from(*kp.add(d)) << 16);
-                }
-                *o = (hsum(acc) + tail) * scale;
-            }
-        }
-    }
-
-    /// Shared structure of the f32/BF16 mixes: accumulate up to 32 output
-    /// lanes in registers across the whole position loop, so each `vc`
-    /// element is touched exactly once and `out` is written exactly once.
-    macro_rules! attn_mix_impl {
-        ($p:ident, $vc:ident, $stride:ident, $off:ident, $out:ident, $load:ident, $dec:ident) => {{
-            let hd = $out.len();
-            let mut base = 0usize;
-            // Blocks of 32 lanes (4 accumulators), then 8, then scalar tail.
-            while base + 8 <= hd {
-                let width = ((hd - base) / 8).min(4) * 8;
-                let mut acc = [_mm256_setzero_ps(); 4];
-                let regs = width / 8;
-                for (j, &pj) in $p.iter().enumerate() {
-                    let sv = _mm256_set1_ps(pj);
-                    let vp = $vc.as_ptr().add(j * $stride + $off + base);
-                    for (r, a) in acc.iter_mut().take(regs).enumerate() {
-                        *a = _mm256_fmadd_ps(sv, $load(vp.add(r * 8)), *a);
-                    }
-                }
-                for (r, a) in acc.iter().take(regs).enumerate() {
-                    let po = $out.as_mut_ptr().add(base + r * 8);
-                    _mm256_storeu_ps(po, _mm256_add_ps(_mm256_loadu_ps(po), *a));
-                }
-                base += width;
-            }
-            for d in base..hd {
-                let mut acc = 0.0f32;
-                for (j, &pj) in $p.iter().enumerate() {
-                    acc += pj * $dec($vc.as_ptr().add(j * $stride + $off + d));
-                }
-                $out[d] += acc;
-            }
-        }};
-    }
-
-    #[inline]
-    unsafe fn decode_elem(p: *const f32) -> f32 {
-        unsafe { *p }
-    }
-
-    #[inline]
-    unsafe fn decode_elem_bf16(p: *const u16) -> f32 {
-        unsafe { f32::from_bits(u32::from(*p) << 16) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load_f32x8(p: *const f32) -> __m256 {
-        unsafe { _mm256_loadu_ps(p) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn attn_mix(p: &[f32], vc: &[f32], stride: usize, off: usize, out: &mut [f32]) {
-        unsafe { attn_mix_impl!(p, vc, stride, off, out, load_f32x8, decode_elem) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn attn_mix_bf16(p: &[f32], vc: &[u16], stride: usize, off: usize, out: &mut [f32]) {
-        unsafe { attn_mix_impl!(p, vc, stride, off, out, load_bf16x8, decode_elem_bf16) }
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn axpy_bf16(out: &mut [f32], s: f32, vb: &[u16]) {
-        unsafe {
-            let sv = _mm256_set1_ps(s);
-            let chunks = out.len() / 8;
-            for c in 0..chunks {
-                let vv = load_bf16x8(vb.as_ptr().add(c * 8));
-                let po = out.as_mut_ptr().add(c * 8);
-                _mm256_storeu_ps(po, _mm256_fmadd_ps(sv, vv, _mm256_loadu_ps(po)));
-            }
-            for i in chunks * 8..out.len() {
-                out[i] += s * f32::from_bits(u32::from(vb[i]) << 16);
-            }
-        }
+    for (a, o) in acc.into_iter().zip(ovecs) {
+        L::load(o).add(a).store(o);
     }
 }
 
@@ -1174,8 +892,259 @@ mod tests {
         (0..n).map(|_| rng.gauss()).collect()
     }
 
+    fn rand_i8(n: usize, rng: &mut Rng) -> Vec<i8> {
+        (0..n).map(|_| (rng.gauss() * 40.0) as i8).collect()
+    }
+
+    fn to_bf16(x: &[f32]) -> Vec<u16> {
+        x.iter().map(|&v| (v.to_bits() >> 16) as u16).collect()
+    }
+
     fn rel_err(a: f32, b: f32) -> f32 {
         (a - b).abs() / b.abs().max(1e-6)
+    }
+
+    /// Evaluates `$e` with `$l` naming each lane type in turn: `Portable`
+    /// always, `Avx` where the probe allows (`None` elsewhere). This is the
+    /// only place an AVX2 host runs the portable instantiation, and — with
+    /// the public entry points — what makes a non-AVX2 host run the
+    /// polynomial `exp` and the panel `i8_gemv`.
+    macro_rules! on_both {
+        ($l:ident => $e:expr) => {{
+            let portable = {
+                type $l = Portable;
+                $e
+            };
+            #[cfg(target_arch = "x86_64")]
+            let avx = (simd_tier() == SimdTier::Avx2).then(|| {
+                type $l = Avx;
+                $e
+            });
+            #[cfg(not(target_arch = "x86_64"))]
+            let avx = None;
+            (portable, avx)
+        }};
+    }
+
+    /// The ragged-length sweep of `tests/simd_golden.rs`.
+    const LENS: [usize; 11] = [0, 1, 7, 8, 9, 15, 16, 17, 24, 33, 257];
+
+    /// Asserts the two lane types' outputs agree: bit for bit when `exact`,
+    /// else inside `fast_numerics.rs`'s reduction envelope.
+    fn assert_agree(what: &str, exact: bool, (portable, avx): (Vec<f32>, Option<Vec<f32>>)) {
+        let Some(avx) = avx else { return };
+        assert_eq!(portable.len(), avx.len(), "{what}: length");
+        for (i, (&p, &a)) in portable.iter().zip(&avx).enumerate() {
+            if exact {
+                assert_eq!(p.to_bits(), a.to_bits(), "{what}[{i}]: {p} vs {a}");
+            } else {
+                let bound = 1e-4 * a.abs().max(1.0);
+                assert!((p - a).abs() <= bound, "{what}[{i}]: {p} vs {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn bodies_agree_across_lane_types() {
+        let mut rng = Rng::seed_from_u64(16);
+        for n in LENS {
+            let (a, b, c) = (
+                randvec(n, &mut rng),
+                randvec(n, &mut rng),
+                randvec(n, &mut rng),
+            );
+            let wide: Vec<f32> = a.iter().map(|v| v * 4.0).collect();
+            let squares: Vec<f32> = c.iter().map(|v| v * v).collect();
+            let (q, kb) = (rand_i8(n, &mut rng), to_bf16(&b));
+            // Below one vector only the scalar tails run, and those are the
+            // same code whatever the lane type.
+            let tail_only = n < 8;
+            let tag = |kernel: &str| format!("{kernel} n={n}");
+
+            assert_agree(
+                &tag("dot"),
+                tail_only,
+                on_both!(L => vec![dot_body::<L>(&a, &b)]),
+            );
+            assert_agree(
+                &tag("sum_squares"),
+                tail_only,
+                on_both!(L => vec![dot1_body::<L, f32>(&a, &a)]),
+            );
+            assert_agree(
+                &tag("dot1 bf16"),
+                tail_only,
+                on_both!(L => vec![dot1_body::<L, u16>(&a, &kb)]),
+            );
+            // No FMA, no reduction: bit-equal at every length.
+            assert_agree(
+                &tag("max_slice"),
+                true,
+                on_both!(L => vec![max_slice_body::<L>(&a)]),
+            );
+            assert_agree(
+                &tag("scale_gain"),
+                true,
+                on_both!(L => {
+                    let mut out = c.clone();
+                    scale_gain_body::<L>(&mut out, &a, 0.731, &b);
+                    out
+                }),
+            );
+            assert_agree(
+                &tag("axpy f32"),
+                tail_only,
+                on_both!(L => {
+                    let mut out = c.clone();
+                    axpy_body::<L, f32>(&mut out, 0.37, &a);
+                    out
+                }),
+            );
+            assert_agree(
+                &tag("axpy i8"),
+                tail_only,
+                on_both!(L => {
+                    let mut out = c.clone();
+                    axpy_body::<L, i8>(&mut out, 0.37, &q);
+                    out
+                }),
+            );
+            assert_agree(
+                &tag("silu_mul"),
+                tail_only,
+                on_both!(L => {
+                    let mut out = c.clone();
+                    silu_mul_body::<L>(&wide, &b, &mut out);
+                    out
+                }),
+            );
+            assert_agree(
+                &tag("softmax_exp_sum"),
+                tail_only,
+                on_both!(L => {
+                    let mut row = wide.clone();
+                    let maxv = max_slice_body::<L>(&row);
+                    let sum = softmax_exp_sum_body::<L>(&mut row, maxv);
+                    row.push(sum);
+                    row
+                }),
+            );
+            assert_agree(
+                &tag("adam_weight_update"),
+                tail_only,
+                on_both!(L => {
+                    let (mut w, mut m, mut v) = (a.clone(), b.clone(), squares.clone());
+                    adam_weight_update_body::<L>(
+                        &mut w, &c, &mut m, &mut v, 0.9, 0.999, 0.19, 0.0199, 1e-8, 3e-3, 0.9997,
+                    );
+                    [w, m, v].concat()
+                }),
+            );
+        }
+    }
+
+    #[test]
+    fn shaped_bodies_agree_across_lane_types() {
+        let mut rng = Rng::seed_from_u64(17);
+        let (k, n, lo) = (19, 263, 3);
+        let (arow, b) = (randvec(k, &mut rng), randvec(k * n, &mut rng));
+        for width in LENS {
+            let out = randvec(width, &mut rng);
+            assert_agree(
+                &format!("gemv_band width={width}"),
+                false,
+                on_both!(L => {
+                    let mut out = out.clone();
+                    gemv_band_body::<L>(&arow, &b, n, lo, &mut out);
+                    out
+                }),
+            );
+        }
+        for k in [0usize, 1, 7, 33] {
+            let (arow, block) = (randvec(k, &mut rng), randvec(k * 32, &mut rng));
+            assert_agree(
+                &format!("tile_packed32 k={k}"),
+                false,
+                on_both!(L => {
+                    let mut orow = vec![f32::NAN; 32];
+                    tile_packed32_body::<L>(&arow, &block, &mut orow);
+                    orow
+                }),
+            );
+        }
+        for (rows, cols, group) in I8_SHAPES {
+            let (x, q, scales) = i8_problem(rows, cols, group, &mut rng);
+            let out = randvec(cols, &mut rng);
+            assert_agree(
+                &format!("i8_gemv {rows}x{cols} g{group}"),
+                false,
+                on_both!(L => {
+                    let mut out = out.clone();
+                    if cols % 64 == 0 && group % 64 == 0 {
+                        i8_gemv_panels_body::<L>(&x, &q, &scales, cols, group, &mut out);
+                    } else {
+                        i8_gemv_segments_body::<L>(&x, &q, &scales, cols, group, &mut out);
+                    }
+                    out
+                }),
+            );
+        }
+        for (hd, stride, off, n_pos) in [(24usize, 72usize, 24usize, 21usize), (12, 40, 4, 7)] {
+            let q = randvec(hd, &mut rng);
+            let vc = randvec((n_pos - 1) * stride + off + hd, &mut rng);
+            let (kb, p) = (to_bf16(&vc), randvec(n_pos, &mut rng));
+            let out = randvec(hd, &mut rng);
+            assert_agree(
+                &format!("attn_scores_bf16 hd={hd}"),
+                false,
+                on_both!(L => {
+                    let mut scores = vec![0.0f32; n_pos];
+                    attn_scores_bf16_body::<L>(&q, &kb, stride, off, 0.204, &mut scores);
+                    scores
+                }),
+            );
+            assert_agree(
+                &format!("attn_mix hd={hd}"),
+                false,
+                on_both!(L => {
+                    let mut out = out.clone();
+                    attn_mix_body::<L, f32>(&p, &vc, stride, off, &mut out);
+                    out
+                }),
+            );
+            assert_agree(
+                &format!("attn_mix_bf16 hd={hd}"),
+                false,
+                on_both!(L => {
+                    let mut out = out.clone();
+                    attn_mix_body::<L, u16>(&p, &kb, stride, off, &mut out);
+                    out
+                }),
+            );
+        }
+    }
+
+    #[test]
+    fn lane_loads_and_exp_match_scalar_on_both_lane_types() {
+        let mut rng = Rng::seed_from_u64(18);
+        let q: [i8; 8] = [-128, -1, 0, 1, 37, 127, -64, 5];
+        let kb: [u16; 8] = to_bf16(&randvec(8, &mut rng)).try_into().unwrap();
+        let (pi8, ai8) = on_both!(L => L::load_i8(&q).lanes());
+        let (pbf, abf) = on_both!(L => L::load_bf16(&kb).lanes());
+        assert_eq!(pi8, q.map(f32::from));
+        assert_eq!(pbf, kb.map(bf16_decode));
+        assert!(ai8.is_none_or(|a| a == pi8) && abf.is_none_or(|a| a == pbf));
+
+        // The one polynomial, both instantiations, against libm over ±20.
+        let xs: Vec<f32> = (-320..320).map(|i| i as f32 * 0.0625).collect();
+        for chunk in xs.as_chunks::<8>().0 {
+            let (portable, avx) = on_both!(L => L::load(chunk).exp().lanes());
+            for got in avx.into_iter().chain([portable]) {
+                for (&x, got) in chunk.iter().zip(got) {
+                    assert!(rel_err(got, x.exp()) <= 1e-5, "exp({x}): {got}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1214,45 +1183,52 @@ mod tests {
     fn i8_and_bf16_operand_kernels_match_scalar() {
         let mut rng = Rng::seed_from_u64(12);
         for n in [1usize, 5, 8, 24, 100] {
-            let q: Vec<i8> = (0..n).map(|_| (rng.gauss() * 40.0) as i8).collect();
-            let mut out = vec![0.0f32; n];
-            i8_axpy(&mut out, 0.25, &q);
-            for (o, &qv) in out.iter().zip(&q) {
-                assert_eq!(*o, 0.25 * f32::from(qv));
-            }
-
+            let q = rand_i8(n, &mut rng);
             let x = randvec(n, &mut rng);
-            let kb: Vec<u16> = x.iter().map(|&v| (v.to_bits() >> 16) as u16).collect();
-            let want: f32 = x
-                .iter()
-                .zip(&kb)
-                .map(|(&a, &k)| a * f32::from_bits(u32::from(k) << 16))
-                .sum();
-            let got = dot_bf16(&x, &kb);
-            assert!((got - want).abs() <= 1e-3 * want.abs().max(1.0));
+            let kb = to_bf16(&x);
+            let want: f32 = x.iter().zip(&kb).map(|(&a, &k)| a * bf16_decode(k)).sum();
+            let (portable, avx) = on_both!(L => {
+                let mut out = vec![0.0f32; n];
+                axpy_body::<L, i8>(&mut out, 0.25, &q);
+                (out, dot1_body::<L, u16>(&x, &kb))
+            });
+            for (out, got) in avx.into_iter().chain([portable]) {
+                for (o, &qv) in out.iter().zip(&q) {
+                    assert_eq!(*o, 0.25 * f32::from(qv));
+                }
+                assert!((got - want).abs() <= 1e-3 * want.abs().max(1.0));
+            }
         }
+    }
+
+    /// `(rows, cols, group)`: the first three take the register-blocked
+    /// panel walk (cols and group both multiples of 64), the rest the
+    /// segment walk (ragged widths, groups crossing row boundaries).
+    const I8_SHAPES: [(usize, usize, usize); 5] = [
+        (64, 64, 128),
+        (172, 64, 128),
+        (64, 512, 64),
+        (64, 172, 128),
+        (5, 13, 7),
+    ];
+
+    fn i8_problem(
+        rows: usize,
+        cols: usize,
+        group: usize,
+        rng: &mut Rng,
+    ) -> (Vec<f32>, Vec<i8>, Vec<f32>) {
+        let scales = (0..(rows * cols).div_ceil(group))
+            .map(|_| rng.gauss().abs() * 0.1 + 0.01)
+            .collect();
+        (randvec(rows, rng), rand_i8(rows * cols, rng), scales)
     }
 
     #[test]
     fn i8_gemv_matches_reference_on_panel_and_ragged_shapes() {
         let mut rng = Rng::seed_from_u64(15);
-        // (rows, cols, group): first three hit the register-blocked panel
-        // path (cols and group both multiples of 64), the rest the general
-        // segment walk (ragged widths, groups crossing row boundaries).
-        for (rows, cols, group) in [
-            (64usize, 64usize, 128usize),
-            (172, 64, 128),
-            (64, 512, 64),
-            (64, 172, 128),
-            (5, 13, 7),
-        ] {
-            let x = randvec(rows, &mut rng);
-            let q: Vec<i8> = (0..rows * cols)
-                .map(|_| (rng.gauss() * 40.0) as i8)
-                .collect();
-            let scales: Vec<f32> = (0..(rows * cols).div_ceil(group))
-                .map(|_| rng.gauss().abs() * 0.1 + 0.01)
-                .collect();
+        for (rows, cols, group) in I8_SHAPES {
+            let (x, q, scales) = i8_problem(rows, cols, group, &mut rng);
             let mut out = vec![0.0f32; cols];
             i8_gemv(&x, &q, &scales, cols, group, &mut out);
             for (j, &got) in out.iter().enumerate() {
@@ -1278,14 +1254,14 @@ mod tests {
         for (hd, stride, off, n_pos) in [(16usize, 64usize, 16usize, 20usize), (12, 40, 4, 7)] {
             let q = randvec(hd, &mut rng);
             let kc = randvec((n_pos - 1) * stride + off + hd, &mut rng);
-            let kb: Vec<u16> = kc.iter().map(|&v| (v.to_bits() >> 16) as u16).collect();
+            let kb = to_bf16(&kc);
             let scale = 0.25f32;
 
             let mut scores_b = vec![0.0f32; n_pos];
             attn_scores_bf16(&q, &kb, stride, off, scale, &mut scores_b);
             for (j, &got) in scores_b.iter().enumerate() {
                 let want: f32 = (0..hd)
-                    .map(|d| q[d] * f32::from_bits(u32::from(kb[j * stride + off + d]) << 16))
+                    .map(|d| q[d] * bf16_decode(kb[j * stride + off + d]))
                     .sum::<f32>()
                     * scale;
                 assert!(
@@ -1311,10 +1287,7 @@ mod tests {
             attn_mix_bf16(&p, &kb, stride, off, &mut mixed_b);
             for d in 0..hd {
                 let want: f64 = (0..n_pos)
-                    .map(|j| {
-                        f64::from(p[j])
-                            * f64::from(f32::from_bits(u32::from(kb[j * stride + off + d]) << 16))
-                    })
+                    .map(|j| f64::from(p[j]) * f64::from(bf16_decode(kb[j * stride + off + d])))
                     .sum();
                 assert!(
                     (f64::from(mixed_b[d]) - want).abs() <= 1e-4 * want.abs().max(1.0),
@@ -1341,5 +1314,33 @@ mod tests {
                 "col {j}"
             );
         }
+    }
+
+    // The two kernels below used to reach raw pointers behind a
+    // `debug_assert` (or nothing): in release, each of these calls read or
+    // wrote out of bounds from safe code.
+
+    #[test]
+    #[should_panic(expected = "simd::gemv_band: out is not the band")]
+    fn gemv_band_rejects_an_out_shorter_than_the_band() {
+        gemv_band(&[1.0; 4], &[1.0; 64], 16, 0, 16, &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "simd::gemv_band: b too short")]
+    fn gemv_band_rejects_a_b_with_too_few_rows() {
+        gemv_band(&[1.0; 4], &[1.0; 63], 16, 0, 16, &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "simd::gemv_band: band outside 0..n")]
+    fn gemv_band_rejects_a_band_past_the_row() {
+        gemv_band(&[1.0; 4], &[1.0; 64], 16, 8, 24, &mut [0.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "simd::tile_packed32: block too short")]
+    fn tile_packed32_rejects_a_block_with_too_few_rows() {
+        tile_packed32(&[1.0; 4], &[1.0; 96], &mut [0.0; 32]);
     }
 }

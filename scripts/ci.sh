@@ -8,6 +8,8 @@ echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings)"
+# apollo-tensor also denies clippy::undocumented_unsafe_blocks (lib.rs):
+# every `unsafe` block or impl it keeps carries its `// SAFETY:` argument.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
@@ -226,6 +228,18 @@ echo "== fused-kernel and counter-draw bit-identity (release mode)"
 cargo test -q --release -p apollo-tensor --test fused_equivalence
 cargo test -q --release -p apollo-tensor --lib rng::
 cargo test -q --release -p apollo-autograd training_loop_fused
+
+echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
+# Everything above was compiled for the host CPU (.cargo/config.toml); an
+# empty RUSTFLAGS overrides that, so this is the code a portable binary
+# ships: SSE2 everywhere except the relaxed tier's `#[target_feature]`
+# entries, which the runtime probe still selects. It is the only stage that
+# enters them from code compiled without AVX2, and the one that holds
+# .cargo/config.toml to its claim that bits do not depend on the target CPU:
+# kernel_equivalence, fused_equivalence, simd_golden and step_golden carry
+# the same constants here as in the native stages.
+RUSTFLAGS= cargo test -q --release -p apollo-tensor -p apollo-optim \
+    --target-dir target/x86-64-baseline
 
 echo "== bench smoke + perf regression check (vs committed baseline)"
 # Fresh smoke-mode numbers land in a temp dir and are compared against the
