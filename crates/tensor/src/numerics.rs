@@ -164,6 +164,19 @@ fn detect_tier() -> SimdTier {
     SimdTier::Portable
 }
 
+/// Whether this CPU has AVX-512F, for the exact tier's 16-lane register
+/// tile (`matmul.rs`). Probed at run time like [`simd_tier`] and for the
+/// same reasons — a baseline build reaches the wide tile too, and no bit
+/// depends on `target-cpu` — and cached by the standard library, so every
+/// call in a run answers alike. It is not a [`SimdTier`]: the relaxed
+/// kernels have no 16-lane instantiation and that enum names theirs.
+pub(crate) fn avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx512f");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,6 +35,9 @@
 //! There is no third instantiation (AVX-512, NEON): nothing here is measured
 //! on such a host, and a type nobody runs is what the old `portable` module
 //! was. Adding one is an `impl Lanes` and a `by_tier!` arm, not new kernels.
+//! (The exact tier's GEMM tile does have a 16-lane type, `matmul.rs`'s `Zmm`:
+//! multiply and add only, never fused, so it shares nothing with these — and
+//! where it runs, `matmul.rs` prefers it to [`tile_packed32`] in both tiers.)
 //!
 //! The array form alone is **not** enough, which is why `Avx` exists.
 //! Deleting the intrinsics and letting `target-cpu=native` autovectorise

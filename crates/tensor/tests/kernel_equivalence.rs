@@ -128,6 +128,8 @@ fn adversarial_shapes_match_reference_at_all_thread_counts() {
         (128, 64, 68),  // crosses the FLOP gate: exercises the worker pool
         (1, 33, 129),   // gemv (decode hot shape), serial: below the gate
         (1, 521, 1031), // gemv crossing the FLOP gate: pooled column bands
+        (4, 0, 40),     // empty inner dim, `b` in place: all zeros
+        (70, 0, 40),    // empty inner dim, packed
     ];
     for (si, &(m, k, n)) in shapes.iter().enumerate() {
         for &t in &THREAD_COUNTS {
@@ -138,36 +140,59 @@ fn adversarial_shapes_match_reference_at_all_thread_counts() {
 
 #[test]
 fn small_row_counts_and_band_widths_match_reference() {
-    // `a·b` around its two input-dependent switches: the row count at which
+    // `a·b` around its input-dependent switches: the row count at which
     // `b` starts being packed (`PACK_MIN_ROWS` = 64 in `matmul.rs`; below it
     // the multi-row tile reads `b` in place, four rows at a time with a
-    // 1–3 row remainder) and the column-band width (full 32-wide bands vs
-    // the narrow remainder band, alone or after full ones). `k` is odd, and
-    // the wide shapes cross the FLOP gate so the pooled row split runs too.
-    // Zero rows is the LM-head call of a tick that decodes nothing.
+    // 1–3 row remainder), the row count from which an AVX-512 host runs the
+    // 16-lane tile (`WIDE_MIN_ROWS` = 16, eight rows at a time with a 1–7
+    // row remainder — on both sides of the pack switch), and the
+    // column-band width (full 32-wide bands vs the remainder band, which
+    // runs as literal 16/8/4/2/1-column pieces, alone or after full bands).
+    // `k` is odd, and the wide shapes cross the FLOP gate so the pooled row
+    // split runs too — which at 2 and 4 threads also drops a thread's band
+    // below the row gates that the whole product is above. Zero rows is the
+    // LM-head call of a tick that decodes nothing.
     // `aᵀ·b` takes the same switches on its own output rows (`a`'s columns:
     // a projection rank — 1 for APOLLO-Mini, 48 in the pretrain proxy), so
-    // it is checked on the transposed `a` against the same product.
+    // it is checked on the transposed `a` against the same product; `a·bᵀ`
+    // always packs, and is checked on the transposed `b`.
     let k = 129;
     let mut rng = Rng::seed_from_u64(0x5eed_1000);
-    for m in [0, 1, 2, 3, 4, 5, 7, 8, 9, 48, 63, 64, 65] {
-        for n in [1, 4, 31, 32, 33, 192, 512] {
-            let a = Matrix::randn(m, k, &mut rng);
-            let b = Matrix::randn(k, n, &mut rng);
-            let at = a.transpose();
-            let want = naive_matmul(&a, &b);
-            for threads in [1, 2, 4] {
-                set_thread_override(Some(threads));
-                assert_bits_eq(
-                    &a.matmul(&b),
-                    &want,
-                    &format!("matmul ({m}x{k}x{n}, threads={threads})"),
-                );
-                assert_bits_eq(
-                    &at.matmul_transa(&b),
-                    &want,
-                    &format!("matmul_transa ({m}x{k}x{n}, threads={threads})"),
-                );
+    let grids: [(&[usize], &[usize]); 2] = [
+        (
+            &[0, 1, 2, 3, 4, 5, 7, 8, 9, 48, 63, 64, 65],
+            &[1, 4, 31, 32, 33, 192, 512],
+        ),
+        // Both sides of the 16-row gate and every 8-row-tile remainder;
+        // each literal piece alone and after full bands (172 = 5·32 + 8 + 4
+        // is the 60M proxy's MLP width).
+        (
+            &[15, 16, 17, 23, 24, 25, 71, 72, 73],
+            &[8, 16, 24, 40, 56, 172],
+        ),
+    ];
+    for (ms, ns) in grids {
+        for &m in ms {
+            for &n in ns {
+                let a = Matrix::randn(m, k, &mut rng);
+                let b = Matrix::randn(k, n, &mut rng);
+                let (at, bt) = (a.transpose(), b.transpose());
+                let want = naive_matmul(&a, &b);
+                for threads in [1, 2, 4] {
+                    set_thread_override(Some(threads));
+                    let ctx = format!("({m}x{k}x{n}, threads={threads})");
+                    assert_bits_eq(&a.matmul(&b), &want, &format!("matmul {ctx}"));
+                    assert_bits_eq(
+                        &at.matmul_transa(&b),
+                        &want,
+                        &format!("matmul_transa {ctx}"),
+                    );
+                    assert_bits_eq(
+                        &a.matmul_transb(&bt),
+                        &want,
+                        &format!("matmul_transb {ctx}"),
+                    );
+                }
             }
         }
     }

@@ -218,24 +218,31 @@ cmp "$TRACE_TMP/frontier_a.json" "$TRACE_TMP/frontier_b.json"
 cmp "$TRACE_TMP/search_a.jsonl" "$TRACE_TMP/search_b.jsonl"
 ./target/release/apollo trace-check --trace "$TRACE_TMP/search_a.jsonl"
 
-echo "== fused-kernel and counter-draw bit-identity (release mode)"
+echo "== GEMM, fused-kernel and counter-draw bit-identity (release mode)"
 # The fused single-pass kernels must stay bitwise equal to the staged
 # references at every thread count, and the lane-unrolled fill of the
 # projection draw to its scalar definition. Debug-mode runs are covered by
 # the workspace suite above; release mode is what the benches and users
 # run, and is where the vectorizer could legally diverge if a kernel broke
-# the float-op-order contract.
-cargo test -q --release -p apollo-tensor --test fused_equivalence
+# the float-op-order contract. For the GEMM this build (release +
+# target-cpu=native) is also the one where the autovectorised array tile
+# and the explicit 16-lane tile both live: kernel_equivalence holds each
+# row band to the naive loop's bits on whichever the probe and the band's
+# row count select, simd_golden the relaxed tier's pinned AVX2 bits.
+cargo test -q --release -p apollo-tensor --test fused_equivalence \
+    --test kernel_equivalence --test simd_golden
 cargo test -q --release -p apollo-tensor --lib rng::
 cargo test -q --release -p apollo-autograd training_loop_fused
 
 echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
 # Everything above was compiled for the host CPU (.cargo/config.toml); an
 # empty RUSTFLAGS overrides that, so this is the code a portable binary
-# ships: SSE2 everywhere except the relaxed tier's `#[target_feature]`
-# entries, which the runtime probe still selects. It is the only stage that
-# enters them from code compiled without AVX2, and the one that holds
-# .cargo/config.toml to its claim that bits do not depend on the target CPU:
+# ships: SSE2 everywhere except the `#[target_feature]` entries — the
+# relaxed tier's avx2+fma kernels and the exact GEMM's avx512f tile — which
+# the runtime probes still select. It is the only stage that enters them
+# from SSE2-compiled code (the 16-lane tile with no edit here: the probe is
+# the same call in both builds), and the one that holds .cargo/config.toml
+# to its claim that bits do not depend on the target CPU:
 # kernel_equivalence, fused_equivalence, simd_golden and step_golden carry
 # the same constants here as in the native stages.
 RUSTFLAGS= cargo test -q --release -p apollo-tensor -p apollo-optim \
