@@ -10,8 +10,9 @@
 use apollo_bench::{print_table, scaled, write_json, UPDATE_FREQ};
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig, ParamKind};
-use apollo_optim::{AdamWChannelwise, Apollo, Optimizer, ParamUpdate};
+use apollo_optim::{AdamWChannelwise, Apollo, Optimizer};
 use apollo_tensor::Rng;
+use apollo_train::param_updates;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,26 +23,6 @@ struct LayerRatio {
     measured_p10: f32,
     measured_p90: f32,
     rank: usize,
-}
-
-fn step_with(
-    opt: &mut dyn Optimizer,
-    model: &mut LlamaModel,
-    grads: &[Option<apollo_tensor::Matrix>],
-    lr: f32,
-) {
-    let mut updates: Vec<ParamUpdate<'_>> = Vec::new();
-    for (p, g) in model.params.iter_mut().zip(grads) {
-        if let Some(grad) = g.as_ref() {
-            updates.push(ParamUpdate {
-                name: &p.name,
-                value: &mut p.value,
-                grad,
-                projectable: p.kind == ParamKind::Projectable,
-            });
-        }
-    }
-    opt.step(&mut updates, lr);
 }
 
 fn main() {
@@ -64,9 +45,9 @@ fn main() {
         let (tokens, targets) = batcher.next_batch();
         let (_, grads) = model.loss_and_grads(&tokens, &targets, 4);
         for (pm, popt) in probes.iter_mut() {
-            step_with(popt, pm, &grads, 1e-9); // negligible probe updates
+            popt.step(&mut param_updates(pm, &grads), 1e-9); // negligible probe updates
         }
-        step_with(&mut golden, &mut model, &grads, 1e-2);
+        golden.step(&mut param_updates(&mut model, &grads), 1e-2);
         if step % 20 == 0 {
             eprintln!("[fig4] step {step}/{steps}");
         }

@@ -134,15 +134,17 @@ DATA-PARALLEL
   --replicas N       train with N data-parallel replica threads, each owning
                      a ZeRO-style contiguous shard of the optimizer state.
                      Losses and weights are bit-identical at every replica
-                     count (fixed virtual-slot tree reduction); supported
-                     optimizers: adamw adamw-8bit adam-mini sgd sgd-m
-                     apollo apollo-svd apollo-mini
+                     count (fixed virtual-slot tree reduction), and every
+                     other pretrain flag works as it does without it;
+                     supported optimizers: adamw adamw-8bit adam-mini sgd
+                     sgd-m apollo apollo-svd apollo-mini
   --virtual-slots V  micro-batch decomposition width (default max(4, N));
                      --batch must divide by V and N must not exceed V
   --threads-per-replica N  kernel threads per replica (default 1)
   --fault-plan SPEC  inject replica failures: comma-separated
                      kill:STEP:REPLICA entries, e.g. kill:40:1 — the
                      survivors rebalance shards and resume bit-exactly
+                     (without --replicas the one replica's death is a crash)
 
 PERFORMANCE
   --threads N        kernel thread count, N >= 1. Precedence: this flag,
@@ -394,13 +396,11 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
     let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
     let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
     let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
-    let ddp_run = a.has("replicas");
     let tc = TrainConfig {
         steps,
         lr,
-        // Global-norm clipping needs a cross-shard reduction the DDP loop
-        // does not do (APOLLO-family runs use the per-tensor limiter).
-        grad_clip: if !ddp_run && (opt_name.starts_with("adamw") || opt_name.starts_with("sgd")) {
+        // APOLLO-family runs rely on the per-tensor norm-growth limiter.
+        grad_clip: if opt_name.starts_with("adamw") || opt_name.starts_with("sgd") {
             Some(1.0)
         } else {
             None
@@ -413,7 +413,10 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         },
         ..TrainConfig::quick(steps)
     };
-    let res = resilience_config(a)?;
+    let mut res = resilience_config(a)?;
+    if a.has("fault-plan") {
+        res.fault_plan = parse_fault_plan(&a.require("fault-plan")?)?;
+    }
     let metrics_every = a.get_num("metrics-every", 1usize)?;
     if metrics_every == 0 {
         return Err("--metrics-every must be >= 1".into());
@@ -430,7 +433,9 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         Obs::disabled()
     };
     observe_numerics(&obs);
-    let log = if ddp_run {
+    // One step pipeline either way: `--replicas` only decides who computes
+    // which slot and who holds which parameter's optimizer state.
+    let log = if a.has("replicas") {
         let replicas = a.get_num("replicas", 1usize)?;
         if replicas == 0 {
             return Err("--replicas must be >= 1".into());
@@ -441,10 +446,6 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
             virtual_slots,
             threads_per_replica: a.get_num("threads-per-replica", 1usize)?,
         };
-        let mut res = res;
-        if a.has("fault-plan") {
-            res.fault_plan = parse_fault_plan(&a.require("fault-plan")?)?;
-        }
         let make_opt = build_opt_factory(&opt_name, rank, &cfg)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch}, \
@@ -466,19 +467,8 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
             "ddp: {} replicas started, {} finished | {} rounds, {} kills, {} rebalances",
             d.replicas, d.survivors, d.rounds, d.replica_kills, d.rebalances
         );
-        // Full-bit precision so replica-invariance can be checked by
-        // comparing output lines (ci.sh does exactly that).
-        if let Some(&(step, loss)) = out.log.train_losses.last() {
-            println!(
-                "final loss {loss:.6} at step {step} (bits 0x{:08x})",
-                loss.to_bits()
-            );
-        }
         out.log
     } else {
-        if a.has("fault-plan") {
-            return Err("--fault-plan needs --replicas".into());
-        }
         let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch})",
@@ -487,6 +477,14 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         );
         pretrain_observed(&mut model, opt.as_mut(), &mut batcher, &tc, &res, &obs)
     };
+    // Full-bit precision so runs can be compared by comparing output lines
+    // (ci.sh does exactly that across replica counts).
+    if let Some(&(step, loss)) = log.train_losses.last() {
+        println!(
+            "final loss {loss:.6} at step {step} (bits 0x{:08x})",
+            loss.to_bits()
+        );
+    }
     for (step, ppl) in &log.eval_ppls {
         println!("step {step:>6}  val ppl {ppl:.2}");
     }

@@ -5,10 +5,12 @@
 use std::io;
 
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
-use apollo_nn::{LinearMode, LlamaModel, ParamKind};
-use apollo_optim::{AdamWChannelwise, Apollo, Optimizer, ParamUpdate};
+use apollo_nn::{LinearMode, LlamaModel};
+use apollo_optim::{AdamWChannelwise, Apollo, Optimizer};
 use apollo_tensor::Rng;
-use apollo_train::{eval_perplexity, train_state_blob, LrSchedule, TrainMeta, TrainState};
+use apollo_train::{
+    eval_perplexity, param_updates, train_state_blob, LrSchedule, TrainMeta, TrainState,
+};
 
 use crate::driver::SearchConfig;
 use crate::genome::{Genome, OptFamily};
@@ -142,17 +144,7 @@ impl Member {
             let grads = self.model.collect_grads(&graph, &pnodes);
             drop(graph);
             let lr = schedule.lr_at(self.step);
-            let mut updates: Vec<ParamUpdate<'_>> = Vec::new();
-            for (p, g) in self.model.params.iter_mut().zip(&grads) {
-                if let (true, Some(grad)) = (p.trainable, g.as_ref()) {
-                    updates.push(ParamUpdate {
-                        name: &p.name,
-                        value: &mut p.value,
-                        grad,
-                        projectable: p.kind == ParamKind::Projectable,
-                    });
-                }
-            }
+            let mut updates = param_updates(&mut self.model, &grads);
             self.opt.as_opt().step(&mut updates, lr);
             self.step += 1;
         }

@@ -1,5 +1,9 @@
 //! Deterministic multi-replica data-parallel pre-training with ZeRO-style
-//! optimizer-state sharding and elastic replica recovery.
+//! optimizer-state sharding and elastic replica recovery: the entry point
+//! [`pretrain_ddp`] and the mechanics the step pipeline
+//! (`crate::pipeline`) runs a team of members on — a poisonable barrier,
+//! the slot and shard partitions, the fixed combine tree and the
+//! per-parameter optimizer-state framing.
 //!
 //! # Replica-count invariance
 //!
@@ -32,29 +36,23 @@
 //! A [`crate::FaultKind::ReplicaKill`] fault (or any replica death) poisons
 //! the step barrier; survivors abandon the in-flight step, the driver
 //! drops the member, re-partitions shards and slots over the survivors,
-//! restores the newest recovery floor (the latest valid on-disk checkpoint,
-//! else the in-memory round-start state), and replays. Determinism makes
-//! the resumed run bit-identical to an undisturbed one.
+//! restores the team's in-memory floor (the state the round started from,
+//! then the state of its latest checkpoint or rollback snapshot), and
+//! replays. Determinism makes the resumed run bit-identical to an
+//! undisturbed one.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use apollo_data::LmBatcher;
-use apollo_nn::{LlamaModel, ParamKind};
-use apollo_obs::{Obs, Phase, PhaseSample, TraceEvent};
-use apollo_optim::{Optimizer, ParamUpdate};
-use apollo_tensor::Matrix;
+use apollo_nn::LlamaModel;
+use apollo_obs::Obs;
+use apollo_optim::Optimizer;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    checkpoint_file_name, latest_valid_checkpoint, prune_checkpoints, save_train_state, TrainMeta,
-};
-use crate::resilience::{ResilienceConfig, ResilienceReport};
-use crate::schedule::LrSchedule;
-use crate::trainer::{eval_perplexity, RunLog, TrainConfig};
+use crate::pipeline::{self, OptSource};
+use crate::resilience::ResilienceConfig;
+use crate::trainer::{RunLog, TrainConfig};
 
 /// Builds the optimizer instance owning the state of one parameter.
 ///
@@ -127,7 +125,7 @@ pub struct DdpRunLog {
 
 /// Returned by [`PoisonBarrier::wait`] when the barrier was poisoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Poisoned;
+pub(crate) struct Poisoned;
 
 struct BarrierState {
     waiting: usize,
@@ -135,14 +133,14 @@ struct BarrierState {
     poisoned: bool,
 }
 
-struct PoisonBarrier {
+pub(crate) struct PoisonBarrier {
     n: usize,
     state: Mutex<BarrierState>,
     cv: Condvar,
 }
 
 impl PoisonBarrier {
-    fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         PoisonBarrier {
             n,
             state: Mutex::new(BarrierState {
@@ -155,8 +153,13 @@ impl PoisonBarrier {
     }
 
     /// Blocks until all `n` participants arrive, or the barrier is
-    /// poisoned — whichever happens first.
-    fn wait(&self) -> Result<(), Poisoned> {
+    /// poisoned — whichever happens first. A lone participant never waits
+    /// (and has nobody to be poisoned by), so a one-member round pays
+    /// nothing for the barriers of the step pipeline.
+    pub(crate) fn wait(&self) -> Result<(), Poisoned> {
+        if self.n == 1 {
+            return Ok(());
+        }
         let mut s = self.state.lock().unwrap();
         if s.poisoned {
             return Err(Poisoned);
@@ -182,7 +185,7 @@ impl PoisonBarrier {
     }
 
     /// Wakes every waiter and fails all future waits.
-    fn poison(&self) {
+    pub(crate) fn poison(&self) {
         let mut s = self.state.lock().unwrap();
         s.poisoned = true;
         self.cv.notify_all();
@@ -193,13 +196,13 @@ impl PoisonBarrier {
 // Deterministic partitions and reductions.
 
 /// Contiguous slot range owned by replica position `pos` of `n`.
-fn slot_range(pos: usize, n: usize, total: usize) -> Range<usize> {
+pub(crate) fn slot_range(pos: usize, n: usize, total: usize) -> Range<usize> {
     pos * total / n..(pos + 1) * total / n
 }
 
 /// Contiguous per-replica parameter shards, balanced by element count.
 /// Every shard is non-empty (requires `shards <= elems.len()`).
-fn shard_ranges(elems: &[usize], shards: usize) -> Vec<Range<usize>> {
+pub(crate) fn shard_ranges(elems: &[usize], shards: usize) -> Vec<Range<usize>> {
     assert!(
         (1..=elems.len()).contains(&shards),
         "need 1..={} shards, got {shards}",
@@ -235,7 +238,7 @@ fn shard_ranges(elems: &[usize], shards: usize) -> Vec<Range<usize>> {
 /// `(0,1)(2,3)…`, odd leftovers passing through. The combine order depends
 /// only on `items.len()`, never on who calls it — the replica-invariance
 /// contract.
-fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) -> T {
+pub(crate) fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) -> T {
     assert!(!items.is_empty());
     while items.len() > 1 {
         let mut next = Vec::with_capacity(items.len().div_ceil(2));
@@ -259,7 +262,7 @@ fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) -> T {
 
 const OPT_MAGIC: &[u8; 8] = b"ddpopt-1";
 
-fn pack_opt_blobs(blobs: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn pack_opt_blobs(blobs: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = blobs.iter().map(|b| 8 + b.len()).sum();
     let mut out = Vec::with_capacity(16 + total);
     out.extend_from_slice(OPT_MAGIC);
@@ -271,7 +274,7 @@ fn pack_opt_blobs(blobs: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-fn unpack_opt_blobs(bytes: &[u8]) -> Result<Vec<Vec<u8>>, String> {
+pub(crate) fn unpack_opt_blobs(bytes: &[u8]) -> Result<Vec<Vec<u8>>, String> {
     let rest = bytes
         .strip_prefix(OPT_MAGIC)
         .ok_or("not a sharded optimizer-state section")?;
@@ -303,437 +306,7 @@ fn unpack_opt_blobs(bytes: &[u8]) -> Result<Vec<Vec<u8>>, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Round state.
-
-/// The canonical run state between rounds: everything needed to (re)start
-/// a synchronized round at `step` with any membership.
-struct Canonical {
-    params: Vec<Matrix>,
-    opt_blobs: Vec<Vec<u8>>,
-    step: usize,
-    report: ResilienceReport,
-}
-
-/// One slot's published result: loss plus per-model-parameter gradients
-/// (shard owners `take` their parameters' entries during reduction).
-struct SlotOut {
-    loss: f32,
-    grads: Vec<Option<Matrix>>,
-}
-
-/// State shared by all replica threads of one round.
-struct RoundShared {
-    barrier: PoisonBarrier,
-    /// Per-slot results for the in-flight step.
-    slots: Vec<Mutex<Option<SlotOut>>>,
-    /// Post-step parameter values, published by each shard owner.
-    bcast: Vec<Mutex<Option<Matrix>>>,
-    /// Per-parameter optimizer-state blobs gathered at checkpoint time.
-    gathered: Vec<Mutex<Vec<u8>>>,
-    /// Optimizer-state footprint `(elems, bytes)` summed over shards.
-    footprint: Mutex<(usize, usize)>,
-    /// `victim_id + 1` once a replica died this round; 0 = none.
-    killed: AtomicUsize,
-}
-
-/// What the leader replica brings back from a completed round.
-struct RoundOut {
-    losses: Vec<(usize, f32)>,
-    evals: Vec<(usize, f32)>,
-    final_ppl: f32,
-    model: LlamaModel,
-    report: ResilienceReport,
-    footprint: (usize, usize),
-}
-
-enum RoundOutcome {
-    Finished(Box<RoundOut>),
-    Killed {
-        victim: usize,
-        step: usize,
-        /// The leader's partial log up to the kill (absent when the
-        /// leader itself was the victim's barrier casualty before
-        /// producing anything — never in practice, but tolerated).
-        partial: Option<Box<RoundOut>>,
-    },
-}
-
-/// Everything a round needs that does not change across rounds.
-struct RoundCtx<'a> {
-    cfg: &'a TrainConfig,
-    res: &'a ResilienceConfig,
-    obs: &'a Obs,
-    make_opt: &'a OptimizerFactory,
-    model: &'a LlamaModel,
-    batcher: &'a LmBatcher,
-    /// Model-parameter index of each optimizer parameter.
-    opt_params: &'a [usize],
-    schedule: LrSchedule,
-    virtual_slots: usize,
-    threads_per_replica: usize,
-    global_batch: usize,
-}
-
-impl RoundCtx<'_> {
-    fn checkpoint_due(&self, step: usize, start_step: usize) -> bool {
-        self.res.checkpoint_dir.is_some()
-            && self.res.checkpoint_every > 0
-            && step > 0
-            && step != start_step
-            && step.is_multiple_of(self.res.checkpoint_every)
-    }
-
-    /// Writes the crash-safe checkpoint capturing "about to run `step`",
-    /// assembling the optimizer section from the gathered per-parameter
-    /// blobs. Leader-only.
-    fn write_checkpoint(
-        &self,
-        step: usize,
-        model: &LlamaModel,
-        shared: &RoundShared,
-        report: &mut ResilienceReport,
-    ) {
-        let Some(dir) = &self.res.checkpoint_dir else {
-            return;
-        };
-        let blobs: Vec<Vec<u8>> = shared
-            .gathered
-            .iter()
-            .map(|g| g.lock().unwrap().clone())
-            .collect();
-        let optimizer = pack_opt_blobs(&blobs);
-        let meta = TrainMeta {
-            step: step as u64,
-            data_cursor: 1 + step as u64 * self.global_batch as u64,
-            rng_state: Vec::new(),
-            rng_spare: None,
-            lr_scale: 1.0,
-            spike_window: Vec::new(),
-            report: report.clone(),
-        };
-        let result = std::fs::create_dir_all(dir).and_then(|()| {
-            save_train_state(
-                model,
-                model.mode(),
-                &meta,
-                &optimizer,
-                &dir.join(checkpoint_file_name(step as u64)),
-            )
-        });
-        match result {
-            Ok(()) => {
-                report.checkpoints_written += 1;
-                self.obs.counter("ddp.checkpoints", 1);
-                let _ = prune_checkpoints(dir, self.res.keep_last.max(1));
-            }
-            Err(e) => {
-                eprintln!("warning: checkpoint write failed ({e})");
-                report.checkpoint_errors += 1;
-            }
-        }
-    }
-}
-
-/// The body of one replica thread for one round. The leader (position 0)
-/// always returns its round output — partial when the round was killed, so
-/// pre-kill loss/eval samples survive into the merged log; other replicas
-/// return `None`.
-#[allow(clippy::too_many_lines)]
-fn replica_main(
-    ctx: &RoundCtx<'_>,
-    shared: &RoundShared,
-    canonical: &Canonical,
-    members: &[usize],
-    pos: usize,
-    kill: Option<(usize, usize)>,
-) -> Option<Box<RoundOut>> {
-    let _threads = apollo_tensor::ThreadOverrideGuard::new(ctx.threads_per_replica.max(1));
-    let my_id = members[pos];
-    let leader = pos == 0;
-    let replicas = members.len();
-    let v = ctx.virtual_slots;
-    let slot_batch = ctx.global_batch / v;
-    let start_step = canonical.step;
-
-    // Private model copy seeded from the canonical weights.
-    let mut model = ctx.model.clone();
-    for (p, value) in model.params.iter_mut().zip(&canonical.params) {
-        p.value.copy_from(value);
-    }
-    // This shard's per-parameter optimizers, state restored from the
-    // canonical blobs.
-    let shard = shard_ranges(
-        &ctx.opt_params
-            .iter()
-            .map(|&mi| ctx.model.params[mi].value.len())
-            .collect::<Vec<_>>(),
-        replicas,
-    )[pos]
-        .clone();
-    let mut opts: Vec<Box<dyn Optimizer>> = shard
-        .clone()
-        .map(|j| {
-            let mut opt = (ctx.make_opt)(j);
-            if !canonical.opt_blobs[j].is_empty() {
-                opt.state_load(&canonical.opt_blobs[j])
-                    .unwrap_or_else(|e| panic!("optimizer state for param {j} is invalid: {e}"));
-            }
-            opt
-        })
-        .collect();
-    let my_slots = slot_range(pos, replicas, v);
-    let mut slot_batcher = ctx.batcher.with_batch(slot_batch);
-    let eval_batcher = ctx.batcher.clone();
-    let loss_sample_every = (ctx.cfg.steps / 200).max(1);
-
-    let mut out = Box::new(RoundOut {
-        losses: Vec::new(),
-        evals: Vec::new(),
-        final_ppl: f32::NAN,
-        model: ctx.model.clone(),
-        report: canonical.report.clone(),
-        footprint: (0, 0),
-    });
-
-    // Gathers this shard's optimizer state into the shared blob table.
-    let gather_shard = |opts: &[Box<dyn Optimizer>]| {
-        for (local, j) in shard.clone().enumerate() {
-            let blob = opts[local]
-                .state_save()
-                .unwrap_or_else(|e| panic!("state_save for param {j} failed: {e}"));
-            *shared.gathered[j].lock().unwrap() = blob;
-        }
-    };
-
-    for step in start_step..ctx.cfg.steps {
-        // Fault injection: this replica dies *now*, mid-flight, without
-        // publishing anything — survivors unwind at their next barrier.
-        if kill == Some((step, my_id)) {
-            shared.killed.store(my_id + 1, Ordering::SeqCst);
-            shared.barrier.poison();
-            return leader.then_some(out);
-        }
-        if leader {
-            ctx.obs.set_step(step);
-        }
-        let step_started = Instant::now();
-        let mut sample = PhaseSample::new();
-
-        // Periodic checkpoint: every replica contributes its shard's state,
-        // then the leader assembles and writes.
-        if ctx.checkpoint_due(step, start_step) {
-            let checkpointing = sample.time(Phase::Checkpoint, || {
-                gather_shard(&opts);
-                if shared.barrier.wait().is_err() {
-                    return Err(Poisoned);
-                }
-                if leader {
-                    ctx.write_checkpoint(step, &model, shared, &mut out.report);
-                }
-                Ok(())
-            });
-            if checkpointing.is_err() {
-                return leader.then_some(out);
-            }
-        }
-
-        // Phase A: compute this replica's slots against the synced weights.
-        for s in my_slots.clone() {
-            let (tokens, targets) = sample.time(Phase::BatchPrep, || {
-                slot_batcher
-                    .set_cursor(1 + (step as u64 * v as u64 + s as u64) * slot_batch as u64);
-                slot_batcher.next_batch()
-            });
-            let (mut graph, loss_id, pnodes) = sample.time(Phase::Forward, || {
-                model.build_loss(&tokens, &targets, slot_batch)
-            });
-            let loss = graph.value(loss_id).get(0, 0);
-            let grads = sample.time(Phase::Backward, || {
-                graph.backward(loss_id);
-                model.collect_grads(&graph, &pnodes)
-            });
-            drop(graph);
-            *shared.slots[s].lock().unwrap() = Some(SlotOut { loss, grads });
-        }
-        if shared.barrier.wait().is_err() {
-            return leader.then_some(out);
-        }
-
-        // Phase B: tree-reduce and step this shard, publish updated values.
-        let lr = ctx.schedule.lr_at(step);
-        let mut shard_sq_norm = 0.0f64;
-        sample.time(Phase::Optimizer, || {
-            for (local, j) in shard.clone().enumerate() {
-                let mi = ctx.opt_params[j];
-                let slot_grads: Vec<Matrix> = (0..v)
-                    .map(|s| {
-                        shared.slots[s].lock().unwrap().as_mut().unwrap().grads[mi]
-                            .take()
-                            .expect("trainable parameter must have a gradient")
-                    })
-                    .collect();
-                let mut g = tree_combine(slot_grads, |a, b| {
-                    a.add_assign(&b);
-                    b.recycle();
-                });
-                g.scale_assign(1.0 / v as f32);
-                let n = f64::from(g.fro_norm());
-                shard_sq_norm += n * n;
-                let p = &mut model.params[mi];
-                let mut updates = [ParamUpdate {
-                    name: &p.name,
-                    value: &mut p.value,
-                    grad: &g,
-                    projectable: p.kind == ParamKind::Projectable,
-                }];
-                opts[local].step(&mut updates, lr);
-                g.recycle();
-                let updated = p.value.clone();
-                if let Some(old) = shared.bcast[j].lock().unwrap().replace(updated) {
-                    old.recycle();
-                }
-            }
-        });
-
-        // Leader: the global loss is the same fixed tree over slot losses.
-        if leader {
-            let slot_losses: Vec<f32> = (0..v)
-                .map(|s| shared.slots[s].lock().unwrap().as_ref().unwrap().loss)
-                .collect();
-            let loss = tree_combine(slot_losses, |a, b| *a += b) / v as f32;
-            ctx.obs.counter("ddp.steps", 1);
-            if ctx.obs.sample_due() {
-                let gn = shard_sq_norm.sqrt() as f32;
-                ctx.obs.gauge("loss", f64::from(loss));
-                ctx.obs.gauge("lr", f64::from(lr));
-                ctx.obs.emit(|| TraceEvent::StepMetrics {
-                    step,
-                    loss,
-                    grad_norm: gn,
-                    lr,
-                });
-            }
-            if step.is_multiple_of(loss_sample_every) || step + 1 == ctx.cfg.steps {
-                out.losses.push((step, loss));
-            }
-        }
-        if shared.barrier.wait().is_err() {
-            return leader.then_some(out);
-        }
-
-        // Phase C: pull every other shard's updated parameters.
-        for (j, &mi) in ctx.opt_params.iter().enumerate() {
-            if !shard.contains(&j) {
-                let slot = shared.bcast[j].lock().unwrap();
-                model.params[mi]
-                    .value
-                    .copy_from(slot.as_ref().expect("owner published this parameter"));
-            }
-        }
-        if leader {
-            if ctx.cfg.eval_every > 0
-                && (step + 1).is_multiple_of(ctx.cfg.eval_every)
-                && step + 1 != ctx.cfg.steps
-            {
-                let ppl = sample.time(Phase::Eval, || {
-                    eval_perplexity(&model, &eval_batcher, ctx.cfg.eval_seqs)
-                });
-                if let Some(ppl) = ppl {
-                    out.evals.push((step + 1, ppl));
-                }
-            }
-            let total_ms = step_started.elapsed().as_secs_f32() * 1e3;
-            ctx.obs.record_step(&sample, total_ms);
-            ctx.obs.emit(|| TraceEvent::StepPhases {
-                step,
-                batch_ms: sample.get(Phase::BatchPrep),
-                forward_ms: sample.get(Phase::Forward),
-                backward_ms: sample.get(Phase::Backward),
-                clip_ms: 0.0,
-                optimizer_ms: sample.get(Phase::Optimizer),
-                checkpoint_ms: sample.get(Phase::Checkpoint),
-                eval_ms: sample.get(Phase::Eval),
-                total_ms,
-            });
-        }
-        // The pre-compute barrier of the next iteration cannot replace
-        // this one: owners overwrite `bcast` in their next Phase B, which
-        // must not race a slow replica still copying in Phase C.
-        if shared.barrier.wait().is_err() {
-            return leader.then_some(out);
-        }
-    }
-
-    // Epilogue: gather every shard once for the footprint and the final
-    // checkpoint, then the leader evaluates and reports.
-    gather_shard(&opts);
-    {
-        let mut fp = shared.footprint.lock().unwrap();
-        fp.0 += opts.iter().map(|o| o.state_elems()).sum::<usize>();
-        fp.1 += opts.iter().map(|o| o.state_bytes()).sum::<usize>();
-    }
-    if shared.barrier.wait().is_err() {
-        return leader.then_some(out);
-    }
-    if !leader {
-        return None;
-    }
-    if let Some(ppl) = eval_perplexity(&model, &eval_batcher, ctx.cfg.eval_seqs) {
-        out.final_ppl = ppl;
-        out.evals.push((ctx.cfg.steps, ppl));
-    }
-    if ctx.res.checkpoint_every > 0 && ctx.cfg.steps != start_step {
-        ctx.write_checkpoint(ctx.cfg.steps, &model, shared, &mut out.report);
-    }
-    out.footprint = *shared.footprint.lock().unwrap();
-    out.model = model;
-    Some(out)
-}
-
-fn run_round(
-    ctx: &RoundCtx<'_>,
-    canonical: &Canonical,
-    members: &[usize],
-    kill: Option<(usize, usize)>,
-) -> RoundOutcome {
-    let shared = RoundShared {
-        barrier: PoisonBarrier::new(members.len()),
-        slots: (0..ctx.virtual_slots).map(|_| Mutex::new(None)).collect(),
-        bcast: (0..ctx.opt_params.len())
-            .map(|_| Mutex::new(None))
-            .collect(),
-        gathered: (0..ctx.opt_params.len())
-            .map(|_| Mutex::new(Vec::new()))
-            .collect(),
-        footprint: Mutex::new((0, 0)),
-        killed: AtomicUsize::new(0),
-    };
-    let mut leader_out: Option<Box<RoundOut>> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..members.len())
-            .map(|pos| {
-                let shared = &shared;
-                s.spawn(move || replica_main(ctx, shared, canonical, members, pos, kill))
-            })
-            .collect();
-        for h in handles {
-            if let Some(out) = h.join().expect("replica thread panicked") {
-                leader_out = Some(out);
-            }
-        }
-    });
-    match shared.killed.load(Ordering::SeqCst) {
-        0 => RoundOutcome::Finished(leader_out.expect("completed round has a leader result")),
-        id_plus_one => RoundOutcome::Killed {
-            victim: id_plus_one - 1,
-            step: kill.expect("a kill was injected").0,
-            partial: leader_out,
-        },
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver.
+// Entry point.
 
 /// Runs multi-replica data-parallel pre-training.
 ///
@@ -743,20 +316,20 @@ fn run_round(
 /// any `ddp.replicas` at a fixed `ddp.virtual_slots`. On return, `model`
 /// holds the final weights.
 ///
-/// Supported resilience features: crash-safe sharded checkpoints
-/// (`checkpoint_dir`/`checkpoint_every`/`keep_last`/`resume`) and
-/// [`crate::FaultKind::ReplicaKill`] entries of the fault plan (each kill
-/// drops a member, rebalances, and resumes from the newest recovery
-/// floor). Per-step gradient sentinels, recovery policies, and the other
-/// fault kinds are serial-loop features and are ignored here.
+/// This is the step pipeline of [`crate::pretrain_observed`] run by a team:
+/// every `cfg` and `res` feature works here as it does there, at any replica
+/// count — clipping, INT8 weight round-trips, ReLoRA merges, sentinels and
+/// recovery policies, crash-safe (sharded) checkpoints and every fault kind.
+/// `cfg.grad_accum = A` makes a step `V·A` slots of `batch / V` sequences
+/// (`A` global batches), combined by the one tree.
+/// [`crate::FaultKind::ReplicaKill`] entries of the fault plan each drop a
+/// member, rebalance, and replay from the team's in-memory floor.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.steps == 0`, the global batch does not divide by
 /// `virtual_slots`, `replicas` exceeds `virtual_slots` or the trainable
-/// parameter count, every replica is killed, or `cfg` requests serial-only
-/// features (`grad_accum > 1`, `grad_clip`, `merge_every`,
-/// `quantize_weights`).
+/// parameter count, or every replica is killed.
 pub fn pretrain_ddp(
     model: &mut LlamaModel,
     make_opt: &OptimizerFactory,
@@ -766,7 +339,6 @@ pub fn pretrain_ddp(
     res: &ResilienceConfig,
     obs: &Obs,
 ) -> DdpRunLog {
-    assert!(cfg.steps > 0, "need at least one step");
     assert!(ddp.replicas >= 1, "need at least one replica");
     assert!(
         ddp.replicas <= ddp.virtual_slots,
@@ -780,228 +352,22 @@ pub fn pretrain_ddp(
         batcher.batch(),
         ddp.virtual_slots
     );
+    let trainable = model.params.iter().filter(|p| p.trainable).count();
     assert!(
-        cfg.grad_accum <= 1 && cfg.grad_clip.is_none(),
-        "grad_accum/grad_clip are serial-loop features"
+        ddp.replicas <= trainable,
+        "more replicas ({}) than trainable parameters ({trainable})",
+        ddp.replicas
     );
-    assert!(
-        cfg.merge_every.is_none() && cfg.quantize_weights.is_none(),
-        "merge_every/quantize_weights are serial-loop features"
-    );
-    let opt_params: Vec<usize> = model
-        .params
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.trainable)
-        .map(|(i, _)| i)
-        .collect();
-    assert!(
-        ddp.replicas <= opt_params.len(),
-        "more replicas ({}) than trainable parameters ({})",
-        ddp.replicas,
-        opt_params.len()
-    );
-
-    let started = Instant::now();
-    let opt_name = make_opt(0).name();
-    let mut canonical = Canonical {
-        params: model.params.iter().map(|p| p.value.clone()).collect(),
-        opt_blobs: vec![Vec::new(); opt_params.len()],
-        step: 0,
-        report: ResilienceReport::default(),
-    };
-    let restore_canonical = |canonical: &mut Canonical, state: crate::checkpoint::TrainState| {
-        for (p, saved) in model.params.iter().zip(&state.model.params) {
-            assert_eq!(p.name, saved.name, "checkpoint/model manifest mismatch");
-        }
-        canonical.params = state.model.params.into_iter().map(|p| p.value).collect();
-        canonical.step = (state.meta.step as usize).min(cfg.steps);
-        canonical.report = state.meta.report;
-        canonical.opt_blobs = if state.optimizer.is_empty() {
-            vec![Vec::new(); opt_params.len()]
-        } else {
-            match unpack_opt_blobs(&state.optimizer) {
-                Ok(blobs) if blobs.len() == opt_params.len() => blobs,
-                Ok(blobs) => {
-                    eprintln!(
-                        "warning: checkpoint has {} optimizer blobs, expected {}; starting fresh",
-                        blobs.len(),
-                        opt_params.len()
-                    );
-                    vec![Vec::new(); opt_params.len()]
-                }
-                Err(e) => {
-                    eprintln!("warning: optimizer state not restored ({e}); starting fresh");
-                    vec![Vec::new(); opt_params.len()]
-                }
-            }
-        };
-    };
-    if res.resume {
-        if let Some(dir) = &res.checkpoint_dir {
-            if let Ok(Some((_, state))) = latest_valid_checkpoint(dir) {
-                let step = state.meta.step;
-                restore_canonical(&mut canonical, state);
-                canonical.report.resumed_from_step = Some(step);
-            }
-        }
-    }
-
-    let mut kills = res.fault_plan.clone().take_replica_kills();
-    let mut members: Vec<usize> = (0..ddp.replicas).collect();
-    let mut ddp_report = DdpReport {
-        replicas: ddp.replicas,
-        survivors: ddp.replicas,
-        virtual_slots: ddp.virtual_slots,
-        ..DdpReport::default()
-    };
-    let mut losses: BTreeMap<usize, f32> = BTreeMap::new();
-    let mut evals: BTreeMap<usize, f32> = BTreeMap::new();
-
-    obs.set_step(canonical.step);
-    obs.emit(|| TraceEvent::RunStart {
-        step: canonical.step,
-        optimizer: format!("ddp×{} {opt_name}", ddp.replicas),
-        model: model.config().name.clone(),
-        steps: cfg.steps,
-    });
-
-    let ctx = RoundCtx {
-        cfg,
-        res,
-        obs,
-        make_opt,
-        model,
-        batcher,
-        opt_params: &opt_params,
-        schedule: LrSchedule::paper_default(cfg.lr, cfg.steps),
-        virtual_slots: ddp.virtual_slots,
-        threads_per_replica: ddp.threads_per_replica,
-        global_batch: batcher.batch(),
-    };
-
-    let finished = loop {
-        ddp_report.rounds += 1;
-        obs.counter("ddp.rounds", 1);
-        obs.gauge("ddp.replicas", members.len() as f64);
-        for &m in &members {
-            obs.emit(|| TraceEvent::ReplicaEvent {
-                step: canonical.step,
-                replica: m,
-                event: "start".to_string(),
-                replicas: members.len(),
-            });
-        }
-        // Only kills that can actually fire this round are armed; stale
-        // entries (already-dead target, step already passed) are dropped.
-        kills.retain(|&(step, replica)| {
-            step >= canonical.step && step < cfg.steps && members.contains(&replica)
-        });
-        let kill = kills.first().copied();
-
-        match run_round(&ctx, &canonical, &members, kill) {
-            RoundOutcome::Finished(out) => break out,
-            RoundOutcome::Killed {
-                victim,
-                step,
-                partial,
-            } => {
-                // Keep the samples the killed round produced: the replay
-                // regenerates them bit-identically, and steps before the
-                // resume point exist nowhere else.
-                if let Some(partial) = partial {
-                    for (step, loss) in partial.losses {
-                        losses.insert(step, loss);
-                    }
-                    for (step, ppl) in partial.evals {
-                        evals.insert(step, ppl);
-                    }
-                }
-                kills.remove(0);
-                members.retain(|&m| m != victim);
-                assert!(!members.is_empty(), "every replica was killed");
-                ddp_report.replica_kills += 1;
-                ddp_report.survivors = members.len();
-                obs.counter("ddp.replica_kills", 1);
-                obs.emit(|| TraceEvent::ReplicaEvent {
-                    step,
-                    replica: victim,
-                    event: "kill".to_string(),
-                    replicas: members.len(),
-                });
-                // Recovery floor: the newest on-disk checkpoint if it is
-                // ahead of the round-start state (which `canonical` still
-                // holds — rounds never mutate it), else replay the round.
-                if let Some(dir) = &res.checkpoint_dir {
-                    if let Ok(Some((_, state))) = latest_valid_checkpoint(dir) {
-                        if (state.meta.step as usize) > canonical.step {
-                            restore_canonical(&mut canonical, state);
-                        }
-                    }
-                }
-                canonical.report.resumed_from_step = Some(canonical.step as u64);
-                ddp_report.rebalances += 1;
-                obs.counter("ddp.rebalances", 1);
-                for &m in &members {
-                    obs.emit(|| TraceEvent::ReplicaEvent {
-                        step: canonical.step,
-                        replica: m,
-                        event: "rebalance".to_string(),
-                        replicas: members.len(),
-                    });
-                }
-            }
-        }
-    };
-
-    // Later rounds replay earlier steps bit-identically, so keyed merges
-    // collapse the replays into the clean run's sample sequence.
-    for (step, loss) in finished.losses {
-        losses.insert(step, loss);
-    }
-    for (step, ppl) in finished.evals {
-        evals.insert(step, ppl);
-    }
-    for (p, value) in model.params.iter_mut().zip(finished.model.params) {
-        let old = std::mem::replace(&mut p.value, value.value);
-        old.recycle();
-    }
-    for &m in &members {
-        obs.emit(|| TraceEvent::ReplicaEvent {
-            step: cfg.steps,
-            replica: m,
-            event: "finish".to_string(),
-            replicas: members.len(),
-        });
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-    obs.emit(|| TraceEvent::RunEnd {
-        step: cfg.steps,
-        wall_secs,
-    });
-    if let Err(e) = obs.flush() {
-        eprintln!("warning: trace flush failed ({e})");
-    }
-    DdpRunLog {
-        log: RunLog {
-            optimizer: opt_name,
-            model: model.config().name.clone(),
-            train_losses: losses.into_iter().collect(),
-            eval_ppls: evals.into_iter().collect(),
-            final_ppl: finished.final_ppl,
-            state_elems: finished.footprint.0,
-            state_bytes: finished.footprint.1,
-            wall_secs,
-            step_times_ms: Vec::new(),
-            resilience: finished.report,
-        },
-        ddp: ddp_report,
-    }
+    let mut slot_batcher = batcher.with_batch(batcher.batch() / ddp.virtual_slots);
+    slot_batcher.set_cursor(batcher.cursor());
+    let source = OptSource::PerParam(make_opt);
+    pipeline::run(model, source, &mut slot_batcher, ddp, cfg, res, obs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn tree_combine_is_a_fixed_pairwise_tree() {

@@ -3,11 +3,12 @@
 use std::time::Instant;
 
 use apollo_data::TaskGen;
-use apollo_nn::{LlamaModel, ParamKind};
-use apollo_optim::{Optimizer, ParamUpdate};
+use apollo_nn::LlamaModel;
+use apollo_optim::Optimizer;
 use serde::{Deserialize, Serialize};
 
 use crate::schedule::LrSchedule;
+use crate::trainer::param_updates;
 
 /// Fine-tuning hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -86,18 +87,7 @@ pub fn finetune(
         let (loss, grads) = model.class_loss_and_grads(&tokens, &labels, cfg.batch);
         final_loss = loss;
         let lr = schedule.lr_at(step);
-        let mut updates: Vec<ParamUpdate<'_>> = Vec::new();
-        for (p, g) in model.params.iter_mut().zip(&grads) {
-            if let (true, Some(grad)) = (p.trainable, g.as_ref()) {
-                updates.push(ParamUpdate {
-                    name: &p.name,
-                    value: &mut p.value,
-                    grad,
-                    projectable: p.kind == ParamKind::Projectable,
-                });
-            }
-        }
-        opt.step(&mut updates, lr);
+        opt.step(&mut param_updates(model, &grads), lr);
     }
     let accuracy = eval_accuracy(model, task, cfg.eval_examples, cfg.batch);
     FinetuneResult {

@@ -4,6 +4,8 @@
 //! [`pretrain`] runs the paper's pre-training recipe (linear warmup over the
 //! first 10% of steps, cosine decay to 10% of the peak LR, validation
 //! perplexity every `eval_every` steps) with any [`apollo_optim::Optimizer`].
+//! [`pretrain_resilient`], [`pretrain_observed`] and the data-parallel
+//! [`pretrain_ddp`] are the same step pipeline with more of it switched on.
 //! [`finetune`] runs the sequence-classification fine-tuning protocol of
 //! Tables 4–5 and reports accuracy. Both return serializable [`RunLog`] /
 //! [`FinetuneResult`] records that the bench harness writes as JSON.
@@ -30,6 +32,7 @@
 mod checkpoint;
 mod ddp;
 mod finetune;
+mod pipeline;
 pub mod resilience;
 mod schedule;
 mod trainer;
@@ -45,5 +48,6 @@ pub use resilience::{
 };
 pub use schedule::LrSchedule;
 pub use trainer::{
-    eval_perplexity, pretrain, pretrain_observed, pretrain_resilient, RunLog, TrainConfig,
+    eval_perplexity, param_updates, pretrain, pretrain_observed, pretrain_resilient, RunLog,
+    TrainConfig,
 };

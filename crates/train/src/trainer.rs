@@ -1,23 +1,19 @@
-//! The pre-training loop, with optional resilience: step sentinels,
-//! recovery policies, crash-safe checkpointing, and deterministic fault
-//! injection.
-
-use std::time::Instant;
+//! Pre-training configuration, run log and entry points. The loop itself
+//! — one step pipeline shared with [`crate::pretrain_ddp`] — lives in
+//! `crate::pipeline`; the serial entry points here are its one-member round,
+//! run inline on the caller's thread against the caller's model and
+//! optimizer.
 
 use apollo_data::LmBatcher;
 use apollo_nn::{LlamaModel, ParamKind};
-use apollo_obs::{Obs, Phase, PhaseSample, TraceEvent};
+use apollo_obs::Obs;
 use apollo_optim::{Optimizer, ParamUpdate};
-use apollo_tensor::{Matrix, Rng};
+use apollo_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{
-    checkpoint_file_name, latest_valid_checkpoint, prune_checkpoints, save_train_state, TrainMeta,
-};
-use crate::resilience::{
-    FaultKind, RecoveryPolicy, ResilienceConfig, ResilienceReport, SpikeDetector,
-};
-use crate::schedule::LrSchedule;
+use crate::ddp::DdpConfig;
+use crate::pipeline::{self, OptSource};
+use crate::resilience::{ResilienceConfig, ResilienceReport};
 
 /// Pre-training hyper-parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,12 +97,24 @@ pub struct RunLog {
 /// validation data), so callers skip the sample instead of recording the
 /// NaN that the former `0/0` division produced.
 pub fn eval_perplexity(model: &LlamaModel, batcher: &LmBatcher, eval_seqs: usize) -> Option<f32> {
+    eval_chunked(model, batcher, eval_seqs, batcher.batch())
+}
+
+/// [`eval_perplexity`] in chunks of `chunk` sequences (the chunking shows in
+/// the low bits, so a member evaluating with a slot-sized batcher passes the
+/// caller's batch size).
+pub(crate) fn eval_chunked(
+    model: &LlamaModel,
+    batcher: &LmBatcher,
+    eval_seqs: usize,
+    chunk: usize,
+) -> Option<f32> {
     let (tokens, targets, n_seqs) = batcher.validation_set(eval_seqs);
     if n_seqs == 0 {
         return None;
     }
     let seq = batcher.seq();
-    let chunk = batcher.batch().min(n_seqs);
+    let chunk = chunk.min(n_seqs);
     let mut total_loss = 0.0f64;
     let mut total_seqs = 0usize;
     let mut start = 0;
@@ -122,119 +130,25 @@ pub fn eval_perplexity(model: &LlamaModel, batcher: &LmBatcher, eval_seqs: usize
     Some(((total_loss / total_seqs as f64).exp()) as f32)
 }
 
-/// Global gradient norm across all present tensors.
-fn global_grad_norm(grads: &[Option<Matrix>]) -> f32 {
-    let total: f64 = grads
-        .iter()
-        .flatten()
-        .map(|g| {
-            let n = g.fro_norm() as f64;
-            n * n
+/// The optimizer's view of one step: every trainable parameter that has a
+/// gradient, in stable declaration order, weight matrices marked
+/// projectable.
+pub fn param_updates<'a>(
+    model: &'a mut LlamaModel,
+    grads: &'a [Option<Matrix>],
+) -> Vec<ParamUpdate<'a>> {
+    let with_grads = model.params.iter_mut().zip(grads);
+    with_grads
+        .filter_map(|(p, g)| match (p.trainable, g) {
+            (true, Some(grad)) => Some(ParamUpdate {
+                name: &p.name,
+                value: &mut p.value,
+                grad,
+                projectable: p.kind == ParamKind::Projectable,
+            }),
+            _ => None,
         })
-        .sum();
-    total.sqrt() as f32
-}
-
-/// What [`clip_global_norm`] found and did.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ClipOutcome {
-    /// Pre-clip global gradient norm (possibly NaN/Inf).
-    norm: f32,
-    /// The norm was NaN/Inf; every gradient was zeroed instead of scaled.
-    non_finite: bool,
-}
-
-/// Clips the global gradient norm across all trainable tensors to `max_norm`.
-///
-/// A single NaN/Inf gradient entry makes the global norm non-finite, and
-/// `norm > max_norm` is then false — so clipping used to silently pass the
-/// poisoned gradients straight to the optimizer. Non-finite norms now zero
-/// every gradient and are surfaced in the outcome for the caller to count
-/// and skip the step.
-fn clip_global_norm(grads: &mut [Option<Matrix>], max_norm: f32) -> ClipOutcome {
-    let norm = global_grad_norm(grads);
-    if !norm.is_finite() {
-        for g in grads.iter_mut().flatten() {
-            g.as_mut_slice().fill(0.0);
-        }
-        return ClipOutcome {
-            norm,
-            non_finite: true,
-        };
-    }
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for g in grads.iter_mut().flatten() {
-            g.scale_assign(scale);
-        }
-    }
-    ClipOutcome {
-        norm,
-        non_finite: false,
-    }
-}
-
-/// An in-memory restore point for [`RecoveryPolicy::RollbackAndRetry`].
-struct Snapshot {
-    step: usize,
-    params: Vec<Matrix>,
-    optimizer: Vec<u8>,
-    cursor: u64,
-    rng: ([u64; 4], Option<u32>),
-    window: Vec<f32>,
-}
-
-impl Snapshot {
-    fn take(
-        step: usize,
-        model: &LlamaModel,
-        opt: &dyn Optimizer,
-        batcher: &LmBatcher,
-        rng: &Rng,
-        detector: &SpikeDetector,
-    ) -> Option<Self> {
-        let optimizer = opt.state_save().ok()?;
-        Some(Snapshot {
-            step,
-            params: model.params.iter().map(|p| p.value.clone()).collect(),
-            optimizer,
-            cursor: batcher.cursor(),
-            rng: rng.state(),
-            window: detector.window(),
-        })
-    }
-
-    fn restore(
-        &self,
-        model: &mut LlamaModel,
-        opt: &mut dyn Optimizer,
-        batcher: &mut LmBatcher,
-        rng: &mut Rng,
-        detector: &mut SpikeDetector,
-    ) -> Result<(), String> {
-        opt.state_load(&self.optimizer)?;
-        for (p, saved) in model.params.iter_mut().zip(&self.params) {
-            // Overwrite in place: the parameter keeps its allocation.
-            p.value.copy_from(saved);
-        }
-        batcher.set_cursor(self.cursor);
-        *rng = Rng::from_state(self.rng.0, self.rng.1);
-        detector.restore(&self.window);
-        Ok(())
-    }
-}
-
-/// Zeroes every non-finite gradient entry (in place).
-fn sanitize_grads(grads: &mut [Option<Matrix>]) {
-    for g in grads.iter_mut().flatten() {
-        if g.has_non_finite() {
-            for x in g.as_mut_slice() {
-                if !x.is_finite() {
-                    *x = 0.0;
-                }
-            }
-        }
-    }
+        .collect()
 }
 
 /// Runs the pre-training loop: warmup+cosine schedule, optional global
@@ -294,478 +208,30 @@ pub fn pretrain_observed(
     res: &ResilienceConfig,
     obs: &Obs,
 ) -> RunLog {
-    assert!(cfg.steps > 0, "need at least one step");
-    let schedule = LrSchedule::paper_default(cfg.lr, cfg.steps);
-    let mut log = RunLog {
-        optimizer: opt.name(),
-        model: model.config().name.clone(),
-        train_losses: Vec::new(),
-        eval_ppls: Vec::new(),
-        final_ppl: f32::NAN,
-        state_elems: 0,
-        state_bytes: 0,
-        wall_secs: 0.0,
-        step_times_ms: Vec::new(),
-        resilience: ResilienceReport::default(),
+    let layout = DdpConfig {
+        replicas: 1,
+        virtual_slots: 1,
+        threads_per_replica: 1,
     };
-    let started = Instant::now();
-    let loss_sample_every = (cfg.steps / 200).max(1);
-    let mut merge_rng = Rng::seed_from_u64(0x4E10);
-    let mut detector = SpikeDetector::new(res.spike_window, res.spike_factor);
-    let mut report = ResilienceReport::default();
-    let mut fault_plan = res.fault_plan.clone();
-    let mut lr_scale = 1.0f32;
-    let mut start_step = 0usize;
-
-    // Resume from the newest valid checkpoint, if asked to.
-    if res.resume {
-        if let Some(dir) = &res.checkpoint_dir {
-            if let Ok(Some((_, state))) = latest_valid_checkpoint(dir) {
-                let mut state = state;
-                for (p, saved) in model.params.iter_mut().zip(state.model.params.iter_mut()) {
-                    assert_eq!(p.name, saved.name, "checkpoint/model manifest mismatch");
-                    // The checkpoint is owned here — move the tensor in
-                    // instead of cloning it, and recycle the replaced one.
-                    let old = std::mem::replace(
-                        &mut p.value,
-                        std::mem::replace(&mut saved.value, Matrix::zeros(0, 0)),
-                    );
-                    old.recycle();
-                }
-                if !state.optimizer.is_empty() {
-                    if let Err(e) = opt.state_load(&state.optimizer) {
-                        eprintln!("warning: optimizer state not restored ({e}); starting fresh");
-                    }
-                }
-                batcher.set_cursor(state.meta.data_cursor);
-                if state.meta.rng_state.len() == 4 {
-                    let mut s = [0u64; 4];
-                    s.copy_from_slice(&state.meta.rng_state);
-                    merge_rng = Rng::from_state(s, state.meta.rng_spare);
-                }
-                detector.restore(&state.meta.spike_window);
-                lr_scale = state.meta.lr_scale;
-                report = state.meta.report.clone();
-                report.resumed_from_step = Some(state.meta.step);
-                start_step = (state.meta.step as usize).min(cfg.steps);
-            }
-        }
-    }
-
-    opt.attach_observer(obs.clone());
-    obs.set_step(start_step);
-    // Baseline for the run-end pool counters (the pool is process-global).
-    let pool_at_start = apollo_tensor::pool::stats();
-    obs.emit(|| TraceEvent::RunStart {
-        step: start_step,
-        optimizer: log.optimizer.clone(),
-        model: log.model.clone(),
-        steps: cfg.steps,
-    });
-
-    // Writes the crash-safe checkpoint capturing "about to run `step`".
-    let write_checkpoint = |step: usize,
-                            model: &LlamaModel,
-                            opt: &dyn Optimizer,
-                            batcher: &LmBatcher,
-                            merge_rng: &Rng,
-                            detector: &SpikeDetector,
-                            lr_scale: f32,
-                            report: &mut ResilienceReport| {
-        let Some(dir) = &res.checkpoint_dir else {
-            return;
-        };
-        let optimizer = match opt.state_save() {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("warning: checkpoint skipped ({e})");
-                report.checkpoint_errors += 1;
-                return;
-            }
-        };
-        let (rng_s, rng_spare) = merge_rng.state();
-        let meta = TrainMeta {
-            step: step as u64,
-            data_cursor: batcher.cursor(),
-            rng_state: rng_s.to_vec(),
-            rng_spare,
-            lr_scale,
-            spike_window: detector.window(),
-            report: report.clone(),
-        };
-        let result = std::fs::create_dir_all(dir).and_then(|()| {
-            save_train_state(
-                model,
-                model.mode(),
-                &meta,
-                &optimizer,
-                &dir.join(checkpoint_file_name(step as u64)),
-            )
-        });
-        match result {
-            Ok(()) => {
-                report.checkpoints_written += 1;
-                let _ = prune_checkpoints(dir, res.keep_last.max(1));
-            }
-            Err(e) => {
-                eprintln!("warning: checkpoint write failed ({e})");
-                report.checkpoint_errors += 1;
-            }
-        }
-    };
-
-    let accum = cfg.grad_accum.max(1);
-    let mut snapshot: Option<Snapshot> = None;
-    let mut consecutive_faults = 0usize;
-    let mut step = start_step;
-    'train: while step < cfg.steps {
-        obs.set_step(step);
-        let step_started = Instant::now();
-        let mut sample = PhaseSample::new();
-        // Refresh the rollback restore point on its own cadence.
-        if matches!(res.policy, Some(RecoveryPolicy::RollbackAndRetry { .. })) {
-            let due = snapshot
-                .as_ref()
-                .is_none_or(|s| step >= s.step + res.snapshot_every.max(1));
-            if due {
-                snapshot = Snapshot::take(step, model, opt, batcher, &merge_rng, &detector);
-            }
-        }
-        // Periodic crash-safe checkpoint (skipped at the step we just
-        // resumed from — that file already exists).
-        if res.checkpoint_every > 0
-            && step > 0
-            && step != start_step
-            && step.is_multiple_of(res.checkpoint_every)
-        {
-            sample.time(Phase::Checkpoint, || {
-                write_checkpoint(
-                    step,
-                    model,
-                    opt,
-                    batcher,
-                    &merge_rng,
-                    &detector,
-                    lr_scale,
-                    &mut report,
-                );
-            });
-        }
-
-        let (tokens, targets) = sample.time(Phase::BatchPrep, || batcher.next_batch());
-        // Forward and backward are timed separately, so the two halves of
-        // what `loss_and_grads` fuses are run here by hand.
-        let (mut graph, loss_id, pnodes) = sample.time(Phase::Forward, || {
-            model.build_loss(&tokens, &targets, batcher.batch())
-        });
-        let mut loss = graph.value(loss_id).get(0, 0);
-        let mut grads = sample.time(Phase::Backward, || {
-            graph.backward(loss_id);
-            model.collect_grads(&graph, &pnodes)
-        });
-        drop(graph);
-        for _ in 1..accum {
-            let (tokens, targets) = sample.time(Phase::BatchPrep, || batcher.next_batch());
-            let (mut graph, loss_id, pnodes) = sample.time(Phase::Forward, || {
-                model.build_loss(&tokens, &targets, batcher.batch())
-            });
-            loss += graph.value(loss_id).get(0, 0);
-            sample.time(Phase::Backward, || {
-                graph.backward(loss_id);
-                let extra = model.collect_grads(&graph, &pnodes);
-                for (acc, e) in grads.iter_mut().zip(&extra) {
-                    if let (Some(a), Some(e)) = (acc.as_mut(), e.as_ref()) {
-                        a.add_assign(e);
-                    }
-                }
-            });
-        }
-        if accum > 1 {
-            loss /= accum as f32;
-            let inv = 1.0 / accum as f32;
-            for g in grads.iter_mut().flatten() {
-                g.scale_assign(inv);
-            }
-        }
-
-        // Deterministic fault injection (tests only; plans are empty in
-        // production configs). Faults are one-shot: a retried step passes.
-        match fault_plan.take_at(step) {
-            Some(FaultKind::NanGrad) => {
-                if let Some(g) = grads.iter_mut().flatten().next() {
-                    g.set(0, 0, f32::NAN);
-                }
-            }
-            Some(FaultKind::InfGrad) => {
-                if let Some(g) = grads.iter_mut().flatten().next() {
-                    g.set(0, 0, f32::INFINITY);
-                }
-            }
-            Some(FaultKind::LossSpike { factor }) => {
-                loss *= factor;
-                for g in grads.iter_mut().flatten() {
-                    g.scale_assign(factor);
-                }
-            }
-            Some(FaultKind::Crash) => {
-                // Simulated kill -9: no final eval, no final checkpoint.
-                report.crashed = true;
-                break 'train;
-            }
-            Some(FaultKind::ReplicaKill { .. }) => {
-                // The serial loop has exactly one "replica"; killing it is
-                // a crash. The DDP driver handles this kind elastically.
-                report.crashed = true;
-                break 'train;
-            }
-            None => {}
-        }
-
-        // Step sentinels.
-        if let Some(policy) = res.policy {
-            let bad_loss = !loss.is_finite();
-            let bad_grads = grads.iter().flatten().any(Matrix::has_non_finite);
-            let spike = !bad_loss && detector.is_spike(loss);
-            if bad_loss {
-                report.non_finite_loss += 1;
-                obs.counter("sentinel_non_finite_loss", 1);
-            }
-            if bad_grads {
-                report.non_finite_grads += 1;
-                obs.counter("sentinel_non_finite_grads", 1);
-            }
-            if spike {
-                report.loss_spikes += 1;
-                obs.counter("sentinel_loss_spike", 1);
-            }
-            if bad_loss || bad_grads || spike {
-                let kind = if bad_loss {
-                    "non_finite_loss"
-                } else if bad_grads {
-                    "non_finite_grads"
-                } else {
-                    "loss_spike"
-                };
-                let sentinel = |action: &'static str| {
-                    obs.emit(|| TraceEvent::Sentinel {
-                        step,
-                        kind: kind.to_string(),
-                        action: action.to_string(),
-                    });
-                };
-                consecutive_faults += 1;
-                if consecutive_faults > res.max_consecutive_faults {
-                    sentinel("abort");
-                    report.aborted = true;
-                    break 'train;
-                }
-                match policy {
-                    RecoveryPolicy::SkipStep => {
-                        sentinel("skip");
-                        report.skipped_steps += 1;
-                        step += 1;
-                        continue 'train;
-                    }
-                    RecoveryPolicy::Abort => {
-                        sentinel("abort");
-                        report.aborted = true;
-                        break 'train;
-                    }
-                    RecoveryPolicy::ClipAndContinue => {
-                        sentinel("clip");
-                        sanitize_grads(&mut grads);
-                        clip_global_norm(&mut grads, res.clip_norm);
-                        report.clipped_steps += 1;
-                        // Fall through: apply the repaired update.
-                    }
-                    RecoveryPolicy::RollbackAndRetry { lr_backoff } => {
-                        if let Some(s) = &snapshot {
-                            if let Err(e) =
-                                s.restore(model, opt, batcher, &mut merge_rng, &mut detector)
-                            {
-                                eprintln!("warning: rollback failed ({e}); aborting");
-                                sentinel("abort");
-                                report.aborted = true;
-                                break 'train;
-                            }
-                            sentinel("rollback");
-                            report.rollbacks += 1;
-                            lr_scale *= lr_backoff;
-                            step = s.step;
-                        } else {
-                            // Faulted before any snapshot existed.
-                            sentinel("skip");
-                            report.skipped_steps += 1;
-                            step += 1;
-                        }
-                        continue 'train;
-                    }
-                }
-            } else {
-                consecutive_faults = 0;
-            }
-        }
-
-        let mut grad_norm = f32::NAN;
-        if let Some(max_norm) = cfg.grad_clip {
-            let clip = sample.time(Phase::Clip, || clip_global_norm(&mut grads, max_norm));
-            grad_norm = clip.norm;
-            if clip.non_finite {
-                // Latent-NaN fix: the norm itself was NaN/Inf, which the
-                // old `norm > max_norm` check silently waved through to the
-                // optimizer. The gradients are zeroed; skip the update and
-                // count it like any other sentinel firing.
-                report.non_finite_grads += 1;
-                report.clip_nonfinite_steps += 1;
-                report.skipped_steps += 1;
-                obs.counter("sentinel_clip_non_finite", 1);
-                obs.emit(|| TraceEvent::Sentinel {
-                    step,
-                    kind: "clip_non_finite".to_string(),
-                    action: "zero_step".to_string(),
-                });
-                step += 1;
-                continue 'train;
-            }
-        }
-        let lr = schedule.lr_at(step) * lr_scale;
-        if obs.sample_due() {
-            let gn = if grad_norm.is_finite() {
-                grad_norm
-            } else {
-                global_grad_norm(&grads)
-            };
-            obs.gauge("loss", f64::from(loss));
-            obs.gauge("grad_norm", f64::from(gn));
-            obs.gauge("lr", f64::from(lr));
-            obs.emit(|| TraceEvent::StepMetrics {
-                step,
-                loss,
-                grad_norm: gn,
-                lr,
-            });
-        }
-        sample.time(Phase::Optimizer, || {
-            // Assemble the optimizer's view: trainable params with grads,
-            // in stable declaration order.
-            let mut updates: Vec<ParamUpdate<'_>> = Vec::new();
-            for (p, g) in model.params.iter_mut().zip(&grads) {
-                if let (true, Some(grad)) = (p.trainable, g.as_ref()) {
-                    updates.push(ParamUpdate {
-                        name: &p.name,
-                        value: &mut p.value,
-                        grad,
-                        projectable: p.kind == ParamKind::Projectable,
-                    });
-                }
-            }
-            opt.step(&mut updates, lr);
-        });
-        if let Some(group) = cfg.quantize_weights {
-            for p in model.params.iter_mut() {
-                if p.kind != ParamKind::Norm {
-                    let q = apollo_quant::fake_quantize(&p.value, group);
-                    std::mem::replace(&mut p.value, q).recycle();
-                }
-            }
-        }
-        if let Some(every) = cfg.merge_every {
-            if every > 0 && (step + 1).is_multiple_of(every) {
-                model.merge_adapters(&mut merge_rng);
-                opt.reset_state();
-            }
-        }
-        detector.record(loss);
-        if step.is_multiple_of(loss_sample_every) || step + 1 == cfg.steps {
-            log.train_losses.push((step, loss));
-        }
-        if cfg.eval_every > 0 && (step + 1).is_multiple_of(cfg.eval_every) && step + 1 != cfg.steps
-        {
-            let ppl = sample.time(Phase::Eval, || {
-                eval_perplexity(model, batcher, cfg.eval_seqs)
-            });
-            if let Some(ppl) = ppl {
-                log.eval_ppls.push((step + 1, ppl));
-            }
-        }
-        let total_ms = step_started.elapsed().as_secs_f32() * 1e3;
-        if cfg.record_step_times {
-            log.step_times_ms.push(total_ms);
-        }
-        obs.record_step(&sample, total_ms);
-        obs.emit(|| TraceEvent::StepPhases {
-            step,
-            batch_ms: sample.get(Phase::BatchPrep),
-            forward_ms: sample.get(Phase::Forward),
-            backward_ms: sample.get(Phase::Backward),
-            clip_ms: sample.get(Phase::Clip),
-            optimizer_ms: sample.get(Phase::Optimizer),
-            checkpoint_ms: sample.get(Phase::Checkpoint),
-            eval_ms: sample.get(Phase::Eval),
-            total_ms,
-        });
-        step += 1;
-    }
-
-    if !report.crashed {
-        if let Some(ppl) = eval_perplexity(model, batcher, cfg.eval_seqs) {
-            log.final_ppl = ppl;
-            log.eval_ppls.push((step, ppl));
-        }
-        if res.checkpoint_dir.is_some() && res.checkpoint_every > 0 && step != start_step {
-            write_checkpoint(
-                step,
-                model,
-                opt,
-                batcher,
-                &merge_rng,
-                &detector,
-                lr_scale,
-                &mut report,
-            );
-        }
-    }
-    log.state_elems = opt.state_elems();
-    log.state_bytes = opt.state_bytes();
-    log.wall_secs = started.elapsed().as_secs_f64();
-    log.resilience = report;
-    // Performance-runtime counters: thread-pool jobs/tasks this run and the
-    // scratch buffers currently pooled on this thread (printed by
-    // `--profile` alongside the sentinel counters).
-    let pool = apollo_tensor::pool::stats();
-    obs.counter("pool_jobs", pool.jobs.saturating_sub(pool_at_start.jobs));
-    obs.counter(
-        "pool_worker_tasks",
-        pool.worker_tasks.saturating_sub(pool_at_start.worker_tasks),
-    );
-    obs.counter("pool_workers", pool.workers as u64);
-    obs.counter(
-        "scratch_pooled_buffers",
-        apollo_tensor::scratch::pooled_buffers() as u64,
-    );
-    // Scratch-pool effectiveness across every thread (the freelists are
-    // thread-local, the counters global): bytes parked in freelists at
-    // run end and the fraction of takes served without a fresh alloc.
-    let scratch = apollo_tensor::scratch::stats();
-    obs.counter("scratch_hits", scratch.hits);
-    obs.counter("scratch_misses", scratch.misses);
-    obs.gauge("scratch.retained_bytes", scratch.retained_bytes as f64);
-    obs.gauge("scratch.hit_rate", scratch.hit_rate());
-    obs.emit(|| TraceEvent::RunEnd {
-        step,
-        wall_secs: log.wall_secs,
-    });
-    if let Err(e) = obs.flush() {
-        eprintln!("warning: trace flush failed ({e})");
-    }
-    log
+    pipeline::run(
+        model,
+        OptSource::Whole(opt),
+        batcher,
+        &layout,
+        cfg,
+        res,
+        obs,
+    )
+    .log
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::FaultKind;
     use apollo_data::{CorpusConfig, SyntheticCorpus};
     use apollo_nn::{LinearMode, ModelConfig};
+    use apollo_obs::TraceEvent;
     use apollo_optim::{AdamW, Apollo};
     use apollo_tensor::Rng;
 
@@ -838,26 +304,6 @@ mod tests {
         assert!(log.eval_ppls.is_empty());
         assert!(log.final_ppl.is_nan(), "sentinel default stays NaN");
         assert!(log.train_losses.iter().all(|(_, l)| l.is_finite()));
-    }
-
-    #[test]
-    fn grad_clip_zeroes_non_finite_gradients() {
-        // A NaN entry makes the global norm NaN; `norm > max_norm` is false
-        // for NaN, so the old code skipped clipping and passed the poison
-        // through. The fix zeroes everything and reports it.
-        let mut grads = vec![
-            Some(Matrix::full(2, 2, 1.0)),
-            None,
-            Some(Matrix::full(1, 1, f32::NAN)),
-        ];
-        let out = clip_global_norm(&mut grads, 1.0);
-        assert!(out.non_finite);
-        assert!(!out.norm.is_finite());
-        for g in grads.iter().flatten() {
-            assert!(g.as_slice().iter().all(|&x| x == 0.0));
-        }
-        let mut inf = vec![Some(Matrix::full(1, 1, f32::INFINITY))];
-        assert!(clip_global_norm(&mut inf, 1.0).non_finite);
     }
 
     /// An optimizer probe that fails the test the moment a non-finite
@@ -997,30 +443,6 @@ mod tests {
             (log.train_losses, log.final_ppl, weights)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn grad_clip_bounds_global_norm() {
-        let mut grads = vec![
-            Some(Matrix::full(2, 2, 10.0)),
-            None,
-            Some(Matrix::full(1, 1, 10.0)),
-        ];
-        clip_global_norm(&mut grads, 1.0);
-        let total: f32 = grads
-            .iter()
-            .flatten()
-            .map(|g| g.fro_norm().powi(2))
-            .sum::<f32>()
-            .sqrt();
-        assert!((total - 1.0).abs() < 1e-4, "norm {total}");
-    }
-
-    #[test]
-    fn grad_clip_leaves_small_gradients_alone() {
-        let mut grads = vec![Some(Matrix::full(1, 1, 0.1))];
-        clip_global_norm(&mut grads, 1.0);
-        assert_eq!(grads[0].as_ref().unwrap().get(0, 0), 0.1);
     }
 
     #[test]

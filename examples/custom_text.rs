@@ -7,9 +7,10 @@
 //! ```
 
 use apollo_repro::data::{BpeTokenizer, Tokenize};
-use apollo_repro::nn::{LinearMode, LlamaModel, ModelConfig, ParamKind};
-use apollo_repro::optim::{Apollo, Optimizer, ParamUpdate};
+use apollo_repro::nn::{LinearMode, LlamaModel, ModelConfig};
+use apollo_repro::optim::{Apollo, Optimizer};
 use apollo_repro::tensor::Rng;
+use apollo_repro::train::param_updates;
 
 /// A small built-in text so the example runs without any files; swap in
 /// `std::fs::read("your.txt")` for real use.
@@ -59,18 +60,7 @@ fn main() {
         let (loss, grads) = model.loss_and_grads(&tokens, &targets, batch);
         first_loss.get_or_insert(loss);
         last_loss = loss;
-        let mut updates: Vec<ParamUpdate<'_>> = Vec::new();
-        for (p, g) in model.params.iter_mut().zip(&grads) {
-            if let Some(grad) = g.as_ref() {
-                updates.push(ParamUpdate {
-                    name: &p.name,
-                    value: &mut p.value,
-                    grad,
-                    projectable: p.kind == ParamKind::Projectable,
-                });
-            }
-        }
-        opt.step(&mut updates, 1e-2);
+        opt.step(&mut param_updates(&mut model, &grads), 1e-2);
     }
     println!(
         "training loss {:.2} -> {:.2} over 120 APOLLO steps ({} optimizer state elems)",

@@ -119,6 +119,27 @@ for r in 1 2 4; do
 done
 cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp2.txt"
 cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp4.txt"
+# One step pipeline: the serial entry point is the one-replica, one-slot
+# round of the same loop, and prints the same full-bit line.
+./target/release/apollo pretrain --model test-tiny --optimizer apollo \
+    --steps 12 --batch 4 --seed 7 2>/dev/null \
+    | grep '^final loss' >"$TRACE_TMP/serial.txt"
+./target/release/apollo pretrain --model test-tiny --optimizer apollo \
+    --steps 12 --batch 4 --seed 7 --replicas 1 --virtual-slots 1 2>/dev/null \
+    | grep '^final loss' >"$TRACE_TMP/ddp1x1.txt"
+cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/serial.txt"
+cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp1x1.txt"
+# The guard stage under --replicas: a spike factor of 1 flags any loss above
+# its rolling mean, the skip policy drops that step, and every replica must
+# reach the same verdict from the published per-parameter flags.
+for r in 1 2; do
+    ./target/release/apollo pretrain --model test-tiny --optimizer apollo \
+        --steps 16 --batch 4 --seed 7 --lr 0.3 --replicas "$r" \
+        --recovery skip --spike-factor 1.0 2>/dev/null \
+        | grep '^final loss\|^faults' >"$TRACE_TMP/ddp-skip$r.txt"
+done
+grep -q ' 1 spike | recovery: 1 skipped' "$TRACE_TMP/ddp-skip2.txt"
+cmp "$TRACE_TMP/ddp-skip1.txt" "$TRACE_TMP/ddp-skip2.txt"
 # Elastic recovery: kill replica 1 mid-run; the survivor must rebalance,
 # resume from the crash-safe checkpoints, and land on the same bits.
 ./target/release/apollo pretrain --model test-tiny --optimizer apollo \
