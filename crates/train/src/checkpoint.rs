@@ -36,11 +36,6 @@ const MAX_HEADER: u64 = 16 << 20;
 /// garbage length prefixes).
 const MAX_SECTION: u64 = 4 << 30;
 
-/// The error every malformed-checkpoint path returns.
-fn invalid(what: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.into())
-}
-
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, the zlib polynomial), table-driven.
 
@@ -157,16 +152,23 @@ impl TrainState {
         let mut remaining = bytes.len() as u64;
         let mut r = bytes;
         let head = read_section(&mut r, "header", MAX_HEADER, &mut remaining)?;
-        let header: HeaderV2 = serde_json::from_slice(&head)
-            .map_err(|e| invalid(format!("not a v2 checkpoint: {e}")))?;
+        let header: HeaderV2 = serde_json::from_slice(&head).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("not a v2 checkpoint: {e}"),
+            )
+        })?;
         if header.magic != MAGIC {
-            return Err(invalid("not a checkpoint"));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not a checkpoint",
+            ));
         }
         if header.version != V2 {
-            return Err(invalid(format!(
-                "expected a v2 checkpoint, found version {}",
-                header.version
-            )));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("expected a v2 checkpoint, found version {}", header.version),
+            ));
         }
         let mut model = LlamaModel::new(&header.config, header.mode, &mut Rng::seed_from_u64(0));
         let body = read_section(&mut r, "params", MAX_SECTION, &mut remaining)?;
@@ -237,16 +239,18 @@ fn read_section(
     r.read_exact(&mut len8)?;
     let len = u64::from_le_bytes(len8);
     if len > max {
-        return Err(invalid(format!(
-            "{what} section claims {len} bytes (limit {max})"
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{what} section claims {len} bytes (limit {max})"),
+        ));
     }
     // 8-byte length prefix + payload + 4-byte CRC must fit in what's left.
     let budget = remaining.saturating_sub(8 + 4);
     if len > budget {
-        return Err(invalid(format!(
-            "{what} section claims {len} bytes but only {budget} remain in the file"
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{what} section claims {len} bytes but only {budget} remain in the file"),
+        ));
     }
     *remaining -= 8 + len + 4;
     let mut bytes = vec![0u8; len as usize];
@@ -256,9 +260,12 @@ fn read_section(
     let stored = u32::from_le_bytes(crc4);
     let computed = crc32(&bytes);
     if stored != computed {
-        return Err(invalid(format!(
-            "{what} section checksum mismatch (stored {stored:08x}, computed {computed:08x})"
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{what} section checksum mismatch (stored {stored:08x}, computed {computed:08x})"
+            ),
+        ));
     }
     Ok(bytes)
 }
@@ -290,10 +297,13 @@ fn fill_params(
 ) -> io::Result<()> {
     let expected: usize = manifest.iter().map(|(_, r, c)| r * c * 4).sum();
     if bytes.len() != expected {
-        return Err(invalid(format!(
-            "parameter payload is {} bytes, manifest expects {expected}",
-            bytes.len()
-        )));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "parameter payload is {} bytes, manifest expects {expected}",
+                bytes.len()
+            ),
+        ));
     }
     let mut off = 0;
     for (name, rows, cols) in manifest {
@@ -304,9 +314,14 @@ fn fill_params(
             .params
             .iter_mut()
             .find(|p| &p.name == name)
-            .ok_or_else(|| invalid(format!("unknown param {name}")))?;
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("unknown param {name}"))
+            })?;
         if param.value.shape() != (*rows, *cols) {
-            return Err(invalid(format!("shape mismatch for {name}")));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("shape mismatch for {name}"),
+            ));
         }
         param.value = Matrix::from_vec(*rows, *cols, data);
     }
@@ -367,13 +382,19 @@ pub fn load_model(path: &Path) -> io::Result<LlamaModel> {
     r.read_exact(&mut len8)?;
     let head_len = u64::from_le_bytes(len8);
     if head_len > MAX_HEADER.min(file_len.saturating_sub(8)) {
-        return Err(invalid("not a checkpoint"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a checkpoint",
+        ));
     }
     let mut head = vec![0u8; head_len as usize];
     r.read_exact(&mut head)?;
     let header: Header = serde_json::from_slice(&head).map_err(io::Error::other)?;
     if header.magic != MAGIC {
-        return Err(invalid("not a checkpoint"));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "not a checkpoint",
+        ));
     }
     let mut model = LlamaModel::new(&header.config, header.mode, &mut Rng::seed_from_u64(0));
     match header.version {
@@ -384,9 +405,10 @@ pub fn load_model(path: &Path) -> io::Result<LlamaModel> {
             let total: usize = header.manifest.iter().map(|(_, r, c)| r * c * 4).sum();
             let body_budget = file_len.saturating_sub(8 + head_len);
             if total as u64 > body_budget {
-                return Err(invalid(format!(
-                    "manifest expects {total} body bytes, file holds {body_budget}"
-                )));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("manifest expects {total} body bytes, file holds {body_budget}"),
+                ));
             }
             let mut body = vec![0u8; total];
             r.read_exact(&mut body)?;
@@ -398,14 +420,20 @@ pub fn load_model(path: &Path) -> io::Result<LlamaModel> {
             let mut crc4 = [0u8; 4];
             r.read_exact(&mut crc4)?;
             if u32::from_le_bytes(crc4) != crc32(&head) {
-                return Err(invalid("header section checksum mismatch"));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "header section checksum mismatch",
+                ));
             }
             let mut remaining = file_len.saturating_sub(8 + head_len + 4);
             let body = read_section(&mut r, "params", MAX_SECTION, &mut remaining)?;
             fill_params(&mut model, &header.manifest, &body)?;
         }
         v => {
-            return Err(invalid(format!("unsupported checkpoint version {v}")));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unsupported checkpoint version {v}"),
+            ));
         }
     }
     Ok(model)
@@ -454,16 +482,6 @@ fn checkpoint_step(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// The `step-*.ckpt` files in `dir`, oldest step first.
-fn checkpoints_by_step(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut found: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter_map(|p| checkpoint_step(&p).map(|s| (s, p)))
-        .collect();
-    found.sort_by_key(|(step, _)| *step);
-    Ok(found)
-}
-
 /// Scans `dir` for `step-*.ckpt` files and loads the newest one that
 /// validates end-to-end, skipping corrupt or truncated candidates. Returns
 /// `Ok(None)` when the directory is missing or holds no valid checkpoint.
@@ -475,7 +493,12 @@ pub fn latest_valid_checkpoint(dir: &Path) -> io::Result<Option<(PathBuf, TrainS
     if !dir.is_dir() {
         return Ok(None);
     }
-    for (_, path) in checkpoints_by_step(dir)?.into_iter().rev() {
+    let mut candidates: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter_map(|p| checkpoint_step(&p).map(|s| (s, p)))
+        .collect();
+    candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
+    for (_, path) in candidates {
         match load_train_state(&path) {
             Ok(state) => return Ok(Some((path, state))),
             Err(_) => continue, // corrupt/truncated: fall back to an older one
@@ -491,8 +514,15 @@ pub fn latest_valid_checkpoint(dir: &Path) -> io::Result<Option<(PathBuf, TrainS
 ///
 /// Returns an error if the directory cannot be listed.
 pub fn prune_checkpoints(dir: &Path, keep: usize) -> io::Result<usize> {
-    let candidates = checkpoints_by_step(dir)?;
-    let excess = candidates.len().saturating_sub(keep);
+    let mut candidates: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter_map(|p| checkpoint_step(&p).map(|s| (s, p)))
+        .collect();
+    if candidates.len() <= keep {
+        return Ok(0);
+    }
+    candidates.sort_by_key(|(s, _)| *s);
+    let excess = candidates.len() - keep;
     let mut removed = 0;
     for (_, path) in candidates.into_iter().take(excess) {
         if std::fs::remove_file(&path).is_ok() {

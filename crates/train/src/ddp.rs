@@ -33,13 +33,13 @@
 //!
 //! # Elastic recovery
 //!
-//! A [`crate::FaultKind::ReplicaKill`] fault (or any replica death) poisons
-//! the step barrier; survivors abandon the in-flight step, the driver
-//! drops the member, re-partitions shards and slots over the survivors,
-//! restores the team's in-memory floor (the state the round started from,
-//! then the state of its latest checkpoint or rollback snapshot), and
-//! replays. Determinism makes the resumed run bit-identical to an
-//! undisturbed one.
+//! A [`crate::FaultKind::ReplicaKill`] fault poisons the step barrier;
+//! survivors abandon the in-flight step, the driver drops the member,
+//! re-partitions shards and slots over the survivors, restores the
+//! in-memory floor the team keeps while a kill is planned (the state the
+//! round started from, then the state of its latest checkpoint or rollback
+//! snapshot), and replays. Determinism makes the resumed run bit-identical
+//! to an undisturbed one.
 
 use std::ops::Range;
 use std::sync::{Condvar, Mutex};

@@ -26,12 +26,12 @@
 //! Recovery is one mechanism: restore the newest **floor** (a
 //! [`TrainState`], on disk or in memory), replay. Resume restores the
 //! newest valid checkpoint; `RollbackAndRetry` the in-memory floor it
-//! refreshes every `snapshot_every` steps; the survivors of a replica death
-//! the in-memory floor a team keeps — the state their round started from
-//! or, later, the state of its latest checkpoint.
+//! refreshes every `snapshot_every` steps; the survivors of a planned
+//! replica kill the in-memory floor their team kept for it — the state
+//! their round started from or, later, the state of its latest checkpoint.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -215,6 +215,9 @@ struct Run<'a> {
     cells: Vec<Mutex<ParamCell>>,
     /// The newest in-memory floor.
     floor: Mutex<Option<TrainState>>,
+    /// Set when a floor was due and the optimizer could not save its state:
+    /// the run goes on without one, and a fault that would roll back skips.
+    floorless: AtomicBool,
     /// `victim_id + 1` once a member died this round; 0 = none.
     killed: AtomicUsize,
 }
@@ -235,10 +238,10 @@ impl Run<'_> {
         floor.as_ref().map_or(0, |f| f.meta.step as usize)
     }
 
-    /// Only a rollback policy, or a team (whose survivors may have to
-    /// replay), holds a copy of the weights in memory.
+    /// Only a rollback policy, or a replica kill still planned (whose
+    /// survivors will replay), holds a copy of the weights in memory.
     fn keeps_floor(&self) -> bool {
-        self.rolls_back() || self.is_team()
+        self.rolls_back() || !self.kills.is_empty()
     }
 }
 
@@ -295,15 +298,13 @@ impl<'a> Member<'a> {
             report: ResilienceReport::default(),
         };
         // A round starts from its floor, counters and LR back-off included.
-        let mut floor = lock(&run.floor);
-        if let Some(f) = floor.as_ref() {
+        if let Some(f) = lock(&run.floor).as_ref() {
             member.restore(f);
             member.start_step = member.step;
             member.lr_scale = f.meta.lr_scale;
             member.report = f.meta.report.clone();
             member.report.resumed_from_step = Some(f.meta.step);
         }
-        floor.take_if(|_| !run.keeps_floor());
         member
     }
 
@@ -344,21 +345,30 @@ impl<'a> Member<'a> {
             report: self.report.clone(),
         };
         let (model, mode) = (&*self.model, self.model.mode());
-        let saved = self.optim.assemble(&run.cells).and_then(|optimizer| {
-            if let (true, Some(dir)) = (to_disk, &res.checkpoint_dir) {
+        let saved = self.optim.assemble(&run.cells);
+        if let (true, Some(dir)) = (to_disk, &res.checkpoint_dir) {
+            let written = saved.as_ref().map_err(String::clone).and_then(|optimizer| {
                 let path = dir.join(checkpoint_file_name(step as u64));
                 std::fs::create_dir_all(dir)
-                    .and_then(|()| save_train_state(model, mode, &meta, &optimizer, &path))
-                    .map_err(|e| e.to_string())?;
-                let _ = prune_checkpoints(dir, res.keep_last.max(1));
+                    .and_then(|()| save_train_state(model, mode, &meta, optimizer, &path))
+                    .map_err(|e| e.to_string())
+            });
+            match written {
+                Ok(()) => {
+                    self.report.checkpoints_written += 1;
+                    let _ = prune_checkpoints(dir, res.keep_last.max(1));
+                }
+                Err(e) => {
+                    eprintln!("warning: checkpoint skipped ({e})");
+                    self.report.checkpoint_errors += 1;
+                }
             }
-            Ok(optimizer)
-        });
-        let report = &mut self.report;
-        match saved {
-            Ok(optimizer) => {
-                report.checkpoints_written += usize::from(to_disk);
-                if to_floor {
+        }
+        if to_floor {
+            // An optimizer that cannot save is not an error of a run that
+            // asked for no checkpoint: it has no floor, and stops trying.
+            match saved {
+                Ok(optimizer) => {
                     let model = model.clone();
                     *lock(&run.floor) = Some(TrainState {
                         model,
@@ -367,10 +377,7 @@ impl<'a> Member<'a> {
                         optimizer,
                     });
                 }
-            }
-            Err(e) => {
-                eprintln!("warning: checkpoint skipped ({e})");
-                report.checkpoint_errors += 1;
+                Err(_) => run.floorless.store(true, Ordering::SeqCst),
             }
         }
         Ok(())
@@ -410,17 +417,13 @@ impl<'a> Member<'a> {
         let run = self.run;
         for j in self.shard.clone() {
             let g = grads[run.opt_params[j]].as_ref();
-            lock(&run.cells[j]).stat = g.map_or((0.0, false), |g| {
-                let n = if norms { f64::from(g.fro_norm()) } else { 0.0 };
-                (n * n, g.has_non_finite())
-            });
+            lock(&run.cells[j]).stat = g.map_or((0.0, false), |g| grad_stat(g, norms));
         }
         run.barrier.wait()?;
-        let stats = run.cells.iter().map(|c| lock(c).stat);
-        let (sq, bad) = stats.fold((0.0f64, false), |(sq, bad), (n, b)| (sq + n, bad || b));
+        let verdict = fold_stats(run.cells.iter().map(|c| lock(c).stat));
         // Nobody republishes while a slower member is still folding.
         run.barrier.wait()?;
-        Ok((bad, sq.sqrt() as f32))
+        Ok(verdict)
     }
 
     /// `known`, or the global gradient norm reduced now.
@@ -437,6 +440,14 @@ impl<'a> Member<'a> {
         let my_id = run.members[self.pos];
         let slot_batch = self.batcher.batch();
         let loss_sample_every = (cfg.steps / 200).max(1);
+        // Every member has restored from the floor once all are here; it
+        // stays only for those who may have to return to it.
+        if !run.keeps_floor() {
+            run.barrier.wait()?;
+            if self.pos == 0 {
+                lock(&run.floor).take();
+            }
+        }
         while self.step < cfg.steps {
             let step = self.step;
             // A killed member dies *now*, publishing nothing; the others
@@ -459,6 +470,7 @@ impl<'a> Member<'a> {
             // A kept floor exists from the first step on; it then follows
             // a rollback policy's own cadence, else the team's checkpoints.
             let floor_due = run.keeps_floor()
+                && !run.floorless.load(Ordering::SeqCst)
                 && match (run.rolls_back(), lock(&run.floor).as_ref()) {
                     (_, None) => true,
                     (true, Some(f)) => step >= f.meta.step as usize + res.snapshot_every.max(1),
@@ -620,7 +632,9 @@ impl<'a> Member<'a> {
                     continue;
                 }
             }
-            sample.add(Phase::Clip, ms_since(guard_started));
+            if cfg.grad_clip.is_some() {
+                sample.add(Phase::Clip, ms_since(guard_started));
+            }
             let lr = run.schedule.lr_at(step) * self.lr_scale;
             if sample_due {
                 let grad_norm = self.norm_of(&grads, norm)?;
@@ -774,6 +788,20 @@ impl<'a> Member<'a> {
     }
 }
 
+/// What a parameter's owner publishes about its gradient: `(squared norm —
+/// 0 unless `norms` — , any non-finite entry)`.
+fn grad_stat(g: &Matrix, norms: bool) -> (f64, bool) {
+    let n = if norms { f64::from(g.fro_norm()) } else { 0.0 };
+    (n * n, g.has_non_finite())
+}
+
+/// `(any non-finite, global norm)` of per-parameter [`grad_stat`]s, folded in
+/// parameter order.
+fn fold_stats(stats: impl Iterator<Item = (f64, bool)>) -> (bool, f32) {
+    let (sq, bad) = stats.fold((0.0f64, false), |(sq, bad), (n, b)| (sq + n, bad || b));
+    (bad, sq.sqrt() as f32)
+}
+
 /// Zeroes every non-finite gradient entry (in place).
 fn sanitize_grads(grads: &mut [Option<Matrix>]) {
     let entries = grads.iter_mut().flatten().flat_map(Matrix::as_mut_slice);
@@ -871,6 +899,7 @@ pub(crate) fn run(
         slots: (0..slots).map(|_| Mutex::new(None)).collect(),
         cells: (0..n_opt.max(1)).map(cell).map(Mutex::new).collect(),
         floor: Mutex::new(None),
+        floorless: AtomicBool::new(false),
         killed: AtomicUsize::new(0),
     };
     if let (true, Some(dir)) = (res.resume, &res.checkpoint_dir) {
@@ -969,6 +998,7 @@ pub(crate) fn run(
         // not started). The replay regenerates every sample from the floor
         // on bit-identically; the ones before it exist nowhere else.
         run.members.retain(|&m| m != victim);
+        run.kills.retain(|&(_, m)| m != victim);
         assert!(!run.members.is_empty(), "every replica was killed");
         run.barrier = PoisonBarrier::new(run.members.len());
         let resume_at = run.floor_step();
@@ -1049,11 +1079,11 @@ fn resume_floor(
 mod tests {
     use super::*;
 
-    /// The global norm as [`Member::reduce`] folds it, then [`clip_to`].
-    /// Returns `(pre-clip norm, non-finite)`.
+    /// The global norm as [`Member::reduce`] publishes and folds it, then
+    /// [`clip_to`]. Returns `(pre-clip norm, non-finite)`.
     fn clip_global_norm(grads: &mut [Option<Matrix>], max_norm: f32) -> (f32, bool) {
-        let sq = |g: &Matrix| f64::from(g.fro_norm()).powi(2);
-        let norm = grads.iter().flatten().map(sq).sum::<f64>().sqrt() as f32;
+        let stats = grads.iter().flatten().map(|g| grad_stat(g, true));
+        let (_, norm) = fold_stats(stats);
         (norm, clip_to(grads, norm, max_norm))
     }
 

@@ -37,7 +37,8 @@ pub struct TrainConfig {
     /// Micro-batches accumulated per optimizer step (the paper's 7B runs
     /// assemble a 512-sequence global batch from memory-bound
     /// micro-batches). Gradients are averaged across the accumulation
-    /// window. 1 = no accumulation.
+    /// window by the data-parallel slot tree, which holds all `grad_accum`
+    /// gradient sets until the step combines them. 1 = no accumulation.
     pub grad_accum: usize,
     /// Q-GaLore-style INT8 weight training: after every optimizer step,
     /// round-trip all weight matrices (embedding, attention/MLP, LM head —

@@ -5,7 +5,7 @@
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
-use apollo_optim::{AdamW, Apollo, Optimizer};
+use apollo_optim::{AdamW, Apollo, Optimizer, ParamUpdate};
 use apollo_tensor::Rng;
 use apollo_train::{
     checkpoint_file_name, load_train_state, pretrain_ddp, pretrain_resilient, DdpConfig, FaultKind,
@@ -509,4 +509,71 @@ fn survivors_of_a_kill_replay_the_guard_stage_too() {
             &format!("{policy:?}, kill after a checkpoint"),
         );
     }
+}
+
+/// AdamW behind the trait's default `state_save`, as a custom optimizer that
+/// cannot checkpoint would be.
+struct Saveless(AdamW);
+
+impl Optimizer for Saveless {
+    fn name(&self) -> String {
+        "saveless".to_string()
+    }
+    fn step(&mut self, params: &mut [ParamUpdate<'_>], lr: f32) {
+        self.0.step(params, lr);
+    }
+    fn state_elems(&self) -> usize {
+        self.0.state_elems()
+    }
+}
+
+#[test]
+fn an_optimizer_that_cannot_save_costs_a_floor_not_an_error() {
+    fn saveless(_: usize) -> Box<dyn Optimizer> {
+        Box::new(Saveless(AdamW::new()))
+    }
+    let team = |res: &ResilienceConfig| {
+        let (mut model, batcher) = setup(4);
+        let (cfg, layout) = (quick(STEPS), DdpConfig::new(2));
+        let obs = Obs::disabled();
+        let out = pretrain_ddp(&mut model, &saveless, &batcher, &cfg, &layout, res, &obs);
+        (bits(&model, &out.log), out.log)
+    };
+    // A rollback policy with nothing to roll back to skips, as it does
+    // before its first floor, and reports no checkpoint error for it.
+    let rollback = ResilienceConfig {
+        policy: Some(RecoveryPolicy::RollbackAndRetry { lr_backoff: 0.5 }),
+        fault_plan: FaultPlan::new().inject(5, FaultKind::NanGrad),
+        ..ResilienceConfig::default()
+    };
+    let (mut model, mut batcher) = setup(4);
+    let mut opt = Saveless(AdamW::new());
+    let log = pretrain_resilient(&mut model, &mut opt, &mut batcher, &quick(STEPS), &rollback);
+    let audit = |log: &RunLog| {
+        let r = &log.resilience;
+        (r.skipped_steps, r.rollbacks, r.checkpoint_errors)
+    };
+    assert_eq!(audit(&log), (1, 0, 0));
+    assert_eq!(audit(&team(&rollback).1), (1, 0, 0));
+
+    // The survivor of a kill replays from the start of the run.
+    let undisturbed = team(&ResilienceConfig::default());
+    assert_eq!(undisturbed.1.resilience, Default::default());
+    let kill = FaultKind::ReplicaKill { replica: 1 };
+    let mut killed = team(&ResilienceConfig {
+        fault_plan: FaultPlan::new().inject(6, kill),
+        ..ResilienceConfig::default()
+    });
+    assert_eq!(killed.1.resilience.checkpoint_errors, 0);
+    killed.1.resilience.resumed_from_step = None;
+    assert_same_run(&undisturbed, &killed, "kill without a floor");
+
+    // A checkpoint that was asked for and cannot be written is an error.
+    let checkpointed = team(&ResilienceConfig {
+        checkpoint_dir: Some(fresh_dir("saveless")),
+        checkpoint_every: 5,
+        ..ResilienceConfig::default()
+    });
+    assert_eq!(checkpointed.1.resilience.checkpoint_errors, 3);
+    assert_eq!(checkpointed.0, undisturbed.0);
 }

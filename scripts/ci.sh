@@ -120,15 +120,17 @@ done
 cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp2.txt"
 cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp4.txt"
 # One step pipeline: the serial entry point is the one-replica, one-slot
-# round of the same loop, and prints the same full-bit line.
+# round of the same loop, and prints the same full-bit line. (Not the line
+# above: that is four slots of one sequence, this is one slot of four, and
+# the slot count is part of the arithmetic.)
 ./target/release/apollo pretrain --model test-tiny --optimizer apollo \
     --steps 12 --batch 4 --seed 7 2>/dev/null \
     | grep '^final loss' >"$TRACE_TMP/serial.txt"
 ./target/release/apollo pretrain --model test-tiny --optimizer apollo \
     --steps 12 --batch 4 --seed 7 --replicas 1 --virtual-slots 1 2>/dev/null \
     | grep '^final loss' >"$TRACE_TMP/ddp1x1.txt"
-cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/serial.txt"
-cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp1x1.txt"
+[ -s "$TRACE_TMP/serial.txt" ] || { echo "serial run printed no loss"; exit 1; }
+cmp "$TRACE_TMP/serial.txt" "$TRACE_TMP/ddp1x1.txt"
 # The guard stage under --replicas: a spike factor of 1 flags any loss above
 # its rolling mean, the skip policy drops that step, and every replica must
 # reach the same verdict from the published per-parameter flags.
