@@ -10,8 +10,6 @@
 //! the `APOLLO_SCALE` environment variable (default 1.0) so the full suite
 //! can be traded between fidelity and wall-clock.
 
-pub mod perf;
-
 use std::path::PathBuf;
 
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};

@@ -22,8 +22,8 @@
 //! - [`run_loadgen`]: an open-loop Poisson load generator with
 //!   deterministic fault injection (slow-loris, mid-stream disconnect,
 //!   malformed requests, bursts) and a shared-system-prompt traffic shape
-//!   (`--prefix-reuse`) used by the fault-plan tests, the CI serve-smoke
-//!   stage, and `BENCH_serve.json`.
+//!   (`--prefix-reuse`) used by the fault-plan tests and the CI
+//!   serve-smoke stages.
 //! - [`PrefixCache`] / [`ServeStats`]: a token-level radix tree over
 //!   exported KV blocks that lets prompts sharing a prefix skip re-prefill
 //!   (bit-identically, per `tests/prefix_churn.rs`), and the shared atomic

@@ -23,8 +23,7 @@
 //! Well-formed requests retry on 429/503 with capped exponential backoff
 //! honoring `Retry-After` (generation is idempotent per seed, so retries
 //! are safe). The run produces a [`LoadReport`] with latency percentiles
-//! over successful requests, goodput, and the shed rate — the numbers
-//! `BENCH_serve.json` pins.
+//! over successful requests, goodput, and the shed rate.
 //!
 //! **Traffic shape.** `prefix_reuse` models the shared-system-prompt
 //! pattern that prefix caching exists for: that fraction of requests

@@ -779,8 +779,7 @@ impl LlamaModel {
     }
 
     /// Reference logits from the full graph forward (`(batch·seq) × vocab`),
-    /// the baseline the cached forward must match bit-for-bit. Also the
-    /// "naive full-recompute" generation path `perf_infer` benches against.
+    /// the baseline the cached forward must match bit-for-bit.
     pub fn full_logits(&self, tokens: &[u32], batch: usize) -> Matrix {
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
         let logits = g.matmul(trunk, pnodes[self.head]);

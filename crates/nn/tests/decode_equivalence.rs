@@ -61,15 +61,29 @@ fn token_at_a_time_decode_matches_full_forward() {
 
 #[test]
 fn chunked_prefill_matches_full_forward() {
-    let cfg = ModelConfig::test_tiny();
-    let mut rng = Rng::seed_from_u64(0xDEC1);
-    let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
-    let tokens = random_tokens(cfg.max_seq, cfg.vocab_size, &mut rng);
-    let full = model.full_logits(&tokens, 1);
-    // Whole-sequence prefill, uneven chunks, and a prefill+decode split.
-    for chunks in [vec![8], vec![3, 1, 4], vec![5, 1, 1, 1], vec![1, 7]] {
-        let inc = cached_logits_chunked(&model, &tokens, &chunks);
-        assert_bits_eq(&inc, &full, &format!("chunks={chunks:?}"));
+    // Whole-sequence prefill, uneven chunks, and a prefill+decode split; then
+    // the generation shape at serving length: a 128-token prompt prefilled in
+    // one call and 64 single-token steps behind it. Equal logit bits at
+    // positions 127..=190 are equal sampled tokens, so KV-cached decode and
+    // decode by full recompute emit the same 64 tokens there.
+    let mut generation = vec![128usize];
+    generation.extend([1; 64]);
+    for (cfg, chunkings) in [
+        (
+            ModelConfig::test_tiny(),
+            vec![vec![8], vec![3, 1, 4], vec![5, 1, 1, 1], vec![1, 7]],
+        ),
+        (ModelConfig::tiny_60m(), vec![generation]),
+    ] {
+        let mut rng = Rng::seed_from_u64(0xDEC1);
+        let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+        let len = chunkings[0].iter().sum();
+        let tokens = random_tokens(len, cfg.vocab_size, &mut rng);
+        let full = model.full_logits(&tokens, 1);
+        for chunks in chunkings {
+            let inc = cached_logits_chunked(&model, &tokens, &chunks);
+            assert_bits_eq(&inc, &full, &format!("{} chunks={chunks:?}", cfg.name));
+        }
     }
 }
 

@@ -84,18 +84,6 @@ impl ThroughputModel {
         &self.mem
     }
 
-    /// Predicted data-parallel speedup at `replicas` replicas relative to
-    /// one: linear scaling discounted by `ddp_efficiency` once there is an
-    /// all-reduce to pay for (a single replica communicates nothing).
-    /// The measured curves in EXPERIMENTS.md are compared against this.
-    pub fn ddp_speedup(&self, replicas: usize) -> f64 {
-        if replicas <= 1 {
-            1.0
-        } else {
-            replicas as f64 * self.ddp_efficiency
-        }
-    }
-
     /// Whether this method pays a periodic SVD stall.
     fn uses_svd(method: MethodSpec) -> bool {
         matches!(
@@ -219,15 +207,6 @@ mod tests {
 
     fn cluster_7b() -> ThroughputModel {
         ThroughputModel::new(&ModelConfig::llama_7b(), Gpu::a100_80g(), 8, 256)
-    }
-
-    #[test]
-    fn ddp_speedup_is_discounted_linear() {
-        let m = cluster_7b();
-        assert_eq!(m.ddp_speedup(1), 1.0);
-        assert!((m.ddp_speedup(2) - 1.8).abs() < 1e-12);
-        assert!((m.ddp_speedup(4) - 3.6).abs() < 1e-12);
-        assert!(m.ddp_speedup(4) > m.ddp_speedup(2));
     }
 
     #[test]

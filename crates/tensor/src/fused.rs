@@ -836,8 +836,8 @@ pub fn fused_apollo_apply(
 
 /// The staged (unfused) implementations the fused kernels replace, built
 /// from the same `Matrix` primitives the seed code used. They are the
-/// ground truth of the bit-identity property tests and the "unfused" arm
-/// of the `perf_kernels` fused section; keep their float-op order frozen.
+/// ground truth of the bit-identity property tests and the `unfused_*`
+/// rows of the `kernel_table` binary; keep their float-op order frozen.
 pub mod reference {
     use super::sigmoid;
     use crate::Matrix;
