@@ -1,5 +1,6 @@
 //! Minimal `--flag value` argument parsing (no external dependencies).
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` flags.
@@ -7,7 +8,8 @@ use std::collections::HashMap;
 pub struct Args {
     /// The first positional argument.
     pub command: String,
-    flags: HashMap<String, String>,
+    /// Each flag's value, and whether the subcommand has consulted it.
+    flags: HashMap<String, (String, Cell<bool>)>,
 }
 
 impl Args {
@@ -33,24 +35,29 @@ impl Args {
                 Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
                 _ => "true".to_string(),
             };
-            flags.insert(name.to_string(), value);
+            flags.insert(name.to_string(), (value, Cell::new(false)));
         }
         Ok(Args { command, flags })
     }
 
+    /// The flag's value if it was given; marks it consulted. Every accessor
+    /// reads through here, which is what [`Args::reject_unread`] reports on.
+    pub fn opt(&self, name: &str) -> Option<&str> {
+        self.flags.get(name).map(|(value, read)| {
+            read.set(true);
+            value.as_str()
+        })
+    }
+
     /// String flag with a default.
     pub fn get(&self, name: &str, default: &str) -> String {
-        self.flags
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| default.to_string())
+        self.opt(name).unwrap_or(default).to_string()
     }
 
     /// Required string flag.
     pub fn require(&self, name: &str) -> Result<String, String> {
-        self.flags
-            .get(name)
-            .cloned()
+        self.opt(name)
+            .map(str::to_string)
             .ok_or_else(|| format!("missing required flag --{name}"))
     }
 
@@ -60,7 +67,7 @@ impl Args {
     ///
     /// Returns a message if the value does not parse.
     pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
+        match self.opt(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -70,7 +77,36 @@ impl Args {
 
     /// Whether a flag was provided at all.
     pub fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
+        self.opt(name).is_some()
+    }
+
+    /// Fails on any flag given that no accessor has consulted. A subcommand
+    /// calls it once it has read everything it reads and before it starts
+    /// work, so a misspelt flag stops the run instead of being ignored.
+    ///
+    /// # Errors
+    ///
+    /// `unknown flag --x for <cmd>`, one line per flag.
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let mut unread: Vec<String> = self
+            .flags
+            .iter()
+            .filter(|(_, (_, read))| !read.get())
+            .map(|(name, _)| {
+                let why = if name == "numerics" {
+                    ": there is no numerics mode any more, the relaxed tier is the INT8 \
+                     backend (generate/serve --int8-decode)"
+                } else {
+                    " (not one of its flags, or not read with the other flags given)"
+                };
+                format!("unknown flag --{name} for {}{why}", self.command)
+            })
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort_unstable();
+        Err(unread.join("\n"))
     }
 }
 
@@ -89,6 +125,17 @@ mod tests {
         assert_eq!(a.get_num::<usize>("steps", 0).unwrap(), 100);
         assert_eq!(a.get_num::<f32>("lr", 0.0).unwrap(), 0.01);
         assert_eq!(a.get("model", "tiny-60m"), "tiny-60m");
+        // Both flags were consulted; a default for an absent one is not a read.
+        assert_eq!(a.reject_unread(), Ok(()));
+        // The shown bug: `--stepz` is a typo nothing reads.
+        let typo = Args::parse(&strs(&["pretrain", "--stepz", "3", "--steps", "2"])).unwrap();
+        assert_eq!(typo.get_num::<usize>("steps", 0).unwrap(), 2);
+        let err = typo.reject_unread().unwrap_err();
+        assert!(
+            err.starts_with("unknown flag --stepz for pretrain"),
+            "{err}"
+        );
+        assert!(!err.contains("--steps "), "{err}");
     }
 
     #[test]
@@ -99,6 +146,19 @@ mod tests {
         assert_eq!(a.get_num::<usize>("steps", 0).unwrap(), 10);
         let b = Args::parse(&strs(&["pretrain", "--resume"])).unwrap();
         assert!(b.has("resume"));
+        assert_eq!(b.reject_unread(), Ok(()));
+        // A switch nobody asks about is as unknown as a valued flag, and
+        // the removed mode flag says where its tier went.
+        let removed = ["--", "numerics"].concat();
+        let c = Args::parse(&strs(&["generate", &removed, "fast", "--resum"])).unwrap();
+        let err = c.reject_unread().unwrap_err();
+        let (first, second) = err.split_once('\n').expect("one line per flag");
+        assert!(first.starts_with(&format!("unknown flag {removed} for generate")));
+        assert!(first.contains("--int8-decode"), "{first}");
+        assert!(
+            second.starts_with("unknown flag --resum for generate"),
+            "{second}"
+        );
     }
 
     #[test]
@@ -117,5 +177,6 @@ mod tests {
     fn require_reports_missing_flags() {
         let a = Args::parse(&strs(&["x"])).unwrap();
         assert!(a.require("checkpoint").is_err());
+        assert_eq!(a.reject_unread(), Ok(()));
     }
 }

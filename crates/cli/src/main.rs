@@ -40,7 +40,7 @@ apollo — APOLLO optimizer reproduction CLI
 USAGE:
   apollo pretrain [--model NAME] [--optimizer NAME] [--steps N] [--batch N]
                   [--lr F] [--rank N] [--seed N] [--quantize-weights GROUP]
-                  [--save PATH] [--threads N] [--numerics exact|fast]
+                  [--save PATH] [--threads N]
                   [--replicas N] [--virtual-slots V] [--threads-per-replica N]
                   [--fault-plan SPEC]
                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
@@ -52,7 +52,7 @@ USAGE:
   apollo generate --resume PATH (--prompt TEXT | --prompt-ids \"1,2,3\")
                   [--max-new-tokens N] [--temperature F] [--top-k N]
                   [--top-p F] [--seed N] [--stop-token N] [--threads N]
-                  [--numerics exact|fast] [--int8-decode]
+                  [--int8-decode]
   apollo memory   [--model NAME] [--method NAME] [--rank N] [--gpu NAME]
   apollo serve    --resume PATH [--addr HOST:PORT] [--addr-file PATH]
                   [--shutdown-file PATH] [--run-secs N]
@@ -61,7 +61,7 @@ USAGE:
                   [--default-deadline-ms N] [--drain-deadline-ms N]
                   [--idle-timeout-ms N] [--header-deadline-ms N]
                   [--max-new-tokens-cap N] [--trace-out PATH] [--threads N]
-                  [--numerics exact|fast] [--int8-decode]
+                  [--int8-decode]
                   [--adapters NAME=PATH,NAME=PATH,...]
                   [--max-resident-adapters N] [--prefix-cache-mb N]
   apollo loadgen  --addr HOST:PORT [--requests N] [--rate F] [--seed N]
@@ -151,15 +151,12 @@ PERFORMANCE
                      then the APOLLO_NUM_THREADS environment variable, then
                      min(available cores, 8). Results are bit-identical at
                      every thread count; only throughput changes.
-  --numerics MODE    exact (default) keeps the bitwise-reproducibility
-                     contract; fast enables explicit-SIMD (AVX2/FMA where
-                     available) and reassociated kernels, bounded by
-                     tolerance tests instead of bit equality. Precedence:
-                     this flag, then APOLLO_NUMERICS, then exact.
   --int8-decode      (generate/serve) snapshot the checkpoint to group-128
                      INT8 weights and decode against BF16 KV caches via
-                     fused dequantize-GEMV kernels. Implies fast-tier
-                     arithmetic on the decode path.
+                     fused dequantize-GEMV and explicit-SIMD (AVX2/FMA where
+                     available) kernels: the relaxed tier, bounded by
+                     tolerance tests instead of bit equality. Everything
+                     else keeps the bitwise-reproducibility contract.
 
 OBSERVABILITY
   --trace-out PATH   stream a JSONL trace (phase timings, loss/grad-norm/LR,
@@ -285,13 +282,12 @@ fn default_lr(optimizer: &str) -> f32 {
 }
 
 fn resilience_config(a: &Args) -> Result<ResilienceConfig, String> {
+    let lr_backoff = a.get_num("lr-backoff", 0.5f32)?;
     let policy = match a.get("recovery", "off").as_str() {
         "off" => None,
         "skip" => Some(RecoveryPolicy::SkipStep),
         "clip" => Some(RecoveryPolicy::ClipAndContinue),
-        "rollback" => Some(RecoveryPolicy::RollbackAndRetry {
-            lr_backoff: a.get_num("lr-backoff", 0.5f32)?,
-        }),
+        "rollback" => Some(RecoveryPolicy::RollbackAndRetry { lr_backoff }),
         "abort" => Some(RecoveryPolicy::Abort),
         other => {
             return Err(format!(
@@ -305,8 +301,8 @@ fn resilience_config(a: &Args) -> Result<ResilienceConfig, String> {
         spike_factor: a.get_num("spike-factor", 3.0f32)?,
         ..ResilienceConfig::default()
     };
-    if a.has("checkpoint-dir") {
-        res.checkpoint_dir = Some(PathBuf::from(a.require("checkpoint-dir")?));
+    if let Some(dir) = a.opt("checkpoint-dir") {
+        res.checkpoint_dir = Some(PathBuf::from(dir));
         res.checkpoint_every = a.get_num("checkpoint-every", 100usize)?;
     } else if a.has("resume") || a.has("checkpoint-every") {
         return Err("--resume/--checkpoint-every need --checkpoint-dir".into());
@@ -353,34 +349,32 @@ fn apply_threads(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Applies `--numerics exact|fast` as the process-wide kernel tier.
-/// `exact` (the default) keeps the bitwise-reproducibility contract;
-/// `fast` enables the explicit-SIMD / reassociated kernels, which are
-/// held to tolerance bounds instead. The flag takes precedence over the
-/// `APOLLO_NUMERICS` environment variable.
-fn apply_numerics(a: &Args) -> Result<(), String> {
-    if a.has("numerics") {
-        let raw = a.require("numerics")?;
-        let mode = apollo_tensor::NumericsMode::parse(&raw)
-            .ok_or_else(|| format!("--numerics must be `exact` or `fast`, got `{raw}`"))?;
-        apollo_tensor::set_numerics_default(mode);
-    }
-    Ok(())
+/// Records the probed SIMD tier on an [`Obs`] handle at run start, so traces
+/// carry the lane type the relaxed kernels ran on (free when the handle is
+/// disabled).
+fn observe_simd_tier(obs: &Obs) {
+    let tier = apollo_tensor::simd_tier().name();
+    obs.counter(&format!("numerics.simd_tier.{tier}"), 1);
 }
 
-/// Records the resolved numerics mode and probed SIMD tier on an [`Obs`]
-/// handle at run start, so traces and bench reports carry the tier that
-/// actually executed (free when the handle is disabled).
-fn observe_numerics(obs: &Obs) {
-    let mode = apollo_tensor::current_numerics().name();
-    let tier = apollo_tensor::simd_tier().name();
-    obs.counter(&format!("numerics.mode.{mode}"), 1);
-    obs.counter(&format!("numerics.simd_tier.{tier}"), 1);
+/// The `--trace-out` / `--profile` handle of `pretrain` and `search`.
+fn training_obs(trace_out: Option<PathBuf>, profile: bool, every: usize) -> Result<Obs, String> {
+    let obs = match trace_out {
+        Some(path) => {
+            let obs = Obs::with_trace(&path, every)
+                .map_err(|e| format!("cannot open trace {}: {e}", path.display()))?;
+            eprintln!("tracing to {}", path.display());
+            obs
+        }
+        None if profile => Obs::enabled(every),
+        None => Obs::disabled(),
+    };
+    observe_simd_tier(&obs);
+    Ok(obs)
 }
 
 fn cmd_pretrain(a: &Args) -> Result<(), String> {
     apply_threads(a)?;
-    apply_numerics(a)?;
     let cfg = model_config(&a.get("model", "tiny-60m"))?;
     if cfg.name.starts_with("llama-") {
         return Err("paper-scale geometries are for `apollo memory`; pick a tiny-* model".into());
@@ -391,11 +385,6 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
     let batch = a.get_num("batch", 4usize)?;
     let lr = a.get_num("lr", default_lr(&opt_name))?;
     let seed = a.get_num("seed", 42u64)?;
-
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
-    let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
-    let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
     let tc = TrainConfig {
         steps,
         lr,
@@ -414,38 +403,39 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         ..TrainConfig::quick(steps)
     };
     let mut res = resilience_config(a)?;
-    if a.has("fault-plan") {
-        res.fault_plan = parse_fault_plan(&a.require("fault-plan")?)?;
+    if let Some(spec) = a.opt("fault-plan") {
+        res.fault_plan = parse_fault_plan(spec)?;
     }
     let metrics_every = a.get_num("metrics-every", 1usize)?;
     if metrics_every == 0 {
         return Err("--metrics-every must be >= 1".into());
     }
-    let obs = if a.has("trace-out") {
-        let path = PathBuf::from(a.require("trace-out")?);
-        let obs = Obs::with_trace(&path, metrics_every)
-            .map_err(|e| format!("cannot open trace {}: {e}", path.display()))?;
-        eprintln!("tracing to {}", path.display());
-        obs
-    } else if a.has("profile") {
-        Obs::enabled(metrics_every)
-    } else {
-        Obs::disabled()
-    };
-    observe_numerics(&obs);
-    // One step pipeline either way: `--replicas` only decides who computes
-    // which slot and who holds which parameter's optimizer state.
-    let log = if a.has("replicas") {
+    let (trace_out, profile) = (a.opt("trace-out").map(PathBuf::from), a.has("profile"));
+    let save = a.opt("save").map(PathBuf::from);
+    let ddp = if a.has("replicas") {
         let replicas = a.get_num("replicas", 1usize)?;
         if replicas == 0 {
             return Err("--replicas must be >= 1".into());
         }
-        let virtual_slots = a.get_num("virtual-slots", 4.max(replicas))?;
-        let ddp = DdpConfig {
+        Some(DdpConfig {
             replicas,
-            virtual_slots,
+            virtual_slots: a.get_num("virtual-slots", 4.max(replicas))?,
             threads_per_replica: a.get_num("threads-per-replica", 1usize)?,
-        };
+        })
+    } else {
+        None
+    };
+    a.reject_unread()?;
+
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+    let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
+    let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
+    let obs = training_obs(trace_out, profile, metrics_every)?;
+    // One step pipeline either way: `--replicas` only decides who computes
+    // which slot and who holds which parameter's optimizer state.
+    let log = if let Some(ddp) = ddp {
+        let (replicas, virtual_slots) = (ddp.replicas, ddp.virtual_slots);
         let make_opt = build_opt_factory(&opt_name, rank, &cfg)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch}, \
@@ -493,7 +483,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         log.final_ppl, log.state_elems, log.state_bytes, log.wall_secs
     );
     print_resilience(&log.resilience);
-    if a.has("profile") {
+    if profile {
         if let Some(stats) = obs.phase_stats() {
             println!("\nphase breakdown ({} steps):", stats.steps());
             print!("{}", stats.render_table());
@@ -507,8 +497,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
             }
         }
     }
-    if a.has("save") {
-        let path = PathBuf::from(a.require("save")?);
+    if let Some(path) = save {
         save_model(&model, LinearMode::Dense, &path).map_err(|e| e.to_string())?;
         println!("saved checkpoint to {}", path.display());
     }
@@ -536,6 +525,7 @@ fn cmd_finetune(a: &Args) -> Result<(), String> {
         lr: a.get_num("lr", 3e-3f32)?,
         eval_examples: 100,
     };
+    a.reject_unread()?;
     let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
     eprintln!(
         "fine-tuning on {task_name} with {} ({steps} steps)",
@@ -551,11 +541,13 @@ fn cmd_finetune(a: &Args) -> Result<(), String> {
 
 fn cmd_eval(a: &Args) -> Result<(), String> {
     let path = PathBuf::from(a.require("checkpoint")?);
+    let seqs = a.get_num("seqs", 64usize)?;
+    a.reject_unread()?;
     let model = load_model(&path).map_err(|e| e.to_string())?;
     let cfg = model.config();
     let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
     let batcher = LmBatcher::new(corpus, 4, cfg.max_seq);
-    let Some(ppl) = eval_perplexity(&model, &batcher, a.get_num("seqs", 64usize)?) else {
+    let Some(ppl) = eval_perplexity(&model, &batcher, seqs) else {
         return Err("eval requires --seqs >= 1".to_string());
     };
     println!("{}: validation ppl {ppl:.2}", cfg.name);
@@ -565,7 +557,6 @@ fn cmd_eval(a: &Args) -> Result<(), String> {
 fn cmd_generate(a: &Args) -> Result<(), String> {
     use std::io::Write;
     apply_threads(a)?;
-    apply_numerics(a)?;
     let path = PathBuf::from(a.require("resume")?);
     let model = load_model(&path).map_err(|e| e.to_string())?;
     let cfg = model.config().clone();
@@ -575,16 +566,15 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
     // synthetic-corpus models) take raw token ids instead.
     let tok = ByteTokenizer;
     let text_io = vocab >= tok.vocab_size();
-    let prompt: Vec<u32> = if a.has("prompt-ids") {
-        a.require("prompt-ids")?
-            .split(',')
+    let prompt: Vec<u32> = if let Some(ids) = a.opt("prompt-ids") {
+        ids.split(',')
             .map(|s| {
                 s.trim()
                     .parse::<u32>()
                     .map_err(|_| format!("--prompt-ids: cannot parse `{s}`"))
             })
             .collect::<Result<_, _>>()?
-    } else if a.has("prompt") {
+    } else if let Some(text) = a.opt("prompt") {
         if !text_io {
             return Err(format!(
                 "{} has vocab {vocab} < 256: text prompts need a byte-covering \
@@ -592,7 +582,7 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
                 cfg.name
             ));
         }
-        tok.encode(a.require("prompt")?.as_bytes())
+        tok.encode(text.as_bytes())
     } else {
         return Err("generate needs --prompt or --prompt-ids".into());
     };
@@ -617,21 +607,22 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
     };
     // --int8-decode snapshots the checkpoint into INT8 weights + BF16 KV
     // caches; the exact model is dropped before decoding starts.
-    let backend: apollo_nn::DecodeBackend = if a.has("int8-decode") {
+    let int8 = a.has("int8-decode");
+    a.reject_unread()?;
+    let backend: apollo_nn::DecodeBackend = if int8 {
         apollo_nn::QuantizedModel::from_model(&model).into()
     } else {
         model.into()
     };
     eprintln!(
         "generating up to {} tokens from {} ({} prompt tokens, temperature {}, seed {}, \
-         backend {}, numerics {}, simd {})",
+         backend {}, simd {})",
         gen.max_new_tokens,
         cfg.name,
         prompt.len(),
         gen.temperature,
         gen.seed,
         backend.mode_name(),
-        apollo_tensor::current_numerics().name(),
         apollo_tensor::simd_tier().name(),
     );
 
@@ -686,6 +677,7 @@ fn cmd_memory(a: &Args) -> Result<(), String> {
         "consumer-12g" => Gpu::consumer_12g(),
         other => return Err(format!("unknown gpu `{other}`")),
     };
+    a.reject_unread()?;
     let mem = TrainingMemoryModel::new(&cfg);
     let b = mem.breakdown(spec, &MemoryOptions::figure1(256));
     println!(
@@ -718,10 +710,9 @@ fn cmd_memory(a: &Args) -> Result<(), String> {
 /// Either way each checkpoint is verified against the base geometry at
 /// load time.
 fn build_adapter_registry(a: &Args, base: &ModelConfig) -> Result<AdapterRegistry, String> {
-    if !a.has("adapters") {
+    let Some(spec) = a.opt("adapters") else {
         return Ok(AdapterRegistry::empty());
-    }
-    let spec = a.require("adapters")?;
+    };
     let mut names: Vec<String> = Vec::new();
     let mut table: std::collections::HashMap<String, String> = std::collections::HashMap::new();
     for entry in spec.split(',').filter(|s| !s.trim().is_empty()) {
@@ -777,6 +768,11 @@ fn build_adapter_registry(a: &Args, base: &ModelConfig) -> Result<AdapterRegistr
 fn cmd_make_adapter(a: &Args) -> Result<(), String> {
     let path = PathBuf::from(a.require("resume")?);
     let out = PathBuf::from(a.require("out")?);
+    let rank = a.get_num("rank", 4usize)?;
+    let alpha = a.get_num("alpha", 2.0 * rank as f32)?;
+    let seed = a.get_num("seed", 0u64)?;
+    let scale = a.get_num("delta-scale", 0.02f32)?;
+    a.reject_unread()?;
     let model = load_model(&path).map_err(|e| e.to_string())?;
     if model.params.iter().any(|p| p.name.contains(".lora_")) {
         return Err(format!(
@@ -784,10 +780,6 @@ fn cmd_make_adapter(a: &Args) -> Result<(), String> {
             path.display()
         ));
     }
-    let rank = a.get_num("rank", 4usize)?;
-    let alpha = a.get_num("alpha", 2.0 * rank as f32)?;
-    let seed = a.get_num("seed", 0u64)?;
-    let scale = a.get_num("delta-scale", 0.02f32)?;
     let mut rng = Rng::seed_from_u64(seed);
     let mut lora = model.to_lora(rank, alpha, &mut rng);
     // `to_lora` zero-initializes lora_b, which would make the adapter a
@@ -810,7 +802,6 @@ fn cmd_make_adapter(a: &Args) -> Result<(), String> {
 fn cmd_serve(a: &Args) -> Result<(), String> {
     use std::time::Duration;
     apply_threads(a)?;
-    apply_numerics(a)?;
     let path = PathBuf::from(a.require("resume")?);
     let model = load_model(&path).map_err(|e| e.to_string())?;
     let sched = apollo_infer::SchedConfig {
@@ -832,14 +823,19 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     serve.limits.idle_timeout = Duration::from_millis(a.get_num("idle-timeout-ms", 5_000u64)?);
     serve.limits.header_deadline =
         Duration::from_millis(a.get_num("header-deadline-ms", 2_000u64)?);
-    let obs = if a.has("trace-out") {
-        Obs::with_trace(&PathBuf::from(a.require("trace-out")?), 1).map_err(|e| e.to_string())?
-    } else {
-        Obs::enabled(1)
+    let trace_out = a.opt("trace-out").map(PathBuf::from);
+    let int8 = a.has("int8-decode");
+    let addr_file = a.opt("addr-file").map(PathBuf::from);
+    let run_secs: u64 = a.get_num("run-secs", 0u64)?;
+    let shutdown_file = a.opt("shutdown-file").map(PathBuf::from);
+    a.reject_unread()?;
+    let obs = match trace_out {
+        Some(path) => Obs::with_trace(&path, 1).map_err(|e| e.to_string())?,
+        None => Obs::enabled(1),
     };
-    observe_numerics(&obs);
+    observe_simd_tier(&obs);
 
-    let backend: apollo_nn::DecodeBackend = if a.has("int8-decode") {
+    let backend: apollo_nn::DecodeBackend = if int8 {
         if !registry.is_empty() {
             return Err(
                 "--adapters needs the exact decode backend: INT8 folds the projection \
@@ -852,9 +848,8 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         model.into()
     };
     eprintln!(
-        "decode backend {} (numerics {}, simd {})",
+        "decode backend {}, simd {}",
         backend.mode_name(),
-        apollo_tensor::current_numerics().name(),
         apollo_tensor::simd_tier().name(),
     );
     if !registry.is_empty() {
@@ -872,20 +867,13 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     eprintln!("serving on {addr}");
     // Publish the resolved address atomically (temp + rename), so a
     // coordinating process never reads a half-written file.
-    if a.has("addr-file") {
-        let target = PathBuf::from(a.require("addr-file")?);
+    if let Some(target) = addr_file {
         let tmp = target.with_extension("tmp");
         std::fs::write(&tmp, format!("{addr}\n")).map_err(|e| e.to_string())?;
         std::fs::rename(&tmp, &target).map_err(|e| e.to_string())?;
     }
 
     // Run until the stop condition, then drain.
-    let run_secs: u64 = a.get_num("run-secs", 0u64)?;
-    let shutdown_file = if a.has("shutdown-file") {
-        Some(PathBuf::from(a.require("shutdown-file")?))
-    } else {
-        None
-    };
     if run_secs == 0 && shutdown_file.is_none() {
         eprintln!("no --run-secs or --shutdown-file: serving until killed");
     }
@@ -960,6 +948,8 @@ fn cmd_loadgen(a: &Args) -> Result<(), String> {
     if cfg.prefix_reuse > 0.0 && cfg.prefix_len == 0 {
         return Err("--prefix-reuse needs --prefix-len".into());
     }
+    let (out, expect_clean) = (a.opt("out"), a.has("expect-clean"));
+    a.reject_unread()?;
     let report = apollo_infer::run_loadgen(&cfg)?;
     println!(
         "sent {} | ok {} | shed {} | rejected {} | timed out {} | transport {} | prefixed {}",
@@ -981,7 +971,7 @@ fn cmd_loadgen(a: &Args) -> Result<(), String> {
         report.goodput_rps,
         report.shed_rate
     );
-    if a.has("out") {
+    if let Some(out) = out {
         let json = format!(
             "{{\n  \"sent\": {},\n  \"ok\": {},\n  \"shed\": {},\n  \"rejected\": {},\n  \
              \"timed_out\": {},\n  \"transport_errors\": {},\n  \"faults_injected\": {},\n  \
@@ -1004,9 +994,9 @@ fn cmd_loadgen(a: &Args) -> Result<(), String> {
             report.shed_rate,
             report.wall_ms
         );
-        std::fs::write(a.require("out")?, json).map_err(|e| e.to_string())?;
+        std::fs::write(out, json).map_err(|e| e.to_string())?;
     }
-    if a.has("expect-clean") {
+    if expect_clean {
         if report.ok == 0 {
             return Err("no request succeeded".into());
         }
@@ -1031,7 +1021,6 @@ const TRACE_PHASE_TOLERANCE: f32 = 0.05;
 
 fn cmd_search(a: &Args) -> Result<(), String> {
     apply_threads(a)?;
-    apply_numerics(a)?;
     let model = model_config(&a.get("model", "test-tiny"))?;
     if model.name.starts_with("llama-") {
         return Err("paper-scale geometries are for `apollo memory`; pick a tiny-* model".into());
@@ -1052,18 +1041,10 @@ fn cmd_search(a: &Args) -> Result<(), String> {
     if metrics_every == 0 {
         return Err("--metrics-every must be >= 1".into());
     }
-    let obs = if a.has("trace-out") {
-        let path = PathBuf::from(a.require("trace-out")?);
-        let obs = Obs::with_trace(&path, metrics_every)
-            .map_err(|e| format!("cannot open trace {}: {e}", path.display()))?;
-        eprintln!("tracing to {}", path.display());
-        obs
-    } else if a.has("profile") {
-        Obs::enabled(metrics_every)
-    } else {
-        Obs::disabled()
-    };
-    observe_numerics(&obs);
+    let (trace_out, profile) = (a.opt("trace-out").map(PathBuf::from), a.has("profile"));
+    let out = a.opt("out").map(PathBuf::from);
+    a.reject_unread()?;
+    let obs = training_obs(trace_out, profile, metrics_every)?;
     eprintln!(
         "searching {}: population {}, {} rounds x {} steps, quantile {}, seed {}",
         cfg.model.name, cfg.population, cfg.rounds, cfg.round_steps, cfg.quantile, cfg.seed
@@ -1112,7 +1093,7 @@ fn cmd_search(a: &Args) -> Result<(), String> {
             (report.best.ppl / best_static.ppl - 1.0) * 100.0
         );
     }
-    if a.has("profile") {
+    if profile {
         if let Some(metrics) = obs.metrics() {
             let counters: Vec<(&str, u64)> = metrics.counters().collect();
             if !counters.is_empty() {
@@ -1123,8 +1104,7 @@ fn cmd_search(a: &Args) -> Result<(), String> {
             }
         }
     }
-    if a.has("out") {
-        let path = PathBuf::from(a.require("out")?);
+    if let Some(path) = out {
         let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
         std::fs::write(&path, json + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1135,6 +1115,7 @@ fn cmd_search(a: &Args) -> Result<(), String> {
 
 fn cmd_trace_check(a: &Args) -> Result<(), String> {
     let path = PathBuf::from(a.require("trace")?);
+    a.reject_unread()?;
     let events = read_trace(&path).map_err(|e| e.to_string())?;
     if events.is_empty() {
         return Err(format!("{}: trace is empty", path.display()));
@@ -1230,6 +1211,7 @@ fn run() -> Result<(), String> {
         "search" => cmd_search(&a),
         "trace-check" => cmd_trace_check(&a),
         "list" => {
+            a.reject_unread()?;
             println!("{USAGE}");
             Ok(())
         }

@@ -1,4 +1,4 @@
-//! Decode backend selection: exact f32 vs INT8+BF16 fast path.
+//! Decode backend selection: exact f32 vs the relaxed INT8+BF16 tier.
 //!
 //! [`DecodeBackend`] lets the serving stack (`apollo-infer`) hold either
 //! the bit-exact [`LlamaModel`] or the quantized [`QuantizedModel`] behind
@@ -26,7 +26,7 @@ use crate::quantized::QuantizedModel;
 pub enum DecodeBackend {
     /// Bit-exact f32 decode against f32 KV caches.
     Exact(Arc<LlamaModel>),
-    /// Fast-tier INT8-weight decode against BF16 KV caches.
+    /// Relaxed-tier INT8-weight decode against BF16 KV caches.
     Int8(Arc<QuantizedModel>),
 }
 

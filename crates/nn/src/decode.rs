@@ -5,14 +5,15 @@
 //! extending per-sequence [`KvCache`]s so one decode step costs O(seq)
 //! instead of the O(seq²) of re-running the full forward.
 //!
-//! The layer walk is written once ([`forward_cached`]) for all three tiers.
-//! A tier is two substitutions, not a second transformer: how a projection
+//! The layer walk is written once ([`forward_cached`]) for both tiers. A
+//! tier is two substitutions, not a second transformer: how a projection
 //! is applied (the [`Weights`] impl — dense/LoRA/factored matmuls plus
 //! per-row adapter deltas here, INT8 dequant-GEMV in `quantized.rs`) and
 //! the element width of the cache it allocates (f32 or BF16), which picks
-//! the kernels that read it. Dense under `NumericsMode::Fast` and INT8 are
-//! *relaxed*: they keep the walk and trade the contract below for SIMD
-//! norm/softmax/mix/SwiGLU kernels, held to tolerance tests instead.
+//! the kernels that read it. Dense weights over f32 caches are *exact*;
+//! INT8 weights over BF16 caches are *relaxed*: they keep the walk and
+//! trade the contract below for SIMD norm/softmax/mix/SwiGLU kernels, held
+//! to tolerance tests instead.
 //!
 //! # Bit-equivalence contract
 //!
@@ -46,7 +47,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 use apollo_tensor::bf16::bf16_encode;
-use apollo_tensor::{current_numerics, fused, simd, Matrix, NumericsMode};
+use apollo_tensor::{fused, simd, Matrix};
 
 use crate::adapter::LoraAdapter;
 use crate::config::ModelConfig;
@@ -321,8 +322,8 @@ pub(crate) trait Weights {
     /// `y = x · W` for projection `which` of layer `l`, one output row per
     /// row of `x`, each a function of that row alone.
     fn project(&self, l: usize, which: Proj, x: &Matrix, y: &mut Matrix);
-    /// Whether this model is the relaxed tier by construction (INT8
-    /// weights against BF16 caches) rather than by the numerics mode.
+    /// Whether this model is the relaxed tier: INT8 weights against BF16
+    /// caches.
     fn is_relaxed(&self) -> bool;
 }
 
@@ -353,7 +354,8 @@ thread_local! {
 
 /// Row-wise RMSNorm with learned gain into `y`. Exact: the graph's fused
 /// kernel (the per-row inverse-rms cache is only needed by backward, so it
-/// is dropped). Relaxed: that kernel's Fast arm, row by row.
+/// is dropped). Relaxed: the 8-lane sum of squares and gain write, row by
+/// row.
 fn rmsnorm_rows(relaxed: bool, x: &Matrix, gain: &Matrix, y: &mut Matrix) {
     if !relaxed {
         *y = fused::fused_rmsnorm_fwd(x, gain, 1e-5).0;
@@ -371,8 +373,8 @@ fn rmsnorm_rows(relaxed: bool, x: &Matrix, gain: &Matrix, y: &mut Matrix) {
 /// `act = silu(gate) ⊙ up`. Exact: the graph's fused kernel. Relaxed: the
 /// vectorized kernel one row at a time — its scalar tail starts where the
 /// slice's length stops dividing by the lane count, so run over a band of
-/// rows (as the fused kernel's Fast arm does) it would make a row's bits
-/// depend on its position in the batch whenever `intermediate % 8 ≠ 0`.
+/// rows it would make a row's bits depend on its position in the batch
+/// whenever `intermediate % 8 ≠ 0`.
 fn swiglu_rows(relaxed: bool, gate: &Matrix, up: &Matrix, act: &mut Matrix) {
     if !relaxed {
         *act = fused::fused_swiglu_fwd(gate, up);
@@ -384,28 +386,28 @@ fn swiglu_rows(relaxed: bool, gate: &Matrix, up: &Matrix, act: &mut Matrix) {
     }
 }
 
-/// In-place softmax of one head's scores over positions `0..=pos`.
-fn softmax(relaxed: bool, ph: &mut [f32]) {
-    if relaxed {
-        // Vectorized exp with the denominator folded into the
-        // probabilities. Reassociated, so covered by the tolerance tests
-        // rather than the bitwise contract.
-        let maxv = simd::max_slice(ph);
-        let inv = 1.0 / simd::softmax_exp_sum(ph, maxv);
-        for pj in ph.iter_mut() {
-            *pj *= inv;
-        }
-    } else {
-        // The graph's exact order.
-        let maxv = ph.iter().cloned().fold(f32::MIN, f32::max);
-        let mut denom = 0.0f32;
-        for e in ph.iter_mut() {
-            *e = (*e - maxv).exp();
-            denom += *e;
-        }
-        for e in ph.iter_mut() {
-            *e /= denom;
-        }
+/// In-place softmax of one head's scores over positions `0..=pos`, in the
+/// graph's exact order.
+fn softmax_exact(ph: &mut [f32]) {
+    let maxv = ph.iter().cloned().fold(f32::MIN, f32::max);
+    let mut denom = 0.0f32;
+    for e in ph.iter_mut() {
+        *e = (*e - maxv).exp();
+        denom += *e;
+    }
+    for e in ph.iter_mut() {
+        *e /= denom;
+    }
+}
+
+/// The relaxed tier's softmax: vectorized exp with the denominator folded
+/// into the probabilities. Reassociated, so covered by the tolerance tests
+/// rather than the bitwise contract.
+fn softmax_relaxed(ph: &mut [f32]) {
+    let maxv = simd::max_slice(ph);
+    let inv = 1.0 / simd::softmax_exp_sum(ph, maxv);
+    for pj in ph.iter_mut() {
+        *pj *= inv;
     }
 }
 
@@ -485,10 +487,10 @@ fn attention_mix(probs: &[f32], n_pos: usize, v: &[f32], hd: usize, orow: &mut [
 /// `forward_cached` methods forward here, and [`LlamaModel::forward_cached`]
 /// documents the row and position semantics.
 ///
-/// The relaxed tier (an INT8 model, or any model under
-/// [`NumericsMode::Fast`]) swaps the norm, softmax, value-mix and SwiGLU
-/// kernels for their SIMD forms, each applied to one row at a time so a
-/// row's bits never depend on which other rows share the call.
+/// The relaxed tier (an INT8 model over BF16 caches) swaps the norm,
+/// softmax, value-mix and SwiGLU kernels for their SIMD forms, each applied
+/// to one row at a time so a row's bits never depend on which other rows
+/// share the call.
 ///
 /// # Panics
 ///
@@ -550,9 +552,8 @@ pub(crate) fn forward_cached<W: Weights>(
     }
 
     let scale = 1.0 / (hd as f32).sqrt();
-    // Numerics tier, resolved once per call so one forward never mixes
-    // tiers across layers.
-    let relaxed = w.is_relaxed() || current_numerics() == NumericsMode::Fast;
+    // The tier is the backend: every cache was checked against it above.
+    let relaxed = w.is_relaxed();
     // RoPE frequency table, hoisted out of the per-layer/per-row loops
     // (pure `powf` of the geometry, so precomputing is bit-exact).
     let freqs = fused::rope_freqs(hd, cfg.rope_theta);
@@ -596,18 +597,9 @@ pub(crate) fn forward_cached<W: Weights>(
                         let dims = hh * hd..(hh + 1) * hd;
                         let kh = &keys[dims.start * cap..dims.end * cap];
                         attention_scores(&qrow[dims], kh, cap, scale, ph);
-                        softmax(relaxed, ph);
+                        softmax_exact(ph);
                     }
-                    if !relaxed {
-                        attention_mix(probs, n_pos, vals, hd, orow);
-                        continue;
-                    }
-                    // Relaxed: one fused FMA mix per head, accumulators in
-                    // registers across the position loop.
-                    for (hh, ph) in probs.chunks_exact(n_pos).enumerate() {
-                        let dims = hh * hd..(hh + 1) * hd;
-                        simd::attn_mix(ph, vals, h, dims.start, &mut orow[dims]);
-                    }
+                    attention_mix(probs, n_pos, vals, hd, orow);
                 }
                 Elems::Bf16([keys, vals]) => {
                     let (keys, vals) = (keys.layer(l), vals.layer(l));
@@ -618,7 +610,7 @@ pub(crate) fn forward_cached<W: Weights>(
                         let dims = hh * hd..(hh + 1) * hd;
                         let qh = &qrow[dims.clone()];
                         simd::attn_scores_bf16(qh, keys, h, dims.start, scale, probs);
-                        softmax(relaxed, probs);
+                        softmax_relaxed(probs);
                         simd::attn_mix_bf16(probs, vals, h, dims.start, &mut orow[dims]);
                     }
                 }

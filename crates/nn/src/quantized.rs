@@ -1,5 +1,4 @@
-//! INT8 weight / BF16 KV-cache decode tier (the `NumericsMode::Fast` +
-//! `--int8-decode` tier).
+//! INT8 weight / BF16 KV-cache decode: the relaxed tier (`--int8-decode`).
 //!
 //! [`QuantizedModel`] snapshots a trained [`LlamaModel`] into group-128
 //! INT8 weights (one [`QuantizedMatrix`] per attention/MLP linear and the
@@ -13,7 +12,7 @@
 //! operands in register.
 //!
 //! Unlike [`LlamaModel::forward_cached`], this tier makes **no bitwise
-//! promise against the graph forward**: it is gated by the Fast-tier
+//! promise against the graph forward**: it is gated by the relaxed-tier
 //! tolerance tests (`nn/tests/quantized_decode.rs`), which bound its
 //! divergence from an exact model holding the same dequantized weights.
 //! It *is* bitwise invariant to how rows are batched or chunked (every
@@ -128,7 +127,7 @@ impl QuantizedModel {
 
     /// Rebuilds a dense [`LlamaModel`] holding this snapshot's
     /// *dequantized* weights — the tolerance-test oracle: running it
-    /// exactly isolates the Fast-tier arithmetic error from the
+    /// exactly isolates the relaxed-tier arithmetic error from the
     /// quantization error.
     ///
     /// # Panics
@@ -210,7 +209,7 @@ mod tests {
         let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
         let qm = QuantizedModel::from_model(&model);
         // Oracle: an exact model holding the dequantized weights — this
-        // isolates Fast-tier arithmetic error from quantization error.
+        // isolates relaxed-tier arithmetic error from quantization error.
         let oracle = qm.dequantize_into(&model);
         let tokens: Vec<u32> = (0..12).map(|_| rng.below(cfg.vocab_size) as u32).collect();
         let (exact, fast) = decode_both(&oracle, &qm, &tokens);

@@ -38,7 +38,7 @@
 //! `apollo-nn` pins it end-to-end against the staged graph arm.
 
 use crate::pool::par_bands;
-use crate::{numerics, simd, Matrix};
+use crate::Matrix;
 
 // Per-element cost estimates feeding the shared parallelism gate
 // (`should_parallelize`, threshold 2^20 FLOPs). Transcendental-heavy
@@ -102,7 +102,6 @@ pub fn fused_rmsnorm_fwd(x: &Matrix, gain: &Matrix, eps: f32) -> (Matrix, Vec<f3
     let mut inv_rms = vec![0.0f32; rows];
     let xs = x.as_slice();
     let gsl = &gain.row(0)[..cols];
-    let fast = numerics::fast();
     let flops = rows * cols * RMSNORM_FWD_FLOPS;
     par_bands(
         rows,
@@ -115,23 +114,10 @@ pub fn fused_rmsnorm_fwd(x: &Matrix, gain: &Matrix, eps: f32) -> (Matrix, Vec<f3
                 let inv = 1.0 / (sumsq / n + eps).sqrt();
                 iband[r - lo] = inv;
                 let out = &mut yband[(r - lo) * cols..][..cols];
-                if fast {
-                    simd::scale_gain(out, xrow(r), inv, gsl);
-                } else {
-                    for ((o, &v), &g) in out.iter_mut().zip(xrow(r)).zip(gsl) {
-                        *o = v * inv * g;
-                    }
+                for ((o, &v), &g) in out.iter_mut().zip(xrow(r)).zip(gsl) {
+                    *o = v * inv * g;
                 }
             };
-            if fast {
-                // Relaxed tier: 8-lane reassociated mean-square reduction and
-                // a SIMD gain write per row (tolerances pinned by
-                // fast_numerics.rs).
-                for r in lo..hi {
-                    write(r, simd::sum_squares(xrow(r)));
-                }
-                return;
-            }
             let mut r = lo;
             // Four rows at a time: each row's mean-square sum is a strict
             // sequential chain (bit-identity forbids reassociating it), so a
@@ -272,7 +258,6 @@ pub fn fused_swiglu_fwd(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(rows, cols);
     let avs = a.as_slice();
     let bvs = b.as_slice();
-    let fast = numerics::fast();
     let flops = rows * cols * SWIGLU_FWD_FLOPS;
     par_bands(
         rows,
@@ -281,11 +266,6 @@ pub fn fused_swiglu_fwd(a: &Matrix, b: &Matrix) -> Matrix {
         |lo, hi, [band]| {
             let aband = &avs[lo * cols..hi * cols];
             let bband = &bvs[lo * cols..hi * cols];
-            if fast {
-                // Relaxed tier: vectorized polynomial exp inside the sigmoid.
-                simd::silu_mul(aband, bband, band);
-                return;
-            }
             for_each_lane(band, |i| {
                 let av = aband[i];
                 av * sigmoid(av) * bband[i]
@@ -358,7 +338,6 @@ pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix,
     let mut exps = Matrix::zeros(rows, cols);
     let mut denoms = vec![0.0f32; rows];
     let ls = logits.as_slice();
-    let fast = numerics::fast();
     let flops = rows * cols * XENT_FLOPS;
     par_bands(
         rows,
@@ -368,13 +347,6 @@ pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix,
             for r in lo..hi {
                 let row = &ls[r * cols..(r + 1) * cols];
                 let erow = &mut eband[(r - lo) * cols..(r - lo + 1) * cols];
-                if fast {
-                    // Relaxed tier: SIMD max, vectorized exp, reassociated sum.
-                    let maxv = simd::max_slice(row);
-                    erow.copy_from_slice(row);
-                    dband[r - lo] = simd::softmax_exp_sum(erow, maxv);
-                    continue;
-                }
                 // Pass 1: row max (sequential fold, reference order).
                 let maxv = row.iter().cloned().fold(f32::MIN, f32::max);
                 // Pass 2: shifted exponentials and their ascending sum.
@@ -590,7 +562,6 @@ pub fn fused_adam_update(
     assert_eq!(v.shape(), g.shape(), "fused_adam_update: v/g mismatch");
     let (rows, cols) = g.shape();
     let gs = g.as_slice();
-    let fast = numerics::fast();
     let flops = rows * cols * ADAM_FLOPS;
     par_bands(
         rows,
@@ -602,14 +573,6 @@ pub fn fused_adam_update(
         ],
         |lo, hi, [wband, mband, vband]| {
             let gband = &gs[lo * cols..hi * cols];
-            if fast {
-                // Relaxed tier: FMA moment chain with vector sqrt (divides by
-                // bc become multiplies by the reciprocal).
-                simd::adam_weight_update(
-                    wband, gband, mband, vband, beta1, beta2, bc1, bc2, eps, lr, decay,
-                );
-                return;
-            }
             for i in 0..gband.len() {
                 let gv = gband[i];
                 let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
@@ -725,8 +688,7 @@ fn lane_fro_norm(x: &Matrix) -> f32 {
 
 /// APOLLO's scaled-update construction: writes `update ← (grad ⊙ s) ·
 /// alpha` (reshaping `update` to `grad`) in one banded pass and returns its
-/// Frobenius norm ([`lane_norm`]'s definition; the Fast tier returns its
-/// own reassociated `f32` sum instead).
+/// Frobenius norm ([`lane_norm`]'s definition).
 ///
 /// Replaces the staged `copy_from` → `scale_cols`/`scale_rows`/
 /// `scale_assign` → `scale_assign(alpha)` → norm chain (four to five
@@ -763,18 +725,13 @@ pub fn fused_apollo_scale(
             }
         },
     );
-    if numerics::fast() {
-        simd::sum_squares(update.as_slice()).sqrt()
-    } else {
-        lane_fro_norm(update)
-    }
+    lane_fro_norm(update)
 }
 
 /// The norm [`fused_apollo_scale`] would return, without the update: one
 /// read-only pass over `grad` with each update element formed in a
 /// register and squared straight into [`lane_norm`]'s lanes. Feeds the
 /// norm-growth limiter before [`fused_apollo_apply`] writes the weights.
-/// Serves both numerics tiers (the lane sum is inside the Fast envelope).
 ///
 /// # Panics
 ///

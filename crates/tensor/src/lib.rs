@@ -38,10 +38,7 @@ pub mod simd;
 
 pub use matmul::{current_threads, set_thread_override, ThreadOverrideGuard};
 pub use matrix::Matrix;
-pub use numerics::{
-    current_numerics, set_numerics_default, set_numerics_override, simd_tier, NumericsMode,
-    SimdTier,
-};
+pub use numerics::{simd_tier, SimdTier};
 pub use rng::{fill_normal, Rng};
 
 /// Machine-epsilon-scale tolerance used by tests and iterative algorithms.

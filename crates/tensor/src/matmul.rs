@@ -29,9 +29,6 @@
 //!   and nothing else: the one-shot CPU probe ([`numerics::avx512f`], at run
 //!   time, so a baseline build reaches it and no bit depends on
 //!   `target-cpu`) and the number of rows in the band ([`WIDE_MIN_ROWS`]).
-//!   Where it runs it serves both numerics tiers: it is inside the Fast
-//!   envelope by construction and faster than the relaxed tier's one-row
-//!   FMA tile.
 //!
 //! Measured on the reference box (Sapphire Rapids, one thread, same
 //! process, calls alternating; EXPERIMENTS.md "The exact-tier GEMM at the
@@ -72,7 +69,7 @@
 
 use crate::matrix::Matrix;
 use crate::pool::par_bands;
-use crate::{numerics, scratch, simd};
+use crate::{numerics, scratch};
 
 /// Multiplications below this many FLOPs (`2 * m * k * n`) run
 /// single-threaded; the dispatch cost dominates for tiny matrices.
@@ -321,7 +318,6 @@ fn pack_panels_transposed(src: &[f32], n: usize, k: usize) -> Vec<f32> {
 /// `a_rows` (stride `k`) against a packed panel of the second operand.
 /// Panel band outer, rows inner, so one `k×NR` block stays cache-hot
 /// across the whole row band.
-#[allow(clippy::too_many_arguments)]
 fn run_packed(
     a_rows: &[f32],
     k: usize,
@@ -330,30 +326,17 @@ fn run_packed(
     lo: usize,
     hi: usize,
     out: &mut [f32],
-    fast: bool,
 ) {
     if k == 0 {
         return; // out is pre-zeroed; an empty inner dim contributes nothing
     }
     let rows = &a_rows[lo * k..hi * k];
-    // The relaxed tier's one-row FMA tile is slower than the 16-lane exact
-    // tile, which is inside the Fast envelope by construction: where that
-    // one runs it serves both tiers.
-    let fast = fast && !wide_tile(hi - lo);
     let mut j0 = 0;
     while j0 < n {
         let w = NR.min(n - j0);
         let block = &panel[j0 * k..(j0 + w) * k];
-        if w == NR && fast {
-            // Tails below stay on the exact tile — they are a < NR-column
-            // sliver, within tolerance.
-            for (band_r, arow) in rows.chunks_exact(k).enumerate() {
-                simd::tile_packed32(arow, block, &mut out[band_r * n + j0..band_r * n + j0 + NR]);
-            }
-        } else {
-            let array_rows = if w == NR { PACKED_ROWS } else { MR };
-            sweep_band(array_rows, rows, k, block, w, w, &mut out[j0..], n);
-        }
+        let array_rows = if w == NR { PACKED_ROWS } else { MR };
+        sweep_band(array_rows, rows, k, block, w, w, &mut out[j0..], n);
         j0 += w;
     }
 }
@@ -685,15 +668,10 @@ fn parallel_rows(
 /// a pure function of `(n, threads)`).
 fn gemv(arow: &[f32], b: &Matrix) -> Vec<f32> {
     let (k, n) = b.shape();
-    let fast = numerics::fast();
     let mut out = scratch::take_zeroed(n);
     let flops = matmul_flops(1, k, n);
     par_bands(n, flops, [(&mut out[..], 1)], |lo, hi, [band]| {
-        if fast {
-            simd::gemv_band(arow, b.as_slice(), n, lo, hi, band);
-        } else {
-            gemv_band(arow, b, lo, hi, band);
-        }
+        gemv_band(arow, b, lo, hi, band)
     });
     out
 }
@@ -723,8 +701,7 @@ fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
     if m == 1 {
         return Matrix::from_vec(1, n, gemv(a_rows, b));
     }
-    // Few rows: read `b` in place. The exact tile serves both numerics
-    // tiers here (it is inside the Fast envelope by construction).
+    // Few rows: read `b` in place.
     if m < PACK_MIN_ROWS {
         let data = parallel_rows(
             m,
@@ -734,12 +711,11 @@ fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
         );
         return Matrix::from_vec(m, n, data);
     }
-    let fast = numerics::fast();
     let panel = pack_panels(b.as_slice(), k, n);
     let data = parallel_rows(
         m,
         matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(a_rows, k, &panel, n, lo, hi, out, fast),
+        |lo, hi, out| run_packed(a_rows, k, &panel, n, lo, hi, out),
         n,
     );
     scratch::recycle(panel);
@@ -786,7 +762,6 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let fast = numerics::fast();
     // Packing costs k·n writes against 2·m·k·n FLOPs of compute; below a
     // few rows the scalar dot loop wins (and rank-1 projector products with
     // k = 0 or n = 0 have nothing to pack).
@@ -796,15 +771,11 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
                 let arow = a.row(r);
                 for c in 0..n {
                     let brow = b.row(c);
-                    out[band_r * n + c] = if fast {
-                        simd::dot(arow, brow)
-                    } else {
-                        let mut acc = 0.0f32;
-                        for p in 0..k {
-                            acc += arow[p] * brow[p];
-                        }
-                        acc
-                    };
+                    let mut acc = 0.0f32;
+                    for p in 0..k {
+                        acc += arow[p] * brow[p];
+                    }
+                    out[band_r * n + c] = acc;
                 }
             }
         };
@@ -815,7 +786,7 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
     let data = parallel_rows(
         m,
         matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(a.as_slice(), k, &panel, n, lo, hi, out, fast),
+        |lo, hi, out| run_packed(a.as_slice(), k, &panel, n, lo, hi, out),
         n,
     );
     scratch::recycle(panel);

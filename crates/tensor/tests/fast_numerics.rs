@@ -1,8 +1,9 @@
-//! Fast-tier tolerance contract: every kernel that branches on
-//! [`NumericsMode`] must stay within a tight relative-error envelope of its
-//! exact-mode result. The exact tier keeps its bitwise guarantees
-//! (`fused_equivalence.rs`, `kernel_equivalence.rs`); this suite pins how
-//! far the reassociated SIMD tier is allowed to drift.
+//! Relaxed-tier tolerance contract: each `simd::` kernel the INT8 / BF16
+//! decode walk calls in place of an exact loop must stay within a tight
+//! relative-error envelope of that loop — here the exact fused kernel the
+//! dense walk calls at the same point. (`simd::i8_gemv` and the BF16
+//! attention kernels have no exact twin; `simd.rs`'s unit tests hold them to
+//! `f64` references, `simd_golden.rs` pins every kernel's bits.)
 //!
 //! The bounds are ULP-style: a reduction over `k` terms reassociated into
 //! 8-lane partial sums perturbs each output by at most ~`k` half-ulp
@@ -12,158 +13,61 @@
 //! portable, tight enough that a broken kernel (wrong lane handling,
 //! dropped tail) fails immediately.
 
-use apollo_tensor::fused::{
-    fused_adam_update, fused_apollo_scale, fused_rmsnorm_fwd, fused_softmax_xent_fwd,
-    fused_swiglu_fwd, ChannelScale,
-};
-use apollo_tensor::{set_numerics_override, Matrix, NumericsMode, Rng};
+use apollo_tensor::fused::{fused_rmsnorm_fwd, fused_softmax_xent_fwd, fused_swiglu_fwd};
+use apollo_tensor::{simd, Matrix, Rng};
 
-/// Runs `f` with the thread-local numerics override pinned to `mode`,
-/// restoring the default afterwards even on panic-free early returns.
-fn with_mode<T>(mode: NumericsMode, f: impl FnOnce() -> T) -> T {
-    set_numerics_override(Some(mode));
-    let out = f();
-    set_numerics_override(None);
-    out
-}
-
-/// Asserts `fast` is within `tol` relative error of `exact`, elementwise.
-fn assert_close(tag: &str, exact: &[f32], fast: &[f32], tol: f32) {
-    assert_eq!(exact.len(), fast.len(), "{tag}: length mismatch");
-    for (i, (&e, &f)) in exact.iter().zip(fast).enumerate() {
+/// Asserts `relaxed` is within `tol` relative error of `exact`, elementwise.
+fn assert_close(tag: &str, exact: &[f32], relaxed: &[f32], tol: f32) {
+    assert_eq!(exact.len(), relaxed.len(), "{tag}: length mismatch");
+    for (i, (&e, &f)) in exact.iter().zip(relaxed).enumerate() {
         let err = (e - f).abs();
         let bound = tol * e.abs().max(1.0);
         assert!(
             err <= bound,
-            "{tag}[{i}]: exact {e} vs fast {f} (err {err:e} > {bound:e})"
+            "{tag}[{i}]: exact {e} vs relaxed {f} (err {err:e} > {bound:e})"
         );
     }
 }
 
 #[test]
-fn matmul_family_fast_matches_exact_within_tolerance() {
-    let mut rng = Rng::seed_from_u64(900);
-    // Ragged shapes: vector tails, odd inner dims, and a gemv-shaped row.
-    for (m, k, n) in [(7usize, 33usize, 19usize), (16, 64, 64), (1, 128, 96)] {
-        let a = Matrix::randn(m, k, &mut rng);
-        let b = Matrix::randn(k, n, &mut rng);
-        let exact = with_mode(NumericsMode::Exact, || a.matmul(&b));
-        let fast = with_mode(NumericsMode::Fast, || a.matmul(&b));
-        assert_close(
-            &format!("matmul {m}x{k}x{n}"),
-            exact.as_slice(),
-            fast.as_slice(),
-            1e-4,
-        );
-
-        let bt = b.transpose();
-        let exact = with_mode(NumericsMode::Exact, || a.matmul_transb(&bt));
-        let fast = with_mode(NumericsMode::Fast, || a.matmul_transb(&bt));
-        assert_close(
-            &format!("transb {m}x{k}x{n}"),
-            exact.as_slice(),
-            fast.as_slice(),
-            1e-4,
-        );
-
-        let at = a.transpose();
-        let exact = with_mode(NumericsMode::Exact, || at.matmul_transa(&b));
-        let fast = with_mode(NumericsMode::Fast, || at.matmul_transa(&b));
-        assert_close(
-            &format!("transa {m}x{k}x{n}"),
-            exact.as_slice(),
-            fast.as_slice(),
-            1e-4,
-        );
-    }
-}
-
-#[test]
-fn fused_forward_kernels_fast_match_exact_within_tolerance() {
+fn relaxed_forward_kernels_match_exact_within_tolerance() {
     let mut rng = Rng::seed_from_u64(901);
-    let x = Matrix::randn(9, 67, &mut rng);
-    let gain = Matrix::rand_uniform(1, 67, 0.5, 1.5, &mut rng);
-    let (ye, ie) = with_mode(NumericsMode::Exact, || fused_rmsnorm_fwd(&x, &gain, 1e-5));
-    let (yf, inf) = with_mode(NumericsMode::Fast, || fused_rmsnorm_fwd(&x, &gain, 1e-5));
-    assert_close("rmsnorm y", ye.as_slice(), yf.as_slice(), 1e-5);
-    assert_close("rmsnorm inv_rms", &ie, &inf, 1e-5);
+    // 67 columns: eight full vectors and a three-element scalar tail.
+    let (rows, cols) = (9, 67);
 
-    let a = Matrix::randn(9, 67, &mut rng);
-    let b = Matrix::randn(9, 67, &mut rng);
-    let exact = with_mode(NumericsMode::Exact, || fused_swiglu_fwd(&a, &b));
-    let fast = with_mode(NumericsMode::Fast, || fused_swiglu_fwd(&a, &b));
-    // SiLU in fast mode uses the SIMD exp approximation: ~1e-6 relative.
-    assert_close("swiglu", exact.as_slice(), fast.as_slice(), 1e-4);
+    let x = Matrix::randn(rows, cols, &mut rng);
+    let gain = Matrix::rand_uniform(1, cols, 0.5, 1.5, &mut rng);
+    let (ye, ie) = fused_rmsnorm_fwd(&x, &gain, 1e-5);
+    let mut yr = Matrix::zeros(rows, cols);
+    let inv: Vec<f32> = (0..rows)
+        .map(|r| 1.0 / (simd::sum_squares(x.row(r)) / cols as f32 + 1e-5).sqrt())
+        .collect();
+    for (r, &inv) in inv.iter().enumerate() {
+        simd::scale_gain(yr.row_mut(r), x.row(r), inv, gain.row(0));
+    }
+    assert_close("rmsnorm y", ye.as_slice(), yr.as_slice(), 1e-5);
+    assert_close("rmsnorm inv_rms", &ie, &inv, 1e-5);
+
+    let a = Matrix::randn(rows, cols, &mut rng);
+    let b = Matrix::randn(rows, cols, &mut rng);
+    let exact = fused_swiglu_fwd(&a, &b);
+    let mut relaxed = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        simd::silu_mul(a.row(r), b.row(r), relaxed.row_mut(r));
+    }
+    // The polynomial exp inside the sigmoid: ~1e-6 relative.
+    assert_close("swiglu", exact.as_slice(), relaxed.as_slice(), 1e-4);
 
     let logits = Matrix::randn(11, 37, &mut rng);
     let targets: Vec<u32> = (0..11).map(|_| rng.below(37) as u32).collect();
-    let (le, pe, de) = with_mode(NumericsMode::Exact, || {
-        fused_softmax_xent_fwd(&logits, &targets)
-    });
-    let (lf, pf, df) = with_mode(NumericsMode::Fast, || {
-        fused_softmax_xent_fwd(&logits, &targets)
-    });
-    assert!(
-        (le - lf).abs() <= 1e-4 * le.abs().max(1.0),
-        "loss {le} vs {lf}"
-    );
-    assert_close("xent probs", pe.as_slice(), pf.as_slice(), 1e-4);
-    assert_close("xent denoms", &de, &df, 1e-4);
-}
-
-#[test]
-fn optimizer_kernels_fast_match_exact_within_tolerance() {
-    let mut rng = Rng::seed_from_u64(902);
-    let g = Matrix::randn(13, 45, &mut rng);
-
-    let run_adam = |mode: NumericsMode, rng: &mut Rng| {
-        let mut w = Matrix::randn(13, 45, rng);
-        let mut m = Matrix::randn(13, 45, rng).scale(0.1);
-        let mut v = Matrix::randn(13, 45, rng).map(|x| x * x);
-        with_mode(mode, || {
-            fused_adam_update(
-                &mut w, &g, &mut m, &mut v, 0.9, 0.999, 0.2, 0.1, 1e-8, 3e-3, 0.01,
-            );
-        });
-        (w, m, v)
-    };
-    // Same seed stream for both runs so the inputs are identical.
-    let (we, me, ve) = run_adam(NumericsMode::Exact, &mut Rng::seed_from_u64(77));
-    let (wf, mf, vf) = run_adam(NumericsMode::Fast, &mut Rng::seed_from_u64(77));
-    assert_close("adam w", we.as_slice(), wf.as_slice(), 1e-5);
-    assert_close("adam m", me.as_slice(), mf.as_slice(), 1e-5);
-    assert_close("adam v", ve.as_slice(), vf.as_slice(), 1e-5);
-
-    let grad = Matrix::randn(13, 45, &mut rng);
-    let scales: Vec<f32> = (0..45).map(|_| rng.uniform_in(0.2, 2.0)).collect();
-    let run_apollo = |mode: NumericsMode| {
-        let mut update = Matrix::zeros(13, 45);
-        let norm = with_mode(mode, || {
-            fused_apollo_scale(&mut update, &grad, ChannelScale::Cols(&scales), 1.0)
-        });
-        (update, norm)
-    };
-    let (ue, ne) = run_apollo(NumericsMode::Exact);
-    let (uf, nf) = run_apollo(NumericsMode::Fast);
-    assert_close("apollo update", ue.as_slice(), uf.as_slice(), 1e-5);
-    assert!(
-        (ne - nf).abs() <= 1e-4 * ne.abs().max(1.0),
-        "apollo norm {ne} vs {nf}"
-    );
-}
-
-#[test]
-fn override_restores_exact_default() {
-    // The override is thread-local and must not leak into subsequent exact
-    // work: the same matmul after a fast-mode excursion is bit-identical to
-    // one that never saw the override.
-    let mut rng = Rng::seed_from_u64(903);
-    let a = Matrix::randn(5, 41, &mut rng);
-    let b = Matrix::randn(41, 23, &mut rng);
-    let before = a.matmul(&b);
-    let _ = with_mode(NumericsMode::Fast, || a.matmul(&b));
-    let after = a.matmul(&b);
-    for (x, y) in before.as_slice().iter().zip(after.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
+    let (_, pe, de) = fused_softmax_xent_fwd(&logits, &targets);
+    let mut pr = logits.clone();
+    let dr: Vec<f32> = (0..11)
+        .map(|r| {
+            let maxv = simd::max_slice(pr.row(r));
+            simd::softmax_exp_sum(pr.row_mut(r), maxv)
+        })
+        .collect();
+    assert_close("softmax exps", pe.as_slice(), pr.as_slice(), 1e-4);
+    assert_close("softmax denoms", &de, &dr, 1e-4);
 }

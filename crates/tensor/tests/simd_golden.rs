@@ -1,7 +1,7 @@
 //! Golden fingerprints of every public `simd::` kernel's output bits on the
 //! AVX2 tier.
 //!
-//! The relaxed tier is held to tolerances against the exact kernels
+//! The relaxed tier is held to tolerances against the exact loops
 //! (`fast_numerics.rs`), but for one binary on one instruction tier it is
 //! still deterministic, and the INT8 decode tokens the standing benchmark
 //! fingerprints depend on those bits. Each row below is the FNV-1a of what
@@ -11,11 +11,10 @@
 //! calls shows here as a changed row, not as a drifted token three crates
 //! away.
 //!
-//! Covered: the thirteen kernels some other module calls. `simd::{axpy,
-//! i8_axpy, dot_bf16, axpy_bf16}` have no caller outside `simd.rs` and are
-//! pinned through the kernels whose inner loops they are (`gemv_band`, the
-//! ragged `i8_gemv` shapes, `attn_scores_bf16`), so this file does not name
-//! them and survives their leaving the public surface.
+//! Covered: the eight kernels the INT8 / BF16 decode walk calls, which is
+//! every public function of the module. The private bodies they share (the
+//! `i8` axpy, the BF16 dot) are pinned through them (the ragged `i8_gemv`
+//! shapes, `attn_scores_bf16`).
 //!
 //! The constants were recorded with `simd_tier() == SimdTier::Avx2`, before
 //! the kernels were folded onto one generic body each; on any other tier the
@@ -27,24 +26,18 @@
 use apollo_tensor::{simd, simd_tier, Rng, SimdTier};
 
 /// Lengths around every chunk boundary the kernels have: empty, below one
-/// 8-lane vector, exact vectors, one over, the 16-wide `dot` step and a long
-/// odd run.
+/// 8-lane vector, exact vectors, one over, two vectors and a long odd run.
 const LENS: [usize; 11] = [0, 1, 7, 8, 9, 15, 16, 17, 24, 33, 257];
 
 /// `(kernel, FNV-1a of its output bits over the sweep)`.
 const GOLDEN: &[(&str, u64)] = &[
-    ("dot", 0xdfd598e82c5e3807),
     ("sum_squares", 0xd9173edacce5f4a2),
     ("max_slice", 0x878e2cfe4949fe5c),
     ("scale_gain", 0xf700c9bb23bc6902),
     ("silu_mul", 0xe96de9e89dd6a667),
     ("softmax_exp_sum", 0xbe08d06e1f4d54d6),
-    ("adam_weight_update", 0xc9d9c2c34dbd5e9d),
-    ("gemv_band", 0x372518d4247bd20d),
-    ("tile_packed32", 0xd38cd93409b1d1b9),
     ("i8_gemv", 0x79179236cb121ebd),
     ("attn_scores_bf16", 0xb174c9877a575d30),
-    ("attn_mix", 0x38ac24b29edd2c80),
     ("attn_mix_bf16", 0x30ad6778ad16eaf5),
 ];
 
@@ -78,14 +71,6 @@ fn rand_bf16(n: usize, rng: &mut Rng) -> Vec<u16> {
     (0..n)
         .map(|_| (rng.gauss().to_bits() >> 16) as u16)
         .collect()
-}
-
-fn dot(h: &mut Fnv) {
-    let mut rng = Rng::seed_from_u64(0x51D0);
-    for n in LENS {
-        let (a, b) = (randvec(n, &mut rng), randvec(n, &mut rng));
-        h.push(&[simd::dot(&a, &b)]);
-    }
 }
 
 fn sum_squares(h: &mut Fnv) {
@@ -132,46 +117,6 @@ fn softmax_exp_sum(h: &mut Fnv) {
         let sum = simd::softmax_exp_sum(&mut row, maxv);
         h.push(&row);
         h.push(&[sum]);
-    }
-}
-
-fn adam_weight_update(h: &mut Fnv) {
-    let mut rng = Rng::seed_from_u64(0x51D6);
-    for n in LENS {
-        let mut w = randvec(n, &mut rng);
-        let g = randvec(n, &mut rng);
-        let mut m: Vec<f32> = randvec(n, &mut rng).iter().map(|v| v * 0.1).collect();
-        let mut v: Vec<f32> = randvec(n, &mut rng).iter().map(|v| v * v).collect();
-        simd::adam_weight_update(
-            &mut w, &g, &mut m, &mut v, 0.9, 0.999, 0.19, 0.0199, 1e-8, 3e-3, 0.9997,
-        );
-        h.push(&w);
-        h.push(&m);
-        h.push(&v);
-    }
-}
-
-fn gemv_band(h: &mut Fnv) {
-    let mut rng = Rng::seed_from_u64(0x51D7);
-    let (k, n, lo) = (19, 263, 3);
-    let arow = randvec(k, &mut rng);
-    let b = randvec(k * n, &mut rng);
-    for width in LENS {
-        let mut out = randvec(width, &mut rng);
-        simd::gemv_band(&arow, &b, n, lo, lo + width, &mut out);
-        h.push(&out);
-    }
-}
-
-fn tile_packed32(h: &mut Fnv) {
-    let mut rng = Rng::seed_from_u64(0x51D8);
-    for k in [0usize, 1, 7, 33, 192] {
-        let arow = randvec(k, &mut rng);
-        let block = randvec(k * 32, &mut rng);
-        // Overwritten, not accumulated into: stale contents must not show.
-        let mut orow = randvec(32, &mut rng);
-        simd::tile_packed32(&arow, &block, &mut orow);
-        h.push(&orow);
     }
 }
 
@@ -226,19 +171,6 @@ fn attn_scores_bf16(h: &mut Fnv) {
     }
 }
 
-fn attn_mix(h: &mut Fnv) {
-    let mut rng = Rng::seed_from_u64(0x51DB);
-    for (hd, stride, off) in HEADS {
-        for n_pos in POSITIONS {
-            let p = randvec(n_pos, &mut rng);
-            let vc = randvec(cache_len(n_pos, hd, stride, off), &mut rng);
-            let mut out = randvec(hd, &mut rng);
-            simd::attn_mix(&p, &vc, stride, off, &mut out);
-            h.push(&out);
-        }
-    }
-}
-
 fn attn_mix_bf16(h: &mut Fnv) {
     let mut rng = Rng::seed_from_u64(0x51DC);
     for (hd, stride, off) in HEADS {
@@ -257,18 +189,13 @@ type Sweep = fn(&mut Fnv);
 
 /// Every kernel of `apollo_tensor::simd` that has a caller outside it.
 const KERNELS: &[(&str, Sweep)] = &[
-    ("dot", dot),
     ("sum_squares", sum_squares),
     ("max_slice", max_slice),
     ("scale_gain", scale_gain),
     ("silu_mul", silu_mul),
     ("softmax_exp_sum", softmax_exp_sum),
-    ("adam_weight_update", adam_weight_update),
-    ("gemv_band", gemv_band),
-    ("tile_packed32", tile_packed32),
     ("i8_gemv", i8_gemv),
     ("attn_scores_bf16", attn_scores_bf16),
-    ("attn_mix", attn_mix),
     ("attn_mix_bf16", attn_mix_bf16),
 ];
 
