@@ -6,6 +6,8 @@
 //! loops they replaced (see `fused::reference` and the
 //! `fused_equivalence` property tests).
 
+use std::borrow::Cow;
+
 use apollo_tensor::{fused, Matrix};
 
 /// Handle to a node in a [`Graph`].
@@ -78,20 +80,24 @@ enum Op {
 ///
 /// Build the forward computation with the op methods, then call
 /// [`Graph::backward`] once on a scalar output; gradients are then available
-/// through [`Graph::grad`].
-pub struct Graph {
-    vals: Vec<Matrix>,
+/// through [`Graph::grad`], or are moved out with [`Graph::take_grad`].
+///
+/// Parameter leaves are borrowed for `'a` ([`Graph::param`]), so a tape
+/// never copies the weights it differentiates, and the weights cannot
+/// change while a tape reads them.
+pub struct Graph<'a> {
+    vals: Vec<Cow<'a, Matrix>>,
     ops: Vec<Op>,
     grads: Vec<Option<Matrix>>,
 }
 
-impl Default for Graph {
+impl Default for Graph<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Graph {
+impl<'a> Graph<'a> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Graph {
@@ -102,24 +108,26 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> NodeId {
+        self.push_cow(Cow::Owned(value), op)
+    }
+
+    fn push_cow(&mut self, value: Cow<'a, Matrix>, op: Op) -> NodeId {
         self.vals.push(value);
         self.ops.push(op);
         self.grads.push(None);
         NodeId(self.vals.len() - 1)
     }
 
-    /// Registers a non-trainable input (gradient is still computed but
+    /// Registers an input the tape owns (gradient is still computed but
     /// usually ignored).
     pub fn input(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Leaf)
     }
 
-    /// Registers a trainable parameter leaf.
-    ///
-    /// Identical to [`Graph::input`]; the distinction is documentation for
-    /// the caller, which keeps the returned id to fetch the gradient.
-    pub fn param(&mut self, value: Matrix) -> NodeId {
-        self.push(value, Op::Leaf)
+    /// Registers a trainable parameter leaf, borrowed rather than copied;
+    /// the caller keeps the returned id to fetch the gradient.
+    pub fn param(&mut self, value: &'a Matrix) -> NodeId {
+        self.push_cow(Cow::Borrowed(value), Op::Leaf)
     }
 
     /// The forward value of a node.
@@ -142,6 +150,12 @@ impl Graph {
     /// The gradient if one was produced.
     pub fn try_grad(&self, id: NodeId) -> Option<&Matrix> {
         self.grads[id.0].as_ref()
+    }
+
+    /// Moves the gradient out of the tape if one was produced; the node has
+    /// none afterwards.
+    pub fn take_grad(&mut self, id: NodeId) -> Option<Matrix> {
+        self.grads[id.0].take()
     }
 
     /// Number of recorded nodes.
@@ -227,7 +241,7 @@ impl Graph {
         assert_eq!(xm.cols() % heads, 0, "rope: cols not divisible by heads");
         let hd = xm.cols() / heads;
         assert_eq!(hd % 2, 0, "rope: head_dim must be even");
-        let mut y = xm.clone();
+        let mut y = Matrix::clone(xm);
         fused::rope_apply(&mut y, seq, heads, theta_base, false);
         self.push(
             y,
@@ -555,14 +569,19 @@ impl Graph {
     }
 }
 
-impl Drop for Graph {
-    /// Returns every value, gradient, and activation-cache buffer to the
-    /// scratch pool. A fresh tape is built each training step with the same
-    /// node shapes, so this makes the steady-state allocation rate of the
-    /// forward+backward pass ~zero.
+impl Drop for Graph<'_> {
+    /// Returns every owned value, gradient still held, and activation-cache
+    /// buffer to the scratch pool; borrowed parameters are left alone. A
+    /// fresh tape is built each training step with the same node shapes,
+    /// so the next step reuses what the pool keeps — but it keeps 64
+    /// buffers per thread and a `pretrain` step returns ≈320 here, so
+    /// ≈1,064 takes per step still go to the allocator (see
+    /// `apollo_tensor::scratch`).
     fn drop(&mut self) {
-        for m in self.vals.drain(..) {
-            m.recycle();
+        for v in self.vals.drain(..) {
+            if let Cow::Owned(m) = v {
+                m.recycle();
+            }
         }
         for g in self.grads.drain(..).flatten() {
             g.recycle();
@@ -633,9 +652,10 @@ mod tests {
 
     #[test]
     fn doc_example_matmul_sum() {
+        let w0 = Matrix::from_rows(&[&[3.0], &[4.0]]);
         let mut g = Graph::new();
         let x = g.input(Matrix::from_rows(&[&[1.0, 2.0]]));
-        let w = g.param(Matrix::from_rows(&[&[3.0], &[4.0]]));
+        let w = g.param(&w0);
         let y = g.matmul(x, w);
         assert_eq!(g.value(y).get(0, 0), 11.0);
         let loss = g.sum(y);
@@ -658,8 +678,8 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let a = g.param(a0.clone());
-        let b = g.param(b0.clone());
+        let a = g.param(&a0);
+        let b = g.param(&b0);
         let y = g.matmul(a, b);
         let s = g.sum(y);
         g.backward(s);
@@ -679,7 +699,7 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let x = g.param(x0.clone());
+        let x = g.param(&x0);
         let y = g.silu(x);
         let s = g.sum(y);
         g.backward(s);
@@ -701,8 +721,8 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let a = g.param(a0.clone());
-        let b = g.param(b0.clone());
+        let a = g.param(&a0);
+        let b = g.param(&b0);
         let y = g.swiglu(a, b);
         let y2 = g.mul(y, y);
         let s = g.sum(y2);
@@ -721,8 +741,8 @@ mod tests {
         let w0 = Matrix::randn(5, 33, &mut rng);
         let run = |fused_gate: bool| {
             let mut g = Graph::new();
-            let a = g.param(a0.clone());
-            let b = g.param(b0.clone());
+            let a = g.param(&a0);
+            let b = g.param(&b0);
             let w = g.input(w0.clone());
             let y = if fused_gate {
                 g.swiglu(a, b)
@@ -780,7 +800,7 @@ mod tests {
                 let mut g = Graph::new();
                 let x = g.input(x0.clone());
                 let gain = g.input(gain0.clone());
-                let ws: Vec<NodeId> = weights.iter().map(|w| g.param(w.clone())).collect();
+                let ws: Vec<NodeId> = weights.iter().map(|w| g.param(w)).collect();
                 let hn = g.rmsnorm(x, gain, 1e-5);
                 let gate_pre = g.matmul(hn, ws[0]);
                 let up = g.matmul(hn, ws[1]);
@@ -866,8 +886,8 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let x = g.param(x0.clone());
-        let gn = g.param(g0.clone());
+        let x = g.param(&x0);
+        let gn = g.param(&g0);
         let y = g.rmsnorm(x, gn, 1e-5);
         let w = g.input(Matrix::from_vec(
             6,
@@ -913,7 +933,7 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let x = g.param(x0.clone());
+        let x = g.param(&x0);
         let y = g.rope(x, 4, 1, 100.0);
         let y2 = g.mul(y, y);
         let s = g.sum(y2);
@@ -943,9 +963,9 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let q = g.param(q0.clone());
-        let k = g.param(k0.clone());
-        let v = g.param(v0.clone());
+        let q = g.param(&q0);
+        let k = g.param(&k0);
+        let v = g.param(&v0);
         let o = g.causal_attention(q, k, v, batch, seq, heads);
         let w = g.input(weights.clone());
         let z = g.matmul(o, w);
@@ -1010,7 +1030,7 @@ mod tests {
             g.value(s).get(0, 0)
         };
         let mut g = Graph::new();
-        let t = g.param(t0.clone());
+        let t = g.param(&t0);
         let y = g.gather(t, &ids);
         let y2 = g.mul(y, y);
         let s = g.sum(y2);
@@ -1022,7 +1042,7 @@ mod tests {
     fn gather_duplicate_ids_accumulate() {
         let t0 = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let mut g = Graph::new();
-        let t = g.param(t0);
+        let t = g.param(&t0);
         let y = g.gather(t, &[1, 1, 1]);
         let s = g.sum(y);
         g.backward(s);
@@ -1045,7 +1065,7 @@ mod tests {
         assert!((f(&logits0) - expected).abs() < 1e-5);
 
         let mut g = Graph::new();
-        let l = g.param(logits0.clone());
+        let l = g.param(&logits0);
         let s = g.cross_entropy(l, &targets);
         g.backward(s);
         assert_grad_close(g.grad(l), &numeric_grad(f, &logits0, 1e-3), 1e-2);
@@ -1064,8 +1084,9 @@ mod tests {
     #[test]
     fn grad_accumulates_over_reused_node() {
         // y = x + x ⇒ dy/dx = 2.
+        let x0 = Matrix::from_rows(&[&[5.0]]);
         let mut g = Graph::new();
-        let x = g.param(Matrix::from_rows(&[&[5.0]]));
+        let x = g.param(&x0);
         let y = g.add(x, x);
         let s = g.sum(y);
         g.backward(s);
@@ -1075,16 +1096,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "backward: output must be a 1x1 scalar")]
     fn backward_rejects_non_scalar() {
+        let x0 = Matrix::zeros(2, 2);
         let mut g = Graph::new();
-        let x = g.param(Matrix::zeros(2, 2));
+        let x = g.param(&x0);
         g.backward(x);
     }
 
     #[test]
     fn try_grad_is_none_for_unreached_nodes() {
+        let one = Matrix::from_rows(&[&[1.0]]);
         let mut g = Graph::new();
-        let x = g.param(Matrix::from_rows(&[&[1.0]]));
-        let unused = g.param(Matrix::from_rows(&[&[1.0]]));
+        let x = g.param(&one);
+        let unused = g.param(&one);
         let s = g.sum(x);
         g.backward(s);
         assert!(g.try_grad(unused).is_none());

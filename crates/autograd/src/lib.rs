@@ -17,9 +17,10 @@
 //! use apollo_autograd::Graph;
 //! use apollo_tensor::Matrix;
 //!
+//! let w0 = Matrix::from_rows(&[&[3.0], &[4.0]]);
 //! let mut g = Graph::new();
 //! let x = g.input(Matrix::from_rows(&[&[1.0, 2.0]]));
-//! let w = g.param(Matrix::from_rows(&[&[3.0], &[4.0]]));
+//! let w = g.param(&w0); // borrowed: the tape never copies a parameter
 //! let y = g.matmul(x, w); // 1x1: [11]
 //! let loss = g.sum(y);
 //! g.backward(loss);

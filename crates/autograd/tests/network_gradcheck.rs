@@ -57,12 +57,12 @@ fn transformer_block_gradcheck() {
      -> (f32, Vec<Matrix>) {
         let mut g = Graph::new();
         let x = g.input(x0.clone());
-        let gn = g.param(gains.clone());
-        let q_w = g.param(wq.clone());
-        let gate_w = g.param(wg.clone());
-        let up_w = g.param(wu.clone());
-        let down_w = g.param(wd.clone());
-        let head_w = g.param(head.clone());
+        let gn = g.param(gains);
+        let q_w = g.param(wq);
+        let gate_w = g.param(wg);
+        let up_w = g.param(wu);
+        let down_w = g.param(wd);
+        let head_w = g.param(head);
 
         let normed = g.rmsnorm(x, gn, 1e-5);
         let q0 = g.matmul(normed, q_w);
@@ -113,12 +113,12 @@ fn weight_sharing_accumulates() {
     let run = |w: &Matrix, share: bool| -> (f32, Matrix) {
         let mut g = Graph::new();
         let x = g.input(x0.clone());
-        let wa = g.param(w.clone());
+        let wa = g.param(w);
         let y1 = g.matmul(x, wa);
         let y2 = if share {
             g.matmul(y1, wa)
         } else {
-            let wb = g.param(w.clone());
+            let wb = g.param(w);
             g.matmul(y1, wb)
         };
         let s = g.sum(y2);
@@ -136,8 +136,9 @@ fn weight_sharing_accumulates() {
 #[test]
 fn deep_chain_is_stable() {
     let mut rng = Rng::seed_from_u64(79);
+    let x0 = Matrix::randn(4, 4, &mut rng);
     let mut g = Graph::new();
-    let x = g.param(Matrix::randn(4, 4, &mut rng));
+    let x = g.param(&x0);
     let gains = g.input(Matrix::full(1, 4, 1.0));
     let mut cur = x;
     for _ in 0..40 {

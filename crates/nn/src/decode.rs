@@ -24,9 +24,9 @@
 //! - matmuls go through the same [`Matrix`] kernels, which accumulate every
 //!   output element in ascending inner-dimension order at any thread count;
 //! - RMSNorm and the SwiGLU gate call the *same* fused kernels as the graph
-//!   ([`apollo_tensor::fused`]), and RoPE goes through the shared
-//!   [`fused::rope_rotate_row`] rotation with the frequency table hoisted
-//!   out of the row loop (`powf` is pure, so precomputing it is exact);
+//!   ([`apollo_tensor::fused`]), and RoPE rotates by the graph's own
+//!   [`fused::RopeTable`], built once per call for the rows' positions
+//!   (`powf` and `sin_cos` are pure, so precomputing them is exact);
 //! - every attention score is one accumulator taking its `head_dim`
 //!   products in ascending dimension, and the running softmax
 //!   max/denominator and every element of the probability-weighted value
@@ -554,17 +554,16 @@ pub(crate) fn forward_cached<W: Weights>(
     let scale = 1.0 / (hd as f32).sqrt();
     // The tier is the backend: every cache was checked against it above.
     let relaxed = w.is_relaxed();
-    // RoPE frequency table, hoisted out of the per-layer/per-row loops
-    // (pure `powf` of the geometry, so precomputing is bit-exact).
-    let freqs = fused::rope_freqs(hd, cfg.rope_theta);
+    // Each row's angles, shared by Q and K of every layer.
+    let rope = fused::RopeTable::new(positions.iter().copied(), hd, cfg.rope_theta, false);
     for l in 0..cfg.n_layers {
         rmsnorm_rows(relaxed, &t.x, w.attn_norm(l), &mut t.norm);
         w.project(l, Proj::Q, &t.norm, &mut t.q);
         w.project(l, Proj::K, &t.norm, &mut t.k);
         w.project(l, Proj::V, &t.norm, &mut t.v);
-        for (r, &pos) in positions.iter().enumerate() {
-            fused::rope_rotate_row(t.q.row_mut(r), pos as f32, heads, hd, &freqs, false);
-            fused::rope_rotate_row(t.k.row_mut(r), pos as f32, heads, hd, &freqs, false);
+        for r in 0..n_rows {
+            rope.rotate(t.q.row_mut(r), r, heads);
+            rope.rotate(t.k.row_mut(r), r, heads);
         }
         // Keys/values land in the caches first so that later rows of the
         // same call attend to earlier ones, as in the full forward.

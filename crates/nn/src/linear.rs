@@ -118,7 +118,7 @@ impl Linear {
     ///
     /// `pnodes` maps parameter index → graph node, as produced by the model
     /// at the start of each step.
-    pub fn forward(&self, g: &mut Graph, x: NodeId, pnodes: &[NodeId]) -> NodeId {
+    pub fn forward(&self, g: &mut Graph<'_>, x: NodeId, pnodes: &[NodeId]) -> NodeId {
         match self.mode {
             LinearMode::Dense => g.matmul(x, pnodes[self.w0.unwrap()]),
             LinearMode::LoRa { rank, alpha } => {
@@ -243,7 +243,7 @@ mod tests {
 
     fn forward_once(layer: &Linear, params: &[Param], x: &Matrix) -> Matrix {
         let mut g = Graph::new();
-        let pnodes: Vec<NodeId> = params.iter().map(|p| g.param(p.value.clone())).collect();
+        let pnodes: Vec<NodeId> = params.iter().map(|p| g.param(&p.value)).collect();
         let xid = g.input(x.clone());
         let y = layer.forward(&mut g, xid, &pnodes);
         g.value(y).clone()

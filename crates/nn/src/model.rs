@@ -165,7 +165,11 @@ impl LlamaModel {
     /// Builds the transformer trunk up to the final RMSNorm output
     /// (`(batch·seq) × hidden`), returning the tape, the trunk output node,
     /// and one graph node per parameter.
-    pub(crate) fn build_trunk(&self, tokens: &[u32], batch: usize) -> (Graph, NodeId, Vec<NodeId>) {
+    pub(crate) fn build_trunk(
+        &self,
+        tokens: &[u32],
+        batch: usize,
+    ) -> (Graph<'_>, NodeId, Vec<NodeId>) {
         assert!(
             batch > 0 && tokens.len().is_multiple_of(batch),
             "tokens must split into batch rows"
@@ -173,11 +177,7 @@ impl LlamaModel {
         let seq = tokens.len() / batch;
         let heads = self.cfg.n_heads;
         let mut g = Graph::new();
-        let pnodes: Vec<NodeId> = self
-            .params
-            .iter()
-            .map(|p| g.param(p.value.clone()))
-            .collect();
+        let pnodes: Vec<NodeId> = self.params.iter().map(|p| g.param(&p.value)).collect();
 
         let mut x = g.gather(pnodes[self.embed], tokens);
         for layer in &self.layers {
@@ -206,12 +206,43 @@ impl LlamaModel {
     ///
     /// `tokens` and `targets` are `batch` concatenated sequences of equal
     /// length; targets are the next-token labels for each position.
+    ///
+    /// The graph borrows the model's weights instead of copying them, so
+    /// they can change only once the graph is gone:
+    ///
+    /// ```
+    /// # use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
+    /// # use apollo_tensor::Rng;
+    /// let cfg = ModelConfig::test_tiny();
+    /// let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut Rng::seed_from_u64(0));
+    /// let tokens = vec![1u32; cfg.max_seq];
+    /// let (mut g, loss, pnodes) = model.build_loss(&tokens, &tokens, 1);
+    /// g.backward(loss);
+    /// let grads = model.take_grads(&mut g, &pnodes);
+    /// drop(g);
+    /// model.params[0].value.axpy(-0.1, grads[0].as_ref().unwrap());
+    /// ```
+    ///
+    /// and an update while the graph is alive does not compile:
+    ///
+    /// ```compile_fail,E0502
+    /// # use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
+    /// # use apollo_tensor::Rng;
+    /// let cfg = ModelConfig::test_tiny();
+    /// let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut Rng::seed_from_u64(0));
+    /// let tokens = vec![1u32; cfg.max_seq];
+    /// let (mut g, loss, pnodes) = model.build_loss(&tokens, &tokens, 1);
+    /// g.backward(loss);
+    /// let grads = model.take_grads(&mut g, &pnodes);
+    /// model.params[0].value.axpy(-0.1, grads[0].as_ref().unwrap());
+    /// drop(g);
+    /// ```
     pub fn build_loss(
         &self,
         tokens: &[u32],
         targets: &[u32],
         batch: usize,
-    ) -> (Graph, NodeId, Vec<NodeId>) {
+    ) -> (Graph<'_>, NodeId, Vec<NodeId>) {
         assert_eq!(tokens.len(), targets.len(), "one target per token");
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
         let logits = g.matmul(trunk, pnodes[self.head]);
@@ -222,14 +253,14 @@ impl LlamaModel {
     /// Runs a full forward+backward pass and returns the scalar loss plus
     /// per-parameter gradients (`None` for frozen or unused parameters).
     pub fn loss_and_grads(
-        &mut self,
+        &self,
         tokens: &[u32],
         targets: &[u32],
         batch: usize,
     ) -> (f32, Vec<Option<Matrix>>) {
         let (mut g, loss, pnodes) = self.build_loss(tokens, targets, batch);
         g.backward(loss);
-        let grads = self.collect_grads(&g, &pnodes);
+        let grads = self.take_grads(&mut g, &pnodes);
         (g.value(loss).get(0, 0), grads)
     }
 
@@ -247,7 +278,7 @@ impl LlamaModel {
         tokens: &[u32],
         labels: &[u32],
         batch: usize,
-    ) -> (Graph, NodeId, Vec<NodeId>) {
+    ) -> (Graph<'_>, NodeId, Vec<NodeId>) {
         assert_eq!(labels.len(), batch, "one label per sequence");
         let seq = tokens.len() / batch;
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
@@ -260,14 +291,14 @@ impl LlamaModel {
 
     /// Forward+backward for sequence classification.
     pub fn class_loss_and_grads(
-        &mut self,
+        &self,
         tokens: &[u32],
         labels: &[u32],
         batch: usize,
     ) -> (f32, Vec<Option<Matrix>>) {
         let (mut g, loss, pnodes) = self.build_class_loss(tokens, labels, batch);
         g.backward(loss);
-        let grads = self.collect_grads(&g, &pnodes);
+        let grads = self.take_grads(&mut g, &pnodes);
         (g.value(loss).get(0, 0), grads)
     }
 
@@ -293,12 +324,22 @@ impl LlamaModel {
             .collect()
     }
 
-    /// Collects per-parameter gradients from a backward-completed graph
-    /// (`None` for frozen or unused parameters). Public so training loops
-    /// can time the forward ([`LlamaModel::build_loss`]) and backward
-    /// passes separately instead of going through
-    /// [`LlamaModel::loss_and_grads`].
-    pub fn collect_grads(&self, g: &Graph, pnodes: &[NodeId]) -> Vec<Option<Matrix>> {
+    /// Moves per-parameter gradients out of a backward-completed graph
+    /// (`None` for frozen or unused parameters; a frozen parameter's
+    /// gradient stays on the tape). Public so training loops can time the
+    /// forward ([`LlamaModel::build_loss`]) and backward passes separately
+    /// instead of going through [`LlamaModel::loss_and_grads`].
+    pub fn take_grads(&self, g: &mut Graph<'_>, pnodes: &[NodeId]) -> Vec<Option<Matrix>> {
+        self.params
+            .iter()
+            .zip(pnodes)
+            .map(|(p, &id)| if p.trainable { g.take_grad(id) } else { None })
+            .collect()
+    }
+
+    /// [`LlamaModel::take_grads`] as a copy, for a caller that holds only
+    /// `&Graph`; the gradients stay on the tape.
+    pub fn collect_grads(&self, g: &Graph<'_>, pnodes: &[NodeId]) -> Vec<Option<Matrix>> {
         self.params
             .iter()
             .zip(pnodes)
@@ -386,7 +427,7 @@ mod tests {
     fn gradients_exist_for_all_trainable_params() {
         let cfg = ModelConfig::test_tiny();
         let mut rng = Rng::seed_from_u64(51);
-        let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+        let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
         let (tokens, targets) = toy_batch(&cfg, 2, &mut rng);
         let (_, grads) = model.loss_and_grads(&tokens, &targets, 2);
         for (p, gr) in model.params.iter().zip(&grads) {
@@ -423,7 +464,7 @@ mod tests {
     fn lora_model_freezes_backbone() {
         let cfg = ModelConfig::test_tiny();
         let mut rng = Rng::seed_from_u64(53);
-        let mut model = LlamaModel::new(
+        let model = LlamaModel::new(
             &cfg,
             LinearMode::LoRa {
                 rank: 2,
@@ -442,10 +483,43 @@ mod tests {
     }
 
     #[test]
+    fn take_grads_moves_the_bits_collect_grads_copies() {
+        let cfg = ModelConfig::test_tiny();
+        let lora = LinearMode::LoRa {
+            rank: 2,
+            alpha: 4.0,
+        };
+        for mode in [LinearMode::Dense, lora] {
+            let mut rng = Rng::seed_from_u64(57);
+            let model = LlamaModel::new(&cfg, mode, &mut rng);
+            let (tokens, targets) = toy_batch(&cfg, 2, &mut rng);
+            let (mut g, loss, pnodes) = model.build_loss(&tokens, &targets, 2);
+            g.backward(loss);
+            let copied = model.collect_grads(&g, &pnodes);
+            let moved = model.take_grads(&mut g, &pnodes);
+            for (i, p) in model.params.iter().enumerate() {
+                let name = &p.name;
+                match (&copied[i], &moved[i]) {
+                    (Some(c), Some(m)) => {
+                        assert_eq!(c.shape(), m.shape(), "{name}");
+                        for (a, b) in c.as_slice().iter().zip(m.as_slice()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{name}");
+                        }
+                    }
+                    (None, None) => assert!(!p.trainable, "{name} has no gradient"),
+                    _ => panic!("{name}: moved and copied gradients disagree"),
+                }
+                // Taken off the tape; a frozen parameter's stays there.
+                assert_eq!(g.try_grad(pnodes[i]).is_some(), !p.trainable, "{name}");
+            }
+        }
+    }
+
+    #[test]
     fn classification_loss_and_predictions_have_right_shape() {
         let cfg = ModelConfig::test_tiny();
         let mut rng = Rng::seed_from_u64(54);
-        let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+        let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
         let (tokens, _) = toy_batch(&cfg, 3, &mut rng);
         let labels = vec![1u32, 2, 3];
         let (loss, grads) = model.class_loss_and_grads(&tokens, &labels, 3);

@@ -57,7 +57,7 @@ fn position_matters_thanks_to_rope() {
 #[test]
 fn classification_prediction_is_argmax_consistent() {
     // classify() must agree with the minimal-loss label.
-    let (cfg, mut m) = model(4, LinearMode::Dense);
+    let (cfg, m) = model(4, LinearMode::Dense);
     let mut rng = Rng::seed_from_u64(5);
     let tokens: Vec<u32> = (0..cfg.max_seq)
         .map(|_| rng.below(cfg.vocab_size) as u32)
@@ -85,7 +85,7 @@ fn all_linear_modes_produce_finite_losses_and_grads() {
         },
         LinearMode::Factored { rank: 2 },
     ] {
-        let (cfg, mut m) = model(6, mode);
+        let (cfg, m) = model(6, mode);
         let mut rng = Rng::seed_from_u64(7);
         let tokens: Vec<u32> = (0..2 * cfg.max_seq)
             .map(|_| rng.below(cfg.vocab_size) as u32)

@@ -141,7 +141,7 @@ impl Member {
                 self.model
                     .build_loss(&tokens, &targets, self.batcher.batch());
             graph.backward(loss_id);
-            let grads = self.model.collect_grads(&graph, &pnodes);
+            let grads = self.model.take_grads(&mut graph, &pnodes);
             drop(graph);
             let lr = schedule.lr_at(self.step);
             let mut updates = param_updates(&mut self.model, &grads);

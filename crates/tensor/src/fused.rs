@@ -48,7 +48,9 @@ const RMSNORM_BWD_FLOPS: usize = 10;
 const SWIGLU_FWD_FLOPS: usize = 16;
 const SWIGLU_BWD_FLOPS: usize = 24;
 const XENT_FLOPS: usize = 24;
-const ROPE_FLOPS: usize = 16;
+// Six per pair of elements: the angles come from a per-call table, so no
+// transcendental is left in the rotation.
+const ROPE_FLOPS: usize = 3;
 const AXPY_FLOPS: usize = 3;
 const ADAM_FLOPS: usize = 12;
 const SCALE_NORM_FLOPS: usize = 5;
@@ -413,57 +415,71 @@ pub fn fused_softmax_xent_bwd(
 /// `freqs[i] = theta_base^(−2i / hd)`, hoisted out of the row loops (the
 /// staged path recomputes this `powf` per row — a pure function, so
 /// hoisting preserves bits).
-pub fn rope_freqs(hd: usize, theta_base: f32) -> Vec<f32> {
+fn rope_freqs(hd: usize, theta_base: f32) -> Vec<f32> {
     (0..hd / 2)
         .map(|i| theta_base.powf(-2.0 * i as f32 / hd as f32))
         .collect()
 }
 
-/// Rotates one `heads · hd` row in place at (float) position `posf` using
-/// precomputed [`rope_freqs`]; `inverse` applies the inverse rotation
-/// (`−θ`, bit-identical to the staged `sign · θ` with `sign = ±1`).
-pub fn rope_rotate_row(
-    row: &mut [f32],
-    posf: f32,
-    heads: usize,
+/// The `(sin, cos)` of every angle one call rotates by, computed once per
+/// distinct `(position, pair)` instead of once per element: entry `(i, p)`
+/// is the staged path's `sin_cos` of `±(pos as f32 · freqs[p])` at the
+/// `i`-th position the table was built for, so reading it back is exact.
+pub struct RopeTable {
     hd: usize,
-    freqs: &[f32],
-    inverse: bool,
-) {
-    let half = hd / 2;
-    for h in 0..heads {
-        let base = h * hd;
-        for (i, &fr) in freqs.iter().take(half).enumerate() {
-            let theta = posf * fr;
-            let (sin, cos) = if inverse { -theta } else { theta }.sin_cos();
-            let a = row[base + 2 * i];
-            let b = row[base + 2 * i + 1];
-            row[base + 2 * i] = a * cos - b * sin;
-            row[base + 2 * i + 1] = a * sin + b * cos;
+    angles: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// Angles for `positions` (in order) at head dimension `hd`.
+    pub fn new(
+        positions: impl IntoIterator<Item = usize>,
+        hd: usize,
+        theta_base: f32,
+        inverse: bool,
+    ) -> Self {
+        let freqs = rope_freqs(hd, theta_base);
+        let angles = positions
+            .into_iter()
+            .flat_map(|pos| {
+                freqs.iter().map(move |&fr| {
+                    let theta = pos as f32 * fr;
+                    if inverse { -theta } else { theta }.sin_cos()
+                })
+            })
+            .collect();
+        RopeTable { hd, angles }
+    }
+
+    /// Rotates the first `heads · hd` elements of `row` in place by the
+    /// angles of the `i`-th position.
+    pub fn rotate(&self, row: &mut [f32], i: usize, heads: usize) {
+        let half = self.hd / 2;
+        let angles = &self.angles[i * half..(i + 1) * half];
+        for h in 0..heads {
+            let head = &mut row[h * self.hd..];
+            for (p, &(sin, cos)) in angles.iter().enumerate() {
+                let a = head[2 * p];
+                let b = head[2 * p + 1];
+                head[2 * p] = a * cos - b * sin;
+                head[2 * p + 1] = a * sin + b * cos;
+            }
         }
     }
 }
 
-/// Rotates one row at absolute position `pos` in the forward direction —
-/// the per-row entry point of the KV-cached decode path.
-pub fn rope_row(row: &mut [f32], pos: usize, heads: usize, hd: usize, theta_base: f32) {
-    let freqs = rope_freqs(hd, theta_base);
-    rope_rotate_row(row, pos as f32, heads, hd, &freqs, false);
-}
-
 /// Applies (or inverts) the rotary embedding in place over a
 /// `(batch·seq) × (heads·head_dim)` matrix, row `r` at position `r % seq`
-/// — the canonical implementation shared by the autograd graph and the
-/// decode path.
+/// — the graph's rotation. Its angles come from one [`RopeTable`] over the
+/// `min(seq, rows)` positions that occur.
 pub fn rope_apply(x: &mut Matrix, seq: usize, heads: usize, theta_base: f32, inverse: bool) {
     let (rows, cols) = x.shape();
-    let hd = cols / heads;
-    let freqs = &rope_freqs(hd, theta_base);
+    let table = &RopeTable::new(0..seq.min(rows), cols / heads, theta_base, inverse);
     let flops = rows * cols * ROPE_FLOPS;
     par_bands(rows, flops, [(x.as_mut_slice(), cols)], |lo, hi, [band]| {
         for r in lo..hi {
             let row = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-            rope_rotate_row(row, (r % seq) as f32, heads, hd, freqs, inverse);
+            table.rotate(row, r % seq, heads);
         }
     });
 }

@@ -97,16 +97,20 @@ fn check_all_fused(rows: usize, cols: usize, seed: u64, threads: usize) {
         &format!("softmax_xent_bwd {ctx}"),
     );
 
-    // rope: fused vs staged, forward and inverse
+    // rope: fused vs staged, forward and inverse. Two sequences per matrix
+    // (the last one short when rows is odd), then fewer rows than one
+    // sequence: the fused angle table holds only min(seq, rows) positions.
     if cols.is_multiple_of(2) {
         let heads = if cols.is_multiple_of(4) { 2 } else { 1 };
-        let seq = rows.div_ceil(2).max(1);
-        for inverse in [false, true] {
-            let mut xf = Matrix::randn(rows, cols, &mut rng);
-            let mut xr = xf.clone();
-            fused::rope_apply(&mut xf, seq, heads, 10_000.0, inverse);
-            reference::rope_apply(&mut xr, seq, heads, 10_000.0, inverse);
-            assert_bits_eq(&xf, &xr, &format!("rope_apply inv={inverse} {ctx}"));
+        for seq in [rows.div_ceil(2).max(1), rows + 3] {
+            for inverse in [false, true] {
+                let mut xf = Matrix::randn(rows, cols, &mut rng);
+                let mut xr = xf.clone();
+                fused::rope_apply(&mut xf, seq, heads, 10_000.0, inverse);
+                reference::rope_apply(&mut xr, seq, heads, 10_000.0, inverse);
+                let what = format!("rope_apply seq={seq} inv={inverse} {ctx}");
+                assert_bits_eq(&xf, &xr, &what);
+            }
         }
     }
 
@@ -286,19 +290,20 @@ fn apollo_apply_matches_the_staged_chain_at_every_thread_count() {
 }
 
 #[test]
-fn rope_row_matches_rope_apply_per_row() {
-    // Cross-impl equivalence of the decode path's per-row entry point
+fn rope_table_at_row_positions_matches_rope_apply_per_row() {
+    // The decode path's entry point (a table over each row's own position)
     // against the graph path's whole-matrix rotation: row r of rope_apply
-    // is rope_row at position r % seq.
+    // is row r of a table built for positions r % seq.
     let (seq, heads, hd) = (6, 2, 8);
     let rows = 2 * seq; // batch 2
     let mut rng = Rng::seed_from_u64(45);
     let x = Matrix::randn(rows, heads * hd, &mut rng);
     let mut whole = x.clone();
     fused::rope_apply(&mut whole, seq, heads, 10_000.0, false);
+    let table = fused::RopeTable::new((0..rows).map(|r| r % seq), hd, 10_000.0, false);
     for r in 0..rows {
         let mut row = x.row(r).to_vec();
-        fused::rope_row(&mut row, r % seq, heads, hd, 10_000.0);
+        table.rotate(&mut row, r, heads);
         for (j, (a, b)) in row.iter().zip(whole.row(r)).enumerate() {
             assert!(
                 a.to_bits() == b.to_bits(),

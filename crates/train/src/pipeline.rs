@@ -496,7 +496,7 @@ impl<'a> Member<'a> {
                 let loss = graph.value(loss_id).get(0, 0);
                 let grads = sample.time(Phase::Backward, || {
                     graph.backward(loss_id);
-                    self.model.collect_grads(&graph, &pnodes)
+                    self.model.take_grads(&mut graph, &pnodes)
                 });
                 drop(graph);
                 *lock(&run.slots[s]) = Some((loss, grads));

@@ -39,14 +39,17 @@ echo "== standing benchmark (own workspace: unit tests + all four workloads, ops
 # decode-batch workload checks one batched result in 16 byte-for-byte
 # against serial `generate`, which pins the small-m GEMM and the
 # position-major attention loops from outside the workspace. pretrain and
-# serve-http check their outputs the same way. These runs are correctness
-# smokes: no timing is compared here, that is the pipeline's own run of
-# this benchmark against the parent commit.
+# serve-http check their outputs the same way. pretrain runs traced: its
+# hand-split loop copies gradients off the tape (`collect_grads`) while
+# `pretrain()` moves them (`take_grads`), and only the traced pass compares
+# the two runs' losses bit for bit. These runs are correctness smokes: no
+# timing is compared here, that is the pipeline's own run of this benchmark
+# against the parent commit.
 cargo test -q --release --manifest-path benchmark/Cargo.toml
-for run in "optstep 1" "decode-batch 2" "pretrain 2" "serve-http 3"; do
-    read -r workload seconds <<<"$run"
+for run in "optstep 1 0" "decode-batch 2 0" "pretrain 2 1" "serve-http 3 0"; do
+    read -r workload seconds trace <<<"$run"
     BENCH_OUT="$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 11 --seconds "$seconds" --trace 0)"
+        --workload "$workload" --seed 11 --seconds "$seconds" --trace "$trace")"
     echo "$BENCH_OUT"
     grep -q "^== $workload .* ops_failed=0 " <<<"$BENCH_OUT" \
         || { echo "benchmark $workload reported failed ops"; exit 1; }
