@@ -74,21 +74,41 @@ enum Op {
     },
     /// Sum of all elements (scalar output).
     Sum(NodeId),
+    /// A non-leaf the backward walk has finished with: its value, gradient
+    /// and caches are gone, and it takes part in no further walk.
+    Released,
+}
+
+impl Op {
+    /// Returns the op's activation caches to the scratch pool.
+    fn release(self) {
+        match self {
+            Op::CausalAttention { probs, .. } => probs.into_iter().for_each(Matrix::recycle),
+            Op::CrossEntropy { exps, .. } => exps.recycle(),
+            _ => {}
+        }
+    }
 }
 
 /// A define-by-run autodiff tape.
 ///
 /// Build the forward computation with the op methods, then call
-/// [`Graph::backward`] once on a scalar output; gradients are then available
-/// through [`Graph::grad`], or are moved out with [`Graph::take_grad`].
+/// [`Graph::backward`] once on a scalar output. The walk frees each
+/// non-leaf node as soon as it has passed it, so afterwards the tape holds
+/// only its leaves (their values and gradients) and the output's value:
+/// gradients are read with [`Graph::grad`] or moved out with
+/// [`Graph::take_grad`], the loss with [`Graph::value`]. Read any other
+/// value before the walk.
 ///
 /// Parameter leaves are borrowed for `'a` ([`Graph::param`]), so a tape
 /// never copies the weights it differentiates, and the weights cannot
 /// change while a tape reads them.
 pub struct Graph<'a> {
-    vals: Vec<Cow<'a, Matrix>>,
+    /// `None` once backward has released the node.
+    vals: Vec<Option<Cow<'a, Matrix>>>,
     ops: Vec<Op>,
     grads: Vec<Option<Matrix>>,
+    walked: bool,
 }
 
 impl Default for Graph<'_> {
@@ -104,6 +124,7 @@ impl<'a> Graph<'a> {
             vals: Vec::new(),
             ops: Vec::new(),
             grads: Vec::new(),
+            walked: false,
         }
     }
 
@@ -112,7 +133,7 @@ impl<'a> Graph<'a> {
     }
 
     fn push_cow(&mut self, value: Cow<'a, Matrix>, op: Op) -> NodeId {
-        self.vals.push(value);
+        self.vals.push(Some(value));
         self.ops.push(op);
         self.grads.push(None);
         NodeId(self.vals.len() - 1)
@@ -130,24 +151,31 @@ impl<'a> Graph<'a> {
         self.push_cow(Cow::Borrowed(value), Op::Leaf)
     }
 
-    /// The forward value of a node.
-    pub fn value(&self, id: NodeId) -> &Matrix {
-        &self.vals[id.0]
-    }
-
-    /// The gradient of a node after [`Graph::backward`].
+    /// The forward value of a node. After [`Graph::backward`] only leaves
+    /// and the walk's output still have one.
     ///
     /// # Panics
     ///
-    /// Panics if backward has not reached this node (e.g. it does not
-    /// influence the loss).
+    /// Panics if backward has released the node.
+    pub fn value(&self, id: NodeId) -> &Matrix {
+        live(&self.vals, id)
+    }
+
+    /// The gradient of a leaf after [`Graph::backward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no gradient: backward has not run or did not
+    /// reach it (it does not influence the loss), the node is not a leaf
+    /// (backward released its gradient), or the gradient was taken.
     pub fn grad(&self, id: NodeId) -> &Matrix {
         self.grads[id.0]
             .as_ref()
-            .expect("grad: node has no gradient; did you call backward()?")
+            .expect("grad: node has no gradient; only leaves keep one after backward()")
     }
 
-    /// The gradient if one was produced.
+    /// The gradient if the node has one: after [`Graph::backward`], a leaf
+    /// the walk reached whose gradient was not taken; never a non-leaf.
     pub fn try_grad(&self, id: NodeId) -> Option<&Matrix> {
         self.grads[id.0].as_ref()
     }
@@ -172,31 +200,31 @@ impl<'a> Graph<'a> {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.vals[a.0].matmul(&self.vals[b.0]);
+        let v = self.value(a).matmul(self.value(b));
         self.push(v, Op::MatMul(a, b))
     }
 
     /// Elementwise sum of two same-shape nodes.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.vals[a.0].add(&self.vals[b.0]);
+        let v = self.value(a).add(self.value(b));
         self.push(v, Op::Add(a, b))
     }
 
     /// Elementwise product of two same-shape nodes.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.vals[a.0].hadamard(&self.vals[b.0]);
+        let v = self.value(a).hadamard(self.value(b));
         self.push(v, Op::Mul(a, b))
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: NodeId, alpha: f32) -> NodeId {
-        let v = self.vals[a.0].scale(alpha);
+        let v = self.value(a).scale(alpha);
         self.push(v, Op::Scale(a, alpha))
     }
 
     /// SiLU activation `x · σ(x)` (the LLaMA MLP nonlinearity).
     pub fn silu(&mut self, a: NodeId) -> NodeId {
-        let v = self.vals[a.0].map(|x| x * sigmoid(x));
+        let v = self.value(a).map(|x| x * sigmoid(x));
         self.push(v, Op::Silu(a))
     }
 
@@ -209,7 +237,7 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if `a` and `b` differ in shape.
     pub fn swiglu(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = fused::fused_swiglu_fwd(&self.vals[a.0], &self.vals[b.0]);
+        let v = fused::fused_swiglu_fwd(self.value(a), self.value(b));
         self.push(v, Op::Swiglu(a, b))
     }
 
@@ -221,8 +249,8 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if `gain` is not a `1 × cols` row vector.
     pub fn rmsnorm(&mut self, x: NodeId, gain: NodeId, eps: f32) -> NodeId {
-        let xm = &self.vals[x.0];
-        let gm = &self.vals[gain.0];
+        let xm = self.value(x);
+        let gm = self.value(gain);
         assert_eq!(gm.shape(), (1, xm.cols()), "rmsnorm: gain must be 1 x cols");
         let (y, inv_rms) = fused::fused_rmsnorm_fwd(xm, gm, eps);
         self.push(y, Op::RmsNorm { x, gain, inv_rms })
@@ -236,7 +264,7 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if the geometry does not divide evenly.
     pub fn rope(&mut self, x: NodeId, seq: usize, heads: usize, theta_base: f32) -> NodeId {
-        let xm = &self.vals[x.0];
+        let xm = self.value(x);
         assert_eq!(xm.rows() % seq, 0, "rope: rows not divisible by seq");
         assert_eq!(xm.cols() % heads, 0, "rope: cols not divisible by heads");
         let hd = xm.cols() / heads;
@@ -271,7 +299,7 @@ impl<'a> Graph<'a> {
         seq: usize,
         heads: usize,
     ) -> NodeId {
-        let (qm, km, vm) = (&self.vals[q.0], &self.vals[k.0], &self.vals[v.0]);
+        let (qm, km, vm) = (self.value(q), self.value(k), self.value(v));
         assert_eq!(qm.shape(), km.shape(), "attention: q/k shape mismatch");
         assert_eq!(qm.shape(), vm.shape(), "attention: q/v shape mismatch");
         assert_eq!(qm.rows(), batch * seq, "attention: rows != batch*seq");
@@ -335,7 +363,7 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if any id is out of range.
     pub fn gather(&mut self, table: NodeId, ids: &[u32]) -> NodeId {
-        let tm = &self.vals[table.0];
+        let tm = self.value(table);
         let mut out = Matrix::zeros(ids.len(), tm.cols());
         for (r, &id) in ids.iter().enumerate() {
             assert!(
@@ -363,7 +391,7 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if `targets.len() != logits.rows()` or a target is out of range.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[u32]) -> NodeId {
-        let lm = &self.vals[logits.0];
+        let lm = self.value(logits);
         assert_eq!(
             targets.len(),
             lm.rows(),
@@ -387,182 +415,54 @@ impl<'a> Graph<'a> {
 
     /// Sum of all elements, as a `1 × 1` node.
     pub fn sum(&mut self, a: NodeId) -> NodeId {
-        let v = Matrix::from_vec(1, 1, vec![self.vals[a.0].sum()]);
+        let v = Matrix::from_vec(1, 1, vec![self.value(a).sum()]);
         self.push(v, Op::Sum(a))
     }
 
     // ----- backward ----------------------------------------------------------
 
-    fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
-        match &mut grads[id.0] {
-            Some(g) => {
-                g.add_assign(&delta);
-                delta.recycle();
-            }
-            slot @ None => *slot = Some(delta),
-        }
-    }
-
     /// Runs reverse-mode accumulation from `output`, which must be scalar
-    /// (`1 × 1`).
+    /// (`1 × 1`), and frees everything the walk has finished with.
+    ///
+    /// The walk visits nodes in reverse creation order, and every consumer
+    /// of a node was created after it. So when the walk reaches a non-leaf,
+    /// its gradient is complete and nothing reads it, its value or its op's
+    /// caches again: the walk takes the gradient, runs the op's arm, and
+    /// returns all three to the scratch pool. What survives is each leaf's
+    /// value and gradient and the output's value. No arithmetic depends on
+    /// when a buffer is freed, so the gradients carry the same bits as a
+    /// walk that kept everything.
     ///
     /// # Panics
     ///
-    /// Panics if `output` is not scalar.
+    /// Panics if `output` is not scalar, or if backward already ran on this
+    /// tape (what a second walk would read is gone).
     pub fn backward(&mut self, output: NodeId) {
+        assert!(!self.walked, "backward already ran on this tape");
         assert_eq!(
-            self.vals[output.0].shape(),
+            self.value(output).shape(),
             (1, 1),
             "backward: output must be a 1x1 scalar"
         );
+        self.walked = true;
         self.grads[output.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
 
         for idx in (0..self.ops.len()).rev() {
+            if let Op::Leaf = self.ops[idx] {
+                continue;
+            }
+            let op = std::mem::replace(&mut self.ops[idx], Op::Released);
             // Every operand id is strictly smaller than the node's own id
             // (the tape is define-by-run), so splitting at `idx` lets us
-            // borrow this node's gradient while mutating its operands' —
-            // no clone-and-reattach needed.
+            // take this node's gradient while mutating its operands'.
             let (lower, upper) = self.grads.split_at_mut(idx);
-            let Some(gout) = upper[0].as_ref() else {
-                continue;
-            };
-            match &self.ops[idx] {
-                Op::Leaf => {}
-                Op::MatMul(a, b) => {
-                    let da = gout.matmul_transb(&self.vals[b.0]);
-                    let db = self.vals[a.0].matmul_transa(gout);
-                    Self::grad_add(lower, *a, da);
-                    Self::grad_add(lower, *b, db);
-                }
-                Op::Add(a, b) => {
-                    Self::grad_add(lower, *a, gout.clone());
-                    Self::grad_add(lower, *b, gout.clone());
-                }
-                Op::Mul(a, b) => {
-                    let da = gout.hadamard(&self.vals[b.0]);
-                    let db = gout.hadamard(&self.vals[a.0]);
-                    Self::grad_add(lower, *a, da);
-                    Self::grad_add(lower, *b, db);
-                }
-                Op::Scale(a, alpha) => {
-                    Self::grad_add(lower, *a, gout.scale(*alpha));
-                }
-                Op::Silu(a) => {
-                    let da = self.vals[a.0].zip_map(gout, |x, g| {
-                        let s = sigmoid(x);
-                        g * s * (1.0 + x * (1.0 - s))
-                    });
-                    Self::grad_add(lower, *a, da);
-                }
-                Op::Swiglu(a, b) => {
-                    let (da, db) = fused::fused_swiglu_bwd(&self.vals[a.0], &self.vals[b.0], gout);
-                    Self::grad_add(lower, *a, da);
-                    Self::grad_add(lower, *b, db);
-                }
-                Op::RmsNorm { x, gain, inv_rms } => {
-                    let (dx, dg) = fused::fused_rmsnorm_bwd(
-                        &self.vals[x.0],
-                        &self.vals[gain.0],
-                        gout,
-                        inv_rms,
-                    );
-                    Self::grad_add(lower, *x, dx);
-                    Self::grad_add(lower, *gain, dg);
-                }
-                Op::Rope {
-                    x,
-                    seq,
-                    heads,
-                    theta_base,
-                } => {
-                    // Inverse rotation on the upstream gradient.
-                    let mut dx = gout.clone();
-                    fused::rope_apply(&mut dx, *seq, *heads, *theta_base, true);
-                    Self::grad_add(lower, *x, dx);
-                }
-                Op::CausalAttention {
-                    q,
-                    k,
-                    v,
-                    batch,
-                    seq,
-                    heads,
-                    probs,
-                } => {
-                    let (qm, km, vm) = (&self.vals[q.0], &self.vals[k.0], &self.vals[v.0]);
-                    let hd = qm.cols() / heads;
-                    let scale = 1.0 / (hd as f32).sqrt();
-                    let mut dq = Matrix::zeros(qm.rows(), qm.cols());
-                    let mut dk = Matrix::zeros(qm.rows(), qm.cols());
-                    let mut dv = Matrix::zeros(qm.rows(), qm.cols());
-                    for b in 0..*batch {
-                        for h in 0..*heads {
-                            let p = &probs[b * heads + h];
-                            let qh = slice_head(qm, b, *seq, h, hd);
-                            let kh = slice_head(km, b, *seq, h, hd);
-                            let vh = slice_head(vm, b, *seq, h, hd);
-                            let doh = slice_head(gout, b, *seq, h, hd);
-                            // dV = Pᵀ · dO
-                            let dvh = p.matmul_transa(&doh);
-                            // dP = dO · Vᵀ
-                            let dp = doh.matmul_transb(&vh);
-                            // dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
-                            let mut ds = Matrix::zeros(*seq, *seq);
-                            for i in 0..*seq {
-                                let prow = p.row(i);
-                                let dprow = dp.row(i);
-                                let dot: f32 =
-                                    prow.iter().zip(dprow).map(|(&pv, &dpv)| pv * dpv).sum();
-                                let dsrow = ds.row_mut(i);
-                                for j in 0..=i {
-                                    dsrow[j] = prow[j] * (dprow[j] - dot);
-                                }
-                            }
-                            // dQ = dS·K · scale ; dK = dSᵀ·Q · scale
-                            let mut dqh = ds.matmul(&kh);
-                            dqh.scale_assign(scale);
-                            let mut dkh = ds.matmul_transa(&qh);
-                            dkh.scale_assign(scale);
-                            write_head(&mut dq, &dqh, b, *seq, h, hd);
-                            write_head(&mut dk, &dkh, b, *seq, h, hd);
-                            write_head(&mut dv, &dvh, b, *seq, h, hd);
-                            // Per-head temporaries recur with identical
-                            // shapes every (batch, head) pair — recycle.
-                            for m in [qh, kh, vh, doh, dvh, dp, ds, dqh, dkh] {
-                                m.recycle();
-                            }
-                        }
-                    }
-                    Self::grad_add(lower, *q, dq);
-                    Self::grad_add(lower, *k, dk);
-                    Self::grad_add(lower, *v, dv);
-                }
-                Op::Gather { table, ids } => {
-                    let tm = &self.vals[table.0];
-                    let mut dt = Matrix::zeros(tm.rows(), tm.cols());
-                    for (r, &id) in ids.iter().enumerate() {
-                        let src = gout.row(r);
-                        let dst = dt.row_mut(id as usize);
-                        for (d, &s) in dst.iter_mut().zip(src) {
-                            *d += s;
-                        }
-                    }
-                    Self::grad_add(lower, *table, dt);
-                }
-                Op::CrossEntropy {
-                    logits,
-                    targets,
-                    exps,
-                    denoms,
-                } => {
-                    let upstream = gout.get(0, 0);
-                    let dl = fused::fused_softmax_xent_bwd(exps, denoms, targets, upstream);
-                    Self::grad_add(lower, *logits, dl);
-                }
-                Op::Sum(a) => {
-                    let s = gout.get(0, 0);
-                    let da = Matrix::full(self.vals[a.0].rows(), self.vals[a.0].cols(), s);
-                    Self::grad_add(lower, *a, da);
+            if let Some(gout) = upper[0].take() {
+                accumulate(&self.vals, lower, &op, gout);
+            }
+            op.release();
+            if idx != output.0 {
+                if let Some(Cow::Owned(v)) = self.vals[idx].take() {
+                    v.recycle();
                 }
             }
         }
@@ -570,15 +470,13 @@ impl<'a> Graph<'a> {
 }
 
 impl Drop for Graph<'_> {
-    /// Returns every owned value, gradient still held, and activation-cache
-    /// buffer to the scratch pool; borrowed parameters are left alone. A
-    /// fresh tape is built each training step with the same node shapes,
-    /// so the next step reuses what the pool keeps — but it keeps 64
-    /// buffers per thread and a `pretrain` step returns ≈320 here, so
-    /// ≈1,064 takes per step still go to the allocator (see
-    /// `apollo_tensor::scratch`).
+    /// Returns what the tape still owns to the scratch pool; borrowed
+    /// parameters are left alone. After backward that is only the owned
+    /// leaves, the leaf gradients nobody took and the output's value (the
+    /// walk returned the rest as it went); a tape that never ran backward,
+    /// such as an evaluation forward, returns every value and op cache here.
     fn drop(&mut self) {
-        for v in self.vals.drain(..) {
+        for v in self.vals.drain(..).flatten() {
             if let Cow::Owned(m) = v {
                 m.recycle();
             }
@@ -586,16 +484,186 @@ impl Drop for Graph<'_> {
         for g in self.grads.drain(..).flatten() {
             g.recycle();
         }
-        for op in self.ops.drain(..) {
-            match op {
-                Op::CausalAttention { probs, .. } => {
-                    probs.into_iter().for_each(Matrix::recycle);
+        self.ops.drain(..).for_each(Op::release);
+    }
+}
+
+/// A node's value.
+///
+/// # Panics
+///
+/// Panics if backward has released the node.
+fn live<'v>(vals: &'v [Option<Cow<'_, Matrix>>], id: NodeId) -> &'v Matrix {
+    vals[id.0].as_deref().unwrap_or_else(|| {
+        panic!(
+            "value: node {} was released by backward(); only leaves and the \
+             output survive the walk, so read other values before it",
+            id.0
+        )
+    })
+}
+
+fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
+    match &mut grads[id.0] {
+        Some(g) => {
+            g.add_assign(&delta);
+            delta.recycle();
+        }
+        slot @ None => *slot = Some(delta),
+    }
+}
+
+/// Runs `op`'s backward arm: given the gradient `gout` of the op's output,
+/// adds each operand's gradient into `grads` (the slots below the op's
+/// own). An arm whose operand gradient is `gout` itself, or `gout`
+/// transformed in place, hands it on by move; every other arm returns it
+/// to the scratch pool.
+fn accumulate(
+    vals: &[Option<Cow<'_, Matrix>>],
+    grads: &mut [Option<Matrix>],
+    op: &Op,
+    gout: Matrix,
+) {
+    let val = |id: NodeId| live(vals, id);
+    match op {
+        Op::Leaf | Op::Released => unreachable!("backward visits each non-leaf once"),
+        Op::MatMul(a, b) => {
+            let da = gout.matmul_transb(val(*b));
+            let db = val(*a).matmul_transa(&gout);
+            grad_add(grads, *a, da);
+            grad_add(grads, *b, db);
+        }
+        Op::Add(a, b) => {
+            grad_add(grads, *a, gout.clone());
+            grad_add(grads, *b, gout);
+            return;
+        }
+        Op::Mul(a, b) => {
+            let da = gout.hadamard(val(*b));
+            let db = gout.hadamard(val(*a));
+            grad_add(grads, *a, da);
+            grad_add(grads, *b, db);
+        }
+        Op::Scale(a, alpha) => {
+            let mut da = gout;
+            da.scale_assign(*alpha);
+            grad_add(grads, *a, da);
+            return;
+        }
+        Op::Silu(a) => {
+            let da = val(*a).zip_map(&gout, |x, g| {
+                let s = sigmoid(x);
+                g * s * (1.0 + x * (1.0 - s))
+            });
+            grad_add(grads, *a, da);
+        }
+        Op::Swiglu(a, b) => {
+            let (da, db) = fused::fused_swiglu_bwd(val(*a), val(*b), &gout);
+            grad_add(grads, *a, da);
+            grad_add(grads, *b, db);
+        }
+        Op::RmsNorm { x, gain, inv_rms } => {
+            let (dx, dg) = fused::fused_rmsnorm_bwd(val(*x), val(*gain), &gout, inv_rms);
+            grad_add(grads, *x, dx);
+            grad_add(grads, *gain, dg);
+        }
+        Op::Rope {
+            x,
+            seq,
+            heads,
+            theta_base,
+        } => {
+            // Inverse rotation on the upstream gradient, in place.
+            let mut dx = gout;
+            fused::rope_apply(&mut dx, *seq, *heads, *theta_base, true);
+            grad_add(grads, *x, dx);
+            return;
+        }
+        Op::CausalAttention {
+            q,
+            k,
+            v,
+            batch,
+            seq,
+            heads,
+            probs,
+        } => {
+            let (qm, km, vm) = (val(*q), val(*k), val(*v));
+            let hd = qm.cols() / heads;
+            let scale = 1.0 / (hd as f32).sqrt();
+            let mut dq = Matrix::zeros(qm.rows(), qm.cols());
+            let mut dk = Matrix::zeros(qm.rows(), qm.cols());
+            let mut dv = Matrix::zeros(qm.rows(), qm.cols());
+            for b in 0..*batch {
+                for h in 0..*heads {
+                    let p = &probs[b * heads + h];
+                    let qh = slice_head(qm, b, *seq, h, hd);
+                    let kh = slice_head(km, b, *seq, h, hd);
+                    let vh = slice_head(vm, b, *seq, h, hd);
+                    let doh = slice_head(&gout, b, *seq, h, hd);
+                    // dV = Pᵀ · dO
+                    let dvh = p.matmul_transa(&doh);
+                    // dP = dO · Vᵀ
+                    let dp = doh.matmul_transb(&vh);
+                    // dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
+                    let mut ds = Matrix::zeros(*seq, *seq);
+                    for i in 0..*seq {
+                        let prow = p.row(i);
+                        let dprow = dp.row(i);
+                        let dot: f32 = prow.iter().zip(dprow).map(|(&pv, &dpv)| pv * dpv).sum();
+                        let dsrow = ds.row_mut(i);
+                        for j in 0..=i {
+                            dsrow[j] = prow[j] * (dprow[j] - dot);
+                        }
+                    }
+                    // dQ = dS·K · scale ; dK = dSᵀ·Q · scale
+                    let mut dqh = ds.matmul(&kh);
+                    dqh.scale_assign(scale);
+                    let mut dkh = ds.matmul_transa(&qh);
+                    dkh.scale_assign(scale);
+                    write_head(&mut dq, &dqh, b, *seq, h, hd);
+                    write_head(&mut dk, &dkh, b, *seq, h, hd);
+                    write_head(&mut dv, &dvh, b, *seq, h, hd);
+                    // Per-head temporaries recur with identical
+                    // shapes every (batch, head) pair — recycle.
+                    for m in [qh, kh, vh, doh, dvh, dp, ds, dqh, dkh] {
+                        m.recycle();
+                    }
                 }
-                Op::CrossEntropy { exps, .. } => exps.recycle(),
-                _ => {}
             }
+            grad_add(grads, *q, dq);
+            grad_add(grads, *k, dk);
+            grad_add(grads, *v, dv);
+        }
+        Op::Gather { table, ids } => {
+            let tm = val(*table);
+            let mut dt = Matrix::zeros(tm.rows(), tm.cols());
+            for (r, &id) in ids.iter().enumerate() {
+                let src = gout.row(r);
+                let dst = dt.row_mut(id as usize);
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+            grad_add(grads, *table, dt);
+        }
+        Op::CrossEntropy {
+            logits,
+            targets,
+            exps,
+            denoms,
+        } => {
+            let upstream = gout.get(0, 0);
+            let dl = fused::fused_softmax_xent_bwd(exps, denoms, targets, upstream);
+            grad_add(grads, *logits, dl);
+        }
+        Op::Sum(a) => {
+            let s = gout.get(0, 0);
+            let da = Matrix::full(val(*a).rows(), val(*a).cols(), s);
+            grad_add(grads, *a, da);
         }
     }
+    gout.recycle();
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -752,9 +820,11 @@ mod tests {
             };
             let z = g.mul(y, w);
             let s = g.sum(z);
+            // Read before the walk, which releases every non-leaf but `s`.
+            let yv = g.value(y).clone();
             g.backward(s);
             (
-                g.value(y).clone(),
+                yv,
                 g.grad(a).clone(),
                 g.grad(b).clone(),
                 g.value(s).get(0, 0),
@@ -774,10 +844,10 @@ mod tests {
     fn training_loop_fused_vs_unfused_is_bit_identical() {
         // A miniature training loop — rmsnorm → SwiGLU MLP → matmul →
         // cross-entropy, with Adam updates — run twice: once through the
-        // fused ops (swiglu op + fused_adam_update), once through the
-        // staged arms (silu+mul ops + reference::adam_update). Every
-        // per-step loss must agree bit-for-bit.
-        use apollo_tensor::fused::{self, reference};
+        // fused swiglu op, once through the staged silu+mul ops. Every
+        // per-step loss must agree bit-for-bit. Both arms take the same
+        // fused Adam update (its staged twin is pinned in
+        // `fused_equivalence`), so only the graph's gate differs.
         let (rows, hidden, vocab) = (6, 10, 7);
         let targets: Vec<u32> = (0..rows).map(|r| (r % vocab) as u32).collect();
         let mut rng = Rng::seed_from_u64(54);
@@ -824,15 +894,7 @@ mod tests {
                     .zip(&grads)
                     .zip(ms.iter_mut().zip(vs.iter_mut()))
                 {
-                    if fused_arm {
-                        fused::fused_adam_update(
-                            w, grad, m, v, beta1, beta2, bc1, bc2, eps, lr, decay,
-                        );
-                    } else {
-                        reference::adam_update(
-                            w, grad, m, v, beta1, beta2, bc1, bc2, eps, lr, decay,
-                        );
-                    }
+                    fused::fused_adam_update(w, grad, m, v, beta1, beta2, bc1, bc2, eps, lr, decay);
                 }
             }
             losses
@@ -1112,5 +1174,84 @@ mod tests {
         g.backward(s);
         assert!(g.try_grad(unused).is_none());
         assert!(g.try_grad(x).is_some());
+    }
+
+    /// A tape over every op kind, ending in cross-entropy, plus one
+    /// non-leaf that does not reach the loss. Returns the tape, the loss,
+    /// the leaves (one per weight) and the non-leaves.
+    fn every_op_tape(w: &[Matrix; 4]) -> (Graph<'_>, NodeId, Vec<NodeId>, Vec<NodeId>) {
+        let (batch, seq, heads) = (1, 4, 2);
+        let mut g = Graph::new();
+        let leaves: Vec<NodeId> = w.iter().map(|m| g.param(m)).collect();
+        let [table, gain, wq, wo] = leaves[..] else {
+            unreachable!()
+        };
+        let x = g.gather(table, &[0, 3, 5, 3]);
+        let hn = g.rmsnorm(x, gain, 1e-5);
+        let q = g.matmul(hn, wq);
+        let qr = g.rope(q, seq, heads, 100.0);
+        let att = g.causal_attention(qr, qr, q, batch, seq, heads);
+        let gate = g.silu(att);
+        let mixed = g.mul(gate, hn);
+        let act = g.swiglu(mixed, x);
+        let res = g.add(act, x);
+        let half = g.scale(res, 0.5);
+        let logits = g.matmul(half, wo);
+        let loss = g.cross_entropy(logits, &[1, 2, 3, 4]);
+        let unreached = g.sum(x);
+        let inner = vec![
+            x, hn, q, qr, att, gate, mixed, act, res, half, logits, unreached,
+        ];
+        (g, loss, leaves, inner)
+    }
+
+    fn every_op_weights() -> [Matrix; 4] {
+        let mut rng = Rng::seed_from_u64(60);
+        [
+            Matrix::randn(6, 8, &mut rng),
+            Matrix::rand_uniform(1, 8, 0.5, 1.5, &mut rng),
+            Matrix::randn(8, 8, &mut rng),
+            Matrix::randn(8, 6, &mut rng),
+        ]
+    }
+
+    #[test]
+    fn backward_keeps_only_leaf_gradients_and_the_output_value() {
+        let w = every_op_weights();
+        let (mut g, loss, leaves, inner) = every_op_tape(&w);
+        let loss_bits = g.value(loss).get(0, 0).to_bits();
+        g.backward(loss);
+        assert_eq!(g.value(loss).get(0, 0).to_bits(), loss_bits);
+        for &id in &inner {
+            assert!(g.try_grad(id).is_none(), "non-leaf {id:?} kept a gradient");
+        }
+        for (&id, wm) in leaves.iter().zip(&w) {
+            assert_eq!(g.value(id), wm, "leaf {id:?} lost its value");
+            let copied = g.grad(id).clone();
+            let moved = g.take_grad(id).expect("every leaf reaches the loss");
+            assert_eq!(copied.shape(), wm.shape());
+            for (a, b) in copied.as_slice().iter().zip(moved.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4 was released by backward()")]
+    fn reading_a_released_value_panics() {
+        let w = every_op_weights();
+        let (mut g, loss, _, inner) = every_op_tape(&w);
+        g.backward(loss);
+        // `inner[0]` is the gather, node 4.
+        g.value(inner[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward already ran on this tape")]
+    fn second_backward_panics() {
+        let w = every_op_weights();
+        let (mut g, loss, _, _) = every_op_tape(&w);
+        g.backward(loss);
+        g.backward(loss);
     }
 }

@@ -4,13 +4,18 @@
 //! matmul outputs, autograd gradients, packed kernel panels, optimizer
 //! update vectors. Routing those through a thread-local freelist serves
 //! every take that finds a buffer returned since — but not every take. A
-//! `pretrain` step (`tiny_1b`, batch 4) hands ≈320 buffers back when its
-//! tape drops, against a cap of `MAX_BUFS` = 64, so ≈1,064 takes per step
-//! still miss the pool and go to the allocator. What keeps those cheap is
-//! that the allocator reuses the pages just freed: 239 minor page faults
-//! per step, down from 2,547 while the tape still copied every weight in
-//! and every gradient out (measured on a scratch copy; EXPERIMENTS.md
-//! "Copy-free training step").
+//! `pretrain` step (`tiny_1b`, batch 4, one kernel thread) makes ≈4,100
+//! takes. Its backward walk returns each intermediate gradient, spent value
+//! and op cache as soon as it has passed the node: ≈2,830 buffers come back
+//! during the walk (the kernels' panels included) and one when the tape
+//! drops, where a tape that kept everything until it dropped returned
+//! ≈2,530 and ≈320. Later gradients of the same walk reuse them, but the
+//! pool keeps at most `MAX_BUFS` = 64, so ≈970 takes per step (1,064 before)
+//! still miss it and go to the allocator, which serves them from memory it
+//! just got back — partly from fresh pages: a median of 272 minor page
+//! faults per step over 20 steps (mean 480), against 0 (mean 224) while the
+//! walk freed nothing (measured with a counting allocator on a scratch
+//! copy; EXPERIMENTS.md "The backward walk frees what it has passed").
 //!
 //! The pool is thread-local (no locks); a `Vec<f32>`'s storage has no
 //! thread affinity, so buffers freed on one thread and reused on another
@@ -19,8 +24,8 @@
 //! Buffers are recycled explicitly ([`recycle`]) rather than via a `Drop`
 //! impl on `Matrix`, which would forbid moving the data out (`into_vec`)
 //! and would churn the pool on every temporary. The high-traffic recycle
-//! points are the autograd graph (dropped once per step) and the kernels'
-//! internal panels.
+//! points are the autograd walk (each node once it has been passed) and the
+//! kernels' internal panels.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -254,7 +254,7 @@ cmp "$TRACE_TMP/frontier_a.json" "$TRACE_TMP/frontier_b.json"
 cmp "$TRACE_TMP/search_a.jsonl" "$TRACE_TMP/search_b.jsonl"
 ./target/release/apollo trace-check --trace "$TRACE_TMP/search_a.jsonl"
 
-echo "== GEMM, fused-kernel and counter-draw bit-identity (release mode)"
+echo "== GEMM, fused-kernel, counter-draw and gradient bit-identity (release mode)"
 # The fused single-pass kernels must stay bitwise equal to the staged
 # references at every thread count, and the lane-unrolled fill of the
 # projection draw to its scalar definition. Debug-mode runs are covered by
@@ -269,6 +269,10 @@ cargo test -q --release -p apollo-tensor --test fused_equivalence \
     --test kernel_equivalence --test simd_golden
 cargo test -q --release -p apollo-tensor --lib rng::
 cargo test -q --release -p apollo-autograd training_loop_fused
+# One forward+backward's loss and gradient bits (grad_golden), and the walk
+# freeing what it has passed: the heap's rise during backward stays under
+# half of what the forward put on the tape (backward_memory).
+cargo test -q --release -p apollo-nn --test grad_golden --test backward_memory
 
 echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
 # Everything above was compiled for the host CPU (.cargo/config.toml); an
@@ -279,9 +283,11 @@ echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
 # from SSE2-compiled code (the 16-lane tile with no edit here: the probe is
 # the same call in both builds), and the one that holds .cargo/config.toml
 # to its claim that bits do not depend on the target CPU:
-# kernel_equivalence, fused_equivalence, simd_golden and step_golden carry
-# the same constants here as in the native stages.
+# kernel_equivalence, fused_equivalence, simd_golden, step_golden and
+# grad_golden carry the same constants here as in the native stages.
 RUSTFLAGS= cargo test -q --release -p apollo-tensor -p apollo-optim \
+    --target-dir target/x86-64-baseline
+RUSTFLAGS= cargo test -q --release -p apollo-nn --test grad_golden \
     --target-dir target/x86-64-baseline
 
 echo "CI green."
