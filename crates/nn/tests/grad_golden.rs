@@ -1,7 +1,8 @@
 //! Golden fingerprints of one forward+backward pass.
 //!
-//! `LlamaModel::loss_and_grads` on a fixed model and batch must return the
-//! same loss bits and the same bits in every parameter gradient as when the
+//! `LlamaModel::loss_and_grads` (and, for the classification row,
+//! `class_loss_and_grads`) on a fixed model and batch must return the same
+//! loss bits and the same bits in every parameter gradient as when the
 //! constants below were recorded. Each row is the FNV-1a of the loss's bits
 //! followed by every trainable parameter's gradient bits, in parameter
 //! order. Anything that reorders a float operation in the forward pass, the
@@ -25,23 +26,49 @@ const GOLDEN: &[(&str, u64)] = &[
     ("test-tiny dense b2", 0x1290ed877d27c0a6),
     ("test-tiny lora b2", 0x524ac7a15593476e),
     ("tiny-1b dense b4", 0x1541e522c88d5a17),
+    ("test-tiny dense class b3", 0x06fbe2f3e161b96f),
 ];
 
-/// `(case, config, linear mode, batch)`, in [`GOLDEN`] order.
-fn cases() -> Vec<(&'static str, ModelConfig, LinearMode, usize)> {
+/// Which loss a case differentiates.
+#[derive(Clone, Copy)]
+enum Loss {
+    /// Next-token LM loss (`loss_and_grads`).
+    Lm,
+    /// Last-position classification loss (`class_loss_and_grads`): the
+    /// trunk's last rows gathered, through the LM head, into cross-entropy.
+    Class,
+}
+
+/// `(case, config, linear mode, batch, loss)`, in [`GOLDEN`] order.
+fn cases() -> Vec<(&'static str, ModelConfig, LinearMode, usize, Loss)> {
     vec![
         (
             "test-tiny dense b2",
             ModelConfig::test_tiny(),
             LinearMode::Dense,
             2,
+            Loss::Lm,
         ),
-        ("test-tiny lora b2", ModelConfig::test_tiny(), LORA, 2),
+        (
+            "test-tiny lora b2",
+            ModelConfig::test_tiny(),
+            LORA,
+            2,
+            Loss::Lm,
+        ),
         (
             "tiny-1b dense b4",
             ModelConfig::tiny_1b(),
             LinearMode::Dense,
             4,
+            Loss::Lm,
+        ),
+        (
+            "test-tiny dense class b3",
+            ModelConfig::test_tiny(),
+            LinearMode::Dense,
+            3,
+            Loss::Class,
         ),
     ]
 }
@@ -62,15 +89,25 @@ impl Fnv {
     }
 }
 
-/// Loss and gradients of one random next-token batch; returns the
-/// fingerprint.
-fn fingerprint(cfg: &ModelConfig, mode: LinearMode, batch: usize) -> u64 {
+/// Loss and gradients of one random batch (a target per token, or a label
+/// per sequence); returns the fingerprint.
+fn fingerprint(cfg: &ModelConfig, mode: LinearMode, batch: usize, kind: Loss) -> u64 {
     let mut rng = Rng::seed_from_u64(0x6AD);
     let model = LlamaModel::new(cfg, mode, &mut rng);
     let n = batch * cfg.max_seq;
     let tokens: Vec<u32> = (0..n).map(|_| rng.below(cfg.vocab_size) as u32).collect();
-    let targets: Vec<u32> = (0..n).map(|_| rng.below(cfg.vocab_size) as u32).collect();
-    let (loss, grads) = model.loss_and_grads(&tokens, &targets, batch);
+    let (loss, grads) = match kind {
+        Loss::Lm => {
+            let targets: Vec<u32> = (0..n).map(|_| rng.below(cfg.vocab_size) as u32).collect();
+            model.loss_and_grads(&tokens, &targets, batch)
+        }
+        Loss::Class => {
+            let labels: Vec<u32> = (0..batch)
+                .map(|_| rng.below(cfg.vocab_size) as u32)
+                .collect();
+            model.class_loss_and_grads(&tokens, &labels, batch)
+        }
+    };
     let mut h = Fnv::new();
     h.push(&[loss]);
     for (p, g) in model.params.iter().zip(&grads) {
@@ -86,9 +123,9 @@ fn fingerprint(cfg: &ModelConfig, mode: LinearMode, batch: usize) -> u64 {
 #[test]
 fn loss_and_gradients_match_their_recorded_fingerprints() {
     let mut mismatches = Vec::new();
-    for (i, (name, cfg, mode, batch)) in cases().into_iter().enumerate() {
+    for (i, (name, cfg, mode, batch, kind)) in cases().into_iter().enumerate() {
         assert_eq!(GOLDEN[i].0, name, "GOLDEN out of order");
-        let got = fingerprint(&cfg, mode, batch);
+        let got = fingerprint(&cfg, mode, batch, kind);
         if got != GOLDEN[i].1 {
             mismatches.push(format!("(\"{name}\", {got:#018x}),"));
         }
