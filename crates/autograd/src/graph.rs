@@ -8,7 +8,7 @@
 
 use std::borrow::Cow;
 
-use apollo_tensor::{fused, Matrix};
+use apollo_tensor::{fused, scratch, Matrix};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,9 +51,12 @@ enum Op {
         batch: usize,
         seq: usize,
         heads: usize,
-        /// Cached softmax probabilities, one `seq × seq` matrix per
-        /// `(batch, head)` pair.
-        probs: Vec<Matrix>,
+        /// Cached softmax probabilities, one packed lower triangle per
+        /// `(batch, head)` pair at index `b·heads + h`: `seq(seq+1)/2`
+        /// values, with row `i` of the pair's `seq × seq` matrix `P` at
+        /// `i(i+1)/2 ..= i(i+1)/2 + i`. The causal mask makes every entry
+        /// above the diagonal zero, so it is not stored.
+        probs: Vec<Vec<f32>>,
     },
     /// Row gather: `out[i] = table[ids[i]]` (embedding lookup, last-token
     /// selection).
@@ -67,7 +70,8 @@ enum Op {
         targets: Vec<u32>,
         /// Cached unnormalized softmax numerators `exp(x - rowmax)`; the
         /// normalized probability is `exps[r,j] / denoms[r]` (the same
-        /// division the staged implementation performed in place).
+        /// division the staged implementation performed in place). The
+        /// consuming form writes them into the logits' own buffer.
         exps: Matrix,
         /// Cached per-row softmax denominators.
         denoms: Vec<f32>,
@@ -83,11 +87,21 @@ impl Op {
     /// Returns the op's activation caches to the scratch pool.
     fn release(self) {
         match self {
-            Op::CausalAttention { probs, .. } => probs.into_iter().for_each(Matrix::recycle),
+            Op::CausalAttention { probs, .. } => probs.into_iter().for_each(scratch::recycle),
             Op::CrossEntropy { exps, .. } => exps.recycle(),
             _ => {}
         }
     }
+}
+
+/// What the tape holds for a node's forward value.
+enum Slot<'a> {
+    Live(Cow<'a, Matrix>),
+    /// Backward has passed the node and freed its value.
+    Released,
+    /// A consuming op (the node named) took the buffer over for its own
+    /// output.
+    ConsumedBy(NodeId),
 }
 
 /// A define-by-run autodiff tape.
@@ -100,12 +114,21 @@ impl Op {
 /// [`Graph::take_grad`], the loss with [`Graph::value`]. Read any other
 /// value before the walk.
 ///
+/// At the end of the forward the tape need hold only what some backward
+/// arm reads, and a caller that is done with a value says so at the op
+/// that takes it: [`Graph::add_consuming`], [`Graph::rope_consuming`] and
+/// [`Graph::cross_entropy_consuming`] compute in their operand's buffer
+/// instead of a copy, because their arms do not read that operand's value.
+/// The consumed node's gradient still flows; only its value is gone, and
+/// reading it, or recording another op on it, panics. Leaves are never
+/// consumed: a consuming form copies a leaf, which stays readable. The
+/// plain forms consume nothing.
+///
 /// Parameter leaves are borrowed for `'a` ([`Graph::param`]), so a tape
 /// never copies the weights it differentiates, and the weights cannot
 /// change while a tape reads them.
 pub struct Graph<'a> {
-    /// `None` once backward has released the node.
-    vals: Vec<Option<Cow<'a, Matrix>>>,
+    vals: Vec<Slot<'a>>,
     ops: Vec<Op>,
     grads: Vec<Option<Matrix>>,
     walked: bool,
@@ -133,10 +156,29 @@ impl<'a> Graph<'a> {
     }
 
     fn push_cow(&mut self, value: Cow<'a, Matrix>, op: Op) -> NodeId {
-        self.vals.push(Some(value));
+        self.vals.push(Slot::Live(value));
         self.ops.push(op);
         self.grads.push(None);
         NodeId(self.vals.len() - 1)
+    }
+
+    /// `id`'s value as a buffer the op about to be recorded may overwrite:
+    /// a non-leaf's own buffer, after which `id` reads as consumed by that
+    /// op, or a copy of a leaf's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node's value is already gone.
+    fn take_operand(&mut self, id: NodeId) -> Matrix {
+        let value = self.value(id);
+        if let Op::Leaf = self.ops[id.0] {
+            return value.pooled_copy();
+        }
+        let consumer = NodeId(self.vals.len());
+        match std::mem::replace(&mut self.vals[id.0], Slot::ConsumedBy(consumer)) {
+            Slot::Live(v) => v.into_owned(),
+            Slot::Released | Slot::ConsumedBy(_) => unreachable!("value() checked it is live"),
+        }
     }
 
     /// Registers an input the tape owns (gradient is still computed but
@@ -151,12 +193,15 @@ impl<'a> Graph<'a> {
         self.push_cow(Cow::Borrowed(value), Op::Leaf)
     }
 
-    /// The forward value of a node. After [`Graph::backward`] only leaves
-    /// and the walk's output still have one.
+    /// The forward value of a node. A node a consuming op took over has
+    /// none from that op on, and after [`Graph::backward`] only leaves and
+    /// the walk's output still have one.
     ///
     /// # Panics
     ///
-    /// Panics if backward has released the node.
+    /// Panics if a consuming op took the node's buffer or backward has
+    /// released it; the message names the node and, if consumed, its
+    /// consumer.
     pub fn value(&self, id: NodeId) -> &Matrix {
         live(&self.vals, id)
     }
@@ -207,6 +252,20 @@ impl<'a> Graph<'a> {
     /// Elementwise sum of two same-shape nodes.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.value(a).add(self.value(b));
+        self.push(v, Op::Add(a, b))
+    }
+
+    /// [`Graph::add`] that accumulates `a` into `b`'s buffer and takes it
+    /// over (see [`Graph`]): a residual `x + branch` that keeps `x` and
+    /// consumes the branch. Same bits as `add(a, b)`: `b + a` and `a + b`
+    /// are the same IEEE sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ, or if `a` is `b` and not a leaf.
+    pub fn add_consuming(&mut self, a: NodeId, b: NodeId) -> NodeId {
+        let mut v = self.take_operand(b);
+        v.add_assign(self.value(a));
         self.push(v, Op::Add(a, b))
     }
 
@@ -264,12 +323,40 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if the geometry does not divide evenly.
     pub fn rope(&mut self, x: NodeId, seq: usize, heads: usize, theta_base: f32) -> NodeId {
-        let xm = self.value(x);
-        assert_eq!(xm.rows() % seq, 0, "rope: rows not divisible by seq");
-        assert_eq!(xm.cols() % heads, 0, "rope: cols not divisible by heads");
-        let hd = xm.cols() / heads;
+        let y = self.value(x).pooled_copy();
+        self.push_rope(x, y, seq, heads, theta_base)
+    }
+
+    /// [`Graph::rope`] that rotates `x` in its own buffer and takes it over
+    /// (see [`Graph`]): the rope arm rotates only the upstream gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry does not divide evenly.
+    pub fn rope_consuming(
+        &mut self,
+        x: NodeId,
+        seq: usize,
+        heads: usize,
+        theta_base: f32,
+    ) -> NodeId {
+        let y = self.take_operand(x);
+        self.push_rope(x, y, seq, heads, theta_base)
+    }
+
+    /// Rotates `y`, a copy of `x`'s value or its buffer, and records it.
+    fn push_rope(
+        &mut self,
+        x: NodeId,
+        mut y: Matrix,
+        seq: usize,
+        heads: usize,
+        theta_base: f32,
+    ) -> NodeId {
+        assert_eq!(y.rows() % seq, 0, "rope: rows not divisible by seq");
+        assert_eq!(y.cols() % heads, 0, "rope: cols not divisible by heads");
+        let hd = y.cols() / heads;
         assert_eq!(hd % 2, 0, "rope: head_dim must be even");
-        let mut y = Matrix::clone(xm);
         fused::rope_apply(&mut y, seq, heads, theta_base, false);
         self.push(
             y,
@@ -312,35 +399,42 @@ impl<'a> Graph<'a> {
         let scale = 1.0 / (hd as f32).sqrt();
 
         let mut out = Matrix::zeros(qm.rows(), qm.cols());
+        let tri_len = seq * (seq + 1) / 2;
         let mut probs = Vec::with_capacity(batch * heads);
+        // The full `P` for `P·V`; every head rewrites its lower triangle, so
+        // the zeros above the diagonal are set once.
+        let mut p = Matrix::zeros(seq, seq);
         for b in 0..batch {
             for h in 0..heads {
                 let qh = slice_head(qm, b, seq, h, hd);
                 let kh = slice_head(km, b, seq, h, hd);
                 let vh = slice_head(vm, b, seq, h, hd);
-                // S = Q·Kᵀ · scale with causal mask, row-softmaxed.
+                // S = Q·Kᵀ · scale with causal mask, row-softmaxed straight
+                // into the cached triangle.
                 let mut s = qh.matmul_transb(&kh);
                 s.scale_assign(scale);
-                let mut p = Matrix::zeros(seq, seq);
+                let mut tri = scratch::take_stale(tri_len);
                 for i in 0..seq {
                     let srow = s.row(i);
                     let maxv = srow[..=i].iter().cloned().fold(f32::MIN, f32::max);
                     let mut denom = 0.0;
-                    let prow = p.row_mut(i);
-                    for j in 0..=i {
-                        let e = (srow[j] - maxv).exp();
-                        prow[j] = e;
+                    let prow = &mut tri[i * (i + 1) / 2..][..=i];
+                    for (pj, &sj) in prow.iter_mut().zip(srow) {
+                        let e = (sj - maxv).exp();
+                        *pj = e;
                         denom += e;
                     }
-                    for pj in prow[..=i].iter_mut() {
+                    for pj in prow.iter_mut() {
                         *pj /= denom;
                     }
+                    p.row_mut(i)[..=i].copy_from_slice(prow);
                 }
                 let oh = p.matmul(&vh);
                 write_head(&mut out, &oh, b, seq, h, hd);
-                probs.push(p);
+                probs.push(tri);
             }
         }
+        p.recycle();
         self.push(
             out,
             Op::CausalAttention {
@@ -391,17 +485,30 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if `targets.len() != logits.rows()` or a target is out of range.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[u32]) -> NodeId {
-        let lm = self.value(logits);
-        assert_eq!(
-            targets.len(),
-            lm.rows(),
-            "cross_entropy: one target per row required"
-        );
-        for &target in targets {
-            let t = target as usize;
-            assert!(t < lm.cols(), "cross_entropy: target {t} out of range");
-        }
-        let (mean, exps, denoms) = fused::fused_softmax_xent_fwd(lm, targets);
+        check_targets(self.value(logits), targets);
+        let xent = fused::fused_softmax_xent_fwd(self.value(logits), targets);
+        self.push_cross_entropy(logits, targets, xent)
+    }
+
+    /// [`Graph::cross_entropy`] that writes its cached softmax numerators
+    /// into the logits' buffer and takes it over (see [`Graph`]): the
+    /// cross-entropy arm reads only those numerators and denominators.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `targets.len() != logits.rows()` or a target is out of range.
+    pub fn cross_entropy_consuming(&mut self, logits: NodeId, targets: &[u32]) -> NodeId {
+        check_targets(self.value(logits), targets);
+        let xent = fused::fused_softmax_xent_fwd_in_place(self.take_operand(logits), targets);
+        self.push_cross_entropy(logits, targets, xent)
+    }
+
+    fn push_cross_entropy(
+        &mut self,
+        logits: NodeId,
+        targets: &[u32],
+        (mean, exps, denoms): (f32, Matrix, Vec<f32>),
+    ) -> NodeId {
         self.push(
             Matrix::from_vec(1, 1, vec![mean]),
             Op::CrossEntropy {
@@ -429,14 +536,15 @@ impl<'a> Graph<'a> {
     /// its gradient is complete and nothing reads it, its value or its op's
     /// caches again: the walk takes the gradient, runs the op's arm, and
     /// returns all three to the scratch pool. What survives is each leaf's
-    /// value and gradient and the output's value. No arithmetic depends on
-    /// when a buffer is freed, so the gradients carry the same bits as a
-    /// walk that kept everything.
+    /// value and gradient and the output's value. A node a consuming op
+    /// took over has no value by the time the walk starts; no arm reads
+    /// one. No arithmetic depends on when a buffer is freed, so the
+    /// gradients carry the same bits as a walk that kept everything.
     ///
     /// # Panics
     ///
-    /// Panics if `output` is not scalar, or if backward already ran on this
-    /// tape (what a second walk would read is gone).
+    /// Panics if `output` is not scalar or was consumed, or if backward
+    /// already ran on this tape (what a second walk would read is gone).
     pub fn backward(&mut self, output: NodeId) {
         assert!(!self.walked, "backward already ran on this tape");
         assert_eq!(
@@ -460,8 +568,11 @@ impl<'a> Graph<'a> {
                 accumulate(&self.vals, lower, &op, gout);
             }
             op.release();
-            if idx != output.0 {
-                if let Some(Cow::Owned(v)) = self.vals[idx].take() {
+            // A consumed node keeps its `ConsumedBy` mark.
+            if idx != output.0 && matches!(self.vals[idx], Slot::Live(_)) {
+                if let Slot::Live(Cow::Owned(v)) =
+                    std::mem::replace(&mut self.vals[idx], Slot::Released)
+                {
                     v.recycle();
                 }
             }
@@ -476,8 +587,8 @@ impl Drop for Graph<'_> {
     /// walk returned the rest as it went); a tape that never ran backward,
     /// such as an evaluation forward, returns every value and op cache here.
     fn drop(&mut self) {
-        for v in self.vals.drain(..).flatten() {
-            if let Cow::Owned(m) = v {
+        for v in self.vals.drain(..) {
+            if let Slot::Live(Cow::Owned(m)) = v {
                 m.recycle();
             }
         }
@@ -492,15 +603,35 @@ impl Drop for Graph<'_> {
 ///
 /// # Panics
 ///
-/// Panics if backward has released the node.
-fn live<'v>(vals: &'v [Option<Cow<'_, Matrix>>], id: NodeId) -> &'v Matrix {
-    vals[id.0].as_deref().unwrap_or_else(|| {
-        panic!(
+/// Panics if a consuming op took the node's buffer or backward has released
+/// it.
+fn live<'v>(vals: &'v [Slot<'_>], id: NodeId) -> &'v Matrix {
+    match &vals[id.0] {
+        Slot::Live(v) => v,
+        Slot::Released => panic!(
             "value: node {} was released by backward(); only leaves and the \
              output survive the walk, so read other values before it",
             id.0
-        )
-    })
+        ),
+        Slot::ConsumedBy(by) => panic!(
+            "value: node {} was consumed by node {}, which took over its \
+             buffer; read it before that op, or record that op in its plain form",
+            id.0, by.0
+        ),
+    }
+}
+
+/// Checks one in-range target per row of `logits`.
+fn check_targets(logits: &Matrix, targets: &[u32]) {
+    assert_eq!(
+        targets.len(),
+        logits.rows(),
+        "cross_entropy: one target per row required"
+    );
+    for &target in targets {
+        let t = target as usize;
+        assert!(t < logits.cols(), "cross_entropy: target {t} out of range");
+    }
 }
 
 fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
@@ -517,13 +648,8 @@ fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
 /// adds each operand's gradient into `grads` (the slots below the op's
 /// own). An arm whose operand gradient is `gout` itself, or `gout`
 /// transformed in place, hands it on by move; every other arm returns it
-/// to the scratch pool.
-fn accumulate(
-    vals: &[Option<Cow<'_, Matrix>>],
-    grads: &mut [Option<Matrix>],
-    op: &Op,
-    gout: Matrix,
-) {
+/// to the scratch pool. The add arm's second copy comes from the pool too.
+fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Matrix) {
     let val = |id: NodeId| live(vals, id);
     match op {
         Op::Leaf | Op::Released => unreachable!("backward visits each non-leaf once"),
@@ -534,7 +660,7 @@ fn accumulate(
             grad_add(grads, *b, db);
         }
         Op::Add(a, b) => {
-            grad_add(grads, *a, gout.clone());
+            grad_add(grads, *a, gout.pooled_copy());
             grad_add(grads, *b, gout);
             return;
         }
@@ -594,23 +720,42 @@ fn accumulate(
             let mut dq = Matrix::zeros(qm.rows(), qm.cols());
             let mut dk = Matrix::zeros(qm.rows(), qm.cols());
             let mut dv = Matrix::zeros(qm.rows(), qm.cols());
+            // `Pᵀ`, rebuilt per head from the triangle; what lies below its
+            // diagonal stays zero.
+            let mut pt = Matrix::zeros(*seq, *seq);
             for b in 0..*batch {
                 for h in 0..*heads {
-                    let p = &probs[b * heads + h];
+                    let tri = &probs[b * heads + h];
+                    let tri_row = |i: usize| &tri[i * (i + 1) / 2..][..=i];
+                    for i in 0..*seq {
+                        for (j, &pv) in tri_row(i).iter().enumerate() {
+                            pt.set(j, i, pv);
+                        }
+                    }
                     let qh = slice_head(qm, b, *seq, h, hd);
                     let kh = slice_head(km, b, *seq, h, hd);
                     let vh = slice_head(vm, b, *seq, h, hd);
                     let doh = slice_head(&gout, b, *seq, h, hd);
-                    // dV = Pᵀ · dO
-                    let dvh = p.matmul_transa(&doh);
+                    // dV = Pᵀ · dO: the product `matmul_transa(P, dO)`
+                    // computes after gathering the same `Pᵀ` itself.
+                    let dvh = pt.matmul(&doh);
                     // dP = dO · Vᵀ
                     let dp = doh.matmul_transb(&vh);
                     // dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
                     let mut ds = Matrix::zeros(*seq, *seq);
                     for i in 0..*seq {
-                        let prow = p.row(i);
+                        let prow = tri_row(i);
                         let dprow = dp.row(i);
-                        let dot: f32 = prow.iter().zip(dprow).map(|(&pv, &dpv)| pv * dpv).sum();
+                        // The masked tail adds its `0 · dP_ik` terms, as
+                        // the full-row sum did: same bits, down to the sign
+                        // of a zero sum and a non-finite `dP`.
+                        let masked = std::iter::repeat_n(&0.0, *seq - 1 - i);
+                        let dot: f32 = prow
+                            .iter()
+                            .chain(masked)
+                            .zip(dprow)
+                            .map(|(&pv, &dpv)| pv * dpv)
+                            .sum();
                         let dsrow = ds.row_mut(i);
                         for j in 0..=i {
                             dsrow[j] = prow[j] * (dprow[j] - dot);
@@ -631,6 +776,7 @@ fn accumulate(
                     }
                 }
             }
+            pt.recycle();
             grad_add(grads, *q, dq);
             grad_add(grads, *k, dk);
             grad_add(grads, *v, dv);
@@ -1253,5 +1399,215 @@ mod tests {
         let (mut g, loss, _, _) = every_op_tape(&w);
         g.backward(loss);
         g.backward(loss);
+    }
+
+    // ----- consuming forms -----------------------------------------------
+
+    fn assert_same_bits(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}");
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: {x} vs {y}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 was consumed by node 2")]
+    fn reading_a_consumed_value_panics() {
+        let x0 = Matrix::from_rows(&[&[1.0, 2.0]]);
+        let mut g = Graph::new();
+        let x = g.param(&x0);
+        let y = g.scale(x, 2.0);
+        g.rope_consuming(y, 1, 1, 100.0);
+        g.value(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 was consumed by node 2")]
+    fn recording_an_op_on_a_consumed_node_panics() {
+        let x0 = Matrix::from_rows(&[&[1.0, 2.0]]);
+        let mut g = Graph::new();
+        let x = g.param(&x0);
+        let y = g.scale(x, 2.0);
+        g.add_consuming(x, y);
+        g.sum(y);
+    }
+
+    #[test]
+    fn a_handed_over_leaf_stays_readable() {
+        let p0 = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.25], &[1.5, 0.0, -0.5, 3.0]]);
+        let i0 = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[-1.0, 0.5, 0.0, 2.0]]);
+        let mut g = Graph::new();
+        let p = g.param(&p0);
+        let i = g.input(i0.clone());
+        let rotated = g.rope_consuming(p, 2, 1, 100.0);
+        let sum = g.add_consuming(p, i);
+        let loss = g.cross_entropy_consuming(i, &[3, 0]);
+        let plain_rotated = g.rope(p, 2, 1, 100.0);
+        let plain_sum = g.add(p, i);
+        let plain_loss = g.cross_entropy(i, &[3, 0]);
+        assert_eq!(g.value(p), &p0, "borrowed param");
+        assert_eq!(g.value(i), &i0, "owned input");
+        assert_same_bits(g.value(rotated), g.value(plain_rotated), "rope");
+        assert_same_bits(g.value(sum), g.value(plain_sum), "add");
+        assert_same_bits(g.value(loss), g.value(plain_loss), "cross-entropy");
+        g.backward(loss);
+        assert_eq!(g.value(i), &i0, "owned input after backward");
+    }
+
+    /// Runs `build` over a parameter `x0` in the plain form and in the
+    /// consuming form: same loss and gradient bits, and the consuming form
+    /// passes the finite-difference check.
+    fn check_consuming_form(
+        x0: &Matrix,
+        tol: f32,
+        build: impl Fn(&mut Graph<'_>, NodeId, bool) -> NodeId,
+    ) {
+        let run = |xm: &Matrix, consuming: bool| {
+            let mut g = Graph::new();
+            let x = g.param(xm);
+            let loss = build(&mut g, x, consuming);
+            let l = g.value(loss).get(0, 0);
+            g.backward(loss);
+            (l, g.grad(x).clone())
+        };
+        let (lp, gp) = run(x0, false);
+        let (lc, gc) = run(x0, true);
+        assert_eq!(lp.to_bits(), lc.to_bits(), "loss");
+        assert_same_bits(&gp, &gc, "gradient");
+        assert_grad_close(&gc, &numeric_grad(|p| run(p, true).0, x0, 1e-2), tol);
+    }
+
+    #[test]
+    fn rope_consuming_gradchecks() {
+        let mut rng = Rng::seed_from_u64(61);
+        let x0 = Matrix::randn(4, 4, &mut rng); // batch 1 seq 4, 1 head hd 4
+        let w0 = Matrix::randn(4, 4, &mut rng);
+        check_consuming_form(&x0, 2e-2, |g, x, consuming| {
+            let x1 = g.scale(x, 1.5);
+            let y = if consuming {
+                g.rope_consuming(x1, 4, 1, 100.0)
+            } else {
+                g.rope(x1, 4, 1, 100.0)
+            };
+            let w = g.input(w0.clone());
+            let z = g.mul(y, w);
+            g.sum(z)
+        });
+    }
+
+    #[test]
+    fn add_consuming_gradchecks() {
+        let mut rng = Rng::seed_from_u64(62);
+        let x0 = Matrix::randn(3, 3, &mut rng);
+        let w0 = Matrix::randn(3, 3, &mut rng);
+        check_consuming_form(&x0, 2e-2, |g, x, consuming| {
+            let branch = g.mul(x, x);
+            let y = if consuming {
+                g.add_consuming(x, branch)
+            } else {
+                g.add(x, branch)
+            };
+            let w = g.input(w0.clone());
+            let z = g.mul(y, w);
+            g.sum(z)
+        });
+    }
+
+    #[test]
+    fn cross_entropy_consuming_gradchecks() {
+        let mut rng = Rng::seed_from_u64(63);
+        let x0 = Matrix::randn(3, 5, &mut rng);
+        let w0 = Matrix::randn(5, 4, &mut rng);
+        check_consuming_form(&x0, 2e-2, |g, x, consuming| {
+            let w = g.input(w0.clone());
+            let logits = g.matmul(x, w);
+            if consuming {
+                g.cross_entropy_consuming(logits, &[0, 3, 1])
+            } else {
+                g.cross_entropy(logits, &[0, 3, 1])
+            }
+        });
+    }
+
+    /// Causal attention with the full `seq × seq` probability matrix per
+    /// head, as the op cached it before the packed triangle, run forward
+    /// and back against upstream gradient `gout`: `(out, dq, dk, dv)`.
+    fn full_matrix_attention(
+        [q, k, v, gout]: [&Matrix; 4],
+        batch: usize,
+        seq: usize,
+        heads: usize,
+    ) -> [Matrix; 4] {
+        let hd = q.cols() / heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+        let zeros = || Matrix::zeros(q.rows(), q.cols());
+        let [mut out, mut dq, mut dk, mut dv] = [zeros(), zeros(), zeros(), zeros()];
+        for b in 0..batch {
+            for h in 0..heads {
+                let [qh, kh, vh, doh] = [q, k, v, gout].map(|m| slice_head(m, b, seq, h, hd));
+                let mut s = qh.matmul_transb(&kh);
+                s.scale_assign(scale);
+                let mut p = Matrix::zeros(seq, seq);
+                for i in 0..seq {
+                    let srow = s.row(i);
+                    let maxv = srow[..=i].iter().cloned().fold(f32::MIN, f32::max);
+                    let mut denom = 0.0;
+                    let prow = p.row_mut(i);
+                    for j in 0..=i {
+                        let e = (srow[j] - maxv).exp();
+                        prow[j] = e;
+                        denom += e;
+                    }
+                    for pj in prow[..=i].iter_mut() {
+                        *pj /= denom;
+                    }
+                }
+                write_head(&mut out, &p.matmul(&vh), b, seq, h, hd);
+                let dvh = p.matmul_transa(&doh);
+                let dp = doh.matmul_transb(&vh);
+                let mut ds = Matrix::zeros(seq, seq);
+                for i in 0..seq {
+                    let prow = p.row(i);
+                    let dprow = dp.row(i);
+                    let dot: f32 = prow.iter().zip(dprow).map(|(&pv, &dpv)| pv * dpv).sum();
+                    for j in 0..=i {
+                        ds.row_mut(i)[j] = prow[j] * (dprow[j] - dot);
+                    }
+                }
+                let mut dqh = ds.matmul(&kh);
+                dqh.scale_assign(scale);
+                let mut dkh = ds.matmul_transa(&qh);
+                dkh.scale_assign(scale);
+                write_head(&mut dq, &dqh, b, seq, h, hd);
+                write_head(&mut dk, &dkh, b, seq, h, hd);
+                write_head(&mut dv, &dvh, b, seq, h, hd);
+            }
+        }
+        [out, dq, dk, dv]
+    }
+
+    #[test]
+    fn packed_triangle_attention_has_the_full_matrix_bits() {
+        let (batch, heads, hd) = (2, 2, 4);
+        for seq in [5, 7] {
+            let mut rng = Rng::seed_from_u64(64 + seq as u64);
+            let [q0, k0, v0, w0] =
+                [(); 4].map(|_| Matrix::randn(batch * seq, heads * hd, &mut rng));
+            let mut g = Graph::new();
+            let [q, k, v] = [&q0, &k0, &v0].map(|m| g.param(m));
+            let o = g.causal_attention(q, k, v, batch, seq, heads);
+            // `sum(o ⊙ w)`: the upstream gradient of `o` is exactly `w`.
+            let w = g.input(w0.clone());
+            let z = g.mul(o, w);
+            let s = g.sum(z);
+            let out = g.value(o).clone();
+            g.backward(s);
+            let [ro, rdq, rdk, rdv] =
+                full_matrix_attention([&q0, &k0, &v0, &w0], batch, seq, heads);
+            assert_same_bits(&out, &ro, &format!("seq {seq} output"));
+            assert_same_bits(g.grad(q), &rdq, &format!("seq {seq} dq"));
+            assert_same_bits(g.grad(k), &rdk, &format!("seq {seq} dk"));
+            assert_same_bits(g.grad(v), &rdv, &format!("seq {seq} dv"));
+        }
     }
 }

@@ -117,7 +117,8 @@ impl Linear {
     /// Records the forward computation `y = x·W_effective` on the graph.
     ///
     /// `pnodes` maps parameter index → graph node, as produced by the model
-    /// at the start of each step.
+    /// at the start of each step. A LoRA layer's sum takes over the scaled
+    /// adapter output's buffer: no backward arm reads that value.
     pub fn forward(&self, g: &mut Graph<'_>, x: NodeId, pnodes: &[NodeId]) -> NodeId {
         match self.mode {
             LinearMode::Dense => g.matmul(x, pnodes[self.w0.unwrap()]),
@@ -126,7 +127,7 @@ impl Linear {
                 let xa = g.matmul(x, pnodes[self.a.unwrap()]);
                 let xab = g.matmul(xa, pnodes[self.b.unwrap()]);
                 let scaled = g.scale(xab, alpha / rank as f32);
-                g.add(base, scaled)
+                g.add_consuming(base, scaled)
             }
             LinearMode::Factored { .. } => {
                 let xu = g.matmul(x, pnodes[self.a.unwrap()]);

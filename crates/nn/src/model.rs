@@ -165,6 +165,12 @@ impl LlamaModel {
     /// Builds the transformer trunk up to the final RMSNorm output
     /// (`(batch·seq) × hidden`), returning the tape, the trunk output node,
     /// and one graph node per parameter.
+    ///
+    /// Values no backward arm reads are handed to the op that uses them:
+    /// RoPE rotates the pre-RoPE `q` and `k` in their own buffers, and each
+    /// residual add accumulates into its branch's output (the attention
+    /// `wo` and MLP `down` projections). Only the trunk output can be read
+    /// from the returned tape, besides the parameters.
     pub(crate) fn build_trunk(
         &self,
         tokens: &[u32],
@@ -185,18 +191,18 @@ impl LlamaModel {
             let q0 = layer.wq.forward(&mut g, hn, &pnodes);
             let k0 = layer.wk.forward(&mut g, hn, &pnodes);
             let v = layer.wv.forward(&mut g, hn, &pnodes);
-            let q = g.rope(q0, seq, heads, self.cfg.rope_theta);
-            let k = g.rope(k0, seq, heads, self.cfg.rope_theta);
+            let q = g.rope_consuming(q0, seq, heads, self.cfg.rope_theta);
+            let k = g.rope_consuming(k0, seq, heads, self.cfg.rope_theta);
             let att = g.causal_attention(q, k, v, batch, seq, heads);
             let o = layer.wo.forward(&mut g, att, &pnodes);
-            x = g.add(x, o);
+            x = g.add_consuming(x, o);
 
             let mn = g.rmsnorm(x, pnodes[layer.mlp_norm], 1e-5);
             let gate_pre = layer.gate.forward(&mut g, mn, &pnodes);
             let up = layer.up.forward(&mut g, mn, &pnodes);
             let act = g.swiglu(gate_pre, up);
             let mlp = layer.down.forward(&mut g, act, &pnodes);
-            x = g.add(x, mlp);
+            x = g.add_consuming(x, mlp);
         }
         let xf = g.rmsnorm(x, pnodes[self.final_norm], 1e-5);
         (g, xf, pnodes)
@@ -246,7 +252,7 @@ impl LlamaModel {
         assert_eq!(tokens.len(), targets.len(), "one target per token");
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
         let logits = g.matmul(trunk, pnodes[self.head]);
-        let loss = g.cross_entropy(logits, targets);
+        let loss = g.cross_entropy_consuming(logits, targets);
         (g, loss, pnodes)
     }
 
@@ -285,7 +291,7 @@ impl LlamaModel {
         let last_rows: Vec<u32> = (0..batch).map(|b| (b * seq + seq - 1) as u32).collect();
         let pooled = g.gather(trunk, &last_rows);
         let logits = g.matmul(pooled, pnodes[self.head]);
-        let loss = g.cross_entropy(logits, labels);
+        let loss = g.cross_entropy_consuming(logits, labels);
         (g, loss, pnodes)
     }
 

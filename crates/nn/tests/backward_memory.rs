@@ -1,13 +1,25 @@
-//! The backward walk frees what it has passed.
+//! The forward keeps only what backward reads; the backward walk frees
+//! what it has passed.
 //!
 //! A counting global allocator, local to this test binary, measures live
 //! heap bytes around one `tiny_1b` training step at batch 4 (the
-//! `pretrain` benchmark's shape). Measured from the end of the forward pass
-//! to the highest point backward reaches, the heap may grow by less than
-//! half of what the forward put on the tape. A walk that kept every
-//! intermediate gradient until the tape dropped grew it by about 1.3× that;
-//! one that frees each node's gradient, value and op caches as it passes,
-//! so later gradients reuse their storage, grows it by about a tenth.
+//! `pretrain` benchmark's shape). Two bounds:
+//!
+//! - **Forward end.** The tape (every byte the forward allocated and still
+//!   holds) may be at most what a forward that kept every value held, less
+//!   the values no backward arm reads, plus 0.25 MiB of slack: less than
+//!   the smallest of them, the 0.5 MiB of logits. Those values
+//!   are, per layer, the pre-RoPE `q` and `k` and the `wo` and `down`
+//!   outputs (`4·L·tokens·hidden` floats); the logits (`tokens·vocab`);
+//!   and the masked upper half of every `(batch, head, layer)` attention
+//!   probability matrix (`B·H·L·seq(seq−1)/2`). At this shape that is
+//!   24.13 − 5.48 + 0.25 = 18.90 MiB; the tape reads 18.64.
+//! - **Backward rise.** Measured from the end of the forward pass to the
+//!   highest point backward reaches, the heap may grow by less than half of
+//!   the tape. A walk that kept every intermediate gradient until the tape
+//!   dropped grew it by about 1.3× the tape; one that frees each node's
+//!   gradient, value and op caches as it passes, so later gradients reuse
+//!   their storage, grows it by about a tenth (2.0 MiB).
 //!
 //! Kept to one `#[test]`: the counters are process-wide, and a second test
 //! running alongside would allocate into them.
@@ -60,6 +72,24 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
+/// The tape at forward end, in bytes, when the forward kept every value
+/// (measured at this shape before the consuming ops).
+const KEEP_EVERYTHING_TAPE: usize = 25_297_540;
+
+/// Slack on the forward-end bound.
+const SLACK: usize = 1 << 18;
+
+/// Bytes of the values no backward arm reads, which the forward hands to
+/// the op that uses them or never stores.
+fn handed_over_bytes(cfg: &ModelConfig, batch: usize) -> usize {
+    let (layers, seq) = (cfg.n_layers, cfg.max_seq);
+    let tokens = batch * seq;
+    let floats = 4 * layers * tokens * cfg.hidden
+        + tokens * cfg.vocab_size
+        + batch * cfg.n_heads * layers * seq * (seq - 1) / 2;
+    4 * floats
+}
+
 /// Frees every buffer this thread's scratch pool holds, so the next
 /// forward takes all of its storage from the allocator.
 fn drain_pool() {
@@ -69,7 +99,7 @@ fn drain_pool() {
 }
 
 #[test]
-fn backward_grows_the_heap_by_less_than_half_the_tape() {
+fn forward_end_and_backward_rise_fit_their_bounds() {
     // One kernel thread: every buffer is taken and returned on this
     // thread's scratch pool.
     let _pin = ThreadOverrideGuard::new(1);
@@ -99,11 +129,20 @@ fn backward_grows_the_heap_by_less_than_half_the_tape() {
     let tape = forward_end - before_forward;
     let rise = backward_peak - forward_end;
     let mib = |b: usize| b as f64 / (1 << 20) as f64;
+    let bound = KEEP_EVERYTHING_TAPE - handed_over_bytes(&cfg, batch) + SLACK;
     println!(
-        "tape {:.1} MiB, backward rise {:.1} MiB ({:.0} %)",
+        "tape {:.2} MiB (bound {:.2}), backward rise {:.2} MiB ({:.0} %)",
         mib(tape),
+        mib(bound),
         mib(rise),
         100.0 * rise as f64 / tape as f64
+    );
+    assert!(
+        tape <= bound,
+        "the forward left {:.2} MiB on the tape, over the {:.2} MiB bound: it \
+         keeps a value no backward arm reads",
+        mib(tape),
+        mib(bound)
     );
     assert!(
         2 * rise < tape,

@@ -325,6 +325,20 @@ pub fn fused_swiglu_bwd(a: &Matrix, b: &Matrix, gout: &Matrix) -> (Matrix, Matri
 ///
 /// Panics if `targets.len() != logits.rows()` or a target is out of range.
 pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix, Vec<f32>) {
+    fused_softmax_xent_fwd_in_place(logits.pooled_copy(), targets)
+}
+
+/// [`fused_softmax_xent_fwd`] that writes `exps` over the logits in their
+/// own buffer and returns it: each row's max is read before any of its
+/// elements is overwritten, so the bits are the same.
+///
+/// # Panics
+///
+/// Panics if `targets.len() != logits.rows()` or a target is out of range.
+pub fn fused_softmax_xent_fwd_in_place(
+    mut logits: Matrix,
+    targets: &[u32],
+) -> (f32, Matrix, Vec<f32>) {
     let (rows, cols) = logits.shape();
     assert_eq!(
         targets.len(),
@@ -337,30 +351,28 @@ pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix,
             "fused_softmax_xent_fwd: target {t} out of range"
         );
     }
-    let mut exps = Matrix::zeros(rows, cols);
     let mut denoms = vec![0.0f32; rows];
-    let ls = logits.as_slice();
     let flops = rows * cols * XENT_FLOPS;
     par_bands(
         rows,
         flops,
-        [(exps.as_mut_slice(), cols), (&mut denoms[..], 1)],
+        [(logits.as_mut_slice(), cols), (&mut denoms[..], 1)],
         |lo, hi, [eband, dband]| {
             for r in lo..hi {
-                let row = &ls[r * cols..(r + 1) * cols];
                 let erow = &mut eband[(r - lo) * cols..(r - lo + 1) * cols];
                 // Pass 1: row max (sequential fold, reference order).
-                let maxv = row.iter().cloned().fold(f32::MIN, f32::max);
+                let maxv = erow.iter().cloned().fold(f32::MIN, f32::max);
                 // Pass 2: shifted exponentials and their ascending sum.
                 let mut denom = 0.0f32;
-                for (e, &x) in erow.iter_mut().zip(row) {
-                    *e = (x - maxv).exp();
+                for e in erow.iter_mut() {
+                    *e = (*e - maxv).exp();
                     denom += *e;
                 }
                 dband[r - lo] = denom;
             }
         },
     );
+    let exps = logits;
     // Loss: sequential ascending-row f64 accumulation (reference order),
     // reading one cached cell per row.
     let mut loss = 0.0f64;

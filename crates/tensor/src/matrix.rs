@@ -42,6 +42,18 @@ impl Matrix {
         crate::scratch::recycle(self.data);
     }
 
+    /// A copy of `self` in pooled scratch storage: [`Clone`] for a copy that
+    /// will be [`Matrix::recycle`]d, so it takes from the pool as well.
+    pub fn pooled_copy(&self) -> Matrix {
+        let mut data = crate::scratch::take_stale(self.data.len());
+        data.copy_from_slice(&self.data);
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data,
+        }
+    }
+
     /// Reshapes `self` to `src`'s shape and copies its contents, reusing
     /// the existing storage (no allocation when capacity suffices).
     pub fn copy_from(&mut self, src: &Matrix) {

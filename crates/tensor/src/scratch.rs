@@ -4,18 +4,22 @@
 //! matmul outputs, autograd gradients, packed kernel panels, optimizer
 //! update vectors. Routing those through a thread-local freelist serves
 //! every take that finds a buffer returned since — but not every take. A
-//! `pretrain` step (`tiny_1b`, batch 4, one kernel thread) makes ≈4,100
-//! takes. Its backward walk returns each intermediate gradient, spent value
-//! and op cache as soon as it has passed the node: ≈2,830 buffers come back
-//! during the walk (the kernels' panels included) and one when the tape
-//! drops, where a tape that kept everything until it dropped returned
-//! ≈2,530 and ≈320. Later gradients of the same walk reuse them, but the
-//! pool keeps at most `MAX_BUFS` = 64, so ≈970 takes per step (1,064 before)
+//! `pretrain` step (`tiny_1b`, batch 4, one kernel thread) makes ≈3,970
+//! takes (≈4,110 while attention cached full probability matrices and
+//! gathered `Pᵀ` for each head). Its backward walk returns each intermediate
+//! gradient, spent value and op cache as soon as it has passed the node:
+//! ≈2,655 buffers come back during the walk (the kernels' panels included)
+//! and one when the tape drops; ≈2,830 came back while the forward kept
+//! the values no arm reads, which are no longer on the tape to return.
+//! Later gradients of the same walk reuse what comes back, but the pool
+//! keeps at most `MAX_BUFS` = 64, so ≈990 takes per step (≈980 before)
 //! still miss it and go to the allocator, which serves them from memory it
-//! just got back — partly from fresh pages: a median of 272 minor page
-//! faults per step over 20 steps (mean 480), against 0 (mean 224) while the
-//! walk freed nothing (measured with a counting allocator on a scratch
-//! copy; EXPERIMENTS.md "The backward walk frees what it has passed").
+//! just got back — partly from fresh pages: a median of 720 minor page
+//! faults per step over 20 steps (mean 758), against 208 (mean 459) while
+//! the forward kept every value, likely because the allocator trims a
+//! smaller heap top more often (measured with pool and fault counters on a
+//! scratch copy; EXPERIMENTS.md "The forward keeps only what backward
+//! reads").
 //!
 //! The pool is thread-local (no locks); a `Vec<f32>`'s storage has no
 //! thread affinity, so buffers freed on one thread and reused on another

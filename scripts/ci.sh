@@ -269,9 +269,13 @@ cargo test -q --release -p apollo-tensor --test fused_equivalence \
     --test kernel_equivalence --test simd_golden
 cargo test -q --release -p apollo-tensor --lib rng::
 cargo test -q --release -p apollo-autograd training_loop_fused
-# One forward+backward's loss and gradient bits (grad_golden), and the walk
-# freeing what it has passed: the heap's rise during backward stays under
-# half of what the forward put on the tape (backward_memory).
+# Rope, residual adds and cross-entropy through a whole network, against
+# finite differences.
+cargo test -q --release -p apollo-autograd --test network_gradcheck
+# One forward+backward's loss and gradient bits (grad_golden), and the tape
+# holding only what backward reads: at forward end it stays under the
+# keep-everything tape less the values no backward arm reads, and the
+# heap's rise during backward under half of it (backward_memory).
 cargo test -q --release -p apollo-nn --test grad_golden --test backward_memory
 
 echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
