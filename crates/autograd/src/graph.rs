@@ -736,8 +736,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
                     let kh = slice_head(km, b, *seq, h, hd);
                     let vh = slice_head(vm, b, *seq, h, hd);
                     let doh = slice_head(&gout, b, *seq, h, hd);
-                    // dV = Pᵀ · dO: the product `matmul_transa(P, dO)`
-                    // computes after gathering the same `Pᵀ` itself.
+                    // dV = Pᵀ · dO (`matmul_transa(P, dO)` is this same
+                    // product after gathering `Pᵀ` itself)
                     let dvh = pt.matmul(&doh);
                     // dP = dO · Vᵀ
                     let dp = doh.matmul_transb(&vh);
@@ -746,8 +746,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
                     for i in 0..*seq {
                         let prow = tri_row(i);
                         let dprow = dp.row(i);
-                        // The masked tail adds its `0 · dP_ik` terms, as
-                        // the full-row sum did: same bits, down to the sign
+                        // The masked tail's `0 · dP_ik` terms are summed
+                        // too: the dot over the whole row, down to the sign
                         // of a zero sum and a non-finite `dP`.
                         let masked = std::iter::repeat_n(&0.0, *seq - 1 - i);
                         let dot: f32 = prow
