@@ -17,14 +17,13 @@ use std::sync::Arc;
 
 use apollo_data::{
     commonsense_suite, mmlu_suite, ByteTokenizer, CorpusConfig, DecodeStream, LmBatcher,
-    SyntheticCorpus, Tokenize,
+    SyntheticCorpus,
 };
 use apollo_infer::GenConfig;
 use apollo_nn::{AdapterRegistry, LinearMode, LlamaModel, LoraAdapter, ModelConfig};
 use apollo_obs::{read_trace, Obs, TraceEvent};
 use apollo_optim::memory::MethodSpec;
 use apollo_optim::{AdamMini, AdamW, Apollo, Fira, Flora, GaLore, Optimizer, Sgd, SgdMomentum};
-use apollo_search::{run_search, SearchConfig};
 use apollo_sysmodel::{Gpu, MemoryOptions, TrainingMemoryModel};
 use apollo_tensor::{Matrix, Rng};
 use apollo_train::{
@@ -71,26 +70,8 @@ USAGE:
                   [--expect-clean] [--out PATH]
   apollo make-adapter --resume PATH --out PATH [--rank N] [--alpha F]
                   [--seed N] [--delta-scale F]
-  apollo search   [--model NAME] [--population N] [--rounds N]
-                  [--round-steps N] [--quantile F] [--seed N]
-                  [--threads-per-member N] [--batch N] [--eval-seqs N]
-                  [--baseline] [--out PATH] [--trace-out PATH]
-                  [--metrics-every N] [--profile]
   apollo trace-check --trace PATH
   apollo list
-
-SEARCH
-  search           population-based evolutionary search over APOLLO's knobs
-                   (projector rank, scale alpha, refresh period, peak LR /
-                   warmup, optimizer family). --population members pretrain
-                   the proxy model concurrently (one worker thread each,
-                   pinned to --threads-per-member kernel threads); every
-                   --round-steps steps the bottom --quantile fraction clone
-                   a leader's full train state in memory and perturb their
-                   knobs with seed-derived mutations. Bit-reproducible:
-                   same --seed, byte-identical --out frontier JSON.
-                   --baseline also trains the static fig4 grid straight
-                   through the same budget for an evolved-vs-static table.
 
 SERVING
   serve            HTTP/1.1 front-end over the continuous-batching server:
@@ -357,7 +338,7 @@ fn observe_simd_tier(obs: &Obs) {
     obs.counter(&format!("numerics.simd_tier.{tier}"), 1);
 }
 
-/// The `--trace-out` / `--profile` handle of `pretrain` and `search`.
+/// The `--trace-out` / `--profile` handle of `pretrain`.
 fn training_obs(trace_out: Option<PathBuf>, profile: bool, every: usize) -> Result<Obs, String> {
     let obs = match trace_out {
         Some(path) => {
@@ -628,7 +609,7 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
 
     // Stream tokens as they are decided: decoded text for byte-covering
     // vocabularies, space-separated token ids otherwise.
-    let mut stream = DecodeStream::new(&tok);
+    let mut stream = DecodeStream::new();
     let mut stdout = std::io::stdout();
     let t0 = std::time::Instant::now();
     let out = apollo_infer::generate_backend(&backend, &prompt, &gen, |t| {
@@ -1019,100 +1000,6 @@ fn cmd_loadgen(a: &Args) -> Result<(), String> {
 /// for timer granularity on sub-millisecond steps).
 const TRACE_PHASE_TOLERANCE: f32 = 0.05;
 
-fn cmd_search(a: &Args) -> Result<(), String> {
-    apply_threads(a)?;
-    let model = model_config(&a.get("model", "test-tiny"))?;
-    if model.name.starts_with("llama-") {
-        return Err("paper-scale geometries are for `apollo memory`; pick a tiny-* model".into());
-    }
-    let cfg = SearchConfig {
-        model,
-        population: a.get_num("population", 4usize)?,
-        rounds: a.get_num("rounds", 3usize)?,
-        round_steps: a.get_num("round-steps", 20usize)?,
-        quantile: a.get_num("quantile", 0.25f32)?,
-        seed: a.get_num("seed", 7u64)?,
-        threads_per_member: a.get_num("threads-per-member", 1usize)?,
-        batch: a.get_num("batch", 4usize)?,
-        eval_seqs: a.get_num("eval-seqs", 16usize)?,
-        baseline: a.has("baseline"),
-    };
-    let metrics_every = a.get_num("metrics-every", 1usize)?;
-    if metrics_every == 0 {
-        return Err("--metrics-every must be >= 1".into());
-    }
-    let (trace_out, profile) = (a.opt("trace-out").map(PathBuf::from), a.has("profile"));
-    let out = a.opt("out").map(PathBuf::from);
-    a.reject_unread()?;
-    let obs = training_obs(trace_out, profile, metrics_every)?;
-    eprintln!(
-        "searching {}: population {}, {} rounds x {} steps, quantile {}, seed {}",
-        cfg.model.name, cfg.population, cfg.rounds, cfg.round_steps, cfg.quantile, cfg.seed
-    );
-    let report = run_search(&cfg, &obs)?;
-    for r in &report.rounds_log {
-        let leader = &r.members[r.best_member];
-        println!(
-            "round {} step {:>5}: best member {} ppl {:.2} ({})",
-            r.round,
-            r.step,
-            r.best_member,
-            r.best_ppl,
-            leader.genome.label()
-        );
-    }
-    for l in &report.lineage {
-        println!(
-            "  round {}: member {} cloned leader {} ({}; {})",
-            l.round,
-            l.member,
-            l.source,
-            l.optimizer_state,
-            l.changes.join(", ")
-        );
-    }
-    println!(
-        "best: member {} ppl {:.2} ({})",
-        report.best.member,
-        report.best.ppl,
-        report.best.genome.label()
-    );
-    if !report.baseline.is_empty() {
-        let best_static = report
-            .baseline
-            .iter()
-            .min_by(|x, y| x.ppl.total_cmp(&y.ppl))
-            .expect("baseline is non-empty");
-        for b in &report.baseline {
-            println!("static: {:<40} ppl {:.2}", b.label, b.ppl);
-        }
-        println!(
-            "evolved {:.2} vs best static {:.2} ({:+.2}%)",
-            report.best.ppl,
-            best_static.ppl,
-            (report.best.ppl / best_static.ppl - 1.0) * 100.0
-        );
-    }
-    if profile {
-        if let Some(metrics) = obs.metrics() {
-            let counters: Vec<(&str, u64)> = metrics.counters().collect();
-            if !counters.is_empty() {
-                println!("\ncounters:");
-                for (name, value) in counters {
-                    println!("  {name:<24} {value}");
-                }
-            }
-        }
-    }
-    if let Some(path) = out {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(&path, json + "\n")
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("frontier written to {}", path.display());
-    }
-    Ok(())
-}
-
 fn cmd_trace_check(a: &Args) -> Result<(), String> {
     let path = PathBuf::from(a.require("trace")?);
     a.reject_unread()?;
@@ -1159,7 +1046,7 @@ fn cmd_trace_check(a: &Args) -> Result<(), String> {
         }
     }
     if steps_checked == 0 {
-        // Serving / inference / search traces carry no training steps; any
+        // Serving / inference traces carry no training steps; any
         // of their structural events make the trace checkable. A trace
         // with none of them is vacuous and stays an error.
         let structural = events.iter().any(|e| {
@@ -1169,13 +1056,11 @@ fn cmd_trace_check(a: &Args) -> Result<(), String> {
                     | TraceEvent::InferRequest { .. }
                     | TraceEvent::ServeRequest { .. }
                     | TraceEvent::ServeDrain { .. }
-                    | TraceEvent::SearchRound { .. }
-                    | TraceEvent::MemberEvent { .. }
             )
         });
         if !structural {
             return Err(format!(
-                "{}: no StepPhases, infer, serve, or search events",
+                "{}: no StepPhases, infer, or serve events",
                 path.display()
             ));
         }
@@ -1208,7 +1093,6 @@ fn run() -> Result<(), String> {
         "serve" => cmd_serve(&a),
         "loadgen" => cmd_loadgen(&a),
         "make-adapter" => cmd_make_adapter(&a),
-        "search" => cmd_search(&a),
         "trace-check" => cmd_trace_check(&a),
         "list" => {
             a.reject_unread()?;

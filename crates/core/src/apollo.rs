@@ -129,22 +129,6 @@ impl Apollo {
         self.use_limiter = false;
         self
     }
-
-    /// Changes the subspace refresh period T on a *live* optimizer: the
-    /// config field and every initialized low-rank state's projector are
-    /// re-pointed together, so a restored-then-perturbed optimizer behaves
-    /// identically to one perturbed in place (the population-search
-    /// explore step relies on this). Safe before the first step too — no
-    /// state exists yet and the first step picks up the new value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `update_freq == 0`.
-    pub fn set_update_freq(&mut self, update_freq: usize) {
-        assert!(update_freq > 0, "update_freq must be positive");
-        self.update_freq = update_freq;
-        self.engine.set_update_freq(update_freq);
-    }
 }
 
 impl Recipe for Apollo {
@@ -365,33 +349,6 @@ mod tests {
             (0.2..0.6).contains(&ratio),
             "s(8)/s(64) = {ratio}, scales {scales:?}"
         );
-    }
-
-    #[test]
-    fn set_update_freq_commutes_with_state_roundtrip() {
-        // Mutating the refresh interval on a live optimizer must behave
-        // exactly like saving its state, loading it into a fresh optimizer,
-        // and mutating that one — the explore step of the search driver
-        // uses both paths interchangeably.
-        let mut rng = Rng::seed_from_u64(87);
-        let grads: Vec<Matrix> = (0..12).map(|_| Matrix::randn(8, 16, &mut rng)).collect();
-        let mut live = Apollo::new(4, 10).with_seed(55);
-        let mut w_live = Matrix::zeros(8, 16);
-        for g in &grads[..5] {
-            one_step(&mut live, &mut w_live, g, 0.01);
-        }
-        let saved = live.state_save().unwrap();
-        let mut restored = Apollo::new(4, 10).with_seed(55);
-        let mut w_restored = w_live.clone();
-        restored.state_load(&saved).unwrap();
-        live.set_update_freq(3);
-        restored.set_update_freq(3);
-        assert_eq!(live.update_freq, 3);
-        for g in &grads[5..] {
-            one_step(&mut live, &mut w_live, g, 0.01);
-            one_step(&mut restored, &mut w_restored, g, 0.01);
-        }
-        assert_eq!(w_live, w_restored);
     }
 
     #[test]

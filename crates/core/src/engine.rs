@@ -93,15 +93,6 @@ pub struct Engine {
     obs: Obs,
 }
 
-impl Engine {
-    /// Re-points every live projector at a new refresh period.
-    pub fn set_update_freq(&mut self, update_freq: usize) {
-        for proj in self.states.iter_mut().filter_map(|s| s.projector.as_mut()) {
-            proj.set_update_freq(update_freq);
-        }
-    }
-}
-
 impl<T: Recipe> Optimizer for T {
     fn name(&self) -> String {
         self.label()
@@ -175,6 +166,8 @@ struct Layout {
     quant_group: Option<usize>,
     /// Projection kind and rank (clamped to the smaller dimension).
     subspace: Option<(ProjKind, usize)>,
+    /// The subspace's refresh period.
+    update_freq: Option<usize>,
     moment_shape: (usize, usize),
     limiter: bool,
 }
@@ -185,13 +178,12 @@ impl Layout {
     /// plain dense AdamW (no limiter either), as the official
     /// implementations do; a full-space method keeps every tensor.
     fn of(plan: &Plan, (rows, cols): (usize, usize), projected: bool) -> Self {
-        let subspace = plan
-            .subspace
-            .filter(|_| projected)
-            .map(|s| (s.kind, s.rank.min(rows).min(cols)));
+        let planned = plan.subspace.filter(|_| projected);
+        let subspace = planned.map(|s| (s.kind, s.rank.min(rows).min(cols)));
         Layout {
             quant_group: plan.quant_group,
             subspace,
+            update_freq: planned.map(|s| s.update_freq),
             // The smaller dimension is the one projected down.
             moment_shape: match subspace {
                 None => (rows, cols),
@@ -408,9 +400,8 @@ impl TensorState {
     }
 
     /// Reads one record and checks it holds what this optimizer would have
-    /// built for a weight of that shape. The refresh period is deliberately
-    /// not compared — it may be re-pointed on a live optimizer, after a
-    /// load too.
+    /// built for a weight of that shape, refresh period included: a loaded
+    /// projector keeps the period it was saved with.
     fn load_from(r: &mut StateReader<'_>, plan: &Plan) -> Result<Self, String> {
         let shape = (r.len()?, r.len()?);
         let moments = AdamMoments::load_from(r)?;
@@ -419,6 +410,7 @@ impl TensorState {
         let found = Layout {
             quant_group: moments.quant_group,
             subspace: projector.as_ref().map(|p| (p.kind(), p.rank())),
+            update_freq: projector.as_ref().map(Projector::update_freq),
             moment_shape: moments.m.shape(),
             limiter: limiter.is_some(),
         };

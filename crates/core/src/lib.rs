@@ -149,10 +149,9 @@ pub trait Optimizer {
     /// Restores state captured by [`Optimizer::state_save`]. Errors (leaving
     /// existing state untouched) on a name mismatch, layout-version
     /// mismatch, truncation, trailing bytes, or — for the Adam family — a
-    /// per-tensor record whose clamped rank, projection kind, INT8 group or
-    /// limiter disagrees with this optimizer's configuration. The subspace
-    /// refresh period is not compared: it can be re-pointed on a live
-    /// optimizer ([`Apollo::set_update_freq`]).
+    /// per-tensor record whose clamped rank, projection kind, refresh
+    /// period, INT8 group or limiter disagrees with this optimizer's
+    /// configuration.
     fn state_load(&mut self, _bytes: &[u8]) -> Result<(), String> {
         Err(format!(
             "optimizer `{}` does not support state checkpointing",

@@ -70,17 +70,9 @@ impl Projector {
         self.kind
     }
 
-    /// Changes the refresh interval mid-run (the population-search explore
-    /// step mutates it between rounds). The step counter is untouched, so
-    /// the next refresh fires at the next multiple of the *new* interval —
-    /// deterministic regardless of when the change lands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `update_freq == 0`.
-    pub fn set_update_freq(&mut self, update_freq: usize) {
-        assert!(update_freq > 0, "update_freq must be positive");
-        self.update_freq = update_freq;
+    /// Steps between subspace refreshes.
+    pub(crate) fn update_freq(&self) -> usize {
+        self.update_freq
     }
 
     /// Stable display label for the subspace kind (trace events).

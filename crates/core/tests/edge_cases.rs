@@ -219,9 +219,11 @@ fn state_load_rejects_a_differently_configured_blob() {
         .state_load(&limited)
         .is_err());
 
-    // The refresh period is not part of the comparison (`apollo-search`
-    // re-points it after a load), and neither is a rank the shape clamps.
-    Apollo::new(4, 50).state_load(&rank4).unwrap();
+    // A different refresh period: the loaded projectors would keep the
+    // saved T = 10 under a config that says 50.
+    assert!(Apollo::new(4, 50).state_load(&rank4).is_err());
+
+    // A rank the shape clamps is not part of the comparison.
     let mut clamped = Apollo::new(1000, 10);
     let mut small = Matrix::zeros(4, 6);
     step_once(&mut clamped, &mut small, &Matrix::full(4, 6, 1.0));

@@ -14,6 +14,8 @@
 //!   — sequence-classification tasks whose label is recoverable from marker
 //!   tokens injected into corpus noise, standing in for the fine-tuning
 //!   benchmarks (Tables 4 and 5).
+//! - [`ByteTokenizer`] and [`DecodeStream`] — byte-level text in and out
+//!   for generation from byte-covering vocabularies.
 //!
 //! Everything is deterministic given its seeds.
 
@@ -27,4 +29,4 @@ pub use corpus::{CorpusConfig, SyntheticCorpus};
 pub use loader::LmBatcher;
 pub use stream::DecodeStream;
 pub use tasks::{commonsense_suite, mmlu_suite, TaskConfig, TaskGen};
-pub use tokenizer::{tokenize_file, BpeTokenizer, ByteTokenizer, Tokenize};
+pub use tokenizer::ByteTokenizer;

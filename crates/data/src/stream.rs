@@ -1,8 +1,8 @@
 //! Streaming detokenization for token-at-a-time generation output.
 //!
 //! Token boundaries do not respect UTF-8 character boundaries: a byte-level
-//! token (or a BPE merge) can end mid-way through a multi-byte character,
-//! so printing each token's `decode` individually emits broken output.
+//! token can end mid-way through a multi-byte character, so printing each
+//! token's `decode` individually emits broken output.
 //! [`DecodeStream`] buffers decoded bytes and only releases the longest
 //! prefix that is valid UTF-8, holding back an incomplete trailing sequence
 //! (at most 3 bytes) until later tokens complete it.
@@ -13,29 +13,27 @@
 //! [`DecodeStream::finish`] equals the lossy decode of the whole token
 //! sequence at once — the property `data_properties.rs` pins.
 
-use crate::tokenizer::Tokenize;
+use crate::tokenizer::ByteTokenizer;
 
-/// Incremental lossy UTF-8 decoder over a [`Tokenize`] implementation.
-pub struct DecodeStream<'a, T: Tokenize + ?Sized> {
-    tok: &'a T,
+/// Incremental lossy UTF-8 decoder over [`ByteTokenizer`] tokens.
+#[derive(Debug, Default)]
+pub struct DecodeStream {
     /// Decoded bytes held back because they end in an incomplete UTF-8
     /// sequence (never more than 3 bytes between pushes).
     pending: Vec<u8>,
 }
 
-impl<'a, T: Tokenize + ?Sized> DecodeStream<'a, T> {
-    /// Creates an empty stream over `tok`.
-    pub fn new(tok: &'a T) -> Self {
-        DecodeStream {
-            tok,
-            pending: Vec::new(),
-        }
+impl DecodeStream {
+    /// Creates an empty stream.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Decodes one token and returns whatever text is now safe to emit
     /// (possibly empty if the bytes end mid-character).
     pub fn push(&mut self, token: u32) -> String {
-        self.pending.extend_from_slice(&self.tok.decode(&[token]));
+        self.pending
+            .extend_from_slice(&ByteTokenizer.decode(&[token]));
         self.drain()
     }
 
@@ -90,12 +88,10 @@ impl<'a, T: Tokenize + ?Sized> DecodeStream<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenizer::ByteTokenizer;
 
     #[test]
     fn multibyte_char_split_across_tokens_is_held_back() {
-        let tok = ByteTokenizer;
-        let mut s = DecodeStream::new(&tok);
+        let mut s = DecodeStream::new();
         let bytes = "héllo".as_bytes(); // 'é' is two bytes
         let mut text = String::new();
         let mut saw_empty_push = false;
@@ -111,8 +107,7 @@ mod tests {
 
     #[test]
     fn lone_continuation_byte_becomes_replacement_char() {
-        let tok = ByteTokenizer;
-        let mut s = DecodeStream::new(&tok);
+        let mut s = DecodeStream::new();
         let mut text = s.push(0x80);
         text.push_str(&s.push(b'a' as u32));
         text.push_str(&s.finish());
@@ -121,8 +116,7 @@ mod tests {
 
     #[test]
     fn dangling_lead_byte_flushes_lossily_on_finish() {
-        let tok = ByteTokenizer;
-        let mut s = DecodeStream::new(&tok);
+        let mut s = DecodeStream::new();
         assert_eq!(s.push(0xE2), ""); // three-byte lead, held back
         assert_eq!(s.pending_len(), 1);
         assert_eq!(s.finish(), "\u{FFFD}");

@@ -1,183 +1,26 @@
-//! Tokenization for training on real text instead of the synthetic corpus.
-//!
-//! Two tokenizers ship:
-//!
-//! - [`ByteTokenizer`] — the 256-entry byte vocabulary, zero-configuration;
-//! - [`BpeTokenizer`] — byte-pair encoding trained greedily on a sample
-//!   text, giving a compact vocabulary comparable to what the paper's
-//!   LLaMA models consume (scaled down).
-//!
-//! Both guarantee `decode(encode(s)) == s` for arbitrary byte strings,
-//! which the property tests rely on.
+//! The byte-level tokenizer: text prompts and generated text for models
+//! whose vocabulary covers all 256 byte values.
 
-use std::collections::HashMap;
-
-/// Common interface over the tokenizers.
-pub trait Tokenize {
-    /// Vocabulary size (token ids are `0..vocab_size`).
-    fn vocab_size(&self) -> usize;
-    /// Text → token ids.
-    fn encode(&self, text: &[u8]) -> Vec<u32>;
-    /// Token ids → text.
-    fn decode(&self, tokens: &[u32]) -> Vec<u8>;
-}
-
-/// The identity byte tokenizer: one token per byte.
+/// The identity byte tokenizer: one token per byte, so
+/// `decode(encode(s)) == s` for arbitrary byte strings.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ByteTokenizer;
 
-impl Tokenize for ByteTokenizer {
-    fn vocab_size(&self) -> usize {
+impl ByteTokenizer {
+    /// Vocabulary size (token ids are `0..vocab_size`).
+    pub fn vocab_size(&self) -> usize {
         256
     }
 
-    fn encode(&self, text: &[u8]) -> Vec<u32> {
+    /// Text → token ids.
+    pub fn encode(&self, text: &[u8]) -> Vec<u32> {
         text.iter().map(|&b| b as u32).collect()
     }
 
-    fn decode(&self, tokens: &[u32]) -> Vec<u8> {
+    /// Token ids → text.
+    pub fn decode(&self, tokens: &[u32]) -> Vec<u8> {
         tokens.iter().map(|&t| t as u8).collect()
     }
-}
-
-/// A byte-pair-encoding tokenizer.
-///
-/// Training repeatedly merges the most frequent adjacent token pair until
-/// the target vocabulary size is reached (or no pair repeats). The base
-/// vocabulary is the 256 bytes, so any input round-trips exactly.
-///
-/// # Example
-///
-/// ```
-/// use apollo_data::{BpeTokenizer, Tokenize};
-///
-/// let tok = BpeTokenizer::train(b"the cat sat on the mat, the cat sat", 270);
-/// let ids = tok.encode(b"the cat");
-/// assert_eq!(tok.decode(&ids), b"the cat");
-/// assert!(ids.len() < 7, "BPE must compress repeated patterns");
-/// ```
-#[derive(Debug, Clone)]
-pub struct BpeTokenizer {
-    /// `merges[k] = (a, b)` means token `256 + k` expands to `a` then `b`.
-    merges: Vec<(u32, u32)>,
-    /// Merge lookup: `(a, b) → merged id`, in priority order (lower = earlier).
-    ranks: HashMap<(u32, u32), u32>,
-}
-
-impl BpeTokenizer {
-    /// Trains a BPE vocabulary of up to `vocab_size` tokens (≥ 256) on the
-    /// sample text.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocab_size < 256`.
-    pub fn train(sample: &[u8], vocab_size: usize) -> Self {
-        assert!(vocab_size >= 256, "vocab must cover all bytes");
-        let mut tokens: Vec<u32> = sample.iter().map(|&b| b as u32).collect();
-        let mut merges = Vec::new();
-        let mut ranks = HashMap::new();
-        while 256 + merges.len() < vocab_size {
-            // Count adjacent pairs.
-            let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
-            for w in tokens.windows(2) {
-                *counts.entry((w[0], w[1])).or_default() += 1;
-            }
-            // Deterministic argmax: highest count, ties by smallest pair.
-            let best = counts
-                .into_iter()
-                .filter(|&(_, c)| c >= 2)
-                .max_by_key(|&(pair, c)| (c, std::cmp::Reverse(pair)));
-            let Some((pair, _)) = best else { break };
-            let new_id = (256 + merges.len()) as u32;
-            ranks.insert(pair, new_id);
-            merges.push(pair);
-            tokens = Self::merge_pass(&tokens, pair, new_id);
-        }
-        BpeTokenizer { merges, ranks }
-    }
-
-    fn merge_pass(tokens: &[u32], pair: (u32, u32), new_id: u32) -> Vec<u32> {
-        let mut out = Vec::with_capacity(tokens.len());
-        let mut i = 0;
-        while i < tokens.len() {
-            if i + 1 < tokens.len() && (tokens[i], tokens[i + 1]) == pair {
-                out.push(new_id);
-                i += 2;
-            } else {
-                out.push(tokens[i]);
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Number of learned merges.
-    pub fn num_merges(&self) -> usize {
-        self.merges.len()
-    }
-}
-
-impl Tokenize for BpeTokenizer {
-    fn vocab_size(&self) -> usize {
-        256 + self.merges.len()
-    }
-
-    fn encode(&self, text: &[u8]) -> Vec<u32> {
-        let mut tokens: Vec<u32> = text.iter().map(|&b| b as u32).collect();
-        // Apply merges in training (priority) order; each pass is linear.
-        loop {
-            // Find the lowest-rank applicable merge.
-            let mut best: Option<(u32, (u32, u32))> = None;
-            for w in tokens.windows(2) {
-                if let Some(&id) = self.ranks.get(&(w[0], w[1])) {
-                    if best.is_none_or(|(b, _)| id < b) {
-                        best = Some((id, (w[0], w[1])));
-                    }
-                }
-            }
-            let Some((id, pair)) = best else { break };
-            tokens = Self::merge_pass(&tokens, pair, id);
-        }
-        tokens
-    }
-
-    fn decode(&self, tokens: &[u32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        for &t in tokens {
-            self.expand(t, &mut out);
-        }
-        out
-    }
-}
-
-impl BpeTokenizer {
-    fn expand(&self, token: u32, out: &mut Vec<u8>) {
-        if token < 256 {
-            out.push(token as u8);
-        } else {
-            let (a, b) = self.merges[(token - 256) as usize];
-            self.expand(a, out);
-            self.expand(b, out);
-        }
-    }
-}
-
-/// Tokenizes a text file into a training token stream using a BPE
-/// vocabulary trained on a prefix of the same file — the path for training
-/// the model on user-supplied text instead of the synthetic corpus.
-///
-/// # Errors
-///
-/// Returns any I/O error from reading the file.
-pub fn tokenize_file(
-    path: &std::path::Path,
-    vocab_size: usize,
-) -> std::io::Result<(BpeTokenizer, Vec<u32>)> {
-    let data = std::fs::read(path)?;
-    let sample = &data[..data.len().min(64 << 10)];
-    let tok = BpeTokenizer::train(sample, vocab_size);
-    let ids = tok.encode(&data);
-    Ok((tok, ids))
 }
 
 #[cfg(test)]
@@ -190,63 +33,5 @@ mod tests {
         let text = b"hello \xff\x00 world";
         assert_eq!(t.decode(&t.encode(text)), text);
         assert_eq!(t.vocab_size(), 256);
-    }
-
-    #[test]
-    fn bpe_roundtrips_arbitrary_bytes() {
-        let tok = BpeTokenizer::train(b"abcabcabc \x00\xff abc", 300);
-        for text in [
-            b"abcabc".to_vec(),
-            b"unseen text with novel bytes \x01\x02\x03".to_vec(),
-            Vec::new(),
-        ] {
-            assert_eq!(tok.decode(&tok.encode(&text)), text);
-        }
-    }
-
-    #[test]
-    fn bpe_compresses_repetitive_text() {
-        let sample = b"the quick brown fox the quick brown fox the quick brown fox";
-        let tok = BpeTokenizer::train(sample, 320);
-        let ids = tok.encode(sample);
-        assert!(
-            ids.len() * 2 < sample.len(),
-            "{} tokens for {} bytes",
-            ids.len(),
-            sample.len()
-        );
-    }
-
-    #[test]
-    fn bpe_training_is_deterministic() {
-        let sample = b"deterministic deterministic deterministic";
-        let a = BpeTokenizer::train(sample, 280);
-        let b = BpeTokenizer::train(sample, 280);
-        assert_eq!(a.encode(sample), b.encode(sample));
-    }
-
-    #[test]
-    fn bpe_stops_when_no_pair_repeats() {
-        let tok = BpeTokenizer::train(b"abcdefg", 10_000);
-        assert!(
-            tok.vocab_size() < 300,
-            "cannot invent merges without repeats"
-        );
-    }
-
-    #[test]
-    fn token_ids_stay_in_vocab() {
-        let sample = b"some sample text for vocabulary bounds checking, repeated: \
-                       some sample text for vocabulary bounds checking";
-        let tok = BpeTokenizer::train(sample, 300);
-        for &id in &tok.encode(sample) {
-            assert!((id as usize) < tok.vocab_size());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "vocab must cover all bytes")]
-    fn rejects_sub_byte_vocab() {
-        let _ = BpeTokenizer::train(b"x", 100);
     }
 }

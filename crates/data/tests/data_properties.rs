@@ -1,9 +1,6 @@
 //! Property-based tests for the data substrates.
 
-use apollo_data::{
-    BpeTokenizer, ByteTokenizer, CorpusConfig, LmBatcher, SyntheticCorpus, TaskConfig, TaskGen,
-    Tokenize,
-};
+use apollo_data::{ByteTokenizer, CorpusConfig, LmBatcher, SyntheticCorpus, TaskConfig, TaskGen};
 use proptest::prelude::*;
 
 proptest! {
@@ -31,22 +28,6 @@ proptest! {
     fn byte_tokenizer_roundtrips(text in proptest::collection::vec(any::<u8>(), 0..256)) {
         let t = ByteTokenizer;
         prop_assert_eq!(t.decode(&t.encode(&text)), text);
-    }
-
-    #[test]
-    fn bpe_roundtrips_any_input(
-        sample in proptest::collection::vec(any::<u8>(), 8..256),
-        text in proptest::collection::vec(any::<u8>(), 0..128),
-        extra in 0usize..64,
-    ) {
-        let tok = BpeTokenizer::train(&sample, 256 + extra);
-        prop_assert_eq!(tok.decode(&tok.encode(&text)), text);
-    }
-
-    #[test]
-    fn bpe_never_expands_token_count(sample in proptest::collection::vec(any::<u8>(), 8..200)) {
-        let tok = BpeTokenizer::train(&sample, 300);
-        prop_assert!(tok.encode(&sample).len() <= sample.len());
     }
 
     #[test]
@@ -92,17 +73,15 @@ proptest! {
 
     #[test]
     fn chunked_decode_stream_equals_whole_sequence_decode(
-        sample in proptest::collection::vec(any::<u8>(), 8..256),
         text in proptest::collection::vec(any::<u8>(), 0..128),
-        extra in 0usize..64,
     ) {
         // Arbitrary bytes (so invalid UTF-8 is well covered), decoded one
         // token at a time: the pushed pieces plus the final flush must
         // equal the lossy decode of the whole token sequence at once.
-        let tok = BpeTokenizer::train(&sample, 256 + extra);
+        let tok = ByteTokenizer;
         let tokens = tok.encode(&text);
         let whole = String::from_utf8_lossy(&tok.decode(&tokens)).into_owned();
-        let mut stream = DecodeStream::new(&tok);
+        let mut stream = DecodeStream::new();
         let mut chunked = String::new();
         for &t in &tokens {
             chunked.push_str(&stream.push(t));
@@ -124,7 +103,7 @@ proptest! {
         const PALETTE: [char; 8] = ['a', 'Z', ' ', 'é', 'ß', '日', '語', '🦀'];
         let text: String = picks.iter().map(|&i| PALETTE[i]).collect();
         let tok = ByteTokenizer;
-        let mut stream = DecodeStream::new(&tok);
+        let mut stream = DecodeStream::new();
         let mut out = String::new();
         for t in tok.encode(text.as_bytes()) {
             out.push_str(&stream.push(t));

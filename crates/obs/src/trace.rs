@@ -181,39 +181,6 @@ pub enum TraceEvent {
         /// Active replica count after the event.
         replicas: usize,
     },
-    /// One exploit/explore round of the population-based search driver
-    /// (`apollo-search`): members ranked by eval perplexity, the bottom
-    /// quantile replaced by perturbed clones of leaders.
-    SearchRound {
-        /// Per-member training step at the round boundary.
-        step: usize,
-        /// Round index (0-based).
-        round: usize,
-        /// Population size.
-        population: usize,
-        /// Member id with the lowest eval perplexity this round.
-        best_member: usize,
-        /// Best eval perplexity in the population.
-        best_ppl: f32,
-        /// Worst eval perplexity in the population.
-        worst_ppl: f32,
-        /// Members replaced by clones this round.
-        cloned: usize,
-    },
-    /// A population-search member lifecycle event.
-    MemberEvent {
-        /// Per-member training step at which the event fired.
-        step: usize,
-        /// Member id the event is about.
-        member: usize,
-        /// What happened: `"start"`, `"clone"`, `"perturb"`, `"finish"`.
-        event: String,
-        /// Clone source (leader) member id; the member's own id otherwise.
-        source: usize,
-        /// The member's eval perplexity at the event (NaN-free: the driver
-        /// reports the most recent ranking value, 0 before the first eval).
-        ppl: f32,
-    },
     /// Cumulative prefix-cache counters, emitted by the scheduler tick
     /// whenever the lookup count moved since the last emission.
     PrefixCache {
@@ -263,8 +230,6 @@ impl TraceEvent {
             | TraceEvent::InferRequest { step, .. }
             | TraceEvent::ServeRequest { step, .. }
             | TraceEvent::ReplicaEvent { step, .. }
-            | TraceEvent::SearchRound { step, .. }
-            | TraceEvent::MemberEvent { step, .. }
             | TraceEvent::PrefixCache { step, .. }
             | TraceEvent::ServeDrain { step, .. } => step,
         }
@@ -285,8 +250,6 @@ impl TraceEvent {
             TraceEvent::InferRequest { .. } => "InferRequest",
             TraceEvent::ServeRequest { .. } => "ServeRequest",
             TraceEvent::ReplicaEvent { .. } => "ReplicaEvent",
-            TraceEvent::SearchRound { .. } => "SearchRound",
-            TraceEvent::MemberEvent { .. } => "MemberEvent",
             TraceEvent::PrefixCache { .. } => "PrefixCache",
             TraceEvent::ServeDrain { .. } => "ServeDrain",
         }
@@ -494,13 +457,20 @@ mod tests {
         let dir = std::env::temp_dir().join("apollo-obs-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("malformed.jsonl");
-        std::fs::write(
-            &path,
-            "{\"RunEnd\":{\"step\":1,\"wall_secs\":0.1}}\nnot json\n",
-        )
-        .unwrap();
-        let err = read_trace(&path).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
+        // Garbage, and an event kind this schema no longer has (a trace
+        // from the deleted population search).
+        for bad in [
+            "not json",
+            "{\"SearchRound\":{\"step\":20,\"round\":1,\"population\":4,\"best_member\":2,\"best_ppl\":42.5,\"worst_ppl\":61.25,\"cloned\":1}}",
+        ] {
+            std::fs::write(
+                &path,
+                format!("{{\"RunEnd\":{{\"step\":1,\"wall_secs\":0.1}}}}\n{bad}\n"),
+            )
+            .unwrap();
+            let err = read_trace(&path).unwrap_err();
+            assert!(err.contains("line 2"), "{err}");
+        }
     }
 
     #[test]

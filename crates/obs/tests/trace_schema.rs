@@ -112,22 +112,6 @@ fn expected_events() -> Vec<TraceEvent> {
             event: "kill".to_string(),
             replicas: 3,
         },
-        TraceEvent::SearchRound {
-            step: 20,
-            round: 1,
-            population: 4,
-            best_member: 2,
-            best_ppl: 42.5,
-            worst_ppl: 61.25,
-            cloned: 1,
-        },
-        TraceEvent::MemberEvent {
-            step: 20,
-            member: 3,
-            event: "clone".to_string(),
-            source: 2,
-            ppl: 61.25,
-        },
     ]
 }
 

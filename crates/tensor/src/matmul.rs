@@ -241,7 +241,7 @@ pub fn current_threads() -> usize {
 /// override — including "no override" — when the guard drops.
 ///
 /// Long-lived worker threads that pin a thread count for one task (DDP
-/// replicas, population-search members) must use this instead of a raw
+/// replicas) must use this instead of a raw
 /// [`set_thread_override`] call, which would leak the override into
 /// whatever runs on the thread next.
 #[must_use = "the override is reverted when the guard drops"]
@@ -1122,8 +1122,8 @@ mod tests {
 
     #[test]
     fn thread_override_guard_isolates_concurrent_members() {
-        // Two worker threads pinned to different counts (the
-        // population-search member setup) must each see their own override
+        // Two worker threads pinned to different counts (the DDP
+        // replica setup) must each see their own override
         // while it is live and their thread's original state after it
         // drops — no cross-thread or post-drop leakage.
         std::thread::scope(|s| {

@@ -127,19 +127,7 @@ pub struct TrainState {
 }
 
 impl TrainState {
-    /// Serializes this state to the v2 checkpoint byte format, entirely in
-    /// memory. The bytes are exactly what [`save_train_state`] would write
-    /// to disk, so a blob can be handed to [`TrainState::from_blob`] (e.g.
-    /// population-based-search cloning) or persisted verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the header fails to serialize.
-    pub fn to_blob(&self) -> io::Result<Vec<u8>> {
-        train_state_blob(&self.model, self.mode, &self.meta, &self.optimizer)
-    }
-
-    /// Parses a v2 checkpoint blob produced by [`TrainState::to_blob`] (or
+    /// Parses a v2 checkpoint blob produced by [`train_state_blob`] (or
     /// read verbatim from a [`save_train_state`] file), validating every
     /// section's framing and CRC against the blob's actual length.
     ///
@@ -646,10 +634,9 @@ mod tests {
 
     #[test]
     fn blob_roundtrip_is_bit_exact_and_matches_disk() {
-        // to_blob → from_blob → to_blob must reproduce the same bytes, and
-        // the blob must be byte-identical to what save_train_state puts on
-        // disk (the PBT cloning path and the checkpoint path are one
-        // format).
+        // blob → from_blob → blob must reproduce the same bytes, and the
+        // blob must be byte-identical to what save_train_state puts on
+        // disk (the in-memory path and the checkpoint path are one format).
         let cfg = ModelConfig::test_tiny();
         let mut rng = Rng::seed_from_u64(212);
         let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
@@ -662,7 +649,11 @@ mod tests {
         for (a, b) in model.params.iter().zip(&state.model.params) {
             assert_eq!(a.value, b.value, "{}", a.name);
         }
-        assert_eq!(state.to_blob().unwrap(), blob, "re-serialization drifted");
+        assert_eq!(
+            train_state_blob(&state.model, state.mode, &state.meta, &state.optimizer).unwrap(),
+            blob,
+            "re-serialization drifted"
+        );
         let path = tmp("blob-vs-disk.ckpt");
         save_train_state(&model, LinearMode::Dense, &meta, &opt_bytes, &path).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), blob);
