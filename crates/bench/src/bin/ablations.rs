@@ -35,7 +35,7 @@ fn main() {
     let cfg = ModelConfig::tiny_60m();
     let steps = scaled(300);
     let rank = cfg.default_rank();
-    let lr = Method::Apollo.default_lr();
+    let lr = Method::Apollo.optimizer(&cfg).lr();
     let mut points = Vec::new();
 
     // 1. Subspace refresh period T. The paper fixes T = 200 without tuning;

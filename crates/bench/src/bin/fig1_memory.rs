@@ -4,7 +4,7 @@
 
 use apollo_bench::{print_table, write_json};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 use apollo_sysmodel::{MemoryOptions, TrainingMemoryModel, WeightPrecision};
 use serde::Serialize;
 
@@ -25,30 +25,14 @@ fn main() {
         weights: WeightPrecision::Int8 { group: 128 },
         ..bf16
     };
-    let cases: Vec<(String, MethodSpec, MemoryOptions)> = vec![
-        ("AdamW".into(), MethodSpec::AdamW, bf16),
-        (
-            "GaLore (r=1024)".into(),
-            MethodSpec::GaLore { rank: 1024 },
-            bf16,
-        ),
-        (
-            "Q-GaLore (r=1024)".into(),
-            MethodSpec::GaLore { rank: 1024 },
-            int8,
-        ),
-        (
-            "APOLLO (r=256)".into(),
-            MethodSpec::Apollo { rank: 256 },
-            bf16,
-        ),
-        (
-            "Q-APOLLO (r=256)".into(),
-            MethodSpec::Apollo { rank: 256 },
-            int8,
-        ),
-        ("APOLLO-Mini".into(), MethodSpec::ApolloMini, bf16),
-        ("Q-APOLLO-Mini".into(), MethodSpec::ApolloMini, int8),
+    let cases: Vec<(String, Method, MemoryOptions)> = vec![
+        ("AdamW".into(), Method::adamw(), bf16),
+        ("GaLore (r=1024)".into(), Method::galore(1024), bf16),
+        ("Q-GaLore (r=1024)".into(), Method::galore(1024), int8),
+        ("APOLLO (r=256)".into(), Method::apollo(256), bf16),
+        ("Q-APOLLO (r=256)".into(), Method::apollo(256), int8),
+        ("APOLLO-Mini".into(), Method::mini(), bf16),
+        ("Q-APOLLO-Mini".into(), Method::mini(), int8),
     ];
     let mut rows = Vec::new();
     for (name, spec, opts) in cases {

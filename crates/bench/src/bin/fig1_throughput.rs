@@ -14,8 +14,7 @@ use std::time::Instant;
 
 use apollo_bench::{print_table, write_json};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
-use apollo_optim::{AdamW, Apollo, Optimizer, ParamUpdate};
+use apollo_optim::{AdamW, Apollo, Method, Optimizer, ParamUpdate};
 use apollo_sysmodel::{Gpu, MemoryOptions, ThroughputModel, ThroughputReport};
 use apollo_tensor::{Matrix, Rng, ThreadOverrideGuard};
 use serde::Serialize;
@@ -117,10 +116,10 @@ fn main() {
         ..std
     };
     let cases = [
-        (MethodSpec::AdamW, std),
-        (MethodSpec::GaLore { rank: 1024 }, lw),
-        (MethodSpec::Apollo { rank: 256 }, lw),
-        (MethodSpec::ApolloMini, lw),
+        (Method::adamw(), std),
+        (Method::galore(1024), lw),
+        (Method::apollo(256), lw),
+        (Method::mini(), lw),
     ];
     let mut reports = Vec::new();
     for (spec, opts) in cases {

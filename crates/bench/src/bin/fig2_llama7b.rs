@@ -7,9 +7,9 @@
 //! token that APOLLO/Mini finish far more optimization within the budget,
 //! and APOLLO overtakes GaLore midway.
 
-use apollo_bench::{pretrain_run, print_table, scaled, write_json, Method};
+use apollo_bench::{paper_recipe, pretrain_run, print_table, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method as OptMethod;
 use apollo_sysmodel::{Gpu, MemoryOptions, ThroughputModel};
 use apollo_train::TrainConfig;
 use serde::Serialize;
@@ -38,38 +38,25 @@ fn main() {
         layer_wise_grad: true,
         ..std
     };
-    let step_rate = |spec: MethodSpec, opts: &MemoryOptions| {
+    let step_rate = |spec: OptMethod, opts: &MemoryOptions| {
         let r = thr.report(spec, opts);
         // seconds per 512-sequence optimizer step = micro-steps × micro time
         let micro_steps = (512f64 / (r.micro_batch.max(1) * 8) as f64).ceil();
         3600.0 / (micro_steps * r.step_seconds)
     };
     let cases = [
-        (Method::AdamW, step_rate(MethodSpec::AdamW, &std)),
-        (
-            Method::GaLore,
-            step_rate(MethodSpec::GaLore { rank: 1024 }, &lw),
-        ),
-        (
-            Method::Apollo,
-            step_rate(MethodSpec::Apollo { rank: 256 }, &lw),
-        ),
-        (Method::ApolloMini, step_rate(MethodSpec::ApolloMini, &lw)),
+        (Method::AdamW, step_rate(OptMethod::adamw(), &std)),
+        (Method::GaLore, step_rate(OptMethod::galore(1024), &lw)),
+        (Method::Apollo, step_rate(OptMethod::apollo(256), &lw)),
+        (Method::ApolloMini, step_rate(OptMethod::mini(), &lw)),
     ];
 
     let mut series = Vec::new();
     for (m, steps_per_hour) in cases {
         eprintln!("[fig2] {} ...", m.label());
         let tc = TrainConfig {
-            steps,
-            lr: m.default_lr(),
-            grad_clip: m.grad_clip(),
             eval_every,
-            eval_seqs: 32,
-            merge_every: None,
-            record_step_times: false,
-            grad_accum: 1,
-            quantize_weights: None,
+            ..paper_recipe(&cfg, m, steps)
         };
         let log = pretrain_run(&cfg, m, steps, 1, 42, Some(tc));
         // Map proxy steps to modeled hours: the paper's 150K-step budget

@@ -1,7 +1,7 @@
 //! Fig. 6: APOLLO vs Fira training dynamics on the 350M proxy — Fira leads
 //! early, APOLLO catches up and passes late.
 
-use apollo_bench::{pretrain_run, print_table, scaled, write_json, Method};
+use apollo_bench::{paper_recipe, pretrain_run, print_table, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
 use apollo_train::TrainConfig;
 
@@ -14,15 +14,8 @@ fn main() {
     for m in methods {
         eprintln!("[fig6] {} ...", m.label());
         let tc = TrainConfig {
-            steps,
-            lr: m.default_lr(),
-            grad_clip: m.grad_clip(),
             eval_every,
-            eval_seqs: 32,
-            merge_every: None,
-            record_step_times: false,
-            grad_accum: 1,
-            quantize_weights: None,
+            ..paper_recipe(&cfg, m, steps)
         };
         logs.push(pretrain_run(&cfg, m, steps, 4, 42, Some(tc)));
     }

@@ -14,7 +14,7 @@
 use apollo_bench::{pretrain_run_observed, print_table, results_dir, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
 use apollo_obs::{read_trace, Obs, TraceEvent};
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method as OptMethod;
 use apollo_sysmodel::{Gpu, MemoryOptions, ThroughputModel};
 use apollo_train::TrainConfig;
 use serde::Serialize;
@@ -38,10 +38,11 @@ struct Timings {
 
 fn traced_timing(method: Method, steps: usize, name: &str) -> Timings {
     let cfg = ModelConfig::tiny_1b();
+    let opt = method.optimizer(&cfg);
     let tc = TrainConfig {
         steps,
-        lr: method.default_lr(),
-        grad_clip: method.grad_clip(),
+        lr: opt.lr(),
+        grad_clip: opt.grad_clip(),
         record_step_times: true,
         ..TrainConfig::quick(steps)
     };
@@ -89,12 +90,10 @@ fn main() {
     // Part 1: analytic 1B series, refresh every 200 steps as in the figure.
     let model = ThroughputModel::new(&ModelConfig::llama_1b(), Gpu::a100_80g(), 8, 256);
     let opts = MemoryOptions::standard(1, 256);
-    let bs = model
-        .max_micro_batch(MethodSpec::GaLore { rank: 512 }, &opts)
-        .max(1);
+    let bs = model.max_micro_batch(OptMethod::galore(512), &opts).max(1);
     let tokens_per_step = (bs * 256 * 8) as f64;
-    let galore_series = model.step_time_series(MethodSpec::GaLore { rank: 512 }, bs, 600, 200);
-    let apollo_series = model.step_time_series(MethodSpec::Apollo { rank: 512 }, bs, 600, 200);
+    let galore_series = model.step_time_series(OptMethod::galore(512), bs, 600, 200);
+    let apollo_series = model.step_time_series(OptMethod::apollo(512), bs, 600, 200);
     let g_thpt = galore_series.throughput(tokens_per_step);
     let a_thpt = apollo_series.throughput(tokens_per_step);
 

@@ -1,42 +1,43 @@
 //! Table 1: optimizer-state formula comparison across methods.
 //!
-//! Prints the closed-form per-tensor state counts for a representative
-//! `m × n` weight and verifies them against the live optimizers, then the
-//! aggregate over a full LLaMA-7B inventory.
+//! Prints the per-tensor state counts for a representative `m × n` weight
+//! (counted by the method table from the layouts the optimizers allocate;
+//! its tests hold them to the paper's closed forms), then the aggregate
+//! over a full LLaMA-7B inventory.
 
 use apollo_bench::{print_table, write_json};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 use apollo_sysmodel::TrainingMemoryModel;
 
 fn main() {
     let (m, n, r) = (4096usize, 11008usize, 256usize);
-    let specs = [
-        MethodSpec::ApolloMini,
-        MethodSpec::Apollo { rank: r },
-        MethodSpec::Fira { rank: r },
-        MethodSpec::GaLore { rank: r },
-        MethodSpec::Flora { rank: r },
-        MethodSpec::AdamW,
-        MethodSpec::SgdMomentum,
-        MethodSpec::Sgd,
+    let methods = [
+        Method::mini(),
+        Method::apollo(r),
+        Method::Fira { rank: r },
+        Method::galore(r),
+        Method::Flora { rank: r },
+        Method::adamw(),
+        Method::SgdMomentum,
+        Method::Sgd,
     ];
 
-    let mut rows = Vec::new();
     let mem7b = TrainingMemoryModel::new(&ModelConfig::llama_7b());
-    for spec in specs {
-        let per_tensor = spec.state_elems_for(m, n, true);
-        let total = spec.state_elems(mem7b.shapes());
-        rows.push(vec![
-            spec.label(),
-            format!("{per_tensor}"),
-            format!("{:.2}", total as f64 / 1e9),
-            format!("{:.2}", spec.state_bytes(mem7b.shapes()) * 2.0 / 4.0 / 1e9),
-        ]);
-    }
-    let rows_str: Vec<Vec<String>> = rows
+    let rows: Vec<Vec<String>> = methods
         .iter()
-        .map(|r| r.iter().map(|c| c.to_string()).collect())
+        .map(|method| {
+            let per_tensor = method.state_elems(&[(m, n, true)]);
+            let total = method.state_elems(mem7b.shapes());
+            // BF16 states, as in the paper's accounting.
+            let bytes = total as f64 * method.bytes_per_state_elem().min(2.0);
+            vec![
+                method.label(),
+                format!("{per_tensor}"),
+                format!("{:.2}", total as f64 / 1e9),
+                format!("{:.2}", bytes / 1e9),
+            ]
+        })
         .collect();
     print_table(
         &format!("Table 1 — optimizer state for one {m}x{n} tensor (r = {r}) and full LLaMA-7B"),
@@ -46,11 +47,11 @@ fn main() {
             "7B total (G elems)",
             "7B states (GB, BF16)",
         ],
-        &rows_str,
+        &rows,
     );
     println!(
         "\nPaper formulas (m<=n): APOLLO-Mini 2n+2 | APOLLO 2nr+2 | Fira mr+2nr+1 | \
          GaLore mr+2nr | Flora 2nr+1 | AdamW 2mn"
     );
-    write_json("table1_memory", &rows_str);
+    write_json("table1_memory", &rows);
 }

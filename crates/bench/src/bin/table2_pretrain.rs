@@ -4,7 +4,6 @@
 
 use apollo_bench::{pretrain_run, print_table, proxy_for, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
 use apollo_sysmodel::{MemoryOptions, TrainingMemoryModel};
 use serde::Serialize;
 
@@ -28,18 +27,8 @@ fn paper_memory_gib(method: Method, size: &str) -> f64 {
         "1B" => ModelConfig::llama_1b(),
         _ => unreachable!(),
     };
-    let rank = method.rank(&cfg);
-    let spec = match method {
-        Method::AdamW | Method::LowRank | Method::LoRa | Method::ReLoRa => MethodSpec::AdamW,
-        Method::GaLore => MethodSpec::GaLore { rank },
-        Method::Fira => MethodSpec::Fira { rank },
-        Method::ApolloSvd => MethodSpec::ApolloSvd { rank },
-        Method::Apollo | Method::ApolloHalfRank => MethodSpec::Apollo { rank },
-        Method::ApolloMini => MethodSpec::ApolloMini,
-        _ => MethodSpec::AdamW,
-    };
     let mem = TrainingMemoryModel::new(&cfg);
-    let b = mem.breakdown(spec, &MemoryOptions::figure1(256));
+    let b = mem.breakdown(method.optimizer(&cfg), &MemoryOptions::figure1(256));
     b.weights_gib + b.optimizer_gib
 }
 

@@ -1,10 +1,10 @@
 //! Table 3: LLaMA-7B pre-training (proxy) — validation perplexity at four
 //! checkpoints plus the paper-geometry optimizer memory.
 
-use apollo_bench::{pretrain_run, print_table, scaled, write_json, Method};
+use apollo_bench::{paper_recipe, pretrain_run, print_table, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
-use apollo_sysmodel::TrainingMemoryModel;
+use apollo_optim::{Method as OptMethod, ProjKind};
+use apollo_sysmodel::{MemoryOptions, TrainingMemoryModel};
 use apollo_train::TrainConfig;
 use serde::Serialize;
 
@@ -15,50 +15,40 @@ struct Row {
     checkpoints: Vec<(usize, f32)>,
 }
 
-/// Optimizer-state GiB on the real LLaMA-7B geometry (BF16 states, INT8
-/// where the method quantizes).
-fn optimizer_memory_7b(method: Method) -> f64 {
-    let cfg = ModelConfig::llama_7b();
-    let mem = TrainingMemoryModel::new(&cfg);
-    let (spec, bytes_per_elem) = match method {
-        Method::Adam8bit => (MethodSpec::AdamW, 1.0),
-        Method::GaLore8bit => (MethodSpec::GaLore { rank: 1024 }, 1.0),
-        Method::Apollo => (MethodSpec::Apollo { rank: 256 }, 2.0),
-        Method::ApolloMini => (MethodSpec::ApolloMini, 2.0),
-        _ => (MethodSpec::AdamW, 2.0),
-    };
-    spec.state_elems(mem.shapes()) as f64 * bytes_per_elem / (1u64 << 30) as f64
-}
-
 fn main() {
     let cfg = ModelConfig::tiny_7b();
     let steps = scaled(100);
     let eval_every = (steps / 4).max(1);
     // Paper checkpoints 40K/80K/120K/150K map to quarters of the budget.
+    // Each row's optimizer memory is counted at the paper's 7B ranks, BF16
+    // states (INT8 where the method quantizes).
     let methods = [
-        Method::Adam8bit,
-        Method::GaLore8bit,
-        Method::Apollo,
-        Method::ApolloMini,
+        (Method::Adam8bit, OptMethod::AdamW { int8: true }),
+        (
+            Method::GaLore8bit,
+            OptMethod::GaLore {
+                rank: 1024,
+                proj: ProjKind::Svd,
+                int8: true,
+            },
+        ),
+        (Method::Apollo, OptMethod::apollo(256)),
+        (Method::ApolloMini, OptMethod::mini()),
     ];
+    let mem7b = TrainingMemoryModel::new(&ModelConfig::llama_7b());
     let mut rows = Vec::new();
-    for m in methods {
+    for (m, at_7b) in methods {
         eprintln!("[table3] {} ({steps} steps) ...", m.label());
         let tc = TrainConfig {
-            steps,
-            lr: m.default_lr(),
-            grad_clip: m.grad_clip(),
             eval_every,
-            eval_seqs: 32,
-            merge_every: None,
-            record_step_times: false,
-            grad_accum: 1,
-            quantize_weights: None,
+            ..paper_recipe(&cfg, m, steps)
         };
         let log = pretrain_run(&cfg, m, steps, 1, 42, Some(tc));
         rows.push(Row {
             method: m.label().to_string(),
-            optimizer_memory_gib: optimizer_memory_7b(m),
+            optimizer_memory_gib: mem7b
+                .breakdown(at_7b, &MemoryOptions::figure1(256))
+                .optimizer_gib,
             checkpoints: log.eval_ppls.clone(),
         });
     }

@@ -8,7 +8,7 @@
 use apollo_bench::{print_table, scaled, write_json, Method, UPDATE_FREQ};
 use apollo_data::{commonsense_suite, CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
-use apollo_optim::{AdamW, Apollo, Fira, GaLore, Optimizer};
+use apollo_optim::{AdamW, Method as OptMethod};
 use apollo_tensor::Rng;
 use apollo_train::{finetune, pretrain, FinetuneConfig, TrainConfig};
 use serde::Serialize;
@@ -23,18 +23,6 @@ struct MethodRow {
 /// Fine-tuning ranks at proxy scale: the paper's rank 32 on hidden ≥ 2048
 /// maps to 8 on hidden 64.
 const FT_RANK: usize = 8;
-
-fn build_optimizer(name: &str, mini_alpha: f32) -> Box<dyn Optimizer> {
-    match name {
-        "AdamW" | "LoRA" => Box::new(AdamW::new()),
-        "GaLore" => Box::new(GaLore::new(FT_RANK, UPDATE_FREQ)),
-        "Fira" => Box::new(Fira::new(FT_RANK, UPDATE_FREQ)),
-        "APOLLO w. SVD" => Box::new(Apollo::new(FT_RANK, UPDATE_FREQ).with_svd()),
-        "APOLLO" => Box::new(Apollo::new(FT_RANK, UPDATE_FREQ).with_alpha(5f32.sqrt())),
-        "APOLLO-Mini" => Box::new(Apollo::mini(UPDATE_FREQ).with_alpha(mini_alpha)),
-        other => panic!("unknown method {other}"),
-    }
-}
 
 fn main() {
     let cfg = ModelConfig::tiny_60m();
@@ -56,17 +44,19 @@ fn main() {
     let base_log = pretrain(&mut base, &mut pre_opt, &mut batcher, &tc);
     eprintln!("[table4] base ppl {:.2}", base_log.final_ppl);
 
-    let methods = [
-        "AdamW",
-        "LoRA",
-        "GaLore",
-        "Fira",
-        "APOLLO w. SVD",
-        "APOLLO",
-        "APOLLO-Mini",
+    // (label, method, APOLLO's α): the random-projection APOLLO row
+    // fine-tunes at α = √5.
+    let rows = [
+        ("AdamW", OptMethod::adamw(), 1.0),
+        ("LoRA", OptMethod::adamw(), 1.0),
+        ("GaLore", OptMethod::galore(FT_RANK), 1.0),
+        ("Fira", OptMethod::Fira { rank: FT_RANK }, 1.0),
+        ("APOLLO w. SVD", OptMethod::apollo_svd(FT_RANK), 1.0),
+        ("APOLLO", OptMethod::apollo(FT_RANK), 5f32.sqrt()),
+        ("APOLLO-Mini", OptMethod::mini(), 1.0),
     ];
     let mut results = Vec::new();
-    for &name in &methods {
+    for (name, method, alpha) in rows {
         let mut accs = Vec::new();
         for task in commonsense_suite(cfg.vocab_size, cfg.max_seq).iter_mut() {
             eprintln!("[table4] {name} on {} ...", task.config().name);
@@ -76,7 +66,9 @@ fn main() {
             } else {
                 base.clone()
             };
-            let mut opt = build_optimizer(name, mini_alpha);
+            let mut opt = method
+                .build(UPDATE_FREQ, mini_alpha, alpha, None)
+                .expect("a serial build takes every method");
             let fc = FinetuneConfig {
                 steps: ft_steps,
                 batch: 8,

@@ -5,7 +5,7 @@
 use apollo_bench::{print_table, scaled, write_json, UPDATE_FREQ};
 use apollo_data::{mmlu_suite, CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
-use apollo_optim::{AdamW, Apollo, Fira, GaLore, Optimizer};
+use apollo_optim::{AdamW, Method};
 use apollo_tensor::Rng;
 use apollo_train::{finetune, pretrain, FinetuneConfig, TrainConfig};
 use serde::Serialize;
@@ -20,18 +20,6 @@ struct MethodRow {
 
 /// MMLU uses the small rank (8 at paper scale → 4 on hidden 64).
 const FT_RANK: usize = 4;
-
-fn build_optimizer(name: &str, mini_alpha: f32) -> Box<dyn Optimizer> {
-    match name {
-        "Full" | "LoRA" => Box::new(AdamW::new()),
-        "GaLore" => Box::new(GaLore::new(FT_RANK, UPDATE_FREQ)),
-        "Fira" => Box::new(Fira::new(FT_RANK, UPDATE_FREQ)),
-        "APOLLO w. SVD" => Box::new(Apollo::new(FT_RANK, UPDATE_FREQ).with_svd()),
-        "APOLLO" => Box::new(Apollo::new(FT_RANK, UPDATE_FREQ)),
-        "APOLLO-Mini" => Box::new(Apollo::mini(UPDATE_FREQ).with_alpha(mini_alpha)),
-        other => panic!("unknown method {other}"),
-    }
-}
 
 fn main() {
     let cfg = ModelConfig::tiny_60m();
@@ -55,17 +43,17 @@ fn main() {
     pretrain(&mut base, &mut pre_opt, &mut batcher, &tc);
 
     let methods = [
-        "Full",
-        "LoRA",
-        "GaLore",
-        "Fira",
-        "APOLLO w. SVD",
-        "APOLLO",
-        "APOLLO-Mini",
+        ("Full", Method::adamw()),
+        ("LoRA", Method::adamw()),
+        ("GaLore", Method::galore(FT_RANK)),
+        ("Fira", Method::Fira { rank: FT_RANK }),
+        ("APOLLO w. SVD", Method::apollo_svd(FT_RANK)),
+        ("APOLLO", Method::apollo(FT_RANK)),
+        ("APOLLO-Mini", Method::mini()),
     ];
     let lrs = [1e-3f32, 3e-3];
     let mut results = Vec::new();
-    for &name in &methods {
+    for (name, method) in methods {
         let mut best: Option<MethodRow> = None;
         for &lr in &lrs {
             let mut accs = Vec::new();
@@ -77,7 +65,9 @@ fn main() {
                 } else {
                     base.clone()
                 };
-                let mut opt = build_optimizer(name, mini_alpha);
+                let mut opt = method
+                    .build(UPDATE_FREQ, mini_alpha, 1.0, None)
+                    .expect("a serial build takes every method");
                 let fc = FinetuneConfig {
                     steps: ft_steps,
                     batch: 8,

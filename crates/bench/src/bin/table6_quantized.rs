@@ -4,7 +4,6 @@
 
 use apollo_bench::{pretrain_run, print_table, proxy_for, scaled, write_json, Method};
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
 use apollo_sysmodel::{MemoryOptions, TrainingMemoryModel, WeightPrecision};
 use apollo_train::TrainConfig;
 use serde::Serialize;
@@ -24,16 +23,6 @@ fn paper_memory_gib(method: Method, quantized: bool, size: &str) -> f64 {
         "350M" => ModelConfig::llama_350m(),
         _ => unreachable!(),
     };
-    let spec = match method {
-        Method::GaLore => MethodSpec::GaLore {
-            rank: cfg.default_rank(),
-        },
-        Method::Apollo => MethodSpec::Apollo {
-            rank: cfg.default_rank(),
-        },
-        Method::ApolloMini => MethodSpec::ApolloMini,
-        _ => MethodSpec::AdamW,
-    };
     let opts = MemoryOptions {
         weights: if quantized {
             WeightPrecision::Int8 { group: 128 }
@@ -42,7 +31,7 @@ fn paper_memory_gib(method: Method, quantized: bool, size: &str) -> f64 {
         },
         ..MemoryOptions::figure1(256)
     };
-    let b = TrainingMemoryModel::new(&cfg).breakdown(spec, &opts);
+    let b = TrainingMemoryModel::new(&cfg).breakdown(method.optimizer(&cfg), &opts);
     b.weights_gib + b.optimizer_gib
 }
 
@@ -67,10 +56,11 @@ fn main() {
         let cfg = proxy_for(size);
         for (label, m, quant) in cases {
             eprintln!("[table6] {size} {label} ...");
+            let opt = m.optimizer(&cfg);
             let tc = TrainConfig {
                 steps,
-                lr: m.default_lr(),
-                grad_clip: m.grad_clip(),
+                lr: opt.lr(),
+                grad_clip: opt.grad_clip(),
                 quantize_weights: quant.then_some(128),
                 ..TrainConfig::quick(steps)
             };

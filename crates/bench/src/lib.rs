@@ -2,9 +2,9 @@
 //!
 //! Each `src/bin/<id>.rs` binary reproduces one artifact (see DESIGN.md's
 //! experiment index) by delegating to this library: a [`Method`] registry
-//! mapping the paper's method names to configured optimizers and model
-//! parameterizations, a [`pretrain_run`] driver, and plain-text/JSON output
-//! helpers.
+//! naming the paper's rows, each mapped to a row of the optimizer method
+//! table ([`apollo_optim::Method`]) and a model parameterization, a
+//! [`pretrain_run`] driver, and plain-text/JSON output helpers.
 //!
 //! All runs are deterministic given their seeds. Step budgets scale with
 //! the `APOLLO_SCALE` environment variable (default 1.0) so the full suite
@@ -15,18 +15,16 @@ use std::path::PathBuf;
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
-use apollo_optim::{
-    AdamW, AdamWChannelwise, Apollo, Fira, Flora, GaLore, Optimizer, ScaleGranularity, Sgd,
-    SgdMomentum,
-};
+use apollo_optim::ProjKind::{Random, Svd};
+use apollo_optim::ScaleGranularity::{Channel, Tensor};
 use apollo_tensor::Rng;
-use apollo_train::{pretrain, pretrain_observed, ResilienceConfig, RunLog, TrainConfig};
+use apollo_train::{pretrain_observed, ResilienceConfig, RunLog, TrainConfig};
 
 /// The paper's subspace refresh period T.
 pub const UPDATE_FREQ: usize = 200;
 
-/// A training method from the paper's evaluation, with everything needed to
-/// instantiate it for a given model geometry.
+/// A row of the paper's evaluation: the optimizer it trains with and how
+/// the model is parameterized, for a given model geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
     /// Full-rank AdamW baseline.
@@ -136,81 +134,36 @@ impl Method {
         }
     }
 
-    /// Instantiates the optimizer for a geometry.
-    pub fn build(&self, cfg: &ModelConfig) -> Box<dyn Optimizer> {
+    /// The method-table row this method trains with at `cfg`'s rank. The
+    /// factored and adapter baselines train their parameters with AdamW.
+    pub fn optimizer(&self, cfg: &ModelConfig) -> apollo_optim::Method {
+        use apollo_optim::Method as Opt;
         let rank = self.rank(cfg);
-        match self {
+        let apollo = |proj, granularity| Opt::Apollo {
+            rank,
+            proj,
+            granularity,
+        };
+        let galore = |proj, int8| Opt::GaLore { rank, proj, int8 };
+        match *self {
             Method::AdamW
             | Method::AdamWElementwise
             | Method::LowRank
             | Method::LoRa
-            | Method::ReLoRa => Box::new(AdamW::new()),
-            Method::AdamWChannelwise { limiter } => Box::new(if *limiter {
-                AdamWChannelwise::new()
-            } else {
-                AdamWChannelwise::new().without_limiter()
-            }),
-            Method::Adam8bit => Box::new(AdamW::adam8bit(128)),
-            Method::Sgd => Box::new(Sgd::new()),
-            Method::SgdMomentum => Box::new(SgdMomentum::new(0.9)),
-            Method::GaLore => Box::new(GaLore::new(rank, UPDATE_FREQ)),
-            Method::GaLoreRp => Box::new(GaLore::new(rank, UPDATE_FREQ).with_random_projection()),
-            Method::GaLore8bit => Box::new(GaLore::galore8bit(rank, UPDATE_FREQ, 128)),
-            Method::Fira => Box::new(Fira::new(rank, UPDATE_FREQ)),
-            Method::Flora => Box::new(Flora::new(rank, UPDATE_FREQ)),
-            Method::Apollo | Method::ApolloHalfRank => Box::new(Apollo::new(rank, UPDATE_FREQ)),
-            Method::ApolloSvd => Box::new(Apollo::new(rank, UPDATE_FREQ).with_svd()),
-            Method::ApolloTensor => {
-                Box::new(Apollo::new(rank, UPDATE_FREQ).with_granularity(ScaleGranularity::Tensor))
-            }
-            Method::ApolloTensorSvd => Box::new(
-                Apollo::new(rank, UPDATE_FREQ)
-                    .with_svd()
-                    .with_granularity(ScaleGranularity::Tensor),
-            ),
-            Method::ApolloMini => {
-                Box::new(Apollo::mini(UPDATE_FREQ).with_alpha(Self::mini_alpha(cfg)))
-            }
-            Method::ApolloMiniSvd => Box::new(
-                Apollo::mini(UPDATE_FREQ)
-                    .with_alpha(Self::mini_alpha(cfg))
-                    .with_svd(),
-            ),
-        }
-    }
-
-    /// The method's pre-training peak LR at proxy scale, calibrated with a
-    /// small sweep at the 60M proxy (see EXPERIMENTS.md): 1e-2 for the
-    /// AdamW family (with clipping), 3e-2 for the scaled-update family
-    /// (which the norm-growth limiter stabilizes — the analogue of the
-    /// paper's 1e-2-at-512-hidden recipe).
-    pub fn default_lr(&self) -> f32 {
-        match self {
-            Method::AdamW
-            | Method::AdamWElementwise
-            | Method::AdamWChannelwise { .. }
-            | Method::Adam8bit
-            | Method::LowRank
-            | Method::LoRa
-            | Method::ReLoRa => 1e-2,
-            Method::SgdMomentum | Method::Sgd => 0.3,
-            _ => 3e-2,
-        }
-    }
-
-    /// Whether the baseline uses global gradient clipping (the AdamW family
-    /// does; APOLLO-family methods rely on the norm-growth limiter).
-    pub fn grad_clip(&self) -> Option<f32> {
-        match self {
-            Method::AdamW
-            | Method::AdamWElementwise
-            | Method::Adam8bit
-            | Method::LowRank
-            | Method::LoRa
-            | Method::ReLoRa
-            | Method::Sgd
-            | Method::SgdMomentum => Some(1.0),
-            _ => None,
+            | Method::ReLoRa => Opt::adamw(),
+            Method::AdamWChannelwise { limiter } => Opt::AdamWChannelwise { limiter },
+            Method::Adam8bit => Opt::AdamW { int8: true },
+            Method::Sgd => Opt::Sgd,
+            Method::SgdMomentum => Opt::SgdMomentum,
+            Method::GaLore => galore(Svd, false),
+            Method::GaLoreRp => galore(Random, false),
+            Method::GaLore8bit => galore(Svd, true),
+            Method::Fira => Opt::Fira { rank },
+            Method::Flora => Opt::Flora { rank },
+            Method::Apollo | Method::ApolloHalfRank => apollo(Random, Channel),
+            Method::ApolloSvd => apollo(Svd, Channel),
+            Method::ApolloTensor | Method::ApolloMini => apollo(Random, Tensor),
+            Method::ApolloTensorSvd | Method::ApolloMiniSvd => apollo(Svd, Tensor),
         }
     }
 
@@ -282,7 +235,25 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// One pre-training run of `method` on `cfg`'s proxy geometry.
+/// The paper recipe for `method` on `cfg`: the method table's LR and
+/// clipping, ReLoRA's merges, and one evaluation at the end.
+pub fn paper_recipe(cfg: &ModelConfig, method: Method, steps: usize) -> TrainConfig {
+    let opt = method.optimizer(cfg);
+    TrainConfig {
+        steps,
+        lr: opt.lr(),
+        grad_clip: opt.grad_clip(),
+        eval_every: 0,
+        eval_seqs: 32,
+        merge_every: method.merge_every(steps),
+        record_step_times: false,
+        grad_accum: 1,
+        quantize_weights: None,
+    }
+}
+
+/// One pre-training run of `method` on `cfg`'s proxy geometry, under
+/// [`paper_recipe`] unless `train_overrides` is given.
 ///
 /// Deterministic given `seed`; the corpus is shared across methods so every
 /// optimizer sees the same data stream.
@@ -294,25 +265,8 @@ pub fn pretrain_run(
     seed: u64,
     train_overrides: Option<TrainConfig>,
 ) -> RunLog {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut model = LlamaModel::new(cfg, method.linear_mode(cfg), &mut rng);
-    let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
-    let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
-    let mut opt = method.build(cfg);
-    let tc = train_overrides.unwrap_or(TrainConfig {
-        steps,
-        lr: method.default_lr(),
-        grad_clip: method.grad_clip(),
-        eval_every: 0,
-        eval_seqs: 32,
-        merge_every: method.merge_every(steps),
-        record_step_times: false,
-        grad_accum: 1,
-        quantize_weights: None,
-    });
-    let mut log = pretrain(&mut model, opt.as_mut(), &mut batcher, &tc);
-    log.optimizer = method.label().to_string();
-    log
+    let obs = Obs::disabled();
+    pretrain_run_observed(cfg, method, steps, batch, seed, train_overrides, &obs)
 }
 
 /// Like [`pretrain_run`], but threads an [`Obs`] handle through the loop so
@@ -331,18 +285,11 @@ pub fn pretrain_run_observed(
     let mut model = LlamaModel::new(cfg, method.linear_mode(cfg), &mut rng);
     let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
     let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
-    let mut opt = method.build(cfg);
-    let tc = train_overrides.unwrap_or(TrainConfig {
-        steps,
-        lr: method.default_lr(),
-        grad_clip: method.grad_clip(),
-        eval_every: 0,
-        eval_seqs: 32,
-        merge_every: method.merge_every(steps),
-        record_step_times: false,
-        grad_accum: 1,
-        quantize_weights: None,
-    });
+    let mut opt = method
+        .optimizer(cfg)
+        .build(UPDATE_FREQ, Method::mini_alpha(cfg), 1.0, None)
+        .expect("a serial build takes every method");
+    let tc = train_overrides.unwrap_or_else(|| paper_recipe(cfg, method, steps));
     let res = ResilienceConfig::default();
     let mut log = pretrain_observed(&mut model, opt.as_mut(), &mut batcher, &tc, &res, obs);
     log.optimizer = method.label().to_string();
@@ -369,6 +316,9 @@ mod tests {
     fn labels_are_unique() {
         let all = [
             Method::AdamW,
+            Method::AdamWChannelwise { limiter: false },
+            Method::AdamWChannelwise { limiter: true },
+            Method::AdamWElementwise,
             Method::Adam8bit,
             Method::Sgd,
             Method::SgdMomentum,
@@ -384,13 +334,14 @@ mod tests {
             Method::ApolloHalfRank,
             Method::ApolloSvd,
             Method::ApolloTensor,
+            Method::ApolloTensorSvd,
             Method::ApolloMini,
             Method::ApolloMiniSvd,
         ];
         let mut labels: Vec<&str> = all.iter().map(Method::label).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), all.len());
+        assert_eq!(labels.len(), 22);
     }
 
     #[test]

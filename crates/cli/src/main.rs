@@ -22,8 +22,7 @@ use apollo_data::{
 use apollo_infer::GenConfig;
 use apollo_nn::{AdapterRegistry, LinearMode, LlamaModel, LoraAdapter, ModelConfig};
 use apollo_obs::{read_trace, Obs, TraceEvent};
-use apollo_optim::memory::MethodSpec;
-use apollo_optim::{AdamMini, AdamW, Apollo, Fira, Flora, GaLore, Optimizer, Sgd, SgdMomentum};
+use apollo_optim::{Method, Optimizer};
 use apollo_sysmodel::{Gpu, MemoryOptions, TrainingMemoryModel};
 use apollo_tensor::{Matrix, Rng};
 use apollo_train::{
@@ -175,61 +174,28 @@ fn model_config(name: &str) -> Result<ModelConfig, String> {
     })
 }
 
-/// The one name → optimizer table.
-///
-/// `param_index` is `None` for a serial optimizer over the whole model. A
-/// data-parallel run builds one instance per parameter and passes that
-/// parameter's global index: APOLLO's base seed shifts by it, so the
-/// instance derives exactly the projector seed the serial optimizer would
-/// have derived for its `i`-th parameter (`seed + i`) and sharding is
-/// invisible to the math. GaLore-family seeds are not externally
-/// controllable, so those methods refuse an index.
-fn build_optimizer(
-    name: &str,
-    rank: usize,
+/// The paper's subspace refresh period T.
+const UPDATE_FREQ: usize = 200;
+
+/// Builds `method` for a geometry: APOLLO-Mini's α = √(hidden/4), every
+/// other APOLLO row's α = 1; `seed_offset` as in [`Method::build`].
+fn build(
+    method: Method,
     cfg: &ModelConfig,
-    param_index: Option<usize>,
+    seed_offset: Option<usize>,
 ) -> Result<Box<dyn Optimizer>, String> {
-    let freq = 200;
     let mini_alpha = (cfg.hidden as f32 / 4.0).sqrt();
-    // Apollo's default base seed, unchanged at index 0.
-    let seed = 0xA90110u64.wrapping_add(param_index.unwrap_or(0) as u64);
-    Ok(match name {
-        "adamw" => Box::new(AdamW::new()),
-        "adamw-8bit" => Box::new(AdamW::adam8bit(128)),
-        "adam-mini" => Box::new(AdamMini::new()),
-        "sgd" => Box::new(Sgd::new()),
-        "sgd-m" => Box::new(SgdMomentum::new(0.9)),
-        "apollo" => Box::new(Apollo::new(rank, freq).with_seed(seed)),
-        "apollo-svd" => Box::new(Apollo::new(rank, freq).with_svd().with_seed(seed)),
-        "apollo-mini" => Box::new(Apollo::mini(freq).with_alpha(mini_alpha).with_seed(seed)),
-        "galore" | "galore-rp" | "galore-8bit" | "fira" | "flora" if param_index.is_some() => {
-            return Err(format!(
-                "optimizer `{name}` is not supported with --replicas (its \
-                 projector seeds are not externally controllable)"
-            ))
-        }
-        "galore" => Box::new(GaLore::new(rank, freq)),
-        "galore-rp" => Box::new(GaLore::new(rank, freq).with_random_projection()),
-        "galore-8bit" => Box::new(GaLore::galore8bit(rank, freq, 128)),
-        "fira" => Box::new(Fira::new(rank, freq)),
-        "flora" => Box::new(Flora::new(rank, freq)),
-        other => return Err(format!("unknown optimizer `{other}` (try `apollo list`)")),
-    })
+    method.build(UPDATE_FREQ, mini_alpha, 1.0, seed_offset)
 }
 
-/// Builds the per-parameter optimizer factory for data-parallel runs from
-/// [`build_optimizer`].
-fn build_opt_factory(
-    name: &str,
-    rank: usize,
-    cfg: &ModelConfig,
-) -> Result<Box<OptimizerFactory>, String> {
-    // Reject an unknown or unshardable name here, not inside a replica.
-    build_optimizer(name, rank, cfg, Some(0))?;
-    let (name, cfg) = (name.to_string(), cfg.clone());
+/// The per-parameter optimizer factory of a data-parallel run: parameter
+/// `i`'s instance is built with seed offset `i`.
+fn build_opt_factory(method: Method, cfg: &ModelConfig) -> Result<Box<OptimizerFactory>, String> {
+    // Reject an unshardable method here, not inside a replica.
+    build(method, cfg, Some(0)).map_err(|e| format!("--replicas: {e}"))?;
+    let cfg = cfg.clone();
     Ok(Box::new(move |i| {
-        build_optimizer(&name, rank, &cfg, Some(i)).expect("name validated at factory build")
+        build(method, &cfg, Some(i)).expect("method validated at factory build")
     }))
 }
 
@@ -252,14 +218,6 @@ fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
         }
     }
     Ok(plan)
-}
-
-fn default_lr(optimizer: &str) -> f32 {
-    match optimizer {
-        "adamw" | "adamw-8bit" | "adam-mini" => 1e-2,
-        "sgd" | "sgd-m" => 0.3,
-        _ => 3e-2,
-    }
 }
 
 fn resilience_config(a: &Args) -> Result<ResilienceConfig, String> {
@@ -360,21 +318,16 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
     if cfg.name.starts_with("llama-") {
         return Err("paper-scale geometries are for `apollo memory`; pick a tiny-* model".into());
     }
-    let opt_name = a.get("optimizer", "apollo");
     let rank = a.get_num("rank", cfg.default_rank())?;
+    let method = Method::parse(&a.get("optimizer", "apollo"), rank)?;
     let steps = a.get_num("steps", 300usize)?;
     let batch = a.get_num("batch", 4usize)?;
-    let lr = a.get_num("lr", default_lr(&opt_name))?;
+    let lr = a.get_num("lr", method.lr())?;
     let seed = a.get_num("seed", 42u64)?;
     let tc = TrainConfig {
         steps,
         lr,
-        // APOLLO-family runs rely on the per-tensor norm-growth limiter.
-        grad_clip: if opt_name.starts_with("adamw") || opt_name.starts_with("sgd") {
-            Some(1.0)
-        } else {
-            None
-        },
+        grad_clip: method.grad_clip(),
         eval_every: (steps / 5).max(1),
         quantize_weights: if a.has("quantize-weights") {
             Some(a.get_num("quantize-weights", 128usize)?)
@@ -417,7 +370,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
     // which slot and who holds which parameter's optimizer state.
     let log = if let Some(ddp) = ddp {
         let (replicas, virtual_slots) = (ddp.replicas, ddp.virtual_slots);
-        let make_opt = build_opt_factory(&opt_name, rank, &cfg)?;
+        let make_opt = build_opt_factory(method, &cfg)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch}, \
              {replicas} replicas / {virtual_slots} virtual slots)",
@@ -440,7 +393,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         );
         out.log
     } else {
-        let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
+        let mut opt = build(method, &cfg, None)?;
         eprintln!(
             "pretraining {} with {} (rank {rank}, lr {lr}, {steps} steps, batch {batch})",
             cfg.name,
@@ -497,8 +450,8 @@ fn cmd_finetune(a: &Args) -> Result<(), String> {
         .find(|t| t.config().name == task_name)
         .ok_or_else(|| format!("unknown task `{task_name}` (try `apollo list`)"))?;
 
-    let opt_name = a.get("optimizer", "apollo");
     let rank = a.get_num("rank", (cfg.hidden / 8).max(1))?;
+    let method = Method::parse(&a.get("optimizer", "apollo"), rank)?;
     let steps = a.get_num("steps", 60usize)?;
     let fc = FinetuneConfig {
         steps,
@@ -507,7 +460,7 @@ fn cmd_finetune(a: &Args) -> Result<(), String> {
         eval_examples: 100,
     };
     a.reject_unread()?;
-    let mut opt = build_optimizer(&opt_name, rank, &cfg, None)?;
+    let mut opt = build(method, &cfg, None)?;
     eprintln!(
         "fine-tuning on {task_name} with {} ({steps} steps)",
         opt.name()
@@ -638,21 +591,7 @@ fn cmd_generate(a: &Args) -> Result<(), String> {
 fn cmd_memory(a: &Args) -> Result<(), String> {
     let cfg = model_config(&a.get("model", "llama-7b"))?;
     let rank = a.get_num("rank", cfg.default_rank())?;
-    let spec = match a.get("method", "apollo").as_str() {
-        "adamw" => MethodSpec::AdamW,
-        "adamw-8bit" => MethodSpec::Adam8bit,
-        "adam-mini" => MethodSpec::AdamMini,
-        "sgd" => MethodSpec::Sgd,
-        "sgd-m" => MethodSpec::SgdMomentum,
-        "apollo" => MethodSpec::Apollo { rank },
-        "apollo-svd" => MethodSpec::ApolloSvd { rank },
-        "apollo-mini" => MethodSpec::ApolloMini,
-        "galore" => MethodSpec::GaLore { rank },
-        "galore-8bit" => MethodSpec::GaLore8bit { rank },
-        "fira" => MethodSpec::Fira { rank },
-        "flora" => MethodSpec::Flora { rank },
-        other => return Err(format!("unknown method `{other}`")),
-    };
+    let method = Method::parse(&a.get("method", "apollo"), rank)?;
     let gpu = match a.get("gpu", "a100-80g").as_str() {
         "a100-80g" => Gpu::a100_80g(),
         "consumer-12g" => Gpu::consumer_12g(),
@@ -660,11 +599,11 @@ fn cmd_memory(a: &Args) -> Result<(), String> {
     };
     a.reject_unread()?;
     let mem = TrainingMemoryModel::new(&cfg);
-    let b = mem.breakdown(spec, &MemoryOptions::figure1(256));
+    let b = mem.breakdown(method, &MemoryOptions::figure1(256));
     println!(
         "{} + {} (batch 1, layer-wise grads):",
         cfg.name,
-        spec.label()
+        method.label()
     );
     println!("  weights     {:>8.2} GiB", b.weights_gib);
     println!("  gradients   {:>8.2} GiB", b.grads_gib);
@@ -1116,6 +1055,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apollo_optim::NAMES;
 
     fn parse(argv: &[&str]) -> Args {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -1142,5 +1082,45 @@ mod tests {
     fn threads_flag_rejects_zero_and_garbage() {
         assert!(apply_threads(&parse(&["pretrain", "--threads", "0"])).is_err());
         assert!(apply_threads(&parse(&["pretrain", "--threads", "lots"])).is_err());
+    }
+
+    /// The words of [`USAGE`] between `start` and the next `end`.
+    fn usage_words(start: &str, end: &str) -> Vec<&'static str> {
+        let from = USAGE.find(start).expect("section present") + start.len();
+        let to = from + USAGE[from..].find(end).expect("section end present");
+        USAGE[from..to].split_whitespace().collect()
+    }
+
+    #[test]
+    fn usage_lists_the_method_table() {
+        assert_eq!(usage_words("\nOPTIMIZERS", "\nTASKS"), NAMES);
+        let cfg = ModelConfig::test_tiny();
+        let shardable: Vec<&str> = NAMES
+            .into_iter()
+            .filter(|name| build(Method::parse(name, 4).unwrap(), &cfg, Some(0)).is_ok())
+            .collect();
+        assert_eq!(
+            usage_words("supported optimizers:", "--virtual-slots"),
+            shardable
+        );
+    }
+
+    #[test]
+    fn every_name_trains_and_plans_memory_and_an_unknown_one_lists_them() {
+        for name in NAMES {
+            let train =
+                format!("pretrain --model test-tiny --optimizer {name} --steps 1 --batch 1");
+            cmd_pretrain(&parse(&train.split(' ').collect::<Vec<_>>())).unwrap();
+            cmd_memory(&parse(&["memory", "--method", name])).unwrap();
+        }
+        let errors = [
+            cmd_pretrain(&parse(&["pretrain", "--optimizer", "adamx"])),
+            cmd_memory(&parse(&["memory", "--method", "adamx"])),
+        ];
+        for err in errors.map(Result::unwrap_err) {
+            for name in NAMES {
+                assert!(err.contains(name), "{err}");
+            }
+        }
     }
 }

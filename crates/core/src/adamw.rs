@@ -218,16 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn adamw_state_is_2mn() {
-        let mut w = Matrix::zeros(6, 10);
-        let g = Matrix::full(6, 10, 1.0);
-        let mut opt = AdamW::new();
-        one_param_step(&mut opt, &mut w, &g, 0.01);
-        assert_eq!(opt.state_elems(), 2 * 6 * 10);
-        assert_eq!(opt.state_bytes(), 8 * 6 * 10);
-    }
-
-    #[test]
     fn adamw_weight_decay_pulls_toward_zero() {
         let mut w = Matrix::full(1, 1, 1.0);
         let g = Matrix::zeros(1, 1);

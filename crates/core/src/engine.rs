@@ -93,6 +93,25 @@ pub struct Engine {
     obs: Obs,
 }
 
+/// A recipe picked at run time ([`crate::Method::build`]) is one too.
+impl Recipe for Box<dyn Recipe> {
+    fn label(&self) -> String {
+        (**self).label()
+    }
+
+    fn plan(&self) -> Plan {
+        (**self).plan()
+    }
+
+    fn engine(&self) -> &Engine {
+        (**self).engine()
+    }
+
+    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
+        (**self).parts()
+    }
+}
+
 impl<T: Recipe> Optimizer for T {
     fn name(&self) -> String {
         self.label()
@@ -153,10 +172,43 @@ impl<T: Recipe> Optimizer for T {
     }
 }
 
+fn is_structured(p: &ParamUpdate<'_>) -> bool {
+    has_channels(p.projectable, p.value.shape())
+}
+
 /// Whether a tensor has channels to structure an update along: a 2-D
 /// attention/MLP weight, not a norm gain, embedding or vector.
-fn is_structured(p: &ParamUpdate<'_>) -> bool {
-    p.projectable && p.value.rows() > 1 && p.value.cols() > 1
+fn has_channels(projectable: bool, (rows, cols): (usize, usize)) -> bool {
+    projectable && rows > 1 && cols > 1
+}
+
+/// Table 1 over a weight inventory, `(rows, cols, projectable)` per tensor:
+/// what [`TensorState::new`] allocates under `plan`, counted from the
+/// layouts alone.
+pub(crate) fn state_elems(plan: &Plan, shapes: &[(usize, usize, bool)]) -> usize {
+    shapes
+        .iter()
+        .map(|&(rows, cols, projectable)| {
+            let layout = Layout::of_weight(plan, (rows, cols), projectable);
+            let (mr, mc) = layout.moment_shape;
+            2 * mr * mc + overhead_elems(layout.subspace, (rows, cols), layout.limiter)
+        })
+        .sum()
+}
+
+/// Table 1, everything but the moments: the SVD basis (`mr`, `m` the
+/// smaller dimension) or the random projector's seed (1), plus the
+/// limiter's norm (1).
+fn overhead_elems(
+    subspace: Option<(ProjKind, usize)>,
+    (rows, cols): (usize, usize),
+    limiter: bool,
+) -> usize {
+    let subspace = subspace.map_or(0, |(kind, rank)| match kind {
+        ProjKind::Svd => rows.min(cols) * rank,
+        ProjKind::Random => 1,
+    });
+    subspace + usize::from(limiter)
 }
 
 /// What a tensor's state consists of under a plan — derived in one place
@@ -193,6 +245,15 @@ impl Layout {
             limiter: plan.limiter && (projected || plan.subspace.is_none()),
         }
     }
+
+    /// The layout [`TensorState::new`] allocates for a weight.
+    fn of_weight(plan: &Plan, shape: (usize, usize), projectable: bool) -> Self {
+        Self::of(
+            plan,
+            shape,
+            plan.subspace.is_some() && has_channels(projectable, shape),
+        )
+    }
 }
 
 /// One tensor's optimizer state.
@@ -219,7 +280,7 @@ enum Lifted<'a> {
 impl TensorState {
     fn new(plan: &Plan, index: usize, p: &ParamUpdate<'_>) -> Self {
         let shape = p.value.shape();
-        let layout = Layout::of(plan, shape, plan.subspace.is_some() && is_structured(p));
+        let layout = Layout::of_weight(plan, shape, p.projectable);
         let (mr, mc) = layout.moment_shape;
         TensorState {
             shape,
@@ -373,14 +434,9 @@ impl TensorState {
         scales
     }
 
-    /// Table 1, everything but the moments: the SVD basis (`mr`) or the
-    /// random projector's seed (1), plus the limiter's norm (1).
     fn overhead_elems(&self) -> usize {
-        let subspace = self.projector.as_ref().map_or(0, |p| match p.kind() {
-            ProjKind::Svd => p.state_elems(),
-            ProjKind::Random => 1,
-        });
-        subspace + usize::from(self.limiter.is_some())
+        let subspace = self.projector.as_ref().map(|p| (p.kind(), p.rank()));
+        overhead_elems(subspace, self.shape, self.limiter.is_some())
     }
 
     fn elems(&self) -> usize {

@@ -264,36 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn galore_state_matches_table1() {
-        let (m, n, r) = (8, 32, 4);
-        let mut w = Matrix::zeros(m, n);
-        let g = Matrix::full(m, n, 1.0);
-        let mut opt = GaLore::new(r, 100);
-        one_step(&mut opt, &mut w, &g, 0.01);
-        assert_eq!(opt.state_elems(), m * r + 2 * n * r);
-    }
-
-    #[test]
-    fn fira_state_matches_table1() {
-        let (m, n, r) = (8, 32, 4);
-        let mut w = Matrix::zeros(m, n);
-        let g = Matrix::full(m, n, 1.0);
-        let mut opt = Fira::new(r, 100);
-        one_step(&mut opt, &mut w, &g, 0.01);
-        assert_eq!(opt.state_elems(), m * r + 2 * n * r + 1);
-    }
-
-    #[test]
-    fn flora_state_matches_table1() {
-        let (m, n, r) = (8, 32, 4);
-        let mut w = Matrix::zeros(m, n);
-        let g = Matrix::full(m, n, 1.0);
-        let mut opt = Flora::new(r, 100);
-        one_step(&mut opt, &mut w, &g, 0.01);
-        assert_eq!(opt.state_elems(), 2 * n * r + 1);
-    }
-
-    #[test]
     fn fira_update_is_full_rank() {
         // The residual term restores energy outside the subspace.
         let mut rng = Rng::seed_from_u64(92);

@@ -38,13 +38,15 @@
 //! (`mr`), the limiter one norm (1); non-projectable tensors (norm gains,
 //! embeddings) take dense AdamW under every projected method, as in the
 //! official implementations. Adding a method is one more lift arm or
-//! estimator space in the engine plus a constructor — not another loop.
+//! estimator space in the engine plus a constructor and a [`Method`] row —
+//! not another loop.
 //! [`AdamMini`] (block-wise second moments, `mn + n`) and [`Sgd`] /
 //! [`SgdMomentum`] (`0` / `mn`) keep no Adam moments and stay separate.
 //!
 //! All optimizers implement [`Optimizer`] and report their true optimizer
-//! state footprint via [`Optimizer::state_elems`], which the tests check
-//! against the closed-form Table 1 formulas in [`memory`].
+//! state footprint via [`Optimizer::state_elems`]. [`Method`] is the one
+//! table the CLI, the paper binaries and the memory model build and count
+//! methods from; it counts the same state from weight shapes alone.
 //!
 //! # Example
 //!
@@ -70,7 +72,7 @@ mod apollo;
 mod engine;
 mod galore;
 mod limiter;
-pub mod memory;
+mod method;
 mod projector;
 mod sgd;
 pub mod state;
@@ -81,6 +83,7 @@ pub use apollo::Apollo;
 pub use engine::ScaleGranularity;
 pub use galore::{Fira, Flora, GaLore};
 pub use limiter::{LimiterOutcome, NormGrowthLimiter};
+pub use method::{Method, NAMES};
 pub use projector::{ProjKind, Projector};
 pub use sgd::{Sgd, SgdMomentum};
 

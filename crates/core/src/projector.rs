@@ -218,16 +218,6 @@ impl Projector {
             cached_basis,
         })
     }
-
-    /// Persisted state in f32-equivalents: the cached basis for SVD, nothing
-    /// for the random kind (only a 64-bit seed, counted by the caller's
-    /// per-tensor constant).
-    pub fn state_elems(&self) -> usize {
-        match self.kind {
-            ProjKind::Random => 0,
-            ProjKind::Svd => self.cached_basis.as_ref().map_or(0, Matrix::len),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -320,14 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn state_elems_random_is_zero_and_svd_counts_basis() {
+    fn only_the_svd_kind_keeps_a_small_dim_by_rank_basis() {
         let g = grad(8, 16, 4);
         let mut pr = Projector::new(ProjKind::Random, 4, 10, 0);
         pr.begin_step(&g);
-        assert_eq!(pr.state_elems(), 0);
+        assert!(pr.cached_basis.is_none());
         let mut ps = Projector::new(ProjKind::Svd, 4, 10, 0);
         ps.begin_step(&g);
-        assert_eq!(ps.state_elems(), 8 * 4);
+        assert_eq!(ps.cached_basis.map(|b| b.shape()), Some((8, 4)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Checkers for the paper's §5.3 headline system claims.
 
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 
 use crate::gpu::Gpu;
 use crate::memory::{MemoryOptions, TrainingMemoryModel, WeightPrecision};
@@ -33,7 +33,7 @@ fn check(claim: &str, required: f64, gpu: &Gpu) -> ClaimResult {
 pub fn llama_13b_ddp_on_a100() -> ClaimResult {
     let mem = TrainingMemoryModel::new(&ModelConfig::llama_13b());
     let opts = MemoryOptions::figure1(256);
-    let total = mem.breakdown(MethodSpec::ApolloMini, &opts).total_gib();
+    let total = mem.breakdown(Method::mini(), &opts).total_gib();
     check(
         "LLaMA-13B + APOLLO-Mini fits one A100-80GB (naive DDP, bs 1)",
         total,
@@ -48,7 +48,7 @@ pub fn llama_13b_ddp_adamw_counterfactual() -> ClaimResult {
     // AdamW under naive DDP cannot use the layer-wise trick (the full
     // gradient must exist for the bucketed all-reduce).
     let opts = MemoryOptions::standard(1, 256);
-    let total = mem.breakdown(MethodSpec::AdamW, &opts).total_gib();
+    let total = mem.breakdown(Method::adamw(), &opts).total_gib();
     check(
         "LLaMA-13B + AdamW fits one A100-80GB (counterfactual)",
         total,
@@ -64,7 +64,7 @@ pub fn llama_7b_under_12gb() -> ClaimResult {
         weights: WeightPrecision::Int8 { group: 128 },
         ..MemoryOptions::figure1(256)
     };
-    let total = mem.breakdown(MethodSpec::ApolloMini, &opts).total_gib();
+    let total = mem.breakdown(Method::mini(), &opts).total_gib();
     check(
         "LLaMA-7B + Q-APOLLO-Mini fits a 12 GB GPU (layer-wise grads, bs 1)",
         total,
@@ -77,7 +77,7 @@ pub fn llama_7b_under_12gb() -> ClaimResult {
 pub fn llama_7b_adamw_counterfactual() -> ClaimResult {
     let mem = TrainingMemoryModel::new(&ModelConfig::llama_7b());
     let total = mem
-        .breakdown(MethodSpec::AdamW, &MemoryOptions::standard(1, 256))
+        .breakdown(Method::adamw(), &MemoryOptions::standard(1, 256))
         .total_gib();
     check(
         "LLaMA-7B + AdamW fits a 12 GB GPU (counterfactual)",

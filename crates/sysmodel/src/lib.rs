@@ -7,8 +7,8 @@
 //! them from first principles:
 //!
 //! - [`TrainingMemoryModel`] — bytes for weights (BF16 or INT8), gradients
-//!   (full or layer-wise per Lv et al., 2023), optimizer states (Table 1
-//!   formulas from [`apollo_optim::memory`]), and activations;
+//!   (full or layer-wise per Lv et al., 2023), optimizer states (Table 1,
+//!   counted by [`apollo_optim::Method`]), and activations;
 //! - [`ThroughputModel`] — step time from model FLOPs and GPU throughput,
 //!   plus the periodic SVD stall of GaLore-type optimizers (calibrated to
 //!   the paper's "10 minutes per LLaMA-7B subspace update"), and the

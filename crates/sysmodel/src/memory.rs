@@ -1,7 +1,7 @@
 //! Training-memory accounting (Fig. 1 middle, Table 2/3/6 memory columns).
 
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 use serde::{Deserialize, Serialize};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -33,9 +33,10 @@ impl WeightPrecision {
 pub struct MemoryOptions {
     /// Weight storage precision.
     pub weights: WeightPrecision,
-    /// Bytes per optimizer-state element (2.0 for BF16 states as in the
-    /// paper's accounting; `MethodSpec::bytes_per_state_elem` handles the
-    /// INT8-moment methods separately via a 0.5× factor on this value).
+    /// Bytes per optimizer-state element (2.0 for BF16 states, as in the
+    /// paper's accounting). A method whose moments are INT8
+    /// ([`Method::bytes_per_state_elem`] is 1) is charged its 1 byte: the
+    /// breakdown takes the smaller of the two.
     pub state_bytes_per_elem: f64,
     /// Layer-wise gradient update (Lv et al., 2023): only one layer's
     /// gradient is alive at a time, instead of a full model-sized buffer.
@@ -173,7 +174,7 @@ impl TrainingMemoryModel {
     }
 
     /// Full breakdown for a training method under the given options.
-    pub fn breakdown(&self, method: MethodSpec, opts: &MemoryOptions) -> MemoryBreakdown {
+    pub fn breakdown(&self, method: Method, opts: &MemoryOptions) -> MemoryBreakdown {
         let weights_bytes = self.weight_elems() as f64 * opts.weights.bytes_per_weight();
         let grad_elems = if opts.layer_wise_grad {
             self.max_tensor_elems()
@@ -181,8 +182,6 @@ impl TrainingMemoryModel {
             self.weight_elems()
         };
         let grads_bytes = grad_elems as f64 * 2.0; // gradients live in BF16
-                                                   // BF16 states by default (the paper's accounting); INT8-moment
-                                                   // methods store one byte per element either way.
         let per_state_elem = method.bytes_per_state_elem().min(opts.state_bytes_per_elem);
         let optimizer_bytes = method.state_elems(&self.shapes) as f64 * per_state_elem;
         MemoryBreakdown {
@@ -194,7 +193,7 @@ impl TrainingMemoryModel {
     }
 
     /// The `(rows, cols, projectable)` inventory (shared with
-    /// [`MethodSpec::state_elems`]).
+    /// [`Method::state_elems`]).
     pub fn shapes(&self) -> &[(usize, usize, bool)] {
         &self.shapes
     }
@@ -214,7 +213,7 @@ mod tests {
         // with 28 GB devoted to AdamW's optimizer states" (weights 14 GB,
         // grads 14 GB, activations a few GB).
         let m = model_7b();
-        let b = m.breakdown(MethodSpec::AdamW, &MemoryOptions::standard(1, 256));
+        let b = m.breakdown(Method::adamw(), &MemoryOptions::standard(1, 256));
         assert!(
             (12.0..16.0).contains(&b.weights_gib),
             "weights {}",
@@ -235,13 +234,13 @@ mod tests {
     #[test]
     fn apollo_mini_states_are_negligible_on_7b() {
         let m = model_7b();
-        let b = m.breakdown(MethodSpec::ApolloMini, &MemoryOptions::figure1(256));
+        let b = m.breakdown(Method::mini(), &MemoryOptions::figure1(256));
         // The residual ~1 GiB is the dense AdamW state of the (untied)
         // embedding and LM-head tables, which the low-rank path never
         // touches; against AdamW's 28 GiB it is negligible.
         assert!(b.optimizer_gib < 1.5, "states {}", b.optimizer_gib);
         let adamw = m
-            .breakdown(MethodSpec::AdamW, &MemoryOptions::figure1(256))
+            .breakdown(Method::adamw(), &MemoryOptions::figure1(256))
             .optimizer_gib;
         assert!(b.optimizer_gib < adamw / 20.0);
     }
@@ -250,14 +249,10 @@ mod tests {
     fn fig1_ordering_adamw_galore_apollo_mini() {
         let m = model_7b();
         let opts = MemoryOptions::figure1(256);
-        let adamw = m.breakdown(MethodSpec::AdamW, &opts).total_gib();
-        let galore = m
-            .breakdown(MethodSpec::GaLore { rank: 1024 }, &opts)
-            .total_gib();
-        let apollo = m
-            .breakdown(MethodSpec::Apollo { rank: 256 }, &opts)
-            .total_gib();
-        let mini = m.breakdown(MethodSpec::ApolloMini, &opts).total_gib();
+        let adamw = m.breakdown(Method::adamw(), &opts).total_gib();
+        let galore = m.breakdown(Method::galore(1024), &opts).total_gib();
+        let apollo = m.breakdown(Method::apollo(256), &opts).total_gib();
+        let mini = m.breakdown(Method::mini(), &opts).total_gib();
         assert!(
             adamw > galore && galore > apollo && apollo > mini,
             "ordering: {adamw:.1} > {galore:.1} > {apollo:.1} > {mini:.1}"
@@ -267,8 +262,8 @@ mod tests {
     #[test]
     fn layer_wise_gradients_shrink_grad_memory() {
         let m = model_7b();
-        let full = m.breakdown(MethodSpec::AdamW, &MemoryOptions::standard(1, 256));
-        let lw = m.breakdown(MethodSpec::AdamW, &MemoryOptions::figure1(256));
+        let full = m.breakdown(Method::adamw(), &MemoryOptions::standard(1, 256));
+        let lw = m.breakdown(Method::adamw(), &MemoryOptions::figure1(256));
         assert!(lw.grads_gib < full.grads_gib / 10.0);
     }
 
@@ -276,9 +271,9 @@ mod tests {
     fn int8_weights_halve_the_weight_term() {
         let m = model_7b();
         let mut opts = MemoryOptions::figure1(256);
-        let bf16 = m.breakdown(MethodSpec::ApolloMini, &opts).weights_gib;
+        let bf16 = m.breakdown(Method::mini(), &opts).weights_gib;
         opts.weights = WeightPrecision::Int8 { group: 128 };
-        let int8 = m.breakdown(MethodSpec::ApolloMini, &opts).weights_gib;
+        let int8 = m.breakdown(Method::mini(), &opts).weights_gib;
         assert!((bf16 / int8 - 1.94).abs() < 0.1, "ratio {}", bf16 / int8);
     }
 
@@ -286,10 +281,10 @@ mod tests {
     fn activations_grow_linearly_with_batch() {
         let m = model_7b();
         let a1 = m
-            .breakdown(MethodSpec::AdamW, &MemoryOptions::standard(1, 256))
+            .breakdown(Method::adamw(), &MemoryOptions::standard(1, 256))
             .activations_gib;
         let a4 = m
-            .breakdown(MethodSpec::AdamW, &MemoryOptions::standard(4, 256))
+            .breakdown(Method::adamw(), &MemoryOptions::standard(4, 256))
             .activations_gib;
         assert!((a4 / a1 - 4.0).abs() < 0.2, "ratio {}", a4 / a1);
     }
@@ -299,15 +294,15 @@ mod tests {
         // Table 2 (weights + optimizer states only): AdamW 0.36G,
         // GaLore 0.24G, APOLLO 0.24G, APOLLO(half rank) 0.18G, Mini 0.12G.
         let m = TrainingMemoryModel::new(&ModelConfig::llama_60m());
-        let wo = |spec: MethodSpec| {
+        let wo = |spec: Method| {
             let b = m.breakdown(spec, &MemoryOptions::figure1(256));
             b.weights_gib + b.optimizer_gib
         };
-        let adamw = wo(MethodSpec::AdamW);
-        let galore = wo(MethodSpec::GaLore { rank: 128 });
-        let apollo = wo(MethodSpec::Apollo { rank: 128 });
-        let apollo_half = wo(MethodSpec::Apollo { rank: 64 });
-        let mini = wo(MethodSpec::ApolloMini);
+        let adamw = wo(Method::adamw());
+        let galore = wo(Method::galore(128));
+        let apollo = wo(Method::apollo(128));
+        let apollo_half = wo(Method::apollo(64));
+        let mini = wo(Method::mini());
         assert!((0.3..0.45).contains(&adamw), "adamw {adamw}");
         assert!(galore < adamw && apollo <= galore, "{galore} vs {apollo}");
         assert!(apollo_half < apollo);

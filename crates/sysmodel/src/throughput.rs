@@ -1,7 +1,7 @@
 //! Step-time and end-to-end throughput accounting (Fig. 1 right, Fig. 9).
 
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 use serde::{Deserialize, Serialize};
 
 use crate::gpu::Gpu;
@@ -84,17 +84,6 @@ impl ThroughputModel {
         &self.mem
     }
 
-    /// Whether this method pays a periodic SVD stall.
-    fn uses_svd(method: MethodSpec) -> bool {
-        matches!(
-            method,
-            MethodSpec::GaLore { .. }
-                | MethodSpec::GaLore8bit { .. }
-                | MethodSpec::Fira { .. }
-                | MethodSpec::ApolloSvd { .. }
-        )
-    }
-
     /// Seconds for one full-model SVD refresh, scaled from the paper's 7B
     /// constant by the `Σ min(m,n)²·max(m,n)` cost of the projectable
     /// tensors.
@@ -127,7 +116,7 @@ impl ThroughputModel {
 
     /// The largest micro-batch that fits in GPU memory for a method
     /// (Fig. 1 right's 4× batch advantage comes straight from this).
-    pub fn max_micro_batch(&self, method: MethodSpec, opts_proto: &MemoryOptions) -> usize {
+    pub fn max_micro_batch(&self, method: Method, opts_proto: &MemoryOptions) -> usize {
         let mut best = 0;
         for batch in 1..=4096 {
             let opts = MemoryOptions {
@@ -145,7 +134,7 @@ impl ThroughputModel {
 
     /// Full throughput report: batch-size search, compute time, amortized
     /// SVD stall.
-    pub fn report(&self, method: MethodSpec, opts_proto: &MemoryOptions) -> ThroughputReport {
+    pub fn report(&self, method: Method, opts_proto: &MemoryOptions) -> ThroughputReport {
         let micro_batch = self.max_micro_batch(method, opts_proto);
         let opts = MemoryOptions {
             batch: micro_batch.max(1),
@@ -153,7 +142,7 @@ impl ThroughputModel {
             ..*opts_proto
         };
         let compute = self.compute_seconds(micro_batch.max(1));
-        let svd = if Self::uses_svd(method) {
+        let svd = if method.pays_svd() {
             self.svd_refresh_seconds() / self.svd_refresh_period as f64
         } else {
             0.0
@@ -177,7 +166,7 @@ impl ThroughputModel {
     /// (Fig. 9).
     pub fn step_time_series(
         &self,
-        method: MethodSpec,
+        method: Method,
         micro_batch: usize,
         steps: usize,
         refresh_every: usize,
@@ -186,7 +175,7 @@ impl ThroughputModel {
         let svd = self.svd_refresh_seconds();
         let step_seconds = (0..steps)
             .map(|s| {
-                if Self::uses_svd(method) && s % refresh_every == 0 {
+                if method.pays_svd() && s % refresh_every == 0 {
                     compute + svd
                 } else {
                     compute
@@ -224,12 +213,12 @@ mod tests {
         // runs the standard full-gradient path; APOLLO is deployed with the
         // layer-wise gradient update (Lv et al.), as the paper states.
         let m = cluster_7b();
-        let adamw = m.max_micro_batch(MethodSpec::AdamW, &MemoryOptions::standard(1, 256));
+        let adamw = m.max_micro_batch(Method::adamw(), &MemoryOptions::standard(1, 256));
         let apollo_opts = MemoryOptions {
             layer_wise_grad: true,
             ..MemoryOptions::standard(1, 256)
         };
-        let apollo = m.max_micro_batch(MethodSpec::Apollo { rank: 256 }, &apollo_opts);
+        let apollo = m.max_micro_batch(Method::apollo(256), &apollo_opts);
         assert!(
             (2..=8).contains(&adamw),
             "AdamW micro-batch {adamw} (paper: 4)"
@@ -253,14 +242,10 @@ mod tests {
             layer_wise_grad: true,
             ..std
         };
-        let adamw = m.report(MethodSpec::AdamW, &std).tokens_per_sec;
-        let galore = m
-            .report(MethodSpec::GaLore { rank: 1024 }, &lw)
-            .tokens_per_sec;
-        let apollo = m
-            .report(MethodSpec::Apollo { rank: 256 }, &lw)
-            .tokens_per_sec;
-        let mini = m.report(MethodSpec::ApolloMini, &lw).tokens_per_sec;
+        let adamw = m.report(Method::adamw(), &std).tokens_per_sec;
+        let galore = m.report(Method::galore(1024), &lw).tokens_per_sec;
+        let apollo = m.report(Method::apollo(256), &lw).tokens_per_sec;
+        let mini = m.report(Method::mini(), &lw).tokens_per_sec;
         assert!(apollo > galore, "APOLLO {apollo} vs GaLore {galore}");
         assert!(mini > galore, "Mini {mini} vs GaLore {galore}");
         assert!(galore > adamw, "GaLore {galore} vs AdamW {adamw}");
@@ -275,7 +260,7 @@ mod tests {
         // limit (~79 GB)".
         let m = cluster_7b();
         let opts = MemoryOptions::standard(4, 256);
-        let b = m.memory().breakdown(MethodSpec::AdamW, &opts);
+        let b = m.memory().breakdown(Method::adamw(), &opts);
         assert!(
             (65.0..85.0).contains(&b.total_gib()),
             "AdamW bs4 total {}",
@@ -286,8 +271,8 @@ mod tests {
     #[test]
     fn step_series_has_spikes_for_galore_only() {
         let m = cluster_7b();
-        let galore = m.step_time_series(MethodSpec::GaLore { rank: 1024 }, 8, 50, 10);
-        let apollo = m.step_time_series(MethodSpec::Apollo { rank: 256 }, 8, 50, 10);
+        let galore = m.step_time_series(Method::galore(1024), 8, 50, 10);
+        let apollo = m.step_time_series(Method::apollo(256), 8, 50, 10);
         let g_max = galore.step_seconds.iter().cloned().fold(0.0, f64::max);
         let g_min = galore.step_seconds.iter().cloned().fold(f64::MAX, f64::min);
         assert!(g_max / g_min > 10.0, "GaLore spikes {g_max}/{g_min}");
@@ -304,14 +289,8 @@ mod tests {
             weights: WeightPrecision::Int8 { group: 128 },
             ..bf16
         };
-        let a = m
-            .memory()
-            .breakdown(MethodSpec::ApolloMini, &bf16)
-            .total_gib();
-        let b = m
-            .memory()
-            .breakdown(MethodSpec::ApolloMini, &int8)
-            .total_gib();
+        let a = m.memory().breakdown(Method::mini(), &bf16).total_gib();
+        let b = m.memory().breakdown(Method::mini(), &int8).total_gib();
         assert!(b < a * 0.7, "{b} vs {a}");
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-geometry invariants of the analytic memory/throughput model.
 
 use apollo_nn::ModelConfig;
-use apollo_optim::memory::MethodSpec;
+use apollo_optim::Method;
 use apollo_sysmodel::{Gpu, MemoryOptions, ThroughputModel, TrainingMemoryModel, WeightPrecision};
 
 fn geometries() -> Vec<ModelConfig> {
@@ -19,11 +19,11 @@ fn geometries() -> Vec<ModelConfig> {
 fn memory_is_monotone_in_model_size_for_every_method() {
     let opts = MemoryOptions::figure1(256);
     for spec in [
-        MethodSpec::AdamW,
-        MethodSpec::GaLore { rank: 128 },
-        MethodSpec::Apollo { rank: 128 },
-        MethodSpec::ApolloMini,
-        MethodSpec::Fira { rank: 128 },
+        Method::adamw(),
+        Method::galore(128),
+        Method::apollo(128),
+        Method::mini(),
+        Method::Fira { rank: 128 },
     ] {
         let totals: Vec<f64> = geometries()
             .iter()
@@ -48,14 +48,10 @@ fn method_ordering_is_preserved_at_every_size() {
     for cfg in geometries() {
         let mem = TrainingMemoryModel::new(&cfg);
         let rank = cfg.default_rank();
-        let adamw = mem.breakdown(MethodSpec::AdamW, &opts).total_gib();
-        let galore = mem
-            .breakdown(MethodSpec::GaLore { rank }, &opts)
-            .total_gib();
-        let apollo = mem
-            .breakdown(MethodSpec::Apollo { rank }, &opts)
-            .total_gib();
-        let mini = mem.breakdown(MethodSpec::ApolloMini, &opts).total_gib();
+        let adamw = mem.breakdown(Method::adamw(), &opts).total_gib();
+        let galore = mem.breakdown(Method::galore(rank), &opts).total_gib();
+        let apollo = mem.breakdown(Method::apollo(rank), &opts).total_gib();
+        let mini = mem.breakdown(Method::mini(), &opts).total_gib();
         assert!(
             adamw > galore && galore > apollo && apollo > mini,
             "{}: {adamw:.2} {galore:.2} {apollo:.2} {mini:.2}",
@@ -69,8 +65,8 @@ fn doubling_rank_increases_only_projected_state() {
     let cfg = ModelConfig::llama_350m();
     let mem = TrainingMemoryModel::new(&cfg);
     let opts = MemoryOptions::figure1(256);
-    let low = mem.breakdown(MethodSpec::Apollo { rank: 64 }, &opts);
-    let high = mem.breakdown(MethodSpec::Apollo { rank: 128 }, &opts);
+    let low = mem.breakdown(Method::apollo(64), &opts);
+    let high = mem.breakdown(Method::apollo(128), &opts);
     assert_eq!(low.weights_gib, high.weights_gib);
     assert_eq!(low.activations_gib, high.activations_gib);
     assert!(high.optimizer_gib > low.optimizer_gib);
@@ -87,7 +83,7 @@ fn int8_weights_never_change_optimizer_term() {
         weights: WeightPrecision::Int8 { group: 128 },
         ..bf16
     };
-    for spec in [MethodSpec::Apollo { rank: 512 }, MethodSpec::ApolloMini] {
+    for spec in [Method::apollo(512), Method::mini()] {
         let a = mem.breakdown(spec, &bf16);
         let b = mem.breakdown(spec, &int8);
         assert_eq!(a.optimizer_gib, b.optimizer_gib, "{}", spec.label());
@@ -112,7 +108,7 @@ fn more_gpus_mean_more_throughput_never_less_memory_per_gpu() {
     let opts = MemoryOptions::standard(1, 256);
     let one = ThroughputModel::new(&cfg, Gpu::a100_80g(), 1, 256);
     let eight = ThroughputModel::new(&cfg, Gpu::a100_80g(), 8, 256);
-    let spec = MethodSpec::Apollo { rank: 256 };
+    let spec = Method::apollo(256);
     let r1 = one.report(spec, &opts);
     let r8 = eight.report(spec, &opts);
     assert!(r8.tokens_per_sec > 6.0 * r1.tokens_per_sec);
@@ -126,7 +122,7 @@ fn consumer_gpu_fits_strictly_fewer_configurations() {
     let mut consumer_fits = 0;
     for cfg in geometries() {
         let mem = TrainingMemoryModel::new(&cfg);
-        let total = mem.breakdown(MethodSpec::ApolloMini, &opts).total_gib();
+        let total = mem.breakdown(Method::mini(), &opts).total_gib();
         if total <= Gpu::a100_80g().memory_gib {
             a100_fits += 1;
         }

@@ -6,18 +6,18 @@
 //! ```
 
 use apollo_repro::nn::ModelConfig;
-use apollo_repro::optim::memory::MethodSpec;
+use apollo_repro::optim::Method;
 use apollo_repro::sysmodel::{Gpu, MemoryOptions, TrainingMemoryModel, WeightPrecision};
 
 fn main() {
     let gpus = [Gpu::a100_80g(), Gpu::consumer_12g()];
     let models = [ModelConfig::llama_7b(), ModelConfig::llama_13b()];
     let methods = [
-        ("AdamW", MethodSpec::AdamW, false),
-        ("GaLore r=1024", MethodSpec::GaLore { rank: 1024 }, false),
-        ("APOLLO r=256", MethodSpec::Apollo { rank: 256 }, false),
-        ("APOLLO-Mini", MethodSpec::ApolloMini, false),
-        ("Q-APOLLO-Mini", MethodSpec::ApolloMini, true),
+        ("AdamW", Method::adamw(), false),
+        ("GaLore r=1024", Method::galore(1024), false),
+        ("APOLLO r=256", Method::apollo(256), false),
+        ("APOLLO-Mini", Method::mini(), false),
+        ("Q-APOLLO-Mini", Method::mini(), true),
     ];
 
     for model_cfg in &models {

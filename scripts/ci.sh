@@ -100,6 +100,16 @@ if SEARCH_ERR=$(./target/release/apollo search 2>&1); then
     echo "apollo search still runs"; exit 1
 fi
 grep -q 'unknown subcommand' <<<"$SEARCH_ERR"
+# Every optimizer `apollo list` names plans memory through the one method
+# table, and an unknown name's error lists the valid ones.
+for method in $(./target/release/apollo list \
+    | awk '/^OPTIMIZERS/ { on = 1; $1 = "" } /^TASKS/ { on = 0 } on'); do
+    ./target/release/apollo memory --method "$method" >/dev/null
+done
+if METHOD_ERR=$(./target/release/apollo memory --method adamx 2>&1); then
+    echo "apollo memory accepted the unknown method adamx"; exit 1
+fi
+grep -q 'apollo-mini' <<<"$METHOD_ERR"
 
 echo "== relaxed backend (INT8 weights + BF16 cache: ULP sweep, tolerance, generation)"
 # The exact stages above are untouched: this stage runs the relaxed tier,

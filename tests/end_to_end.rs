@@ -5,8 +5,9 @@
 
 use apollo_repro::data::{CorpusConfig, LmBatcher, SyntheticCorpus, TaskConfig, TaskGen};
 use apollo_repro::nn::{LinearMode, LlamaModel, ModelConfig, ParamKind};
-use apollo_repro::optim::memory::MethodSpec;
-use apollo_repro::optim::{AdamW, Apollo, Fira, GaLore, Optimizer};
+use apollo_repro::optim::{
+    AdamW, Apollo, Fira, GaLore, Method, Optimizer, ProjKind, ScaleGranularity, NAMES,
+};
 use apollo_repro::sysmodel::TrainingMemoryModel;
 use apollo_repro::tensor::Rng;
 use apollo_repro::train::{eval_perplexity, finetune, pretrain, FinetuneConfig, TrainConfig};
@@ -85,26 +86,40 @@ fn apollo_state_is_far_smaller_than_adamw_on_a_real_model() {
         adamw.state_elems()
     );
     let shapes_7b = TrainingMemoryModel::new(&ModelConfig::llama_7b());
-    let adamw_7b = MethodSpec::AdamW.state_elems(shapes_7b.shapes());
-    let mini_7b = MethodSpec::ApolloMini.state_elems(shapes_7b.shapes());
+    let adamw_7b = Method::adamw().state_elems(shapes_7b.shapes());
+    let mini_7b = Method::mini().state_elems(shapes_7b.shapes());
     assert!(mini_7b * 20 < adamw_7b, "7B: {mini_7b} vs {adamw_7b}");
 }
 
 #[test]
 fn live_state_matches_analytic_model_on_full_network() {
-    // The Table-1 formulas (via MethodSpec + the sysmodel inventory) must
-    // agree with what the real optimizer allocates over a whole model.
+    // Every method's count over the sysmodel inventory must equal what its
+    // built optimizer allocates over a whole model: sysmodel marks
+    // embed/head non-projectable, the trainer routes exactly the same way
+    // via ParamKind.
     let cfg = ModelConfig::test_tiny();
     let mem = TrainingMemoryModel::new(&cfg);
-    let (mut model, mut batcher) = fresh(9);
-    let mut opt = Apollo::new(4, 20);
-    pretrain(&mut model, &mut opt, &mut batcher, &TrainConfig::quick(3));
-
-    // Analytic count over the same inventory, skipping the frozen/norm
-    // routing differences: sysmodel marks embed/head non-projectable, the
-    // trainer routes exactly the same way via ParamKind.
-    let analytic = MethodSpec::Apollo { rank: 4 }.state_elems(mem.shapes());
-    assert_eq!(opt.state_elems(), analytic);
+    let ablations = [
+        Method::AdamWChannelwise { limiter: true },
+        Method::Apollo {
+            rank: 4,
+            proj: ProjKind::Svd,
+            granularity: ScaleGranularity::Tensor,
+        },
+    ];
+    let methods = NAMES.map(|name| Method::parse(name, 4).unwrap());
+    for method in methods.into_iter().chain(ablations) {
+        let (mut model, mut batcher) = fresh(9);
+        let mut opt = method.build(20, 1.0, 1.0, None).unwrap();
+        pretrain(
+            &mut model,
+            opt.as_mut(),
+            &mut batcher,
+            &TrainConfig::quick(3),
+        );
+        let analytic = method.state_elems(mem.shapes());
+        assert_eq!(opt.state_elems(), analytic, "{}", method.label());
+    }
 }
 
 #[test]
