@@ -5,7 +5,7 @@
 //! optimizer family all run on the same base; accuracy is reported per
 //! task plus the average.
 
-use apollo_bench::{print_table, scaled, write_json, Method, UPDATE_FREQ};
+use apollo_bench::{print_table, scaled, write_json, Method};
 use apollo_data::{commonsense_suite, CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_optim::{AdamW, Method as OptMethod};
@@ -67,7 +67,7 @@ fn main() {
                 base.clone()
             };
             let mut opt = method
-                .build(UPDATE_FREQ, mini_alpha, alpha, None)
+                .build(mini_alpha, alpha, None)
                 .expect("a serial build takes every method");
             let fc = FinetuneConfig {
                 steps: ft_steps,

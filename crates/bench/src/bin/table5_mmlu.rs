@@ -2,7 +2,7 @@
 //! learning-rate sweep per method (the paper sweeps nine LRs; the proxy
 //! sweeps two and reports the best).
 
-use apollo_bench::{print_table, scaled, write_json, UPDATE_FREQ};
+use apollo_bench::{print_table, scaled, write_json};
 use apollo_data::{mmlu_suite, CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_optim::{AdamW, Method};
@@ -66,7 +66,7 @@ fn main() {
                     base.clone()
                 };
                 let mut opt = method
-                    .build(UPDATE_FREQ, mini_alpha, 1.0, None)
+                    .build(mini_alpha, 1.0, None)
                     .expect("a serial build takes every method");
                 let fc = FinetuneConfig {
                     steps: ft_steps,

@@ -20,8 +20,7 @@ use apollo_optim::ScaleGranularity::{Channel, Tensor};
 use apollo_tensor::Rng;
 use apollo_train::{pretrain_observed, ResilienceConfig, RunLog, TrainConfig};
 
-/// The paper's subspace refresh period T.
-pub const UPDATE_FREQ: usize = 200;
+pub use apollo_optim::UPDATE_FREQ;
 
 /// A row of the paper's evaluation: the optimizer it trains with and how
 /// the model is parameterized, for a given model geometry.
@@ -114,11 +113,10 @@ impl Method {
         }
     }
 
-    /// APOLLO-Mini's gradient scale factor α = √(hidden/4): the paper's
-    /// constant √128 *is* √(512/4) for its smallest (60M, hidden 512)
-    /// geometry, so the proxy models keep that ratio.
+    /// APOLLO-Mini's gradient scale factor α at `cfg`'s hidden size
+    /// ([`apollo_optim::Method::mini_alpha`]).
     pub fn mini_alpha(cfg: &ModelConfig) -> f32 {
-        (cfg.hidden as f32 / 4.0).sqrt()
+        apollo_optim::Method::mini_alpha(cfg.hidden)
     }
 
     /// How the model's linear layers are parameterized under this method.
@@ -287,7 +285,7 @@ pub fn pretrain_run_observed(
     let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
     let mut opt = method
         .optimizer(cfg)
-        .build(UPDATE_FREQ, Method::mini_alpha(cfg), 1.0, None)
+        .build(Method::mini_alpha(cfg), 1.0, None)
         .expect("a serial build takes every method");
     let tc = train_overrides.unwrap_or_else(|| paper_recipe(cfg, method, steps));
     let res = ResilienceConfig::default();

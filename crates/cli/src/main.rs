@@ -174,18 +174,15 @@ fn model_config(name: &str) -> Result<ModelConfig, String> {
     })
 }
 
-/// The paper's subspace refresh period T.
-const UPDATE_FREQ: usize = 200;
-
-/// Builds `method` for a geometry: APOLLO-Mini's α = √(hidden/4), every
-/// other APOLLO row's α = 1; `seed_offset` as in [`Method::build`].
+/// Builds `method` for a geometry: APOLLO-Mini's α from
+/// [`Method::mini_alpha`], every other APOLLO row's α = 1; `seed_offset` as
+/// in [`Method::build`].
 fn build(
     method: Method,
     cfg: &ModelConfig,
     seed_offset: Option<usize>,
 ) -> Result<Box<dyn Optimizer>, String> {
-    let mini_alpha = (cfg.hidden as f32 / 4.0).sqrt();
-    method.build(UPDATE_FREQ, mini_alpha, 1.0, seed_offset)
+    method.build(Method::mini_alpha(cfg.hidden), 1.0, seed_offset)
 }
 
 /// The per-parameter optimizer factory of a data-parallel run: parameter

@@ -93,25 +93,6 @@ pub struct Engine {
     obs: Obs,
 }
 
-/// A recipe picked at run time ([`crate::Method::build`]) is one too.
-impl Recipe for Box<dyn Recipe> {
-    fn label(&self) -> String {
-        (**self).label()
-    }
-
-    fn plan(&self) -> Plan {
-        (**self).plan()
-    }
-
-    fn engine(&self) -> &Engine {
-        (**self).engine()
-    }
-
-    fn parts(&mut self) -> (&mut Engine, Option<&mut Vec<Vec<f32>>>) {
-        (**self).parts()
-    }
-}
-
 impl<T: Recipe> Optimizer for T {
     fn name(&self) -> String {
         self.label()

@@ -83,7 +83,7 @@ pub use apollo::Apollo;
 pub use engine::ScaleGranularity;
 pub use galore::{Fira, Flora, GaLore};
 pub use limiter::{LimiterOutcome, NormGrowthLimiter};
-pub use method::{Method, NAMES};
+pub use method::{Method, NAMES, UPDATE_FREQ};
 pub use projector::{ProjKind, Projector};
 pub use sgd::{Sgd, SgdMomentum};
 

@@ -7,8 +7,8 @@
 //! the only place that maps an `--optimizer` name to a method
 //! ([`Method::parse`] over [`NAMES`]), builds the optimizer
 //! ([`Method::build`]), holds the paper recipe's columns ([`Method::lr`],
-//! [`Method::grad_clip`], [`Method::pays_svd`]) and counts optimizer state
-//! ([`Method::state_elems`]).
+//! [`Method::grad_clip`], [`Method::mini_alpha`], [`Method::pays_svd`]) and
+//! counts optimizer state ([`Method::state_elems`]).
 //!
 //! The count is not a formula. For the Adam family it evaluates the engine's
 //! per-tensor layout, the one a built optimizer allocates from, on shapes
@@ -18,7 +18,7 @@
 //! for the wide and the tall orientation of a weight.
 
 use crate::apollo::DEFAULT_SEED;
-use crate::engine::{self, Recipe};
+use crate::engine::{self, Plan, Recipe};
 use crate::{
     AdamMini, AdamW, AdamWChannelwise, Apollo, Fira, Flora, GaLore, Optimizer, ProjKind,
     ScaleGranularity, Sgd, SgdMomentum,
@@ -27,6 +27,9 @@ use crate::{
 /// INT8 group size of the 8-bit-moment methods, as in the paper's
 /// references.
 const INT8_GROUP: usize = 128;
+
+/// The paper's subspace refresh period T.
+pub const UPDATE_FREQ: usize = 200;
 
 /// An `--optimizer` name, with the method it names at a rank.
 type Row = (&'static str, fn(usize) -> Method);
@@ -229,6 +232,13 @@ impl Method {
         }
     }
 
+    /// APOLLO-Mini's gradient scale α = √(hidden/4): the paper's constant
+    /// √128 *is* √(512/4) for its smallest (60M, hidden 512) geometry, so
+    /// the proxy models keep that ratio.
+    pub fn mini_alpha(hidden: usize) -> f32 {
+        (hidden as f32 / 4.0).sqrt()
+    }
+
     /// Whether the method pays a periodic SVD refresh (Fig. 9's spikes).
     pub fn pays_svd(&self) -> bool {
         matches!(
@@ -243,17 +253,16 @@ impl Method {
         )
     }
 
-    /// Builds the optimizer. `update_freq` is the subspace refresh period
-    /// T; `mini_alpha` is APOLLO-Mini's gradient scale α and `alpha` every
-    /// other APOLLO row's. `seed_offset` is a parameter's global index when
-    /// a data-parallel run builds one instance per parameter: APOLLO's base
-    /// seed shifts by it, so the instance derives exactly the projector seed
-    /// the serial optimizer derives for that parameter (`seed + i`) and
+    /// Builds the optimizer, refreshing its subspace every [`UPDATE_FREQ`]
+    /// steps. `mini_alpha` is APOLLO-Mini's gradient scale α and `alpha`
+    /// every other APOLLO row's. `seed_offset` is a parameter's global index
+    /// when a data-parallel run builds one instance per parameter: APOLLO's
+    /// base seed shifts by it, so the instance derives exactly the projector
+    /// seed the serial optimizer derives for that parameter (`seed + i`) and
     /// sharding is invisible to the math. GaLore-family seeds are not
     /// externally controllable, so those methods refuse an offset.
     pub fn build(
         &self,
-        update_freq: usize,
         mini_alpha: f32,
         alpha: f32,
         seed_offset: Option<usize>,
@@ -271,29 +280,33 @@ impl Method {
                     self.label()
                 ))
             }
-            _ => Box::new(
-                self.recipe(update_freq, mini_alpha, alpha, seed_offset)
-                    .expect("every other method is an engine recipe"),
-            ),
+            _ => {
+                self.recipe(mini_alpha, alpha, seed_offset)
+                    .expect("every other method is an engine recipe")
+                    .1
+            }
         })
     }
 
-    /// The engine recipe of an Adam-family method; `None` for SGD, SGD-M
-    /// and Adam-mini, which keep state of their own.
+    /// The engine recipe of an Adam-family method, as its plan and the
+    /// optimizer; `None` for SGD, SGD-M and Adam-mini, which keep state of
+    /// their own.
     fn recipe(
         &self,
-        update_freq: usize,
         mini_alpha: f32,
         alpha: f32,
         seed_offset: Option<usize>,
-    ) -> Option<Box<dyn Recipe>> {
+    ) -> Option<(Plan, Box<dyn Optimizer>)> {
+        fn boxed<R: Recipe + 'static>(r: R) -> (Plan, Box<dyn Optimizer>) {
+            (r.plan(), Box::new(r))
+        }
         Some(match *self {
-            Method::AdamW { int8: false } => Box::new(AdamW::new()),
-            Method::AdamW { int8: true } => Box::new(AdamW::adam8bit(INT8_GROUP)),
+            Method::AdamW { int8: false } => boxed(AdamW::new()),
+            Method::AdamW { int8: true } => boxed(AdamW::adam8bit(INT8_GROUP)),
             Method::AdamWChannelwise { limiter } => {
                 let mut opt = AdamWChannelwise::new();
                 opt.use_limiter = limiter;
-                Box::new(opt)
+                boxed(opt)
             }
             Method::Apollo {
                 rank,
@@ -301,26 +314,26 @@ impl Method {
                 granularity,
             } => {
                 let alpha = if self.is_mini() { mini_alpha } else { alpha };
-                let mut opt = Apollo::new(rank, update_freq)
+                let mut opt = Apollo::new(rank, UPDATE_FREQ)
                     .with_granularity(granularity)
                     .with_alpha(alpha);
                 opt.proj_kind = proj;
                 if let Some(i) = seed_offset {
                     opt = opt.with_seed(DEFAULT_SEED.wrapping_add(i as u64));
                 }
-                Box::new(opt)
+                boxed(opt)
             }
             Method::GaLore { rank, proj, int8 } => {
                 let mut opt = if int8 {
-                    GaLore::galore8bit(rank, update_freq, INT8_GROUP)
+                    GaLore::galore8bit(rank, UPDATE_FREQ, INT8_GROUP)
                 } else {
-                    GaLore::new(rank, update_freq)
+                    GaLore::new(rank, UPDATE_FREQ)
                 };
                 opt.proj_kind = proj;
-                Box::new(opt)
+                boxed(opt)
             }
-            Method::Fira { rank } => Box::new(Fira::new(rank, update_freq)),
-            Method::Flora { rank } => Box::new(Flora::new(rank, update_freq)),
+            Method::Fira { rank } => boxed(Fira::new(rank, UPDATE_FREQ)),
+            Method::Flora { rank } => boxed(Flora::new(rank, UPDATE_FREQ)),
             Method::AdamMini | Method::Sgd | Method::SgdMomentum => return None,
         })
     }
@@ -329,9 +342,9 @@ impl Method {
     /// projectable)` per tensor: what the built optimizer holds once it has
     /// stepped over those weights.
     pub fn state_elems(&self, shapes: &[(usize, usize, bool)]) -> usize {
-        // α, the refresh period and the seed change no state.
-        if let Some(recipe) = self.recipe(1, 1.0, 1.0, None) {
-            return engine::state_elems(&recipe.plan(), shapes);
+        // α and the seed change no state.
+        if let Some((plan, _)) = self.recipe(1.0, 1.0, None) {
+            return engine::state_elems(&plan, shapes);
         }
         shapes
             .iter()
@@ -383,7 +396,7 @@ mod tests {
 
     /// State the built optimizer holds after one step over one weight.
     fn live(method: Method, (rows, cols, projectable): (usize, usize, bool)) -> usize {
-        let mut opt = method.build(100, 1.0, 1.0, None).unwrap();
+        let mut opt = method.build(1.0, 1.0, None).unwrap();
         let mut rng = Rng::seed_from_u64(5);
         let mut w = Matrix::zeros(rows, cols);
         let g = Matrix::randn(rows, cols, &mut rng);
@@ -462,5 +475,16 @@ mod tests {
         assert_eq!(Method::AdamMini.grad_clip(), Some(1.0));
         assert_eq!(Method::mini().grad_clip(), None);
         assert!(Method::galore(R).pays_svd() && !Method::Flora { rank: R }.pays_svd());
+        // The memory model stores INT8 moments in a quarter of f32's bytes.
+        let bytes = [
+            ("adamw", 4.0),
+            ("adamw-8bit", 1.0),
+            ("galore", 4.0),
+            ("galore-8bit", 1.0),
+        ];
+        for (name, per_elem) in bytes {
+            let method = Method::parse(name, R).unwrap();
+            assert_eq!(method.bytes_per_state_elem(), per_elem, "{name}");
+        }
     }
 }

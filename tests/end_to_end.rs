@@ -110,7 +110,7 @@ fn live_state_matches_analytic_model_on_full_network() {
     let methods = NAMES.map(|name| Method::parse(name, 4).unwrap());
     for method in methods.into_iter().chain(ablations) {
         let (mut model, mut batcher) = fresh(9);
-        let mut opt = method.build(20, 1.0, 1.0, None).unwrap();
+        let mut opt = method.build(1.0, 1.0, None).unwrap();
         pretrain(
             &mut model,
             opt.as_mut(),
