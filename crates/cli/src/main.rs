@@ -429,7 +429,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         }
     }
     if let Some(path) = save {
-        save_model(&model, LinearMode::Dense, &path).map_err(|e| e.to_string())?;
+        save_model(&model, &path).map_err(|e| e.to_string())?;
         println!("saved checkpoint to {}", path.display());
     }
     Ok(())
@@ -707,7 +707,7 @@ fn cmd_make_adapter(a: &Args) -> Result<(), String> {
             p.value = Matrix::randn_scaled(p.value.rows(), p.value.cols(), scale, &mut delta_rng);
         }
     }
-    save_model(&lora, LinearMode::LoRa { rank, alpha }, &out).map_err(|e| e.to_string())?;
+    save_model(&lora, &out).map_err(|e| e.to_string())?;
     println!(
         "wrote rank-{rank} adapter over {} to {} (seed {seed}, delta scale {scale})",
         model.config().name,

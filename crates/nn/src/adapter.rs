@@ -17,8 +17,8 @@
 //!
 //! [`AdapterRegistry`] maps tenant names to adapter ids, optionally under
 //! a residency cap: with a loader hook installed, adapters past the cap
-//! are evicted LRU and transparently reloaded from their v2 checkpoints
-//! on the next request that routes to them.
+//! are evicted LRU and transparently reloaded from their checkpoints on
+//! the next request that routes to them.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -138,7 +138,7 @@ impl LoraAdapter {
 }
 
 /// Reload hook: given a tenant name, produce its adapter (typically by
-/// reading the tenant's v2 checkpoint and calling
+/// reading the tenant's checkpoint and calling
 /// [`LoraAdapter::from_model`]). Installed by the layer that knows about
 /// checkpoint paths (the CLI); `apollo-nn` itself never touches disk.
 pub type AdapterLoader = Box<dyn Fn(&str) -> Result<LoraAdapter, String> + Send + Sync>;

@@ -139,8 +139,9 @@ impl ModelConfig {
     /// Shapes of every weight tensor `(name, rows, cols)`, in declaration
     /// order. Linear weights are stored `[in, out]` (`y = x·W`).
     ///
-    /// Used both by the model constructor and by the analytic memory model,
-    /// so the two can never disagree.
+    /// The analytic memory model reads it. `LlamaModel::new` builds its
+    /// parameters on its own; a unit test holds the dense model's names and
+    /// shapes to this list.
     pub fn weight_shapes(&self) -> Vec<(String, usize, usize)> {
         let h = self.hidden;
         let mut shapes = vec![("embed.weight".to_string(), self.vocab_size, h)];

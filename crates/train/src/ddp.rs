@@ -27,9 +27,8 @@
 //! Each replica owns a contiguous shard of parameters — balanced by
 //! element count — and holds only that shard's state. States are
 //! re-gathered (via [`apollo_optim::Optimizer::state_save`]) only at
-//! checkpoint time, framed per-parameter inside the v2 checkpoint's
-//! optimizer section, so a checkpoint written at one replica count resumes
-//! at any other.
+//! checkpoint time, one checkpoint section per parameter, so a checkpoint
+//! written at one replica count resumes at any other.
 //!
 //! # Elastic recovery
 //!
@@ -255,57 +254,6 @@ pub(crate) fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) ->
 }
 
 // ---------------------------------------------------------------------------
-// Per-parameter optimizer-state framing inside the v2 checkpoint's
-// optimizer section: magic | u64 count | count × (u64 len | bytes).
-// Per-parameter blobs are what makes a checkpoint re-shardable at any
-// replica count.
-
-const OPT_MAGIC: &[u8; 8] = b"ddpopt-1";
-
-pub(crate) fn pack_opt_blobs(blobs: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = blobs.iter().map(|b| 8 + b.len()).sum();
-    let mut out = Vec::with_capacity(16 + total);
-    out.extend_from_slice(OPT_MAGIC);
-    out.extend_from_slice(&(blobs.len() as u64).to_le_bytes());
-    for b in blobs {
-        out.extend_from_slice(&(b.len() as u64).to_le_bytes());
-        out.extend_from_slice(b);
-    }
-    out
-}
-
-pub(crate) fn unpack_opt_blobs(bytes: &[u8]) -> Result<Vec<Vec<u8>>, String> {
-    let rest = bytes
-        .strip_prefix(OPT_MAGIC)
-        .ok_or("not a sharded optimizer-state section")?;
-    let take_u64 = |rest: &mut &[u8], what: &str| -> Result<u64, String> {
-        let (head, tail) = rest
-            .split_first_chunk::<8>()
-            .ok_or_else(|| format!("truncated before {what}"))?;
-        *rest = tail;
-        Ok(u64::from_le_bytes(*head))
-    };
-    let mut rest = rest;
-    let count = take_u64(&mut rest, "blob count")?;
-    let mut blobs = Vec::new();
-    for i in 0..count {
-        let len = take_u64(&mut rest, "blob length")? as usize;
-        if len > rest.len() {
-            return Err(format!(
-                "blob {i} claims {len} bytes, {} remain",
-                rest.len()
-            ));
-        }
-        blobs.push(rest[..len].to_vec());
-        rest = &rest[len..];
-    }
-    if !rest.is_empty() {
-        return Err(format!("{} trailing bytes after blobs", rest.len()));
-    }
-    Ok(blobs)
-}
-
-// ---------------------------------------------------------------------------
 // Entry point.
 
 /// Runs multi-replica data-parallel pre-training.
@@ -417,31 +365,6 @@ mod tests {
         // Balanced by elements, not count: the two heavy params split.
         let two = shard_ranges(&elems, 2);
         assert!(two[0].contains(&0) && !two[0].contains(&4));
-    }
-
-    #[test]
-    fn opt_blobs_roundtrip_and_reject_corruption() {
-        let blobs = vec![vec![1u8, 2, 3], Vec::new(), vec![9u8; 100]];
-        let packed = pack_opt_blobs(&blobs);
-        assert_eq!(unpack_opt_blobs(&packed).unwrap(), blobs);
-        assert_eq!(
-            unpack_opt_blobs(&pack_opt_blobs(&[])).unwrap(),
-            Vec::<Vec<u8>>::new()
-        );
-
-        assert!(unpack_opt_blobs(b"garbage").is_err());
-        // Truncated mid-blob.
-        assert!(unpack_opt_blobs(&packed[..packed.len() - 1]).is_err());
-        // Length prefix claiming more than remains must not allocate.
-        let mut huge = packed.clone();
-        let len_off = OPT_MAGIC.len() + 8;
-        huge[len_off..len_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = unpack_opt_blobs(&huge).unwrap_err();
-        assert!(err.contains("remain"), "{err}");
-        // Trailing garbage.
-        let mut trailing = packed;
-        trailing.push(0);
-        assert!(unpack_opt_blobs(&trailing).is_err());
     }
 
     #[test]

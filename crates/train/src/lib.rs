@@ -38,8 +38,8 @@ mod schedule;
 mod trainer;
 
 pub use checkpoint::{
-    checkpoint_file_name, crc32, latest_valid_checkpoint, load_model, load_train_state,
-    prune_checkpoints, save_model, save_train_state, train_state_blob, TrainMeta, TrainState,
+    checkpoint_file_name, latest_valid_checkpoint, load_model, load_train_state, prune_checkpoints,
+    save_model, save_train_state, train_state_blob, TrainMeta, TrainState,
 };
 pub use ddp::{pretrain_ddp, DdpConfig, DdpReport, DdpRunLog, OptimizerFactory};
 pub use finetune::{finetune, FinetuneConfig, FinetuneResult};

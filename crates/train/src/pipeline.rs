@@ -42,12 +42,12 @@ use apollo_optim::Optimizer;
 use apollo_tensor::{Matrix, Rng, ThreadOverrideGuard};
 
 use crate::checkpoint::{
-    checkpoint_file_name, latest_valid_checkpoint, prune_checkpoints, save_train_state, TrainMeta,
-    TrainState,
+    checkpoint_file_name, latest_valid_checkpoint, manifest_of, prune_checkpoints,
+    save_train_state, TrainMeta, TrainState,
 };
 use crate::ddp::{
-    pack_opt_blobs, shard_ranges, slot_range, tree_combine, unpack_opt_blobs, DdpConfig, DdpReport,
-    DdpRunLog, OptimizerFactory, PoisonBarrier, Poisoned,
+    shard_ranges, slot_range, tree_combine, DdpConfig, DdpReport, DdpRunLog, OptimizerFactory,
+    PoisonBarrier, Poisoned,
 };
 use crate::resilience::{
     FaultKind, FaultPlan, RecoveryPolicy, ResilienceConfig, ResilienceReport, SpikeDetector,
@@ -76,7 +76,7 @@ pub(crate) enum OptSource<'a> {
     PerParam(&'a OptimizerFactory),
 }
 
-/// A member's optimizer state. A saved optimizer section is opaque bytes to
+/// A member's optimizer state. Saved optimizer sections are opaque bytes to
 /// everything outside this type.
 enum Optim<'a> {
     Whole(&'a mut dyn Optimizer),
@@ -135,43 +135,44 @@ impl<'a> Optim<'a> {
         }
     }
 
-    /// A checkpoint's optimizer section from what every member gathered:
-    /// the optimizer's own bytes, or the per-parameter framing.
-    fn assemble(&self, cells: &[Mutex<ParamCell>]) -> Result<Vec<u8>, String> {
+    /// A checkpoint's optimizer sections from what every member gathered:
+    /// the whole-model optimizer's one, or one per parameter.
+    fn assemble(&self, cells: &[Mutex<ParamCell>]) -> Result<Vec<Vec<u8>>, String> {
         let take =
             |cell: &Mutex<ParamCell>| std::mem::replace(&mut lock(cell).saved, Ok(Vec::new()));
         match self {
-            Optim::Whole(_) => take(&cells[0]),
-            Optim::PerParam { .. } => {
-                let blobs: Result<Vec<_>, _> = cells.iter().map(take).collect();
-                Ok(pack_opt_blobs(&blobs?))
-            }
+            Optim::Whole(_) => take(&cells[0]).map(|section| vec![section]),
+            Optim::PerParam { n_opt, .. } => cells[..*n_opt].iter().map(take).collect(),
         }
     }
 
-    /// Loads an optimizer section. An empty one is fresh state; one that
-    /// does not load is reported and survived with fresh state too (a
-    /// partial per-parameter load must not outlive the error). Returns
-    /// `false` only for the latter.
-    fn load(&mut self, bytes: &[u8]) -> bool {
+    /// Loads optimizer sections. None is fresh state; sections that do not
+    /// load (another count, another optimizer's state) are reported and
+    /// survived with fresh state too: a partial per-parameter load must not
+    /// outlive the error. Returns `false` only for the latter.
+    fn load(&mut self, sections: &[Vec<u8>]) -> bool {
+        let expected = match self {
+            Optim::Whole(_) => 1,
+            Optim::PerParam { n_opt, .. } => *n_opt,
+        };
         let loaded = match self {
-            Optim::Whole(opt) => opt.state_load(bytes),
-            Optim::PerParam { n_opt, first, opts } => unpack_opt_blobs(bytes).and_then(|blobs| {
-                if blobs.len() != *n_opt {
-                    let found = blobs.len();
-                    return Err(format!("{found} optimizer blobs, expected {n_opt}"));
-                }
-                let mut mine = opts.iter_mut().zip(&blobs[*first..]);
-                mine.try_for_each(|(opt, blob)| opt.state_load(blob))
-            }),
+            _ if sections.len() != expected => Err(format!(
+                "{} optimizer sections, expected {expected}",
+                sections.len()
+            )),
+            Optim::Whole(opt) => opt.state_load(&sections[0]),
+            Optim::PerParam { first, opts, .. } => {
+                let mut mine = opts.iter_mut().zip(&sections[*first..]);
+                mine.try_for_each(|(opt, section)| opt.state_load(section))
+            }
         };
         if let Err(e) = &loaded {
-            if !bytes.is_empty() {
+            if !sections.is_empty() {
                 eprintln!("warning: optimizer state not restored ({e}); starting fresh");
             }
             self.for_each(|opt| opt.reset_state());
         }
-        loaded.is_ok() || bytes.is_empty()
+        loaded.is_ok() || sections.is_empty()
     }
 }
 
@@ -344,13 +345,13 @@ impl<'a> Member<'a> {
             spike_window: self.detector.window(),
             report: self.report.clone(),
         };
-        let (model, mode) = (&*self.model, self.model.mode());
+        let model = &*self.model;
         let saved = self.optim.assemble(&run.cells);
         if let (true, Some(dir)) = (to_disk, &res.checkpoint_dir) {
             let written = saved.as_ref().map_err(String::clone).and_then(|optimizer| {
                 let path = dir.join(checkpoint_file_name(step as u64));
                 std::fs::create_dir_all(dir)
-                    .and_then(|()| save_train_state(model, mode, &meta, optimizer, &path))
+                    .and_then(|()| save_train_state(model, &meta, optimizer, &path))
                     .map_err(|e| e.to_string())
             });
             match written {
@@ -372,7 +373,6 @@ impl<'a> Member<'a> {
                     let model = model.clone();
                     *lock(&run.floor) = Some(TrainState {
                         model,
-                        mode,
                         meta,
                         optimizer,
                     });
@@ -906,9 +906,9 @@ pub(crate) fn run(
         // Members of a team must agree on whether the optimizer section
         // loads, so it is tried once here; a lone whole-model optimizer
         // finds out when it restores.
-        let probe = |bytes: &[u8]| match &source {
+        let probe = |sections: &[Vec<u8>]| match &source {
             OptSource::Whole(_) => true,
-            OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt).load(bytes),
+            OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt).load(sections),
         };
         run.floor = Mutex::new(resume_floor(dir, model, probe));
     }
@@ -1055,13 +1055,10 @@ pub(crate) fn run(
 fn resume_floor(
     dir: &std::path::Path,
     model: &LlamaModel,
-    probe: impl FnOnce(&[u8]) -> bool,
+    probe: impl FnOnce(&[Vec<u8>]) -> bool,
 ) -> Option<TrainState> {
     let (path, mut state) = latest_valid_checkpoint(dir).ok()??;
-    fn manifest(m: &LlamaModel) -> impl Iterator<Item = (&String, (usize, usize))> {
-        m.params.iter().map(|p| (&p.name, p.value.shape()))
-    }
-    if !manifest(&state.model).eq(manifest(model)) {
+    if manifest_of(&state.model) != manifest_of(model) {
         eprintln!(
             "warning: {} holds the parameters of a different model ({}); ignored",
             path.display(),

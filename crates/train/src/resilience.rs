@@ -247,14 +247,6 @@ impl FaultPlan {
         self
     }
 
-    /// The fault scheduled for `step`, if any (first match wins).
-    pub fn at(&self, step: usize) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|(s, _)| *s == step)
-            .map(|(_, k)| *k)
-    }
-
     /// Removes and returns the fault scheduled for `step`. Faults are
     /// transient: once consumed they do not re-fire, so a rolled-back
     /// retry of the same step succeeds (matching a hardware glitch, not a
@@ -391,12 +383,12 @@ mod tests {
 
     #[test]
     fn fault_plan_lookup_and_default() {
-        let plan = FaultPlan::new()
+        let mut plan = FaultPlan::new()
             .inject(3, FaultKind::NanGrad)
             .inject(7, FaultKind::Crash);
-        assert_eq!(plan.at(3), Some(FaultKind::NanGrad));
-        assert_eq!(plan.at(7), Some(FaultKind::Crash));
-        assert_eq!(plan.at(4), None);
+        assert_eq!(plan.take_at(4), None);
+        assert_eq!(plan.take_at(7), Some(FaultKind::Crash));
+        assert_eq!(plan.take_at(3), Some(FaultKind::NanGrad));
         assert!(FaultPlan::default().is_empty());
     }
 

@@ -170,7 +170,7 @@ pub fn pretrain(
 }
 
 /// [`pretrain`] hardened with the resilience subsystem: per-step
-/// non-finite/spike sentinels handled by `res.policy`, crash-safe v2
+/// non-finite/spike sentinels handled by `res.policy`, crash-safe
 /// checkpoints every `res.checkpoint_every` steps (resumable bit-exactly
 /// with `res.resume`), and deterministic fault injection from
 /// `res.fault_plan`.

@@ -216,6 +216,23 @@ for i in 0 1 2; do
     ./target/release/apollo make-adapter --resume "$TRACE_TMP/gen.ckpt" \
         --out "$TRACE_TMP/tenant$i.ckpt" --rank 4 --seed "$((100 + i))"
 done
+# One overwritten byte in a copy of an adapter and of the base snapshot:
+# `eval` refuses the file with exit 1 and names the checksum (a panic would
+# exit 101), and `serve` refuses it as an adapter before it starts.
+for f in tenant0 gen; do
+    BAD="$TRACE_TMP/bad-$f.ckpt"
+    cp "$TRACE_TMP/$f.ckpt" "$BAD"
+    printf '\xff' | dd of="$BAD" bs=1 seek="$(($(stat -c %s "$BAD") / 2))" \
+        conv=notrunc status=none
+    status=0
+    EVAL_ERR=$(./target/release/apollo eval --checkpoint "$BAD" --seqs 1 2>&1) || status=$?
+    [ "$status" = 1 ] || { echo "eval of a corrupt $f.ckpt exited $status, not 1"; exit 1; }
+    grep -q checksum <<<"$EVAL_ERR" || { echo "eval of a corrupt $f.ckpt: $EVAL_ERR"; exit 1; }
+    status=0
+    timeout 30 ./target/release/apollo serve --resume "$TRACE_TMP/gen.ckpt" \
+        --adapters "t=$BAD" --addr 127.0.0.1:0 2>/dev/null || status=$?
+    [ "$status" = 1 ] || { echo "serve with a corrupt adapter exited $status, not 1"; exit 1; }
+done
 ./target/release/apollo serve --resume "$TRACE_TMP/gen.ckpt" \
     --adapters "tenant0=$TRACE_TMP/tenant0.ckpt,tenant1=$TRACE_TMP/tenant1.ckpt,tenant2=$TRACE_TMP/tenant2.ckpt" \
     --prefix-cache-mb 8 \
