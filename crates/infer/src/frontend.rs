@@ -19,12 +19,14 @@
 //!   `stream: true` returns chunked NDJSON — one `{"token": n}` line per
 //!   sampled token, then a final `{"done": ...}` line.
 //!
-//! Admission control maps [`SubmitError`] onto status codes — 429
-//! (`Retry-After`) for queue-full, 413 for prompt-too-long, 400 for
-//! empty/malformed — with a **shed watermark** below the hard queue
-//! bound: once `in_flight` reaches it, new generate requests are shed
-//! with 429 *before* touching the server, keeping headroom so queued
-//! work still meets deadlines. During drain, generate returns 503.
+//! Admission control maps every [`SubmitError`] onto a status code
+//! through one table — 429 (`Retry-After`) for queue-full, 413 for
+//! prompt-too-long, 400 for empty prompts and unknown adapters, and 503
+//! (`Retry-After`) for a queue-full from a draining server — with a
+//! **shed watermark** below the hard queue bound: once `in_flight` reaches
+//! it, new generate requests are shed with 429 *before* touching the
+//! server, keeping headroom so queued work still meets deadlines. During
+//! drain, generate returns 503.
 //!
 //! Every client failure mode feeds a counter (`serve.*`) and a
 //! [`TraceEvent::ServeRequest`]; a mid-stream disconnect cancels the
@@ -125,23 +127,10 @@ pub struct Frontend {
 
 impl Frontend {
     /// Binds `cfg.addr`, starts the generation [`Server`], and spawns the
-    /// acceptor thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn start(
-        model: impl Into<DecodeBackend>,
-        sched: SchedConfig,
-        cfg: ServeConfig,
-        obs: Obs,
-    ) -> io::Result<Frontend> {
-        Self::start_multi(model, sched, cfg, obs, Arc::new(AdapterRegistry::empty()))
-    }
-
-    /// [`Frontend::start`] with multi-tenant adapter routing: generate
-    /// requests may name any adapter in `registry` (resolved to its dense
-    /// id here; unknown names get 400 before touching the scheduler).
+    /// acceptor thread. Generate requests may name any adapter in
+    /// `registry` (resolved to its dense id here; unknown names get 400
+    /// before touching the scheduler); pass [`AdapterRegistry::empty`] to
+    /// serve the base model only.
     ///
     /// # Errors
     ///
@@ -374,12 +363,9 @@ fn handle_request(inner: &Arc<Inner>, stream: &mut TcpStream, req: &Request) -> 
 /// buffered or a streamed response. Returns whether to close.
 fn handle_generate(inner: &Arc<Inner>, stream: &mut TcpStream, req: &Request, t0: Instant) -> bool {
     let cfg = &inner.cfg;
-    let retry = [("Retry-After", cfg.retry_after_secs.to_string())];
     if inner.server.is_draining() {
-        record(inner, 503, "draining", t0);
         inner.obs.counter("serve.shed", 1);
-        let _ = net::write_response(stream, 503, &retry, b"{\"error\":\"draining\"}");
-        return true;
+        return refuse(inner, stream, req, SubmitError::QueueFull, t0);
     }
     let parsed = match parse_generate_body(&req.body, cfg) {
         Ok(p) => p,
@@ -414,6 +400,7 @@ fn handle_generate(inner: &Arc<Inner>, stream: &mut TcpStream, req: &Request, t0
     if inner.server.in_flight() >= cfg.shed_watermark {
         record(inner, 429, "shed", t0);
         inner.obs.counter("serve.shed", 1);
+        let retry = [("Retry-After", cfg.retry_after_secs.to_string())];
         let _ = net::write_response(stream, 429, &retry, b"{\"error\":\"shedding load\"}");
         return req.wants_close();
     }
@@ -421,27 +408,7 @@ fn handle_generate(inner: &Arc<Inner>, stream: &mut TcpStream, req: &Request, t0
     let stream_mode = parsed.stream;
     let handle = match inner.server.submit(parsed.into_request(adapter)) {
         Ok(h) => h,
-        Err(SubmitError::QueueFull) => {
-            record(inner, 429, "rejected", t0);
-            let _ = net::write_response(stream, 429, &retry, b"{\"error\":\"queue full\"}");
-            return req.wants_close();
-        }
-        Err(SubmitError::PromptTooLong) => {
-            record(inner, 413, "rejected", t0);
-            let _ = net::write_response(stream, 413, &[], b"{\"error\":\"prompt too long\"}");
-            return req.wants_close();
-        }
-        Err(SubmitError::EmptyPrompt) => {
-            record(inner, 400, "rejected", t0);
-            let _ = net::write_response(stream, 400, &[], b"{\"error\":\"empty prompt\"}");
-            return req.wants_close();
-        }
-        Err(SubmitError::UnknownAdapter) => {
-            // Unreachable after name resolution above; kept for the id path.
-            record(inner, 400, "unknown_adapter", t0);
-            let _ = net::write_response(stream, 400, &[], b"{\"error\":\"unknown adapter\"}");
-            return req.wants_close();
-        }
+        Err(err) => return refuse(inner, stream, req, err, t0),
     };
     inner.obs.counter("serve.accepted", 1);
     let wait_budget = deadline + cfg.wait_slack;
@@ -451,6 +418,40 @@ fn handle_generate(inner: &Arc<Inner>, stream: &mut TcpStream, req: &Request, t0
         buffered_generate(inner, stream, handle, wait_budget, t0);
         req.wants_close()
     }
+}
+
+/// The one refusal table: status, trace outcome and body for each
+/// [`SubmitError`]. A full queue on a draining server is the drain's 503,
+/// whether the early drain check or [`Server::submit`] saw it first.
+fn refusal(err: SubmitError, draining: bool) -> (u16, &'static str, &'static [u8]) {
+    match err {
+        SubmitError::QueueFull if draining => (503, "draining", b"{\"error\":\"draining\"}"),
+        SubmitError::QueueFull => (429, "rejected", b"{\"error\":\"queue full\"}"),
+        SubmitError::PromptTooLong => (413, "rejected", b"{\"error\":\"prompt too long\"}"),
+        SubmitError::EmptyPrompt => (400, "rejected", b"{\"error\":\"empty prompt\"}"),
+        SubmitError::UnknownAdapter => (400, "unknown_adapter", b"{\"error\":\"unknown adapter\"}"),
+    }
+}
+
+/// Records and answers one refused generate request through [`refusal`];
+/// 429 and 503 carry `Retry-After`. Returns whether to close.
+fn refuse(
+    inner: &Arc<Inner>,
+    stream: &mut TcpStream,
+    req: &Request,
+    err: SubmitError,
+    t0: Instant,
+) -> bool {
+    let (status, outcome, body) = refusal(err, inner.server.is_draining());
+    record(inner, status, outcome, t0);
+    let retry = [("Retry-After", inner.cfg.retry_after_secs.to_string())];
+    let headers: &[_] = if matches!(status, 429 | 503) {
+        &retry
+    } else {
+        &[]
+    };
+    let _ = net::write_response(stream, status, headers, body);
+    req.wants_close()
 }
 
 /// Waits for the final result and writes one JSON object.

@@ -13,8 +13,10 @@
 //!   rows across in-flight sequences each [`Scheduler::tick`], retires
 //!   finished sequences, and back-fills freed slots.
 //! - [`Server`]: a worker thread driving the scheduler, with non-blocking
-//!   bounded admission ([`Server::submit`]), per-request [`GenHandle`]s
-//!   (streaming [`GenEvent`]s, cancel-on-drop), and explicit drain.
+//!   bounded admission ([`Server::submit`], the scheduler's one admission
+//!   rule plus the drain and channel bounds), per-request [`GenHandle`]s
+//!   (streaming [`GenEvent`]s, cancel-on-drop through a shared flag), and
+//!   explicit drain. A request's only id is its scheduler id.
 //! - [`net`] / [`Frontend`]: a hand-rolled HTTP/1.1 layer over
 //!   `std::net` — request parsing with hard limits, chunked streaming
 //!   responses, admission control mapped to status codes, per-request

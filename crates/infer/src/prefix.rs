@@ -75,7 +75,6 @@ pub struct PrefixCache {
     lookups: u64,
     hits: u64,
     hit_tokens: u64,
-    insertions: u64,
     evictions: u64,
 }
 
@@ -93,7 +92,6 @@ impl PrefixCache {
             lookups: 0,
             hits: 0,
             hit_tokens: 0,
-            insertions: 0,
             evictions: 0,
         }
     }
@@ -227,7 +225,6 @@ impl PrefixCache {
                     None => self.roots[root].1.push(id),
                     Some(p) => self.node_mut(p).children.push(id),
                 }
-                self.insertions += 1;
                 break;
             };
             let span_len = self.node(child).tokens.len();
@@ -264,7 +261,6 @@ impl PrefixCache {
                     last_use: self.clock,
                 });
                 self.node_mut(child).children.push(id);
-                self.insertions += 1;
             }
             break;
         }
@@ -374,11 +370,6 @@ impl PrefixCache {
     /// Leaf evictions since construction.
     pub fn eviction_count(&self) -> u64 {
         self.evictions
-    }
-
-    /// New-node insertions since construction.
-    pub fn insertion_count(&self) -> u64 {
-        self.insertions
     }
 }
 

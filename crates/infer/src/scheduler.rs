@@ -147,10 +147,30 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
+/// The one admission rule: refuses a request that could never run in a
+/// slot of `kv_capacity` rows over `adapters`. [`Scheduler::submit`] adds
+/// the queue bound to it, and [`crate::Server::submit`] the drain check and
+/// the channel bound, so the worker behind a server never sees a refusal.
+pub(crate) fn admission(
+    req: &GenRequest,
+    kv_capacity: usize,
+    adapters: &AdapterRegistry,
+) -> Result<(), SubmitError> {
+    if req.prompt.is_empty() {
+        Err(SubmitError::EmptyPrompt)
+    } else if req.prompt.len() > kv_capacity {
+        Err(SubmitError::PromptTooLong)
+    } else if req.adapter.is_some_and(|id| id as usize >= adapters.len()) {
+        Err(SubmitError::UnknownAdapter)
+    } else {
+        Ok(())
+    }
+}
+
 /// Counts a submit rejection under `infer.rejected.{label}` and emits a
-/// `Sentinel` trace event. Shared by [`Scheduler::submit`] and the
-/// admission paths layered above it ([`crate::Server`]), so every
-/// rejection is visible no matter where it was decided.
+/// `Sentinel` trace event. Shared by [`Scheduler::submit`] and
+/// [`crate::Server::submit`], so every rejection is visible no matter
+/// where it was decided.
 pub(crate) fn observe_rejection(obs: &Obs, err: SubmitError) {
     let kind = err.label();
     obs.counter(&format!("infer.rejected.{kind}"), 1);
@@ -301,25 +321,19 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::QueueFull`] at `queue_cap` pending requests,
-    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] for
-    /// requests that could never run.
+    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] /
+    /// [`SubmitError::UnknownAdapter`] for requests that could never run,
+    /// then [`SubmitError::QueueFull`] at `queue_cap` pending requests.
+    /// Every rejection is counted under `infer.rejected.*` and traced.
     pub fn submit(&mut self, req: GenRequest) -> Result<u64, SubmitError> {
-        if req.prompt.is_empty() {
-            return Err(self.reject(SubmitError::EmptyPrompt));
-        }
-        if req.prompt.len() > self.cfg.kv_capacity {
-            return Err(self.reject(SubmitError::PromptTooLong));
-        }
-        if req
-            .adapter
-            .is_some_and(|id| (id as usize) >= self.registry.len())
-        {
-            return Err(self.reject(SubmitError::UnknownAdapter));
-        }
-        if self.queue.len() >= self.cfg.queue_cap {
-            return Err(self.reject(SubmitError::QueueFull));
-        }
+        let full = self.queue.len() >= self.cfg.queue_cap;
+        admission(&req, self.cfg.kv_capacity, &self.registry)
+            .and(if full {
+                Err(SubmitError::QueueFull)
+            } else {
+                Ok(())
+            })
+            .inspect_err(|&err| observe_rejection(&self.obs, err))?;
         let id = self.next_id;
         self.next_id += 1;
         self.queue.push_back(Pending {
@@ -330,13 +344,6 @@ impl Scheduler {
         Ok(id)
     }
 
-    /// Counts a rejection under `infer.rejected.*` and emits a Sentinel
-    /// trace event, so rejected work never vanishes silently.
-    fn reject(&self, err: SubmitError) -> SubmitError {
-        observe_rejection(&self.obs, err);
-        err
-    }
-
     /// Cancels a request by id: a queued request retires immediately, an
     /// in-flight one retires on the next tick — either way the slot (or
     /// queue position) is reclaimed and a [`GenResult`] with
@@ -345,7 +352,13 @@ impl Scheduler {
     pub fn cancel(&mut self, id: u64) -> bool {
         if let Some(pos) = self.queue.iter().position(|p| p.id == id) {
             let pending = self.queue.remove(pos).expect("position is in bounds");
-            self.finish_unadmitted(pending.id, pending.req.prompt.len(), Outcome::Cancelled);
+            self.finish(
+                pending.id,
+                pending.req.prompt.len(),
+                Vec::new(),
+                0.0,
+                Outcome::Cancelled,
+            );
             return true;
         }
         for act in self.slots.iter_mut().flatten() {
@@ -585,7 +598,7 @@ impl Scheduler {
                                 kind: "adapter_load_failed".to_string(),
                                 action: err,
                             });
-                            self.finish_unadmitted(id, req.prompt.len(), Outcome::Cancelled);
+                            self.finish(id, req.prompt.len(), Vec::new(), 0.0, Outcome::Cancelled);
                             continue;
                         }
                     },
@@ -637,7 +650,13 @@ impl Scheduler {
                 .is_some_and(|d| self.queue[i].submitted.elapsed() >= d);
             if expired {
                 let pending = self.queue.remove(i).expect("index is in bounds");
-                self.finish_unadmitted(pending.id, pending.req.prompt.len(), Outcome::Deadline);
+                self.finish(
+                    pending.id,
+                    pending.req.prompt.len(),
+                    Vec::new(),
+                    0.0,
+                    Outcome::Deadline,
+                );
             } else {
                 i += 1;
             }
@@ -662,23 +681,32 @@ impl Scheduler {
         }
     }
 
-    /// Pushes a result for a request that never reached a slot (queued
-    /// expiry or queued cancellation), with the same counters and trace
-    /// event retirement emits.
-    fn finish_unadmitted(&mut self, id: u64, prompt_tokens: usize, outcome: Outcome) {
+    /// Records one retirement: the `infer.requests_retired` counter, the
+    /// `InferRequest` trace event and the [`GenResult`]. Every request
+    /// retires through here, whether it ran in a slot ([`Self::retire`]) or
+    /// never reached one (queued expiry or cancellation, failed adapter
+    /// load: no tokens, zero rate).
+    fn finish(
+        &mut self,
+        id: u64,
+        prompt_tokens: usize,
+        tokens: Vec<u32>,
+        tokens_per_sec: f64,
+        outcome: Outcome,
+    ) {
         self.obs.counter("infer.requests_retired", 1);
-        let tick = self.tick;
+        let (tick, new_tokens) = (self.tick, tokens.len());
         self.obs.emit(|| TraceEvent::InferRequest {
             step: tick,
             id,
             prompt_tokens,
-            new_tokens: 0,
-            tokens_per_sec: 0.0,
+            new_tokens,
+            tokens_per_sec,
             outcome: outcome.label().to_string(),
         });
         self.finished.push(GenResult {
             id,
-            tokens: Vec::new(),
+            tokens,
             outcome,
         });
     }
@@ -713,23 +741,15 @@ impl Scheduler {
             }
             let secs = act.admitted.elapsed().as_secs_f64().max(1e-9);
             let tokens_per_sec = act.generated.len() as f64 / secs;
-            self.obs.counter("infer.requests_retired", 1);
             self.obs.gauge("infer.tokens_per_sec", tokens_per_sec);
-            let (tick, id) = (self.tick, act.id);
-            let (prompt_tokens, new_tokens) = (act.prompt.len(), act.generated.len());
-            self.obs.emit(|| TraceEvent::InferRequest {
-                step: tick,
-                id,
+            let prompt_tokens = act.prompt.len();
+            self.finish(
+                act.id,
                 prompt_tokens,
-                new_tokens,
+                act.generated,
                 tokens_per_sec,
-                outcome: outcome.label().to_string(),
-            });
-            self.finished.push(GenResult {
-                id: act.id,
-                tokens: act.generated,
                 outcome,
-            });
+            );
         }
     }
 }

@@ -10,22 +10,31 @@
 //!
 //! Robustness properties the network front-end builds on:
 //!
-//! - **Admission is bounded twice and never blocks.** The
-//!   `mpsc::sync_channel` bounds in-transit submissions and the
-//!   scheduler's own `queue_cap` bounds accepted-but-not-admitted
-//!   requests; [`Server::submit`] reports a full channel as
-//!   [`SubmitError::QueueFull`] and validates prompts up front, so every
-//!   rejection carries its reason (and is counted — see
-//!   `infer.rejected.*`).
-//! - **Dropping a [`GenHandle`] cancels its request.** A disconnected
-//!   client can never pin a scheduler slot: the drop sends a cancel
-//!   ticket, the worker retires the request with [`Outcome::Cancelled`]
-//!   and frees the slot (or queue position) on the next loop.
+//! - **One admission rule, decided before the worker.** [`Server::submit`]
+//!   applies the scheduler's own rule (empty prompt, prompt over the KV
+//!   capacity, unknown adapter), then refuses while draining or when the
+//!   bounded channel is full ([`SubmitError::QueueFull`]). It never blocks,
+//!   and every refusal is counted under `infer.rejected.*`. The worker
+//!   pulls from the channel only while the scheduler queue has room, so a
+//!   request that left `submit` is always accepted there.
+//! - **One id.** A request is known by its scheduler id only; the worker
+//!   routes tokens and the result by it.
+//! - **Dropping a [`GenHandle`] cancels its request.** The handle shares
+//!   a cancel flag with the worker and raises it on drop; before each tick
+//!   the worker retires every flagged request with [`Outcome::Cancelled`]
+//!   and frees its slot or queue position, so a disconnected client can
+//!   never pin a slot. A flag raised after retirement has no route left to
+//!   read it.
+//! - **[`Server::in_flight`] falls only on retirement**, when the worker
+//!   routes the result back (a send the channel refuses takes back its
+//!   own count).
 //! - **Drain is explicit.** [`Server::begin_drain`] stops admission
 //!   ([`SubmitError::QueueFull`] to new work) while in-flight requests
 //!   finish; dropping the server drains and joins the worker.
+//!
+//! [`Outcome::Cancelled`]: crate::Outcome::Cancelled
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
@@ -36,15 +45,20 @@ use apollo_nn::{AdapterRegistry, DecodeBackend};
 use apollo_obs::Obs;
 
 use crate::scheduler::{
-    observe_rejection, GenRequest, GenResult, SchedConfig, Scheduler, SubmitError,
+    admission, observe_rejection, GenRequest, GenResult, SchedConfig, Scheduler, SubmitError,
 };
 use crate::stats::ServeStats;
 
 /// One submission in transit to the worker.
 struct Envelope {
-    ticket: u64,
     req: GenRequest,
+    route: Route,
+}
+
+/// Where a request's events go, and the flag its handle raises on drop.
+struct Route {
     reply: mpsc::Sender<GenEvent>,
+    cancel: Arc<AtomicBool>,
 }
 
 /// One streamed event of a submitted request.
@@ -69,31 +83,20 @@ pub enum WaitError {
 
 /// Receives the result of one submitted request. Dropping the handle
 /// before the request finished cancels it — the scheduler retires it with
-/// [`Outcome::Cancelled`] and reclaims the slot.
+/// [`crate::Outcome::Cancelled`] and reclaims the slot.
 pub struct GenHandle {
-    ticket: u64,
     rx: Receiver<GenEvent>,
-    cancel: mpsc::Sender<u64>,
-    finished: bool,
+    cancel: Arc<AtomicBool>,
 }
 
 impl GenHandle {
     /// Blocks until the request retires. Returns `None` only if the server
     /// was dropped before the request could finish.
-    pub fn wait(mut self) -> Option<GenResult> {
-        loop {
-            match self.rx.recv() {
-                Ok(GenEvent::Finished(res)) => {
-                    self.finished = true;
-                    return Some(res);
-                }
-                Ok(GenEvent::Token(_)) => {}
-                Err(_) => {
-                    self.finished = true; // nothing left to cancel
-                    return None;
-                }
-            }
-        }
+    pub fn wait(self) -> Option<GenResult> {
+        self.rx.iter().find_map(|ev| match ev {
+            GenEvent::Finished(res) => Some(res),
+            GenEvent::Token(_) => None,
+        })
     }
 
     /// Blocks until the request retires or `timeout` elapses, skipping
@@ -121,28 +124,16 @@ impl GenHandle {
     /// [`WaitError::TimedOut`] when no event arrives in time,
     /// [`WaitError::ServerGone`] when the server shut down.
     pub fn next_event(&mut self, timeout: Duration) -> Result<GenEvent, WaitError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(ev) => {
-                if matches!(ev, GenEvent::Finished(_)) {
-                    self.finished = true;
-                }
-                Ok(ev)
-            }
-            Err(RecvTimeoutError::Timeout) => Err(WaitError::TimedOut),
-            Err(RecvTimeoutError::Disconnected) => {
-                self.finished = true;
-                Err(WaitError::ServerGone)
-            }
-        }
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => WaitError::TimedOut,
+            RecvTimeoutError::Disconnected => WaitError::ServerGone,
+        })
     }
 }
 
 impl Drop for GenHandle {
     fn drop(&mut self) {
-        if !self.finished {
-            // Best-effort: if the worker is gone the request is gone too.
-            let _ = self.cancel.send(self.ticket);
-        }
+        self.cancel.store(true, Ordering::Relaxed);
     }
 }
 
@@ -150,13 +141,11 @@ impl Drop for GenHandle {
 /// and joins the worker thread.
 pub struct Server {
     tx: Option<SyncSender<Envelope>>,
-    cancel_tx: mpsc::Sender<u64>,
     worker: Option<JoinHandle<()>>,
     obs: Obs,
     kv_capacity: usize,
-    next_ticket: AtomicUsize,
     in_flight: Arc<AtomicUsize>,
-    draining: Arc<AtomicBool>,
+    draining: AtomicBool,
     registry: Arc<AdapterRegistry>,
     stats: Arc<ServeStats>,
 }
@@ -164,13 +153,10 @@ pub struct Server {
 impl Server {
     /// Spawns the worker thread around a fresh [`Scheduler`]. Accepts any
     /// decode backend (`Arc<LlamaModel>` or an INT8 `QuantizedModel`).
-    pub fn start(model: impl Into<DecodeBackend>, cfg: SchedConfig, obs: Obs) -> Self {
-        Self::start_multi(model, cfg, obs, Arc::new(AdapterRegistry::empty()))
-    }
-
-    /// [`Server::start`] with multi-tenant adapter routing: requests may
-    /// carry an adapter id from `registry`, and serving counters land in
-    /// the shared [`ServeStats`] (see [`Server::stats`]).
+    /// Requests may carry an adapter id from `registry` (pass
+    /// [`AdapterRegistry::empty`] to serve the base model only), and
+    /// serving counters land in the shared [`ServeStats`] (see
+    /// [`Server::stats`]).
     ///
     /// # Panics
     ///
@@ -185,7 +171,6 @@ impl Server {
         let model = model.into();
         let stats = Arc::new(ServeStats::default());
         let (tx, rx) = mpsc::sync_channel::<Envelope>(cfg.queue_cap.max(1));
-        let (cancel_tx, cancel_rx) = mpsc::channel::<u64>();
         let in_flight = Arc::new(AtomicUsize::new(0));
         let kv_capacity = cfg.kv_capacity;
         let queue_cap = cfg.queue_cap;
@@ -198,19 +183,17 @@ impl Server {
                 .name("apollo-infer-server".to_string())
                 .spawn(move || {
                     let sched = Scheduler::new_multi(model, cfg, obs, registry, stats);
-                    serve(sched, queue_cap, rx, cancel_rx, &in_flight);
+                    serve(sched, queue_cap, &rx, &in_flight);
                 })
                 .expect("spawn inference server thread")
         };
         Server {
             tx: Some(tx),
-            cancel_tx,
             worker: Some(worker),
             obs,
             kv_capacity,
-            next_ticket: AtomicUsize::new(0),
             in_flight,
-            draining: Arc::new(AtomicBool::new(false)),
+            draining: AtomicBool::new(false),
             registry,
             stats,
         }
@@ -253,51 +236,42 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] for
-    /// requests that could never run (validated here, before the worker,
-    /// so callers get the reason synchronously), and
-    /// [`SubmitError::QueueFull`] when the admission channel is at
-    /// capacity or the server is draining (graceful rejection: the caller
-    /// may retry later). Every rejection is counted under
-    /// `infer.rejected.*` and traced.
+    /// [`SubmitError::EmptyPrompt`] / [`SubmitError::PromptTooLong`] /
+    /// [`SubmitError::UnknownAdapter`] for requests that could never run
+    /// (the scheduler's admission rule, applied here so callers get the
+    /// reason synchronously), and [`SubmitError::QueueFull`] when the
+    /// admission channel is at capacity or the server is draining
+    /// (graceful rejection: the caller may retry later). Every rejection
+    /// is counted under `infer.rejected.*` and traced.
     pub fn submit(&self, req: GenRequest) -> Result<GenHandle, SubmitError> {
-        if req.prompt.is_empty() {
-            observe_rejection(&self.obs, SubmitError::EmptyPrompt);
-            return Err(SubmitError::EmptyPrompt);
-        }
-        if req.prompt.len() > self.kv_capacity {
-            observe_rejection(&self.obs, SubmitError::PromptTooLong);
-            return Err(SubmitError::PromptTooLong);
-        }
-        if req
-            .adapter
-            .is_some_and(|id| (id as usize) >= self.registry.len())
-        {
-            observe_rejection(&self.obs, SubmitError::UnknownAdapter);
-            return Err(SubmitError::UnknownAdapter);
+        let refuse = |err| {
+            observe_rejection(&self.obs, err);
+            Err(err)
+        };
+        if let Err(err) = admission(&req, self.kv_capacity, &self.registry) {
+            return refuse(err);
         }
         if self.is_draining() {
-            observe_rejection(&self.obs, SubmitError::QueueFull);
-            return Err(SubmitError::QueueFull);
+            return refuse(SubmitError::QueueFull);
         }
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed) as u64;
         let (reply, rx) = mpsc::channel();
-        let env = Envelope { ticket, req, reply };
-        match self.tx.as_ref().expect("server running").try_send(env) {
-            Ok(()) => {
-                self.in_flight.fetch_add(1, Ordering::Relaxed);
-                Ok(GenHandle {
-                    ticket,
-                    rx,
-                    cancel: self.cancel_tx.clone(),
-                    finished: false,
-                })
-            }
-            Err(mpsc::TrySendError::Full(_)) | Err(mpsc::TrySendError::Disconnected(_)) => {
-                observe_rejection(&self.obs, SubmitError::QueueFull);
-                Err(SubmitError::QueueFull)
-            }
+        let cancel = Arc::new(AtomicBool::new(false));
+        let env = Envelope {
+            req,
+            route: Route {
+                reply,
+                cancel: Arc::clone(&cancel),
+            },
+        };
+        // Counted before the send so the worker's decrement can never run
+        // first; a refused send takes it back.
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let tx = self.tx.as_ref().expect("server running");
+        if tx.try_send(env).is_err() {
+            self.in_flight.fetch_sub(1, Ordering::Relaxed);
+            return refuse(SubmitError::QueueFull);
         }
+        Ok(GenHandle { rx, cancel })
     }
 }
 
@@ -312,96 +286,40 @@ impl Drop for Server {
     }
 }
 
-/// Per-request routing state held by the worker.
-struct Route {
-    ticket: u64,
-    reply: mpsc::Sender<GenEvent>,
-}
-
-/// Worker loop: apply cancellations, drain submissions, tick while busy,
+/// Worker loop: admit submissions, apply cancellations, tick while busy,
 /// stream progress, dispatch results, park while idle.
-fn serve(
-    mut sched: Scheduler,
-    queue_cap: usize,
-    rx: Receiver<Envelope>,
-    cancel_rx: Receiver<u64>,
-    in_flight: &AtomicUsize,
-) {
-    let mut routes: HashMap<u64, Route> = HashMap::new(); // sched id -> route
-    let mut tickets: HashMap<u64, u64> = HashMap::new(); // ticket -> sched id
-    let mut cancelled_early: HashSet<u64> = HashSet::new(); // tickets cancelled pre-submit
-    let mut held: Option<Envelope> = None; // submission awaiting queue room
+fn serve(mut sched: Scheduler, queue_cap: usize, rx: &Receiver<Envelope>, in_flight: &AtomicUsize) {
+    let mut routes: BTreeMap<u64, Route> = BTreeMap::new(); // keyed by scheduler id
     let mut open = true;
-    while open || !sched.is_idle() || held.is_some() {
-        // Cancellations first: a dropped handle must free its slot even if
-        // the admission channel is busy.
-        while let Ok(ticket) = cancel_rx.try_recv() {
-            match tickets.get(&ticket) {
-                Some(&id) => {
-                    sched.cancel(id);
-                }
-                None => {
-                    cancelled_early.insert(ticket);
-                }
-            }
-        }
+    while open || !sched.is_idle() {
         // Admit as many in-transit submissions as the scheduler queue takes.
         // Block (briefly) only when there is nothing to tick.
         while sched.queue_depth() < queue_cap {
-            let env = if let Some(env) = held.take() {
-                env
-            } else if open && sched.is_idle() {
-                match rx.recv_timeout(Duration::from_millis(50)) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
+            let next = if open && sched.is_idle() {
+                rx.recv_timeout(Duration::from_millis(50))
+                    .map_err(|e| e == RecvTimeoutError::Disconnected)
             } else {
-                match rx.try_recv() {
-                    Ok(env) => env,
-                    Err(mpsc::TryRecvError::Empty) => break,
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
+                rx.try_recv()
+                    .map_err(|e| e == mpsc::TryRecvError::Disconnected)
             };
-            // Clone so the envelope survives the (rare) hold-and-retry path.
-            match sched.submit(env.req.clone()) {
-                Ok(id) => {
-                    tickets.insert(env.ticket, id);
-                    routes.insert(
-                        id,
-                        Route {
-                            ticket: env.ticket,
-                            reply: env.reply,
-                        },
-                    );
-                    if cancelled_early.remove(&env.ticket) {
-                        // The handle was dropped before the envelope got
-                        // here: retire it as the queued cancel it is, so
-                        // it is counted and traced like one that lost the
-                        // race the other way.
-                        sched.cancel(id);
-                    }
-                }
-                Err(SubmitError::QueueFull) => {
-                    // Raced a concurrent burst past the depth check; hold
-                    // the envelope and retry after the next tick frees room.
-                    held = Some(env);
+            let env = match next {
+                Ok(env) => env,
+                Err(disconnected) => {
+                    open &= !disconnected;
                     break;
                 }
-                Err(_) => {
-                    // Invalid request (rejection already counted by the
-                    // scheduler): drop the reply sender so the handle's
-                    // `wait()` returns `None`.
-                    cancelled_early.remove(&env.ticket);
-                    in_flight.fetch_sub(1, Ordering::Relaxed);
-                    drop(env.reply);
-                }
+            };
+            let id = sched.submit(env.req).expect(
+                "Server::submit applied the admission rule against this scheduler's \
+                 kv_capacity and registry, and the queue has room",
+            );
+            routes.insert(id, env.route);
+        }
+        // A dropped handle frees its slot (or queue position) before this
+        // tick spends a row on it.
+        for (&id, route) in &routes {
+            if route.cancel.swap(false, Ordering::Relaxed) {
+                sched.cancel(id);
             }
         }
         if !sched.is_idle() {
@@ -414,7 +332,6 @@ fn serve(
         }
         for result in sched.take_finished() {
             if let Some(route) = routes.remove(&result.id) {
-                tickets.remove(&route.ticket);
                 in_flight.fetch_sub(1, Ordering::Relaxed);
                 let _ = route.reply.send(GenEvent::Finished(result));
             }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use apollo_infer::net::{self, ChunkedReader, HttpLimits};
 use apollo_infer::{generate, Frontend, GenConfig, SchedConfig, ServeConfig};
-use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
+use apollo_nn::{AdapterRegistry, LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
 use apollo_tensor::Rng;
 use serde::Value;
@@ -24,7 +24,14 @@ fn tiny_model(seed: u64) -> Arc<LlamaModel> {
 
 /// A front-end tuned for fast tests: short timeouts, small queue.
 fn start_frontend(sched: SchedConfig, serve: ServeConfig) -> Frontend {
-    Frontend::start(tiny_model(0x11), sched, serve, Obs::disabled()).expect("bind loopback")
+    Frontend::start_multi(
+        tiny_model(0x11),
+        sched,
+        serve,
+        Obs::disabled(),
+        Arc::new(AdapterRegistry::empty()),
+    )
+    .expect("bind loopback")
 }
 
 fn test_sched() -> SchedConfig {

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use apollo_infer::{
-    generate, GenConfig, GenRequest, Outcome, SchedConfig, Scheduler, Server, SubmitError,
+    generate, GenConfig, GenEvent, GenRequest, Outcome, SchedConfig, Scheduler, Server, SubmitError,
 };
-use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
+use apollo_nn::{AdapterRegistry, LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
 use apollo_tensor::Rng;
 
@@ -288,7 +288,12 @@ fn server_concurrent_submissions_match_serial() {
         kv_capacity: 64,
         prefix_cache_bytes: 0,
     };
-    let server = Server::start(Arc::clone(&model), cfg, Obs::disabled());
+    let server = Server::start_multi(
+        Arc::clone(&model),
+        cfg,
+        Obs::disabled(),
+        Arc::new(AdapterRegistry::empty()),
+    );
     let handles: Vec<_> = reqs
         .iter()
         .map(|r| server.submit(r.clone()).expect("queue has room"))
@@ -467,7 +472,12 @@ fn cache_full_retirement_still_lands_during_drain() {
         kv_capacity: 6,
         prefix_cache_bytes: 0,
     };
-    let server = Server::start(model, cfg, Obs::disabled());
+    let server = Server::start_multi(
+        model,
+        cfg,
+        Obs::disabled(),
+        Arc::new(AdapterRegistry::empty()),
+    );
     let handle = server
         .submit(GenRequest {
             prompt: vec![1, 2, 3, 4],
@@ -507,7 +517,12 @@ fn wait_timeout_times_out_then_completes() {
         kv_capacity: 4096,
         prefix_cache_bytes: 0,
     };
-    let server = Server::start(model, cfg, Obs::disabled());
+    let server = Server::start_multi(
+        model,
+        cfg,
+        Obs::disabled(),
+        Arc::new(AdapterRegistry::empty()),
+    );
     let mut handle = server
         .submit(GenRequest {
             prompt: vec![1, 2],
@@ -544,7 +559,12 @@ fn dropping_a_handle_cancels_the_in_flight_request() {
         prefix_cache_bytes: 0,
     };
     let obs = Obs::enabled(1);
-    let server = Server::start(Arc::clone(&model), cfg, obs.clone());
+    let server = Server::start_multi(
+        Arc::clone(&model),
+        cfg,
+        obs.clone(),
+        Arc::new(AdapterRegistry::empty()),
+    );
     let handle = server
         .submit(GenRequest {
             prompt: vec![1, 2, 3],
@@ -580,6 +600,72 @@ fn dropping_a_handle_cancels_the_in_flight_request() {
             .expect("completes");
         assert_eq!(res.tokens, serial, "request {i} diverged after a cancel");
     }
+}
+
+#[test]
+fn handles_dropped_while_queued_never_take_the_slot() {
+    let model = tiny_model(0xD7);
+    let cfg = SchedConfig {
+        max_active: 1,
+        queue_cap: 16,
+        prefill_chunk: 8,
+        kv_capacity: 1 << 16,
+        prefix_cache_bytes: 0,
+    };
+    let obs = Obs::enabled(1);
+    let server = Server::start_multi(
+        Arc::clone(&model),
+        cfg,
+        obs.clone(),
+        Arc::new(AdapterRegistry::empty()),
+    );
+    let long = GenRequest {
+        prompt: vec![1, 2, 3],
+        cfg: GenConfig {
+            // Tens of seconds of decoding: it holds the only slot until
+            // its handle is dropped below.
+            max_new_tokens: 1 << 16,
+            ..GenConfig::default()
+        },
+        deadline: None,
+        adapter: None,
+    };
+    let mut holder = server.submit(long.clone()).expect("queue has room");
+    // Its first token means it owns the slot.
+    assert!(matches!(
+        holder.next_event(Duration::from_secs(10)),
+        Ok(GenEvent::Token(_))
+    ));
+    // Eight requests queue behind it; their clients walk away at once.
+    for (i, req) in mixed_requests(&model, 8).into_iter().enumerate() {
+        drop(
+            server
+                .submit(req)
+                .unwrap_or_else(|e| panic!("request {i}: {e}")),
+        );
+    }
+    let last_req = mixed_requests(&model, 9).pop().expect("nine requests");
+    let last = server.submit(last_req.clone()).expect("queue has room");
+    // All eight retire from the queue while the long request runs.
+    let t0 = std::time::Instant::now();
+    while server.in_flight() > 2 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "dropped queued handles leaked"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(holder);
+    let res = last.wait().expect("the last request completes");
+    let serial = generate(&model, &last_req.prompt, &last_req.cfg, |_| {});
+    assert_eq!(res.tokens, serial);
+    assert_eq!(server.in_flight(), 0);
+    assert_eq!(obs.counter_value("infer.requests_retired"), 10);
+    // Only the two kept prompts were ever prefilled.
+    assert_eq!(
+        obs.counter_value("infer.prefill_tokens"),
+        (long.prompt.len() + last_req.prompt.len()) as u64
+    );
 }
 
 #[test]

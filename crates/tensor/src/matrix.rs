@@ -250,23 +250,6 @@ impl Matrix {
         t
     }
 
-    /// Returns a new matrix of the rows `lo..hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `hi > rows`.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> Matrix {
-        assert!(
-            lo <= hi && hi <= self.rows,
-            "slice_rows: bad range {lo}..{hi}"
-        );
-        Matrix {
-            rows: hi - lo,
-            cols: self.cols,
-            data: self.data[lo * self.cols..hi * self.cols].to_vec(),
-        }
-    }
-
     /// Returns a new matrix holding the given rows of `self`, in index
     /// order (duplicates allowed). The low-rank adapter path uses this to
     /// gather one tenant's rows out of a mixed batch; row-copying keeps
@@ -351,14 +334,6 @@ impl Matrix {
         self.assert_same_shape(other, "add_assign");
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// In-place `self -= other`.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        self.assert_same_shape(other, "sub_assign");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
         }
     }
 
@@ -447,13 +422,6 @@ impl Matrix {
         }
     }
 
-    /// Scales column `c` by `alpha` in place.
-    pub fn scale_col(&mut self, c: usize, alpha: f32) {
-        for r in 0..self.rows {
-            self.data[r * self.cols + c] *= alpha;
-        }
-    }
-
     /// Multiplies each column by the corresponding entry of `s`
     /// (`self ← self · diag(s)` — APOLLO's channel-wise gradient scaling).
     ///
@@ -530,17 +498,6 @@ impl Matrix {
                     .sqrt() as f32
             })
             .collect()
-    }
-
-    /// `ℓ₁` norm of each column.
-    pub fn col_abs_sums(&self) -> Vec<f32> {
-        let mut acc = vec![0.0f64; self.cols];
-        for r in 0..self.rows {
-            for (a, &v) in acc.iter_mut().zip(self.row(r)) {
-                *a += v.abs() as f64;
-            }
-        }
-        acc.into_iter().map(|a| a as f32).collect()
     }
 
     /// Maximum absolute element.
@@ -714,7 +671,6 @@ mod tests {
     #[test]
     fn slicing() {
         let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        assert_eq!(m.slice_rows(1, 3).row(0), &[4.0, 5.0, 6.0]);
         assert_eq!(m.slice_cols(1, 2).col(0), vec![2.0, 5.0, 8.0]);
     }
 

@@ -105,11 +105,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Returns a normal sample with the given mean and standard deviation.
-    pub fn gauss_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.gauss()
-    }
-
     /// Derives an independent child generator; used to give each weight
     /// matrix / data shard its own reproducible stream.
     pub fn fork(&mut self) -> Rng {

@@ -55,6 +55,9 @@ use crate::resilience::{
 use crate::schedule::LrSchedule;
 use crate::trainer::{eval_chunked, param_updates, RunLog, TrainConfig};
 
+/// Global gradient norm [`RecoveryPolicy::ClipAndContinue`] clips to.
+const RECOVERY_CLIP_NORM: f32 = 1.0;
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("a member panicked holding a round lock")
 }
@@ -594,7 +597,7 @@ impl<'a> Member<'a> {
                             report.clipped_steps += 1;
                             sanitize_grads(&mut grads);
                             let repaired = self.norm_of(&grads, None)?;
-                            clip_to(&mut grads, repaired, res.clip_norm);
+                            clip_to(&mut grads, repaired, RECOVERY_CLIP_NORM);
                             norm = None;
                             // Fall through: apply the repaired update.
                         }

@@ -25,7 +25,8 @@ use serde::{Deserialize, Serialize};
 pub enum RecoveryPolicy {
     /// Drop the batch: no parameter update this step, move on.
     SkipStep,
-    /// Zero non-finite gradient entries, clip the global norm, then step.
+    /// Zero non-finite gradient entries, clip the global norm to 1.0, then
+    /// step.
     ClipAndContinue,
     /// Restore the last in-memory snapshot, scale the learning rate down
     /// by `lr_backoff`, and replay from the snapshot step.
@@ -51,8 +52,6 @@ pub struct ResilienceConfig {
     /// A loss counts as a spike when it exceeds `spike_factor ×` the
     /// rolling mean.
     pub spike_factor: f32,
-    /// Global-norm clip used by [`RecoveryPolicy::ClipAndContinue`].
-    pub clip_norm: f32,
     /// How often (in steps) `RollbackAndRetry` refreshes its in-memory
     /// snapshot.
     pub snapshot_every: usize,
@@ -77,7 +76,6 @@ impl Default for ResilienceConfig {
             policy: None,
             spike_window: 16,
             spike_factor: 3.0,
-            clip_norm: 1.0,
             snapshot_every: 10,
             max_consecutive_faults: 8,
             checkpoint_dir: None,

@@ -181,6 +181,15 @@ grep '^final loss' "$TRACE_TMP/ddp-kill.txt" >"$TRACE_TMP/ddp-kill-loss.txt"
 cmp "$TRACE_TMP/ddp1.txt" "$TRACE_TMP/ddp-kill-loss.txt"
 
 echo "== serve smoke run (loopback server + fault-injected loadgen + drain)"
+# A server thread that panicked (the scheduler worker's admission invariant,
+# or any connection handler) fails the stage even when every reply the load
+# generator saw was clean. The panic hook prints "thread '…' panicked at" to
+# the server's stderr.
+fail_on_panics() {
+    if grep -n 'panicked' "$1"; then
+        echo "a server thread panicked (matching lines of $1 above)"; exit 1
+    fi
+}
 # Bring up the HTTP front-end on a loopback ephemeral port, drive it with
 # the deterministic load generator at the default fault mix (slow-loris,
 # mid-stream disconnects, malformed requests, bursts), then signal a
@@ -191,17 +200,22 @@ echo "== serve smoke run (loopback server + fault-injected loadgen + drain)"
 ./target/release/apollo serve --resume "$TRACE_TMP/gen.ckpt" \
     --addr 127.0.0.1:0 --addr-file "$TRACE_TMP/serve.addr" \
     --shutdown-file "$TRACE_TMP/serve.stop" \
-    --trace-out "$TRACE_TMP/serve_trace.jsonl" &
+    --trace-out "$TRACE_TMP/serve_trace.jsonl" 2>"$TRACE_TMP/serve.log" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
     [ -f "$TRACE_TMP/serve.addr" ] && break
     sleep 0.1
 done
-[ -f "$TRACE_TMP/serve.addr" ] || { echo "serve never published its address"; exit 1; }
+[ -f "$TRACE_TMP/serve.addr" ] || {
+    echo "serve never published its address"
+    cat "$TRACE_TMP/serve.log"
+    exit 1
+}
 ./target/release/apollo loadgen --addr "$(cat "$TRACE_TMP/serve.addr")" \
     --requests 30 --rate 100 --faults default --expect-clean
 touch "$TRACE_TMP/serve.stop"
-wait "$SERVE_PID"
+wait "$SERVE_PID" || { cat "$TRACE_TMP/serve.log"; exit 1; }
+fail_on_panics "$TRACE_TMP/serve.log"
 ./target/release/apollo trace-check --trace "$TRACE_TMP/serve_trace.jsonl"
 
 echo "== multi-tenant serve smoke (3 adapters, prefix cache, /stats)"
@@ -263,6 +277,7 @@ grep -q '"prefix_cache"' "$TRACE_TMP/mt_stats.txt"
 grep -q '"adapters"' "$TRACE_TMP/mt_stats.txt"
 touch "$TRACE_TMP/mt.stop"
 wait "$MT_PID"
+fail_on_panics "$TRACE_TMP/mt_serve.log"
 # Drain report: the prefix cache must have served real hits.
 grep -Eq 'infer\.prefix\.hits +[1-9]' "$TRACE_TMP/mt_serve.log" || {
     echo "multi-tenant run recorded no prefix-cache hits"
