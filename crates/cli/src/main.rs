@@ -81,6 +81,10 @@ SERVING
                    Runs until --run-secs elapses or --shutdown-file
                    appears, then drains gracefully (in-flight requests
                    finish, bounded by --drain-deadline-ms).
+  --prefill-chunk N  prompt rows per tick, summed over every prompt being
+                   prefilled; they share the tick's forward pass with one
+                   row per decoding request, so decoding never stalls
+                   behind a long prompt (default 16).
   loadgen          open-loop Poisson load generator with deterministic
                    fault injection (slow-loris, mid-stream disconnect,
                    malformed requests, bursts). --expect-clean exits

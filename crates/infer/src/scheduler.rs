@@ -2,11 +2,14 @@
 //!
 //! A fixed number of *slots* hold in-flight sequences, each with its own
 //! reusable [`KvCache`]. Every [`Scheduler::tick`] admits queued requests
-//! into free slots, runs one batched prefill pass (up to `prefill_chunk`
-//! prompt rows per sequence) and one batched decode pass (one row per
-//! decoding sequence) through [`LlamaModel::forward_cached`], samples with
-//! each request's own [`Rng`], retires finished sequences, and back-fills
-//! the freed slots on the next tick.
+//! into free slots and runs one batched pass through
+//! [`LlamaModel::forward_cached`]: one row per decoding sequence plus at
+//! most `prefill_chunk` prompt rows in all, handed to prefilling sequences
+//! oldest admission first. Decoding sequences therefore get a token every
+//! tick however long the prompts behind them are, and the prompt rows
+//! bound what a tick costs (stall-free batching, Sarathi-Serve). The tick
+//! then samples with each request's own [`Rng`], retires finished
+//! sequences, and back-fills the freed slots on the next tick.
 //!
 //! Because every row of the batched forward is bit-identical to the same
 //! row computed alone, and sampling state is per-request, the tokens a
@@ -33,8 +36,10 @@ pub struct SchedConfig {
     pub max_active: usize,
     /// Bound of the admission queue; [`Scheduler::submit`] rejects beyond it.
     pub queue_cap: usize,
-    /// Maximum prompt rows prefilled per sequence per tick. Caps the
-    /// latency a long prompt can impose on already-decoding sequences.
+    /// Maximum prompt rows one tick prefills, summed over every prefilling
+    /// sequence. They share the tick's pass with every decoding sequence's
+    /// row, so this caps the latency prompts can impose on sequences
+    /// already decoding.
     pub prefill_chunk: usize,
     /// KV capacity per slot (longest prompt + generation it can hold).
     pub kv_capacity: usize,
@@ -398,8 +403,14 @@ impl Scheduler {
         std::mem::take(&mut self.progress)
     }
 
-    /// Runs one scheduling step: admit → prefill pass → decode pass →
-    /// retire → back-fill. Returns how many results retired this tick.
+    /// Runs one scheduling step: admit → one forward pass → sample →
+    /// retire. Returns how many results retired this tick.
+    ///
+    /// The pass carries one row for every decoding slot and at most
+    /// `prefill_chunk` prompt rows in all, handed to prefilling slots in
+    /// admission order (lowest id first). A slot whose prompt the pass
+    /// completes samples its first token from it and decodes from the next
+    /// tick on.
     pub fn tick(&mut self) -> usize {
         let t0 = Instant::now();
         let retired_before = self.finished.len();
@@ -407,38 +418,57 @@ impl Scheduler {
         self.admit();
         self.expire_deadlines();
 
-        // --- batched prefill -------------------------------------------------
-        let mut prefill_rows: Vec<(usize, u32)> = Vec::new();
-        let mut prefill_ads: Vec<Option<Arc<LoraAdapter>>> = Vec::new();
-        let mut sample_after_prefill: Vec<(usize, usize)> = Vec::new(); // (slot, row)
-        for (slot, act) in self.slots.iter_mut().enumerate() {
-            let Some(act) = act else { continue };
-            if !act.prefilling() || act.outcome.is_some() {
+        // --- one bounded pass ------------------------------------------------
+        let mut rows: Vec<(usize, u32)> = Vec::new();
+        let mut ads: Vec<Option<Arc<LoraAdapter>>> = Vec::new();
+        // (slot, row): the pass row whose logits each sampling slot reads.
+        let mut sampled: Vec<(usize, usize)> = Vec::new();
+        // Slots whose prompt this pass completes.
+        let mut completed: Vec<usize> = Vec::new();
+        let mut budget = self.cfg.prefill_chunk;
+        let mut order: Vec<(u64, usize)> = (self.slots.iter().enumerate())
+            .filter_map(|(slot, act)| Some((act.as_ref()?.id, slot)))
+            .collect();
+        order.sort_unstable();
+        for (_, slot) in order {
+            let act = self.slots[slot].as_mut().expect("an occupied slot");
+            if act.outcome.is_some() {
                 continue;
             }
-            let take = self.cfg.prefill_chunk.min(act.prompt.len() - act.fed);
-            for i in 0..take {
-                prefill_rows.push((slot, act.prompt[act.fed + i]));
-                prefill_ads.push(act.adapter.as_ref().map(|(_, a)| Arc::clone(a)));
+            let ad = act.adapter.as_ref().map(|(_, a)| Arc::clone(a));
+            if act.prefilling() {
+                let take = budget.min(act.prompt.len() - act.fed);
+                budget -= take;
+                let toks = &act.prompt[act.fed..act.fed + take];
+                rows.extend(toks.iter().map(|&tok| (slot, tok)));
+                ads.extend(std::iter::repeat_n(ad, take));
+                act.fed += take;
+                if act.prefilling() {
+                    continue; // no logits before the prompt's last row
+                }
+                completed.push(slot);
+            } else if self.caches.remaining(slot) == 0 {
+                continue; // retired as CacheFull below
+            } else {
+                let last = act.generated.last().expect("a decoding slot has sampled");
+                rows.push((slot, *last));
+                ads.push(ad);
             }
-            act.fed += take;
-            if !act.prefilling() {
-                // Prefill completes this tick: the last prompt row's logits
-                // seed the first sampled token.
-                sample_after_prefill.push((slot, prefill_rows.len() - 1));
-            }
+            sampled.push((slot, rows.len() - 1));
         }
+        let n_prefill = self.cfg.prefill_chunk - budget;
+        let n_decode = rows.len() - n_prefill;
         let p0 = Instant::now();
-        if !prefill_rows.is_empty() {
-            let ads: Vec<Option<&LoraAdapter>> = prefill_ads.iter().map(|a| a.as_deref()).collect();
+        if !rows.is_empty() {
+            let ads: Vec<Option<&LoraAdapter>> = ads.iter().map(|a| a.as_deref()).collect();
             let hidden = self
                 .backend
-                .forward_cached_with(&mut self.caches, &prefill_rows, &ads);
-            // Freshly-completed prefills feed the prefix cache before
-            // decode can extend the slot (cache rows `0..prompt.len()` are
-            // exactly the prompt's KV at this point).
+                .forward_cached_with(&mut self.caches, &rows, &ads);
+            // Completed prompts feed the prefix cache before decode can
+            // extend their slots (cache rows `0..prompt.len()` are exactly
+            // the prompt's KV at this point).
             let evictions_before = self.prefix.eviction_count();
-            for &(slot, _) in &sample_after_prefill {
+            for &slot in &completed {
                 let act = self.slots[slot].as_ref().expect("completing slot");
                 let key = act.adapter.as_ref().map(|(aid, _)| *aid);
                 let caches = &self.caches;
@@ -449,59 +479,29 @@ impl Scheduler {
             if evicted > 0 {
                 self.obs.counter("infer.prefix.evictions", evicted);
             }
-            let picked = gather_rows(&hidden, sample_after_prefill.iter().map(|&(_, r)| r));
+            let picked = gather_rows(&hidden, sampled.iter().map(|&(_, r)| r));
             let logits = self.backend.lm_logits(&picked);
-            for (i, &(slot, _)) in sample_after_prefill.iter().enumerate() {
+            for (i, &(slot, _)) in sampled.iter().enumerate() {
                 self.sample_into_slot(slot, logits.row(i));
             }
         }
-        let prefill_ms = ms_since(p0);
-
-        // --- batched decode --------------------------------------------------
-        let mut decode_rows: Vec<(usize, u32)> = Vec::new();
-        let mut decode_ads: Vec<Option<Arc<LoraAdapter>>> = Vec::new();
-        let mut decode_slots: Vec<usize> = Vec::new();
-        for (slot, act) in self.slots.iter().enumerate() {
-            let Some(act) = act else { continue };
-            if act.prefilling() || act.outcome.is_some() {
-                continue;
-            }
-            let Some(&last) = act.generated.last() else {
-                continue;
-            };
-            if self.caches.remaining(slot) == 0 {
-                continue; // retired as CacheFull below
-            }
-            decode_rows.push((slot, last));
-            decode_ads.push(act.adapter.as_ref().map(|(_, a)| Arc::clone(a)));
-            decode_slots.push(slot);
-        }
-        let d0 = Instant::now();
-        if !decode_rows.is_empty() {
-            let ads: Vec<Option<&LoraAdapter>> = decode_ads.iter().map(|a| a.as_deref()).collect();
-            let hidden = self
-                .backend
-                .forward_cached_with(&mut self.caches, &decode_rows, &ads);
-            let logits = self.backend.lm_logits(&hidden);
-            for (i, &slot) in decode_slots.iter().enumerate() {
-                self.sample_into_slot(slot, logits.row(i));
-            }
-        }
-        let decode_ms = ms_since(d0);
+        let pass_ms = ms_since(p0);
+        let (prefill_ms, decode_ms) = if n_prefill > 0 {
+            (pass_ms, 0.0)
+        } else {
+            (0.0, pass_ms)
+        };
 
         self.retire();
         let retired = self.finished.len() - retired_before;
 
         self.tick += 1;
         self.obs.set_step(self.tick);
-        self.obs
-            .counter("infer.prefill_tokens", prefill_rows.len() as u64);
-        self.obs
-            .counter("infer.decode_tokens", decode_rows.len() as u64);
+        self.obs.counter("infer.prefill_tokens", n_prefill as u64);
+        self.obs.counter("infer.decode_tokens", n_decode as u64);
         self.obs.gauge("infer.queue_depth", self.queue.len() as f64);
         self.obs.gauge("infer.active", self.active() as f64);
         let (tick, queue_depth, active) = (self.tick, self.queue.len(), self.active());
-        let (n_prefill, n_decode) = (prefill_rows.len(), decode_rows.len());
         self.obs.emit(|| TraceEvent::InferStep {
             step: tick,
             prefill_rows: n_prefill,
@@ -574,7 +574,7 @@ impl Scheduler {
 
     /// Moves queued requests into free slots: resolves the adapter, runs
     /// the prefix-cache lookup, and appends any cached KV rows so the
-    /// prefill pass only sees the unmatched suffix.
+    /// tick only prefills the unmatched suffix.
     fn admit(&mut self) {
         for slot in 0..self.slots.len() {
             if self.slots[slot].is_some() {

@@ -3,11 +3,14 @@
 //! bounded with graceful rejection, and deadline / cache-full retirement
 //! fire with partial output intact.
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use apollo_infer::{
-    generate, GenConfig, GenEvent, GenRequest, Outcome, SchedConfig, Scheduler, Server, SubmitError,
+    generate, GenConfig, GenEvent, GenRequest, GenResult, Outcome, SchedConfig, Scheduler, Server,
+    SubmitError,
 };
 use apollo_nn::{AdapterRegistry, LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
@@ -706,4 +709,111 @@ fn rejections_are_counted_by_reason() {
     assert_eq!(obs.counter_value("infer.rejected.queue_full"), 1);
     assert_eq!(obs.counter_value("infer.rejected.empty_prompt"), 1);
     assert_eq!(obs.counter_value("infer.rejected.prompt_too_long"), 2);
+}
+
+#[test]
+fn prompt_rows_per_tick_are_bounded_and_decoding_never_stalls() {
+    // Two short requests are decoding when two 40-token prompts arrive
+    // behind them. `prefill_chunk` bounds the prompt rows of a whole tick,
+    // not of each sequence, and the decoding requests' rows ride the same
+    // pass, so neither of them misses a token while the prompts prefill.
+    let model = tiny_model(0xCF);
+    let vocab = model.config().vocab_size;
+    let mut rng = Rng::seed_from_u64(0xC0DE);
+    let request = |prompt_len: usize, max_new_tokens: usize, seed: u64, rng: &mut Rng| GenRequest {
+        prompt: (0..prompt_len).map(|_| rng.below(vocab) as u32).collect(),
+        cfg: GenConfig {
+            max_new_tokens,
+            temperature: 0.9,
+            top_k: 8,
+            seed,
+            ..GenConfig::default()
+        },
+        deadline: None,
+        adapter: None,
+    };
+    let early = [request(3, 20, 1, &mut rng), request(5, 20, 2, &mut rng)];
+    let late = [request(40, 6, 3, &mut rng), request(40, 6, 4, &mut rng)];
+    let cfg = SchedConfig {
+        max_active: 4,
+        queue_cap: 8,
+        prefill_chunk: 8,
+        kv_capacity: 64,
+        prefix_cache_bytes: 0,
+    };
+    let mut sched = Scheduler::new(Arc::clone(&model), cfg, Obs::disabled());
+    let stats = sched.stats();
+    let mut ids: Vec<u64> = (early.iter())
+        .map(|r| sched.submit(r.clone()).expect("queue has room"))
+        .collect();
+    sched.tick(); // both short prompts fit one tick's 8 rows
+    let mut tokens: HashMap<u64, Vec<u32>> = HashMap::new();
+    for (id, tok) in sched.take_progress() {
+        tokens.entry(id).or_default().push(tok);
+    }
+    assert_eq!(tokens.len(), 2, "both short requests decode after one tick");
+    ids.extend(
+        late.iter()
+            .map(|r| sched.submit(r.clone()).expect("queue has room")),
+    );
+
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let (mut retired, mut first_tokens, mut shared_ticks) = (Vec::new(), Vec::new(), 0);
+    while !sched.is_idle() {
+        let decoding: Vec<u64> = (tokens.keys())
+            .filter(|&&id| !retired.iter().any(|r: &GenResult| r.id == id))
+            .copied()
+            .collect();
+        let (prefill0, decode0) = (load(&stats.prefill_tokens), load(&stats.decode_tokens));
+        sched.tick();
+        let prompt_rows = load(&stats.prefill_tokens) - prefill0;
+        let decode_rows = load(&stats.decode_tokens) - decode0;
+        assert!(
+            prompt_rows <= 8,
+            "a tick prefilled {prompt_rows} prompt rows"
+        );
+        assert_eq!(
+            decode_rows,
+            decoding.len() as u64,
+            "one row per decoding request"
+        );
+        if prompt_rows > 0 && decode_rows > 0 {
+            shared_ticks += 1;
+        }
+        let progress = sched.take_progress();
+        for id in &decoding {
+            let got = progress.iter().filter(|(p, _)| p == id).count();
+            assert_eq!(got, 1, "decoding request {id} got {got} tokens in one tick");
+        }
+        for (id, tok) in progress {
+            let seq = tokens.entry(id).or_default();
+            if seq.is_empty() {
+                first_tokens.push(id);
+            }
+            seq.push(tok);
+        }
+        retired.extend(sched.take_finished());
+    }
+    assert_eq!(
+        first_tokens,
+        ids[2..],
+        "first tokens arrive in admission order"
+    );
+    assert_eq!(
+        shared_ticks, 10,
+        "80 prompt rows, 8 a tick, all beside decode rows"
+    );
+    assert_eq!(retired.len(), 4);
+    for (req, id) in early.iter().chain(&late).zip(&ids) {
+        let serial = generate(&model, &req.prompt, &req.cfg, |_| {});
+        let res = retired
+            .iter()
+            .find(|r| r.id == *id)
+            .expect("every request retires");
+        assert_eq!(
+            res.tokens, serial,
+            "request {id} diverged from serial generation"
+        );
+        assert_eq!(tokens[id], serial, "request {id}'s streamed tokens");
+    }
 }

@@ -33,8 +33,8 @@
 //!   sum ascend over cache positions, exactly like the graph's per-row
 //!   loops. The two hot loops only choose which *independent* elements
 //!   share a vector: scores run with cache positions as lanes (keys are
-//!   stored position-major for it), the value sum with hidden dimensions
-//!   as lanes and all heads' chains in one pass over each V row. No
+//!   stored position-major for it), the value sum with a head's dimensions
+//!   as lanes, each chain held in a register over the positions. No
 //!   element's own op sequence changes, so neither do its bits. The
 //!   graph's `probs · V` product includes zero-probability future
 //!   positions, but `±0 · finite` never changes an accumulator, so summing
@@ -458,29 +458,63 @@ fn score_block(
     }
 }
 
-/// `probs · V` for every head of one query row: `orow[c] += p_h(c)[j] ·
+/// `probs · V` for every head of one query row: `orow[c] = Σ_j p_h(c)[j] ·
 /// v_j[c]` for `j` ascending, where `probs` is `heads × n_pos` and `v` the
 /// row-major `capacity × hidden` value matrix.
 ///
-/// One pass over each V row feeds all heads, so the lanes are the hidden
-/// dimensions and every output element is an independent chain that adds
-/// its products in ascending position — the order of the graph's `probs ·
-/// V` matmul (whose extra zero-probability future terms never change an
-/// accumulator). `orow` must come in zeroed.
+/// Each head walks the positions once per [`mix_block`] of its dimensions,
+/// so the lanes are hidden dimensions and every output element is an
+/// independent chain, held in a register from `+0.0` over the positions and
+/// stored once, that adds its products in ascending position — the order
+/// of the graph's `probs · V` matmul (whose extra zero-probability future
+/// terms never change an accumulator). A head is cut into the widest blocks
+/// that fit what is left of it: up to four 8-lane vectors, then 4, 2 and 1
+/// lanes, so every head width runs the one body at literal widths.
 fn attention_mix(probs: &[f32], n_pos: usize, v: &[f32], hd: usize, orow: &mut [f32]) {
     let h = orow.len();
-    for (j, vrow) in v.chunks_exact(h).take(n_pos).enumerate() {
-        for ((oh, vh), ph) in orow
-            .chunks_exact_mut(hd)
-            .zip(vrow.chunks_exact(hd))
-            .zip(probs.chunks_exact(n_pos))
-        {
-            let pj = ph[j];
-            for (ov, &vv) in oh.iter_mut().zip(vh) {
-                *ov += pj * vv;
+    for (hh, ph) in probs.chunks_exact(n_pos).enumerate() {
+        let (mut d, end) = (hh * hd, (hh + 1) * hd);
+        while d < end {
+            let o = &mut orow[d..];
+            d += match end - d {
+                32.. => mix_block::<8, 4>(ph, v, h, d, o),
+                24..32 => mix_block::<8, 3>(ph, v, h, d, o),
+                16..24 => mix_block::<8, 2>(ph, v, h, d, o),
+                8..16 => mix_block::<8, 1>(ph, v, h, d, o),
+                4..8 => mix_block::<4, 1>(ph, v, h, d, o),
+                2..4 => mix_block::<2, 1>(ph, v, h, d, o),
+                _ => mix_block::<1, 1>(ph, v, h, d, o),
+            };
+        }
+    }
+}
+
+/// One block of `C` vectors of `W` lanes of [`attention_mix`], dimensions
+/// `d0..d0 + C·W` of every position's value row (row stride `h`) weighted
+/// by one head's probabilities `ph`, into the first `C·W` elements of
+/// `out`. Returns the block's width.
+#[inline(always)]
+fn mix_block<const W: usize, const C: usize>(
+    ph: &[f32],
+    v: &[f32],
+    h: usize,
+    d0: usize,
+    out: &mut [f32],
+) -> usize {
+    let mut acc = [[0.0f32; W]; C];
+    for (j, &pj) in ph.iter().enumerate() {
+        let vrow = &v[j * h + d0..];
+        for (c, a) in acc.iter_mut().enumerate() {
+            let vc: &[f32; W] = vrow[c * W..].first_chunk().expect("mix: value row");
+            for (x, &vv) in a.iter_mut().zip(vc) {
+                *x += pj * vv;
             }
         }
     }
+    for (o, a) in out.chunks_exact_mut(W).zip(&acc) {
+        o.copy_from_slice(a);
+    }
+    W * C
 }
 
 /// The one cached walk every tier decodes through; the public

@@ -88,6 +88,74 @@ fn chunked_prefill_matches_full_forward() {
 }
 
 #[test]
+fn benchmark_geometry_generation_matches_full_forward() {
+    // `tiny_1b` is what `decode-batch` and `serve-http` decode: head width
+    // 24 (the value mix's 16 + 8 lanes) and 192- and 512-wide products
+    // whose inner dimensions span several of the GEMM's row blocks. A
+    // 128-token prompt in one call, then 32 single-token steps.
+    let cfg = ModelConfig::tiny_1b();
+    let mut rng = Rng::seed_from_u64(0xDEC6);
+    let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+    let tokens = random_tokens(160, cfg.vocab_size, &mut rng);
+    let full = model.full_logits(&tokens, 1);
+    let mut chunks = vec![128usize];
+    chunks.extend([1; 32]);
+    let inc = cached_logits_chunked(&model, &tokens, &chunks);
+    assert_bits_eq(&inc, &full, "tiny_1b 128 + 32 x 1");
+}
+
+#[test]
+fn benchmark_geometry_batch_of_eight_matches_per_sequence_decode() {
+    // Eight `tiny_1b` caches decoded together — the ≤ 8-row products of
+    // every decode tick — against each sequence decoded alone (single-row
+    // products). Sequence 7 prefills its whole prompt in the same call as
+    // the others' first decode rows, the scheduler's shared pass.
+    let cfg = ModelConfig::tiny_1b();
+    let mut rng = Rng::seed_from_u64(0xDEC7);
+    let model = LlamaModel::new(&cfg, LinearMode::Dense, &mut rng);
+    let (batch, steps) = (8usize, 6usize);
+    let prompt_len = |c: usize| 3 + 5 * c;
+    let seqs: Vec<Vec<u32>> = (0..batch)
+        .map(|c| random_tokens(prompt_len(c) + steps, cfg.vocab_size, &mut rng))
+        .collect();
+    let alone: Vec<Matrix> = (seqs.iter().enumerate())
+        .map(|(c, s)| {
+            let mut chunks = vec![prompt_len(c)];
+            chunks.extend(vec![1; steps]);
+            cached_logits_chunked(&model, s, &chunks)
+        })
+        .collect();
+
+    let mut caches: Vec<KvCache> = seqs.iter().map(|s| model.new_kv_cache(s.len())).collect();
+    let mut fed = vec![0usize; batch];
+    let mut got: Vec<Matrix> = (seqs.iter())
+        .map(|s| Matrix::zeros(s.len(), cfg.vocab_size))
+        .collect();
+    let mut run = |rows: Vec<(usize, u32)>, fed: &mut [usize]| {
+        let logits = model.lm_logits(&model.forward_cached(&mut caches, &rows));
+        for (r, &(c, _)) in rows.iter().enumerate() {
+            got[c].row_mut(fed[c]).copy_from_slice(logits.row(r));
+            fed[c] += 1;
+        }
+    };
+    let prompts =
+        (0..batch - 1).flat_map(|c| seqs[c][..prompt_len(c)].iter().map(move |&t| (c, t)));
+    run(prompts.collect(), &mut fed);
+    let last = batch - 1;
+    let mut shared: Vec<(usize, u32)> = (0..last).map(|c| (c, seqs[c][fed[c]])).collect();
+    shared.extend(seqs[last][..prompt_len(last)].iter().map(|&t| (last, t)));
+    run(shared, &mut fed);
+    while (0..batch).any(|c| fed[c] < seqs[c].len()) {
+        let rows = (0..batch).filter(|&c| fed[c] < seqs[c].len());
+        run(rows.map(|c| (c, seqs[c][fed[c]])).collect(), &mut fed);
+    }
+    for c in 0..batch {
+        assert_eq!(fed[c], seqs[c].len(), "sequence {c} fully fed");
+        assert_bits_eq(&got[c], &alone[c], &format!("sequence {c} of 8"));
+    }
+}
+
+#[test]
 // Indexing by `c`/`t` mirrors the (cache, position) addressing under test.
 #[allow(clippy::needless_range_loop)]
 fn interleaved_batch_matches_per_sequence_full_forward() {

@@ -128,9 +128,10 @@ pub enum TraceEvent {
         queue_depth: usize,
         /// Sequences occupying slots after the tick.
         active: usize,
-        /// Batched prefill forward time.
+        /// The tick's one forward pass (prompt and decode rows together)
+        /// plus sampling, when it carried prompt rows; else 0.
         prefill_ms: f32,
-        /// Batched decode forward + sampling time.
+        /// The same pass time when it carried decode rows only; else 0.
         decode_ms: f32,
         /// Whole-tick time (prefill, decode, admission bookkeeping).
         total_ms: f32,

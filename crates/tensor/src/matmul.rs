@@ -33,8 +33,10 @@
 //! Measured on the reference box (Sapphire Rapids, one thread, same
 //! process, calls alternating; EXPERIMENTS.md "The exact-tier GEMM at the
 //! machine's width"): the projection GEMMs `Pᵀ·G` / `G·P` 1.5–1.6×, the
-//! training shapes 1.3–1.4×, the 32-row prefill chunk 1.3–1.4×, the 8-row
-//! decode tick unchanged (it is below the row gate by design).
+//! training shapes 1.3–1.4×, the 32-row prefill chunk 1.3–1.4×. The
+//! decode batch (m ≤ 8, read in place) runs the 16-lane tile in a loop
+//! order of its own, blocks of [`KB`] rows of `b` outermost: 1.0–1.6× on
+//! its shapes at m = 8.
 //!
 //! Two alternatives were measured and rejected. `-C
 //! target-feature=-prefer-256-bit` in `.cargo/config.toml` widens the array
@@ -66,6 +68,8 @@
 //! operations (sound because a `Zmm` exists only after the probe; the load
 //! and store touch exactly the `[f32; 16]` they borrow) and the probed call
 //! into the `#[target_feature]` entry.
+
+use std::ops::Range;
 
 use crate::matrix::Matrix;
 use crate::pool::par_bands;
@@ -132,8 +136,14 @@ const WIDE_ROWS: usize = 8;
 /// 8-row tick walks 35 weight matrices between two visits to any of them,
 /// `nn.decode.step_b8_ms` with the gate at 2 instead of 16 read 2.22 / 2.16
 /// / 2.26 against 2.15 / 2.53 / 2.25 ms — no difference this box can
-/// resolve. 16 therefore leaves every decode batch (m ≤ 8) on the tile it
-/// has always run and takes the prefill chunk and everything taller.
+/// resolve. 16 therefore takes the prefill chunk and everything taller,
+/// and leaves 9–15-row bands on the array tile.
+///
+/// The table is for `b` swept whole per column band. A band of at most
+/// [`WIDE_ROWS`] rows read in place — every decode batch — runs the 16-lane
+/// tile too, in the other loop order: one tile holds all its rows and `b`
+/// is walked in blocks of [`KB`] rows, which pays where this sweep did not
+/// (see there).
 const WIDE_MIN_ROWS: usize = 16;
 
 /// `a · b` packs `b` into panels only from this many rows of `a` up. The
@@ -167,6 +177,43 @@ const WIDE_MIN_ROWS: usize = 16;
 /// 512×1376 `b` — a gradient — is ahead packed at any m, the pack being the
 /// one sequential read it gets. Neither is the case the constant is for.)
 const PACK_MIN_ROWS: usize = 64;
+
+/// Rows of `b` per block where a band of at most [`WIDE_ROWS`] rows — every
+/// decode batch — reads `b` in place on an AVX-512 host: one 16-lane tile
+/// holds all the rows, blocks of `KB` rows of `b` go outermost and the
+/// column bands inside them, each block resuming its accumulators from
+/// `out`. The alternative, the whole of `k` per column band, walks `b` as
+/// `k` concurrent strided streams (one 128-byte run per row of `b` per
+/// band); a block is `KB` streams at a time, which the prefetcher keeps up
+/// with. The size trades that against one accumulator load and store per
+/// block, so it is measured, like [`PACK_MIN_ROWS`].
+///
+/// Measured on the reference box (Sapphire Rapids VM, 1 thread, same
+/// process, settings alternating, median of 3), µs per call of `a · b`,
+/// `b` hot in L2, then rotating over 24 copies so that each call finds it
+/// cold; the four-row array tile over the whole of `k` (what a host
+/// without AVX-512 runs) / `KB` = 32 / 64 / 128 / the 16-lane tile over the
+/// whole of `k`:
+///
+/// | `k×n`, `b`   | m = 2                    | 4                        | 8                        |
+/// |--------------|--------------------------|--------------------------|--------------------------|
+/// | 192×192 hot  | 6.3 / 7.0 / 5.8 / 5.5 / 5.4 | 9.3 / 9.3 / 8.2 / 7.8 / 7.5 | 18.0 / 13.5 / 11.3 / 11.8 / 11.4 |
+/// | 192×512 hot  | 13.4 / 13.9 / 13.5 / 13.1 / 12.2 | 19.3 / 19.9 / 17.2 / 16.4 / 17.4 | 46.9 / 40.6 / 36.1 / 34.1 / 32.5 |
+/// | 512×192 hot  | 15.1 / 15.1 / 15.2 / 11.3 / 11.6 | 19.0 / 19.9 / 16.4 / 17.3 / 16.3 | 46.8 / 38.0 / 34.5 / 33.4 / 31.9 |
+/// | 192×192 cold | 10.9 / 11.8 / 10.8 / 10.9 / 9.8 | 14.4 / 14.8 / 12.3 / 13.1 / 11.9 | 21.9 / 21.0 / 20.0 / 19.6 / 19.3 |
+/// | 192×512 cold | 33.6 / 29.3 / 26.9 / 27.9 / 29.0 | 53.0 / 37.8 / 35.4 / 39.1 / 47.2 | 70.5 / 56.7 / 56.6 / 71.4 / 81.5 |
+/// | 512×192 cold | 28.6 / 28.6 / 27.6 / 27.3 / 27.1 | 41.5 / 37.3 / 36.1 / 34.7 / 35.5 | 52.2 / 47.0 / 50.5 / 45.7 / 51.5 |
+///
+/// (Cells move 10–20 % run to run on this shared box.) One tile for all
+/// the rows is most of the gain on hot weights, where blocking costs up to
+/// 10 %. The blocks earn theirs on the 2 KB-strided `192×512` weight that
+/// comes in cold, as every weight of a decode tick does (it walks 36
+/// matrices between two visits to any one): 1.4× slower unblocked than at
+/// 64 rows at m = 8, and still 1.26× at 128. 64 is the best or within noise
+/// of it in every cold cell, and ties 32 there while losing less on hot
+/// ones. Tried on the same harness and not kept: 8 and 16 rows (behind 32
+/// in nearly every cell), and 48 and 96 (no cell outside 64's spread).
+const KB: usize = 64;
 
 /// FLOP count of an `m×k · k×n` multiplication (one multiply + one add per
 /// inner-product term), used for the [`PAR_MIN_FLOPS`] gate.
@@ -331,12 +378,24 @@ fn run_packed(
         return; // out is pre-zeroed; an empty inner dim contributes nothing
     }
     let rows = &a_rows[lo * k..hi * k];
+    let wide = wide_tile(hi - lo);
     let mut j0 = 0;
     while j0 < n {
         let w = NR.min(n - j0);
         let block = &panel[j0 * k..(j0 + w) * k];
         let array_rows = if w == NR { PACKED_ROWS } else { MR };
-        sweep_band(array_rows, rows, k, block, w, w, &mut out[j0..], n);
+        sweep_band(
+            wide,
+            array_rows,
+            rows,
+            k,
+            0..k,
+            block,
+            w,
+            w,
+            &mut out[j0..],
+            n,
+        );
         j0 += w;
     }
 }
@@ -364,11 +423,34 @@ fn run_unpacked(
         return;
     }
     let rows = &a_rows[lo * k..hi * k];
-    let mut j0 = 0;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        sweep_band(MR, rows, k, &b[j0..], n, w, &mut out[j0..], n);
-        j0 += w;
+    // A band that fits one 16-lane tile walks `b` in blocks of [`KB`] rows,
+    // every column band inside each block; any other band takes the whole
+    // of `k` in one block.
+    let blocked = hi - lo <= WIDE_ROWS && numerics::avx512f();
+    let (wide, kb) = if blocked {
+        (true, KB)
+    } else {
+        (wide_tile(hi - lo), k)
+    };
+    for p0 in (0..k).step_by(kb) {
+        let ps = p0..k.min(p0 + kb);
+        let mut j0 = 0;
+        while j0 < n {
+            let w = NR.min(n - j0);
+            sweep_band(
+                wide,
+                MR,
+                rows,
+                k,
+                ps.clone(),
+                &b[j0..],
+                n,
+                w,
+                &mut out[j0..],
+                n,
+            );
+            j0 += w;
+        }
     }
 }
 
@@ -380,16 +462,18 @@ fn wide_tile(n_rows: usize) -> bool {
     n_rows >= WIDE_MIN_ROWS && numerics::avx512f()
 }
 
-/// Every row of `rows` (stride `k`) against one `w ≤ NR`-column band, on
-/// the lane type [`wide_tile`] selects: the 16-lane tile [`WIDE_ROWS`] rows
-/// at a time, or the array tile `array_rows` at a time. `out` starts at the
-/// band's first column of the first row and has row stride `n`; `k > 0`
-/// (both callers return early on an empty inner dimension).
+/// Every row of `rows` (stride `k`) against one `w ≤ NR`-column band over
+/// the inner indices `ps`, on the 16-lane tile ([`WIDE_ROWS`] rows at a
+/// time) when `wide`, else on the array tile `array_rows` at a time. `out`
+/// starts at the band's first column of the first row and has row stride
+/// `n`; `k > 0` (both callers return early on an empty inner dimension).
 #[allow(clippy::too_many_arguments)]
 fn sweep_band(
+    wide: bool,
     array_rows: usize,
     rows: &[f32],
     k: usize,
+    ps: Range<usize>,
     band: &[f32],
     stride: usize,
     w: usize,
@@ -397,7 +481,7 @@ fn sweep_band(
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if wide_tile(rows.len() / k) {
+    if wide {
         /// What carries the CPU feature: the `#[inline(always)]` tile and
         /// every `Zmm` operation inline into it and are compiled as AVX-512
         /// code, whatever the crate's own target is.
@@ -406,19 +490,20 @@ fn sweep_band(
         fn avx512(
             rows: &[f32],
             k: usize,
+            ps: Range<usize>,
             band: &[f32],
             stride: usize,
             w: usize,
             out: &mut [f32],
             n: usize,
         ) {
-            band_pieces::<Zmm>(WIDE_ROWS, rows, k, band, stride, w, out, n)
+            block_pieces::<Zmm>(WIDE_ROWS, rows, k, ps, band, stride, w, out, n)
         }
-        // SAFETY: `wide_tile` is true only after the probe found avx512f
-        // on this CPU.
-        return unsafe { avx512(rows, k, band, stride, w, out, n) };
+        // SAFETY: `wide` is true only after the probe found avx512f on this
+        // CPU (`wide_tile`, `run_unpacked`).
+        return unsafe { avx512(rows, k, ps, band, stride, w, out, n) };
     }
-    band_pieces::<[f32; 16]>(array_rows, rows, k, band, stride, w, out, n)
+    block_pieces::<[f32; 16]>(array_rows, rows, k, ps, band, stride, w, out, n)
 }
 
 /// A `w ≤ NR`-column band as literal-width pieces: the full band is two
@@ -434,10 +519,11 @@ fn sweep_band(
 /// all 1-wide piece).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn band_pieces<L16: ExactLanes>(
+fn block_pieces<L16: ExactLanes>(
     max_rows: usize,
     rows: &[f32],
     k: usize,
+    ps: Range<usize>,
     band: &[f32],
     stride: usize,
     w: usize,
@@ -445,13 +531,14 @@ fn band_pieces<L16: ExactLanes>(
     n: usize,
 ) {
     if w == NR {
-        return sweep_rows::<L16, 2>(max_rows, rows, k, band, stride, out, n);
+        return sweep_rows::<L16, 2>(max_rows, rows, k, ps, band, stride, out, n);
     }
     let mut j = 0;
     macro_rules! piece {
         ($lanes:ty, $max_rows:expr) => {
             if w - j >= <$lanes>::W {
-                sweep_rows::<$lanes, 1>($max_rows, rows, k, &band[j..], stride, &mut out[j..], n);
+                let (band, out) = (&band[j..], &mut out[j..]);
+                sweep_rows::<$lanes, 1>($max_rows, rows, k, ps.clone(), band, stride, out, n);
                 j += <$lanes>::W;
             }
         };
@@ -473,25 +560,28 @@ fn band_pieces<L16: ExactLanes>(
 /// Every row against one `V`-vector piece, `max_rows ≤ 8` rows per [`tile`]
 /// with one shorter tile for what is left.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn sweep_rows<L: ExactLanes, const V: usize>(
     max_rows: usize,
     rows: &[f32],
     k: usize,
+    ps: Range<usize>,
     band: &[f32],
     stride: usize,
     out: &mut [f32],
     n: usize,
 ) {
     for (a, o) in rows.chunks(max_rows * k).zip(out.chunks_mut(max_rows * n)) {
+        let ps = ps.clone();
         match a.len() / k {
-            1 => tile::<L, V, 1>(a, k, band, stride, o, n),
-            2 => tile::<L, V, 2>(a, k, band, stride, o, n),
-            3 => tile::<L, V, 3>(a, k, band, stride, o, n),
-            4 => tile::<L, V, 4>(a, k, band, stride, o, n),
-            5 => tile::<L, V, 5>(a, k, band, stride, o, n),
-            6 => tile::<L, V, 6>(a, k, band, stride, o, n),
-            7 => tile::<L, V, 7>(a, k, band, stride, o, n),
-            8 => tile::<L, V, 8>(a, k, band, stride, o, n),
+            1 => tile::<L, V, 1>(a, k, ps, band, stride, o, n),
+            2 => tile::<L, V, 2>(a, k, ps, band, stride, o, n),
+            3 => tile::<L, V, 3>(a, k, ps, band, stride, o, n),
+            4 => tile::<L, V, 4>(a, k, ps, band, stride, o, n),
+            5 => tile::<L, V, 5>(a, k, ps, band, stride, o, n),
+            6 => tile::<L, V, 6>(a, k, ps, band, stride, o, n),
+            7 => tile::<L, V, 7>(a, k, ps, band, stride, o, n),
+            8 => tile::<L, V, 8>(a, k, ps, band, stride, o, n),
             rows => unreachable!("sweep_rows: a tile is 1 to 8 rows, not {rows}"),
         }
     }
@@ -585,18 +675,21 @@ impl ExactLanes for Zmm {
 }
 
 /// The register tile, written once: `R` rows of `a` (stride `k`) against a
-/// `V·L::W`-column piece of a band, `out[r·n + j] = Σ_p a[r·k + p] ·
-/// band[p·stride + j]`. The band is a packed block (`stride` = its width)
-/// or the row-major operand itself (`stride = n`), the slice starting at
-/// the piece's first column; `out` starts at the same column of the first
-/// row.
+/// `V·L::W`-column piece of a band over the inner indices `ps`, `out[r·n +
+/// j] (+)= Σ_{p ∈ ps} a[r·k + p] · band[p·stride + j]`. The band is a packed
+/// block (`stride` = its width) or the row-major operand itself (`stride =
+/// n`), the slice starting at the piece's first column of row `p = 0`;
+/// `out` starts at the same column of the first row.
 ///
-/// Each output element is one lane of one accumulator, started at `+0.0`
-/// and summed in ascending `p` with a separately rounded product — the
-/// reference loop's arithmetic, whatever `L`, `V` and `R` are. The `R` rows
-/// share every band load and are independent chains: that is what hides
-/// the add latency, from a 1-wide piece (`R` scalar chains) to the full
-/// 16-lane tile (8 rows × 2 vectors on both ports).
+/// Each output element is one lane of one accumulator, summed in ascending
+/// `p` with a separately rounded product — the reference loop's arithmetic,
+/// whatever `L`, `V` and `R` are. A range from `p = 0` starts it at `+0.0`;
+/// a later one resumes it from `out`, where the range before it stored it
+/// (a store and a load change no bit), so a walk over consecutive ranges
+/// is the same chain as one call over `0..k`. The `R` rows share every band
+/// load and are independent chains: that is what hides the add latency,
+/// from a 1-wide piece (`R` scalar chains) to the full 16-lane tile (8 rows
+/// × 2 vectors on both ports).
 ///
 /// There is no skip of exactly-zero `a` entries (the reference loop's
 /// branch was dropped for vectorization): for finite operands adding
@@ -606,12 +699,14 @@ impl ExactLanes for Zmm {
 ///
 /// # Panics
 ///
-/// Panics unless `a` holds `R` rows, `band` reaches the piece's last column
-/// at `p = k − 1` and `out` its last column in row `R − 1`.
+/// Panics unless `a` holds `R` rows, `ps` ends by `k`, `band` reaches the
+/// piece's last column at `p = ps.end − 1` and `out` its last column in row
+/// `R − 1`.
 #[inline(always)]
 fn tile<L: ExactLanes, const V: usize, const R: usize>(
     a: &[f32],
     k: usize,
+    ps: Range<usize>,
     band: &[f32],
     stride: usize,
     out: &mut [f32],
@@ -619,14 +714,23 @@ fn tile<L: ExactLanes, const V: usize, const R: usize>(
 ) {
     let w = V * L::W;
     assert!(a.len() >= R * k, "tile: a holds fewer than R rows");
+    assert!(ps.end <= k, "tile: p range past k");
     assert!(
-        k == 0 || band.len() >= (k - 1) * stride + w,
+        ps.is_empty() || band.len() >= (ps.end - 1) * stride + w,
         "tile: band too short"
     );
     assert!(out.len() >= (R - 1) * n + w, "tile: out too short");
-    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + ps.start..r * k + ps.end]);
+    let band = &band[ps.start * stride..];
     let mut acc = [[L::splat(0.0); V]; R];
-    for p in 0..k {
+    if ps.start > 0 {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            for (v, x) in accr.iter_mut().enumerate() {
+                *x = L::load(&out[r * n + v * L::W..]);
+            }
+        }
+    }
+    for p in 0..ps.len() {
         let brow = &band[p * stride..p * stride + w];
         let b: [L; V] = std::array::from_fn(|v| L::load(&brow[v * L::W..]));
         for (accr, arow) in acc.iter_mut().zip(&arows) {
@@ -845,6 +949,21 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    /// [`block_pieces`] over the whole inner dimension.
+    #[allow(clippy::too_many_arguments)]
+    fn band_pieces<L16: ExactLanes>(
+        max_rows: usize,
+        rows: &[f32],
+        k: usize,
+        band: &[f32],
+        stride: usize,
+        w: usize,
+        out: &mut [f32],
+        n: usize,
+    ) {
+        block_pieces::<L16>(max_rows, rows, k, 0..k, band, stride, w, out, n)
+    }
+
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
@@ -1025,6 +1144,60 @@ mod tests {
         }
     }
 
+    #[test]
+    fn row_block_walk_agrees_with_the_scalar_loop() {
+        // A band of at most one 16-lane tile's rows read in place walks `b`
+        // in blocks of `KB` rows, each block resuming its accumulators from
+        // `out`. Every such row count × every band width × inner dimensions
+        // inside one block, on a block edge and ragged across several, with
+        // the infinities in `a` or in `b`: through `run_unpacked` (the walk
+        // this host selects) and through the blocked walk on each lane type.
+        // The outputs start at 7.0, so the first block must not read them.
+        let wide = numerics::avx512f();
+        let mut rng = Rng::seed_from_u64(22);
+        for (case, &k) in [1usize, 7, 33, 130, 192, 512].iter().enumerate() {
+            for w in 1..=NR {
+                for n_rows in 1..=WIDE_ROWS {
+                    let inf_in_a = (w + n_rows + case) % 2 == 0;
+                    let (a, b) = salted_operands(n_rows, k, w, w, inf_in_a, &mut rng);
+                    let mut want = vec![0.0f32; n_rows * w];
+                    for (r, row) in want.chunks_exact_mut(w).enumerate() {
+                        for (j, e) in row.iter_mut().enumerate() {
+                            for p in 0..k {
+                                *e += a[r * k + p] * b[p * w + j];
+                            }
+                        }
+                    }
+                    let tag = format!("rows={n_rows} k={k} w={w}");
+                    let check = |how: &str, got: &[f32]| {
+                        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                            assert!(!e.is_nan(), "{tag}: the reference made a NaN at {i}");
+                            assert_eq!(g.to_bits(), e.to_bits(), "{how} {tag} at {i}: {g} vs {e}");
+                        }
+                    };
+                    let mut got = vec![7.0f32; want.len()];
+                    run_unpacked(&a, k, &b, w, 0, n_rows, &mut got);
+                    check("run_unpacked", &got);
+                    let mut got = vec![7.0f32; want.len()];
+                    for p0 in (0..k).step_by(KB) {
+                        let ps = p0..k.min(p0 + KB);
+                        block_pieces::<[f32; 16]>(MR, &a, k, ps, &b, w, w, &mut got, w);
+                    }
+                    check("array", &got);
+                    #[cfg(target_arch = "x86_64")]
+                    if wide {
+                        let mut got = vec![7.0f32; want.len()];
+                        for p0 in (0..k).step_by(KB) {
+                            let ps = p0..k.min(p0 + KB);
+                            block_pieces::<Zmm>(WIDE_ROWS, &a, k, ps, &b, w, w, &mut got, w);
+                        }
+                        check("zmm", &got);
+                    }
+                }
+            }
+        }
+    }
+
     // The tile's slice checks hold in release builds too: a short operand is
     // a panic at entry, never a read or write past it.
 
@@ -1032,21 +1205,21 @@ mod tests {
     #[should_panic(expected = "tile: a holds fewer than R rows")]
     fn tile_rejects_short_a() {
         let (a, band, mut out) = (vec![1.0; 2 * 5 - 1], vec![1.0; 5 * NR], vec![0.0; 2 * NR]);
-        tile::<[f32; 16], 2, 2>(&a, 5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]
     #[should_panic(expected = "tile: band too short")]
     fn tile_rejects_short_band() {
         let (a, band, mut out) = (vec![1.0; 2 * 5], vec![1.0; 5 * NR - 1], vec![0.0; 2 * NR]);
-        tile::<[f32; 16], 2, 2>(&a, 5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]
     #[should_panic(expected = "tile: out too short")]
     fn tile_rejects_short_out() {
         let (a, band, mut out) = (vec![1.0; 2 * 5], vec![1.0; 5 * NR], vec![0.0; 2 * NR - 1]);
-        tile::<[f32; 16], 2, 2>(&a, 5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]

@@ -196,8 +196,9 @@ fail_on_panics() {
 # graceful drain. --expect-clean fails on any transport error or any
 # fault probe that got the wrong status code; `apollo serve` itself exits
 # non-zero if the drain had to force-abandon a request; trace-check
-# validates every serve.* event the run emitted.
-./target/release/apollo serve --resume "$TRACE_TMP/gen.ckpt" \
+# validates every serve.* event the run emitted. --prefill-chunk is the
+# prompt rows of a whole tick, checked against the trace below.
+./target/release/apollo serve --resume "$TRACE_TMP/gen.ckpt" --prefill-chunk 8 \
     --addr 127.0.0.1:0 --addr-file "$TRACE_TMP/serve.addr" \
     --shutdown-file "$TRACE_TMP/serve.stop" \
     --trace-out "$TRACE_TMP/serve_trace.jsonl" 2>"$TRACE_TMP/serve.log" &
@@ -217,6 +218,18 @@ touch "$TRACE_TMP/serve.stop"
 wait "$SERVE_PID" || { cat "$TRACE_TMP/serve.log"; exit 1; }
 fail_on_panics "$TRACE_TMP/serve.log"
 ./target/release/apollo trace-check --trace "$TRACE_TMP/serve_trace.jsonl"
+# Stall-free ticks: no tick prefilled more than its 8 prompt rows, and
+# decode rows rode the same pass as prompt rows at least once.
+awk '/"InferStep"/ {
+        match($0, /"prefill_rows":[0-9]+/); p = substr($0, RSTART + 15, RLENGTH - 15) + 0
+        match($0, /"decode_rows":[0-9]+/); d = substr($0, RSTART + 14, RLENGTH - 14) + 0
+        if (p > 8) { print "a tick prefilled " p " prompt rows under --prefill-chunk 8"; bad = 1 }
+        if (p > 0 && d > 0) shared++
+     }
+     END {
+        if (!shared) { print "no tick carried prompt rows and decode rows together"; bad = 1 }
+        exit bad
+     }' "$TRACE_TMP/serve_trace.jsonl"
 
 echo "== multi-tenant serve smoke (3 adapters, prefix cache, /stats)"
 # Derive three LoRA adapter checkpoints from the generation checkpoint,
