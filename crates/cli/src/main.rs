@@ -27,8 +27,8 @@ use apollo_sysmodel::{Gpu, MemoryOptions, TrainingMemoryModel};
 use apollo_tensor::{Matrix, Rng};
 use apollo_train::{
     eval_perplexity, finetune, load_model, pretrain_ddp, pretrain_observed, save_model, DdpConfig,
-    FaultKind, FaultPlan, FinetuneConfig, OptimizerFactory, RecoveryPolicy, ResilienceConfig,
-    ResilienceReport, TrainConfig,
+    FinetuneConfig, OptimizerFactory, RecoveryPolicy, ResilienceConfig, ResilienceReport,
+    TrainConfig,
 };
 use args::Args;
 
@@ -40,7 +40,6 @@ USAGE:
                   [--lr F] [--rank N] [--seed N] [--quantize-weights GROUP]
                   [--save PATH] [--threads N]
                   [--replicas N] [--virtual-slots V] [--threads-per-replica N]
-                  [--fault-plan SPEC]
                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
                   [--recovery POLICY] [--lr-backoff F] [--spike-factor F]
                   [--trace-out PATH] [--metrics-every N] [--profile]
@@ -125,10 +124,6 @@ DATA-PARALLEL
   --virtual-slots V  micro-batch decomposition width (default max(4, N));
                      --batch must divide by V and N must not exceed V
   --threads-per-replica N  kernel threads per replica (default 1)
-  --fault-plan SPEC  inject replica failures: comma-separated
-                     kill:STEP:REPLICA entries, e.g. kill:40:1 — the
-                     survivors rebalance shards and resume bit-exactly
-                     (without --replicas the one replica's death is a crash)
 
 PERFORMANCE
   --threads N        kernel thread count, N >= 1. Precedence: this flag,
@@ -198,27 +193,6 @@ fn build_opt_factory(method: Method, cfg: &ModelConfig) -> Result<Box<OptimizerF
     Ok(Box::new(move |i| {
         build(method, &cfg, Some(i)).expect("method validated at factory build")
     }))
-}
-
-/// Parses a `--fault-plan` spec: comma-separated `kill:STEP:REPLICA`.
-fn parse_fault_plan(spec: &str) -> Result<FaultPlan, String> {
-    let mut plan = FaultPlan::new();
-    for entry in spec.split(',').filter(|e| !e.is_empty()) {
-        let parts: Vec<&str> = entry.split(':').collect();
-        match parts.as_slice() {
-            ["kill", step, replica] => {
-                let step: usize = step
-                    .parse()
-                    .map_err(|_| format!("bad step in fault `{entry}`"))?;
-                let replica: usize = replica
-                    .parse()
-                    .map_err(|_| format!("bad replica in fault `{entry}`"))?;
-                plan = plan.inject(step, FaultKind::ReplicaKill { replica });
-            }
-            _ => return Err(format!("bad fault `{entry}` (expected kill:STEP:REPLICA)")),
-        }
-    }
-    Ok(plan)
 }
 
 fn resilience_config(a: &Args) -> Result<ResilienceConfig, String> {
@@ -337,10 +311,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         },
         ..TrainConfig::quick(steps)
     };
-    let mut res = resilience_config(a)?;
-    if let Some(spec) = a.opt("fault-plan") {
-        res.fault_plan = parse_fault_plan(spec)?;
-    }
+    let res = resilience_config(a)?;
     let metrics_every = a.get_num("metrics-every", 1usize)?;
     if metrics_every == 0 {
         return Err("--metrics-every must be >= 1".into());
@@ -378,7 +349,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
             cfg.name,
             make_opt(0).name()
         );
-        let out = pretrain_ddp(
+        pretrain_ddp(
             &mut model,
             make_opt.as_ref(),
             &batcher,
@@ -386,13 +357,7 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
             &ddp,
             &res,
             &obs,
-        );
-        let d = &out.ddp;
-        println!(
-            "ddp: {} replicas started, {} finished | {} rounds, {} kills, {} rebalances",
-            d.replicas, d.survivors, d.rounds, d.replica_kills, d.rebalances
-        );
-        out.log
+        )
     } else {
         let mut opt = build(method, &cfg, None)?;
         eprintln!(

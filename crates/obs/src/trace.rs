@@ -169,17 +169,16 @@ pub enum TraceEvent {
         /// Requests in flight (accepted, not yet retired) at conclusion.
         in_flight: usize,
     },
-    /// A data-parallel replica membership change: replicas joining at round
-    /// start, a fault-injected (or real) replica death, and the shard
-    /// rebalance that follows it.
+    /// A data-parallel replica starting or finishing its run (one event per
+    /// replica each).
     ReplicaEvent {
         /// Training step at which the event fired.
         step: usize,
         /// Replica id the event is about.
         replica: usize,
-        /// What happened: `"start"`, `"kill"`, `"rebalance"`, `"finish"`.
+        /// What happened: `"start"` or `"finish"`.
         event: String,
-        /// Active replica count after the event.
+        /// Replica count of the run.
         replicas: usize,
     },
     /// Cumulative prefix-cache counters, emitted by the scheduler tick

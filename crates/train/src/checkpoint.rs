@@ -689,10 +689,12 @@ mod tests {
         let model = dense(206);
         let path = tmp("flipped.ckpt");
         save_train_state(&model, &test_meta(5), &[vec![1, 2, 3]], &path).unwrap();
-        let len = std::fs::metadata(&path).unwrap().len();
         // Flip a bit in the middle of the file (deep inside the params
         // section for any non-trivial model).
-        crate::resilience::flip_bit(&path, len / 2, 3).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 1 << 3;
+        std::fs::write(&path, bytes).unwrap();
         let err = load_train_state(&path).unwrap_err();
         assert!(
             err.to_string().contains("checksum mismatch"),
@@ -710,8 +712,15 @@ mod tests {
         }
         // Corrupt the newest, truncate the middle one: the scanner must
         // fall back to step 10.
-        crate::resilience::flip_bit(&dir.join(checkpoint_file_name(30)), 100, 0).unwrap();
-        crate::resilience::truncate_file(&dir.join(checkpoint_file_name(20)), 64).unwrap();
+        let newest = dir.join(checkpoint_file_name(30));
+        let mut bytes = std::fs::read(&newest).unwrap();
+        bytes[100] ^= 1;
+        std::fs::write(&newest, bytes).unwrap();
+        let middle = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(checkpoint_file_name(20)))
+            .unwrap();
+        middle.set_len(64).unwrap();
         let (path, state) = latest_valid_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(path, dir.join(checkpoint_file_name(10)));
         assert_eq!(state.meta.step, 10);

@@ -1,9 +1,9 @@
 //! Deterministic multi-replica data-parallel pre-training with ZeRO-style
-//! optimizer-state sharding and elastic replica recovery: the entry point
-//! [`pretrain_ddp`] and the mechanics the step pipeline
-//! (`crate::pipeline`) runs a team of members on — a poisonable barrier,
-//! the slot and shard partitions, the fixed combine tree and the
-//! per-parameter optimizer-state framing.
+//! optimizer-state sharding: the entry point [`pretrain_ddp`] and the
+//! mechanics the step pipeline (`crate::pipeline`) runs a team of members
+//! on — a barrier a panicking member poisons, the slot and shard
+//! partitions, the fixed combine tree and the per-parameter optimizer
+//! factory.
 //!
 //! # Replica-count invariance
 //!
@@ -16,8 +16,7 @@
 //! replica owns which slots*, never the operands or the reduction order,
 //! so losses and weights are bit-identical at any replica count. This is
 //! the same float-op-order contract the matmul pool honors for
-//! thread-count invariance, lifted to the replica level. It also makes
-//! elastic membership free: survivors re-partition slots and replay.
+//! thread-count invariance, lifted to the replica level.
 //!
 //! # ZeRO-style state sharding
 //!
@@ -29,29 +28,17 @@
 //! re-gathered (via [`apollo_optim::Optimizer::state_save`]) only at
 //! checkpoint time, one checkpoint section per parameter, so a checkpoint
 //! written at one replica count resumes at any other.
-//!
-//! # Elastic recovery
-//!
-//! A [`crate::FaultKind::ReplicaKill`] fault poisons the step barrier;
-//! survivors abandon the in-flight step, the driver drops the member,
-//! re-partitions shards and slots over the survivors, restores the
-//! in-memory floor the team keeps while a kill is planned (the state the
-//! round started from, then the state of its latest checkpoint or rollback
-//! snapshot), and replays. Determinism makes the resumed run bit-identical
-//! to an undisturbed one.
 
 use std::ops::Range;
-use std::sync::{Condvar, Mutex};
-
-use apollo_data::LmBatcher;
-use apollo_nn::LlamaModel;
-use apollo_obs::Obs;
-use apollo_optim::Optimizer;
-use serde::{Deserialize, Serialize};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::pipeline::{self, OptSource};
 use crate::resilience::ResilienceConfig;
 use crate::trainer::{RunLog, TrainConfig};
+use apollo_data::LmBatcher;
+use apollo_nn::LlamaModel;
+use apollo_obs::Obs;
+use apollo_optim::Optimizer;
 
 /// Builds the optimizer instance owning the state of one parameter.
 ///
@@ -88,43 +75,14 @@ impl DdpConfig {
     }
 }
 
-/// What the DDP driver did: membership, rounds, and recovery counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DdpReport {
-    /// Replicas the run started with.
-    pub replicas: usize,
-    /// Replicas alive at the end.
-    pub survivors: usize,
-    /// Virtual-slot count `V`.
-    pub virtual_slots: usize,
-    /// Synchronized rounds executed (1 + one per membership change).
-    pub rounds: usize,
-    /// Replicas killed (injected or real).
-    pub replica_kills: usize,
-    /// Shard re-partitions after membership changes.
-    pub rebalances: usize,
-}
-
-/// A [`RunLog`] plus the DDP driver's own audit.
-#[derive(Debug, Clone)]
-pub struct DdpRunLog {
-    /// The training log, same shape as the serial loop's.
-    pub log: RunLog,
-    /// Membership/recovery audit.
-    pub ddp: DdpReport,
-}
-
 // ---------------------------------------------------------------------------
-// Poisonable generation barrier.
+// The team barrier.
 //
-// `std::sync::Barrier` has a fixed participant count and no way to release
-// waiters when a participant dies; this one adds `poison`, which wakes
-// everyone and makes every subsequent wait fail fast, so a replica death
-// unwinds the whole round instead of deadlocking it.
-
-/// Returned by [`PoisonBarrier::wait`] when the barrier was poisoned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Poisoned;
+// `std::sync::Barrier` cannot release its waiters when a participant dies,
+// so a member that panicked would leave the others blocked at their next
+// wait forever. This one is poisoned by a [`PanicGuard`] in each spawned
+// member as that member unwinds, and a poisoned wait panics in turn: one
+// panic takes the whole team, and then the run, down.
 
 struct BarrierState {
     waiting: usize,
@@ -132,15 +90,15 @@ struct BarrierState {
     poisoned: bool,
 }
 
-pub(crate) struct PoisonBarrier {
+pub(crate) struct TeamBarrier {
     n: usize,
     state: Mutex<BarrierState>,
     cv: Condvar,
 }
 
-impl PoisonBarrier {
+impl TeamBarrier {
     pub(crate) fn new(n: usize) -> Self {
-        PoisonBarrier {
+        TeamBarrier {
             n,
             state: Mutex::new(BarrierState {
                 waiting: 0,
@@ -151,43 +109,57 @@ impl PoisonBarrier {
         }
     }
 
-    /// Blocks until all `n` participants arrive, or the barrier is
-    /// poisoned — whichever happens first. A lone participant never waits
-    /// (and has nobody to be poisoned by), so a one-member round pays
-    /// nothing for the barriers of the step pipeline.
-    pub(crate) fn wait(&self) -> Result<(), Poisoned> {
-        if self.n == 1 {
-            return Ok(());
-        }
-        let mut s = self.state.lock().unwrap();
-        if s.poisoned {
-            return Err(Poisoned);
-        }
-        s.waiting += 1;
-        if s.waiting == self.n {
-            s.waiting = 0;
-            s.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = s.generation;
-        while s.generation == gen && !s.poisoned {
-            s = self.cv.wait(s).unwrap();
-        }
-        if s.generation == gen {
-            // Released by poison, not by the last arrival.
-            s.waiting -= 1;
-            Err(Poisoned)
-        } else {
-            Ok(())
-        }
+    fn state(&self) -> MutexGuard<'_, BarrierState> {
+        // Nothing panics while holding the lock, so the state is whole even
+        // when the mutex says otherwise.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wakes every waiter and fails all future waits.
-    pub(crate) fn poison(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.poisoned = true;
+    /// Blocks until all `n` participants arrive. A lone participant never
+    /// waits, so a one-member run pays nothing for the barriers of the step
+    /// pipeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another member panicked before or during the wait.
+    pub(crate) fn wait(&self) {
+        if self.n == 1 {
+            return;
+        }
+        let mut s = self.state();
+        if !s.poisoned {
+            s.waiting += 1;
+            if s.waiting == self.n {
+                s.waiting = 0;
+                s.generation += 1;
+                self.cv.notify_all();
+            } else {
+                let gen = s.generation;
+                while s.generation == gen && !s.poisoned {
+                    s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+        let poisoned = s.poisoned;
+        drop(s);
+        assert!(!poisoned, "another member of the team panicked");
+    }
+
+    /// Wakes every waiter and fails every later wait.
+    fn poison(&self) {
+        self.state().poisoned = true;
         self.cv.notify_all();
+    }
+}
+
+/// Poisons its barrier if the member thread holding it unwinds.
+pub(crate) struct PanicGuard<'a>(pub(crate) &'a TeamBarrier);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
     }
 }
 
@@ -270,14 +242,13 @@ pub(crate) fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) ->
 /// recovery policies, crash-safe (sharded) checkpoints and every fault kind.
 /// `cfg.grad_accum = A` makes a step `V·A` slots of `batch / V` sequences
 /// (`A` global batches), combined by the one tree.
-/// [`crate::FaultKind::ReplicaKill`] entries of the fault plan each drop a
-/// member, rebalance, and replay from the team's in-memory floor.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.steps == 0`, the global batch does not divide by
 /// `virtual_slots`, `replicas` exceeds `virtual_slots` or the trainable
-/// parameter count, or every replica is killed.
+/// parameter count, or a member panics (the others stop at their next
+/// barrier).
 pub fn pretrain_ddp(
     model: &mut LlamaModel,
     make_opt: &OptimizerFactory,
@@ -286,7 +257,7 @@ pub fn pretrain_ddp(
     ddp: &DdpConfig,
     res: &ResilienceConfig,
     obs: &Obs,
-) -> DdpRunLog {
+) -> RunLog {
     assert!(ddp.replicas >= 1, "need at least one replica");
     assert!(
         ddp.replicas <= ddp.virtual_slots,
@@ -368,33 +339,18 @@ mod tests {
     }
 
     #[test]
-    fn poison_barrier_releases_waiters() {
-        let barrier = PoisonBarrier::new(3);
-        std::thread::scope(|s| {
-            let waiter = s.spawn(|| barrier.wait());
-            let arriver = s.spawn(|| barrier.wait());
-            // Give both a moment to block, then poison instead of arriving.
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            barrier.poison();
-            assert_eq!(waiter.join().unwrap(), Err(Poisoned));
-            assert_eq!(arriver.join().unwrap(), Err(Poisoned));
-        });
-        assert_eq!(barrier.wait(), Err(Poisoned), "stays poisoned");
-    }
-
-    #[test]
-    fn poison_barrier_synchronizes_generations() {
-        let barrier = PoisonBarrier::new(2);
+    fn team_barrier_synchronizes_generations() {
+        let barrier = TeamBarrier::new(2);
         let counter = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..2 {
                 s.spawn(|| {
                     for round in 0..50 {
                         counter.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait().unwrap();
+                        barrier.wait();
                         // Both must have bumped before anyone proceeds.
                         assert!(counter.load(Ordering::SeqCst) >= 2 * (round + 1));
-                        barrier.wait().unwrap();
+                        barrier.wait();
                     }
                 });
             }

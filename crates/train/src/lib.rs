@@ -33,7 +33,7 @@ mod checkpoint;
 mod ddp;
 mod finetune;
 mod pipeline;
-pub mod resilience;
+mod resilience;
 mod schedule;
 mod trainer;
 
@@ -41,7 +41,7 @@ pub use checkpoint::{
     checkpoint_file_name, latest_valid_checkpoint, load_model, load_train_state, prune_checkpoints,
     save_model, save_train_state, train_state_blob, TrainMeta, TrainState,
 };
-pub use ddp::{pretrain_ddp, DdpConfig, DdpReport, DdpRunLog, OptimizerFactory};
+pub use ddp::{pretrain_ddp, DdpConfig, OptimizerFactory};
 pub use finetune::{finetune, FinetuneConfig, FinetuneResult};
 pub use resilience::{
     FaultKind, FaultPlan, RecoveryPolicy, ResilienceConfig, ResilienceReport, SpikeDetector,

@@ -6,15 +6,16 @@
 //! fault injection, sentinels, clip → per-parameter step → post-step hooks
 //! (INT8 round-trip, ReLoRA merge) → log / eval / checkpoint.*
 //!
-//! A run is a sequence of **rounds**; a round is a fixed set of **members**
-//! executing that pipeline in lock-step. Member count only decides *who
-//! computes which slot* and *who owns which parameter's optimizer state*:
-//! slot `s` of a step draws the same streams and the slots are combined by
-//! the same tree whoever computed them, so losses and weights are
-//! bit-identical at any member count. A one-member round runs inline on the
-//! caller's thread against the caller's model — that is the serial entry
-//! points, where `grad_accum = A` is `A` slots — and crosses no barrier,
-//! publishes no weights and clones nothing it was not asked to.
+//! A run is one fixed set of **members** executing that pipeline in
+//! lock-step. Member count only decides *who computes which slot* and *who
+//! owns which parameter's optimizer state*: slot `s` of a step draws the
+//! same streams and the slots are combined by the same tree whoever
+//! computed them, so losses and weights are bit-identical at any member
+//! count. A one-member run executes inline on the caller's thread against
+//! the caller's model — that is the serial entry points, where
+//! `grad_accum = A` is `A` slots — and crosses no barrier, publishes no
+//! weights and clones nothing it was not asked to. A member that panics
+//! takes the others down at their next barrier, and the run with them.
 //!
 //! Everything that steers the loop (step, data cursor, merge RNG, spike
 //! window, LR back-off, resilience counters, the remaining fault plan) is
@@ -26,12 +27,10 @@
 //! Recovery is one mechanism: restore the newest **floor** (a
 //! [`TrainState`], on disk or in memory), replay. Resume restores the
 //! newest valid checkpoint; `RollbackAndRetry` the in-memory floor it
-//! refreshes every `snapshot_every` steps; the survivors of a planned
-//! replica kill the in-memory floor their team kept for it — the state
-//! their round started from or, later, the state of its latest checkpoint.
+//! refreshes every `snapshot_every` steps.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -46,8 +45,7 @@ use crate::checkpoint::{
     save_train_state, TrainMeta, TrainState,
 };
 use crate::ddp::{
-    shard_ranges, slot_range, tree_combine, DdpConfig, DdpReport, DdpRunLog, OptimizerFactory,
-    PoisonBarrier, Poisoned,
+    shard_ranges, slot_range, tree_combine, DdpConfig, OptimizerFactory, PanicGuard, TeamBarrier,
 };
 use crate::resilience::{
     FaultKind, FaultPlan, RecoveryPolicy, ResilienceConfig, ResilienceReport, SpikeDetector,
@@ -59,7 +57,7 @@ use crate::trainer::{eval_chunked, param_updates, RunLog, TrainConfig};
 const RECOVERY_CLIP_NORM: f32 = 1.0;
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("a member panicked holding a round lock")
+    m.lock().expect("a member panicked holding a run lock")
 }
 
 fn ms_since(t: Instant) -> f32 {
@@ -180,7 +178,7 @@ impl<'a> Optim<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// A run and its rounds.
+// A run and its members.
 
 /// One slot's loss and per-model-parameter gradients.
 type SlotOut = (f32, Vec<Option<Matrix>>);
@@ -195,8 +193,8 @@ struct ParamCell {
     saved: Result<Vec<u8>, String>,
 }
 
-/// Everything the members of a round share: what the run fixed before its
-/// first round, and the round's membership and exchange tables.
+/// Everything the members of a run share: what the run fixed before its
+/// first step, and the exchange tables.
 struct Run<'a> {
     cfg: &'a TrainConfig,
     res: &'a ResilienceConfig,
@@ -204,53 +202,39 @@ struct Run<'a> {
     schedule: LrSchedule,
     /// Model-parameter index of each optimizer (trainable) parameter.
     opt_params: Vec<usize>,
-    /// The fault plan minus the replica kills, which are `(step, member)`.
     faults: FaultPlan,
-    kills: Vec<(usize, usize)>,
     /// The run's log; the leader writes it.
     log: Mutex<RunLog>,
-    /// Ids of the round's members, leader first.
-    members: Vec<usize>,
-    barrier: PoisonBarrier,
+    /// Member count; member 0 leads.
+    members: usize,
+    barrier: TeamBarrier,
     /// The slots of the step in flight (owners `take` their parameters'
     /// gradients). A step is `virtual_slots × grad_accum` slots of the slot
     /// batcher's batch size.
     slots: Vec<Mutex<Option<SlotOut>>>,
     cells: Vec<Mutex<ParamCell>>,
-    /// The newest in-memory floor.
+    /// The newest in-memory floor: the resumed checkpoint, which every
+    /// member restores at the start and only a rollback policy keeps, then
+    /// that policy's snapshots.
     floor: Mutex<Option<TrainState>>,
     /// Set when a floor was due and the optimizer could not save its state:
     /// the run goes on without one, and a fault that would roll back skips.
     floorless: AtomicBool,
-    /// `victim_id + 1` once a member died this round; 0 = none.
-    killed: AtomicUsize,
 }
 
 impl Run<'_> {
     fn is_team(&self) -> bool {
-        self.members.len() > 1
+        self.members > 1
     }
 
     fn rolls_back(&self) -> bool {
         let policy = self.res.policy;
         matches!(policy, Some(RecoveryPolicy::RollbackAndRetry { .. }))
     }
-
-    /// The step the in-memory floor resumes at; 0 without one.
-    fn floor_step(&self) -> usize {
-        let floor = lock(&self.floor);
-        floor.as_ref().map_or(0, |f| f.meta.step as usize)
-    }
-
-    /// Only a rollback policy, or a replica kill still planned (whose
-    /// survivors will replay), holds a copy of the weights in memory.
-    fn keeps_floor(&self) -> bool {
-        self.rolls_back() || !self.kills.is_empty()
-    }
 }
 
-/// One member of a round: its model and optimizer state, plus its replica
-/// of the loop state.
+/// One member of a run: its model and optimizer state, plus its replica of
+/// the loop state.
 struct Member<'a> {
     run: &'a Run<'a>,
     pos: usize,
@@ -270,6 +254,10 @@ struct Member<'a> {
     lr_scale: f32,
     faults: FaultPlan,
     consecutive_faults: usize,
+    /// The step the latest sentinel fired at. Only a clean step past it
+    /// ends a run of faults: a rollback's replay of the clean steps before
+    /// it does not.
+    last_fault: usize,
     report: ResilienceReport,
 }
 
@@ -299,9 +287,10 @@ impl<'a> Member<'a> {
             lr_scale: 1.0,
             faults: run.faults.clone(),
             consecutive_faults: 0,
+            last_fault: 0,
             report: ResilienceReport::default(),
         };
-        // A round starts from its floor, counters and LR back-off included.
+        // A run starts from its floor, counters and LR back-off included.
         if let Some(f) = lock(&run.floor).as_ref() {
             member.restore(f);
             member.start_step = member.step;
@@ -331,12 +320,12 @@ impl<'a> Member<'a> {
     /// Captures "about to run `step`": every member contributes its
     /// optimizer state, then the leader writes the crash-safe checkpoint
     /// and/or refreshes the in-memory floor from the one assembled state.
-    fn capture(&mut self, step: usize, to_disk: bool, to_floor: bool) -> Result<(), Poisoned> {
+    fn capture(&mut self, step: usize, to_disk: bool, to_floor: bool) {
         let (run, res) = (self.run, self.run.res);
         self.optim.gather(&run.cells);
-        run.barrier.wait()?;
+        run.barrier.wait();
         if self.pos != 0 {
-            return Ok(());
+            return;
         }
         let (rng_state, rng_spare) = self.merge_rng.state();
         let meta = TrainMeta {
@@ -383,7 +372,6 @@ impl<'a> Member<'a> {
                 Err(_) => run.floorless.store(true, Ordering::SeqCst),
             }
         }
-        Ok(())
     }
 
     /// Combines this member's parameters' slot gradients by the fixed
@@ -416,78 +404,67 @@ impl<'a> Member<'a> {
     /// non-finite flags and (`norms`) squared gradient norms, and all of
     /// them fold the whole table in parameter order — so all get the same
     /// `(any non-finite, global norm)` and reach the same verdict.
-    fn reduce(&self, grads: &[Option<Matrix>], norms: bool) -> Result<(bool, f32), Poisoned> {
+    fn reduce(&self, grads: &[Option<Matrix>], norms: bool) -> (bool, f32) {
         let run = self.run;
         for j in self.shard.clone() {
             let g = grads[run.opt_params[j]].as_ref();
             lock(&run.cells[j]).stat = g.map_or((0.0, false), |g| grad_stat(g, norms));
         }
-        run.barrier.wait()?;
+        run.barrier.wait();
         let verdict = fold_stats(run.cells.iter().map(|c| lock(c).stat));
         // Nobody republishes while a slower member is still folding.
-        run.barrier.wait()?;
-        Ok(verdict)
+        run.barrier.wait();
+        verdict
     }
 
     /// `known`, or the global gradient norm reduced now.
-    fn norm_of(&self, grads: &[Option<Matrix>], known: Option<f32>) -> Result<f32, Poisoned> {
-        known.map_or_else(|| Ok(self.reduce(grads, true)?.1), Ok)
+    fn norm_of(&self, grads: &[Option<Matrix>], known: Option<f32>) -> f32 {
+        known.unwrap_or_else(|| self.reduce(grads, true).1)
     }
 
-    /// Runs steps until the configured count, an abort or a crash; `Err`
-    /// when a member of the round died under it.
+    /// Runs steps until the configured count, an abort or a crash.
     #[allow(clippy::too_many_lines)]
-    fn train(&mut self) -> Result<(), Poisoned> {
+    fn train(&mut self) {
         let run = self.run;
         let (cfg, res, slots) = (run.cfg, run.res, run.slots.len());
-        let my_id = run.members[self.pos];
         let slot_batch = self.batcher.batch();
         let loss_sample_every = (cfg.steps / 200).max(1);
         // Every member has restored from the floor once all are here; it
-        // stays only for those who may have to return to it.
-        if !run.keeps_floor() {
-            run.barrier.wait()?;
+        // stays only for a rollback policy, which may return to it.
+        if !run.rolls_back() {
+            run.barrier.wait();
             if self.pos == 0 {
                 lock(&run.floor).take();
             }
         }
         while self.step < cfg.steps {
             let step = self.step;
-            // A killed member dies *now*, publishing nothing; the others
-            // unwind at their next barrier.
-            if run.kills.contains(&(step, my_id)) {
-                run.killed.store(my_id + 1, Ordering::SeqCst);
-                run.barrier.poison();
-                return Err(Poisoned);
-            }
             self.obs.set_step(step);
             let step_started = Instant::now();
             let mut sample = PhaseSample::new();
 
-            // Skipped at the step a round starts from: that file exists.
+            // Skipped at the step a run starts from: that file exists.
             let checkpoint_due = res.checkpoint_dir.is_some()
                 && res.checkpoint_every > 0
                 && step > 0
                 && step != self.start_step
                 && step.is_multiple_of(res.checkpoint_every);
-            // A kept floor exists from the first step on; it then follows
-            // a rollback policy's own cadence, else the team's checkpoints.
-            let floor_due = run.keeps_floor()
+            // A rollback policy's floor exists from the first step on and
+            // is refreshed every `snapshot_every` steps.
+            let floor_due = run.rolls_back()
                 && !run.floorless.load(Ordering::SeqCst)
-                && match (run.rolls_back(), lock(&run.floor).as_ref()) {
-                    (_, None) => true,
-                    (true, Some(f)) => step >= f.meta.step as usize + res.snapshot_every.max(1),
-                    (false, Some(_)) => checkpoint_due,
-                };
+                && lock(&run.floor)
+                    .as_ref()
+                    .is_none_or(|f| step >= f.meta.step as usize + res.snapshot_every.max(1));
             if floor_due || checkpoint_due {
                 sample.time(Phase::Checkpoint, || {
-                    self.capture(step, checkpoint_due, floor_due)
-                })?;
+                    self.capture(step, checkpoint_due, floor_due);
+                });
             }
 
             // Draw this member's slots; loss and gradients of each against
             // the synced weights. Forward and backward are timed apart.
-            for s in slot_range(self.pos, run.members.len(), slots) {
+            for s in slot_range(self.pos, run.members, slots) {
                 let (tokens, targets) = sample.time(Phase::BatchPrep, || {
                     self.batcher
                         .set_cursor(self.cursor + (s * slot_batch) as u64);
@@ -505,7 +482,7 @@ impl<'a> Member<'a> {
                 *lock(&run.slots[s]) = Some((loss, grads));
             }
             self.cursor += (slots * slot_batch) as u64;
-            run.barrier.wait()?;
+            run.barrier.wait();
 
             // The step's loss and this member's gradients: the same fixed
             // tree over slots for both.
@@ -518,7 +495,7 @@ impl<'a> Member<'a> {
             let mut grads = sample.time(Phase::Optimizer, || self.combine());
 
             // Deterministic fault injection (tests only). Faults are
-            // one-shot within a round: a rolled-back retry passes.
+            // one-shot: a rolled-back retry passes.
             match self.faults.take_at(step) {
                 Some(FaultKind::NanGrad) => self.poison_first(&mut grads, f32::NAN),
                 Some(FaultKind::InfGrad) => self.poison_first(&mut grads, f32::INFINITY),
@@ -528,9 +505,8 @@ impl<'a> Member<'a> {
                         g.scale_assign(factor);
                     }
                 }
-                // Simulated kill -9: no final eval, no final checkpoint. A
-                // replica kill the driver did not take is the lone member's.
-                Some(FaultKind::Crash | FaultKind::ReplicaKill { .. }) => {
+                // Simulated kill -9: no final eval, no final checkpoint.
+                Some(FaultKind::Crash) => {
                     self.report.crashed = true;
                     break;
                 }
@@ -545,7 +521,7 @@ impl<'a> Member<'a> {
             let want_norm = cfg.grad_clip.is_some() || sample_due;
             let (mut bad_grads, mut norm) = (false, None);
             if res.policy.is_some() || want_norm {
-                let (bad, n) = self.reduce(&grads, want_norm)?;
+                let (bad, n) = self.reduce(&grads, want_norm);
                 (bad_grads, norm) = (bad, want_norm.then_some(n));
             }
             if let Some(policy) = res.policy {
@@ -565,6 +541,7 @@ impl<'a> Member<'a> {
                 }
                 if let Some(&(_, kind)) = sentinels.iter().find(|s| s.0) {
                     self.consecutive_faults += 1;
+                    self.last_fault = step;
                     let has_floor = lock(&run.floor).is_some();
                     let (policy, action) = match policy {
                         _ if self.consecutive_faults > res.max_consecutive_faults => {
@@ -596,7 +573,7 @@ impl<'a> Member<'a> {
                         RecoveryPolicy::ClipAndContinue => {
                             report.clipped_steps += 1;
                             sanitize_grads(&mut grads);
-                            let repaired = self.norm_of(&grads, None)?;
+                            let repaired = self.norm_of(&grads, None);
                             clip_to(&mut grads, repaired, RECOVERY_CLIP_NORM);
                             norm = None;
                             // Fall through: apply the repaired update.
@@ -609,12 +586,12 @@ impl<'a> Member<'a> {
                             continue;
                         }
                     }
-                } else {
+                } else if step > self.last_fault {
                     self.consecutive_faults = 0;
                 }
             }
             if let Some(max_norm) = cfg.grad_clip {
-                let pre_clip = self.norm_of(&grads, norm)?;
+                let pre_clip = self.norm_of(&grads, norm);
                 norm = Some(pre_clip);
                 if clip_to(&mut grads, pre_clip, max_norm) {
                     // The norm itself was NaN/Inf, which `norm > max_norm`
@@ -640,7 +617,7 @@ impl<'a> Member<'a> {
             }
             let lr = run.schedule.lr_at(step) * self.lr_scale;
             if sample_due {
-                let grad_norm = self.norm_of(&grads, norm)?;
+                let grad_norm = self.norm_of(&grads, norm);
                 self.obs.gauge("loss", f64::from(loss));
                 self.obs.gauge("grad_norm", f64::from(grad_norm));
                 self.obs.gauge("lr", f64::from(lr));
@@ -669,7 +646,7 @@ impl<'a> Member<'a> {
                 }
             }
             sample.add(Phase::Optimizer, ms_since(optimizer_started));
-            run.barrier.wait()?;
+            run.barrier.wait();
             if run.is_team() {
                 for (j, &mi) in run.opt_params.iter().enumerate() {
                     if !self.shard.contains(&j) {
@@ -719,10 +696,9 @@ impl<'a> Member<'a> {
             });
             // Owners overwrite their cells' values in their next step, which
             // must not race a slower member still copying out of them.
-            run.barrier.wait()?;
+            run.barrier.wait();
             self.step += 1;
         }
-        Ok(())
     }
 
     /// Poisons the first trainable gradient (its owner does).
@@ -754,9 +730,9 @@ impl<'a> Member<'a> {
         eval_chunked(self.model, self.batcher, cfg.eval_seqs, chunk)
     }
 
-    /// The epilogue of a round nobody died in: footprint, final checkpoint
-    /// and final evaluation (a crash skips the last two).
-    fn finish(&mut self) -> Result<(), Poisoned> {
+    /// The epilogue: footprint, final checkpoint and final evaluation (a
+    /// crash skips the last two).
+    fn finish(&mut self) {
         let (run, res) = (self.run, self.run.res);
         self.batcher.set_cursor(self.cursor);
         let ran = !self.report.crashed;
@@ -765,7 +741,7 @@ impl<'a> Member<'a> {
             && res.checkpoint_every > 0
             && self.step != self.start_step
         {
-            self.capture(self.step, true, false)?;
+            self.capture(self.step, true, false);
         }
         let mut log = lock(&run.log);
         self.optim.for_each(|opt| {
@@ -779,14 +755,12 @@ impl<'a> Member<'a> {
                 log.eval_ppls.push((self.step, ppl));
             }
         }
-        Ok(())
     }
 
     /// Trains and finishes; returns the step stopped before.
     fn run(mut self) -> usize {
-        if self.train().is_ok() {
-            let _ = self.finish();
-        }
+        self.train();
+        self.finish();
         self.step
     }
 }
@@ -835,11 +809,11 @@ fn clip_to(grads: &mut [Option<Matrix>], norm: f32, max_norm: f32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The driver: rounds, membership, resume.
+// The driver: members, resume.
 
-/// Runs pre-training to completion: rounds of members over `layout`,
-/// dropping a killed member and replaying from the team's floor. `batcher`
-/// is the *slot* batcher; a one-member run advances it like a serial loop.
+/// Runs pre-training to completion with `layout.replicas` members.
+/// `batcher` is the *slot* batcher; a one-member run advances it like a
+/// serial loop.
 pub(crate) fn run(
     model: &mut LlamaModel,
     mut source: OptSource<'_>,
@@ -848,22 +822,20 @@ pub(crate) fn run(
     cfg: &TrainConfig,
     res: &ResilienceConfig,
     obs: &Obs,
-) -> DdpRunLog {
+) -> RunLog {
     assert!(cfg.steps > 0, "need at least one step");
     let started = Instant::now();
-    let mut faults = res.fault_plan.clone();
-    // Replica events and `ddp.*` counters belong to the data-parallel
-    // entry point; a whole-model run has one member and treats a kill of
-    // it as a crash.
-    let (optimizer, run_label, kills, ddp_obs) = match &mut source {
+    // Replica events and `ddp.*` metrics belong to the data-parallel entry
+    // point.
+    let (optimizer, run_label, ddp_obs) = match &mut source {
         OptSource::Whole(opt) => {
             opt.attach_observer(obs.clone());
-            (opt.name(), opt.name(), Vec::new(), Obs::disabled())
+            (opt.name(), opt.name(), Obs::disabled())
         }
         OptSource::PerParam(make) => {
             let name = make(0).name();
             let label = format!("ddp×{} {name}", layout.replicas);
-            (name, label, faults.take_replica_kills(), obs.clone())
+            (name, label, obs.clone())
         }
     };
     let per_param = matches!(source, OptSource::PerParam(_));
@@ -883,8 +855,7 @@ pub(crate) fn run(
         obs,
         schedule: LrSchedule::paper_default(cfg.lr, cfg.steps),
         opt_params,
-        faults,
-        kills,
+        faults: res.fault_plan.clone(),
         log: Mutex::new(RunLog {
             optimizer,
             model: model.config().name.clone(),
@@ -897,13 +868,12 @@ pub(crate) fn run(
             step_times_ms: Vec::new(),
             resilience: Default::default(),
         }),
-        members: (0..layout.replicas).collect(),
-        barrier: PoisonBarrier::new(layout.replicas),
+        members: layout.replicas,
+        barrier: TeamBarrier::new(layout.replicas),
         slots: (0..slots).map(|_| Mutex::new(None)).collect(),
         cells: (0..n_opt.max(1)).map(cell).map(Mutex::new).collect(),
         floor: Mutex::new(None),
         floorless: AtomicBool::new(false),
-        killed: AtomicUsize::new(0),
     };
     if let (true, Some(dir)) = (res.resume, &res.checkpoint_dir) {
         // Members of a team must agree on whether the optimizer section
@@ -915,7 +885,10 @@ pub(crate) fn run(
         };
         run.floor = Mutex::new(resume_floor(dir, model, probe));
     }
-    let start_step = run.floor_step().min(cfg.steps);
+    let resumed_at = lock(&run.floor)
+        .as_ref()
+        .map_or(0, |f| f.meta.step as usize);
+    let start_step = resumed_at.min(cfg.steps);
     obs.set_step(start_step);
     // Baseline for the run-end pool counters (the pool is process-global).
     let pool_at_start = apollo_tensor::pool::stats();
@@ -926,97 +899,58 @@ pub(crate) fn run(
         steps: cfg.steps,
     });
 
-    let mut ddp = DdpReport {
-        replicas: layout.replicas,
-        survivors: layout.replicas,
-        virtual_slots: layout.virtual_slots,
-        ..DdpReport::default()
-    };
-    let replica_events = |event: &str, step: usize, members: &[usize]| {
-        for &m in members {
+    let replica_events = |event: &str, step: usize| {
+        for replica in 0..run.members {
             ddp_obs.emit(|| TraceEvent::ReplicaEvent {
                 step,
-                replica: m,
+                replica,
                 event: event.to_string(),
-                replicas: members.len(),
+                replicas: run.members,
             });
         }
     };
-    let end_step = loop {
-        // Every round starts from the floor, when there is one.
-        let round_start = run.floor_step();
-        ddp.rounds += 1;
-        ddp_obs.counter("ddp.rounds", 1);
-        ddp_obs.gauge("ddp.replicas", run.members.len() as f64);
-        replica_events("start", round_start, &run.members);
-
-        let end_step = if run.is_team() {
-            let OptSource::PerParam(make) = &source else {
-                unreachable!("a whole-model optimizer has exactly one member")
-            };
-            let elems = run
-                .opt_params
-                .iter()
-                .map(|&mi| model.params[mi].value.len());
-            let shards = shard_ranges(&elems.collect::<Vec<_>>(), run.members.len());
-            let (run, model_at_start, slot_batcher) = (&run, &*model, &*batcher);
-            let (out, trained) = std::thread::scope(|s| {
-                let spawn = |(pos, shard): (usize, Range<usize>)| {
-                    s.spawn(move || {
-                        let _threads = threads.map(ThreadOverrideGuard::new);
-                        let (mut model, mut batcher) =
-                            (model_at_start.clone(), slot_batcher.clone());
-                        let optim = Optim::per_param(*make, run, shard.clone());
-                        let out =
-                            Member::new(run, pos, &mut model, optim, shard, &mut batcher).run();
-                        (out, model)
-                    })
-                };
-                let handles: Vec<_> = shards.into_iter().enumerate().map(spawn).collect();
-                let joined = handles.into_iter().map(|h| h.join());
-                let mut outs: Vec<_> = joined.map(|o| o.expect("replica panicked")).collect();
-                outs.swap_remove(0)
-            });
-            if run.killed.load(Ordering::SeqCst) == 0 {
-                for (p, t) in model.params.iter_mut().zip(trained.params) {
-                    std::mem::replace(&mut p.value, t.value).recycle();
-                }
-            }
-            out
-        } else {
-            let _threads = threads.map(ThreadOverrideGuard::new);
-            let optim = match &mut source {
-                OptSource::Whole(opt) => Optim::Whole(&mut **opt),
-                OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt),
-            };
-            Member::new(&run, 0, model, optim, 0..n_opt, batcher).run()
+    ddp_obs.gauge("ddp.replicas", run.members as f64);
+    replica_events("start", start_step);
+    let end_step = if run.is_team() {
+        let OptSource::PerParam(make) = &source else {
+            unreachable!("a whole-model optimizer has exactly one member")
         };
-        ddp_obs.counter("ddp.steps", (end_step - round_start.min(end_step)) as u64);
-
-        let victim = match run.killed.swap(0, Ordering::SeqCst) {
-            0 => break end_step,
-            id_plus_one => id_plus_one - 1,
+        let elems = run
+            .opt_params
+            .iter()
+            .map(|&mi| model.params[mi].value.len());
+        let shards = shard_ranges(&elems.collect::<Vec<_>>(), run.members);
+        let (run, model_at_start, slot_batcher) = (&run, &*model, &*batcher);
+        let (end_step, trained) = std::thread::scope(|s| {
+            let spawn = |(pos, shard): (usize, Range<usize>)| {
+                s.spawn(move || {
+                    let _poison_on_panic = PanicGuard(&run.barrier);
+                    let _threads = threads.map(ThreadOverrideGuard::new);
+                    let (mut model, mut batcher) = (model_at_start.clone(), slot_batcher.clone());
+                    let optim = Optim::per_param(*make, run, shard.clone());
+                    let out = Member::new(run, pos, &mut model, optim, shard, &mut batcher).run();
+                    (out, model)
+                })
+            };
+            let handles: Vec<_> = shards.into_iter().enumerate().map(spawn).collect();
+            let joined = handles.into_iter().map(|h| h.join());
+            let mut outs: Vec<_> = joined.map(|o| o.expect("replica panicked")).collect();
+            outs.swap_remove(0)
+        });
+        for (p, t) in model.params.iter_mut().zip(trained.params) {
+            std::mem::replace(&mut p.value, t.value).recycle();
+        }
+        end_step
+    } else {
+        let _threads = threads.map(ThreadOverrideGuard::new);
+        let optim = match &mut source {
+            OptSource::Whole(opt) => Optim::Whole(&mut **opt),
+            OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt),
         };
-        // The survivors replay from the team's floor (none: the run had
-        // not started). The replay regenerates every sample from the floor
-        // on bit-identically; the ones before it exist nowhere else.
-        run.members.retain(|&m| m != victim);
-        run.kills.retain(|&(_, m)| m != victim);
-        assert!(!run.members.is_empty(), "every replica was killed");
-        run.barrier = PoisonBarrier::new(run.members.len());
-        let resume_at = run.floor_step();
-        let log = run.log.get_mut().expect("no member is running");
-        log.train_losses.retain(|&(step, _)| step < resume_at);
-        log.eval_ppls.retain(|&(step, _)| step <= resume_at);
-        ddp.replica_kills += 1;
-        ddp.survivors = run.members.len();
-        ddp.rebalances += 1;
-        ddp_obs.counter("ddp.replica_kills", 1);
-        ddp_obs.counter("ddp.rebalances", 1);
-        replica_events("kill", end_step, &[victim]);
-        replica_events("rebalance", resume_at, &run.members);
+        Member::new(&run, 0, model, optim, 0..n_opt, batcher).run()
     };
-    replica_events("finish", end_step, &run.members);
+    ddp_obs.counter("ddp.steps", (end_step - start_step.min(end_step)) as u64);
+    replica_events("finish", end_step);
 
     let wall_secs = started.elapsed().as_secs_f64();
     // Performance-runtime counters: thread-pool jobs/tasks this run, and
@@ -1047,7 +981,7 @@ pub(crate) fn run(
     }
     let mut log = run.log.into_inner().expect("no member is running");
     log.wall_secs = wall_secs;
-    DdpRunLog { log, ddp }
+    log
 }
 
 /// The newest valid checkpoint in `dir` as the floor to resume `model`

@@ -14,8 +14,6 @@
 //!   prove recovery and bit-exact resume deterministically.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +55,8 @@ pub struct ResilienceConfig {
     pub snapshot_every: usize,
     /// Consecutive faulted steps tolerated before the run aborts
     /// regardless of policy (guards against a permanently-poisoned state).
+    /// A rollback's replay of the clean steps before the last fault does
+    /// not end the run of faults; only a clean step past it does.
     pub max_consecutive_faults: usize,
     /// Directory for crash-safe checkpoints; `None` disables them.
     pub checkpoint_dir: Option<std::path::PathBuf>,
@@ -214,15 +214,6 @@ pub enum FaultKind {
     /// Terminate the loop immediately — no final checkpoint, no final
     /// eval — as if the process was killed.
     Crash,
-    /// Kill one data-parallel replica mid-step, as if its host died. The
-    /// DDP driver drops the member, rebalances shards over the survivors,
-    /// and resumes bit-exactly from the newest valid checkpoint; the
-    /// serial trainer treats it as [`FaultKind::Crash`] (there is only one
-    /// "replica" to kill).
-    ReplicaKill {
-        /// Replica id to kill.
-        replica: usize,
-    },
 }
 
 /// A schedule of [`FaultKind`]s keyed by step, for reproducible failure
@@ -258,61 +249,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
-
-    /// Removes and returns every [`FaultKind::ReplicaKill`] as
-    /// `(step, replica)` pairs sorted by step. The DDP driver consumes the
-    /// whole kill schedule up front (kills are membership events, not
-    /// per-step gradient faults).
-    pub fn take_replica_kills(&mut self) -> Vec<(usize, usize)> {
-        let mut kills = Vec::new();
-        self.faults.retain(|&(step, kind)| match kind {
-            FaultKind::ReplicaKill { replica } => {
-                kills.push((step, replica));
-                false
-            }
-            _ => true,
-        });
-        kills.sort_unstable();
-        kills
-    }
-}
-
-/// Truncates the file at `path` to `keep` bytes — a deterministic
-/// "crash mid-write" fault for checkpoint-integrity tests.
-///
-/// # Errors
-///
-/// Returns any I/O error from opening or truncating the file.
-pub fn truncate_file(path: &Path, keep: u64) -> io::Result<()> {
-    let f = std::fs::OpenOptions::new().write(true).open(path)?;
-    f.set_len(keep)
-}
-
-/// Flips one bit of the file at `path` — a deterministic "silent media
-/// corruption" fault. `byte` indexes from the start of the file.
-///
-/// # Errors
-///
-/// Returns an error if `byte` is past the end of the file or on any I/O
-/// failure.
-pub fn flip_bit(path: &Path, byte: u64, bit: u8) -> io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(path)?;
-    let len = f.metadata()?.len();
-    if byte >= len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("byte {byte} past end of {len}-byte file"),
-        ));
-    }
-    f.seek(SeekFrom::Start(byte))?;
-    let mut b = [0u8; 1];
-    f.read_exact(&mut b)?;
-    b[0] ^= 1 << (bit % 8);
-    f.seek(SeekFrom::Start(byte))?;
-    f.write_all(&b)
 }
 
 #[cfg(test)]
@@ -396,28 +332,5 @@ mod tests {
         assert_eq!(plan.take_at(3), Some(FaultKind::NanGrad));
         assert_eq!(plan.take_at(3), None, "a taken fault must not re-fire");
         assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn flip_bit_changes_exactly_one_bit() {
-        let dir = std::env::temp_dir().join("apollo-resilience-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flip.bin");
-        std::fs::write(&path, [0u8; 8]).unwrap();
-        flip_bit(&path, 5, 2).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[5], 1 << 2);
-        assert!(bytes.iter().enumerate().all(|(i, &b)| i == 5 || b == 0));
-        assert!(flip_bit(&path, 99, 0).is_err(), "out of range is an error");
-    }
-
-    #[test]
-    fn truncate_file_shortens() {
-        let dir = std::env::temp_dir().join("apollo-resilience-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trunc.bin");
-        std::fs::write(&path, [7u8; 100]).unwrap();
-        truncate_file(&path, 13).unwrap();
-        assert_eq!(std::fs::read(&path).unwrap().len(), 13);
     }
 }

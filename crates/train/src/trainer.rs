@@ -1,6 +1,6 @@
 //! Pre-training configuration, run log and entry points. The loop itself
 //! — one step pipeline shared with [`crate::pretrain_ddp`] — lives in
-//! `crate::pipeline`; the serial entry points here are its one-member round,
+//! `crate::pipeline`; the serial entry points here are its one-member run,
 //! run inline on the caller's thread against the caller's model and
 //! optimizer.
 
@@ -223,7 +223,6 @@ pub fn pretrain_observed(
         res,
         obs,
     )
-    .log
 }
 
 #[cfg(test)]

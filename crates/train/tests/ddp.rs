@@ -1,14 +1,18 @@
-//! Data-parallel integration tests: bit-exact replica invariance, elastic
-//! replica-kill recovery, and cross-replica-count checkpoint resharding.
+//! Data-parallel integration tests: bit-exact replica invariance,
+//! cross-replica-count checkpoint resharding, and a panicking member ending
+//! the run instead of hanging it.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
-use apollo_optim::{AdamW, Apollo, Optimizer};
+use apollo_optim::{AdamW, Apollo, Optimizer, ParamUpdate};
 use apollo_tensor::Rng;
 use apollo_train::{
-    pretrain_ddp, DdpConfig, DdpRunLog, FaultKind, FaultPlan, OptimizerFactory, ResilienceConfig,
-    TrainConfig,
+    pretrain_ddp, DdpConfig, OptimizerFactory, ResilienceConfig, RunLog, TrainConfig,
 };
 
 fn setup(seed: u64) -> (LlamaModel, LmBatcher) {
@@ -44,7 +48,7 @@ fn run(
     replicas: usize,
     make_opt: &OptimizerFactory,
     res: &ResilienceConfig,
-) -> (LlamaModel, DdpRunLog) {
+) -> (LlamaModel, RunLog) {
     let (mut model, batcher) = setup(seed);
     let cfg = TrainConfig {
         eval_every: 4,
@@ -62,8 +66,8 @@ fn run(
     (model, log)
 }
 
-fn assert_bit_identical(a: &(LlamaModel, DdpRunLog), b: &(LlamaModel, DdpRunLog), what: &str) {
-    let (la, lb) = (&a.1.log, &b.1.log);
+fn assert_bit_identical(a: &(LlamaModel, RunLog), b: &(LlamaModel, RunLog), what: &str) {
+    let (la, lb) = (&a.1, &b.1);
     assert_eq!(la.train_losses.len(), lb.train_losses.len(), "{what}");
     for ((sa, xa), (sb, xb)) in la.train_losses.iter().zip(&lb.train_losses) {
         assert_eq!(sa, sb, "{what}: sample steps differ");
@@ -109,12 +113,9 @@ fn losses_and_weights_are_bit_identical_at_any_replica_count() {
         ("adamw", &adamw_factory),
     ] {
         let baseline = run(7, 10, 1, factory, &res);
-        assert!(baseline.1.log.final_ppl.is_finite());
-        assert_eq!(baseline.1.ddp.rounds, 1);
+        assert!(baseline.1.final_ppl.is_finite());
         for replicas in [2, 3, 4] {
             let multi = run(7, 10, replicas, factory, &res);
-            assert_eq!(multi.1.ddp.replicas, replicas);
-            assert_eq!(multi.1.ddp.survivors, replicas);
             assert_bit_identical(&baseline, &multi, &format!("{name} x{replicas}"));
         }
     }
@@ -127,70 +128,9 @@ fn sharded_state_tracks_the_serial_optimizer_footprint() {
     let res = ResilienceConfig::default();
     let solo = run(3, 6, 1, &apollo_factory, &res);
     let duo = run(3, 6, 2, &apollo_factory, &res);
-    assert!(solo.1.log.state_elems > 0);
-    assert_eq!(solo.1.log.state_elems, duo.1.log.state_elems);
-    assert_eq!(solo.1.log.state_bytes, duo.1.log.state_bytes);
-}
-
-#[test]
-fn killed_replica_rebalances_and_stays_bit_exact() {
-    // Kill replica 1 of 2 at step 6: the survivor re-shards, replays from
-    // the latest checkpoint, and the run is indistinguishable from an
-    // undisturbed one.
-    let steps = 12;
-    let clean = run(11, steps, 2, &apollo_factory, &ResilienceConfig::default());
-
-    let dir = fresh_dir("kill-rebalance");
-    let plan = FaultPlan::new().inject(6, FaultKind::ReplicaKill { replica: 1 });
-    let res = ResilienceConfig {
-        checkpoint_dir: Some(dir.clone()),
-        checkpoint_every: 4,
-        fault_plan: plan,
-        ..ResilienceConfig::default()
-    };
-    let faulted = run(11, steps, 2, &apollo_factory, &res);
-    assert_eq!(faulted.1.ddp.replica_kills, 1);
-    assert_eq!(faulted.1.ddp.rebalances, 1);
-    assert_eq!(faulted.1.ddp.rounds, 2);
-    assert_eq!(faulted.1.ddp.replicas, 2);
-    assert_eq!(faulted.1.ddp.survivors, 1);
-    assert!(faulted.1.log.resilience.checkpoints_written > 0);
-    assert_bit_identical(&clean, &faulted, "kill at step 6");
-}
-
-#[test]
-fn kill_without_checkpoints_replays_from_the_start() {
-    // No checkpoint directory: the recovery floor is the in-memory
-    // round-start state, so the survivor replays the whole run — still
-    // bit-exact, just more work.
-    let clean = run(13, 8, 2, &adamw_factory, &ResilienceConfig::default());
-    let plan = FaultPlan::new().inject(5, FaultKind::ReplicaKill { replica: 0 });
-    let res = ResilienceConfig {
-        fault_plan: plan,
-        ..ResilienceConfig::default()
-    };
-    let faulted = run(13, 8, 2, &adamw_factory, &res);
-    assert_eq!(faulted.1.ddp.replica_kills, 1);
-    assert_eq!(faulted.1.ddp.rounds, 2);
-    assert_bit_identical(&clean, &faulted, "kill, no checkpoints");
-}
-
-#[test]
-fn consecutive_kills_survive_down_to_one_replica() {
-    let clean = run(17, 10, 4, &apollo_factory, &ResilienceConfig::default());
-    let plan = FaultPlan::new()
-        .inject(3, FaultKind::ReplicaKill { replica: 2 })
-        .inject(5, FaultKind::ReplicaKill { replica: 0 })
-        .inject(7, FaultKind::ReplicaKill { replica: 3 });
-    let res = ResilienceConfig {
-        fault_plan: plan,
-        ..ResilienceConfig::default()
-    };
-    let faulted = run(17, 10, 4, &apollo_factory, &res);
-    assert_eq!(faulted.1.ddp.replica_kills, 3);
-    assert_eq!(faulted.1.ddp.rounds, 4);
-    assert_eq!(faulted.1.ddp.survivors, 1);
-    assert_bit_identical(&clean, &faulted, "three kills");
+    assert!(solo.1.state_elems > 0);
+    assert_eq!(solo.1.state_elems, duo.1.state_elems);
+    assert_eq!(solo.1.state_bytes, duo.1.state_bytes);
 }
 
 #[test]
@@ -232,16 +172,15 @@ fn checkpoints_reshard_across_replica_counts() {
         };
         let resumed = run(19, steps, replicas, &apollo_factory, &resume);
         assert_eq!(
-            resumed.1.log.resilience.resumed_from_step,
+            resumed.1.resilience.resumed_from_step,
             Some(6),
             "x{replicas}"
         );
         // The resumed leg replays steps 6.. only; its loss samples are a
         // suffix of the clean curve, and the weights land bit-exactly.
-        for (step, loss) in &resumed.1.log.train_losses {
+        for (step, loss) in &resumed.1.train_losses {
             let clean_loss = clean
                 .1
-                .log
                 .train_losses
                 .iter()
                 .find(|(s, _)| s == step)
@@ -249,8 +188,8 @@ fn checkpoints_reshard_across_replica_counts() {
             assert_eq!(loss.to_bits(), clean_loss.1.to_bits(), "x{replicas}");
         }
         assert_eq!(
-            resumed.1.log.final_ppl.to_bits(),
-            clean.1.log.final_ppl.to_bits(),
+            resumed.1.final_ppl.to_bits(),
+            clean.1.final_ppl.to_bits(),
             "x{replicas}"
         );
         for (pa, pb) in clean.0.params.iter().zip(&resumed.0.params) {
@@ -267,26 +206,18 @@ fn ddp_counters_and_replica_events_are_emitted() {
     let trace = dir.join("run.jsonl");
     let obs = Obs::with_trace(&trace, 1).unwrap();
     let (mut model, batcher) = setup(23);
-    let plan = FaultPlan::new().inject(2, FaultKind::ReplicaKill { replica: 1 });
-    let res = ResilienceConfig {
-        fault_plan: plan,
-        ..ResilienceConfig::default()
-    };
-    let log = pretrain_ddp(
+    pretrain_ddp(
         &mut model,
         &|i| adamw_factory(i),
         &batcher,
         &TrainConfig::quick(4),
         &DdpConfig::new(2),
-        &res,
+        &ResilienceConfig::default(),
         &obs,
     );
-    assert_eq!(obs.counter_value("ddp.rounds"), 2);
-    assert_eq!(obs.counter_value("ddp.replica_kills"), 1);
-    assert_eq!(obs.counter_value("ddp.rebalances"), 1);
-    // Steps 0..2 ran in round 1, then 0..4 replayed in round 2.
-    assert_eq!(obs.counter_value("ddp.steps"), 2 + 4);
-    assert_eq!(log.ddp.survivors, 1);
+    assert_eq!(obs.counter_value("ddp.steps"), 4);
+    let replicas = obs.metrics().and_then(|m| m.gauge("ddp.replicas"));
+    assert_eq!(replicas, Some(2.0));
 
     let text = std::fs::read_to_string(&trace).unwrap();
     for needle in [
@@ -298,7 +229,7 @@ fn ddp_counters_and_replica_events_are_emitted() {
     ] {
         assert!(text.contains(needle), "trace is missing {needle}");
     }
-    for event in ["\"start\"", "\"kill\"", "\"rebalance\"", "\"finish\""] {
+    for event in ["\"start\"", "\"finish\""] {
         assert!(
             text.contains(event),
             "trace is missing a {event} replica event"
@@ -324,4 +255,46 @@ fn replicas_beyond_virtual_slots_are_rejected() {
         &ResilienceConfig::default(),
         &Obs::disabled(),
     );
+}
+
+/// An optimizer whose step panics.
+struct Panicking;
+
+impl Optimizer for Panicking {
+    fn name(&self) -> String {
+        "panicking".to_string()
+    }
+    fn step(&mut self, _: &mut [ParamUpdate<'_>], _: f32) {
+        panic!("injected optimizer panic");
+    }
+    fn state_elems(&self) -> usize {
+        0
+    }
+}
+
+#[test]
+fn a_panicking_member_ends_the_run_instead_of_hanging_it() {
+    // Parameter 0's optimizer panics in member 0's first step; member 1
+    // then waits at the step's last barrier for a member that will never
+    // come, unless the panic poisons the barrier. The run goes on a thread
+    // of its own so that a hang fails the test instead of stalling it.
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let factory = |i: usize| -> Box<dyn Optimizer> {
+                if i == 0 {
+                    Box::new(Panicking)
+                } else {
+                    adamw_factory(i)
+                }
+            };
+            run(29, 4, 2, &factory, &ResilienceConfig::default())
+        }));
+        tx.send(outcome.is_err()).unwrap();
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("pretrain_ddp hung after a member panicked");
+    handle.join().unwrap();
+    assert!(panicked, "pretrain_ddp returned after a member panicked");
 }

@@ -113,7 +113,7 @@ fn ddp_on(
         res,
         &Obs::disabled(),
     );
-    (bits(&model, &out.log), out.log)
+    (bits(&model, &out), out)
 }
 
 fn ddp(
@@ -444,71 +444,14 @@ fn an_optimizer_section_of_another_rank_is_a_warning_and_a_fresh_optimizer() {
             &res_in(&dirs.1, true),
             &Obs::disabled(),
         );
-        assert_eq!(out.log.resilience.resumed_from_step, Some(10));
-        runs.push((bits(&model, &out.log), out.log));
+        assert_eq!(out.resilience.resumed_from_step, Some(10));
+        runs.push((bits(&model, &out), out));
         // Each leg rewrites the final checkpoint; the next resumes from
         // step 10 like this one.
         std::fs::remove_file(dirs.1.join(checkpoint_file_name(STEPS as u64))).unwrap();
     }
     assert_eq!(runs[0].0, runs[1].0);
     assert_eq!(runs[0].0, runs[2].0);
-}
-
-#[test]
-fn survivors_of_a_kill_replay_the_guard_stage_too() {
-    // The replay starts from a floor taken before the fault, so the fault
-    // fires again and the audit counts it once, as in the undisturbed run.
-    let dir = fresh_dir("kill-and-fault");
-    for policy in [
-        RecoveryPolicy::SkipStep,
-        RecoveryPolicy::RollbackAndRetry { lr_backoff: 0.5 },
-    ] {
-        let res = |kill: Option<usize>, checkpoints: bool| {
-            let mut plan = FaultPlan::new().inject(3, FaultKind::NanGrad);
-            if let Some(step) = kill {
-                plan = plan.inject(step, FaultKind::ReplicaKill { replica: 1 });
-            }
-            ResilienceConfig {
-                policy: Some(policy),
-                snapshot_every: 2,
-                fault_plan: plan,
-                checkpoint_dir: checkpoints.then(|| dir.clone()),
-                checkpoint_every: 4,
-                ..ResilienceConfig::default()
-            }
-        };
-        let mut undisturbed = ddp("apollo", 4, 2, 4, &quick(STEPS), &res(None, false));
-        assert_eq!(undisturbed.1.resilience.non_finite_grads, 1);
-        for kill_step in [2, 6] {
-            let mut killed = ddp(
-                "apollo",
-                4,
-                2,
-                4,
-                &quick(STEPS),
-                &res(Some(kill_step), false),
-            );
-            assert!(killed.1.resilience.resumed_from_step.is_some());
-            killed.1.resilience.resumed_from_step = None;
-            assert_same_run(
-                &undisturbed,
-                &killed,
-                &format!("{policy:?}, kill at {kill_step}"),
-            );
-        }
-        // With checkpoints the audit also counts files, in both runs alike.
-        let _ = std::fs::remove_dir_all(&dir);
-        undisturbed = ddp("apollo", 4, 2, 4, &quick(STEPS), &res(None, true));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut killed = ddp("apollo", 4, 2, 4, &quick(STEPS), &res(Some(6), true));
-        killed.1.resilience.resumed_from_step = None;
-        killed.1.resilience.checkpoints_written = undisturbed.1.resilience.checkpoints_written;
-        assert_same_run(
-            &undisturbed,
-            &killed,
-            &format!("{policy:?}, kill after a checkpoint"),
-        );
-    }
 }
 
 /// AdamW behind the trait's default `state_save`, as a custom optimizer that
@@ -537,7 +480,7 @@ fn an_optimizer_that_cannot_save_costs_a_floor_not_an_error() {
         let (cfg, layout) = (quick(STEPS), DdpConfig::new(2));
         let obs = Obs::disabled();
         let out = pretrain_ddp(&mut model, &saveless, &batcher, &cfg, &layout, res, &obs);
-        (bits(&model, &out.log), out.log)
+        (bits(&model, &out), out)
     };
     // A rollback policy with nothing to roll back to skips, as it does
     // before its first floor, and reports no checkpoint error for it.
@@ -556,17 +499,8 @@ fn an_optimizer_that_cannot_save_costs_a_floor_not_an_error() {
     assert_eq!(audit(&log), (1, 0, 0));
     assert_eq!(audit(&team(&rollback).1), (1, 0, 0));
 
-    // The survivor of a kill replays from the start of the run.
     let undisturbed = team(&ResilienceConfig::default());
     assert_eq!(undisturbed.1.resilience, Default::default());
-    let kill = FaultKind::ReplicaKill { replica: 1 };
-    let mut killed = team(&ResilienceConfig {
-        fault_plan: FaultPlan::new().inject(6, kill),
-        ..ResilienceConfig::default()
-    });
-    assert_eq!(killed.1.resilience.checkpoint_errors, 0);
-    killed.1.resilience.resumed_from_step = None;
-    assert_same_run(&undisturbed, &killed, "kill without a floor");
 
     // A checkpoint that was asked for and cannot be written is an error.
     let checkpointed = team(&ResilienceConfig {

@@ -5,11 +5,10 @@
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_optim::{
-    AdamMini, AdamW, AdamWChannelwise, Apollo, Fira, Flora, GaLore, Optimizer, ParamUpdate,
+    AdamMini, AdamW, AdamWChannelwise, Apollo, Fira, Flora, GaLore, Method, Optimizer, ParamUpdate,
     ScaleGranularity, Sgd, SgdMomentum,
 };
 use apollo_tensor::{Matrix, Rng};
-use apollo_train::resilience::{flip_bit, truncate_file};
 use apollo_train::{
     checkpoint_file_name, latest_valid_checkpoint, pretrain_resilient, FaultKind, FaultPlan,
     RecoveryPolicy, ResilienceConfig, TrainConfig,
@@ -129,11 +128,17 @@ fn resume_falls_back_past_corrupt_and_truncated_checkpoints() {
 
     // Damage the two newest checkpoints: the scanner must fall back to
     // step 5 and the run must still finish bit-identically.
-    let len15 = std::fs::metadata(dir.join(checkpoint_file_name(15)))
-        .unwrap()
-        .len();
-    truncate_file(&dir.join(checkpoint_file_name(15)), len15 / 2).unwrap();
-    flip_bit(&dir.join(checkpoint_file_name(10)), 2000, 4).unwrap();
+    let step15 = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(checkpoint_file_name(15)))
+        .unwrap();
+    step15
+        .set_len(step15.metadata().unwrap().len() / 2)
+        .unwrap();
+    let step10 = dir.join(checkpoint_file_name(10));
+    let mut bytes = std::fs::read(&step10).unwrap();
+    bytes[2000] ^= 1 << 4;
+    std::fs::write(&step10, bytes).unwrap();
     let (path, state) = latest_valid_checkpoint(&dir).unwrap().unwrap();
     assert_eq!(path, dir.join(checkpoint_file_name(5)));
     assert_eq!(state.meta.step, 5);
@@ -263,6 +268,48 @@ fn consecutive_fault_limit_aborts_even_under_skip() {
     let log = pretrain_resilient(&mut model, &mut opt, &mut batcher, &cfg, &res);
     assert!(log.resilience.aborted, "a fault storm must abort the run");
     assert_eq!(log.resilience.skipped_steps, 3);
+}
+
+#[test]
+fn a_spike_that_recurs_after_every_rollback_aborts_the_run() {
+    // `apollo pretrain --model test-tiny --optimizer apollo --steps 16
+    // --batch 4 --seed 7 --lr 0.3 --recovery rollback --spike-factor 1.0`:
+    // the step-15 loss spikes again after every rollback to step 10. The
+    // replayed steps 10–14 are clean, but they are not past the fault, so
+    // they must not reset the consecutive-fault count; if they did, the run
+    // would roll back forever. The run goes on a thread of its own so that
+    // a hang fails the test instead of stalling it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let cfg = ModelConfig::test_tiny();
+        let mut model = LlamaModel::new(&cfg, LinearMode::Dense, &mut Rng::seed_from_u64(7));
+        let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
+        let mut batcher = LmBatcher::new(corpus, 4, cfg.max_seq);
+        let method = Method::parse("apollo", cfg.default_rank()).unwrap();
+        let mut opt = method
+            .build(Method::mini_alpha(cfg.hidden), 1.0, None)
+            .unwrap();
+        let train = TrainConfig {
+            lr: 0.3,
+            eval_every: 3,
+            ..TrainConfig::quick(16)
+        };
+        let res = ResilienceConfig {
+            policy: Some(RecoveryPolicy::RollbackAndRetry { lr_backoff: 0.5 }),
+            spike_factor: 1.0,
+            ..ResilienceConfig::default()
+        };
+        let log = pretrain_resilient(&mut model, opt.as_mut(), &mut batcher, &train, &res);
+        tx.send((log.resilience, res.max_consecutive_faults))
+            .unwrap();
+    });
+    let (report, limit) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("rollback-and-retry never ended");
+    handle.join().unwrap();
+    assert!(report.aborted, "{report:?}");
+    assert_eq!(report.loss_spikes, limit + 1, "{report:?}");
+    assert_eq!(report.rollbacks, limit, "{report:?}");
 }
 
 // ---------------------------------------------------------------------------
