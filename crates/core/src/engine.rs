@@ -8,7 +8,7 @@
 //! are written once for all of them.
 
 use apollo_obs::{Obs, TraceEvent};
-use apollo_tensor::{fused, Matrix};
+use apollo_tensor::{fused, scratch, Matrix};
 
 use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
 use crate::projector::{ProjKind, Projector};
@@ -318,34 +318,26 @@ impl TensorState {
             proj.project(p.grad)
         });
         let r = projected.as_ref().unwrap_or(p.grad);
-        let nt = m.update(r, beta1, beta2, eps);
-
         let along_cols = p.grad.rows() <= p.grad.cols();
         let mut scales = Vec::new();
-        // `ProjectBack` builds its update in a pooled temporary.
+        // `Elementwise` and `ProjectBack` read `Ñ` itself, from a pooled
+        // temporary returned within the step; `Scale` reads only its norms,
+        // and `Ñ` is never written. `pooled` holds the update to recycle.
         let mut pooled = None;
         let lifted = match lift {
-            Lift::Elementwise => Lifted::Update(nt),
+            Lift::Elementwise => Lifted::Update(pooled.insert(m.update_into(r, beta1, beta2, eps))),
             Lift::Scale { granularity, alpha } => {
-                let scale = match granularity {
-                    ScaleGranularity::Channel => {
-                        scales = norm_ratio_scales(nt, r, along_cols);
-                        if along_cols {
-                            fused::ChannelScale::Cols(&scales)
-                        } else {
-                            fused::ChannelScale::Rows(&scales)
-                        }
-                    }
-                    ScaleGranularity::Tensor => {
-                        let denom = r.fro_norm();
-                        let s = if denom > 1e-30 {
-                            nt.fro_norm() / denom
-                        } else {
-                            0.0
-                        };
-                        scales = vec![s];
-                        fused::ChannelScale::Tensor(s)
-                    }
+                let norms = match granularity {
+                    ScaleGranularity::Channel if along_cols => fused::MomentNorms::Cols,
+                    ScaleGranularity::Channel => fused::MomentNorms::Rows,
+                    ScaleGranularity::Tensor => fused::MomentNorms::Tensor,
+                };
+                let (nt_norms, r_norms) = m.update_norms(r, beta1, beta2, eps, norms);
+                scales = norm_ratios(&nt_norms, &r_norms);
+                let scale = match norms {
+                    fused::MomentNorms::Cols => fused::ChannelScale::Cols(&scales),
+                    fused::MomentNorms::Rows => fused::ChannelScale::Rows(&scales),
+                    fused::MomentNorms::Tensor => fused::ChannelScale::Tensor(scales[0]),
                 };
                 Lifted::Scaled(scale, alpha)
             }
@@ -354,15 +346,18 @@ impl TensorState {
                     .projector
                     .as_ref()
                     .expect("ProjectBack lifts out of a subspace");
-                let mut back = proj.project_back(nt, p.grad.shape());
+                let nt = m.update_into(r, beta1, beta2, eps);
+                let mut back = proj.project_back(&nt, p.grad.shape());
+                nt.recycle();
                 back.scale_assign(scale);
                 if residual {
                     let low = proj.project_back(r, p.grad.shape());
                     let mut rest = p.grad.sub(&low);
-                    scales = norm_ratio_scales(&back, &low, along_cols);
                     if along_cols {
+                        scales = norm_ratios(&back.col_norms(), &low.col_norms());
                         rest.scale_cols(&scales);
                     } else {
+                        scales = norm_ratios(&back.row_norms(), &low.row_norms());
                         rest.scale_rows(&scales);
                     }
                     back.add_assign(&rest);
@@ -466,27 +461,20 @@ impl TensorState {
     }
 }
 
-/// Channel-wise norm-ratio scaling factors.
-///
-/// Computes `s_c = ‖num[c]‖₂ / ‖den[c]‖₂` per channel, where channels are
-/// columns when `along_cols` (the `m ≤ n` case of Eq. 5) or rows otherwise.
-/// Channels with zero denominator get factor 0 (their update is zero
-/// anyway).
-fn norm_ratio_scales(num: &Matrix, den: &Matrix, along_cols: bool) -> Vec<f32> {
-    let (n_num, n_den) = if along_cols {
-        (num.col_norms(), den.col_norms())
-    } else {
-        (num.row_norms(), den.row_norms())
-    };
-    n_num
-        .iter()
-        .zip(&n_den)
+/// Norm-ratio scaling factors `s_c = num[c] / den[c]`, per channel or for
+/// the one tensor-wide pair. A channel with a zero denominator gets factor
+/// 0 (its update is zero anyway).
+fn norm_ratios(num: &[f32], den: &[f32]) -> Vec<f32> {
+    num.iter()
+        .zip(den)
         .map(|(&a, &b)| if b > 1e-30 { a / b } else { 0.0 })
         .collect()
 }
 
 /// Bias-corrected AdamW moment state for one tensor, optionally stored
-/// block-wise INT8-quantized (8-bit Adam / 8-bit GaLore).
+/// block-wise INT8-quantized (8-bit Adam / 8-bit GaLore). The moments are
+/// exact-size storage of their own, never scratch-pool buffers, so the
+/// heap they hold is what [`AdamMoments::bytes`] counts.
 #[derive(Debug, Clone)]
 struct AdamMoments {
     m: Matrix,
@@ -494,20 +482,15 @@ struct AdamMoments {
     t: u32,
     /// INT8 group size; `None` keeps full-precision state.
     quant_group: Option<usize>,
-    /// Scratch holding the most recent normalized update. Purely a reused
-    /// allocation — not optimizer state, so excluded from
-    /// [`AdamMoments::elems`]/[`AdamMoments::bytes`] and from save/load.
-    upd: Matrix,
 }
 
 impl AdamMoments {
     fn new(rows: usize, cols: usize, quant_group: Option<usize>) -> Self {
         AdamMoments {
-            m: Matrix::zeros(rows, cols),
-            v: Matrix::zeros(rows, cols),
+            m: Matrix::zeros_exact(rows, cols),
+            v: Matrix::zeros_exact(rows, cols),
             t: 0,
             quant_group,
-            upd: Matrix::zeros(0, 0),
         }
     }
 
@@ -521,15 +504,18 @@ impl AdamMoments {
     }
 
     /// Updates the moments with gradient `g` and returns the bias-corrected
-    /// normalized update `M̂ / (√V̂ + ε)`, in scratch the caller may edit.
+    /// normalized update `M̂ / (√V̂ + ε)` in a pooled temporary, for the
+    /// caller to edit and recycle.
     ///
     /// Full-precision state goes through the single-pass
     /// [`fused::fused_adam_moments`] kernel (bit-identical to the staged
     /// EMA + zip path). Quantized variants keep the staged path: they
     /// round-trip the moments through INT8 after each update, so the
     /// persistent state is exactly what an 8-bit optimizer would hold.
-    fn update(&mut self, g: &Matrix, beta1: f32, beta2: f32, eps: f32) -> &mut Matrix {
+    fn update_into(&mut self, g: &Matrix, beta1: f32, beta2: f32, eps: f32) -> Matrix {
         let (bc1, bc2) = self.tick(beta1, beta2);
+        let (rows, cols) = g.shape();
+        let mut nt = Matrix::from_vec(rows, cols, scratch::take_stale(rows * cols));
         if let Some(group) = self.quant_group {
             self.m.ema_assign(beta1, g);
             self.v.ema_square_assign(beta2, g);
@@ -541,23 +527,52 @@ impl AdamMoments {
             // v is non-negative by construction; keep it that way.
             v.map_assign(|x| x.max(0.0));
             std::mem::replace(&mut self.v, v).recycle();
-            self.upd.zip_map_from(&self.m, &self.v, |m, v| {
+            nt.zip_map_from(&self.m, &self.v, |m, v| {
                 (m / bc1) / ((v / bc2).sqrt() + eps)
             });
         } else {
             fused::fused_adam_moments(
                 &mut self.m,
                 &mut self.v,
-                &mut self.upd,
                 g,
                 beta1,
                 beta2,
                 bc1,
                 bc2,
                 eps,
+                fused::MomentsOut::Update(&mut nt),
             );
         }
-        &mut self.upd
+        nt
+    }
+
+    /// Updates the moments with gradient `g` in the same single pass that
+    /// takes the norms `norms` names of the normalized update and of `g`;
+    /// the update itself is never written.
+    fn update_norms(
+        &mut self,
+        g: &Matrix,
+        beta1: f32,
+        beta2: f32,
+        eps: f32,
+        norms: fused::MomentNorms,
+    ) -> (Vec<f32>, Vec<f32>) {
+        assert!(
+            self.quant_group.is_none(),
+            "INT8 moments are kept only under lifts that read the update itself"
+        );
+        let (bc1, bc2) = self.tick(beta1, beta2);
+        fused::fused_adam_moments(
+            &mut self.m,
+            &mut self.v,
+            g,
+            beta1,
+            beta2,
+            bc1,
+            bc2,
+            eps,
+            fused::MomentsOut::Norms(norms),
+        )
     }
 
     /// State footprint in f32-equivalent *elements*: the two moment tensors.
@@ -601,7 +616,6 @@ impl AdamMoments {
             v,
             t,
             quant_group,
-            upd: Matrix::zeros(0, 0),
         })
     }
 }
@@ -614,24 +628,39 @@ mod tests {
     fn adam_moments_single_step_matches_hand_math() {
         let mut st = AdamMoments::new(1, 2, None);
         let g = Matrix::from_rows(&[&[0.5, -1.0]]);
-        let upd = st.update(&g, 0.9, 0.999, 1e-8);
+        let upd = st.update_into(&g, 0.9, 0.999, 1e-8);
         // After one step the bias-corrected update is g/(|g|+eps) ≈ sign(g).
         assert!((upd.get(0, 0) - 1.0).abs() < 1e-3, "{}", upd.get(0, 0));
         assert!((upd.get(0, 1) + 1.0).abs() < 1e-3, "{}", upd.get(0, 1));
     }
 
     #[test]
-    fn norm_ratio_scales_cols_and_rows() {
-        let num = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]);
-        let den = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        assert_eq!(norm_ratio_scales(&num, &den, true), vec![2.0, 4.0]);
-        assert_eq!(norm_ratio_scales(&num, &den, false), vec![2.0, 4.0]);
+    fn norm_ratios_cols_and_rows() {
+        // Channel norms of [[2, 0], [0, 4]] over those of the identity.
+        let (nt, r) = (
+            Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 4.0]]),
+            Matrix::identity(2),
+        );
+        assert_eq!(norm_ratios(&nt.col_norms(), &r.col_norms()), vec![2.0, 4.0]);
+        assert_eq!(norm_ratios(&nt.row_norms(), &r.row_norms()), vec![2.0, 4.0]);
     }
 
     #[test]
-    fn norm_ratio_scales_zero_denominator_is_zero() {
-        let num = Matrix::from_rows(&[&[1.0], &[1.0]]);
-        let den = Matrix::zeros(2, 1);
-        assert_eq!(norm_ratio_scales(&num, &den, true), vec![0.0]);
+    fn norm_ratios_zero_denominator_is_zero() {
+        assert_eq!(norm_ratios(&[2.0_f32.sqrt()], &[0.0]), vec![0.0]);
+    }
+
+    #[test]
+    fn moment_norms_are_the_scale_lifts_factors() {
+        // One step from zero moments on a gradient with an all-zero column:
+        // Ñ ≈ sign(g), so a column's factor is √(nonzeros) / ‖g[:, c]‖, and
+        // the zero column gets 0.
+        let g = Matrix::from_rows(&[&[3.0, 0.0, -1.0], &[4.0, 0.0, 0.0]]);
+        let mut st = AdamMoments::new(2, 3, None);
+        let (nt, r) = st.update_norms(&g, 0.9, 0.999, 1e-8, fused::MomentNorms::Cols);
+        let s = norm_ratios(&nt, &r);
+        assert!((s[0] - 2.0_f32.sqrt() / 5.0).abs() < 1e-6, "{s:?}");
+        assert_eq!(s[1], 0.0);
+        assert!((s[2] - 1.0).abs() < 1e-6, "{s:?}");
     }
 }

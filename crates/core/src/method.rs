@@ -13,7 +13,9 @@
 //! The count is not a formula. For the Adam family it evaluates the engine's
 //! per-tensor layout, the one a built optimizer allocates from, on shapes
 //! alone; SGD-M and Adam-mini count beside their own types. So the memory
-//! model equals the live allocation by construction. Table 1's closed forms
+//! model counts the elements a built optimizer allocates, and
+//! `tests/state_memory.rs` holds the heap it keeps to that count (the state
+//! is exact-size storage outside the scratch pool). Table 1's closed forms
 //! (the State column of the crate docs) are asserted by this module's tests,
 //! for the wide and the tall orientation of a weight.
 

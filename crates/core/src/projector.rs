@@ -117,11 +117,16 @@ impl Projector {
             let mut rng = Rng::seed_from_u64(self.seed ^ 0x51D);
             randomized_svd(g, r, 8, 1, &mut rng)
         };
-        if m <= n {
+        let basis = if m <= n {
             svd.u // m × r
         } else {
             svd.v // n × r
-        }
+        };
+        // The basis outlives the step: keep an exact-size copy (`clone`
+        // allocates exactly its length) and return the pooled original.
+        let kept = basis.clone();
+        basis.recycle();
+        kept
     }
 
     /// The random Gaussian factor for the current seed (`small_dim × r`,

@@ -31,14 +31,19 @@
 //!   and each band owns a disjoint output slice, so results match the
 //!   serial path bit-for-bit at any thread count. Cross-row reductions
 //!   (the RMSNorm gain gradient, the loss sum, the final add over
-//!   [`lane_norm`]'s per-row sums) always run serially.
+//!   [`lane_norm`]'s per-row sums) run serially, except the moment pass's
+//!   column norms, which split into column bands instead: each column's
+//!   chain stays whole on one task.
 //!
 //! `tensor/tests/fused_equivalence.rs` pins the contract per kernel across
 //! adversarial shapes and thread counts; the train-loop test in
 //! `apollo-nn` pins it end-to-end against the staged graph arm.
 
-use crate::pool::par_bands;
-use crate::Matrix;
+use std::sync::Mutex;
+
+use crate::matmul::{current_threads, should_parallelize};
+use crate::pool::{par_bands, Pool};
+use crate::{scratch, Matrix};
 
 // Per-element cost estimates feeding the shared parallelism gate
 // (`should_parallelize`, threshold 2^20 FLOPs). Transcendental-heavy
@@ -519,49 +524,255 @@ pub fn fused_axpy_chain(y: &mut Matrix, decay: f32, alpha: f32, x: &Matrix) {
     });
 }
 
-/// One fused Adam moment-and-update pass: updates `m` and `v` in place and
-/// writes the bias-corrected update into `upd` (reshaped to `g`).
+/// What [`fused_adam_moments`] produces besides the updated moments.
+#[derive(Debug)]
+pub enum MomentsOut<'a> {
+    /// The bias-corrected update `Ñ`, written into this matrix (reshaped to
+    /// the gradient's shape): for lifts that read `Ñ` itself.
+    Update(&'a mut Matrix),
+    /// Only the norms of `Ñ` and of the gradient along these channels; `Ñ`
+    /// is never written.
+    Norms(MomentNorms),
+}
+
+/// The channels [`MomentsOut::Norms`] takes norms along. Each norm is the
+/// `f64` sum of squares of the `Matrix` reduction named, in its order,
+/// square-rooted and rounded to `f32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MomentNorms {
+    /// One per column, rows added in ascending order ([`Matrix::col_norms`]).
+    /// Runs on column bands, so each column's sum stays on one task.
+    Cols,
+    /// One per row ([`Matrix::row_norms`]). Runs on row bands.
+    Rows,
+    /// One for the whole tensor, in row-major order ([`Matrix::fro_norm`]).
+    /// A single chain, so it runs serially.
+    Tensor,
+}
+
+/// The Adam element update of the moment pass.
+#[derive(Clone, Copy)]
+struct AdamStep {
+    beta1: f32,
+    beta2: f32,
+    bc1: f32,
+    bc2: f32,
+    eps: f32,
+}
+
+impl AdamStep {
+    /// One element: `m ← β₁m + (1−β₁)g`, `v ← β₂v + ((1−β₂)g)·g`, and the
+    /// returned `Ñ = (m/bc₁) / (√(v/bc₂) + ε)`.
+    #[inline(always)]
+    fn elem(self, m: &mut f32, v: &mut f32, g: f32) -> f32 {
+        let AdamStep {
+            beta1,
+            beta2,
+            bc1,
+            bc2,
+            eps,
+        } = self;
+        let mv = beta1 * *m + (1.0 - beta1) * g;
+        let vv = beta2 * *v + (1.0 - beta2) * g * g;
+        *m = mv;
+        *v = vv;
+        (mv / bc1) / ((vv / bc2).sqrt() + eps)
+    }
+
+    /// [`AdamStep::elem`] over a slice, `Ñ` into `nt`. The elements are
+    /// independent, so the loop vectorises at full `f32` width.
+    #[inline(always)]
+    fn slice(self, m: &mut [f32], v: &mut [f32], g: &[f32], nt: &mut [f32]) {
+        for (((nt, m), v), &g) in nt.iter_mut().zip(m).zip(v).zip(g) {
+            *nt = self.elem(m, v, g);
+        }
+    }
+}
+
+/// Where `Sum for f64` starts a chain, so that an empty row or tensor
+/// gives `row_norms`' and `fro_norm`'s `-0.0` too (any square added turns
+/// it into that square).
+const SUM_START: f64 = -0.0;
+
+#[inline(always)]
+fn sq(x: f32) -> f64 {
+    (x as f64) * (x as f64)
+}
+
+/// `(Σ Ñ², Σ g²)` in ascending order, continuing the chains at `start`.
+#[inline(always)]
+fn chain_sums(start: (f64, f64), nt: &[f32], g: &[f32]) -> (f64, f64) {
+    nt.iter()
+        .zip(g)
+        .fold(start, |(su, sg), (&u, &g)| (su + sq(u), sg + sq(g)))
+}
+
+fn rounded_norm(sumsq: f64) -> f32 {
+    sumsq.sqrt() as f32
+}
+
+/// A column band of the moment pass: columns `lo..lo + width` of every row
+/// of `m` and `v`, and the band's norm slots.
+struct ColBand<'a> {
+    m: Vec<&'a mut [f32]>,
+    v: Vec<&'a mut [f32]>,
+    lo: usize,
+    norms: (&'a mut [f32], &'a mut [f32]),
+}
+
+/// Row `r`'s columns `t·width..(t+1)·width` of a `cols`-wide buffer, as
+/// list `t` of `bands`.
+fn col_pieces(buf: &mut [f32], cols: usize, width: usize, bands: usize) -> Vec<Vec<&mut [f32]>> {
+    let mut lists: Vec<Vec<&mut [f32]>> = (0..bands).map(|_| Vec::new()).collect();
+    for row in buf.chunks_exact_mut(cols.max(1)) {
+        for (list, piece) in lists.iter_mut().zip(row.chunks_mut(width)) {
+            list.push(piece);
+        }
+    }
+    lists
+}
+
+/// The one Adam moment pass behind every materialised or norm-scaled
+/// update: updates `m` and `v` in place from `g`, and either writes the
+/// bias-corrected update `Ñ` ([`MomentsOut::Update`]) or returns only its
+/// norms and `g`'s, `(‖Ñ[c]‖, ‖g[c]‖)` per channel `c`
+/// ([`MomentsOut::Norms`]; both empty for `Update`).
 ///
 /// Per element, in the staged order: `m ← β₁m + (1−β₁)g`,
-/// `v ← β₂v + ((1−β₂)g)·g`, `upd ← (m/bc₁) / (√(v/bc₂) + ε)`.
+/// `v ← β₂v + ((1−β₂)g)·g`, `Ñ ← (m/bc₁) / (√(v/bc₂) + ε)`. For the norms
+/// `Ñ` never leaves registers (column norms) or a row of scratch read back
+/// while it is in L1 (row and tensor norms), and they equal the named
+/// `Matrix` reductions over a materialised `Ñ` and over `g` bit for bit, at
+/// every thread count: whichever band a channel falls in, its sum is one
+/// ascending chain on one task. The scratch row is a pool buffer, taken
+/// and returned within the call.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_adam_moments(
     m: &mut Matrix,
     v: &mut Matrix,
-    upd: &mut Matrix,
     g: &Matrix,
     beta1: f32,
     beta2: f32,
     bc1: f32,
     bc2: f32,
     eps: f32,
-) {
+    out: MomentsOut<'_>,
+) -> (Vec<f32>, Vec<f32>) {
     assert_eq!(m.shape(), g.shape(), "fused_adam_moments: m/g mismatch");
     assert_eq!(v.shape(), g.shape(), "fused_adam_moments: v/g mismatch");
     let (rows, cols) = g.shape();
-    upd.resize_to(rows, cols);
-    let gs = g.as_slice();
+    let adam = AdamStep {
+        beta1,
+        beta2,
+        bc1,
+        bc2,
+        eps,
+    };
     let flops = rows * cols * ADAM_FLOPS;
-    par_bands(
-        rows,
-        flops,
-        [
-            (m.as_mut_slice(), cols),
-            (v.as_mut_slice(), cols),
-            (upd.as_mut_slice(), cols),
-        ],
-        |lo, hi, [mband, vband, uband]| {
-            let gband = &gs[lo * cols..hi * cols];
-            for i in 0..gband.len() {
-                let gv = gband[i];
-                let mv = beta1 * mband[i] + (1.0 - beta1) * gv;
-                let vv = beta2 * vband[i] + (1.0 - beta2) * gv * gv;
-                mband[i] = mv;
-                vband[i] = vv;
-                uband[i] = (mv / bc1) / ((vv / bc2).sqrt() + eps);
+    let (m, v, gs) = (m.as_mut_slice(), v.as_mut_slice(), g.as_slice());
+    match out {
+        MomentsOut::Update(upd) => {
+            if upd.shape() != (rows, cols) {
+                upd.resize_to(rows, cols);
             }
-        },
-    );
+            par_bands(
+                rows,
+                flops,
+                [(m, cols), (v, cols), (upd.as_mut_slice(), cols)],
+                |lo, hi, [mband, vband, uband]| {
+                    adam.slice(mband, vband, &gs[lo * cols..hi * cols], uband);
+                },
+            );
+            (Vec::new(), Vec::new())
+        }
+        MomentsOut::Norms(MomentNorms::Rows) => {
+            let (mut unorm, mut gnorm) = (vec![0.0; rows], vec![0.0; rows]);
+            par_bands(
+                rows,
+                flops,
+                [
+                    (m, cols),
+                    (v, cols),
+                    (&mut unorm[..], 1),
+                    (&mut gnorm[..], 1),
+                ],
+                |lo, hi, [mband, vband, unband, gnband]| {
+                    let mut nt = scratch::take_stale(cols);
+                    for r in lo..hi {
+                        let (i, g) = (r - lo, g.row(r));
+                        let span = i * cols..(i + 1) * cols;
+                        adam.slice(&mut mband[span.clone()], &mut vband[span], g, &mut nt);
+                        let (su, sg) = chain_sums((SUM_START, SUM_START), &nt, g);
+                        unband[i] = rounded_norm(su);
+                        gnband[i] = rounded_norm(sg);
+                    }
+                    scratch::recycle(nt);
+                },
+            );
+            (unorm, gnorm)
+        }
+        MomentsOut::Norms(MomentNorms::Tensor) => {
+            // One chain over the whole tensor, in row-major order: serial.
+            let mut nt = scratch::take_stale(cols);
+            let mut sums = (SUM_START, SUM_START);
+            for r in 0..rows {
+                let span = r * cols..(r + 1) * cols;
+                adam.slice(&mut m[span.clone()], &mut v[span], g.row(r), &mut nt);
+                sums = chain_sums(sums, &nt, g.row(r));
+            }
+            scratch::recycle(nt);
+            (vec![rounded_norm(sums.0)], vec![rounded_norm(sums.1)])
+        }
+        MomentsOut::Norms(MomentNorms::Cols) => {
+            let (mut unorm, mut gnorm) = (vec![0.0; cols], vec![0.0; cols]);
+            let threads = current_threads();
+            let width = if should_parallelize(threads, cols, flops) {
+                cols.div_ceil(threads)
+            } else {
+                cols.max(1)
+            };
+            let n_bands = cols.div_ceil(width);
+            let bands: Vec<Mutex<ColBand<'_>>> = col_pieces(m, cols, width, n_bands)
+                .into_iter()
+                .zip(col_pieces(v, cols, width, n_bands))
+                .zip(unorm.chunks_mut(width).zip(gnorm.chunks_mut(width)))
+                .enumerate()
+                .map(|(t, ((m, v), norms))| {
+                    Mutex::new(ColBand {
+                        m,
+                        v,
+                        lo: t * width,
+                        norms,
+                    })
+                })
+                .collect();
+            Pool::run(threads, bands.len(), &|t| {
+                let mut guard = bands[t]
+                    .lock()
+                    .expect("only band t's own task locks it, once");
+                let band = &mut *guard;
+                let w = band.norms.0.len();
+                let (mut su, mut sg) = (vec![0.0f64; w], vec![0.0f64; w]);
+                for (r, (mrow, vrow)) in band.m.iter_mut().zip(&mut band.v).enumerate() {
+                    let g = &g.row(r)[band.lo..band.lo + w];
+                    // One add per column and row: the columns' chains are
+                    // independent, so the loop vectorises across them.
+                    let walk = mrow.iter_mut().zip(vrow.iter_mut()).zip(g);
+                    for (((m, v), &g), (su, sg)) in walk.zip(su.iter_mut().zip(sg.iter_mut())) {
+                        *su += sq(adam.elem(m, v, g));
+                        *sg += sq(g);
+                    }
+                }
+                for (out, s) in band.norms.0.iter_mut().zip(&su) {
+                    *out = rounded_norm(*s);
+                }
+                for (out, s) in band.norms.1.iter_mut().zip(&sg) {
+                    *out = rounded_norm(*s);
+                }
+            });
+            (unorm, gnorm)
+        }
+    }
 }
 
 /// The full fused Adam parameter step: moments, bias correction, weight

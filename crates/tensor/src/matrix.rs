@@ -36,6 +36,14 @@ impl Matrix {
         }
     }
 
+    /// Creates a matrix filled with zeros in storage of its own, exactly
+    /// `rows · cols` long and never taken from the scratch pool: for state
+    /// that outlives a step (optimizer moments), where a best-fit take would
+    /// keep whatever larger buffer an earlier temporary freed.
+    pub fn zeros_exact(rows: usize, cols: usize) -> Self {
+        Matrix::full(rows, cols, 0.0)
+    }
+
     /// Consumes the matrix and returns its storage to the scratch pool so
     /// the next [`Matrix::zeros`] of a similar size reuses it.
     pub fn recycle(self) {

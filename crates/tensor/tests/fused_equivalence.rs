@@ -11,7 +11,7 @@
 //! include degenerate, prime, and pool-crossing sizes (the elementwise
 //! FLOP gate passes around `rows · cols · per_elem ≥ 2^20`).
 
-use apollo_tensor::fused::{self, reference, ChannelScale};
+use apollo_tensor::fused::{self, reference, ChannelScale, MomentNorms, MomentsOut};
 use apollo_tensor::{set_thread_override, Matrix, Rng};
 use proptest::prelude::*;
 
@@ -137,7 +137,8 @@ fn check_all_fused(rows: usize, cols: usize, seed: u64, threads: usize) {
     for (t, g) in [(1i32, &g1), (2, &g2)] {
         let bc1 = 1.0 - beta1.powi(t);
         let bc2 = 1.0 - beta2.powi(t);
-        fused::fused_adam_moments(&mut mf, &mut vf, &mut uf, g, beta1, beta2, bc1, bc2, eps);
+        let out = MomentsOut::Update(&mut uf);
+        fused::fused_adam_moments(&mut mf, &mut vf, g, beta1, beta2, bc1, bc2, eps, out);
         reference::adam_moments(&mut mr, &mut vr, &mut ur, g, beta1, beta2, bc1, bc2, eps);
         assert_bits_eq(&mf, &mr, &format!("adam m (t={t}) {ctx}"));
         assert_bits_eq(&vf, &vr, &format!("adam v (t={t}) {ctx}"));
@@ -282,6 +283,101 @@ fn apollo_apply_matches_the_staged_chain_at_every_thread_count() {
                         fused::fused_apollo_apply(&mut w, &grad, scale, 2.5, clamp, decay, -0.01);
                         assert_bits_eq(&w, &staged, &format!("apply {ctx}"));
                     }
+                }
+            }
+        }
+    }
+    set_thread_override(None);
+}
+
+/// Moment shapes for the one-pass moments-and-norms kernel: Mini's `1 × n`
+/// (wide and tall), ragged widths (`cols % 8 != 0`, and a prime), and the
+/// LLaMA-60M APOLLO shapes at rank 128, which cross the pool gate at 2+
+/// threads in both orientations.
+const MOMENT_SHAPES: [(usize, usize); 8] = [
+    (1, 512),
+    (1, 37),
+    (1376, 1),
+    (7, 13),
+    (13, 45),
+    (96, 1001),
+    (128, 1376),
+    (1376, 128),
+];
+
+#[test]
+fn adam_moment_norms_match_the_staged_reductions_at_every_thread_count() {
+    // The one pass (moments, and Ñ or the channel norms of Ñ and g) against
+    // staged `adam_moments` followed by `col_norms` / `row_norms` /
+    // `fro_norm` over the materialised update and the gradient, at steps
+    // t = 1 and t = 3 of one moment history.
+    let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+    for (si, &(rows, cols)) in MOMENT_SHAPES.iter().enumerate() {
+        let mut rng = Rng::seed_from_u64(0xAD_0000 + si as u64);
+        let grads: Vec<Matrix> = (0..3)
+            .map(|_| Matrix::randn(rows, cols, &mut rng))
+            .collect();
+        let (mut m_ref, mut v_ref, mut nt_ref) = (
+            Matrix::zeros(rows, cols),
+            Matrix::zeros(rows, cols),
+            Matrix::zeros(0, 0),
+        );
+        let mut fused_states: Vec<(Matrix, Matrix)> = Vec::new();
+        for (step, g) in grads.iter().enumerate() {
+            let t = step as i32 + 1;
+            let (bc1, bc2) = (1.0 - beta1.powi(t), 1.0 - beta2.powi(t));
+            reference::adam_moments(
+                &mut m_ref,
+                &mut v_ref,
+                &mut nt_ref,
+                g,
+                beta1,
+                beta2,
+                bc1,
+                bc2,
+                eps,
+            );
+            // `None` asks for `Ñ` itself, written out; `Some` for norms only.
+            let staged = [
+                (None, Vec::new(), Vec::new()),
+                (Some(MomentNorms::Cols), nt_ref.col_norms(), g.col_norms()),
+                (Some(MomentNorms::Rows), nt_ref.row_norms(), g.row_norms()),
+                (
+                    Some(MomentNorms::Tensor),
+                    vec![nt_ref.fro_norm()],
+                    vec![g.fro_norm()],
+                ),
+            ];
+            // One moment history per (request, threads) case, each advanced
+            // through every step so t = 3 starts from its own t = 2.
+            let cases = staged
+                .iter()
+                .flat_map(|case| [1usize, 2, 4].map(|threads| (case, threads)));
+            for (ci, ((norms, nt_norms, g_norms), threads)) in cases.enumerate() {
+                if fused_states.len() <= ci {
+                    fused_states.push((Matrix::zeros(rows, cols), Matrix::zeros(rows, cols)));
+                }
+                let (m, v) = &mut fused_states[ci];
+                set_thread_override(Some(threads));
+                let mut nt = Matrix::zeros(0, 0);
+                let out = match norms {
+                    None => MomentsOut::Update(&mut nt),
+                    Some(norms) => MomentsOut::Norms(*norms),
+                };
+                let got = fused::fused_adam_moments(m, v, g, beta1, beta2, bc1, bc2, eps, out);
+                let ctx = format!("({rows}x{cols}, {norms:?}, threads={threads}, t={t})");
+                assert_bits_eq(m, &m_ref, &format!("m {ctx}"));
+                assert_bits_eq(v, &v_ref, &format!("v {ctx}"));
+                if norms.is_none() {
+                    assert_bits_eq(&nt, &nt_ref, &format!("Ñ {ctx}"));
+                }
+                assert_eq!(got.0.len(), nt_norms.len(), "‖Ñ‖ count {ctx}");
+                assert_eq!(got.1.len(), g_norms.len(), "‖g‖ count {ctx}");
+                for (c, (a, b)) in got.0.iter().zip(nt_norms).enumerate() {
+                    assert_scalar_bits_eq(*a, *b, &format!("‖Ñ[{c}]‖ {ctx}"));
+                }
+                for (c, (a, b)) in got.1.iter().zip(g_norms).enumerate() {
+                    assert_scalar_bits_eq(*a, *b, &format!("‖g[{c}]‖ {ctx}"));
                 }
             }
         }

@@ -325,6 +325,11 @@ cargo test -q --release -p apollo-autograd --test network_gradcheck
 # keep-everything tape less the values no backward arm reads, and the
 # heap's rise during backward under half of it (backward_memory).
 cargo test -q --release -p apollo-nn --test grad_golden --test backward_memory
+# Table 1 as a measured row: after steps 1 and 3 on the optstep tensors the
+# heap AdamW, APOLLO, APOLLO-Mini, GaLore, Adam-mini and SGD-M hold equals their
+# state_bytes() within per-tensor headers and the published scaling factors
+# (state_memory; its own counting allocator).
+cargo test -q --release -p apollo-optim --test state_memory
 
 echo "== baseline x86-64 build (no target-cpu=native): bit and envelope suites"
 # Everything above was compiled for the host CPU (.cargo/config.toml); an
