@@ -274,7 +274,7 @@ fn main() {
             "Kernel shape table ({} thread(s), {}, {})",
             table.threads, table.simd_tier, table.mode
         ),
-        &["Shape", "Kernel", "m x k x n", "GFLOP/s"],
+        "Shape | Kernel | m x k x n | GFLOP/s",
         &printed,
     );
     write_json("kernel_table", &table);

@@ -1,229 +1,245 @@
-//! Experiment harness regenerating every table and figure of the paper.
+//! The paper's tables and figures, regenerated by one `paper` binary.
 //!
-//! Each `src/bin/<id>.rs` binary reproduces one artifact (see DESIGN.md's
-//! experiment index) by delegating to this library: a [`Method`] registry
-//! naming the paper's rows, each mapped to a row of the optimizer method
-//! table ([`apollo_optim::Method`]) and a model parameterization, a
-//! [`pretrain_run`] driver, and plain-text/JSON output helpers.
+//! [`ARTEFACTS`] lists every artefact this reproduction regenerates: its id
+//! (also the name of the `results/<id>.json` it writes), the part of the
+//! paper it stands for, the seed its runs draw from, the rows it trains or
+//! counts, and the function that runs it. The `paper` binary runs entries
+//! of the table (`paper <id>…` or `paper all`; see DESIGN.md's experiment
+//! index).
 //!
-//! All runs are deterministic given their seeds. Step budgets scale with
-//! the `APOLLO_SCALE` environment variable (default 1.0) so the full suite
-//! can be traded between fidelity and wall-clock.
+//! A [`Row`] is a label, a row of the one method table
+//! ([`apollo_optim::Method`]) and how the model's linear layers are
+//! parameterized ([`Model`]), built at the geometry the artefact trains or
+//! counts at. Every run is deterministic given its seed; [`Ctx::steps`]
+//! scales every training budget by `--scale`, so the suite can be traded
+//! between fidelity and wall-clock.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use apollo_data::{CorpusConfig, LmBatcher, SyntheticCorpus};
 use apollo_nn::{LinearMode, LlamaModel, ModelConfig};
 use apollo_obs::Obs;
-use apollo_optim::ProjKind::{Random, Svd};
-use apollo_optim::ScaleGranularity::{Channel, Tensor};
+use apollo_optim::{Method, Optimizer};
 use apollo_tensor::Rng;
 use apollo_train::{pretrain_observed, ResilienceConfig, RunLog, TrainConfig};
 
-pub use apollo_optim::UPDATE_FREQ;
+mod analytic;
+mod finetune;
+mod grid;
+mod probes;
 
-/// A row of the paper's evaluation: the optimizer it trains with and how
-/// the model is parameterized, for a given model geometry.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Method {
-    /// Full-rank AdamW baseline.
-    AdamW,
-    /// AdamW with the Section-3 channel-wise structured LR rule.
-    AdamWChannelwise {
-        /// Whether the norm-growth limiter is active (Fig. 3 ablation).
-        limiter: bool,
-    },
-    /// AdamW with element-wise rule — alias of [`Method::AdamW`], named for
-    /// Fig. 3's legend.
-    AdamWElementwise,
-    /// 8-bit Adam (INT8 moments, group 128).
-    Adam8bit,
-    /// Plain SGD.
-    Sgd,
-    /// SGD with momentum 0.9.
-    SgdMomentum,
-    /// `W = UV` factored baseline ("Low-Rank" in Table 2).
-    LowRank,
-    /// LoRA adapters on a frozen random backbone (pre-training baseline).
-    LoRa,
-    /// ReLoRA: LoRA with periodic merges.
-    ReLoRa,
-    /// GaLore (SVD projection).
-    GaLore,
-    /// GaLore with pure random projection (Fig. 5 ablation).
-    GaLoreRp,
-    /// 8-bit GaLore.
-    GaLore8bit,
-    /// Fira (SVD projection).
-    Fira,
-    /// Flora (random-projection momentum compression).
-    Flora,
-    /// APOLLO (random projection, channel-wise).
-    Apollo,
-    /// APOLLO with half the default rank (the `†` rows of Table 2).
-    ApolloHalfRank,
-    /// APOLLO w. SVD.
-    ApolloSvd,
-    /// APOLLO with tensor-wise scaling at full rank (Table 7 ablation).
-    ApolloTensor,
-    /// APOLLO w. SVD with tensor-wise scaling (Table 7 ablation).
-    ApolloTensorSvd,
-    /// APOLLO-Mini (rank 1, tensor-wise, random projection).
-    ApolloMini,
-    /// APOLLO-Mini with SVD projection (Fig. 5 ablation).
-    ApolloMiniSvd,
+/// Where a run writes and how far it scales its training budgets.
+pub struct Ctx {
+    /// Multiplier on every training-step budget (`--scale`).
+    pub scale: f64,
+    /// Directory of the `<id>.json` files and run traces (`--out`).
+    pub out: PathBuf,
 }
 
-impl Method {
-    /// Display label matching the paper's tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Method::AdamW => "AdamW",
-            Method::AdamWChannelwise { limiter: true } => "Channel-wise LR + NL",
-            Method::AdamWChannelwise { limiter: false } => "Channel-wise LR",
-            Method::AdamWElementwise => "Element-wise LR (AdamW)",
-            Method::Adam8bit => "8-bit Adam",
-            Method::Sgd => "SGD",
-            Method::SgdMomentum => "SGD-M",
-            Method::LowRank => "Low-Rank",
-            Method::LoRa => "LoRA",
-            Method::ReLoRa => "ReLoRA",
-            Method::GaLore => "GaLore",
-            Method::GaLoreRp => "GaLore w. RP",
-            Method::GaLore8bit => "8-bit GaLore",
-            Method::Fira => "Fira",
-            Method::Flora => "Flora",
-            Method::Apollo => "APOLLO",
-            Method::ApolloHalfRank => "APOLLO (r/2)",
-            Method::ApolloSvd => "APOLLO w. SVD",
-            Method::ApolloTensor => "APOLLO (tensor)",
-            Method::ApolloTensorSvd => "APOLLO w. SVD (tensor)",
-            Method::ApolloMini => "APOLLO-Mini",
-            Method::ApolloMiniSvd => "APOLLO-Mini w. SVD",
-        }
-    }
-
-    /// The default rank for this method under a geometry: one quarter of
-    /// the hidden dim (halved for the `†` variant, 1 for Mini).
-    pub fn rank(&self, cfg: &ModelConfig) -> usize {
-        match self {
-            Method::ApolloHalfRank => (cfg.hidden / 8).max(1),
-            Method::ApolloMini | Method::ApolloMiniSvd => 1,
-            _ => cfg.default_rank(),
-        }
-    }
-
-    /// APOLLO-Mini's gradient scale factor α at `cfg`'s hidden size
-    /// ([`apollo_optim::Method::mini_alpha`]).
-    pub fn mini_alpha(cfg: &ModelConfig) -> f32 {
-        apollo_optim::Method::mini_alpha(cfg.hidden)
-    }
-
-    /// How the model's linear layers are parameterized under this method.
-    pub fn linear_mode(&self, cfg: &ModelConfig) -> LinearMode {
-        let rank = self.rank(cfg);
-        match self {
-            Method::LowRank => LinearMode::Factored { rank },
-            Method::LoRa | Method::ReLoRa => LinearMode::LoRa {
-                rank,
-                alpha: 2.0 * rank as f32,
-            },
-            _ => LinearMode::Dense,
-        }
-    }
-
-    /// The method-table row this method trains with at `cfg`'s rank. The
-    /// factored and adapter baselines train their parameters with AdamW.
-    pub fn optimizer(&self, cfg: &ModelConfig) -> apollo_optim::Method {
-        use apollo_optim::Method as Opt;
-        let rank = self.rank(cfg);
-        let apollo = |proj, granularity| Opt::Apollo {
-            rank,
-            proj,
-            granularity,
-        };
-        let galore = |proj, int8| Opt::GaLore { rank, proj, int8 };
-        match *self {
-            Method::AdamW
-            | Method::AdamWElementwise
-            | Method::LowRank
-            | Method::LoRa
-            | Method::ReLoRa => Opt::adamw(),
-            Method::AdamWChannelwise { limiter } => Opt::AdamWChannelwise { limiter },
-            Method::Adam8bit => Opt::AdamW { int8: true },
-            Method::Sgd => Opt::Sgd,
-            Method::SgdMomentum => Opt::SgdMomentum,
-            Method::GaLore => galore(Svd, false),
-            Method::GaLoreRp => galore(Random, false),
-            Method::GaLore8bit => galore(Svd, true),
-            Method::Fira => Opt::Fira { rank },
-            Method::Flora => Opt::Flora { rank },
-            Method::Apollo | Method::ApolloHalfRank => apollo(Random, Channel),
-            Method::ApolloSvd => apollo(Svd, Channel),
-            Method::ApolloTensor | Method::ApolloMini => apollo(Random, Tensor),
-            Method::ApolloTensorSvd | Method::ApolloMiniSvd => apollo(Svd, Tensor),
-        }
-    }
-
-    /// ReLoRA's merge period.
-    pub fn merge_every(&self, steps: usize) -> Option<usize> {
-        match self {
-            Method::ReLoRa => Some((steps / 4).max(1)),
-            _ => None,
-        }
+impl Ctx {
+    /// A step budget under the scale (at least 20 steps).
+    pub fn steps(&self, steps: usize) -> usize {
+        ((steps as f64 * self.scale) as usize).max(20)
     }
 }
 
-/// Global step-budget multiplier from `APOLLO_SCALE` (default 1.0).
-pub fn scale() -> f64 {
-    std::env::var("APOLLO_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+/// Each geometry an artefact trains or counts at, with its rows there.
+pub type Rows = Vec<(ModelConfig, Vec<Row>)>;
+
+/// One table or figure of the paper.
+pub struct Artefact {
+    /// Names the artefact on the command line and its `<id>.json`.
+    pub id: &'static str,
+    /// The part of the paper it reproduces.
+    pub paper: &'static str,
+    /// The seed its runs draw from (0 where nothing is drawn).
+    pub seed: u64,
+    /// The rows it trains or counts.
+    pub rows: fn() -> Rows,
+    /// Runs it with the seed and returns the JSON of its results.
+    pub run: fn(&Ctx, u64) -> String,
 }
 
-/// Applies the global scale to a step budget (minimum 20 steps).
-pub fn scaled(steps: usize) -> usize {
-    ((steps as f64 * scale()) as usize).max(20)
+/// Every artefact, in the order `paper all` runs them: the analytic ones
+/// first, then the training ones, most important first.
+#[rustfmt::skip]
+pub const ARTEFACTS: [Artefact; 18] = [
+    Artefact { id: "table1_memory", paper: "Table 1", seed: 0, rows: analytic::table1_rows, run: analytic::table1 },
+    Artefact { id: "fig1_memory", paper: "Fig. 1 (middle)", seed: 0, rows: analytic::fig1_memory_rows, run: analytic::fig1_memory },
+    Artefact { id: "fig1_throughput", paper: "Fig. 1 (right)", seed: 0xF161, rows: analytic::fig1_throughput_rows, run: analytic::fig1_throughput },
+    Artefact { id: "claims_system", paper: "§5.3", seed: 0, rows: Vec::new, run: analytic::claims_system },
+    Artefact { id: "table2_pretrain", paper: "Table 2", seed: 42, rows: grid::table2_rows, run: grid::table2 },
+    Artefact { id: "fig5_projection_rank", paper: "Fig. 5", seed: 42, rows: grid::fig5_rows, run: grid::fig5 },
+    Artefact { id: "table3_llama7b", paper: "Table 3", seed: 42, rows: probes::table3_rows, run: probes::table3 },
+    Artefact { id: "fig2_llama7b", paper: "Fig. 2", seed: 42, rows: probes::fig2_rows, run: probes::fig2 },
+    Artefact { id: "fig3_structured_lr", paper: "Fig. 3", seed: 42, rows: probes::fig3_rows, run: probes::fig3 },
+    Artefact { id: "fig4_ratio", paper: "Figs. 4 and 8", seed: 7, rows: Vec::new, run: probes::fig4 },
+    Artefact { id: "fig6_curves", paper: "Fig. 6", seed: 42, rows: probes::fig6_rows, run: probes::fig6 },
+    Artefact { id: "fig7_longcontext", paper: "Fig. 7", seed: 42, rows: probes::fig7_rows, run: probes::fig7 },
+    Artefact { id: "fig9_svd_spikes", paper: "Fig. 9", seed: 99, rows: probes::fig9_rows, run: probes::fig9 },
+    Artefact { id: "table4_commonsense", paper: "Table 4", seed: 42, rows: finetune::table4_rows, run: finetune::table4 },
+    Artefact { id: "table5_mmlu", paper: "Table 5", seed: 43, rows: finetune::table5_rows, run: finetune::table5 },
+    Artefact { id: "table6_quantized", paper: "Table 6", seed: 42, rows: grid::table6_rows, run: grid::table6 },
+    Artefact { id: "table7_granularity", paper: "Table 7", seed: 42, rows: grid::table7_rows, run: grid::table7 },
+    Artefact { id: "ablations", paper: "beyond the paper: T, α, γ", seed: 42, rows: Vec::new, run: probes::ablations },
+];
+
+/// Runs `artefact` and writes its results to `<out>/<id>.json`.
+pub fn run(artefact: &Artefact, ctx: &Ctx) {
+    std::fs::create_dir_all(&ctx.out).expect("create the output directory");
+    save(&ctx.out, artefact.id, &(artefact.run)(ctx, artefact.seed));
 }
 
-/// Where experiment outputs are written (`results/` under the workspace).
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("APOLLO_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let p = PathBuf::from(dir);
-    std::fs::create_dir_all(&p).expect("create results dir");
-    p
-}
-
-/// Writes a JSON result file under [`results_dir`].
+/// Writes `results/<name>.json` (the kernel table's timing record).
 pub fn write_json(name: &str, value: &impl serde::Serialize) {
-    let path = results_dir().join(format!("{name}.json"));
-    let data = serde_json::to_string_pretty(value).expect("serialize");
-    std::fs::write(&path, data).expect("write result");
+    std::fs::create_dir_all("results").expect("create results dir");
+    save(Path::new("results"), name, &json(value));
+}
+
+fn save(dir: &Path, name: &str, json: &str) {
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json).expect("write result");
     eprintln!("[saved {}]", path.display());
 }
 
-/// Prints a fixed-width text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+/// Pretty JSON of an artefact's results.
+fn json(value: &impl serde::Serialize) -> String {
+    serde_json::to_string_pretty(value).expect("serialize")
+}
+
+/// How a row parameterizes the model's linear layers. The factored and
+/// adapter models train their parameters with AdamW.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Model {
+    /// Full-rank weights.
+    Dense,
+    /// `W = UV` at `rank` ("Low-Rank" in Table 2).
+    Factored { rank: usize },
+    /// LoRA adapters at `rank` on a frozen backbone.
+    LoRa { rank: usize },
+    /// LoRA with merges every quarter of the run (ReLoRA).
+    ReLoRa { rank: usize },
+}
+
+impl Model {
+    /// The layers' parameterization; adapters scale by `2·rank / rank`.
+    fn linear_mode(self) -> LinearMode {
+        match self {
+            Model::Dense => LinearMode::Dense,
+            Model::Factored { rank } => LinearMode::Factored { rank },
+            Model::LoRa { rank } | Model::ReLoRa { rank } => LinearMode::LoRa {
+                rank,
+                alpha: 2.0 * rank as f32,
+            },
         }
     }
-    println!("\n== {title} ==");
+}
+
+/// A row of an artefact: its label, the method it trains with and the
+/// model it trains.
+#[derive(Debug, PartialEq)]
+pub struct Row {
+    pub label: String,
+    pub method: Method,
+    pub model: Model,
+}
+
+impl Row {
+    /// A dense-model row.
+    pub(crate) fn new(label: &str, method: Method) -> Row {
+        Row::on(label, method, Model::Dense)
+    }
+
+    /// A row training `model`.
+    pub(crate) fn on(label: &str, method: Method, model: Model) -> Row {
+        Row {
+            label: label.to_string(),
+            method,
+            model,
+        }
+    }
+
+    /// The method table's LR and clipping on [`TrainConfig::quick`].
+    pub(crate) fn quick(&self, steps: usize) -> TrainConfig {
+        TrainConfig {
+            lr: self.method.lr(),
+            grad_clip: self.method.grad_clip(),
+            ..TrainConfig::quick(steps)
+        }
+    }
+
+    /// The paper recipe: the method table's LR and clipping, ReLoRA's
+    /// merges, and one evaluation at the end over 32 sequences.
+    pub(crate) fn recipe(&self, steps: usize) -> TrainConfig {
+        let relora = matches!(self.model, Model::ReLoRa { .. });
+        TrainConfig {
+            eval_seqs: 32,
+            merge_every: relora.then_some((steps / 4).max(1)),
+            ..self.quick(steps)
+        }
+    }
+
+    /// The row's optimizer, APOLLO-Mini scaling its gradient by
+    /// `mini_alpha` and every other APOLLO row by `alpha`.
+    pub(crate) fn optimizer(&self, mini_alpha: f32, alpha: f32) -> Box<dyn Optimizer> {
+        let built = self.method.build(mini_alpha, alpha, None);
+        built.expect("a serial build takes every method")
+    }
+
+    /// One pre-training run of this row at `cfg` under `tc`, labelled with
+    /// the row's label.
+    pub(crate) fn run(
+        &self,
+        cfg: &ModelConfig,
+        batch: usize,
+        seed: u64,
+        tc: &TrainConfig,
+        obs: &Obs,
+    ) -> RunLog {
+        let mut model = fresh(cfg, self.model.linear_mode(), seed);
+        let mut opt = self.optimizer(Method::mini_alpha(cfg.hidden), 1.0);
+        let mut log = train(&mut model, opt.as_mut(), batch, tc, obs);
+        log.optimizer = self.label.clone();
+        log
+    }
+}
+
+/// A `mode` model at `cfg`, initialized from `seed`.
+pub(crate) fn fresh(cfg: &ModelConfig, mode: LinearMode, seed: u64) -> LlamaModel {
+    LlamaModel::new(cfg, mode, &mut Rng::seed_from_u64(seed))
+}
+
+/// Pre-trains `model` with `opt` under `tc` in batches of `batch`, over the
+/// synthetic corpus every run shares, so each optimizer sees the same data
+/// stream.
+pub(crate) fn train(
+    model: &mut LlamaModel,
+    opt: &mut dyn Optimizer,
+    batch: usize,
+    tc: &TrainConfig,
+    obs: &Obs,
+) -> RunLog {
+    let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(model.config().vocab_size));
+    let mut batcher = LmBatcher::new(corpus, batch, model.config().max_seq);
+    let res = ResilienceConfig::default();
+    pretrain_observed(model, opt, &mut batcher, tc, &res, obs)
+}
+
+/// Prints a fixed-width text table under `headers`, its column names
+/// separated by `|`.
+pub fn print_table(title: &str, headers: &str, rows: &[Vec<String>]) {
+    let headers: Vec<String> = headers.split('|').map(|h| h.trim().to_string()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
+        }
+    }
     let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
+        let cells = cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}"));
+        cells.collect::<Vec<_>>().join("  ")
     };
-    println!(
-        "{}",
-        fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
+    println!("\n== {title} ==\n{}", fmt_row(&headers));
     println!(
         "{}",
         "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
@@ -233,133 +249,73 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The paper recipe for `method` on `cfg`: the method table's LR and
-/// clipping, ReLoRA's merges, and one evaluation at the end.
-pub fn paper_recipe(cfg: &ModelConfig, method: Method, steps: usize) -> TrainConfig {
-    let opt = method.optimizer(cfg);
-    TrainConfig {
-        steps,
-        lr: opt.lr(),
-        grad_clip: opt.grad_clip(),
-        eval_every: 0,
-        eval_seqs: 32,
-        merge_every: method.merge_every(steps),
-        record_step_times: false,
-        grad_accum: 1,
-        quantize_weights: None,
-    }
-}
-
-/// One pre-training run of `method` on `cfg`'s proxy geometry, under
-/// [`paper_recipe`] unless `train_overrides` is given.
-///
-/// Deterministic given `seed`; the corpus is shared across methods so every
-/// optimizer sees the same data stream.
-pub fn pretrain_run(
-    cfg: &ModelConfig,
-    method: Method,
-    steps: usize,
-    batch: usize,
-    seed: u64,
-    train_overrides: Option<TrainConfig>,
-) -> RunLog {
-    let obs = Obs::disabled();
-    pretrain_run_observed(cfg, method, steps, batch, seed, train_overrides, &obs)
-}
-
-/// Like [`pretrain_run`], but threads an [`Obs`] handle through the loop so
-/// figure probes can read phase timings, channel-scale summaries, projector
-/// refreshes, and limiter clips from the JSONL trace afterwards.
-pub fn pretrain_run_observed(
-    cfg: &ModelConfig,
-    method: Method,
-    steps: usize,
-    batch: usize,
-    seed: u64,
-    train_overrides: Option<TrainConfig>,
-    obs: &Obs,
-) -> RunLog {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut model = LlamaModel::new(cfg, method.linear_mode(cfg), &mut rng);
-    let corpus = SyntheticCorpus::new(CorpusConfig::with_vocab(cfg.vocab_size));
-    let mut batcher = LmBatcher::new(corpus, batch, cfg.max_seq);
-    let mut opt = method
-        .optimizer(cfg)
-        .build(Method::mini_alpha(cfg), 1.0, None)
-        .expect("a serial build takes every method");
-    let tc = train_overrides.unwrap_or_else(|| paper_recipe(cfg, method, steps));
-    let res = ResilienceConfig::default();
-    let mut log = pretrain_observed(&mut model, opt.as_mut(), &mut batcher, &tc, &res, obs);
-    log.optimizer = method.label().to_string();
-    log
-}
-
-/// The proxy geometry standing in for each paper model size.
-pub fn proxy_for(paper_size: &str) -> ModelConfig {
-    match paper_size {
-        "60M" => ModelConfig::tiny_60m(),
-        "130M" => ModelConfig::tiny_130m(),
-        "350M" => ModelConfig::tiny_350m(),
-        "1B" => ModelConfig::tiny_1b(),
-        "7B" => ModelConfig::tiny_7b(),
-        other => panic!("unknown paper size {other}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn labels_are_unique() {
-        let all = [
-            Method::AdamW,
-            Method::AdamWChannelwise { limiter: false },
-            Method::AdamWChannelwise { limiter: true },
-            Method::AdamWElementwise,
-            Method::Adam8bit,
-            Method::Sgd,
-            Method::SgdMomentum,
-            Method::LowRank,
-            Method::LoRa,
-            Method::ReLoRa,
-            Method::GaLore,
-            Method::GaLoreRp,
-            Method::GaLore8bit,
-            Method::Fira,
-            Method::Flora,
-            Method::Apollo,
-            Method::ApolloHalfRank,
-            Method::ApolloSvd,
-            Method::ApolloTensor,
-            Method::ApolloTensorSvd,
-            Method::ApolloMini,
-            Method::ApolloMiniSvd,
-        ];
-        let mut labels: Vec<&str> = all.iter().map(Method::label).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), 22);
+    fn ids_are_unique_and_name_the_committed_results() {
+        let mut ids: Vec<&str> = ARTEFACTS.iter().map(|a| a.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), ARTEFACTS.len());
+        // `<id>.json` is the file each writes; `kernel_table.json` is a
+        // local timing record, not an artefact.
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut files: Vec<String> = std::fs::read_dir(results)
+            .expect("results/")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.ends_with(".json") && f != "kernel_table.json")
+            .collect();
+        files.sort_unstable();
+        let expected: Vec<String> = ids.iter().map(|id| format!("{id}.json")).collect();
+        assert_eq!(files, expected);
     }
 
     #[test]
-    fn mini_alpha_matches_paper_constant_at_512_hidden() {
-        let alpha = Method::mini_alpha(&ModelConfig::llama_60m());
-        assert!((alpha - 128f32.sqrt()).abs() < 1e-6);
+    fn every_row_builds_at_its_geometry() {
+        for a in &ARTEFACTS {
+            for (cfg, rows) in (a.rows)() {
+                for row in rows {
+                    let alpha = Method::mini_alpha(cfg.hidden);
+                    let built = row.method.build(alpha, 1.0, None);
+                    assert!(built.is_ok(), "{}: {} at {}", a.id, row.label, cfg.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_unique() {
+        for a in &ARTEFACTS {
+            for (cfg, rows) in (a.rows)() {
+                let mut labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+                labels.sort_unstable();
+                labels.dedup();
+                assert_eq!(labels.len(), rows.len(), "{} at {}", a.id, cfg.name);
+            }
+        }
     }
 
     #[test]
     fn ranks_follow_quarter_hidden_rule() {
-        let cfg = ModelConfig::tiny_60m(); // hidden 64
-        assert_eq!(Method::Apollo.rank(&cfg), 16);
-        assert_eq!(Method::ApolloHalfRank.rank(&cfg), 8);
-        assert_eq!(Method::ApolloMini.rank(&cfg), 1);
+        // Table 2 at the 60M proxy (hidden 64): APOLLO at n/4, its † rows at
+        // n/8, Mini at rank 1.
+        let rows = grid::table2_at(&ModelConfig::tiny_60m());
+        let rank = |label: &str| match rows.iter().find(|r| r.label == label).unwrap().method {
+            Method::Apollo { rank, .. } => rank,
+            other => panic!("{label} is {other:?}"),
+        };
+        assert_eq!(rank("APOLLO"), 16);
+        assert_eq!(rank("APOLLO (r/2)"), 8);
+        assert_eq!(rank("APOLLO-Mini"), 1);
     }
 
     #[test]
     fn quick_pretrain_run_smoke() {
         let cfg = ModelConfig::test_tiny();
-        let log = pretrain_run(&cfg, Method::Apollo, 20, 2, 7, None);
+        let row = Row::new("APOLLO", Method::apollo(cfg.default_rank()));
+        let log = row.run(&cfg, 2, 7, &row.recipe(20), &Obs::disabled());
         assert!(log.final_ppl.is_finite());
         assert_eq!(log.optimizer, "APOLLO");
     }

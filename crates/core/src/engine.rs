@@ -8,6 +8,7 @@
 //! are written once for all of them.
 
 use apollo_obs::{Obs, TraceEvent};
+use apollo_quant::QuantizedMatrix;
 use apollo_tensor::{fused, scratch, Matrix};
 
 use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
@@ -521,12 +522,10 @@ impl AdamMoments {
             self.v.ema_square_assign(beta2, g);
             // Companded (nonlinear) code, as real 8-bit optimizers use —
             // linear absmax INT8 would zero small second-moment entries.
-            let m = apollo_quant::fake_quantize_companded(&self.m, group, 0.5);
-            std::mem::replace(&mut self.m, m).recycle();
-            let mut v = apollo_quant::fake_quantize_companded(&self.v, group, 0.25);
+            QuantizedMatrix::quantize_companded(&self.m, group, 0.5).dequantize_into(&mut self.m);
+            QuantizedMatrix::quantize_companded(&self.v, group, 0.25).dequantize_into(&mut self.v);
             // v is non-negative by construction; keep it that way.
-            v.map_assign(|x| x.max(0.0));
-            std::mem::replace(&mut self.v, v).recycle();
+            self.v.map_assign(|x| x.max(0.0));
             nt.zip_map_from(&self.m, &self.v, |m, v| {
                 (m / bc1) / ((v / bc2).sqrt() + eps)
             });

@@ -1,4 +1,4 @@
-//! The one method table: every optimizer the CLI, the paper binaries and
+//! The one method table: every optimizer the CLI, the `paper` binary and
 //! the memory model name, build and count.
 //!
 //! A [`Method`] is a value parameterised the way the hyper-parameter
@@ -488,5 +488,11 @@ mod tests {
             let method = Method::parse(name, R).unwrap();
             assert_eq!(method.bytes_per_state_elem(), per_elem, "{name}");
         }
+    }
+
+    #[test]
+    fn mini_alpha_matches_paper_constant_at_512_hidden() {
+        // LLaMA-60M's hidden size: the paper's α = √128 is √(512/4).
+        assert!((Method::mini_alpha(512) - 128f32.sqrt()).abs() < 1e-6);
     }
 }

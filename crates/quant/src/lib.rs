@@ -1,13 +1,16 @@
 //! Group-wise INT8 quantization for weights and optimizer states.
 //!
-//! Two users in the reproduction:
+//! Three users in the reproduction:
 //!
-//! - **Q-APOLLO / Q-GaLore** (Table 6, Fig. 1 middle): model weights are
-//!   held in INT8 with a per-group scale (group size 128, as in Q-GaLore)
-//!   and updated through a dequantize → update → requantize round-trip
-//!   (straight-through estimator).
-//! - **8-bit Adam / 8-bit GaLore** (Table 3): optimizer moments are stored
-//!   block-wise quantized and dequantized on use.
+//! - **INT8 decode** (`apollo-nn`'s relaxed tier): the snapshot holds every
+//!   projection as a [`QuantizedMatrix`] and multiplies through its codes
+//!   ([`QuantizedMatrix::dequant_matmul_into`]).
+//! - **Q-APOLLO / Q-GaLore** (Table 6, Fig. 1 middle): the trainer keeps
+//!   f32 weights and snaps them to the group-128 INT8 grid after every step
+//!   (quantize, then [`QuantizedMatrix::dequantize_into`] in place).
+//! - **8-bit Adam / 8-bit GaLore** (Table 3): the optimizer moments are
+//!   snapped the same way after each update, through a companded code
+//!   ([`QuantizedMatrix::quantize_companded`]).
 //!
 //! The scheme is symmetric absmax quantization: within each group of
 //! `group` consecutive elements, `q = round(x / scale)` with
@@ -34,6 +37,8 @@ pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
     group: usize,
+    /// Companding exponent of the code: 1 for the linear code.
+    pow: f32,
     data: Vec<i8>,
     scales: Vec<f32>,
 }
@@ -46,13 +51,42 @@ impl QuantizedMatrix {
     ///
     /// Panics if `group == 0`.
     pub fn quantize(m: &Matrix, group: usize) -> Self {
+        Self::quantize_companded(m, group, 1.0)
+    }
+
+    /// Quantizes `y = sign(x)·|x|^pow` linearly instead of `x`, stretching
+    /// the code's usable dynamic range by `1/pow` in dB; dequantizing
+    /// inverts the companding. This mimics the nonlinear (dynamic-exponent)
+    /// codes real 8-bit optimizers (bitsandbytes) use for their moment
+    /// states — plain absmax INT8 zeroes out small second-moment entries
+    /// and destabilizes Adam. `pow = 1` is [`Self::quantize`].
+    ///
+    /// Use `pow = 0.5` for first moments and `pow = 0.25` for second
+    /// moments: since `v ≈ m²`, the quartic code gives both states the same
+    /// small-value resolution, so `v` never rounds to zero while `m`
+    /// survives (which would blow up `m/√v`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group == 0` or `pow` is not in `(0, 1]`.
+    pub fn quantize_companded(m: &Matrix, group: usize, pow: f32) -> Self {
         assert!(group > 0, "group size must be positive");
-        let flat = m.as_slice();
+        assert!(pow > 0.0 && pow <= 1.0, "pow must be in (0, 1]");
+        let companded: Vec<f32>;
+        let flat = if pow == 1.0 {
+            m.as_slice()
+        } else {
+            companded = m
+                .as_slice()
+                .iter()
+                .map(|&x| x.signum() * x.abs().powf(pow))
+                .collect();
+            &companded
+        };
         let n_groups = flat.len().div_ceil(group);
         let mut data = Vec::with_capacity(flat.len());
         let mut scales = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            let chunk = &flat[g * group..((g + 1) * group).min(flat.len())];
+        for chunk in flat.chunks(group) {
             let absmax = chunk.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             let scale = if absmax > 0.0 { absmax / 127.0 } else { 1.0 };
             scales.push(scale);
@@ -64,6 +98,7 @@ impl QuantizedMatrix {
             rows: m.rows(),
             cols: m.cols(),
             group,
+            pow,
             data,
             scales,
         }
@@ -71,11 +106,31 @@ impl QuantizedMatrix {
 
     /// Reconstructs the full-precision matrix.
     pub fn dequantize(&self) -> Matrix {
-        let mut out = Vec::with_capacity(self.data.len());
-        for (i, &q) in self.data.iter().enumerate() {
-            out.push(q as f32 * self.scales[i / self.group]);
+        let mut out = Matrix::default();
+        self.dequantize_into(&mut out);
+        out
+    }
+
+    /// [`Self::dequantize`] into `out`, reshaped to `rows × cols` (in place
+    /// when it already has that shape): quantizing a matrix and
+    /// dequantizing into it snaps it to the INT8 grid.
+    pub fn dequantize_into(&self, out: &mut Matrix) {
+        if out.shape() != self.shape() {
+            out.resize_to(self.rows, self.cols);
         }
-        Matrix::from_vec(self.rows, self.cols, out)
+        let codes = self
+            .data
+            .iter()
+            .enumerate()
+            .map(|(i, &q)| q as f32 * self.scales[i / self.group]);
+        let out = out.as_mut_slice().iter_mut();
+        if self.pow == 1.0 {
+            out.zip(codes).for_each(|(y, x)| *y = x);
+        } else {
+            let inv = 1.0 / self.pow;
+            out.zip(codes)
+                .for_each(|(y, x)| *y = x.signum() * x.abs().powf(inv));
+        }
     }
 
     /// `(rows, cols)` of the logical matrix.
@@ -93,7 +148,8 @@ impl QuantizedMatrix {
         self.data.len() + 4 * self.scales.len()
     }
 
-    /// The worst-case absolute reconstruction error (`scale / 2` per group).
+    /// The worst-case absolute reconstruction error (`scale / 2` per group),
+    /// of the companded values when `pow < 1`.
     pub fn max_quantization_error(&self) -> f32 {
         self.scales.iter().fold(0.0f32, |m, &s| m.max(s / 2.0))
     }
@@ -112,6 +168,7 @@ impl QuantizedMatrix {
     ///
     /// Panics if `x.len() != rows` or `out.len() != cols`.
     pub fn dequant_gemv_into(&self, x: &[f32], out: &mut [f32]) {
+        debug_assert_eq!(self.pow, 1.0, "dequant_gemv_into: companded code");
         assert_eq!(x.len(), self.rows, "dequant_gemv_into: x length mismatch");
         assert_eq!(
             out.len(),
@@ -147,49 +204,6 @@ impl QuantizedMatrix {
             self.dequant_gemv_into(x.row(r), out.row_mut(r));
         }
     }
-
-    /// Applies a full-precision update to the quantized weight:
-    /// dequantize, add `delta`, requantize (straight-through estimator, as
-    /// in Q-GaLore's quantized-weight training).
-    pub fn apply_update(&mut self, delta: &Matrix) {
-        assert_eq!(
-            delta.shape(),
-            (self.rows, self.cols),
-            "apply_update: shape mismatch"
-        );
-        let mut full = self.dequantize();
-        full.add_assign(delta);
-        *self = QuantizedMatrix::quantize(&full, self.group);
-    }
-}
-
-/// Convenience: round-trips a matrix through INT8 to simulate quantized
-/// storage of optimizer states (8-bit Adam).
-pub fn fake_quantize(m: &Matrix, group: usize) -> Matrix {
-    QuantizedMatrix::quantize(m, group).dequantize()
-}
-
-/// Round-trips a matrix through a *companded* INT8 code:
-/// `y = sign(x)·|x|^pow` is quantized linearly, stretching the usable
-/// dynamic range by `1/pow` in dB. This mimics the nonlinear
-/// (dynamic-exponent) codes real 8-bit optimizers (bitsandbytes) use for
-/// their moment states — plain absmax INT8 zeroes out small second-moment
-/// entries and destabilizes Adam.
-///
-/// Use `pow = 0.5` for first moments and `pow = 0.25` for second moments:
-/// since `v ≈ m²`, the quartic code gives both states the same small-value
-/// resolution, so `v` never rounds to zero while `m` survives (which would
-/// blow up `m/√v`).
-///
-/// # Panics
-///
-/// Panics if `pow` is not in `(0, 1]`.
-pub fn fake_quantize_companded(m: &Matrix, group: usize, pow: f32) -> Matrix {
-    assert!(pow > 0.0 && pow <= 1.0, "pow must be in (0, 1]");
-    let companded = m.map(|x| x.signum() * x.abs().powf(pow));
-    let deq = QuantizedMatrix::quantize(&companded, group).dequantize();
-    let inv = 1.0 / pow;
-    deq.map(|y| y.signum() * y.abs().powf(inv))
 }
 
 #[cfg(test)]
@@ -247,14 +261,15 @@ mod tests {
 
     #[test]
     fn apply_update_moves_the_weight() {
+        // An update followed by the in-place snap lands on the updated
+        // weight's grid point, within half a quantization step.
         let mut rng = Rng::seed_from_u64(62);
         let m = Matrix::randn(8, 16, &mut rng);
-        let mut q = QuantizedMatrix::quantize(&m, 32);
-        let delta = Matrix::full(8, 16, 0.5);
-        q.apply_update(&delta);
-        let got = q.dequantize();
+        let mut w = QuantizedMatrix::quantize(&m, 32).dequantize();
+        w.add_assign(&Matrix::full(8, 16, 0.5));
+        QuantizedMatrix::quantize(&w, 32).dequantize_into(&mut w);
         let expect = m.map(|x| x + 0.5);
-        for (a, b) in got.as_slice().iter().zip(expect.as_slice()) {
+        for (a, b) in w.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
     }
@@ -320,19 +335,22 @@ mod tests {
 
     #[test]
     fn apply_update_drift_stays_near_fresh_quantization() {
-        // Property (satellite): N straight-through updates must land within
-        // one quantization step of quantizing the exactly-accumulated
-        // weight from scratch — requantization error must not compound.
+        // N updates, each followed by the in-place INT8 snap the Q-weight
+        // trainer runs, must land within one quantization step of
+        // quantizing the exactly-accumulated weight from scratch —
+        // requantization error must not compound.
         let mut rng = Rng::seed_from_u64(68);
         let w0 = Matrix::randn(8, 32, &mut rng);
-        let mut q = QuantizedMatrix::quantize(&w0, 32);
+        let mut w = QuantizedMatrix::quantize(&w0, 32).dequantize();
         let mut exact = w0.clone();
         for step in 0..50 {
             let delta = Matrix::randn(8, 32, &mut rng).scale(0.01);
-            q.apply_update(&delta);
+            w.add_assign(&delta);
+            let q = QuantizedMatrix::quantize(&w, 32);
+            q.dequantize_into(&mut w);
             exact.add_assign(&delta);
             let fresh = QuantizedMatrix::quantize(&exact, 32);
-            let drift = q.dequantize().sub(&fresh.dequantize()).max_abs();
+            let drift = w.sub(&fresh.dequantize()).max_abs();
             let bound = q.max_quantization_error() + fresh.max_quantization_error();
             assert!(
                 drift <= bound * (1.0 + step as f32),
@@ -340,17 +358,35 @@ mod tests {
             );
         }
         // And the end state tracks the exact accumulation itself.
-        let err = q.dequantize().sub(&exact).max_abs();
+        let err = w.sub(&exact).max_abs();
         assert!(err < 0.2, "terminal drift {err}");
     }
 
     #[test]
-    fn fake_quantize_matches_quantize_dequantize() {
+    fn companded_at_pow_one_is_quantize() {
         let mut rng = Rng::seed_from_u64(64);
         let m = Matrix::randn(4, 32, &mut rng);
-        assert_eq!(
-            fake_quantize(&m, 16),
-            QuantizedMatrix::quantize(&m, 16).dequantize()
-        );
+        let q = QuantizedMatrix::quantize(&m, 16);
+        assert_eq!(QuantizedMatrix::quantize_companded(&m, 16, 1.0), q);
+        let mut snapped = m.clone();
+        q.dequantize_into(&mut snapped);
+        assert_eq!(snapped, q.dequantize());
+    }
+
+    #[test]
+    fn companded_snap_in_place_matches_the_reference_round_trip() {
+        // The 8-bit moments' snap: compand, quantize linearly, dequantize,
+        // invert the companding — written out element by element.
+        let mut rng = Rng::seed_from_u64(69);
+        let m = Matrix::randn(6, 40, &mut rng);
+        for pow in [0.5f32, 0.25] {
+            let companded = m.map(|x| x.signum() * x.abs().powf(pow));
+            let linear = QuantizedMatrix::quantize(&companded, 32).dequantize();
+            let inv = 1.0 / pow;
+            let expect = linear.map(|y| y.signum() * y.abs().powf(inv));
+            let mut snapped = m.clone();
+            QuantizedMatrix::quantize_companded(&m, 32, pow).dequantize_into(&mut snapped);
+            assert_eq!(snapped, expect, "pow {pow}");
+        }
     }
 }

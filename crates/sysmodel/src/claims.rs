@@ -2,12 +2,13 @@
 
 use apollo_nn::ModelConfig;
 use apollo_optim::Method;
+use serde::Serialize;
 
 use crate::gpu::Gpu;
 use crate::memory::{MemoryOptions, TrainingMemoryModel, WeightPrecision};
 
 /// Outcome of one claim check.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClaimResult {
     /// What was checked.
     pub claim: String,

@@ -38,6 +38,7 @@ use apollo_data::LmBatcher;
 use apollo_nn::{LlamaModel, ParamKind};
 use apollo_obs::{Obs, Phase, PhaseSample, TraceEvent};
 use apollo_optim::Optimizer;
+use apollo_quant::QuantizedMatrix;
 use apollo_tensor::{Matrix, Rng, ThreadOverrideGuard};
 
 use crate::checkpoint::{
@@ -716,8 +717,7 @@ impl<'a> Member<'a> {
             let own = !p.trainable || self.shard.contains(&j);
             j += usize::from(p.trainable);
             if own && p.kind != ParamKind::Norm {
-                let q = apollo_quant::fake_quantize(&p.value, group);
-                std::mem::replace(&mut p.value, q).recycle();
+                QuantizedMatrix::quantize(&p.value, group).dequantize_into(&mut p.value);
             }
         }
     }

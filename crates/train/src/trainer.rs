@@ -490,7 +490,7 @@ mod tests {
         // Weights must sit exactly on their INT8 grid.
         for p in &model.params {
             if p.kind != apollo_nn::ParamKind::Norm {
-                let requant = apollo_quant::fake_quantize(&p.value, 32);
+                let requant = apollo_quant::QuantizedMatrix::quantize(&p.value, 32).dequantize();
                 assert_eq!(requant, p.value, "{} off-grid", p.name);
             }
         }

@@ -11,6 +11,13 @@ if grep -rnE '[N]umericsMode|APOLLO_[N]UMERICS|--[n]umerics' crates scripts READ
     echo "a process-wide numerics mode is back"; exit 1
 fi
 
+echo "== one paper binary (no per-artefact env vars or scripts)"
+# The artefacts take --scale and --out; the env vars and the script that
+# steered one binary per artefact were deleted. (Bracketed as above.)
+if grep -rnE 'APOLLO_[S]CALE|APOLLO_[R]ESULTS|[r]un_all\.sh' crates scripts README.md .claude; then
+    echo "a per-artefact env var or the run-all script is back"; exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -23,6 +30,14 @@ echo "== cargo build --release"
 # --workspace so the vendored shims build too; the CLI the smoke stages
 # below run is a default member, so a bare `cargo build` builds it as well.
 cargo build --release --workspace
+
+echo "== paper binary: the analytic artefacts equal results/ byte for byte"
+PAPER_TMP="$(mktemp -d)"
+./target/release/paper table1_memory fig1_memory claims_system --out "$PAPER_TMP" >/dev/null
+for id in table1_memory fig1_memory claims_system; do
+    cmp "$PAPER_TMP/$id.json" "results/$id.json"
+done
+rm -rf "$PAPER_TMP"
 
 echo "== cargo test --workspace (tier-1's suites plus the vendored shims)"
 # Tier-1's bare `cargo test` runs the root package and every crate (the

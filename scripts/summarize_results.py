@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Extracts headline numbers from results/*.json into a markdown summary.
 
-Run after `scripts/run_all.sh`; the output is pasted into EXPERIMENTS.md's
-measured sections (and kept in results/summary.md for reference).
+Run after `cargo run --release -p apollo-bench --bin paper -- all`; the
+output is pasted into EXPERIMENTS.md's measured sections (and kept in
+results/summary.md for reference).
 """
 import json
 import os
