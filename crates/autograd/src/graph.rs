@@ -8,7 +8,7 @@
 
 use std::borrow::Cow;
 
-use apollo_tensor::{fused, scratch, Matrix};
+use apollo_tensor::{fused, Matrix};
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,17 +81,6 @@ enum Op {
     /// A non-leaf the backward walk has finished with: its value, gradient
     /// and caches are gone, and it takes part in no further walk.
     Released,
-}
-
-impl Op {
-    /// Returns the op's activation caches to the scratch pool.
-    fn release(self) {
-        match self {
-            Op::CausalAttention { probs, .. } => probs.into_iter().for_each(scratch::recycle),
-            Op::CrossEntropy { exps, .. } => exps.recycle(),
-            _ => {}
-        }
-    }
 }
 
 /// What the tape holds for a node's forward value.
@@ -172,7 +161,7 @@ impl<'a> Graph<'a> {
     fn take_operand(&mut self, id: NodeId) -> Matrix {
         let value = self.value(id);
         if let Op::Leaf = self.ops[id.0] {
-            return value.pooled_copy();
+            return value.clone();
         }
         let consumer = NodeId(self.vals.len());
         match std::mem::replace(&mut self.vals[id.0], Slot::ConsumedBy(consumer)) {
@@ -323,7 +312,7 @@ impl<'a> Graph<'a> {
     ///
     /// Panics if the geometry does not divide evenly.
     pub fn rope(&mut self, x: NodeId, seq: usize, heads: usize, theta_base: f32) -> NodeId {
-        let y = self.value(x).pooled_copy();
+        let y = self.value(x).clone();
         self.push_rope(x, y, seq, heads, theta_base)
     }
 
@@ -413,17 +402,18 @@ impl<'a> Graph<'a> {
                 // into the cached triangle.
                 let mut s = qh.matmul_transb(&kh);
                 s.scale_assign(scale);
-                let mut tri = scratch::take_stale(tri_len);
+                let mut tri = Vec::with_capacity(tri_len);
                 for i in 0..seq {
-                    let srow = s.row(i);
-                    let maxv = srow[..=i].iter().cloned().fold(f32::MIN, f32::max);
+                    let srow = &s.row(i)[..=i];
+                    let maxv = srow.iter().cloned().fold(f32::MIN, f32::max);
                     let mut denom = 0.0;
-                    let prow = &mut tri[i * (i + 1) / 2..][..=i];
-                    for (pj, &sj) in prow.iter_mut().zip(srow) {
+                    let start = tri.len();
+                    tri.extend(srow.iter().map(|&sj| {
                         let e = (sj - maxv).exp();
-                        *pj = e;
                         denom += e;
-                    }
+                        e
+                    }));
+                    let prow = &mut tri[start..];
                     for pj in prow.iter_mut() {
                         *pj /= denom;
                     }
@@ -434,7 +424,6 @@ impl<'a> Graph<'a> {
                 probs.push(tri);
             }
         }
-        p.recycle();
         self.push(
             out,
             Op::CausalAttention {
@@ -458,15 +447,16 @@ impl<'a> Graph<'a> {
     /// Panics if any id is out of range.
     pub fn gather(&mut self, table: NodeId, ids: &[u32]) -> NodeId {
         let tm = self.value(table);
-        let mut out = Matrix::zeros(ids.len(), tm.cols());
-        for (r, &id) in ids.iter().enumerate() {
+        let mut data = Vec::with_capacity(ids.len() * tm.cols());
+        for &id in ids {
             assert!(
                 (id as usize) < tm.rows(),
                 "gather: id {id} out of range for {} rows",
                 tm.rows()
             );
-            out.row_mut(r).copy_from_slice(tm.row(id as usize));
+            data.extend_from_slice(tm.row(id as usize));
         }
+        let out = Matrix::from_vec(ids.len(), tm.cols(), data);
         self.push(
             out,
             Op::Gather {
@@ -535,7 +525,7 @@ impl<'a> Graph<'a> {
     /// of a node was created after it. So when the walk reaches a non-leaf,
     /// its gradient is complete and nothing reads it, its value or its op's
     /// caches again: the walk takes the gradient, runs the op's arm, and
-    /// returns all three to the scratch pool. What survives is each leaf's
+    /// drops all three. What survives is each leaf's
     /// value and gradient and the output's value. A node a consuming op
     /// took over has no value by the time the walk starts; no arm reads
     /// one. No arithmetic depends on when a buffer is freed, so the
@@ -567,35 +557,11 @@ impl<'a> Graph<'a> {
             if let Some(gout) = upper[0].take() {
                 accumulate(&self.vals, lower, &op, gout);
             }
-            op.release();
             // A consumed node keeps its `ConsumedBy` mark.
             if idx != output.0 && matches!(self.vals[idx], Slot::Live(_)) {
-                if let Slot::Live(Cow::Owned(v)) =
-                    std::mem::replace(&mut self.vals[idx], Slot::Released)
-                {
-                    v.recycle();
-                }
+                self.vals[idx] = Slot::Released;
             }
         }
-    }
-}
-
-impl Drop for Graph<'_> {
-    /// Returns what the tape still owns to the scratch pool; borrowed
-    /// parameters are left alone. After backward that is only the owned
-    /// leaves, the leaf gradients nobody took and the output's value (the
-    /// walk returned the rest as it went); a tape that never ran backward,
-    /// such as an evaluation forward, returns every value and op cache here.
-    fn drop(&mut self) {
-        for v in self.vals.drain(..) {
-            if let Slot::Live(Cow::Owned(m)) = v {
-                m.recycle();
-            }
-        }
-        for g in self.grads.drain(..).flatten() {
-            g.recycle();
-        }
-        self.ops.drain(..).for_each(Op::release);
     }
 }
 
@@ -636,10 +602,7 @@ fn check_targets(logits: &Matrix, targets: &[u32]) {
 
 fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
     match &mut grads[id.0] {
-        Some(g) => {
-            g.add_assign(&delta);
-            delta.recycle();
-        }
+        Some(g) => g.add_assign(&delta),
         slot @ None => *slot = Some(delta),
     }
 }
@@ -647,8 +610,7 @@ fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
 /// Runs `op`'s backward arm: given the gradient `gout` of the op's output,
 /// adds each operand's gradient into `grads` (the slots below the op's
 /// own). An arm whose operand gradient is `gout` itself, or `gout`
-/// transformed in place, hands it on by move; every other arm returns it
-/// to the scratch pool. The add arm's second copy comes from the pool too.
+/// transformed in place, hands it on by move; every other arm drops it.
 fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Matrix) {
     let val = |id: NodeId| live(vals, id);
     match op {
@@ -660,9 +622,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             grad_add(grads, *b, db);
         }
         Op::Add(a, b) => {
-            grad_add(grads, *a, gout.pooled_copy());
+            grad_add(grads, *a, gout.clone());
             grad_add(grads, *b, gout);
-            return;
         }
         Op::Mul(a, b) => {
             let da = gout.hadamard(val(*b));
@@ -674,7 +635,6 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             let mut da = gout;
             da.scale_assign(*alpha);
             grad_add(grads, *a, da);
-            return;
         }
         Op::Silu(a) => {
             let da = val(*a).zip_map(&gout, |x, g| {
@@ -703,7 +663,6 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             let mut dx = gout;
             fused::rope_apply(&mut dx, *seq, *heads, *theta_base, true);
             grad_add(grads, *x, dx);
-            return;
         }
         Op::CausalAttention {
             q,
@@ -769,14 +728,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
                     write_head(&mut dq, &dqh, b, *seq, h, hd);
                     write_head(&mut dk, &dkh, b, *seq, h, hd);
                     write_head(&mut dv, &dvh, b, *seq, h, hd);
-                    // Per-head temporaries recur with identical
-                    // shapes every (batch, head) pair — recycle.
-                    for m in [qh, kh, vh, doh, dvh, dp, ds, dqh, dkh] {
-                        m.recycle();
-                    }
                 }
             }
-            pt.recycle();
             grad_add(grads, *q, dq);
             grad_add(grads, *k, dk);
             grad_add(grads, *v, dv);
@@ -809,7 +762,6 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             grad_add(grads, *a, da);
         }
     }
-    gout.recycle();
 }
 
 fn sigmoid(x: f32) -> f32 {
@@ -818,12 +770,11 @@ fn sigmoid(x: f32) -> f32 {
 
 /// Extracts head `h` of batch element `b` as a `seq × head_dim` matrix.
 fn slice_head(x: &Matrix, b: usize, seq: usize, h: usize, hd: usize) -> Matrix {
-    let mut out = Matrix::zeros(seq, hd);
+    let mut data = Vec::with_capacity(seq * hd);
     for t in 0..seq {
-        let row = x.row(b * seq + t);
-        out.row_mut(t).copy_from_slice(&row[h * hd..(h + 1) * hd]);
+        data.extend_from_slice(&x.row(b * seq + t)[h * hd..(h + 1) * hd]);
     }
-    out
+    Matrix::from_vec(seq, hd, data)
 }
 
 /// Writes head `h` of batch element `b` back into the flat layout.

@@ -652,13 +652,16 @@ pub(crate) fn fig9(ctx: &Ctx, seed: u64) -> String {
         ],
     );
 
-    // Cross-check: the slowest GaLore *optimizer phase* must land on a step
-    // where the trace also recorded a projector refresh — that is the causal
-    // claim of the figure, verified from the trace itself.
+    // Cross-check: the slowest GaLore *optimizer phase* after step 0 must
+    // land on a later step where the trace also recorded a projector refresh
+    // — that is the causal claim of the figure, verified from the trace
+    // itself. Step 0 is left out: its SVD coincides with allocating the
+    // optimizer state, so it is the slowest whatever a refresh costs.
     let slowest = galore
         .optimizer_ms
         .iter()
         .enumerate()
+        .skip(1)
         .max_by(|a, b| a.1.total_cmp(b.1));
     if let Some((worst, _)) = slowest {
         let aligned = match galore.refresh_steps.contains(&worst) {
@@ -666,8 +669,8 @@ pub(crate) fn fig9(ctx: &Ctx, seed: u64) -> String {
             false => "NOT aligned — investigate",
         };
         println!(
-            "\nGaLore refresh steps (from trace): {:?}; slowest optimizer phase at step {worst} \
-             ({aligned})",
+            "\nGaLore refresh steps (from trace): {:?}; slowest optimizer phase after step 0 \
+             at step {worst} ({aligned})",
             galore.refresh_steps,
         );
     }

@@ -108,7 +108,7 @@ impl Optimizer for AdamMini {
                     let along_cols = r <= c;
                     let blocks = if along_cols { c } else { r };
                     MiniState {
-                        m: Matrix::zeros_exact(r, c),
+                        m: Matrix::zeros(r, c),
                         v_blocks: vec![0.0; blocks],
                         along_cols,
                         t: 0,

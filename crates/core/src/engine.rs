@@ -9,7 +9,7 @@
 
 use apollo_obs::{Obs, TraceEvent};
 use apollo_quant::QuantizedMatrix;
-use apollo_tensor::{fused, scratch, Matrix};
+use apollo_tensor::{fused, Matrix};
 
 use crate::limiter::{LimiterOutcome, NormGrowthLimiter};
 use crate::projector::{ProjKind, Projector};
@@ -254,7 +254,7 @@ enum Lifted<'a> {
     /// `α·G·diag(s)`, never written out: the norm and apply kernels form
     /// its elements from `G` and the factors.
     Scaled(fused::ChannelScale<'a>, f32),
-    /// A materialised update (the normalised moments, or a pooled
+    /// A materialised update (the normalised moments, or the
     /// project-back).
     Update(&'a mut Matrix),
 }
@@ -321,12 +321,12 @@ impl TensorState {
         let r = projected.as_ref().unwrap_or(p.grad);
         let along_cols = p.grad.rows() <= p.grad.cols();
         let mut scales = Vec::new();
-        // `Elementwise` and `ProjectBack` read `Ñ` itself, from a pooled
-        // temporary returned within the step; `Scale` reads only its norms,
-        // and `Ñ` is never written. `pooled` holds the update to recycle.
-        let mut pooled = None;
+        // `Elementwise` and `ProjectBack` read `Ñ` itself, from a temporary
+        // dropped with the step; `Scale` reads only its norms, and `Ñ` is
+        // never written. `owned` holds the update `lifted` borrows.
+        let mut owned = None;
         let lifted = match lift {
-            Lift::Elementwise => Lifted::Update(pooled.insert(m.update_into(r, beta1, beta2, eps))),
+            Lift::Elementwise => Lifted::Update(owned.insert(m.update_into(r, beta1, beta2, eps))),
             Lift::Scale { granularity, alpha } => {
                 let norms = match granularity {
                     ScaleGranularity::Channel if along_cols => fused::MomentNorms::Cols,
@@ -349,7 +349,7 @@ impl TensorState {
                     .expect("ProjectBack lifts out of a subspace");
                 let nt = m.update_into(r, beta1, beta2, eps);
                 let mut back = proj.project_back(&nt, p.grad.shape());
-                nt.recycle();
+                drop(nt);
                 back.scale_assign(scale);
                 if residual {
                     let low = proj.project_back(r, p.grad.shape());
@@ -362,10 +362,8 @@ impl TensorState {
                         rest.scale_rows(&scales);
                     }
                     back.add_assign(&rest);
-                    low.recycle();
-                    rest.recycle();
                 }
-                Lifted::Update(pooled.insert(back))
+                Lifted::Update(owned.insert(back))
             }
         };
         if obs.sample_due() && obs.has_trace() {
@@ -404,9 +402,6 @@ impl TensorState {
                 }
                 fused::fused_axpy_chain(p.value, decay, -lr, update);
             }
-        }
-        for m in [pooled, projected].into_iter().flatten() {
-            m.recycle();
         }
         scales
     }
@@ -474,8 +469,8 @@ fn norm_ratios(num: &[f32], den: &[f32]) -> Vec<f32> {
 
 /// Bias-corrected AdamW moment state for one tensor, optionally stored
 /// block-wise INT8-quantized (8-bit Adam / 8-bit GaLore). The moments are
-/// exact-size storage of their own, never scratch-pool buffers, so the
-/// heap they hold is what [`AdamMoments::bytes`] counts.
+/// exact-size storage of their own, so the heap they hold is what
+/// [`AdamMoments::bytes`] counts.
 #[derive(Debug, Clone)]
 struct AdamMoments {
     m: Matrix,
@@ -488,8 +483,8 @@ struct AdamMoments {
 impl AdamMoments {
     fn new(rows: usize, cols: usize, quant_group: Option<usize>) -> Self {
         AdamMoments {
-            m: Matrix::zeros_exact(rows, cols),
-            v: Matrix::zeros_exact(rows, cols),
+            m: Matrix::zeros(rows, cols),
+            v: Matrix::zeros(rows, cols),
             t: 0,
             quant_group,
         }
@@ -505,8 +500,8 @@ impl AdamMoments {
     }
 
     /// Updates the moments with gradient `g` and returns the bias-corrected
-    /// normalized update `M̂ / (√V̂ + ε)` in a pooled temporary, for the
-    /// caller to edit and recycle.
+    /// normalized update `M̂ / (√V̂ + ε)` in a temporary for the caller to
+    /// edit.
     ///
     /// Full-precision state goes through the single-pass
     /// [`fused::fused_adam_moments`] kernel (bit-identical to the staged
@@ -515,8 +510,6 @@ impl AdamMoments {
     /// persistent state is exactly what an 8-bit optimizer would hold.
     fn update_into(&mut self, g: &Matrix, beta1: f32, beta2: f32, eps: f32) -> Matrix {
         let (bc1, bc2) = self.tick(beta1, beta2);
-        let (rows, cols) = g.shape();
-        let mut nt = Matrix::from_vec(rows, cols, scratch::take_stale(rows * cols));
         if let Some(group) = self.quant_group {
             self.m.ema_assign(beta1, g);
             self.v.ema_square_assign(beta2, g);
@@ -526,22 +519,24 @@ impl AdamMoments {
             QuantizedMatrix::quantize_companded(&self.v, group, 0.25).dequantize_into(&mut self.v);
             // v is non-negative by construction; keep it that way.
             self.v.map_assign(|x| x.max(0.0));
-            nt.zip_map_from(&self.m, &self.v, |m, v| {
-                (m / bc1) / ((v / bc2).sqrt() + eps)
-            });
-        } else {
-            fused::fused_adam_moments(
-                &mut self.m,
-                &mut self.v,
-                g,
-                beta1,
-                beta2,
-                bc1,
-                bc2,
-                eps,
-                fused::MomentsOut::Update(&mut nt),
-            );
+            return self
+                .m
+                .zip_map(&self.v, |m, v| (m / bc1) / ((v / bc2).sqrt() + eps));
         }
+        // The kernel writes `Ñ` in parallel row bands.
+        let (rows, cols) = g.shape();
+        let mut nt = Matrix::zeros(rows, cols);
+        fused::fused_adam_moments(
+            &mut self.m,
+            &mut self.v,
+            g,
+            beta1,
+            beta2,
+            bc1,
+            bc2,
+            eps,
+            fused::MomentsOut::Update(&mut nt),
+        );
         nt
     }
 

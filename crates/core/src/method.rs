@@ -15,7 +15,7 @@
 //! alone; SGD-M and Adam-mini count beside their own types. So the memory
 //! model counts the elements a built optimizer allocates, and
 //! `tests/state_memory.rs` holds the heap it keeps to that count (the state
-//! is exact-size storage outside the scratch pool). Table 1's closed forms
+//! is exact-size storage, and a step keeps nothing else). Table 1's closed forms
 //! (the State column of the crate docs) are asserted by this module's tests,
 //! for the wide and the tall orientation of a weight.
 

@@ -2,7 +2,7 @@
 //! or SVD-based (GaLore's choice, and the "APOLLO w. SVD" variant).
 
 use apollo_tensor::linalg::{randomized_svd, svd_jacobi};
-use apollo_tensor::{fill_normal, scratch, Matrix, Rng};
+use apollo_tensor::{fill_normal, Matrix, Rng};
 
 /// How the projection subspace is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,38 +117,27 @@ impl Projector {
             let mut rng = Rng::seed_from_u64(self.seed ^ 0x51D);
             randomized_svd(g, r, 8, 1, &mut rng)
         };
-        let basis = if m <= n {
+        if m <= n {
             svd.u // m × r
         } else {
             svd.v // n × r
-        };
-        // The basis outlives the step: keep an exact-size copy (`clone`
-        // allocates exactly its length) and return the pooled original.
-        let kept = basis.clone();
-        basis.recycle();
-        kept
+        }
     }
 
     /// The random Gaussian factor for the current seed (`small_dim × r`,
     /// entries `N(0, 1/r)`), regenerated on demand: element `(i, j)` is
     /// element `i·r + j` of the seed's counter-based normal stream.
     fn random_basis(&self, small_dim: usize, r: usize) -> Matrix {
-        let mut data = scratch::take_stale(small_dim * r);
+        let mut data = vec![0.0; small_dim * r];
         fill_normal(self.seed, 0, (1.0 / r as f32).sqrt(), &mut data);
         Matrix::from_vec(small_dim, r, data)
     }
 
     /// Runs `f` on the basis (`small × rank`): the SVD kind lends its cached
-    /// one (no clone), the random kind regenerates its own for the call and
-    /// recycles the storage.
+    /// one (no clone), the random kind regenerates its own for the call.
     fn with_basis<T>(&self, small: usize, rank: usize, f: impl FnOnce(&Matrix) -> T) -> T {
         match self.kind {
-            ProjKind::Random => {
-                let basis = self.random_basis(small, rank);
-                let out = f(&basis);
-                basis.recycle();
-                out
-            }
+            ProjKind::Random => f(&self.random_basis(small, rank)),
             ProjKind::Svd => f(self
                 .cached_basis
                 .as_ref()

@@ -94,7 +94,7 @@ impl Optimizer for SgdMomentum {
         if self.momenta.is_empty() {
             self.momenta = params
                 .iter()
-                .map(|p| Matrix::zeros_exact(p.value.rows(), p.value.cols()))
+                .map(|p| Matrix::zeros(p.value.rows(), p.value.cols()))
                 .collect();
         }
         assert_eq!(

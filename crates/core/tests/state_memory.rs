@@ -5,17 +5,17 @@
 //! live heap bytes an optimizer holds after steps 1 and 3 on two
 //! transformer layers at LLaMA-60M geometry (the `optstep` benchmark's
 //! tensors: 8× 512×512, 4× 512×1376, 2× 1376×512 and four 1×512 norm
-//! gains). Before the first step the scratch pool is filled with buffers
-//! larger than any moment, as a training step's freed tape leaves it, so a
-//! moment taken from the pool would show up as the larger buffer it got.
-//! Buffers the pool retains are scratch, not state, and are subtracted.
+//! gains). Every byte of live heap counts: a step frees its temporaries
+//! when they go out of scope, so whatever the heap grew by is what the
+//! optimizer keeps.
 //!
 //! The held bytes must equal `state_bytes()` up to a stated bound:
 //! [`HEADER_BYTES_PER_TENSOR`] for each tensor's record (its `Vec` slot, and
 //! the projector seed and limiter norm `state_bytes()` counts but which live
 //! inline in it), plus the scaling factors APOLLO publishes, 4 bytes per
 //! channel. A per-tensor update buffer kept between steps (+50 % over
-//! APOLLO's moments) or an oversized pooled moment is far outside it.
+//! APOLLO's moments) or a moment stored in a larger buffer is far outside
+//! it.
 //!
 //! The `*-8bit` rows are left out: their moments are fake-quantised `f32`
 //! matrices, so they hold about 4× their `state_bytes()` until INT8 storage
@@ -28,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use apollo_optim::{AdamMini, AdamW, Apollo, GaLore, Optimizer, ParamUpdate, SgdMomentum};
-use apollo_tensor::{scratch, Matrix, Rng, ThreadOverrideGuard};
+use apollo_tensor::{Matrix, Rng, ThreadOverrideGuard};
 
 /// The system allocator, counting live bytes.
 struct Counting;
@@ -95,11 +95,6 @@ fn llama60m_two_layers() -> Vec<(usize, usize, bool)> {
     [layer, layer].concat()
 }
 
-/// Live heap bytes outside the scratch pool.
-fn live_outside_pool() -> usize {
-    LIVE.load(Ordering::Relaxed) - scratch::stats().retained_bytes
-}
-
 fn step(opt: &mut dyn Optimizer, shapes: &[(usize, usize, bool)], w: &mut [Matrix], g: &[Matrix]) {
     let mut params: Vec<ParamUpdate<'_>> = shapes
         .iter()
@@ -117,8 +112,7 @@ fn step(opt: &mut dyn Optimizer, shapes: &[(usize, usize, bool)], w: &mut [Matri
 
 #[test]
 fn optimizer_heap_equals_state_bytes_after_steps_one_and_three() {
-    // One kernel thread: every scratch buffer is taken and returned on this
-    // thread's pool.
+    // One kernel thread: no worker thread allocates while the counter runs.
     let _pin = ThreadOverrideGuard::new(1);
     let shapes = llama60m_two_layers();
     let mut rng = Rng::seed_from_u64(0x57A7E);
@@ -149,18 +143,13 @@ fn optimizer_heap_equals_state_bytes_after_steps_one_and_three() {
     ];
     for (name, mut opt, publishes_scales) in optimizers {
         let mut w = weights.clone();
-        // What a training step's freed tape leaves in the pool: buffers
-        // larger than any moment.
-        for _ in 0..8 {
-            scratch::recycle(vec![0.0f32; 2 * 1376 * 512]);
-        }
-        let before = live_outside_pool();
+        let before = LIVE.load(Ordering::Relaxed);
         for (t, g) in grads.iter().enumerate() {
             step(opt.as_mut(), &shapes, &mut w, g);
             if t == 1 {
                 continue;
             }
-            let held = live_outside_pool() - before;
+            let held = LIVE.load(Ordering::Relaxed) - before;
             let counted = opt.state_bytes();
             let scales = if publishes_scales { 4 * channels } else { 0 };
             let bound = HEADER_BYTES_PER_TENSOR * shapes.len() + scales;

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use apollo_nn::{AdapterRegistry, DecodeBackend, DecodeCaches, LoraAdapter};
 use apollo_obs::{Obs, TraceEvent};
-use apollo_tensor::{Matrix, Rng};
+use apollo_tensor::Rng;
 
 use crate::prefix::{PrefixCache, PrefixLease};
 use crate::sample::{sample, GenConfig};
@@ -479,7 +479,8 @@ impl Scheduler {
             if evicted > 0 {
                 self.obs.counter("infer.prefix.evictions", evicted);
             }
-            let picked = gather_rows(&hidden, sampled.iter().map(|&(_, r)| r));
+            let rows: Vec<usize> = sampled.iter().map(|&(_, r)| r).collect();
+            let picked = hidden.gather_rows(&rows);
             let logits = self.backend.lm_logits(&picked);
             for (i, &(slot, _)) in sampled.iter().enumerate() {
                 self.sample_into_slot(slot, logits.row(i));
@@ -752,16 +753,6 @@ impl Scheduler {
             );
         }
     }
-}
-
-/// Copies the given rows of `src` into a new dense matrix, in order.
-fn gather_rows(src: &Matrix, rows: impl Iterator<Item = usize>) -> Matrix {
-    let idx: Vec<usize> = rows.collect();
-    let mut out = Matrix::zeros(idx.len(), src.cols());
-    for (i, &r) in idx.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(src.row(r));
-    }
-    out
 }
 
 /// Elapsed milliseconds since `t0` as `f32`.

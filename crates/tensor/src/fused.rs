@@ -43,7 +43,7 @@ use std::sync::Mutex;
 
 use crate::matmul::{current_threads, should_parallelize};
 use crate::pool::{par_bands, Pool};
-use crate::{scratch, Matrix};
+use crate::Matrix;
 
 // Per-element cost estimates feeding the shared parallelism gate
 // (`should_parallelize`, threshold 2^20 FLOPs). Transcendental-heavy
@@ -330,7 +330,7 @@ pub fn fused_swiglu_bwd(a: &Matrix, b: &Matrix, gout: &Matrix) -> (Matrix, Matri
 ///
 /// Panics if `targets.len() != logits.rows()` or a target is out of range.
 pub fn fused_softmax_xent_fwd(logits: &Matrix, targets: &[u32]) -> (f32, Matrix, Vec<f32>) {
-    fused_softmax_xent_fwd_in_place(logits.pooled_copy(), targets)
+    fused_softmax_xent_fwd_in_place(logits.clone(), targets)
 }
 
 /// [`fused_softmax_xent_fwd`] that writes `exps` over the logits in their
@@ -644,8 +644,8 @@ fn col_pieces(buf: &mut [f32], cols: usize, width: usize, bands: usize) -> Vec<V
 /// while it is in L1 (row and tensor norms), and they equal the named
 /// `Matrix` reductions over a materialised `Ñ` and over `g` bit for bit, at
 /// every thread count: whichever band a channel falls in, its sum is one
-/// ascending chain on one task. The scratch row is a pool buffer, taken
-/// and returned within the call.
+/// ascending chain on one task. The scratch row is one `cols`-long buffer
+/// per band (per call for tensor norms), rewritten for every row.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_adam_moments(
     m: &mut Matrix,
@@ -697,7 +697,7 @@ pub fn fused_adam_moments(
                     (&mut gnorm[..], 1),
                 ],
                 |lo, hi, [mband, vband, unband, gnband]| {
-                    let mut nt = scratch::take_stale(cols);
+                    let mut nt = vec![0.0; cols];
                     for r in lo..hi {
                         let (i, g) = (r - lo, g.row(r));
                         let span = i * cols..(i + 1) * cols;
@@ -706,21 +706,19 @@ pub fn fused_adam_moments(
                         unband[i] = rounded_norm(su);
                         gnband[i] = rounded_norm(sg);
                     }
-                    scratch::recycle(nt);
                 },
             );
             (unorm, gnorm)
         }
         MomentsOut::Norms(MomentNorms::Tensor) => {
             // One chain over the whole tensor, in row-major order: serial.
-            let mut nt = scratch::take_stale(cols);
+            let mut nt = vec![0.0; cols];
             let mut sums = (SUM_START, SUM_START);
             for r in 0..rows {
                 let span = r * cols..(r + 1) * cols;
                 adam.slice(&mut m[span.clone()], &mut v[span], g.row(r), &mut nt);
                 sums = chain_sums(sums, &nt, g.row(r));
             }
-            scratch::recycle(nt);
             (vec![rounded_norm(sums.0)], vec![rounded_norm(sums.1)])
         }
         MomentsOut::Norms(MomentNorms::Cols) => {
@@ -1190,7 +1188,6 @@ pub mod reference {
         let mut upd = Matrix::zeros(0, 0);
         adam_moments(m, v, &mut upd, g, beta1, beta2, bc1, bc2, eps);
         axpy_chain(w, decay, -lr, &upd);
-        upd.recycle();
     }
 
     /// Staged APOLLO update construction: `copy_from` + channel scaling +

@@ -7,6 +7,13 @@
 //! shapes (batch × seq × hidden) are flattened to `(batch·seq) × hidden` by
 //! the layers in `apollo-nn`.
 //!
+//! Every buffer is an ordinary `Vec`/[`Matrix`] that its owner drops;
+//! nothing is pooled or handed back by hand. A buffer whose every element a
+//! kernel writes in order is built (`collect`/`extend`) rather than
+//! zero-filled first; zero-filled storage is for outputs a kernel
+//! accumulates into or writes out of order (GEMM outputs, gradients,
+//! row bands filled in parallel, a small workspace reused per row or block).
+//!
 //! # Example
 //!
 //! ```
@@ -33,7 +40,6 @@ mod rng;
 pub mod fused;
 pub mod linalg;
 pub mod pool;
-pub mod scratch;
 pub mod simd;
 
 pub use matmul::{current_threads, set_thread_override, ThreadOverrideGuard};

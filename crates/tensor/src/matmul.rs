@@ -5,8 +5,9 @@
 //! accumulators live in registers for the whole `k` loop, so the per-`p`
 //! traffic is a handful of contiguous vector loads instead of a
 //! load+store sweep over the output row. Strided operands are packed into
-//! contiguous panels first (`aᵀ` column panels, `bᵀ` interleaved panels)
-//! via the scratch-buffer pool; `a·b` with too few rows to amortise a pack
+//! contiguous panels first (`aᵀ` by [`Matrix::transpose`], `bᵀ` interleaved
+//! panels), each built in write order with no zero-fill and dropped when
+//! the product is done; `a·b` with too few rows to amortise a pack
 //! reads `b`'s rows in place instead (`PACK_MIN_ROWS`). Both paths, all
 //! three kernels and every remainder band run the same tile body at
 //! different strides, row counts and literal widths.
@@ -72,8 +73,8 @@
 use std::ops::Range;
 
 use crate::matrix::Matrix;
+use crate::numerics;
 use crate::pool::par_bands;
-use crate::{numerics, scratch};
 
 /// Multiplications below this many FLOPs (`2 * m * k * n`) run
 /// single-threaded; the dispatch cost dominates for tiny matrices.
@@ -320,17 +321,15 @@ impl Drop for ThreadOverrideGuard {
 /// the strided form costs a TLB/prefetch stall per `p` once `n` spans
 /// hundreds of pages.
 fn pack_panels(src: &[f32], k: usize, n: usize) -> Vec<f32> {
-    // Every element is written below, so stale scratch needs no zero-fill.
-    let mut panel = scratch::take_stale(k * n);
+    let mut panel = Vec::with_capacity(k * n);
     if k == 0 {
         return panel;
     }
     let mut j0 = 0;
     while j0 < n {
         let w = NR.min(n - j0);
-        let block = &mut panel[j0 * k..(j0 + w) * k];
-        for (p, srow) in src.chunks_exact(n).enumerate() {
-            block[p * w..(p + 1) * w].copy_from_slice(&srow[j0..j0 + w]);
+        for srow in src.chunks_exact(n) {
+            panel.extend_from_slice(&srow[j0..j0 + w]);
         }
         j0 += w;
     }
@@ -342,19 +341,16 @@ fn pack_panels(src: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// src[(j0+j)·k + p]`, i.e. panel columns are `src` *rows* (the `a·bᵀ`
 /// case).
 fn pack_panels_transposed(src: &[f32], n: usize, k: usize) -> Vec<f32> {
-    let mut panel = scratch::take_stale(k * n);
+    let mut panel = Vec::with_capacity(k * n);
     if k == 0 {
         return panel;
     }
     let mut j0 = 0;
     while j0 < n {
         let w = NR.min(n - j0);
-        let block = &mut panel[j0 * k..(j0 + w) * k];
-        for j in 0..w {
-            let srow = &src[(j0 + j) * k..(j0 + j + 1) * k];
-            for (p, &sv) in srow.iter().enumerate() {
-                block[p * w + j] = sv;
-            }
+        let rows = &src[j0 * k..(j0 + w) * k];
+        for p in 0..k {
+            panel.extend((0..w).map(|j| rows[j * k + p]));
         }
         j0 += w;
     }
@@ -757,7 +753,7 @@ fn parallel_rows(
     run: impl Fn(usize, usize, &mut [f32]) + Sync,
     n_out: usize,
 ) -> Vec<f32> {
-    let mut out = scratch::take_zeroed(m * n_out);
+    let mut out = vec![0.0; m * n_out];
     par_bands(m, flops, [(&mut out[..], n_out)], |lo, hi, [band]| {
         run(lo, hi, band)
     });
@@ -772,7 +768,7 @@ fn parallel_rows(
 /// a pure function of `(n, threads)`).
 fn gemv(arow: &[f32], b: &Matrix) -> Vec<f32> {
     let (k, n) = b.shape();
-    let mut out = scratch::take_zeroed(n);
+    let mut out = vec![0.0; n];
     let flops = matmul_flops(1, k, n);
     par_bands(n, flops, [(&mut out[..], 1)], |lo, hi, [band]| {
         gemv_band(arow, b, lo, hi, band)
@@ -822,7 +818,6 @@ fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
         |lo, hi, out| run_packed(a_rows, k, &panel, n, lo, hi, out),
         n,
     );
-    scratch::recycle(panel);
     Matrix::from_vec(m, n, data)
 }
 
@@ -893,17 +888,15 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
         |lo, hi, out| run_packed(a.as_slice(), k, &panel, n, lo, hi, out),
         n,
     );
-    scratch::recycle(panel);
     Matrix::from_vec(m, n, data)
 }
 
-/// `aᵀ · b` without materializing the transpose as a `Matrix`.
+/// `aᵀ · b`.
 ///
-/// `a`'s columns are the output rows: the kernel gathers `aᵀ` (a
-/// `k`-strided read per column) into contiguous row-major scratch once,
-/// then dispatches on its row count exactly as [`matmul`] does — gemv at
-/// one row, `b` read in place below [`PACK_MIN_ROWS`], packed panels
-/// above. Per-element accumulation is ascending-`p` on every arm.
+/// `a`'s columns are the output rows: the kernel builds `aᵀ`
+/// ([`Matrix::transpose`]) once, then dispatches on its row count exactly
+/// as [`matmul`] does — gemv at one row, `b` read in place below
+/// [`PACK_MIN_ROWS`], packed panels above. Per-element accumulation is ascending-`p` on every arm.
 ///
 /// # Panics
 ///
@@ -918,30 +911,8 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (k, m) = a.shape();
-    // Cache-blocked transpose: both the reads and the writes stay within a
-    // TB×TB tile that fits L1. Every element of `at` is written.
-    const TB: usize = 32;
-    let mut at = scratch::take_stale(m * k);
-    let mut pb = 0;
-    while pb < k {
-        let p_hi = (pb + TB).min(k);
-        let mut rb = 0;
-        while rb < m {
-            let r_hi = (rb + TB).min(m);
-            for p in pb..p_hi {
-                let arow = &a.row(p)[rb..r_hi];
-                for (r, &av) in arow.iter().enumerate() {
-                    at[(rb + r) * k + p] = av;
-                }
-            }
-            rb = r_hi;
-        }
-        pb = p_hi;
-    }
-    let out = rows_times(&at, m, b);
-    scratch::recycle(at);
-    out
+    let at = a.transpose();
+    rows_times(at.as_slice(), a.cols(), b)
 }
 
 #[cfg(test)]

@@ -1,4 +1,8 @@
 //! The dense row-major `f32` matrix type.
+//!
+//! A [`Matrix`] owns its `Vec<f32>` and frees it on drop. Constructors whose
+//! every element is known in order build the data without a zero-fill
+//! first; [`Matrix::zeros`] is for outputs that are accumulated into.
 
 use crate::rng::Rng;
 use serde::{Deserialize, Serialize};
@@ -26,40 +30,18 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Creates a matrix filled with zeros, reusing pooled scratch storage
-    /// when available (see [`crate::scratch`]).
+    /// Creates a matrix filled with zeros, in storage exactly `rows · cols`
+    /// long. For an output whose every element gets written in order, build
+    /// the data instead ([`Matrix::from_vec`] of a `collect`).
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: crate::scratch::take_zeroed(rows * cols),
-        }
-    }
-
-    /// Creates a matrix filled with zeros in storage of its own, exactly
-    /// `rows · cols` long and never taken from the scratch pool: for state
-    /// that outlives a step (optimizer moments), where a best-fit take would
-    /// keep whatever larger buffer an earlier temporary freed.
-    pub fn zeros_exact(rows: usize, cols: usize) -> Self {
         Matrix::full(rows, cols, 0.0)
     }
 
-    /// Consumes the matrix and returns its storage to the scratch pool so
-    /// the next [`Matrix::zeros`] of a similar size reuses it.
+    /// Drops the matrix, the same as letting it go out of scope. Kept only
+    /// because the `optstep` workload in `benchmark/` calls it; new code
+    /// should not.
     pub fn recycle(self) {
-        crate::scratch::recycle(self.data);
-    }
-
-    /// A copy of `self` in pooled scratch storage: [`Clone`] for a copy that
-    /// will be [`Matrix::recycle`]d, so it takes from the pool as well.
-    pub fn pooled_copy(&self) -> Matrix {
-        let mut data = crate::scratch::take_stale(self.data.len());
-        data.copy_from_slice(&self.data);
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+        drop(self)
     }
 
     /// Reshapes `self` to `src`'s shape and copies its contents, reusing
@@ -137,11 +119,8 @@ impl Matrix {
 
     /// Creates a matrix with i.i.d. standard-normal entries.
     pub fn randn(rows: usize, cols: usize, rng: &mut Rng) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for v in &mut m.data {
-            *v = rng.gauss();
-        }
-        m
+        let data = (0..rows * cols).map(|_| rng.gauss()).collect();
+        Matrix { rows, cols, data }
     }
 
     /// Creates a matrix with i.i.d. normal entries of the given std-dev.
@@ -149,20 +128,14 @@ impl Matrix {
     /// This is the generator used for weight init. (APOLLO's projection
     /// matrices draw from [`crate::fill_normal`] instead.)
     pub fn randn_scaled(rows: usize, cols: usize, std: f32, rng: &mut Rng) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for v in &mut m.data {
-            *v = rng.gauss() * std;
-        }
-        m
+        let data = (0..rows * cols).map(|_| rng.gauss() * std).collect();
+        Matrix { rows, cols, data }
     }
 
     /// Creates a matrix with i.i.d. uniform entries in `[lo, hi)`.
     pub fn rand_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let mut m = Matrix::zeros(rows, cols);
-        for v in &mut m.data {
-            *v = rng.uniform_in(lo, hi);
-        }
-        m
+        let data = (0..rows * cols).map(|_| rng.uniform_in(lo, hi)).collect();
+        Matrix { rows, cols, data }
     }
 
     /// Number of rows.
@@ -247,15 +220,33 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Returns the transpose.
+    /// Returns the transpose, built in blocks of result rows without
+    /// zero-filling the result.
+    ///
+    /// Each block is `LINE` columns of `self`, one 64-byte cache line per
+    /// row: they are gathered into a small strip (every line of `self` read
+    /// once, not once per result row), which is then appended to the result
+    /// in order. Strip rows lie one cache line further apart than `rows`
+    /// floats, so when `rows` is a power of two they do not all map to the
+    /// same cache sets.
     pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.data[c * self.rows + r] = self.data[r * self.cols + c];
+        const LINE: usize = 16;
+        let (rows, cols) = self.shape();
+        let stride = rows + LINE;
+        let mut data = Vec::with_capacity(rows * cols);
+        let mut strip = vec![0.0; LINE.min(cols) * stride];
+        for c0 in (0..cols).step_by(LINE) {
+            let w = LINE.min(cols - c0);
+            for (r, src) in self.data.chunks_exact(cols).enumerate() {
+                for (j, &v) in src[c0..c0 + w].iter().enumerate() {
+                    strip[j * stride + r] = v;
+                }
+            }
+            for j in 0..w {
+                data.extend_from_slice(&strip[j * stride..][..rows]);
             }
         }
-        t
+        Matrix::from_vec(cols, rows, data)
     }
 
     /// Returns a new matrix holding the given rows of `self`, in index
@@ -267,11 +258,11 @@ impl Matrix {
     ///
     /// Panics if any index is out of bounds.
     pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), self.cols);
-        for (i, &r) in idx.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(r));
+        let mut data = Vec::with_capacity(idx.len() * self.cols);
+        for &r in idx {
+            data.extend_from_slice(self.row(r));
         }
-        out
+        Matrix::from_vec(idx.len(), self.cols, data)
     }
 
     /// In-place `self.row(idx[i]) += src.row(i)` for every `i` — the
@@ -300,11 +291,11 @@ impl Matrix {
             lo <= hi && hi <= self.cols,
             "slice_cols: bad range {lo}..{hi}"
         );
-        let mut out = Matrix::zeros(self.rows, hi - lo);
+        let mut data = Vec::with_capacity(self.rows * (hi - lo));
         for r in 0..self.rows {
-            out.row_mut(r).copy_from_slice(&self.row(r)[lo..hi]);
+            data.extend_from_slice(&self.row(r)[lo..hi]);
         }
-        out
+        Matrix::from_vec(self.rows, hi - lo, data)
     }
 
     // ----- elementwise arithmetic -------------------------------------------------
@@ -401,7 +392,7 @@ impl Matrix {
 
     /// Overwrites `self` (reshaping to match) with `f(a[i], b[i])`
     /// elementwise. The allocation-free counterpart of [`Matrix::zip_map`]
-    /// for scratch buffers reused across steps.
+    /// for an output buffer reused across calls.
     ///
     /// # Panics
     ///
@@ -613,8 +604,16 @@ mod tests {
     #[test]
     fn transpose_roundtrip() {
         let mut rng = Rng::seed_from_u64(1);
-        let m = Matrix::randn(5, 7, &mut rng);
-        assert_eq!(m.transpose().transpose(), m);
+        // Narrower than a block, ragged last block, empty either way.
+        for (r, c) in [(5, 7), (37, 20), (16, 33), (0, 3), (3, 0)] {
+            let m = Matrix::randn(r, c, &mut rng);
+            let t = m.transpose();
+            assert_eq!(t.shape(), (c, r));
+            for (i, j) in (0..r).flat_map(|i| (0..c).map(move |j| (i, j))) {
+                assert_eq!(t.get(j, i), m.get(i, j));
+            }
+            assert_eq!(t.transpose(), m);
+        }
     }
 
     #[test]

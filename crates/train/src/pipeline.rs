@@ -389,10 +389,7 @@ impl<'a> Member<'a> {
             if parts.is_empty() {
                 continue;
             }
-            let mut g = tree_combine(parts, |a, b| {
-                a.add_assign(&b);
-                b.recycle();
-            });
+            let mut g = tree_combine(parts, |a, b| a.add_assign(&b));
             if slots.len() > 1 {
                 g.scale_assign(1.0 / slots.len() as f32);
             }
@@ -641,9 +638,7 @@ impl<'a> Member<'a> {
             if run.is_team() {
                 for j in self.shard.clone() {
                     let updated = self.model.params[run.opt_params[j]].value.clone();
-                    if let Some(old) = lock(&run.cells[j]).value.replace(updated) {
-                        old.recycle();
-                    }
+                    lock(&run.cells[j]).value = Some(updated);
                 }
             }
             sample.add(Phase::Optimizer, ms_since(optimizer_started));
@@ -938,7 +933,7 @@ pub(crate) fn run(
             outs.swap_remove(0)
         });
         for (p, t) in model.params.iter_mut().zip(trained.params) {
-            std::mem::replace(&mut p.value, t.value).recycle();
+            p.value = t.value;
         }
         end_step
     } else {
@@ -953,9 +948,8 @@ pub(crate) fn run(
     replica_events("finish", end_step);
 
     let wall_secs = started.elapsed().as_secs_f64();
-    // Performance-runtime counters: thread-pool jobs/tasks this run, and
-    // scratch-pool effectiveness across every thread (the freelists are
-    // thread-local, the counters global) — printed by `--profile`.
+    // Performance-runtime counters: thread-pool jobs/tasks this run —
+    // printed by `--profile`.
     let pool = apollo_tensor::pool::stats();
     obs.counter("pool_jobs", pool.jobs.saturating_sub(pool_at_start.jobs));
     obs.counter(
@@ -963,15 +957,6 @@ pub(crate) fn run(
         pool.worker_tasks.saturating_sub(pool_at_start.worker_tasks),
     );
     obs.counter("pool_workers", pool.workers as u64);
-    obs.counter(
-        "scratch_pooled_buffers",
-        apollo_tensor::scratch::pooled_buffers() as u64,
-    );
-    let scratch = apollo_tensor::scratch::stats();
-    obs.counter("scratch_hits", scratch.hits);
-    obs.counter("scratch_misses", scratch.misses);
-    obs.gauge("scratch.retained_bytes", scratch.retained_bytes as f64);
-    obs.gauge("scratch.hit_rate", scratch.hit_rate());
     obs.emit(|| TraceEvent::RunEnd {
         step: end_step,
         wall_secs,

@@ -18,6 +18,13 @@ if grep -rnE 'APOLLO_[S]CALE|APOLLO_[R]ESULTS|[r]un_all\.sh' crates scripts READ
     echo "a per-artefact env var or the run-all script is back"; exit 1
 fi
 
+echo "== no scratch pool (a buffer is a Vec its owner drops)"
+# The thread-local buffer pool and its API were deleted; nothing may bring
+# them back. (Bracketed as above.)
+if grep -rnE '[s]cratch::|take_[s]tale|take_[z]eroed|pooled_[c]opy|zeros_[e]xact' crates; then
+    echo "the scratch pool or one of its calls is back"; exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
