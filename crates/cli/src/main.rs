@@ -39,7 +39,7 @@ USAGE:
   apollo pretrain [--model NAME] [--optimizer NAME] [--steps N] [--batch N]
                   [--lr F] [--rank N] [--seed N] [--quantize-weights GROUP]
                   [--save PATH] [--threads N]
-                  [--replicas N] [--virtual-slots V] [--threads-per-replica N]
+                  [--replicas N] [--virtual-slots V]
                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
                   [--recovery POLICY] [--lr-backoff F] [--spike-factor F]
                   [--trace-out PATH] [--metrics-every N] [--profile]
@@ -114,8 +114,10 @@ MULTI-TENANT SERVING
                    resident/evicted adapters, KV bytes, in-flight.
 
 DATA-PARALLEL
-  --replicas N       train with N data-parallel replica threads, each owning
-                     a ZeRO-style contiguous shard of the optimizer state.
+  --replicas N       train with N data-parallel workers (scoped threads at one
+                     kernel thread each): each computes a share of a step's
+                     slots and steps a ZeRO-style contiguous shard of the
+                     per-parameter optimizer state.
                      Losses and weights are bit-identical at every replica
                      count (fixed virtual-slot tree reduction), and every
                      other pretrain flag works as it does without it;
@@ -123,7 +125,6 @@ DATA-PARALLEL
                      sgd-m apollo apollo-svd apollo-mini
   --virtual-slots V  micro-batch decomposition width (default max(4, N));
                      --batch must divide by V and N must not exceed V
-  --threads-per-replica N  kernel threads per replica (default 1)
 
 PERFORMANCE
   --threads N        kernel thread count, N >= 1. Precedence: this flag,
@@ -326,7 +327,6 @@ fn cmd_pretrain(a: &Args) -> Result<(), String> {
         Some(DdpConfig {
             replicas,
             virtual_slots: a.get_num("virtual-slots", 4.max(replicas))?,
-            threads_per_replica: a.get_num("threads-per-replica", 1usize)?,
         })
     } else {
         None

@@ -95,14 +95,6 @@ impl Apollo {
         self
     }
 
-    /// Overrides the auxiliary-space rank (e.g. to sweep tensor-wise
-    /// scaling above rank 1, Fig. 5d).
-    pub fn with_rank(mut self, rank: usize) -> Self {
-        assert!(rank > 0, "rank must be positive");
-        self.rank = rank;
-        self
-    }
-
     /// Overrides the gradient scale factor α.
     pub fn with_alpha(mut self, alpha: f32) -> Self {
         self.alpha = alpha;

@@ -77,7 +77,7 @@ pub struct Plan {
 
 /// What a named Adam-family optimizer supplies; [`Optimizer`] is
 /// implemented once, for every `Recipe` (a set closed to this crate).
-pub trait Recipe {
+pub trait Recipe: Send {
     /// Display name; also the tag a checkpoint is bound to.
     fn label(&self) -> String;
     fn plan(&self) -> Plan;

@@ -109,7 +109,9 @@ pub struct ParamUpdate<'a> {
 ///
 /// Implementations lazily allocate per-parameter state on the first call;
 /// callers must pass the **same parameters in the same order** every step.
-pub trait Optimizer {
+/// `Send`, so a data-parallel run can step per-parameter instances on
+/// scoped threads.
+pub trait Optimizer: Send {
     /// Short human-readable name (used in experiment tables).
     fn name(&self) -> String;
 

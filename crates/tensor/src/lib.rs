@@ -27,7 +27,8 @@
 //! ```
 
 // Every `unsafe` block and impl states why it is sound, in place
-// (ROADMAP item 4); the clippy stage of `scripts/ci.sh` enforces it.
+// (ROADMAP north-star aim 3, and the no-new-`unsafe` gate of item 7); the
+// clippy stage of `scripts/ci.sh` enforces it.
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod bf16;

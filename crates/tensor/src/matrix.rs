@@ -198,11 +198,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {

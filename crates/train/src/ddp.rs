@@ -1,36 +1,42 @@
-//! Deterministic multi-replica data-parallel pre-training with ZeRO-style
+//! Deterministic data-parallel pre-training with ZeRO-style
 //! optimizer-state sharding: the entry point [`pretrain_ddp`] and the
-//! mechanics the step pipeline (`crate::pipeline`) runs a team of members
-//! on — a barrier a panicking member poisons, the slot and shard
-//! partitions, the fixed combine tree and the per-parameter optimizer
-//! factory.
+//! mechanics the one training loop (`crate::pipeline`) runs its parallel
+//! parts on — fork-join on scoped threads, the slot and shard partitions,
+//! the fixed combine tree and the per-parameter optimizer factory.
+//!
+//! Data parallelism is *modelled* on one process: one loop on the caller's
+//! thread holds the one model, and only two parts of a step fan out, each
+//! inside its own `std::thread::scope` — the slots' forward and backward
+//! passes against the shared `&LlamaModel`, and the per-parameter optimizer
+//! steps on disjoint shards. A worker that panics ends the scope, and the
+//! run, with it.
 //!
 //! # Replica-count invariance
 //!
 //! The global batch is decomposed into `virtual_slots` fixed micro-batches
 //! ("slots"). Slot `s` at step `k` always draws the same corpus streams
 //! (cursor `1 + (k·V + s)·slot_batch`), its loss and gradients are computed
-//! by exactly one replica, and the per-parameter gradients are combined by
+//! by exactly one worker, and the per-parameter gradients are combined by
 //! a **fixed pairwise binary tree over slots** — `((g0+g1)+(g2+g3))` for
 //! `V = 4` — then scaled by `1/V`. Replica count only changes *which
-//! replica owns which slots*, never the operands or the reduction order,
-//! so losses and weights are bit-identical at any replica count. This is
-//! the same float-op-order contract the matmul pool honors for
-//! thread-count invariance, lifted to the replica level.
+//! worker computes which slots and steps which parameters*, never the
+//! operands or the reduction order, so losses and weights are bit-identical
+//! at any replica count. This is the same float-op-order contract the
+//! matmul pool honors for thread-count invariance, lifted to the replica
+//! level.
 //!
 //! # ZeRO-style state sharding
 //!
 //! Optimizer state is built as one optimizer instance **per parameter**
 //! (the [`OptimizerFactory`] receives the global parameter index, so
-//! position-derived projector seeds stay stable under any sharding).
-//! Each replica owns a contiguous shard of parameters — balanced by
-//! element count — and holds only that shard's state. States are
-//! re-gathered (via [`apollo_optim::Optimizer::state_save`]) only at
-//! checkpoint time, one checkpoint section per parameter, so a checkpoint
-//! written at one replica count resumes at any other.
+//! position-derived projector seeds stay stable under any sharding). Each
+//! worker steps a contiguous shard of parameters, balanced by element
+//! count. States are serialized (via
+//! [`apollo_optim::Optimizer::state_save`]) only at checkpoint time, one
+//! checkpoint section per parameter, so a checkpoint written at one replica
+//! count resumes at any other.
 
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::pipeline::{self, OptSource};
 use crate::resilience::ResilienceConfig;
@@ -39,6 +45,7 @@ use apollo_data::LmBatcher;
 use apollo_nn::LlamaModel;
 use apollo_obs::Obs;
 use apollo_optim::Optimizer;
+use apollo_tensor::ThreadOverrideGuard;
 
 /// Builds the optimizer instance owning the state of one parameter.
 ///
@@ -51,16 +58,14 @@ pub type OptimizerFactory = dyn Fn(usize) -> Box<dyn Optimizer> + Sync;
 /// Data-parallel execution parameters.
 #[derive(Debug, Clone)]
 pub struct DdpConfig {
-    /// Replica (worker thread) count.
+    /// Replica count: the workers a step's slots and optimizer shards fan
+    /// out to, each at one kernel thread.
     pub replicas: usize,
     /// Fixed virtual-slot count `V`. The global batch must divide by it,
     /// and `replicas` must not exceed it. Runs with the same `V` are
     /// bit-identical at any replica count; changing `V` changes the
     /// micro-batch decomposition and therefore the arithmetic.
     pub virtual_slots: usize,
-    /// Kernel threads each replica's math may use (thread-local override;
-    /// 1 keeps replicas fully parallel with no pool contention).
-    pub threads_per_replica: usize,
 }
 
 impl DdpConfig {
@@ -70,95 +75,6 @@ impl DdpConfig {
         DdpConfig {
             replicas,
             virtual_slots: 4.max(replicas),
-            threads_per_replica: 1,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The team barrier.
-//
-// `std::sync::Barrier` cannot release its waiters when a participant dies,
-// so a member that panicked would leave the others blocked at their next
-// wait forever. This one is poisoned by a [`PanicGuard`] in each spawned
-// member as that member unwinds, and a poisoned wait panics in turn: one
-// panic takes the whole team, and then the run, down.
-
-struct BarrierState {
-    waiting: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-pub(crate) struct TeamBarrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-impl TeamBarrier {
-    pub(crate) fn new(n: usize) -> Self {
-        TeamBarrier {
-            n,
-            state: Mutex::new(BarrierState {
-                waiting: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, BarrierState> {
-        // Nothing panics while holding the lock, so the state is whole even
-        // when the mutex says otherwise.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Blocks until all `n` participants arrive. A lone participant never
-    /// waits, so a one-member run pays nothing for the barriers of the step
-    /// pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if another member panicked before or during the wait.
-    pub(crate) fn wait(&self) {
-        if self.n == 1 {
-            return;
-        }
-        let mut s = self.state();
-        if !s.poisoned {
-            s.waiting += 1;
-            if s.waiting == self.n {
-                s.waiting = 0;
-                s.generation += 1;
-                self.cv.notify_all();
-            } else {
-                let gen = s.generation;
-                while s.generation == gen && !s.poisoned {
-                    s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-        let poisoned = s.poisoned;
-        drop(s);
-        assert!(!poisoned, "another member of the team panicked");
-    }
-
-    /// Wakes every waiter and fails every later wait.
-    fn poison(&self) {
-        self.state().poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Poisons its barrier if the member thread holding it unwinds.
-pub(crate) struct PanicGuard<'a>(pub(crate) &'a TeamBarrier);
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poison();
         }
     }
 }
@@ -166,12 +82,39 @@ impl Drop for PanicGuard<'_> {
 // ---------------------------------------------------------------------------
 // Deterministic partitions and reductions.
 
-/// Contiguous slot range owned by replica position `pos` of `n`.
+/// Runs `work` on every item: the first on the caller's thread, each other
+/// on a scoped thread of its own at one kernel thread. Returns the results
+/// in item order; one item spawns nothing. A worker's panic is re-raised
+/// here once every worker has stopped.
+pub(crate) fn fork_join<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    let mut items = items.into_iter();
+    let first = items.next().expect("fork_join needs an item");
+    if items.len() == 0 {
+        return vec![work(first)];
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = items
+            .map(|item| {
+                s.spawn(move || {
+                    let _one_thread = ThreadOverrideGuard::new(1);
+                    work(item)
+                })
+            })
+            .collect();
+        let mut out = vec![work(first)];
+        let joined = spawned.into_iter().map(|h| h.join());
+        out.extend(joined.map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))));
+        out
+    })
+}
+
+/// Contiguous slot range computed by worker `pos` of `n`.
 pub(crate) fn slot_range(pos: usize, n: usize, total: usize) -> Range<usize> {
     pos * total / n..(pos + 1) * total / n
 }
 
-/// Contiguous per-replica parameter shards, balanced by element count.
+/// Contiguous per-worker parameter shards, balanced by element count.
 /// Every shard is non-empty (requires `shards <= elems.len()`).
 pub(crate) fn shard_ranges(elems: &[usize], shards: usize) -> Vec<Range<usize>> {
     assert!(
@@ -207,8 +150,8 @@ pub(crate) fn shard_ranges(elems: &[usize], shards: usize) -> Vec<Range<usize>> 
 
 /// Combines `items` with a fixed pairwise binary tree: level by level,
 /// `(0,1)(2,3)…`, odd leftovers passing through. The combine order depends
-/// only on `items.len()`, never on who calls it — the replica-invariance
-/// contract.
+/// only on `items.len()`, never on which worker computed them — the
+/// replica-invariance contract.
 pub(crate) fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) -> T {
     assert!(!items.is_empty());
     while items.len() > 1 {
@@ -236,19 +179,20 @@ pub(crate) fn tree_combine<T>(mut items: Vec<T>, combine: impl Fn(&mut T, T)) ->
 /// any `ddp.replicas` at a fixed `ddp.virtual_slots`. On return, `model`
 /// holds the final weights.
 ///
-/// This is the step pipeline of [`crate::pretrain_observed`] run by a team:
-/// every `cfg` and `res` feature works here as it does there, at any replica
-/// count — clipping, INT8 weight round-trips, ReLoRA merges, sentinels and
-/// recovery policies, crash-safe (sharded) checkpoints and every fault kind.
-/// `cfg.grad_accum = A` makes a step `V·A` slots of `batch / V` sequences
-/// (`A` global batches), combined by the one tree.
+/// This is the training loop of [`crate::pretrain_observed`], run on the
+/// caller's thread with slots and optimizer shards fanned out to
+/// `ddp.replicas` workers: every `cfg` and `res` feature works here as it
+/// does there, at any replica count — clipping, INT8 weight round-trips,
+/// ReLoRA merges, sentinels and recovery policies, crash-safe (sharded)
+/// checkpoints and every fault kind. `cfg.grad_accum = A` makes a step
+/// `V·A` slots of `batch / V` sequences (`A` global batches), combined by
+/// the one tree.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.steps == 0`, the global batch does not divide by
 /// `virtual_slots`, `replicas` exceeds `virtual_slots` or the trainable
-/// parameter count, or a member panics (the others stop at their next
-/// barrier).
+/// parameter count, or a worker panics.
 pub fn pretrain_ddp(
     model: &mut LlamaModel,
     make_opt: &OptimizerFactory,
@@ -286,7 +230,6 @@ pub fn pretrain_ddp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn tree_combine_is_a_fixed_pairwise_tree() {
@@ -302,6 +245,22 @@ mod tests {
         });
         assert_eq!(odd, "((a+b)+c)");
         assert_eq!(tree_combine(vec![7i64], |_, _| unreachable!()), 7);
+    }
+
+    #[test]
+    fn fork_join_keeps_item_order_and_re_raises_a_worker_panic() {
+        let caller = std::thread::current().id();
+        let on_caller = |i: usize| (i, std::thread::current().id() == caller);
+        assert_eq!(fork_join(vec![7], on_caller), [(7, true)]);
+        let out = fork_join(vec![0, 1, 2], on_caller);
+        assert_eq!(out, [(0, true), (1, false), (2, false)]);
+        // The worker's own panic, not the scope's generic one.
+        let failed = std::panic::catch_unwind(|| {
+            fork_join(vec![0, 1], |i| assert_eq!(i, 0, "worker {i} failed"));
+        });
+        let payload = failed.expect_err("a worker panicked");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("worker 1 failed"), "{message}");
     }
 
     #[test]
@@ -336,25 +295,5 @@ mod tests {
         // Balanced by elements, not count: the two heavy params split.
         let two = shard_ranges(&elems, 2);
         assert!(two[0].contains(&0) && !two[0].contains(&4));
-    }
-
-    #[test]
-    fn team_barrier_synchronizes_generations() {
-        let barrier = TeamBarrier::new(2);
-        let counter = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for round in 0..50 {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                        barrier.wait();
-                        // Both must have bumped before anyone proceeds.
-                        assert!(counter.load(Ordering::SeqCst) >= 2 * (round + 1));
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
     }
 }

@@ -1,4 +1,4 @@
-//! The one pre-training step pipeline behind [`crate::pretrain`],
+//! The one pre-training loop behind [`crate::pretrain`],
 //! [`crate::pretrain_resilient`], [`crate::pretrain_observed`] and
 //! [`crate::pretrain_ddp`]:
 //!
@@ -6,23 +6,18 @@
 //! fault injection, sentinels, clip → per-parameter step → post-step hooks
 //! (INT8 round-trip, ReLoRA merge) → log / eval / checkpoint.*
 //!
-//! A run is one fixed set of **members** executing that pipeline in
-//! lock-step. Member count only decides *who computes which slot* and *who
-//! owns which parameter's optimizer state*: slot `s` of a step draws the
-//! same streams and the slots are combined by the same tree whoever
-//! computed them, so losses and weights are bit-identical at any member
-//! count. A one-member run executes inline on the caller's thread against
-//! the caller's model — that is the serial entry points, where
-//! `grad_accum = A` is `A` slots — and crosses no barrier, publishes no
-//! weights and clones nothing it was not asked to. A member that panics
-//! takes the others down at their next barrier, and the run with them.
-//!
-//! Everything that steers the loop (step, data cursor, merge RNG, spike
-//! window, LR back-off, resilience counters, the remaining fault plan) is
-//! *replicated*: every member holds the same values and updates them from
-//! the same inputs — the slot losses, and the per-parameter squared norms
-//! and non-finite flags the owners publish in parameter order — so every
-//! member reaches the same verdict without a coordinator.
+//! The loop runs on the caller's thread against the caller's model, and
+//! everything that steers it (step, data cursor, merge RNG, spike window, LR
+//! back-off, resilience counters, the remaining fault plan, the floor) is a
+//! plain field of one [`Run`]. A data-parallel run fans out two parts of a
+//! step with [`fork_join`]: the slots' forward and backward passes, which
+//! only read the model, and the per-parameter optimizer steps, which write
+//! disjoint parameters. Replica count only decides *which worker computes
+//! which slot or steps which parameter*: slot `s` of a step draws the same
+//! streams and the slots are combined by the same tree whoever computed
+//! them, so losses and weights are bit-identical at any replica count. A
+//! one-replica run spawns no thread; the serial entry points are its
+//! whole-model-optimizer case, where `grad_accum = A` is `A` slots.
 //!
 //! Recovery is one mechanism: restore the newest **floor** (a
 //! [`TrainState`], on disk or in memory), replay. Resume restores the
@@ -30,8 +25,6 @@
 //! refreshes every `snapshot_every` steps.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use apollo_data::LmBatcher;
@@ -45,9 +38,7 @@ use crate::checkpoint::{
     checkpoint_file_name, latest_valid_checkpoint, manifest_of, prune_checkpoints,
     save_train_state, TrainMeta, TrainState,
 };
-use crate::ddp::{
-    shard_ranges, slot_range, tree_combine, DdpConfig, OptimizerFactory, PanicGuard, TeamBarrier,
-};
+use crate::ddp::{fork_join, shard_ranges, slot_range, tree_combine, DdpConfig, OptimizerFactory};
 use crate::resilience::{
     FaultKind, FaultPlan, RecoveryPolicy, ResilienceConfig, ResilienceReport, SpikeDetector,
 };
@@ -56,10 +47,6 @@ use crate::trainer::{eval_chunked, param_updates, RunLog, TrainConfig};
 
 /// Global gradient norm [`RecoveryPolicy::ClipAndContinue`] clips to.
 const RECOVERY_CLIP_NORM: f32 = 1.0;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("a member panicked holding a run lock")
-}
 
 fn ms_since(t: Instant) -> f32 {
     t.elapsed().as_secs_f32() * 1e3
@@ -70,40 +57,26 @@ fn ms_since(t: Instant) -> f32 {
 
 /// Where a run's optimizer state comes from.
 pub(crate) enum OptSource<'a> {
-    /// One whole-model optimizer borrowed from the caller: one member, run
-    /// inline under the caller's kernel-thread setting.
+    /// One whole-model optimizer borrowed from the caller, stepped under the
+    /// caller's kernel-thread setting.
     Whole(&'a mut dyn Optimizer),
     /// One instance per trainable parameter — what makes a checkpoint
-    /// re-shardable across member counts.
+    /// re-shardable across replica counts.
     PerParam(&'a OptimizerFactory),
 }
 
-/// A member's optimizer state. Saved optimizer sections are opaque bytes to
+/// A run's optimizer state. Saved optimizer sections are opaque bytes to
 /// everything outside this type.
 enum Optim<'a> {
     Whole(&'a mut dyn Optimizer),
     PerParam {
-        /// Optimizer parameters of the whole run.
-        n_opt: usize,
-        /// Global optimizer index of `opts[0]`.
-        first: usize,
         opts: Vec<Box<dyn Optimizer>>,
+        /// The optimizer-index ranges the workers step in parallel.
+        shards: Vec<Range<usize>>,
     },
 }
 
-impl<'a> Optim<'a> {
-    fn per_param(make: &OptimizerFactory, run: &Run<'_>, shard: Range<usize>) -> Self {
-        let mut opts: Vec<_> = shard.clone().map(make).collect();
-        for opt in &mut opts {
-            opt.attach_observer(run.obs.clone());
-        }
-        Optim::PerParam {
-            n_opt: run.opt_params.len(),
-            first: shard.start,
-            opts,
-        }
-    }
-
+impl Optim<'_> {
     fn for_each(&mut self, mut f: impl FnMut(&mut dyn Optimizer)) {
         match self {
             Optim::Whole(opt) => f(&mut **opt),
@@ -111,40 +84,32 @@ impl<'a> Optim<'a> {
         }
     }
 
-    /// Steps every parameter `grads` holds a gradient for (the member's own).
+    /// Steps every parameter `grads` holds a gradient for; per-parameter
+    /// optimizers one shard per worker.
     fn step(&mut self, model: &mut LlamaModel, grads: &[Option<Matrix>], lr: f32) {
         let mut updates = param_updates(model, grads);
         match self {
             Optim::Whole(opt) => opt.step(&mut updates, lr),
-            Optim::PerParam { opts, .. } => {
+            Optim::PerParam { opts, shards } => {
                 assert_eq!(opts.len(), updates.len(), "a parameter has no gradient");
-                for (opt, update) in opts.iter_mut().zip(&mut updates) {
-                    opt.step(std::slice::from_mut(update), lr);
-                }
+                let mut pairs = opts.iter_mut().zip(&mut updates);
+                let take = |shard: &Range<usize>| pairs.by_ref().take(shard.len()).collect();
+                let parts: Vec<Vec<_>> = shards.iter().map(take).collect();
+                fork_join(parts, |part| {
+                    for (opt, update) in part {
+                        opt.step(std::slice::from_mut(update), lr);
+                    }
+                });
             }
         }
     }
 
-    /// Publishes this member's state for the leader to [`Self::assemble`].
-    fn gather(&self, cells: &[Mutex<ParamCell>]) {
+    /// A checkpoint's optimizer sections: the whole-model optimizer's one,
+    /// or one per parameter.
+    fn save(&self) -> Result<Vec<Vec<u8>>, String> {
         match self {
-            Optim::Whole(opt) => lock(&cells[0]).saved = opt.state_save(),
-            Optim::PerParam { first, opts, .. } => {
-                for (cell, opt) in cells[*first..].iter().zip(opts) {
-                    lock(cell).saved = opt.state_save();
-                }
-            }
-        }
-    }
-
-    /// A checkpoint's optimizer sections from what every member gathered:
-    /// the whole-model optimizer's one, or one per parameter.
-    fn assemble(&self, cells: &[Mutex<ParamCell>]) -> Result<Vec<Vec<u8>>, String> {
-        let take =
-            |cell: &Mutex<ParamCell>| std::mem::replace(&mut lock(cell).saved, Ok(Vec::new()));
-        match self {
-            Optim::Whole(_) => take(&cells[0]).map(|section| vec![section]),
-            Optim::PerParam { n_opt, .. } => cells[..*n_opt].iter().map(take).collect(),
+            Optim::Whole(opt) => opt.state_save().map(|section| vec![section]),
+            Optim::PerParam { opts, .. } => opts.iter().map(|o| o.state_save()).collect(),
         }
     }
 
@@ -155,7 +120,7 @@ impl<'a> Optim<'a> {
     fn load(&mut self, sections: &[Vec<u8>]) -> bool {
         let expected = match self {
             Optim::Whole(_) => 1,
-            Optim::PerParam { n_opt, .. } => *n_opt,
+            Optim::PerParam { opts, .. } => opts.len(),
         };
         let loaded = match self {
             _ if sections.len() != expected => Err(format!(
@@ -163,9 +128,9 @@ impl<'a> Optim<'a> {
                 sections.len()
             )),
             Optim::Whole(opt) => opt.state_load(&sections[0]),
-            Optim::PerParam { first, opts, .. } => {
-                let mut mine = opts.iter_mut().zip(&sections[*first..]);
-                mine.try_for_each(|(opt, section)| opt.state_load(section))
+            Optim::PerParam { opts, .. } => {
+                let mut all = opts.iter_mut().zip(sections);
+                all.try_for_each(|(opt, section)| opt.state_load(section))
             }
         };
         if let Err(e) = &loaded {
@@ -179,23 +144,32 @@ impl<'a> Optim<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// A run and its members.
+// The loop.
 
 /// One slot's loss and per-model-parameter gradients.
 type SlotOut = (f32, Vec<Option<Matrix>>);
 
-/// What the owner of one optimizer parameter publishes about it.
-struct ParamCell {
-    /// `(squared gradient norm, any non-finite entry)`, for the guard.
-    stat: (f64, bool),
-    /// The post-step value, for the other members.
-    value: Option<Matrix>,
-    /// The optimizer state, for a checkpoint or floor.
-    saved: Result<Vec<u8>, String>,
+/// One slot's loss and gradients against `model`, forward and backward
+/// timed into `sample`.
+fn run_slot(
+    model: &LlamaModel,
+    (tokens, targets): &(Vec<u32>, Vec<u32>),
+    slot_batch: usize,
+    sample: &mut PhaseSample,
+) -> SlotOut {
+    let (mut graph, loss_id, pnodes) = sample.time(Phase::Forward, || {
+        model.build_loss(tokens, targets, slot_batch)
+    });
+    let loss = graph.value(loss_id).get(0, 0);
+    let grads = sample.time(Phase::Backward, || {
+        graph.backward(loss_id);
+        model.take_grads(&mut graph, &pnodes)
+    });
+    (loss, grads)
 }
 
-/// Everything the members of a run share: what the run fixed before its
-/// first step, and the exchange tables.
+/// A run: what it fixed before its first step, its model and optimizer
+/// state, and the loop state.
 struct Run<'a> {
     cfg: &'a TrainConfig,
     res: &'a ResilienceConfig,
@@ -203,50 +177,14 @@ struct Run<'a> {
     schedule: LrSchedule,
     /// Model-parameter index of each optimizer (trainable) parameter.
     opt_params: Vec<usize>,
-    faults: FaultPlan,
-    /// The run's log; the leader writes it.
-    log: Mutex<RunLog>,
-    /// Member count; member 0 leads.
-    members: usize,
-    barrier: TeamBarrier,
-    /// The slots of the step in flight (owners `take` their parameters'
-    /// gradients). A step is `virtual_slots × grad_accum` slots of the slot
-    /// batcher's batch size.
-    slots: Vec<Mutex<Option<SlotOut>>>,
-    cells: Vec<Mutex<ParamCell>>,
-    /// The newest in-memory floor: the resumed checkpoint, which every
-    /// member restores at the start and only a rollback policy keeps, then
-    /// that policy's snapshots.
-    floor: Mutex<Option<TrainState>>,
-    /// Set when a floor was due and the optimizer could not save its state:
-    /// the run goes on without one, and a fault that would roll back skips.
-    floorless: AtomicBool,
-}
-
-impl Run<'_> {
-    fn is_team(&self) -> bool {
-        self.members > 1
-    }
-
-    fn rolls_back(&self) -> bool {
-        let policy = self.res.policy;
-        matches!(policy, Some(RecoveryPolicy::RollbackAndRetry { .. }))
-    }
-}
-
-/// One member of a run: its model and optimizer state, plus its replica of
-/// the loop state.
-struct Member<'a> {
-    run: &'a Run<'a>,
-    pos: usize,
     model: &'a mut LlamaModel,
     optim: Optim<'a>,
-    /// Optimizer parameters this member owns.
-    shard: Range<usize>,
     /// Slot-sized batcher.
     batcher: &'a mut LmBatcher,
-    /// The run's handle on the leader, a disabled one elsewhere.
-    obs: Obs,
+    /// Workers a step's slots fan out to.
+    workers: usize,
+    /// Slots of a step: `virtual_slots × grad_accum` slot batches.
+    slots: usize,
     step: usize,
     start_step: usize,
     cursor: u64,
@@ -260,74 +198,59 @@ struct Member<'a> {
     /// it does not.
     last_fault: usize,
     report: ResilienceReport,
+    /// The newest in-memory floor a rollback policy returns to: the resumed
+    /// checkpoint, then that policy's snapshots.
+    floor: Option<TrainState>,
+    /// Set when a floor was due and the optimizer could not save its state:
+    /// the run goes on without one, and a fault that would roll back skips.
+    floorless: bool,
+    log: RunLog,
 }
 
-impl<'a> Member<'a> {
-    fn new(
-        run: &'a Run<'a>,
-        pos: usize,
-        model: &'a mut LlamaModel,
-        optim: Optim<'a>,
-        shard: Range<usize>,
-        batcher: &'a mut LmBatcher,
-    ) -> Self {
-        let leader_obs = if pos == 0 { run.obs } else { &Obs::disabled() };
-        let mut member = Member {
-            run,
-            pos,
-            model,
-            optim,
-            shard,
-            obs: leader_obs.clone(),
-            step: 0,
-            start_step: 0,
-            cursor: batcher.cursor(),
-            batcher,
-            merge_rng: Rng::seed_from_u64(0x4E10),
-            detector: SpikeDetector::new(run.res.spike_window, run.res.spike_factor),
-            lr_scale: 1.0,
-            faults: run.faults.clone(),
-            consecutive_faults: 0,
-            last_fault: 0,
-            report: ResilienceReport::default(),
-        };
-        // A run starts from its floor, counters and LR back-off included.
-        if let Some(f) = lock(&run.floor).as_ref() {
-            member.restore(f);
-            member.start_step = member.step;
-            member.lr_scale = f.meta.lr_scale;
-            member.report = f.meta.report.clone();
-            member.report.resumed_from_step = Some(f.meta.step);
-        }
-        member
+impl Run<'_> {
+    fn rolls_back(&self) -> bool {
+        let policy = self.res.policy;
+        matches!(policy, Some(RecoveryPolicy::RollbackAndRetry { .. }))
     }
 
     /// Restores `floor`'s weights, optimizer state and replayable loop
-    /// state. Counters and the LR back-off are the caller's business: a
-    /// rollback keeps counting and backs off further.
-    fn restore(&mut self, floor: &TrainState) {
+    /// state; `false` if its optimizer sections did not load. Counters and
+    /// the LR back-off are the caller's business: a rollback keeps counting
+    /// and backs off further.
+    fn restore(&mut self, floor: &TrainState) -> bool {
         for (p, saved) in self.model.params.iter_mut().zip(&floor.model.params) {
             p.value.copy_from(&saved.value);
         }
-        self.optim.load(&floor.optimizer);
-        self.step = (floor.meta.step as usize).min(self.run.cfg.steps);
+        let loaded = self.optim.load(&floor.optimizer);
+        self.step = (floor.meta.step as usize).min(self.cfg.steps);
         self.cursor = floor.meta.data_cursor;
         if let Ok(words) = <[u64; 4]>::try_from(floor.meta.rng_state.as_slice()) {
             self.merge_rng = Rng::from_state(words, floor.meta.rng_spare);
         }
         self.detector.restore(&floor.meta.spike_window);
+        loaded
     }
 
-    /// Captures "about to run `step`": every member contributes its
-    /// optimizer state, then the leader writes the crash-safe checkpoint
-    /// and/or refreshes the in-memory floor from the one assembled state.
-    fn capture(&mut self, step: usize, to_disk: bool, to_floor: bool) {
-        let (run, res) = (self.run, self.run.res);
-        self.optim.gather(&run.cells);
-        run.barrier.wait();
-        if self.pos != 0 {
-            return;
+    /// Starts the run from a resumed checkpoint, counters and LR back-off
+    /// included. Only a rollback policy keeps it, as its first floor.
+    fn resume_from(&mut self, mut floor: TrainState) {
+        if !self.restore(&floor) {
+            // A later rollback to it starts the optimizer fresh, quietly.
+            floor.optimizer.clear();
         }
+        self.start_step = self.step;
+        self.lr_scale = floor.meta.lr_scale;
+        self.report = floor.meta.report.clone();
+        self.report.resumed_from_step = Some(floor.meta.step);
+        if self.rolls_back() {
+            self.floor = Some(floor);
+        }
+    }
+
+    /// Captures "about to run `step`": writes the crash-safe checkpoint
+    /// and/or refreshes the in-memory floor.
+    fn capture(&mut self, step: usize, to_disk: bool, to_floor: bool) {
+        let res = self.res;
         let (rng_state, rng_spare) = self.merge_rng.state();
         let meta = TrainMeta {
             step: step as u64,
@@ -339,7 +262,7 @@ impl<'a> Member<'a> {
             report: self.report.clone(),
         };
         let model = &*self.model;
-        let saved = self.optim.assemble(&run.cells);
+        let saved = self.optim.save();
         if let (true, Some(dir)) = (to_disk, &res.checkpoint_dir) {
             let written = saved.as_ref().map_err(String::clone).and_then(|optimizer| {
                 let path = dir.join(checkpoint_file_name(step as u64));
@@ -364,28 +287,54 @@ impl<'a> Member<'a> {
             match saved {
                 Ok(optimizer) => {
                     let model = model.clone();
-                    *lock(&run.floor) = Some(TrainState {
+                    self.floor = Some(TrainState {
                         model,
                         meta,
                         optimizer,
                     });
                 }
-                Err(_) => run.floorless.store(true, Ordering::SeqCst),
+                Err(_) => self.floorless = true,
             }
         }
     }
 
-    /// Combines this member's parameters' slot gradients by the fixed
-    /// pairwise tree and scales by `1/V`; entries it does not own (or the
-    /// loss does not reach) stay `None`.
-    fn combine(&self) -> Vec<Option<Matrix>> {
-        let slots = &self.run.slots;
-        let mut grads: Vec<Option<Matrix>> = self.model.params.iter().map(|_| None).collect();
-        for &mi in &self.run.opt_params[self.shard.clone()] {
-            let parts: Vec<Matrix> = slots
+    /// Draws the step's slots in slot order and computes them, each slot
+    /// range on its worker against the one model. Forward and backward are
+    /// timed on the caller's own slots.
+    fn compute_slots(&mut self, sample: &mut PhaseSample) -> Vec<SlotOut> {
+        let slot_batch = self.batcher.batch();
+        let batches: Vec<_> = sample.time(Phase::BatchPrep, || {
+            (0..self.slots)
+                .map(|s| {
+                    self.batcher
+                        .set_cursor(self.cursor + (s * slot_batch) as u64);
+                    self.batcher.next_batch()
+                })
+                .collect()
+        });
+        self.cursor += (self.slots * slot_batch) as u64;
+        let (model, batches) = (&*self.model, &batches);
+        let ranges = (0..self.workers).map(|w| slot_range(w, self.workers, self.slots));
+        let workers = fork_join(ranges.collect(), |range| {
+            let mut timed = PhaseSample::new();
+            let outs: Vec<_> = batches[range]
                 .iter()
-                .filter_map(|s| lock(s).as_mut().expect("every slot is published").1[mi].take())
+                .map(|batch| run_slot(model, batch, slot_batch, &mut timed))
                 .collect();
+            (outs, timed)
+        });
+        for phase in [Phase::Forward, Phase::Backward] {
+            sample.add(phase, workers[0].1.get(phase));
+        }
+        workers.into_iter().flat_map(|(outs, _)| outs).collect()
+    }
+
+    /// Combines every parameter's slot gradients by the fixed pairwise tree
+    /// and scales by `1/V`; entries the loss does not reach stay `None`.
+    fn combine(&self, slots: &mut [SlotOut]) -> Vec<Option<Matrix>> {
+        let mut grads: Vec<Option<Matrix>> = self.model.params.iter().map(|_| None).collect();
+        for &mi in &self.opt_params {
+            let parts: Vec<Matrix> = slots.iter_mut().filter_map(|s| s.1[mi].take()).collect();
             if parts.is_empty() {
                 continue;
             }
@@ -398,46 +347,31 @@ impl<'a> Member<'a> {
         grads
     }
 
-    /// The guard's reduction: every member publishes its parameters'
-    /// non-finite flags and (`norms`) squared gradient norms, and all of
-    /// them fold the whole table in parameter order — so all get the same
-    /// `(any non-finite, global norm)` and reach the same verdict.
-    fn reduce(&self, grads: &[Option<Matrix>], norms: bool) -> (bool, f32) {
-        let run = self.run;
-        for j in self.shard.clone() {
-            let g = grads[run.opt_params[j]].as_ref();
-            lock(&run.cells[j]).stat = g.map_or((0.0, false), |g| grad_stat(g, norms));
-        }
-        run.barrier.wait();
-        let verdict = fold_stats(run.cells.iter().map(|c| lock(c).stat));
-        // Nobody republishes while a slower member is still folding.
-        run.barrier.wait();
-        verdict
+    /// The guard's reduction: per-parameter non-finite flags and (`norms`)
+    /// squared gradient norms, folded in parameter order into `(any
+    /// non-finite, global norm)`.
+    fn guard_stats(&self, grads: &[Option<Matrix>], norms: bool) -> (bool, f32) {
+        let stat = |&mi: &usize| {
+            grads[mi]
+                .as_ref()
+                .map_or((0.0, false), |g| grad_stat(g, norms))
+        };
+        fold_stats(self.opt_params.iter().map(stat))
     }
 
     /// `known`, or the global gradient norm reduced now.
     fn norm_of(&self, grads: &[Option<Matrix>], known: Option<f32>) -> f32 {
-        known.unwrap_or_else(|| self.reduce(grads, true).1)
+        known.unwrap_or_else(|| self.guard_stats(grads, true).1)
     }
 
     /// Runs steps until the configured count, an abort or a crash.
     #[allow(clippy::too_many_lines)]
     fn train(&mut self) {
-        let run = self.run;
-        let (cfg, res, slots) = (run.cfg, run.res, run.slots.len());
-        let slot_batch = self.batcher.batch();
+        let (cfg, res, obs) = (self.cfg, self.res, self.obs);
         let loss_sample_every = (cfg.steps / 200).max(1);
-        // Every member has restored from the floor once all are here; it
-        // stays only for a rollback policy, which may return to it.
-        if !run.rolls_back() {
-            run.barrier.wait();
-            if self.pos == 0 {
-                lock(&run.floor).take();
-            }
-        }
         while self.step < cfg.steps {
             let step = self.step;
-            self.obs.set_step(step);
+            obs.set_step(step);
             let step_started = Instant::now();
             let mut sample = PhaseSample::new();
 
@@ -449,9 +383,10 @@ impl<'a> Member<'a> {
                 && step.is_multiple_of(res.checkpoint_every);
             // A rollback policy's floor exists from the first step on and
             // is refreshed every `snapshot_every` steps.
-            let floor_due = run.rolls_back()
-                && !run.floorless.load(Ordering::SeqCst)
-                && lock(&run.floor)
+            let floor_due = self.rolls_back()
+                && !self.floorless
+                && self
+                    .floor
                     .as_ref()
                     .is_none_or(|f| step >= f.meta.step as usize + res.snapshot_every.max(1));
             if floor_due || checkpoint_due {
@@ -460,43 +395,19 @@ impl<'a> Member<'a> {
                 });
             }
 
-            // Draw this member's slots; loss and gradients of each against
-            // the synced weights. Forward and backward are timed apart.
-            for s in slot_range(self.pos, run.members, slots) {
-                let (tokens, targets) = sample.time(Phase::BatchPrep, || {
-                    self.batcher
-                        .set_cursor(self.cursor + (s * slot_batch) as u64);
-                    self.batcher.next_batch()
-                });
-                let (mut graph, loss_id, pnodes) = sample.time(Phase::Forward, || {
-                    self.model.build_loss(&tokens, &targets, slot_batch)
-                });
-                let loss = graph.value(loss_id).get(0, 0);
-                let grads = sample.time(Phase::Backward, || {
-                    graph.backward(loss_id);
-                    self.model.take_grads(&mut graph, &pnodes)
-                });
-                drop(graph);
-                *lock(&run.slots[s]) = Some((loss, grads));
-            }
-            self.cursor += (slots * slot_batch) as u64;
-            run.barrier.wait();
-
-            // The step's loss and this member's gradients: the same fixed
-            // tree over slots for both.
-            let slot_losses: Vec<f32> = run
-                .slots
-                .iter()
-                .map(|s| lock(s).as_ref().expect("every slot is published").0)
-                .collect();
-            let mut loss = tree_combine(slot_losses, |a, b| *a += b) / slots as f32;
-            let mut grads = sample.time(Phase::Optimizer, || self.combine());
+            // The step's loss and gradients: the same fixed tree over slots
+            // for both.
+            let mut slots = self.compute_slots(&mut sample);
+            let slot_losses: Vec<f32> = slots.iter().map(|s| s.0).collect();
+            let mut loss = tree_combine(slot_losses, |a, b| *a += b) / slots.len() as f32;
+            let mut grads = sample.time(Phase::Optimizer, || self.combine(&mut slots));
+            drop(slots);
 
             // Deterministic fault injection (tests only). Faults are
             // one-shot: a rolled-back retry passes.
             match self.faults.take_at(step) {
-                Some(FaultKind::NanGrad) => self.poison_first(&mut grads, f32::NAN),
-                Some(FaultKind::InfGrad) => self.poison_first(&mut grads, f32::INFINITY),
+                Some(FaultKind::NanGrad) => poison_first(&mut grads, f32::NAN),
+                Some(FaultKind::InfGrad) => poison_first(&mut grads, f32::INFINITY),
                 Some(FaultKind::LossSpike { factor }) => {
                     loss *= factor;
                     for g in grads.iter_mut().flatten() {
@@ -515,11 +426,11 @@ impl<'a> Member<'a> {
             // global gradient norm while it is known for `grads` as they
             // stand; it is computed only for a clip or a sampled step.
             let guard_started = Instant::now();
-            let sample_due = run.obs.sample_due();
+            let sample_due = obs.sample_due();
             let want_norm = cfg.grad_clip.is_some() || sample_due;
             let (mut bad_grads, mut norm) = (false, None);
             if res.policy.is_some() || want_norm {
-                let (bad, n) = self.reduce(&grads, want_norm);
+                let (bad, n) = self.guard_stats(&grads, want_norm);
                 (bad_grads, norm) = (bad, want_norm.then_some(n));
             }
             if let Some(policy) = res.policy {
@@ -535,41 +446,40 @@ impl<'a> Member<'a> {
                     (spike, "loss_spike"),
                 ];
                 for (_, kind) in sentinels.iter().filter(|s| s.0) {
-                    self.obs.counter(&format!("sentinel_{kind}"), 1);
+                    obs.counter(&format!("sentinel_{kind}"), 1);
                 }
                 if let Some(&(_, kind)) = sentinels.iter().find(|s| s.0) {
                     self.consecutive_faults += 1;
                     self.last_fault = step;
-                    let has_floor = lock(&run.floor).is_some();
                     let (policy, action) = match policy {
                         _ if self.consecutive_faults > res.max_consecutive_faults => {
                             (RecoveryPolicy::Abort, "abort")
                         }
                         RecoveryPolicy::Abort => (policy, "abort"),
                         RecoveryPolicy::ClipAndContinue => (policy, "clip"),
-                        RecoveryPolicy::RollbackAndRetry { .. } if has_floor => {
+                        RecoveryPolicy::RollbackAndRetry { .. } if self.floor.is_some() => {
                             (policy, "rollback")
                         }
                         // A rollback that faulted before any floor existed.
                         _ => (RecoveryPolicy::SkipStep, "skip"),
                     };
-                    self.obs.emit(|| TraceEvent::Sentinel {
+                    obs.emit(|| TraceEvent::Sentinel {
                         step,
                         kind: kind.to_string(),
                         action: action.to_string(),
                     });
                     match policy {
                         RecoveryPolicy::SkipStep => {
-                            report.skipped_steps += 1;
+                            self.report.skipped_steps += 1;
                             self.step += 1;
                             continue;
                         }
                         RecoveryPolicy::Abort => {
-                            report.aborted = true;
+                            self.report.aborted = true;
                             break;
                         }
                         RecoveryPolicy::ClipAndContinue => {
-                            report.clipped_steps += 1;
+                            self.report.clipped_steps += 1;
                             sanitize_grads(&mut grads);
                             let repaired = self.norm_of(&grads, None);
                             clip_to(&mut grads, repaired, RECOVERY_CLIP_NORM);
@@ -577,9 +487,10 @@ impl<'a> Member<'a> {
                             // Fall through: apply the repaired update.
                         }
                         RecoveryPolicy::RollbackAndRetry { lr_backoff } => {
-                            report.rollbacks += 1;
-                            let floor = lock(&run.floor);
-                            self.restore(floor.as_ref().expect("checked above"));
+                            self.report.rollbacks += 1;
+                            let floor = self.floor.take().expect("checked above");
+                            self.restore(&floor);
+                            self.floor = Some(floor);
                             self.lr_scale *= lr_backoff;
                             continue;
                         }
@@ -600,8 +511,8 @@ impl<'a> Member<'a> {
                     report.non_finite_grads += 1;
                     report.clip_nonfinite_steps += 1;
                     report.skipped_steps += 1;
-                    self.obs.counter("sentinel_clip_non_finite", 1);
-                    self.obs.emit(|| TraceEvent::Sentinel {
+                    obs.counter("sentinel_clip_non_finite", 1);
+                    obs.emit(|| TraceEvent::Sentinel {
                         step,
                         kind: "clip_non_finite".to_string(),
                         action: "zero_step".to_string(),
@@ -613,13 +524,13 @@ impl<'a> Member<'a> {
             if cfg.grad_clip.is_some() {
                 sample.add(Phase::Clip, ms_since(guard_started));
             }
-            let lr = run.schedule.lr_at(step) * self.lr_scale;
+            let lr = self.schedule.lr_at(step) * self.lr_scale;
             if sample_due {
                 let grad_norm = self.norm_of(&grads, norm);
-                self.obs.gauge("loss", f64::from(loss));
-                self.obs.gauge("grad_norm", f64::from(grad_norm));
-                self.obs.gauge("lr", f64::from(lr));
-                self.obs.emit(|| TraceEvent::StepMetrics {
+                obs.gauge("loss", f64::from(loss));
+                obs.gauge("grad_norm", f64::from(grad_norm));
+                obs.gauge("lr", f64::from(lr));
+                obs.emit(|| TraceEvent::StepMetrics {
                     step,
                     loss,
                     grad_norm,
@@ -627,33 +538,14 @@ impl<'a> Member<'a> {
                 });
             }
 
-            // Per-parameter step, then the hooks that touch the weights:
-            // quantize before anyone else sees them, merge once all have.
+            // Per-parameter step, then the hooks that touch the weights.
             let optimizer_started = Instant::now();
             self.optim.step(self.model, &grads, lr);
             drop(grads);
             if let Some(group) = cfg.quantize_weights {
-                self.quantize_own(group);
-            }
-            if run.is_team() {
-                for j in self.shard.clone() {
-                    let updated = self.model.params[run.opt_params[j]].value.clone();
-                    lock(&run.cells[j]).value = Some(updated);
-                }
+                quantize_weights(self.model, group);
             }
             sample.add(Phase::Optimizer, ms_since(optimizer_started));
-            run.barrier.wait();
-            if run.is_team() {
-                for (j, &mi) in run.opt_params.iter().enumerate() {
-                    if !self.shard.contains(&j) {
-                        let cell = lock(&run.cells[j]);
-                        let value = cell.value.as_ref().expect("its owner published it");
-                        self.model.params[mi].value.copy_from(value);
-                    }
-                }
-            }
-            // Every member merges its own synced copy with its own replica
-            // of the merge RNG: same weights everywhere, nothing to send.
             let merge_due = |every: usize| every > 0 && (step + 1).is_multiple_of(every);
             if cfg.merge_every.is_some_and(merge_due) {
                 self.model.merge_adapters(&mut self.merge_rng);
@@ -661,25 +553,22 @@ impl<'a> Member<'a> {
             }
 
             self.detector.record(loss);
+            if step.is_multiple_of(loss_sample_every) || step + 1 == cfg.steps {
+                self.log.train_losses.push((step, loss));
+            }
             let eval_due = cfg.eval_every > 0
                 && (step + 1).is_multiple_of(cfg.eval_every)
                 && step + 1 != cfg.steps;
-            if self.pos == 0 {
-                let mut log = lock(&run.log);
-                if step.is_multiple_of(loss_sample_every) || step + 1 == cfg.steps {
-                    log.train_losses.push((step, loss));
-                }
-                if eval_due {
-                    let ppl = sample.time(Phase::Eval, || self.eval());
-                    log.eval_ppls.extend(ppl.map(|ppl| (step + 1, ppl)));
-                }
+            if eval_due {
+                let ppl = sample.time(Phase::Eval, || self.eval());
+                self.log.eval_ppls.extend(ppl.map(|ppl| (step + 1, ppl)));
             }
             let total_ms = ms_since(step_started);
-            if self.pos == 0 && cfg.record_step_times {
-                lock(&run.log).step_times_ms.push(total_ms);
+            if cfg.record_step_times {
+                self.log.step_times_ms.push(total_ms);
             }
-            self.obs.record_step(&sample, total_ms);
-            self.obs.emit(|| TraceEvent::StepPhases {
+            obs.record_step(&sample, total_ms);
+            obs.emit(|| TraceEvent::StepPhases {
                 step,
                 batch_ms: sample.get(Phase::BatchPrep),
                 forward_ms: sample.get(Phase::Forward),
@@ -690,45 +579,21 @@ impl<'a> Member<'a> {
                 eval_ms: sample.get(Phase::Eval),
                 total_ms,
             });
-            // Owners overwrite their cells' values in their next step, which
-            // must not race a slower member still copying out of them.
-            run.barrier.wait();
             self.step += 1;
-        }
-    }
-
-    /// Poisons the first trainable gradient (its owner does).
-    fn poison_first(&self, grads: &mut [Option<Matrix>], value: f32) {
-        if let (0, Some(g)) = (self.shard.start, grads.iter_mut().flatten().next()) {
-            g.set(0, 0, value);
-        }
-    }
-
-    /// Q-GaLore-style INT8 round-trip of every weight matrix this member
-    /// is the one to update: its shard, plus its copy of the frozen ones.
-    fn quantize_own(&mut self, group: usize) {
-        let mut j = 0;
-        for p in self.model.params.iter_mut() {
-            let own = !p.trainable || self.shard.contains(&j);
-            j += usize::from(p.trainable);
-            if own && p.kind != ParamKind::Norm {
-                QuantizedMatrix::quantize(&p.value, group).dequantize_into(&mut p.value);
-            }
         }
     }
 
     /// Held-out perplexity in chunks of the caller's batch size, which the
     /// slot batcher's is `grad_accum / slots` of.
     fn eval(&self) -> Option<f32> {
-        let cfg = self.run.cfg;
-        let chunk = self.batcher.batch() * self.run.slots.len() / cfg.grad_accum.max(1);
-        eval_chunked(self.model, self.batcher, cfg.eval_seqs, chunk)
+        let chunk = self.batcher.batch() * self.slots / self.cfg.grad_accum.max(1);
+        eval_chunked(self.model, self.batcher, self.cfg.eval_seqs, chunk)
     }
 
     /// The epilogue: footprint, final checkpoint and final evaluation (a
     /// crash skips the last two).
     fn finish(&mut self) {
-        let (run, res) = (self.run, self.run.res);
+        let res = self.res;
         self.batcher.set_cursor(self.cursor);
         let ran = !self.report.crashed;
         if ran
@@ -738,30 +603,40 @@ impl<'a> Member<'a> {
         {
             self.capture(self.step, true, false);
         }
-        let mut log = lock(&run.log);
+        let log = &mut self.log;
         self.optim.for_each(|opt| {
             log.state_elems += opt.state_elems();
             log.state_bytes += opt.state_bytes();
         });
-        if self.pos == 0 {
-            log.resilience = self.report.clone();
-            if let Some(ppl) = ran.then(|| self.eval()).flatten() {
-                log.final_ppl = ppl;
-                log.eval_ppls.push((self.step, ppl));
-            }
+        self.log.resilience = self.report.clone();
+        if let Some(ppl) = ran.then(|| self.eval()).flatten() {
+            self.log.final_ppl = ppl;
+            self.log.eval_ppls.push((self.step, ppl));
         }
-    }
-
-    /// Trains and finishes; returns the step stopped before.
-    fn run(mut self) -> usize {
-        self.train();
-        self.finish();
-        self.step
     }
 }
 
-/// What a parameter's owner publishes about its gradient: `(squared norm —
-/// 0 unless `norms` — , any non-finite entry)`.
+/// Poisons the first trainable gradient.
+fn poison_first(grads: &mut [Option<Matrix>], value: f32) {
+    if let Some(g) = grads.iter_mut().flatten().next() {
+        g.set(0, 0, value);
+    }
+}
+
+/// Q-GaLore-style INT8 round-trip of every weight matrix (norm gains stay
+/// full precision).
+fn quantize_weights(model: &mut LlamaModel, group: usize) {
+    for p in model
+        .params
+        .iter_mut()
+        .filter(|p| p.kind != ParamKind::Norm)
+    {
+        QuantizedMatrix::quantize(&p.value, group).dequantize_into(&mut p.value);
+    }
+}
+
+/// A parameter's `(squared gradient norm — 0 unless `norms` — , any
+/// non-finite entry)`, for the guard.
 fn grad_stat(g: &Matrix, norms: bool) -> (f64, bool) {
     let n = if norms { f64::from(g.fro_norm()) } else { 0.0 };
     (n * n, g.has_non_finite())
@@ -804,14 +679,13 @@ fn clip_to(grads: &mut [Option<Matrix>], norm: f32, max_norm: f32) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The driver: members, resume.
+// The driver.
 
-/// Runs pre-training to completion with `layout.replicas` members.
-/// `batcher` is the *slot* batcher; a one-member run advances it like a
-/// serial loop.
+/// Runs pre-training to completion with `layout.replicas` workers.
+/// `batcher` is the *slot* batcher; it ends where a serial loop leaves it.
 pub(crate) fn run(
     model: &mut LlamaModel,
-    mut source: OptSource<'_>,
+    source: OptSource<'_>,
     batcher: &mut LmBatcher,
     layout: &DdpConfig,
     cfg: &TrainConfig,
@@ -820,40 +694,67 @@ pub(crate) fn run(
 ) -> RunLog {
     assert!(cfg.steps > 0, "need at least one step");
     let started = Instant::now();
-    // Replica events and `ddp.*` metrics belong to the data-parallel entry
-    // point.
-    let (optimizer, run_label, ddp_obs) = match &mut source {
-        OptSource::Whole(opt) => {
-            opt.attach_observer(obs.clone());
-            (opt.name(), opt.name(), Obs::disabled())
-        }
-        OptSource::PerParam(make) => {
-            let name = make(0).name();
-            let label = format!("ddp×{} {name}", layout.replicas);
-            (name, label, obs.clone())
-        }
-    };
-    let per_param = matches!(source, OptSource::PerParam(_));
-    let threads = per_param.then(|| layout.threads_per_replica.max(1));
-    let slots = layout.virtual_slots * cfg.grad_accum.max(1);
     let trainable = |i: &usize| model.params[*i].trainable;
     let opt_params: Vec<usize> = (0..model.params.len()).filter(trainable).collect();
-    let n_opt = opt_params.len();
-    let cell = |_| ParamCell {
-        stat: (0.0, false),
-        value: None,
-        saved: Ok(Vec::new()),
+    // Replica events and `ddp.*` metrics belong to the data-parallel entry
+    // point, and so does its one kernel thread per worker.
+    let (optim, ddp_obs, one_thread) = match source {
+        OptSource::Whole(opt) => {
+            opt.attach_observer(obs.clone());
+            (Optim::Whole(opt), Obs::disabled(), None)
+        }
+        OptSource::PerParam(make) => {
+            let mut opts: Vec<_> = (0..opt_params.len()).map(make).collect();
+            for opt in &mut opts {
+                opt.attach_observer(obs.clone());
+            }
+            let elems: Vec<_> = opt_params
+                .iter()
+                .map(|&mi| model.params[mi].value.len())
+                .collect();
+            let shards = shard_ranges(&elems, layout.replicas);
+            let pin = ThreadOverrideGuard::new(1);
+            (Optim::PerParam { opts, shards }, obs.clone(), Some(pin))
+        }
     };
+    let (optimizer, run_label) = match &optim {
+        Optim::Whole(opt) => (opt.name(), opt.name()),
+        Optim::PerParam { opts, .. } => {
+            let name = opts[0].name();
+            (name.clone(), format!("ddp×{} {name}", layout.replicas))
+        }
+    };
+    let resumed = match (res.resume, &res.checkpoint_dir) {
+        (true, Some(dir)) => resume_floor(dir, model),
+        _ => None,
+    };
+    let model_name = model.config().name.clone();
     let mut run = Run {
         cfg,
         res,
         obs,
         schedule: LrSchedule::paper_default(cfg.lr, cfg.steps),
         opt_params,
+        optim,
+        workers: layout.replicas,
+        slots: layout.virtual_slots * cfg.grad_accum.max(1),
+        step: 0,
+        start_step: 0,
+        cursor: batcher.cursor(),
+        batcher,
+        model,
+        merge_rng: Rng::seed_from_u64(0x4E10),
+        detector: SpikeDetector::new(res.spike_window, res.spike_factor),
+        lr_scale: 1.0,
         faults: res.fault_plan.clone(),
-        log: Mutex::new(RunLog {
+        consecutive_faults: 0,
+        last_fault: 0,
+        report: ResilienceReport::default(),
+        floor: None,
+        floorless: false,
+        log: RunLog {
             optimizer,
-            model: model.config().name.clone(),
+            model: model_name.clone(),
             train_losses: Vec::new(),
             eval_ppls: Vec::new(),
             final_ppl: f32::NAN,
@@ -862,88 +763,38 @@ pub(crate) fn run(
             wall_secs: 0.0,
             step_times_ms: Vec::new(),
             resilience: Default::default(),
-        }),
-        members: layout.replicas,
-        barrier: TeamBarrier::new(layout.replicas),
-        slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-        cells: (0..n_opt.max(1)).map(cell).map(Mutex::new).collect(),
-        floor: Mutex::new(None),
-        floorless: AtomicBool::new(false),
+        },
     };
-    if let (true, Some(dir)) = (res.resume, &res.checkpoint_dir) {
-        // Members of a team must agree on whether the optimizer section
-        // loads, so it is tried once here; a lone whole-model optimizer
-        // finds out when it restores.
-        let probe = |sections: &[Vec<u8>]| match &source {
-            OptSource::Whole(_) => true,
-            OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt).load(sections),
-        };
-        run.floor = Mutex::new(resume_floor(dir, model, probe));
+    if let Some(floor) = resumed {
+        run.resume_from(floor);
     }
-    let resumed_at = lock(&run.floor)
-        .as_ref()
-        .map_or(0, |f| f.meta.step as usize);
-    let start_step = resumed_at.min(cfg.steps);
+    let start_step = run.start_step;
     obs.set_step(start_step);
     // Baseline for the run-end pool counters (the pool is process-global).
     let pool_at_start = apollo_tensor::pool::stats();
     obs.emit(|| TraceEvent::RunStart {
         step: start_step,
         optimizer: run_label,
-        model: model.config().name.clone(),
+        model: model_name,
         steps: cfg.steps,
     });
 
     let replica_events = |event: &str, step: usize| {
-        for replica in 0..run.members {
+        for replica in 0..layout.replicas {
             ddp_obs.emit(|| TraceEvent::ReplicaEvent {
                 step,
                 replica,
                 event: event.to_string(),
-                replicas: run.members,
+                replicas: layout.replicas,
             });
         }
     };
-    ddp_obs.gauge("ddp.replicas", run.members as f64);
+    ddp_obs.gauge("ddp.replicas", layout.replicas as f64);
     replica_events("start", start_step);
-    let end_step = if run.is_team() {
-        let OptSource::PerParam(make) = &source else {
-            unreachable!("a whole-model optimizer has exactly one member")
-        };
-        let elems = run
-            .opt_params
-            .iter()
-            .map(|&mi| model.params[mi].value.len());
-        let shards = shard_ranges(&elems.collect::<Vec<_>>(), run.members);
-        let (run, model_at_start, slot_batcher) = (&run, &*model, &*batcher);
-        let (end_step, trained) = std::thread::scope(|s| {
-            let spawn = |(pos, shard): (usize, Range<usize>)| {
-                s.spawn(move || {
-                    let _poison_on_panic = PanicGuard(&run.barrier);
-                    let _threads = threads.map(ThreadOverrideGuard::new);
-                    let (mut model, mut batcher) = (model_at_start.clone(), slot_batcher.clone());
-                    let optim = Optim::per_param(*make, run, shard.clone());
-                    let out = Member::new(run, pos, &mut model, optim, shard, &mut batcher).run();
-                    (out, model)
-                })
-            };
-            let handles: Vec<_> = shards.into_iter().enumerate().map(spawn).collect();
-            let joined = handles.into_iter().map(|h| h.join());
-            let mut outs: Vec<_> = joined.map(|o| o.expect("replica panicked")).collect();
-            outs.swap_remove(0)
-        });
-        for (p, t) in model.params.iter_mut().zip(trained.params) {
-            p.value = t.value;
-        }
-        end_step
-    } else {
-        let _threads = threads.map(ThreadOverrideGuard::new);
-        let optim = match &mut source {
-            OptSource::Whole(opt) => Optim::Whole(&mut **opt),
-            OptSource::PerParam(make) => Optim::per_param(*make, &run, 0..n_opt),
-        };
-        Member::new(&run, 0, model, optim, 0..n_opt, batcher).run()
-    };
+    run.train();
+    run.finish();
+    let end_step = run.step;
+    drop(one_thread);
     ddp_obs.counter("ddp.steps", (end_step - start_step.min(end_step)) as u64);
     replica_events("finish", end_step);
 
@@ -964,22 +815,16 @@ pub(crate) fn run(
     if let Err(e) = obs.flush() {
         eprintln!("warning: trace flush failed ({e})");
     }
-    let mut log = run.log.into_inner().expect("no member is running");
+    let mut log = run.log;
     log.wall_secs = wall_secs;
     log
 }
 
 /// The newest valid checkpoint in `dir` as the floor to resume `model`
 /// from, refused with a warning — no panic, no weight installed — unless it
-/// holds exactly `model`'s parameters (names, order and shapes). `probe`
-/// vets the optimizer section; a rejected one is dropped and the optimizer
-/// starts fresh.
-fn resume_floor(
-    dir: &std::path::Path,
-    model: &LlamaModel,
-    probe: impl FnOnce(&[Vec<u8>]) -> bool,
-) -> Option<TrainState> {
-    let (path, mut state) = latest_valid_checkpoint(dir).ok()??;
+/// holds exactly `model`'s parameters (names, order and shapes).
+fn resume_floor(dir: &std::path::Path, model: &LlamaModel) -> Option<TrainState> {
+    let (path, state) = latest_valid_checkpoint(dir).ok()??;
     if manifest_of(&state.model) != manifest_of(model) {
         eprintln!(
             "warning: {} holds the parameters of a different model ({}); ignored",
@@ -988,9 +833,6 @@ fn resume_floor(
         );
         return None;
     }
-    if !probe(&state.optimizer) {
-        state.optimizer.clear();
-    }
     Some(state)
 }
 
@@ -998,7 +840,7 @@ fn resume_floor(
 mod tests {
     use super::*;
 
-    /// The global norm as [`Member::reduce`] publishes and folds it, then
+    /// The global norm as [`Run::guard_stats`] folds it, then
     /// [`clip_to`]. Returns `(pre-clip norm, non-finite)`.
     fn clip_global_norm(grads: &mut [Option<Matrix>], max_norm: f32) -> (f32, bool) {
         let stats = grads.iter().flatten().map(|g| grad_stat(g, true));

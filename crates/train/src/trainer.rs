@@ -1,8 +1,7 @@
 //! Pre-training configuration, run log and entry points. The loop itself
 //! — one step pipeline shared with [`crate::pretrain_ddp`] — lives in
-//! `crate::pipeline`; the serial entry points here are its one-member run,
-//! run inline on the caller's thread against the caller's model and
-//! optimizer.
+//! `crate::pipeline`; the serial entry points here run it with one worker,
+//! on the caller's thread against the caller's model and optimizer.
 
 use apollo_data::LmBatcher;
 use apollo_nn::{LlamaModel, ParamKind};
@@ -102,7 +101,7 @@ pub fn eval_perplexity(model: &LlamaModel, batcher: &LmBatcher, eval_seqs: usize
 }
 
 /// [`eval_perplexity`] in chunks of `chunk` sequences (the chunking shows in
-/// the low bits, so a member evaluating with a slot-sized batcher passes the
+/// the low bits, so a loop evaluating with a slot-sized batcher passes the
 /// caller's batch size).
 pub(crate) fn eval_chunked(
     model: &LlamaModel,
@@ -212,7 +211,6 @@ pub fn pretrain_observed(
     let layout = DdpConfig {
         replicas: 1,
         virtual_slots: 1,
-        threads_per_replica: 1,
     };
     pipeline::run(
         model,

@@ -1,5 +1,5 @@
 //! Data-parallel integration tests: bit-exact replica invariance,
-//! cross-replica-count checkpoint resharding, and a panicking member ending
+//! cross-replica-count checkpoint resharding, and a panicking worker ending
 //! the run instead of hanging it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -244,7 +244,6 @@ fn replicas_beyond_virtual_slots_are_rejected() {
     let ddp = DdpConfig {
         replicas: 3,
         virtual_slots: 2,
-        threads_per_replica: 1,
     };
     pretrain_ddp(
         &mut model,
@@ -274,27 +273,30 @@ impl Optimizer for Panicking {
 
 #[test]
 fn a_panicking_member_ends_the_run_instead_of_hanging_it() {
-    // Parameter 0's optimizer panics in member 0's first step; member 1
-    // then waits at the step's last barrier for a member that will never
-    // come, unless the panic poisons the barrier. The run goes on a thread
-    // of its own so that a hang fails the test instead of stalling it.
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let factory = |i: usize| -> Box<dyn Optimizer> {
-                if i == 0 {
-                    Box::new(Panicking)
-                } else {
-                    adamw_factory(i)
-                }
-            };
-            run(29, 4, 2, &factory, &ResilienceConfig::default())
-        }));
-        tx.send(outcome.is_err()).unwrap();
-    });
-    let panicked = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("pretrain_ddp hung after a member panicked");
-    handle.join().unwrap();
-    assert!(panicked, "pretrain_ddp returned after a member panicked");
+    // One optimizer panics in the first step: parameter 0's, which the
+    // caller's thread steps, then the last parameter's, which the other
+    // worker of two steps. Each run goes on a thread of its own so that a
+    // hang fails the test instead of stalling it.
+    let trainable = setup(29).0.params.iter().filter(|p| p.trainable).count();
+    for panicking in [0, trainable - 1] {
+        let (tx, rx) = mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let factory = move |i: usize| -> Box<dyn Optimizer> {
+                    if i == panicking {
+                        Box::new(Panicking)
+                    } else {
+                        adamw_factory(i)
+                    }
+                };
+                run(29, 4, 2, &factory, &ResilienceConfig::default())
+            }));
+            tx.send(outcome.is_err()).unwrap();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("pretrain_ddp hung after a member panicked");
+        handle.join().unwrap();
+        assert!(panicked, "pretrain_ddp returned after a member panicked");
+    }
 }

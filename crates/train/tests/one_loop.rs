@@ -102,7 +102,6 @@ fn ddp_on(
     let layout = DdpConfig {
         replicas,
         virtual_slots,
-        threads_per_replica: 1,
     };
     let out = pretrain_ddp(
         &mut model,

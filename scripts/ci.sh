@@ -25,6 +25,13 @@ if grep -rnE '[s]cratch::|take_[s]tale|take_[z]eroed|pooled_[c]opy|zeros_[e]xact
     echo "the scratch pool or one of its calls is back"; exit 1
 fi
 
+echo "== no replica team (data-parallel slots and shards are fork-join)"
+# The lock-step team, its poisonable barrier and its per-replica thread knob
+# were deleted; nothing may bring them back. (Bracketed as above.)
+if grep -rnE '[T]eamBarrier|[P]anicGuard|threads_[p]er_replica|threads-[p]er-replica' crates; then
+    echo "the replica team or its thread knob is back"; exit 1
+fi
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
