@@ -793,10 +793,15 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         "infer.prefix.hits",
         "infer.prefix.hit_tokens",
         "infer.prefix.evictions",
+        "infer.prefix.admissions",
         "infer.adapter.load_failed",
     ] {
         eprintln!("  {counter:<24} {}", obs.counter_value(counter));
     }
+    let ghost = obs
+        .metrics()
+        .and_then(|m| m.gauge("infer.prefix.ghost_bytes"));
+    eprintln!("  infer.prefix.ghost_bytes {}", ghost.unwrap_or(0.0));
     obs.flush().map_err(|e| e.to_string())?;
     if report.forced > 0 {
         return Err(format!("{} requests did not drain in time", report.forced));

@@ -671,7 +671,8 @@ fn stats_json(inner: &Arc<Inner>) -> String {
         concat!(
             "{{\"prefix_cache\":{{",
             "\"lookups\":{},\"hits\":{},\"hit_rate\":{:.6},\"hit_tokens\":{},",
-            "\"cached_bytes\":{},\"nodes\":{},\"evictions\":{}}},",
+            "\"cached_bytes\":{},\"ghost_bytes\":{},\"nodes\":{},\"evictions\":{},",
+            "\"admissions\":{}}},",
             "\"adapters\":{{\"registered\":{},\"resident\":{},\"loads\":{},\"evictions\":{}}},",
             "\"kv_used_bytes\":{},\"prefill_tokens\":{},\"decode_tokens\":{},",
             "\"effective_prefill_tok_per_sec\":{:.3},",
@@ -682,8 +683,10 @@ fn stats_json(inner: &Arc<Inner>) -> String {
         s.hit_rate(),
         hit_tokens,
         load(&s.prefix_cached_bytes),
+        load(&s.prefix_ghost_bytes),
         load(&s.prefix_nodes),
         load(&s.prefix_evictions),
+        load(&s.prefix_admissions),
         load(&s.adapters_registered),
         load(&s.adapters_resident),
         load(&s.adapter_loads),

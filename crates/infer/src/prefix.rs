@@ -10,6 +10,18 @@
 //! Exact mode (pinned by `nn/tests/decode_equivalence.rs` and
 //! `infer/tests/prefix_churn.rs`).
 //!
+//! # Admission
+//!
+//! - A token span gets KV only once a second request has shared it. The
+//!   first sighting of a span leaves a *ghost*: a node holding the tokens
+//!   and no block, so nothing is exported for it.
+//! - On insertion, the part of the prompt that matches existing nodes,
+//!   ghost or KV, has been seen twice. Its ghost spans are exported and
+//!   become KV, split at the end of the match where it stops mid-span. The
+//!   unmatched rest becomes one ghost leaf.
+//! - Every KV node's ancestors hold KV. A lookup stops at the first ghost
+//!   and never leases or returns one.
+//!
 //! # Ownership and eviction rules
 //!
 //! - Every node owns its block outright; lookups hand back *copies*
@@ -20,8 +32,9 @@
 //!   the lease at retirement. Eviction only considers nodes with zero
 //!   leases and zero children (childless leaves), so an in-use or interior
 //!   node is never dropped.
-//! - Under a byte budget, insertion evicts least-recently-used unleased
-//!   leaves until the cache fits. A budget of zero disables the cache.
+//! - The byte budget counts KV block bytes plus each ghost's token storage.
+//!   Insertion evicts least-recently-used unleased leaves, KV or ghost,
+//!   until the cache fits. A budget of zero disables the cache.
 //! - Adapters key separate roots: a prefix cached under one adapter is
 //!   never served to another (their KV rows differ).
 
@@ -29,18 +42,33 @@ use std::mem;
 
 use apollo_nn::KvBlock;
 
+/// What a node hangs from: a root child list (an index into
+/// `PrefixCache::roots`) or another node.
+#[derive(Clone, Copy)]
+enum Parent {
+    Root(usize),
+    Node(usize),
+}
+
 /// One radix-tree node: a token span, its KV rows, and its children.
 struct Node {
     /// Tokens this edge covers (≥ 1).
     tokens: Vec<u32>,
-    /// KV rows for exactly those tokens, owned by the node.
-    block: KvBlock,
+    /// KV rows for exactly those tokens, owned by the node; `None` for a
+    /// ghost, a span seen by one request only.
+    block: Option<KvBlock>,
+    parent: Parent,
     /// Child node ids; their spans start with pairwise-distinct tokens.
     children: Vec<usize>,
     /// Outstanding lookup leases (eviction guard, not aliasing).
     leases: usize,
     /// Logical clock of the last lookup/insert touching this node.
     last_use: u64,
+}
+
+/// Budget bytes a ghost of `tokens` tokens costs: its token storage.
+fn ghost_bytes(tokens: usize) -> usize {
+    tokens * mem::size_of::<u32>()
 }
 
 /// An outstanding lease on a matched path. Must be given back via
@@ -62,37 +90,44 @@ pub struct PrefixHit {
 }
 
 /// Token-level radix tree of cached KV prefixes with per-adapter roots,
-/// lease-guarded LRU eviction, and a byte budget.
+/// second-sighting admission, lease-guarded LRU eviction, and a byte
+/// budget.
 pub struct PrefixCache {
     /// Arena; `None` slots are free (ids are recycled via `free`).
     nodes: Vec<Option<Node>>,
     free: Vec<usize>,
     /// Root child lists, one per adapter key (`None` = base model).
     roots: Vec<(Option<u32>, Vec<usize>)>,
+    /// KV block bytes.
     bytes: usize,
+    /// Token bytes of the ghost nodes.
+    ghost_bytes: usize,
     budget: usize,
     clock: u64,
     lookups: u64,
     hits: u64,
     hit_tokens: u64,
     evictions: u64,
+    admissions: u64,
 }
 
 impl PrefixCache {
-    /// A cache evicting down to `budget_bytes` of block storage after each
-    /// insertion. Zero disables caching entirely.
+    /// A cache evicting down to `budget_bytes` (KV blocks plus ghost
+    /// tokens) after each insertion. Zero disables caching entirely.
     pub fn new(budget_bytes: usize) -> Self {
         PrefixCache {
             nodes: Vec::new(),
             free: Vec::new(),
             roots: Vec::new(),
             bytes: 0,
+            ghost_bytes: 0,
             budget: budget_bytes,
             clock: 0,
             lookups: 0,
             hits: 0,
             hit_tokens: 0,
             evictions: 0,
+            admissions: 0,
         }
     }
 
@@ -104,7 +139,8 @@ impl PrefixCache {
     /// Longest cached prefix of `prompt` under `adapter`, capped at
     /// `prompt.len() - 1` so at least one suffix token remains to prefill
     /// (the requester needs the last prompt row's logits to sample from).
-    /// Returns `None` on a miss (zero tokens matched).
+    /// The match ends at the first ghost. Returns `None` on a miss (zero
+    /// tokens matched).
     pub fn lookup(&mut self, adapter: Option<u32>, prompt: &[u32]) -> Option<PrefixHit> {
         if !self.enabled() {
             return None;
@@ -127,6 +163,9 @@ impl PrefixCache {
                 break;
             };
             let node = self.node(child);
+            let Some(block) = &node.block else {
+                break; // a ghost: no KV here or below
+            };
             let lcp = node
                 .tokens
                 .iter()
@@ -136,16 +175,16 @@ impl PrefixCache {
                 .min(max_match - matched);
             debug_assert!(lcp >= 1);
             if lcp == node.tokens.len() {
-                blocks.push(node.block.clone());
+                blocks.push(block.clone());
             } else {
-                blocks.push(node.block.slice(0, lcp));
+                blocks.push(block.slice(0, lcp));
             }
             path.push(child);
             matched += lcp;
-            if lcp < self.node(child).tokens.len() {
+            if lcp < node.tokens.len() {
                 break; // partial edge: nothing below can extend the match
             }
-            children = &self.nodes[child].as_ref().expect("live node").children;
+            children = &node.children;
         }
         if matched == 0 {
             return None;
@@ -175,11 +214,13 @@ impl PrefixCache {
         }
     }
 
-    /// Inserts `tokens`' KV rows under `adapter`, exporting only the rows
-    /// not already cached via `export(lo, hi)` (global token offsets —
-    /// the scheduler maps these straight onto a freshly-prefilled slot's
-    /// cache). Splits partial edges as needed; a fully-covered insertion
-    /// is a no-op. Evicts down to the budget afterwards.
+    /// Records that a request under `adapter` prefilled `tokens`. The part
+    /// that matches existing nodes has now been seen twice: each ghost span
+    /// in it is exported via `export(lo, hi)` (global token offsets — the
+    /// scheduler maps these straight onto a freshly-prefilled slot's cache)
+    /// and becomes KV. The unmatched rest becomes a ghost leaf, with
+    /// nothing exported. Splits partial edges as needed. Evicts down to the
+    /// budget afterwards.
     pub fn insert(
         &mut self,
         adapter: Option<u32>,
@@ -197,36 +238,15 @@ impl PrefixCache {
                 self.roots.len() - 1
             }
         };
-        // Walk down; `parent` of `None` means the root child list.
-        let mut parent: Option<usize> = None;
+        let mut parent = Parent::Root(root);
         let mut pos = 0;
-        loop {
-            let children: &[usize] = match parent {
-                None => &self.roots[root].1,
-                Some(p) => &self.node(p).children,
-            };
-            let next = children
+        while pos < tokens.len() {
+            let next = self
+                .children(parent)
                 .iter()
                 .copied()
                 .find(|&id| self.node(id).tokens[0] == tokens[pos]);
-            let Some(child) = next else {
-                // No edge starts with tokens[pos]: add the whole remainder
-                // as one new leaf.
-                let block = export(pos, tokens.len());
-                self.bytes += block.memory_bytes();
-                let id = self.alloc(Node {
-                    tokens: tokens[pos..].to_vec(),
-                    block,
-                    children: Vec::new(),
-                    leases: 0,
-                    last_use: self.clock,
-                });
-                match parent {
-                    None => self.roots[root].1.push(id),
-                    Some(p) => self.node_mut(p).children.push(id),
-                }
-                break;
-            };
+            let Some(child) = next else { break };
             let span_len = self.node(child).tokens.len();
             let lcp = self
                 .node(child)
@@ -235,34 +255,38 @@ impl PrefixCache {
                 .zip(&tokens[pos..])
                 .take_while(|(a, b)| a == b)
                 .count();
-            self.node_mut(child).last_use = self.clock;
-            if lcp == span_len {
-                pos += lcp;
-                if pos == tokens.len() {
-                    break; // fully covered already
-                }
-                parent = Some(child);
-                continue;
-            }
             // Diverges (or ends) mid-edge: split the edge at `lcp`. The
             // original node keeps the shared head (and its leases — a lease
             // only ever guards a prefix of what it copied); the new child
-            // takes the tail, the block split is an exact row partition.
-            self.split(child, lcp);
-            pos += lcp;
-            if pos < tokens.len() {
-                let block = export(pos, tokens.len());
-                self.bytes += block.memory_bytes();
-                let id = self.alloc(Node {
-                    tokens: tokens[pos..].to_vec(),
-                    block,
-                    children: Vec::new(),
-                    leases: 0,
-                    last_use: self.clock,
-                });
-                self.node_mut(child).children.push(id);
+            // takes the tail.
+            if lcp < span_len {
+                self.split(child, lcp);
             }
-            break;
+            if self.node(child).block.is_none() {
+                let block = export(pos, pos + lcp);
+                self.ghost_bytes -= ghost_bytes(lcp);
+                self.bytes += block.memory_bytes();
+                self.admissions += 1;
+                self.node_mut(child).block = Some(block);
+            }
+            self.node_mut(child).last_use = self.clock;
+            pos += lcp;
+            parent = Parent::Node(child);
+            if lcp < span_len {
+                break; // nothing below the split can extend the match
+            }
+        }
+        if pos < tokens.len() {
+            self.ghost_bytes += ghost_bytes(tokens.len() - pos);
+            let id = self.alloc(Node {
+                tokens: tokens[pos..].to_vec(),
+                block: None,
+                parent,
+                children: Vec::new(),
+                leases: 0,
+                last_use: self.clock,
+            });
+            self.children_mut(parent).push(id);
         }
         self.evict_to_budget();
     }
@@ -270,35 +294,37 @@ impl PrefixCache {
     /// Splits node `id`'s span at `at` (`1 ≤ at < len`): the node keeps
     /// `tokens[..at]` and block rows `0..at`; a new child takes the rest,
     /// inheriting the node's children. Total bytes are unchanged (an exact
-    /// row partition), so no budget accounting is needed.
+    /// row and token partition), so no budget accounting is needed.
     fn split(&mut self, id: usize, at: usize) {
-        let (tail_tokens, tail_block, old_children, last_use) = {
-            let n = self.node_mut(id);
-            debug_assert!(at >= 1 && at < n.tokens.len());
-            let tail_tokens = n.tokens.split_off(at);
-            let tail_block = n.block.slice(at, at + tail_tokens.len());
-            n.block = n.block.slice(0, at);
-            (
-                tail_tokens,
-                tail_block,
-                mem::take(&mut n.children),
-                n.last_use,
-            )
-        };
+        let n = self.node_mut(id);
+        debug_assert!(at >= 1 && at < n.tokens.len());
+        let tokens = n.tokens.split_off(at);
+        let block = n.block.as_mut().map(|b| {
+            let tail = b.slice(at, at + tokens.len());
+            *b = b.slice(0, at);
+            tail
+        });
+        let children = mem::take(&mut n.children);
+        let last_use = n.last_use;
         let tail = self.alloc(Node {
-            tokens: tail_tokens,
-            block: tail_block,
-            children: old_children,
+            tokens,
+            block,
+            parent: Parent::Node(id),
+            children: Vec::new(),
             leases: 0,
             last_use,
         });
+        for &c in &children {
+            self.node_mut(c).parent = Parent::Node(tail);
+        }
+        self.node_mut(tail).children = children;
         self.node_mut(id).children.push(tail);
     }
 
     /// Evicts least-recently-used unleased childless leaves until the
     /// cache fits its budget (or no evictable node remains).
     fn evict_to_budget(&mut self) {
-        while self.bytes > self.budget {
+        while self.bytes + self.ghost_bytes > self.budget {
             let victim = self
                 .nodes
                 .iter()
@@ -309,15 +335,13 @@ impl PrefixCache {
                 .map(|(id, _)| id);
             let Some(id) = victim else { break };
             let node = self.nodes[id].take().expect("victim is live");
-            self.bytes -= node.block.memory_bytes();
+            match &node.block {
+                Some(block) => self.bytes -= block.memory_bytes(),
+                None => self.ghost_bytes -= ghost_bytes(node.tokens.len()),
+            }
             self.free.push(id);
             self.evictions += 1;
-            for (_, roots) in &mut self.roots {
-                roots.retain(|&c| c != id);
-            }
-            for n in self.nodes.iter_mut().flatten() {
-                n.children.retain(|&c| c != id);
-            }
+            self.children_mut(node.parent).retain(|&c| c != id);
         }
     }
 
@@ -342,12 +366,31 @@ impl PrefixCache {
         self.nodes[id].as_mut().expect("live node")
     }
 
-    /// Bytes of cached block storage.
+    fn children(&self, parent: Parent) -> &[usize] {
+        match parent {
+            Parent::Root(r) => &self.roots[r].1,
+            Parent::Node(id) => &self.node(id).children,
+        }
+    }
+
+    fn children_mut(&mut self, parent: Parent) -> &mut Vec<usize> {
+        match parent {
+            Parent::Root(r) => &mut self.roots[r].1,
+            Parent::Node(id) => &mut self.node_mut(id).children,
+        }
+    }
+
+    /// Bytes of cached KV block storage.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Live node count.
+    /// Budget bytes held by ghosts (their token storage).
+    pub fn ghost_bytes(&self) -> usize {
+        self.ghost_bytes
+    }
+
+    /// Live node count, ghosts included.
     pub fn node_count(&self) -> usize {
         self.nodes.iter().flatten().count()
     }
@@ -367,9 +410,14 @@ impl PrefixCache {
         self.hit_tokens
     }
 
-    /// Leaf evictions since construction.
+    /// Leaf evictions (KV or ghost) since construction.
     pub fn eviction_count(&self) -> u64 {
         self.evictions
+    }
+
+    /// Ghost spans given KV on a second sighting since construction.
+    pub fn admission_count(&self) -> u64 {
+        self.admissions
     }
 }
 
@@ -378,6 +426,7 @@ impl std::fmt::Debug for PrefixCache {
         f.debug_struct("PrefixCache")
             .field("nodes", &self.node_count())
             .field("bytes", &self.bytes)
+            .field("ghost_bytes", &self.ghost_bytes)
             .field("budget", &self.budget)
             .field("hits", &self.hits)
             .field("lookups", &self.lookups)
@@ -414,6 +463,25 @@ mod tests {
             self.backend.forward_cached(&mut caches, &rows);
             caches.export_rows(0, lo, hi)
         }
+
+        /// Decoding `prompt`'s next row on top of `hit`'s blocks gives the
+        /// logits of a cold prefill, bit for bit.
+        fn assert_serves_cold_bits(&self, prompt: &[u32], hit: &PrefixHit) {
+            let fresh = self.block(prompt, 0, hit.matched);
+            let mut caches = self.backend.new_caches(2, 16);
+            for block in &hit.blocks {
+                caches.append_block(0, block);
+            }
+            caches.append_block(1, &fresh);
+            let next = prompt[hit.matched];
+            let h = self
+                .backend
+                .forward_cached(&mut caches, &[(0, next), (1, next)]);
+            let logits = self.backend.lm_logits(&h);
+            for (x, y) in logits.row(0).iter().zip(logits.row(1)) {
+                assert!(x.to_bits() == y.to_bits(), "stale KV served");
+            }
+        }
     }
 
     #[test]
@@ -422,6 +490,7 @@ mod tests {
         let mut pc = PrefixCache::new(1 << 20);
         let prompt = [1u32, 2, 3, 4, 5];
         assert!(pc.lookup(None, &prompt).is_none());
+        pc.insert(None, &prompt, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &prompt, |lo, hi| rig.block(&prompt, lo, hi));
         assert_eq!(pc.node_count(), 1);
         // Same prompt again: match caps at len-1, leaving one suffix token.
@@ -445,6 +514,8 @@ mod tests {
         let mut pc = PrefixCache::new(1 << 20);
         let a = [1u32, 2, 3, 4, 5];
         let b = [1u32, 2, 9, 9, 9];
+        pc.insert(None, &a, |_, _| panic!("first sighting: no export"));
+        pc.insert(None, &b, |lo, hi| rig.block(&b, lo, hi));
         pc.insert(None, &a, |lo, hi| rig.block(&a, lo, hi));
         pc.insert(None, &b, |lo, hi| rig.block(&b, lo, hi));
         // Shared head [1,2] + two tails.
@@ -467,6 +538,7 @@ mod tests {
         let rig = Rig::new();
         let mut pc = PrefixCache::new(1 << 20);
         let prompt = [1u32, 2, 3, 4];
+        pc.insert(Some(0), &prompt, |_, _| panic!("first sighting: no export"));
         pc.insert(Some(0), &prompt, |lo, hi| rig.block(&prompt, lo, hi));
         assert!(pc.lookup(Some(1), &prompt).is_none());
         assert!(pc.lookup(None, &prompt).is_none());
@@ -481,14 +553,17 @@ mod tests {
         let one = rig.block(&a, 0, 8).memory_bytes();
         // Room for ~2 full prompts' rows.
         let mut pc = PrefixCache::new(2 * one + 1);
+        pc.insert(None, &a, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &a, |lo, hi| rig.block(&a, lo, hi));
         let b = [11u32, 12, 13, 14, 15, 16, 17, 18];
+        pc.insert(None, &b, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &b, |lo, hi| rig.block(&b, lo, hi));
         assert_eq!(pc.eviction_count(), 0);
         // Hold a lease on `a`'s path; inserting a third prompt must evict
         // `b` (LRU, unleased), never `a`.
         let hit = pc.lookup(None, &a).expect("hit");
         let c = [21u32, 22, 23, 24, 25, 26, 27, 28];
+        pc.insert(None, &c, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &c, |lo, hi| rig.block(&c, lo, hi));
         assert!(pc.eviction_count() >= 1);
         assert!(pc.lookup(None, &b).is_none(), "b evicted");
@@ -517,24 +592,145 @@ mod tests {
         let a = [1u32, 2, 3, 4];
         let one = rig.block(&a, 0, 4).memory_bytes();
         let mut pc = PrefixCache::new(one); // room for exactly one prompt
+        pc.insert(None, &a, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &a, |lo, hi| rig.block(&a, lo, hi));
         let b = [5u32, 6, 7, 8];
+        pc.insert(None, &b, |_, _| panic!("first sighting: no export"));
         pc.insert(None, &b, |lo, hi| rig.block(&b, lo, hi));
         assert!(pc.lookup(None, &a).is_none(), "a evicted");
         let hit = pc.lookup(None, &b).expect("b cached");
         assert_eq!(hit.matched, 3);
         // The cached rows must be b's genuine KV rows, bit for bit.
-        let fresh = rig.block(&b, 0, 3);
-        let mut caches = rig.backend.new_caches(2, 16);
-        caches.append_block(0, &hit.blocks[0]);
-        caches.append_block(1, &fresh);
-        let h = rig
-            .backend
-            .forward_cached(&mut caches, &[(0, b[3]), (1, b[3])]);
-        let logits = rig.backend.lm_logits(&h);
-        for (x, y) in logits.row(0).iter().zip(logits.row(1)) {
-            assert!(x.to_bits() == y.to_bits(), "stale KV served");
-        }
+        rig.assert_serves_cold_bits(&b, &hit);
         pc.release(hit.lease);
+    }
+
+    /// Walks the tree: parent and child links agree, every KV node's
+    /// ancestors hold KV, and the byte counters equal what the nodes hold.
+    fn check_tree(pc: &PrefixCache) {
+        let (mut kv, mut ghost) = (0, 0);
+        for (id, n) in pc.nodes.iter().enumerate() {
+            let Some(n) = n else { continue };
+            assert!(pc.children(n.parent).contains(&id), "parent link");
+            for &c in &n.children {
+                assert!(matches!(pc.node(c).parent, Parent::Node(p) if p == id));
+            }
+            match &n.block {
+                Some(b) => {
+                    assert_eq!(b.rows(), n.tokens.len());
+                    kv += b.memory_bytes();
+                    let mut up = n.parent;
+                    while let Parent::Node(p) = up {
+                        assert!(pc.node(p).block.is_some(), "KV node under a ghost");
+                        up = pc.node(p).parent;
+                    }
+                }
+                None => ghost += ghost_bytes(n.tokens.len()),
+            }
+        }
+        assert_eq!((pc.bytes(), pc.ghost_bytes()), (kv, ghost));
+    }
+
+    #[test]
+    fn one_sighting_exports_nothing_and_misses() {
+        let mut pc = PrefixCache::new(1 << 20);
+        let prompt = [1u32, 2, 3, 4, 5];
+        pc.insert(None, &prompt, |_, _| panic!("first sighting: no export"));
+        assert!(pc.lookup(None, &prompt).is_none(), "a ghost never hits");
+        assert!(pc.lookup(None, &[1, 2, 3, 9]).is_none());
+        assert_eq!(pc.bytes(), 0);
+        assert_eq!(pc.ghost_bytes(), 5 * 4);
+        assert_eq!(pc.admission_count(), 0);
+        check_tree(&pc);
+    }
+
+    #[test]
+    fn second_sighting_exports_the_shared_rows_and_a_third_hits_them() {
+        let rig = Rig::new();
+        let mut pc = PrefixCache::new(1 << 20);
+        let a = [1u32, 2, 3, 4, 5, 6];
+        let b = [1u32, 2, 3, 9, 9, 9];
+        pc.insert(None, &a, |_, _| panic!("first sighting: no export"));
+        let mut exported = Vec::new();
+        pc.insert(None, &b, |lo, hi| {
+            exported.push((lo, hi));
+            rig.block(&b, lo, hi)
+        });
+        assert_eq!(exported, [(0, 3)], "only the shared head is exported");
+        assert_eq!(pc.admission_count(), 1);
+        assert_eq!(pc.bytes(), rig.block(&b, 0, 3).memory_bytes());
+        assert_eq!(pc.ghost_bytes(), (3 + 3) * 4, "both tails stay ghosts");
+        check_tree(&pc);
+        let c = [1u32, 2, 3, 7];
+        let hit = pc.lookup(None, &c).expect("the shared head hits");
+        assert_eq!(hit.matched, 3);
+        rig.assert_serves_cold_bits(&c, &hit);
+        pc.release(hit.lease);
+        // The lookup stopped at the ghost tails: `a` matches the head only.
+        let hit = pc.lookup(None, &a).expect("hit");
+        assert_eq!(hit.matched, 3);
+        pc.release(hit.lease);
+    }
+
+    #[test]
+    fn ghost_bytes_count_toward_the_budget_and_are_evicted_lru() {
+        let rig = Rig::new();
+        let prompts: Vec<[u32; 8]> = (0..4u32).map(|p| [10 * p + 1; 8]).collect();
+        let mut pc = PrefixCache::new(3 * 8 * 4); // three 8-token ghosts
+        for p in &prompts[..3] {
+            pc.insert(None, p, |_, _| panic!("first sighting: no export"));
+        }
+        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (96, 0));
+        pc.insert(None, &prompts[3], |_, _| {
+            panic!("first sighting: no export")
+        });
+        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (96, 1));
+        assert_eq!(pc.node_count(), 3);
+        check_tree(&pc);
+        // The oldest ghost went: seeing prompt 0 again is a first sighting.
+        pc.insert(None, &prompts[0], |_, _| panic!("evicted: no export"));
+        assert_eq!(pc.eviction_count(), 2);
+        // Prompt 2 is still a ghost: its second sighting exports it.
+        let mut exported = Vec::new();
+        pc.insert(None, &prompts[2], |lo, hi| {
+            exported.push((lo, hi));
+            rig.block(&prompts[2], lo, hi)
+        });
+        assert_eq!(exported, [(0, 8)]);
+        check_tree(&pc);
+    }
+
+    #[test]
+    fn every_kv_node_has_kv_ancestors_under_churn() {
+        let rig = Rig::new();
+        let one = rig.block(&[1, 2, 3, 4, 5, 6], 0, 6).memory_bytes();
+        let mut pc = PrefixCache::new(4 * one);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % n
+        };
+        let mut held = Vec::new();
+        for _ in 0..120 {
+            // A three-letter alphabet makes shared heads and splits common.
+            let len = 2 + draw(7) as usize;
+            let prompt: Vec<u32> = (0..len).map(|_| 1 + draw(3) as u32).collect();
+            if let Some(hit) = pc.lookup(None, &prompt) {
+                held.push(hit.lease);
+            }
+            pc.insert(None, &prompt, |lo, hi| rig.block(&prompt, lo, hi));
+            check_tree(&pc);
+            if draw(2) == 0 {
+                if let Some(lease) = held.pop() {
+                    pc.release(lease);
+                }
+            }
+        }
+        assert!(pc.admission_count() > 0 && pc.eviction_count() > 0);
+        for lease in held {
+            pc.release(lease);
+        }
     }
 }

@@ -468,6 +468,7 @@ impl Scheduler {
             // extend their slots (cache rows `0..prompt.len()` are exactly
             // the prompt's KV at this point).
             let evictions_before = self.prefix.eviction_count();
+            let admissions_before = self.prefix.admission_count();
             for &slot in &completed {
                 let act = self.slots[slot].as_ref().expect("completing slot");
                 let key = act.adapter.as_ref().map(|(aid, _)| *aid);
@@ -478,6 +479,10 @@ impl Scheduler {
             let evicted = self.prefix.eviction_count() - evictions_before;
             if evicted > 0 {
                 self.obs.counter("infer.prefix.evictions", evicted);
+            }
+            let admitted = self.prefix.admission_count() - admissions_before;
+            if admitted > 0 {
+                self.obs.counter("infer.prefix.admissions", admitted);
             }
             let rows: Vec<usize> = sampled.iter().map(|&(_, r)| r).collect();
             let picked = hidden.gather_rows(&rows);
@@ -534,12 +539,16 @@ impl Scheduler {
         ServeStats::set(&s.prefix_cached_bytes, self.prefix.bytes() as u64);
         ServeStats::set(&s.prefix_nodes, self.prefix.node_count() as u64);
         ServeStats::set(&s.prefix_evictions, self.prefix.eviction_count());
+        ServeStats::set(&s.prefix_ghost_bytes, self.prefix.ghost_bytes() as u64);
+        ServeStats::set(&s.prefix_admissions, self.prefix.admission_count());
         ServeStats::set(&s.adapters_registered, self.registry.len() as u64);
         ServeStats::set(&s.adapters_resident, self.registry.resident_count() as u64);
         ServeStats::set(&s.adapter_loads, self.registry.load_count());
         ServeStats::set(&s.adapter_evictions, self.registry.eviction_count());
         self.obs
             .gauge("infer.prefix.cached_bytes", self.prefix.bytes() as f64);
+        self.obs
+            .gauge("infer.prefix.ghost_bytes", self.prefix.ghost_bytes() as f64);
         if self.prefix.enabled() && self.prefix.lookup_count() != self.prefix_traced_at {
             self.prefix_traced_at = self.prefix.lookup_count();
             let (step, lookups, hits) = (

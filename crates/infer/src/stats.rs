@@ -22,8 +22,13 @@ pub struct ServeStats {
     pub prefix_cached_bytes: AtomicU64,
     /// Live radix-tree nodes (gauge).
     pub prefix_nodes: AtomicU64,
-    /// Prefix-cache leaf evictions.
+    /// Prefix-cache leaf evictions, KV or ghost.
     pub prefix_evictions: AtomicU64,
+    /// Budget bytes held by prefix-cache ghosts, spans seen once whose KV
+    /// was not kept (gauge).
+    pub prefix_ghost_bytes: AtomicU64,
+    /// Prefix-cache spans given KV on their second sighting.
+    pub prefix_admissions: AtomicU64,
     /// Prompt tokens actually prefilled (cold rows).
     pub prefill_tokens: AtomicU64,
     /// Microseconds spent in prefill forward passes. With

@@ -567,9 +567,13 @@ fn stats_endpoint_reports_prefix_cache_and_adapters() {
     let frontend = start_multi_frontend(sched);
     let addr = frontend.local_addr().to_string();
 
-    // Two prefix-sharing requests under one tenant: a miss, then a hit.
+    // Three prefix-sharing requests under one tenant: a first sighting
+    // (the prefix is remembered, its KV is not kept), a miss that gives
+    // the prefix KV, then a hit.
+    let first = "{\"prompt\":[7,7,7,7,7,7,7,7,3],\"max_new_tokens\":2,\"adapter\":\"alpha\"}";
     let shared = "{\"prompt\":[7,7,7,7,7,7,7,7,1],\"max_new_tokens\":2,\"adapter\":\"alpha\"}";
     let shared2 = "{\"prompt\":[7,7,7,7,7,7,7,7,2],\"max_new_tokens\":2,\"adapter\":\"alpha\"}";
+    assert_eq!(post_generate(&addr, first).status, 200);
     assert_eq!(post_generate(&addr, shared).status, 200);
     assert_eq!(post_generate(&addr, shared2).status, 200);
     wait_in_flight_zero(&frontend, Duration::from_secs(5));
@@ -591,6 +595,8 @@ fn stats_endpoint_reports_prefix_cache_and_adapters() {
     assert!(num(cache, "hits") >= 1, "shared prefix must hit");
     assert!(num(cache, "hit_tokens") >= 8);
     assert!(num(cache, "cached_bytes") > 0);
+    assert_eq!(num(cache, "admissions"), 1, "the shared prefix, once");
+    assert_eq!(num(cache, "ghost_bytes"), 3 * 4, "three one-token tails");
     let adapters = stats.get_field("adapters").expect("adapters object");
     assert_eq!(num(adapters, "registered"), 2);
     assert_eq!(num(adapters, "resident"), 2);

@@ -208,9 +208,10 @@ proptest! {
 #[test]
 fn shared_prefix_hits_are_byte_identical_and_counted() {
     // Two requests per adapter key (3 adapters + base), all sharing one
-    // 12-token system prefix. With 2 slots the first wave inserts each
-    // key's prefix before the second wave admits, so the second wave must
-    // hit — and still match cold serving bit for bit.
+    // 12-token system prefix, after one earlier sighting of it per key.
+    // With 2 slots the first wave inserts each key's prefix before the
+    // second wave admits, so the second wave must hit — and still match
+    // cold serving bit for bit.
     let (model, _, _) = stack();
     let vocab = model.config().vocab_size;
     let mut rng = Rng::seed_from_u64(0x51A2);
@@ -238,6 +239,25 @@ fn shared_prefix_hits_are_byte_identical_and_counted() {
 
     let mut sched = multi_scheduler(sched_cfg(1 << 20, 2, kv));
     let stats = sched.stats();
+    // The first sighting: the prefix is remembered, its KV is not kept.
+    for adapter in keys {
+        let mut prompt = prefix.clone();
+        prompt.push(rng.below(vocab) as u32);
+        let cfg = GenConfig {
+            max_new_tokens: 1,
+            ..GenConfig::default()
+        };
+        let deadline = None;
+        sched
+            .submit(GenRequest {
+                prompt,
+                cfg,
+                deadline,
+                adapter,
+            })
+            .expect("submit fits");
+    }
+    sched.run_to_completion();
     let ids: Vec<u64> = reqs
         .iter()
         .map(|r| sched.submit(r.clone()).expect("submit fits"))
@@ -335,6 +355,10 @@ fn cache_full_retirement_matches_cold_and_prefix_still_serves() {
 
     let mut sched = multi_scheduler(sched_cfg(1 << 20, 2, kv));
     let stats = sched.stats();
+    // The first sighting of the prompt, so that the overflowing request's
+    // insertion keeps its KV.
+    sched.submit(follow.clone()).expect("submit fits");
+    sched.run_to_completion();
     let id0 = sched.submit(overflow).expect("submit fits");
     let res = sched.run_to_completion();
     assert_matches_cold(&res, &[id0], &cold, "cache-full");
@@ -396,7 +420,8 @@ fn cancel_mid_stream_leaves_cache_and_neighbors_intact() {
 #[test]
 fn stats_report_churn_evictions_and_kv_usage() {
     // Under a one-prompt budget, alternating disjoint prompts must evict
-    // and the shared stats must say so.
+    // and the shared stats must say so. Each prompt is sent twice: only a
+    // second sighting gives it KV.
     let (model, _, row_bytes) = stack();
     let row_bytes = *row_bytes;
     let vocab = model.config().vocab_size;
@@ -406,22 +431,24 @@ fn stats_report_churn_evictions_and_kv_usage() {
     let stats = sched.stats();
     for i in 0..6u64 {
         let prompt: Vec<u32> = (0..9).map(|_| rng.below(vocab) as u32).collect();
-        sched
-            .submit(GenRequest {
-                prompt,
-                cfg: GenConfig {
-                    max_new_tokens: 2,
-                    temperature: 0.0,
-                    seed: i,
-                    ..GenConfig::default()
-                },
-                deadline: None,
-                adapter: None,
-            })
-            .expect("submit fits");
-        sched.run_to_completion();
+        for _ in 0..2 {
+            sched
+                .submit(GenRequest {
+                    prompt: prompt.clone(),
+                    cfg: GenConfig {
+                        max_new_tokens: 2,
+                        temperature: 0.0,
+                        seed: i,
+                        ..GenConfig::default()
+                    },
+                    deadline: None,
+                    adapter: None,
+                })
+                .expect("submit fits");
+            sched.run_to_completion();
+        }
     }
-    assert_eq!(stats.prefix_lookups.load(Ordering::Relaxed), 6);
+    assert_eq!(stats.prefix_lookups.load(Ordering::Relaxed), 2 * 6);
     assert!(
         stats.prefix_evictions.load(Ordering::Relaxed) >= 1,
         "disjoint prompts past the budget must evict"

@@ -83,26 +83,24 @@ impl DdpConfig {
 // Deterministic partitions and reductions.
 
 /// Runs `work` on every item: the first on the caller's thread, each other
-/// on a scoped thread of its own at one kernel thread. Returns the results
-/// in item order; one item spawns nothing. A worker's panic is re-raised
-/// here once every worker has stopped.
+/// on a scoped thread of its own. With more than one item every worker,
+/// the caller's item included, runs at one kernel thread; one item spawns
+/// nothing and pins nothing. Returns the results in item order. A worker's
+/// panic is re-raised here once every worker has stopped.
 pub(crate) fn fork_join<I: Send, T: Send>(items: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
     let mut items = items.into_iter();
     let first = items.next().expect("fork_join needs an item");
     if items.len() == 0 {
         return vec![work(first)];
     }
-    let work = &work;
+    let pinned = |item| {
+        let _one_thread = ThreadOverrideGuard::new(1);
+        work(item)
+    };
+    let pinned = &pinned;
     std::thread::scope(|s| {
-        let spawned: Vec<_> = items
-            .map(|item| {
-                s.spawn(move || {
-                    let _one_thread = ThreadOverrideGuard::new(1);
-                    work(item)
-                })
-            })
-            .collect();
-        let mut out = vec![work(first)];
+        let spawned: Vec<_> = items.map(|item| s.spawn(move || pinned(item))).collect();
+        let mut out = vec![pinned(first)];
         let joined = spawned.into_iter().map(|h| h.join());
         out.extend(joined.map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e))));
         out

@@ -32,7 +32,7 @@ use apollo_nn::{LlamaModel, ParamKind};
 use apollo_obs::{Obs, Phase, PhaseSample, TraceEvent};
 use apollo_optim::Optimizer;
 use apollo_quant::QuantizedMatrix;
-use apollo_tensor::{Matrix, Rng, ThreadOverrideGuard};
+use apollo_tensor::{Matrix, Rng};
 
 use crate::checkpoint::{
     checkpoint_file_name, latest_valid_checkpoint, manifest_of, prune_checkpoints,
@@ -697,11 +697,11 @@ pub(crate) fn run(
     let trainable = |i: &usize| model.params[*i].trainable;
     let opt_params: Vec<usize> = (0..model.params.len()).filter(trainable).collect();
     // Replica events and `ddp.*` metrics belong to the data-parallel entry
-    // point, and so does its one kernel thread per worker.
-    let (optim, ddp_obs, one_thread) = match source {
+    // point.
+    let (optim, ddp_obs) = match source {
         OptSource::Whole(opt) => {
             opt.attach_observer(obs.clone());
-            (Optim::Whole(opt), Obs::disabled(), None)
+            (Optim::Whole(opt), Obs::disabled())
         }
         OptSource::PerParam(make) => {
             let mut opts: Vec<_> = (0..opt_params.len()).map(make).collect();
@@ -713,8 +713,7 @@ pub(crate) fn run(
                 .map(|&mi| model.params[mi].value.len())
                 .collect();
             let shards = shard_ranges(&elems, layout.replicas);
-            let pin = ThreadOverrideGuard::new(1);
-            (Optim::PerParam { opts, shards }, obs.clone(), Some(pin))
+            (Optim::PerParam { opts, shards }, obs.clone())
         }
     };
     let (optimizer, run_label) = match &optim {
@@ -794,7 +793,6 @@ pub(crate) fn run(
     run.train();
     run.finish();
     let end_step = run.step;
-    drop(one_thread);
     ddp_obs.counter("ddp.steps", (end_step - start_step.min(end_step)) as u64);
     replica_events("finish", end_step);
 

@@ -314,12 +314,33 @@ done
 # GET /stats over a raw socket: the counters must be live mid-run.
 MT_HOST="$(cut -d: -f1 "$TRACE_TMP/mt.addr")"
 MT_PORT="$(cut -d: -f2 "$TRACE_TMP/mt.addr")"
-exec 3<>"/dev/tcp/$MT_HOST/$MT_PORT"
-printf 'GET /stats HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n' "$MT_HOST" >&3
-cat <&3 >"$TRACE_TMP/mt_stats.txt"
-exec 3<&- 3>&-
+mt_stats() {
+    exec 3<>"/dev/tcp/$MT_HOST/$MT_PORT"
+    printf 'GET /stats HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n' "$MT_HOST" >&3
+    cat <&3 >"$1"
+    exec 3<&- 3>&-
+}
+mt_stats "$TRACE_TMP/mt_stats.txt"
 grep -q '"prefix_cache"' "$TRACE_TMP/mt_stats.txt"
 grep -q '"adapters"' "$TRACE_TMP/mt_stats.txt"
+# One-off prompts must not buy KV: the prefix cache keeps a span's KV only
+# once a second request has shared it, so 20 prompts that share nothing
+# leave `cached_bytes` where the shared-prefix traffic put it. The run seed
+# differs from the first loadgen's: the same seed would re-send its
+# unprefixed prompts verbatim, and a repeat is what the cache should keep.
+cached_bytes() { grep -o '"cached_bytes":[0-9]*' "$1" | cut -d: -f2; }
+MT_CACHED="$(cached_bytes "$TRACE_TMP/mt_stats.txt")"
+./target/release/apollo loadgen --addr "$(cat "$TRACE_TMP/mt.addr")" \
+    --requests 20 --seed 1 --prefix-reuse 0 --prompt-len 56 --max-new-tokens 8 \
+    --adapters 3 --expect-clean
+mt_stats "$TRACE_TMP/mt_stats_oneoff.txt"
+MT_CACHED_AFTER="$(cached_bytes "$TRACE_TMP/mt_stats_oneoff.txt")"
+[ -n "$MT_CACHED" ] && [ -n "$MT_CACHED_AFTER" ] \
+    && [ $((2 * MT_CACHED_AFTER)) -lt $((3 * MT_CACHED)) ] || {
+    echo "one-off prompts grew the prefix cache from $MT_CACHED to $MT_CACHED_AFTER bytes"
+    kill "$MT_PID"
+    exit 1
+}
 touch "$TRACE_TMP/mt.stop"
 wait "$MT_PID"
 fail_on_panics "$TRACE_TMP/mt_serve.log"
