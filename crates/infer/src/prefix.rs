@@ -32,12 +32,20 @@
 //!   the lease at retirement. Eviction only considers nodes with zero
 //!   leases and zero children (childless leaves), so an in-use or interior
 //!   node is never dropped.
-//! - The byte budget counts KV block bytes plus each ghost's token storage.
-//!   Insertion evicts least-recently-used unleased leaves, KV or ghost,
-//!   until the cache fits. A budget of zero disables the cache.
+//! - The byte budget counts KV block bytes plus each ghost's whole
+//!   footprint: its token storage, its arena slot, its LRU entry and its
+//!   entry in its parent's child list. A KV node's slot is not charged: its
+//!   block holds at least one KV row, which dwarfs it. Insertion evicts
+//!   least-recently-used unleased leaves, KV or ghost, until the cache
+//!   fits. A budget of zero disables the cache.
+//! - Every node sits in an LRU index keyed by its last use, and knows its
+//!   parent. A node is touched whenever a descendant is, so the oldest
+//!   unleased leaf is found near the front of the index, and a victim is
+//!   detached from its parent's one child list.
 //! - Adapters key separate roots: a prefix cached under one adapter is
 //!   never served to another (their KV rows differ).
 
+use std::collections::BTreeSet;
 use std::mem;
 
 use apollo_nn::KvBlock;
@@ -66,9 +74,15 @@ struct Node {
     last_use: u64,
 }
 
-/// Budget bytes a ghost of `tokens` tokens costs: its token storage.
+/// Bytes a node costs besides its KV rows or tokens: its arena slot, its
+/// LRU index entry and its entry in its parent's child list.
+const NODE_BYTES: usize =
+    mem::size_of::<Option<Node>>() + mem::size_of::<(u64, usize)>() + mem::size_of::<usize>();
+
+/// Budget bytes a ghost of `tokens` tokens costs: its token storage plus
+/// [`NODE_BYTES`].
 fn ghost_bytes(tokens: usize) -> usize {
-    tokens * mem::size_of::<u32>()
+    NODE_BYTES + tokens * mem::size_of::<u32>()
 }
 
 /// An outstanding lease on a matched path. Must be given back via
@@ -96,11 +110,15 @@ pub struct PrefixCache {
     /// Arena; `None` slots are free (ids are recycled via `free`).
     nodes: Vec<Option<Node>>,
     free: Vec<usize>,
+    /// Live nodes.
+    live: usize,
+    /// Every live node as `(last_use, id)`, oldest first.
+    lru: BTreeSet<(u64, usize)>,
     /// Root child lists, one per adapter key (`None` = base model).
     roots: Vec<(Option<u32>, Vec<usize>)>,
     /// KV block bytes.
     bytes: usize,
-    /// Token bytes of the ghost nodes.
+    /// Budget bytes of the ghost nodes (see [`ghost_bytes`]).
     ghost_bytes: usize,
     budget: usize,
     clock: u64,
@@ -112,12 +130,14 @@ pub struct PrefixCache {
 }
 
 impl PrefixCache {
-    /// A cache evicting down to `budget_bytes` (KV blocks plus ghost
-    /// tokens) after each insertion. Zero disables caching entirely.
+    /// A cache evicting down to `budget_bytes` (KV blocks plus ghosts)
+    /// after each insertion. Zero disables caching entirely.
     pub fn new(budget_bytes: usize) -> Self {
         PrefixCache {
             nodes: Vec::new(),
             free: Vec::new(),
+            live: 0,
+            lru: BTreeSet::new(),
             roots: Vec::new(),
             bytes: 0,
             ghost_bytes: 0,
@@ -193,9 +213,8 @@ impl PrefixCache {
         self.hit_tokens += matched as u64;
         let now = self.clock;
         for &id in &path {
-            let n = self.node_mut(id);
-            n.leases += 1;
-            n.last_use = now;
+            self.node_mut(id).leases += 1;
+            self.touch(id, now);
         }
         Some(PrefixHit {
             blocks,
@@ -269,7 +288,7 @@ impl PrefixCache {
                 self.admissions += 1;
                 self.node_mut(child).block = Some(block);
             }
-            self.node_mut(child).last_use = self.clock;
+            self.touch(child, self.clock);
             pos += lcp;
             parent = Parent::Node(child);
             if lcp < span_len {
@@ -293,8 +312,8 @@ impl PrefixCache {
 
     /// Splits node `id`'s span at `at` (`1 ≤ at < len`): the node keeps
     /// `tokens[..at]` and block rows `0..at`; a new child takes the rest,
-    /// inheriting the node's children. Total bytes are unchanged (an exact
-    /// row and token partition), so no budget accounting is needed.
+    /// inheriting the node's children. KV rows and tokens are partitioned
+    /// exactly; a ghost's split charges the new ghost's [`NODE_BYTES`].
     fn split(&mut self, id: usize, at: usize) {
         let n = self.node_mut(id);
         debug_assert!(at >= 1 && at < n.tokens.len());
@@ -306,6 +325,9 @@ impl PrefixCache {
         });
         let children = mem::take(&mut n.children);
         let last_use = n.last_use;
+        if block.is_none() {
+            self.ghost_bytes += NODE_BYTES;
+        }
         let tail = self.alloc(Node {
             tokens,
             block,
@@ -322,19 +344,19 @@ impl PrefixCache {
     }
 
     /// Evicts least-recently-used unleased childless leaves until the
-    /// cache fits its budget (or no evictable node remains).
+    /// cache fits its budget (or no evictable node remains). A node is
+    /// touched whenever a descendant is, so the walk from the oldest end of
+    /// the index passes over leased paths only.
     fn evict_to_budget(&mut self) {
         while self.bytes + self.ghost_bytes > self.budget {
-            let victim = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter_map(|(id, n)| n.as_ref().map(|n| (id, n)))
-                .filter(|(_, n)| n.children.is_empty() && n.leases == 0)
-                .min_by_key(|(_, n)| n.last_use)
-                .map(|(id, _)| id);
-            let Some(id) = victim else { break };
+            let victim = self.lru.iter().copied().find(|&(_, id)| {
+                let n = self.node(id);
+                n.children.is_empty() && n.leases == 0
+            });
+            let Some((last_use, id)) = victim else { break };
+            self.lru.remove(&(last_use, id));
             let node = self.nodes[id].take().expect("victim is live");
+            self.live -= 1;
             match &node.block {
                 Some(block) => self.bytes -= block.memory_bytes(),
                 None => self.ghost_bytes -= ghost_bytes(node.tokens.len()),
@@ -345,8 +367,17 @@ impl PrefixCache {
         }
     }
 
+    /// Moves node `id` to `now` in the LRU index.
+    fn touch(&mut self, id: usize, now: u64) {
+        let was = mem::replace(&mut self.node_mut(id).last_use, now);
+        self.lru.remove(&(was, id));
+        self.lru.insert((now, id));
+    }
+
     fn alloc(&mut self, node: Node) -> usize {
-        match self.free.pop() {
+        self.live += 1;
+        let last_use = node.last_use;
+        let id = match self.free.pop() {
             Some(id) => {
                 self.nodes[id] = Some(node);
                 id
@@ -355,7 +386,9 @@ impl PrefixCache {
                 self.nodes.push(Some(node));
                 self.nodes.len() - 1
             }
-        }
+        };
+        self.lru.insert((last_use, id));
+        id
     }
 
     fn node(&self, id: usize) -> &Node {
@@ -385,14 +418,14 @@ impl PrefixCache {
         self.bytes
     }
 
-    /// Budget bytes held by ghosts (their token storage).
+    /// Budget bytes held by ghosts: their tokens and node storage.
     pub fn ghost_bytes(&self) -> usize {
         self.ghost_bytes
     }
 
     /// Live node count, ghosts included.
     pub fn node_count(&self) -> usize {
-        self.nodes.iter().flatten().count()
+        self.live
     }
 
     /// Lookups since construction.
@@ -606,14 +639,19 @@ mod tests {
     }
 
     /// Walks the tree: parent and child links agree, every KV node's
-    /// ancestors hold KV, and the byte counters equal what the nodes hold.
+    /// ancestors hold KV and were used no earlier than it, the LRU index
+    /// holds exactly the live nodes, and the counters equal what the nodes
+    /// hold.
     fn check_tree(pc: &PrefixCache) {
-        let (mut kv, mut ghost) = (0, 0);
+        let (mut kv, mut ghost, mut live) = (0, 0, 0);
         for (id, n) in pc.nodes.iter().enumerate() {
             let Some(n) = n else { continue };
+            live += 1;
+            assert!(pc.lru.contains(&(n.last_use, id)), "LRU entry");
             assert!(pc.children(n.parent).contains(&id), "parent link");
             for &c in &n.children {
                 assert!(matches!(pc.node(c).parent, Parent::Node(p) if p == id));
+                assert!(pc.node(c).last_use <= n.last_use, "child used later");
             }
             match &n.block {
                 Some(b) => {
@@ -629,6 +667,7 @@ mod tests {
             }
         }
         assert_eq!((pc.bytes(), pc.ghost_bytes()), (kv, ghost));
+        assert_eq!((pc.node_count(), pc.lru.len()), (live, live));
     }
 
     #[test]
@@ -639,7 +678,7 @@ mod tests {
         assert!(pc.lookup(None, &prompt).is_none(), "a ghost never hits");
         assert!(pc.lookup(None, &[1, 2, 3, 9]).is_none());
         assert_eq!(pc.bytes(), 0);
-        assert_eq!(pc.ghost_bytes(), 5 * 4);
+        assert_eq!(pc.ghost_bytes(), ghost_bytes(5));
         assert_eq!(pc.admission_count(), 0);
         check_tree(&pc);
     }
@@ -659,7 +698,11 @@ mod tests {
         assert_eq!(exported, [(0, 3)], "only the shared head is exported");
         assert_eq!(pc.admission_count(), 1);
         assert_eq!(pc.bytes(), rig.block(&b, 0, 3).memory_bytes());
-        assert_eq!(pc.ghost_bytes(), (3 + 3) * 4, "both tails stay ghosts");
+        assert_eq!(
+            pc.ghost_bytes(),
+            2 * ghost_bytes(3),
+            "both tails stay ghosts"
+        );
         check_tree(&pc);
         let c = [1u32, 2, 3, 7];
         let hit = pc.lookup(None, &c).expect("the shared head hits");
@@ -676,15 +719,16 @@ mod tests {
     fn ghost_bytes_count_toward_the_budget_and_are_evicted_lru() {
         let rig = Rig::new();
         let prompts: Vec<[u32; 8]> = (0..4u32).map(|p| [10 * p + 1; 8]).collect();
-        let mut pc = PrefixCache::new(3 * 8 * 4); // three 8-token ghosts
+        let three = 3 * ghost_bytes(8);
+        let mut pc = PrefixCache::new(three);
         for p in &prompts[..3] {
             pc.insert(None, p, |_, _| panic!("first sighting: no export"));
         }
-        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (96, 0));
+        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (three, 0));
         pc.insert(None, &prompts[3], |_, _| {
             panic!("first sighting: no export")
         });
-        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (96, 1));
+        assert_eq!((pc.ghost_bytes(), pc.eviction_count()), (three, 1));
         assert_eq!(pc.node_count(), 3);
         check_tree(&pc);
         // The oldest ghost went: seeing prompt 0 again is a first sighting.
@@ -698,6 +742,46 @@ mod tests {
         });
         assert_eq!(exported, [(0, 8)]);
         check_tree(&pc);
+    }
+
+    #[test]
+    fn short_one_off_prompts_cannot_outgrow_the_budget() {
+        // Ghosts of 2-4 tokens hold little token data; their node storage
+        // is what the budget must bound.
+        let budget = 64 << 10;
+        let mut pc = PrefixCache::new(budget);
+        for i in 0..20_000u32 {
+            let len = 2 + (i % 3) as usize;
+            let prompt: Vec<u32> = (0..len as u32).map(|k| i * 7 + k).collect();
+            pc.insert(None, &prompt, |_, _| panic!("one-off: no export"));
+            assert!(pc.ghost_bytes() <= budget);
+            assert!(pc.node_count() <= budget / mem::size_of::<Option<Node>>());
+        }
+        assert!(pc.eviction_count() > 10_000);
+        check_tree(&pc);
+    }
+
+    #[test]
+    fn growing_prompts_hit_the_turn_before_last() {
+        // A chat resends its whole history each turn. Turn k's prompt
+        // extends turn k-1's; only the part turn k-1 shared with turn k-2
+        // has KV when turn k looks up, so turn 2 misses and turn k hits
+        // turn k-2's prompt.
+        let rig = Rig::new();
+        let mut pc = PrefixCache::new(1 << 20);
+        let history: Vec<u32> = (1..=20).collect();
+        let turns = [4, 8, 12, 16, 20];
+        let mut matched = Vec::new();
+        for &len in &turns {
+            let prompt = &history[..len];
+            matched.push(pc.lookup(None, prompt).map_or(0, |hit| {
+                pc.release(hit.lease);
+                hit.matched
+            }));
+            pc.insert(None, prompt, |lo, hi| rig.block(prompt, lo, hi));
+            check_tree(&pc);
+        }
+        assert_eq!(matched, [0, 0, 4, 8, 12]);
     }
 
     #[test]

@@ -596,7 +596,10 @@ fn stats_endpoint_reports_prefix_cache_and_adapters() {
     assert!(num(cache, "hit_tokens") >= 8);
     assert!(num(cache, "cached_bytes") > 0);
     assert_eq!(num(cache, "admissions"), 1, "the shared prefix, once");
-    assert_eq!(num(cache, "ghost_bytes"), 3 * 4, "three one-token tails");
+    // The shared head and three one-token ghost tails, each ghost charged
+    // its token and its node storage.
+    assert_eq!(num(cache, "nodes"), 4);
+    assert!(num(cache, "ghost_bytes") > 3 * 4, "three one-token tails");
     let adapters = stats.get_field("adapters").expect("adapters object");
     assert_eq!(num(adapters, "registered"), 2);
     assert_eq!(num(adapters, "resident"), 2);

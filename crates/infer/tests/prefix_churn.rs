@@ -206,6 +206,38 @@ proptest! {
 }
 
 #[test]
+fn third_round_under_churn_hits_and_matches_cold() {
+    // The proptest above sends each prompt twice; with second-sighting
+    // admission a prompt that occurs once a round is a ghost after round 1
+    // and gets KV only in round 2. A third round must hit what round 2
+    // admitted, under eviction churn, and still match cold serving.
+    let (_, _, row_bytes) = stack();
+    let kv = 32;
+    for salt in [3u64, 17, 29] {
+        let reqs = workload(salt, 3, 3, 8);
+        let cold = serve_serially(&reqs, kv);
+        let mut sched = multi_scheduler(sched_cfg(32 * row_bytes, 3, kv));
+        let stats = sched.stats();
+        let mut hits_before = 0;
+        for round in 0..3 {
+            hits_before = stats.prefix_hits.load(Ordering::Relaxed);
+            let ids: Vec<u64> = reqs
+                .iter()
+                .map(|r| sched.submit(r.clone()).expect("submit fits"))
+                .collect();
+            let results = sched.run_to_completion();
+            assert_matches_cold(&results, &ids, &cold, &format!("salt {salt} round {round}"));
+        }
+        let hits = stats.prefix_hits.load(Ordering::Relaxed) - hits_before;
+        assert!(hits > 0, "salt {salt}: round 3 made no prefix hit");
+        assert!(
+            stats.prefix_evictions.load(Ordering::Relaxed) > 0,
+            "salt {salt}: the budget must churn"
+        );
+    }
+}
+
+#[test]
 fn shared_prefix_hits_are_byte_identical_and_counted() {
     // Two requests per adapter key (3 adapters + base), all sharing one
     // 12-token system prefix, after one earlier sighting of it per key.
