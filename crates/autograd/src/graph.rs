@@ -28,7 +28,13 @@ enum Op {
     /// `silu(a) = a · sigmoid(a)`
     Silu(NodeId),
     /// `silu(a) ⊙ b`, fused (the LLaMA MLP gate without temporaries).
-    Swiglu(NodeId, NodeId),
+    Swiglu {
+        a: NodeId,
+        b: NodeId,
+        /// `σ(a)`, kept by a rematerializing recompute for this node's own
+        /// arm, which then evaluates no `exp` of its own.
+        sigmoid: Option<Matrix>,
+    },
     /// Row-wise RMS normalization with a learned per-column gain.
     RmsNorm {
         x: NodeId,
@@ -63,6 +69,8 @@ enum Op {
     Gather {
         table: NodeId,
         ids: Vec<u32>,
+        /// The table's row count, the arm's only use of the table.
+        rows: usize,
     },
     /// Mean softmax cross-entropy over rows of `logits`.
     CrossEntropy {
@@ -76,11 +84,26 @@ enum Op {
         /// Cached per-row softmax denominators.
         denoms: Vec<f32>,
     },
-    /// Sum of all elements (scalar output).
-    Sum(NodeId),
+    /// Sum of all elements (scalar output), with the operand's shape.
+    Sum(NodeId, (usize, usize)),
     /// A non-leaf the backward walk has finished with: its value, gradient
     /// and caches are gone, and it takes part in no further walk.
     Released,
+}
+
+impl Op {
+    /// The operands whose values this op's backward arm reads, which are
+    /// also what a rematerializing recompute reads. The `Add`, `Scale`,
+    /// `Rope`, `Gather`, `CrossEntropy` and `Sum` arms read none.
+    fn arm_reads(&self) -> [Option<NodeId>; 3] {
+        match *self {
+            Op::MatMul(a, b) | Op::Mul(a, b) | Op::Swiglu { a, b, .. } => [Some(a), Some(b), None],
+            Op::Silu(a) => [Some(a), None, None],
+            Op::RmsNorm { x, gain, .. } => [Some(x), Some(gain), None],
+            Op::CausalAttention { q, k, v, .. } => [Some(q), Some(k), Some(v)],
+            _ => [None; 3],
+        }
+    }
 }
 
 /// What the tape holds for a node's forward value.
@@ -91,6 +114,9 @@ enum Slot<'a> {
     /// A consuming op (the node named) took the buffer over for its own
     /// output.
     ConsumedBy(NodeId),
+    /// [`Graph::remat`] dropped the value; backward recomputes it before the
+    /// first arm that reads it.
+    Remat,
 }
 
 /// A define-by-run autodiff tape.
@@ -110,8 +136,13 @@ enum Slot<'a> {
 /// instead of a copy, because their arms do not read that operand's value.
 /// The consumed node's gradient still flows; only its value is gone, and
 /// reading it, or recording another op on it, panics. Leaves are never
-/// consumed: a consuming form copies a leaf, which stays readable. The
-/// plain forms consume nothing.
+/// consumed: a consuming form copies a leaf, which stays readable, and a
+/// node some recorded arm reads is refused. The plain forms consume nothing.
+///
+/// A value that is cheap to rebuild from what the tape keeps anyway need
+/// not stay either: [`Graph::remat`] drops an `rmsnorm` or `swiglu` output
+/// once the forward is done with it, and backward recomputes it, bit for
+/// bit, just before the first arm that reads it.
 ///
 /// Parameter leaves are borrowed for `'a` ([`Graph::param`]), so a tape
 /// never copies the weights it differentiates, and the weights cannot
@@ -157,16 +188,26 @@ impl<'a> Graph<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the node's value is already gone.
+    /// Panics if the node's value is already gone, or if an op recorded
+    /// on it reads it in backward (or to rematerialize its own output).
     fn take_operand(&mut self, id: NodeId) -> Matrix {
         let value = self.value(id);
         if let Op::Leaf = self.ops[id.0] {
             return value.clone();
         }
+        let reads = |r: &Op| r.arm_reads().contains(&Some(id));
+        if let Some(reader) = self.ops[id.0 + 1..].iter().position(reads) {
+            panic!(
+                "node {} is read by the backward arm of node {}, so no op may \
+                 consume it; record this op in its plain form",
+                id.0,
+                id.0 + 1 + reader
+            );
+        }
         let consumer = NodeId(self.vals.len());
         match std::mem::replace(&mut self.vals[id.0], Slot::ConsumedBy(consumer)) {
             Slot::Live(v) => v.into_owned(),
-            Slot::Released | Slot::ConsumedBy(_) => unreachable!("value() checked it is live"),
+            _ => unreachable!("value() checked it is live"),
         }
     }
 
@@ -183,14 +224,15 @@ impl<'a> Graph<'a> {
     }
 
     /// The forward value of a node. A node a consuming op took over has
-    /// none from that op on, and after [`Graph::backward`] only leaves and
+    /// none from that op on, a rematerialized one none from
+    /// [`Graph::remat`] on, and after [`Graph::backward`] only leaves and
     /// the walk's output still have one.
     ///
     /// # Panics
     ///
-    /// Panics if a consuming op took the node's buffer or backward has
-    /// released it; the message names the node and, if consumed, its
-    /// consumer.
+    /// Panics if a consuming op took the node's buffer, [`Graph::remat`]
+    /// dropped it or backward has released it; the message names the node
+    /// and, if consumed, its consumer.
     pub fn value(&self, id: NodeId) -> &Matrix {
         live(&self.vals, id)
     }
@@ -286,7 +328,14 @@ impl<'a> Graph<'a> {
     /// Panics if `a` and `b` differ in shape.
     pub fn swiglu(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = fused::fused_swiglu_fwd(self.value(a), self.value(b));
-        self.push(v, Op::Swiglu(a, b))
+        self.push(
+            v,
+            Op::Swiglu {
+                a,
+                b,
+                sigmoid: None,
+            },
+        )
     }
 
     /// Row-wise RMS normalization with learned gain.
@@ -457,11 +506,13 @@ impl<'a> Graph<'a> {
             data.extend_from_slice(tm.row(id as usize));
         }
         let out = Matrix::from_vec(ids.len(), tm.cols(), data);
+        let rows = tm.rows();
         self.push(
             out,
             Op::Gather {
                 table,
                 ids: ids.to_vec(),
+                rows,
             },
         )
     }
@@ -512,8 +563,61 @@ impl<'a> Graph<'a> {
 
     /// Sum of all elements, as a `1 × 1` node.
     pub fn sum(&mut self, a: NodeId) -> NodeId {
-        let v = Matrix::from_vec(1, 1, vec![self.value(a).sum()]);
-        self.push(v, Op::Sum(a))
+        let am = self.value(a);
+        let v = Matrix::from_vec(1, 1, vec![am.sum()]);
+        let shape = am.shape();
+        self.push(v, Op::Sum(a, shape))
+    }
+
+    /// Drops `id`'s value now that the forward is done with it: call it
+    /// once every op that reads the value is recorded. [`Graph::backward`]
+    /// recomputes the value just before the first arm that reads it and
+    /// frees it again when the walk reaches `id`. Only outputs that are
+    /// cheap to rebuild from what the tape keeps anyway qualify: an
+    /// `rmsnorm` output, from its operands and cached `1 / rms` through the
+    /// forward's own per-row expression, and a `swiglu` output, whose
+    /// recompute keeps `σ(a)` for the swiglu's own arm, so backward
+    /// evaluates no more `exp` than without `remat`. The gradients carry
+    /// the same bits either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node's value is already gone (consumed, dropped by
+    /// `remat` or released by backward) or the node is not an `rmsnorm` or
+    /// `swiglu` output.
+    pub fn remat(&mut self, id: NodeId) {
+        self.value(id);
+        assert!(
+            matches!(self.ops[id.0], Op::RmsNorm { .. } | Op::Swiglu { .. }),
+            "remat: node {} is not an rmsnorm or swiglu output, the only values \
+             backward recomputes",
+            id.0
+        );
+        self.vals[id.0] = Slot::Remat;
+    }
+
+    /// Rebuilds `id`'s value if [`Graph::remat`] dropped it (after its own
+    /// rematerialized operands'); any other node is left as it is.
+    fn rematerialize(&mut self, id: NodeId) {
+        if !matches!(self.vals[id.0], Slot::Remat) {
+            return;
+        }
+        for operand in self.ops[id.0].arm_reads().into_iter().flatten() {
+            self.rematerialize(operand);
+        }
+        let vals = &self.vals;
+        let value = match &mut self.ops[id.0] {
+            Op::RmsNorm { x, gain, inv_rms } => {
+                fused::rmsnorm_from_inv_rms(live(vals, *x), live(vals, *gain), inv_rms)
+            }
+            Op::Swiglu { a, b, sigmoid } => {
+                let (y, s) = fused::fused_swiglu_fwd_with_sigmoid(live(vals, *a), live(vals, *b));
+                *sigmoid = Some(s);
+                y
+            }
+            _ => unreachable!("remat admits only rmsnorm and swiglu outputs"),
+        };
+        self.vals[id.0] = Slot::Live(Cow::Owned(value));
     }
 
     // ----- backward ----------------------------------------------------------
@@ -524,12 +628,14 @@ impl<'a> Graph<'a> {
     /// The walk visits nodes in reverse creation order, and every consumer
     /// of a node was created after it. So when the walk reaches a non-leaf,
     /// its gradient is complete and nothing reads it, its value or its op's
-    /// caches again: the walk takes the gradient, runs the op's arm, and
-    /// drops all three. What survives is each leaf's
-    /// value and gradient and the output's value. A node a consuming op
-    /// took over has no value by the time the walk starts; no arm reads
-    /// one. No arithmetic depends on when a buffer is freed, so the
-    /// gradients carry the same bits as a walk that kept everything.
+    /// caches again: the walk frees the value first (no arm reads its own
+    /// node's output), takes the gradient, recomputes any rematerialized
+    /// operand the arm reads, runs the arm, and drops the gradient and the
+    /// caches. What survives is each leaf's value and gradient and the
+    /// output's value. A node a consuming op took over has no value by the
+    /// time the walk starts; no arm reads one. No arithmetic depends on when
+    /// a buffer is freed or rebuilt, so the gradients carry the same bits as
+    /// a walk that kept everything.
     ///
     /// # Panics
     ///
@@ -550,17 +656,19 @@ impl<'a> Graph<'a> {
                 continue;
             }
             let op = std::mem::replace(&mut self.ops[idx], Op::Released);
-            // Every operand id is strictly smaller than the node's own id
-            // (the tape is define-by-run), so splitting at `idx` lets us
-            // take this node's gradient while mutating its operands'.
-            let (lower, upper) = self.grads.split_at_mut(idx);
-            if let Some(gout) = upper[0].take() {
-                accumulate(&self.vals, lower, &op, gout);
-            }
             // A consumed node keeps its `ConsumedBy` mark.
-            if idx != output.0 && matches!(self.vals[idx], Slot::Live(_)) {
+            if idx != output.0 && matches!(self.vals[idx], Slot::Live(_) | Slot::Remat) {
                 self.vals[idx] = Slot::Released;
             }
+            let Some(gout) = self.grads[idx].take() else {
+                continue;
+            };
+            for operand in op.arm_reads().into_iter().flatten() {
+                self.rematerialize(operand);
+            }
+            // Every operand id is strictly smaller than the node's own id
+            // (the tape is define-by-run).
+            accumulate(&self.vals, &mut self.grads[..idx], &op, gout);
         }
     }
 }
@@ -569,8 +677,8 @@ impl<'a> Graph<'a> {
 ///
 /// # Panics
 ///
-/// Panics if a consuming op took the node's buffer or backward has released
-/// it.
+/// Panics if a consuming op took the node's buffer, [`Graph::remat`] dropped
+/// it or backward has released it.
 fn live<'v>(vals: &'v [Slot<'_>], id: NodeId) -> &'v Matrix {
     match &vals[id.0] {
         Slot::Live(v) => v,
@@ -583,6 +691,11 @@ fn live<'v>(vals: &'v [Slot<'_>], id: NodeId) -> &'v Matrix {
             "value: node {} was consumed by node {}, which took over its \
              buffer; read it before that op, or record that op in its plain form",
             id.0, by.0
+        ),
+        Slot::Remat => panic!(
+            "value: node {} is rematerialized: remat() dropped its value and only \
+             backward() recomputes it; read it before remat()",
+            id.0
         ),
     }
 }
@@ -616,8 +729,10 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
     match op {
         Op::Leaf | Op::Released => unreachable!("backward visits each non-leaf once"),
         Op::MatMul(a, b) => {
-            let da = gout.matmul_transb(val(*b));
+            // `db` first: the transposed copy of `a` it makes is gone before
+            // `da`, an activation-sized buffer, is allocated.
             let db = val(*a).matmul_transa(&gout);
+            let da = gout.matmul_transb(val(*b));
             grad_add(grads, *a, da);
             grad_add(grads, *b, db);
         }
@@ -643,8 +758,9 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             });
             grad_add(grads, *a, da);
         }
-        Op::Swiglu(a, b) => {
-            let (da, db) = fused::fused_swiglu_bwd(val(*a), val(*b), &gout);
+        Op::Swiglu { a, b, sigmoid } => {
+            let (da, db) =
+                fused::fused_swiglu_bwd_in_place(val(*a), val(*b), gout, sigmoid.as_ref());
             grad_add(grads, *a, da);
             grad_add(grads, *b, db);
         }
@@ -734,9 +850,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             grad_add(grads, *k, dk);
             grad_add(grads, *v, dv);
         }
-        Op::Gather { table, ids } => {
-            let tm = val(*table);
-            let mut dt = Matrix::zeros(tm.rows(), tm.cols());
+        Op::Gather { table, ids, rows } => {
+            let mut dt = Matrix::zeros(*rows, gout.cols());
             for (r, &id) in ids.iter().enumerate() {
                 let src = gout.row(r);
                 let dst = dt.row_mut(id as usize);
@@ -756,9 +871,9 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             let dl = fused::fused_softmax_xent_bwd(exps, denoms, targets, upstream);
             grad_add(grads, *logits, dl);
         }
-        Op::Sum(a) => {
+        Op::Sum(a, (rows, cols)) => {
             let s = gout.get(0, 0);
-            let da = Matrix::full(val(*a).rows(), val(*a).cols(), s);
+            let da = Matrix::full(*rows, *cols, s);
             grad_add(grads, *a, da);
         }
     }
@@ -1478,6 +1593,150 @@ mod tests {
                 g.cross_entropy(logits, &[0, 3, 1])
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 is read by the backward arm of node 3")]
+    fn consuming_a_value_an_arm_reads_panics() {
+        let [x0, g0] = [Matrix::from_rows(&[&[1.0, 2.0]]), Matrix::full(1, 2, 1.0)];
+        let mut g = Graph::new();
+        let [x, gain] = [&x0, &g0].map(|m| g.param(m));
+        let x1 = g.scale(x, 2.0);
+        let y = g.rmsnorm(x1, gain, 1e-5);
+        g.remat(y);
+        // The norm's recompute and its arm read `x1`: it cannot be handed on.
+        g.add_consuming(x, x1);
+    }
+
+    // ----- rematerialized values -------------------------------------------
+
+    /// Runs `build` over parameters `leaves` without and with its `remat`
+    /// calls: the loss and every leaf gradient carry the same bits.
+    fn check_remat(leaves: &[Matrix], build: impl Fn(&mut Graph<'_>, &[NodeId], bool) -> NodeId) {
+        let run = |remat: bool| {
+            let mut g = Graph::new();
+            let ids: Vec<NodeId> = leaves.iter().map(|m| g.param(m)).collect();
+            let loss = build(&mut g, &ids, remat);
+            let l = g.value(loss).get(0, 0);
+            g.backward(loss);
+            let grads: Vec<Matrix> = ids.iter().map(|&id| g.grad(id).clone()).collect();
+            (l, grads)
+        };
+        let (lp, gp) = run(false);
+        let (lr, gr) = run(true);
+        assert_eq!(lp.to_bits(), lr.to_bits(), "loss");
+        for (i, (p, r)) in gp.iter().zip(&gr).enumerate() {
+            assert_same_bits(p, r, &format!("leaf {i} gradient"));
+        }
+    }
+
+    fn remat_leaves(seed: u64, shapes: &[(usize, usize)]) -> Vec<Matrix> {
+        let mut rng = Rng::seed_from_u64(seed);
+        shapes
+            .iter()
+            .map(|&(r, c)| Matrix::randn(r, c, &mut rng))
+            .collect()
+    }
+
+    #[test]
+    fn rmsnorm_remat_keeps_the_bits_with_three_readers() {
+        // A norm read by three projections, as an attention block's is.
+        let leaves = remat_leaves(70, &[(5, 6), (1, 6), (6, 6), (6, 6), (6, 6)]);
+        check_remat(&leaves, |g, ids, remat| {
+            let &[x, gain, wq, wk, wv] = ids else {
+                unreachable!()
+            };
+            let hn = g.rmsnorm(x, gain, 1e-5);
+            let [q, k, v] = [wq, wk, wv].map(|w| g.matmul(hn, w));
+            if remat {
+                g.remat(hn);
+            }
+            let qk = g.mul(q, k);
+            let logits = g.add(qk, v);
+            g.cross_entropy(logits, &[0, 5, 2, 3, 1])
+        });
+    }
+
+    #[test]
+    fn swiglu_remat_keeps_the_bits() {
+        let leaves = remat_leaves(71, &[(5, 6), (6, 8), (6, 8), (8, 4)]);
+        check_remat(&leaves, |g, ids, remat| {
+            let &[x, wg, wu, wd] = ids else {
+                unreachable!()
+            };
+            let gate = g.matmul(x, wg);
+            let up = g.matmul(x, wu);
+            let act = g.swiglu(gate, up);
+            let out = g.matmul(act, wd);
+            if remat {
+                g.remat(act);
+            }
+            g.cross_entropy(out, &[3, 0, 1, 2, 3])
+        });
+    }
+
+    #[test]
+    fn a_chain_of_rematerialized_values_keeps_the_bits() {
+        // A swiglu of two norms, all three dropped: rebuilding the swiglu
+        // rebuilds its operands first. The second norm reaches the loss
+        // only through the swiglu, so its own value is never read again.
+        let leaves = remat_leaves(72, &[(4, 6), (1, 6), (1, 6), (6, 3)]);
+        check_remat(&leaves, |g, ids, remat| {
+            let &[x, g1, g2, w] = ids else { unreachable!() };
+            let n1 = g.rmsnorm(x, g1, 1e-5);
+            let n2 = g.rmsnorm(x, g2, 1e-5);
+            let act = g.swiglu(n1, n2);
+            let out = g.matmul(act, w);
+            let res = g.matmul(n1, w);
+            if remat {
+                for id in [n1, n2, act] {
+                    g.remat(id);
+                }
+            }
+            let logits = g.add(out, res);
+            g.cross_entropy(logits, &[2, 0, 1, 1])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 is rematerialized")]
+    fn reading_a_rematerialized_value_panics() {
+        let [x0, g0, w0] = [(2, 3), (1, 3), (3, 2)].map(|(r, c)| Matrix::full(r, c, 0.5));
+        let mut g = Graph::new();
+        let [x, gain, w] = [&x0, &g0, &w0].map(|m| g.param(m));
+        let y = g.rmsnorm(x, gain, 1e-5);
+        g.matmul(y, w);
+        g.remat(y);
+        g.value(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "remat: node 2 is not an rmsnorm or swiglu output")]
+    fn remat_of_a_matmul_output_panics() {
+        let [a0, b0] = [Matrix::full(2, 2, 1.0), Matrix::full(2, 2, 2.0)];
+        let mut g = Graph::new();
+        let [a, b] = [&a0, &b0].map(|m| g.param(m));
+        let y = g.matmul(a, b);
+        g.remat(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "remat: node 0 is not an rmsnorm or swiglu output")]
+    fn remat_of_a_leaf_panics() {
+        let mut g = Graph::new();
+        let x = g.input(Matrix::full(2, 2, 1.0));
+        g.remat(x);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 2 was consumed by node 3")]
+    fn remat_of_a_consumed_node_panics() {
+        let [a0, b0] = [Matrix::full(2, 2, 1.0), Matrix::full(2, 2, 2.0)];
+        let mut g = Graph::new();
+        let [a, b] = [&a0, &b0].map(|m| g.param(m));
+        let y = g.swiglu(a, b);
+        g.add_consuming(a, y);
+        g.remat(y);
     }
 
     /// Causal attention with the full `seq × seq` probability matrix per

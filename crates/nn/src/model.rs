@@ -169,8 +169,11 @@ impl LlamaModel {
     /// Values no backward arm reads are handed to the op that uses them:
     /// RoPE rotates the pre-RoPE `q` and `k` in their own buffers, and each
     /// residual add accumulates into its branch's output (the attention
-    /// `wo` and MLP `down` projections). Only the trunk output can be read
-    /// from the returned tape, besides the parameters.
+    /// `wo` and MLP `down` projections). The two per-layer norm outputs and
+    /// the SwiGLU output are elementwise and cheap to rebuild, so each is
+    /// dropped once its projections are recorded and backward recomputes it
+    /// ([`Graph::remat`]). Only the trunk output can be read from the
+    /// returned tape, besides the parameters.
     pub(crate) fn build_trunk(
         &self,
         tokens: &[u32],
@@ -191,6 +194,7 @@ impl LlamaModel {
             let q0 = layer.wq.forward(&mut g, hn, &pnodes);
             let k0 = layer.wk.forward(&mut g, hn, &pnodes);
             let v = layer.wv.forward(&mut g, hn, &pnodes);
+            g.remat(hn);
             let q = g.rope_consuming(q0, seq, heads, self.cfg.rope_theta);
             let k = g.rope_consuming(k0, seq, heads, self.cfg.rope_theta);
             let att = g.causal_attention(q, k, v, batch, seq, heads);
@@ -200,8 +204,10 @@ impl LlamaModel {
             let mn = g.rmsnorm(x, pnodes[layer.mlp_norm], 1e-5);
             let gate_pre = layer.gate.forward(&mut g, mn, &pnodes);
             let up = layer.up.forward(&mut g, mn, &pnodes);
+            g.remat(mn);
             let act = g.swiglu(gate_pre, up);
             let mlp = layer.down.forward(&mut g, act, &pnodes);
+            g.remat(act);
             x = g.add_consuming(x, mlp);
         }
         let xf = g.rmsnorm(x, pnodes[self.final_norm], 1e-5);
@@ -252,6 +258,7 @@ impl LlamaModel {
         assert_eq!(tokens.len(), targets.len(), "one target per token");
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
         let logits = g.matmul(trunk, pnodes[self.head]);
+        g.remat(trunk);
         let loss = g.cross_entropy_consuming(logits, targets);
         (g, loss, pnodes)
     }
@@ -290,6 +297,8 @@ impl LlamaModel {
         let (mut g, trunk, pnodes) = self.build_trunk(tokens, batch);
         let last_rows: Vec<u32> = (0..batch).map(|b| (b * seq + seq - 1) as u32).collect();
         let pooled = g.gather(trunk, &last_rows);
+        // The gather's arm reads no value, so this one is never recomputed.
+        g.remat(trunk);
         let logits = g.matmul(pooled, pnodes[self.head]);
         let loss = g.cross_entropy_consuming(logits, labels);
         (g, loss, pnodes)

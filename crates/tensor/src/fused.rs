@@ -120,10 +120,7 @@ pub fn fused_rmsnorm_fwd(x: &Matrix, gain: &Matrix, eps: f32) -> (Matrix, Vec<f3
             let mut write = |r: usize, sumsq: f32| {
                 let inv = 1.0 / (sumsq / n + eps).sqrt();
                 iband[r - lo] = inv;
-                let out = &mut yband[(r - lo) * cols..][..cols];
-                for ((o, &v), &g) in out.iter_mut().zip(xrow(r)).zip(gsl) {
-                    *o = v * inv * g;
-                }
+                norm_row(&mut yband[(r - lo) * cols..][..cols], xrow(r), inv, gsl);
             };
             let mut r = lo;
             // Four rows at a time: each row's mean-square sum is a strict
@@ -153,6 +150,36 @@ pub fn fused_rmsnorm_fwd(x: &Matrix, gain: &Matrix, eps: f32) -> (Matrix, Vec<f3
         },
     );
     (y, inv_rms)
+}
+
+/// One RMSNorm output row: `(v * inv) * g` per element.
+#[inline]
+fn norm_row(out: &mut [f32], x: &[f32], inv: f32, gain: &[f32]) {
+    for ((o, &v), &g) in out.iter_mut().zip(x).zip(gain) {
+        *o = v * inv * g;
+    }
+}
+
+/// [`fused_rmsnorm_fwd`]'s output rebuilt from its cached `1 / rms` per row,
+/// through the same per-row expression, so with the same bits and without
+/// the mean-square pass.
+pub fn rmsnorm_from_inv_rms(x: &Matrix, gain: &Matrix, inv_rms: &[f32]) -> Matrix {
+    let (rows, cols) = x.shape();
+    assert_eq!(
+        inv_rms.len(),
+        rows,
+        "rmsnorm_from_inv_rms: one 1/rms per row"
+    );
+    let mut y = Matrix::zeros(rows, cols);
+    let xs = x.as_slice();
+    let gsl = &gain.row(0)[..cols];
+    let flops = rows * cols * RMSNORM_FWD_FLOPS;
+    par_bands(rows, flops, [(y.as_mut_slice(), cols)], |lo, hi, [band]| {
+        for (r, out) in (lo..hi).zip(band.chunks_exact_mut(cols)) {
+            norm_row(out, &xs[r * cols..][..cols], inv_rms[r], gsl);
+        }
+    });
+    y
 }
 
 /// Backward of [`fused_rmsnorm_fwd`]: returns `(dx, dgain)`.
@@ -282,37 +309,104 @@ pub fn fused_swiglu_fwd(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// [`fused_swiglu_fwd`] that also returns `σ(a)`, for a backward that
+/// recomputes the output and then hands `σ(a)` to
+/// [`fused_swiglu_bwd_in_place`] instead of evaluating it again. Same
+/// output bits: `a · σ(a)` multiplies the same rounded `σ(a)`.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub fn fused_swiglu_fwd_with_sigmoid(a: &Matrix, b: &Matrix) -> (Matrix, Matrix) {
+    assert_eq!(a.shape(), b.shape(), "fused_swiglu_fwd: shape mismatch");
+    let (rows, cols) = a.shape();
+    let mut out = Matrix::zeros(rows, cols);
+    let mut sig = Matrix::zeros(rows, cols);
+    let avs = a.as_slice();
+    let bvs = b.as_slice();
+    let flops = rows * cols * SWIGLU_FWD_FLOPS;
+    par_bands(
+        rows,
+        flops,
+        [(out.as_mut_slice(), cols), (sig.as_mut_slice(), cols)],
+        |lo, _, [oband, sband]| {
+            let base = lo * cols;
+            for (i, (o, s)) in oband.iter_mut().zip(sband).enumerate() {
+                let av = avs[base + i];
+                *s = sigmoid(av);
+                *o = av * *s * bvs[base + i];
+            }
+        },
+    );
+    (out, sig)
+}
+
 /// Backward of [`fused_swiglu_fwd`]: returns `(da, db)` in one traversal,
 /// recomputing `σ(a)` instead of caching the silu activation (the same
 /// expression as the forward, hence the same bits).
 pub fn fused_swiglu_bwd(a: &Matrix, b: &Matrix, gout: &Matrix) -> (Matrix, Matrix) {
+    fused_swiglu_bwd_in_place(a, b, gout.clone(), None)
+}
+
+/// [`fused_swiglu_bwd`] that writes `db` over `gout`'s buffer and, given
+/// `σ(a)` as [`fused_swiglu_fwd_with_sigmoid`] returned it, reads it
+/// instead of evaluating an `exp` per element. Same bits either way.
+///
+/// # Panics
+///
+/// Panics if `a`, `b`, `gout` and `sig` differ in shape.
+pub fn fused_swiglu_bwd_in_place(
+    a: &Matrix,
+    b: &Matrix,
+    gout: Matrix,
+    sig: Option<&Matrix>,
+) -> (Matrix, Matrix) {
+    match sig {
+        Some(s) => {
+            assert_eq!(a.shape(), s.shape(), "fused_swiglu_bwd: sigmoid mismatch");
+            let svs = s.as_slice();
+            swiglu_bwd(a, b, gout, |i| svs[i])
+        }
+        None => {
+            let avs = a.as_slice();
+            swiglu_bwd(a, b, gout, |i| sigmoid(avs[i]))
+        }
+    }
+}
+
+/// The SwiGLU backward with `σ(a)` of flat element `i` given by `sig(i)`;
+/// `db` takes `gout`'s buffer.
+fn swiglu_bwd(
+    a: &Matrix,
+    b: &Matrix,
+    mut gout: Matrix,
+    sig: impl Fn(usize) -> f32 + Sync,
+) -> (Matrix, Matrix) {
     assert_eq!(a.shape(), b.shape(), "fused_swiglu_bwd: shape mismatch");
     assert_eq!(a.shape(), gout.shape(), "fused_swiglu_bwd: gout mismatch");
     let (rows, cols) = a.shape();
     let mut da = Matrix::zeros(rows, cols);
-    let mut db = Matrix::zeros(rows, cols);
     let avs = a.as_slice();
     let bvs = b.as_slice();
-    let gos = gout.as_slice();
     let flops = rows * cols * SWIGLU_BWD_FLOPS;
     par_bands(
         rows,
         flops,
-        [(da.as_mut_slice(), cols), (db.as_mut_slice(), cols)],
-        |lo, hi, [daband, dbband]| {
+        [(da.as_mut_slice(), cols), (gout.as_mut_slice(), cols)],
+        |lo, _, [daband, gband]| {
             let base = lo * cols;
-            for i in 0..(hi - lo) * cols {
+            for (i, (d, gd)) in daband.iter_mut().zip(gband).enumerate() {
                 let x = avs[base + i];
-                let g = gos[base + i];
-                let s = sigmoid(x);
+                let g = *gd;
+                let s = sig(base + i);
                 // Staged arm: mul backward feeds `g · b` into silu backward
                 // (`(g·b) · s · (1 + x·(1 − s))`) and `g · silu(a)` into db.
-                daband[i] = g * bvs[base + i] * s * (1.0 + x * (1.0 - s));
-                dbband[i] = g * (x * s);
+                *d = g * bvs[base + i] * s * (1.0 + x * (1.0 - s));
+                *gd = g * (x * s);
             }
         },
     );
-    (da, db)
+    (da, gout)
 }
 
 // ----- softmax cross-entropy -------------------------------------------------

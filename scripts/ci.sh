@@ -98,7 +98,19 @@ done
 
 echo "== trace smoke run (pretrain --trace-out + trace-check)"
 TRACE_TMP="$(mktemp -d)"
-trap 'rm -rf "$TRACE_TMP"' EXIT
+# A check that fails while an `apollo serve` started below is up exits the
+# script before the server's drain: stop and reap every background job this
+# shell still has (only the servers run in the background), then remove the
+# files they wrote.
+stop_servers_and_clean() {
+    local pid
+    for pid in $(jobs -p); do
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    done
+    rm -rf "$TRACE_TMP"
+}
+trap stop_servers_and_clean EXIT
 ./target/release/apollo pretrain --model test-tiny --optimizer apollo \
     --steps 30 --batch 2 --seed 7 \
     --trace-out "$TRACE_TMP/trace.jsonl" --profile
@@ -338,7 +350,6 @@ MT_CACHED_AFTER="$(cached_bytes "$TRACE_TMP/mt_stats_oneoff.txt")"
 [ -n "$MT_CACHED" ] && [ -n "$MT_CACHED_AFTER" ] \
     && [ $((2 * MT_CACHED_AFTER)) -lt $((3 * MT_CACHED)) ] || {
     echo "one-off prompts grew the prefix cache from $MT_CACHED to $MT_CACHED_AFTER bytes"
-    kill "$MT_PID"
     exit 1
 }
 touch "$TRACE_TMP/mt.stop"
