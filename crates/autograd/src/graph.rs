@@ -668,7 +668,7 @@ impl<'a> Graph<'a> {
             }
             // Every operand id is strictly smaller than the node's own id
             // (the tape is define-by-run).
-            accumulate(&self.vals, &mut self.grads[..idx], &op, gout);
+            accumulate(&self.vals, &mut self.grads[..idx], op, gout);
         }
     }
 }
@@ -724,50 +724,47 @@ fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
 /// adds each operand's gradient into `grads` (the slots below the op's
 /// own). An arm whose operand gradient is `gout` itself, or `gout`
 /// transformed in place, hands it on by move; every other arm drops it.
-fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Matrix) {
+fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: Op, gout: Matrix) {
     let val = |id: NodeId| live(vals, id);
     match op {
         Op::Leaf | Op::Released => unreachable!("backward visits each non-leaf once"),
         Op::MatMul(a, b) => {
-            // `db` first: the transposed copy of `a` it makes is gone before
-            // `da`, an activation-sized buffer, is allocated.
-            let db = val(*a).matmul_transa(&gout);
-            let da = gout.matmul_transb(val(*b));
-            grad_add(grads, *a, da);
-            grad_add(grads, *b, db);
+            let db = val(a).matmul_transa(&gout);
+            let da = gout.matmul_transb(val(b));
+            grad_add(grads, a, da);
+            grad_add(grads, b, db);
         }
         Op::Add(a, b) => {
-            grad_add(grads, *a, gout.clone());
-            grad_add(grads, *b, gout);
+            grad_add(grads, a, gout.clone());
+            grad_add(grads, b, gout);
         }
         Op::Mul(a, b) => {
-            let da = gout.hadamard(val(*b));
-            let db = gout.hadamard(val(*a));
-            grad_add(grads, *a, da);
-            grad_add(grads, *b, db);
+            let da = gout.hadamard(val(b));
+            let db = gout.hadamard(val(a));
+            grad_add(grads, a, da);
+            grad_add(grads, b, db);
         }
         Op::Scale(a, alpha) => {
             let mut da = gout;
-            da.scale_assign(*alpha);
-            grad_add(grads, *a, da);
+            da.scale_assign(alpha);
+            grad_add(grads, a, da);
         }
         Op::Silu(a) => {
-            let da = val(*a).zip_map(&gout, |x, g| {
+            let da = val(a).zip_map(&gout, |x, g| {
                 let s = sigmoid(x);
                 g * s * (1.0 + x * (1.0 - s))
             });
-            grad_add(grads, *a, da);
+            grad_add(grads, a, da);
         }
         Op::Swiglu { a, b, sigmoid } => {
-            let (da, db) =
-                fused::fused_swiglu_bwd_in_place(val(*a), val(*b), gout, sigmoid.as_ref());
-            grad_add(grads, *a, da);
-            grad_add(grads, *b, db);
+            let (da, db) = fused::fused_swiglu_bwd_in_place(val(a), val(b), gout, sigmoid.as_ref());
+            grad_add(grads, a, da);
+            grad_add(grads, b, db);
         }
         Op::RmsNorm { x, gain, inv_rms } => {
-            let (dx, dg) = fused::fused_rmsnorm_bwd(val(*x), val(*gain), &gout, inv_rms);
-            grad_add(grads, *x, dx);
-            grad_add(grads, *gain, dg);
+            let (dx, dg) = fused::fused_rmsnorm_bwd(val(x), val(gain), &gout, &inv_rms);
+            grad_add(grads, x, dx);
+            grad_add(grads, gain, dg);
         }
         Op::Rope {
             x,
@@ -777,8 +774,8 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
         } => {
             // Inverse rotation on the upstream gradient, in place.
             let mut dx = gout;
-            fused::rope_apply(&mut dx, *seq, *heads, *theta_base, true);
-            grad_add(grads, *x, dx);
+            fused::rope_apply(&mut dx, seq, heads, theta_base, true);
+            grad_add(grads, x, dx);
         }
         Op::CausalAttention {
             q,
@@ -789,42 +786,39 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             heads,
             probs,
         } => {
-            let (qm, km, vm) = (val(*q), val(*k), val(*v));
+            let (qm, km, vm) = (val(q), val(k), val(v));
             let hd = qm.cols() / heads;
             let scale = 1.0 / (hd as f32).sqrt();
             let mut dq = Matrix::zeros(qm.rows(), qm.cols());
             let mut dk = Matrix::zeros(qm.rows(), qm.cols());
             let mut dv = Matrix::zeros(qm.rows(), qm.cols());
-            // `Pᵀ`, rebuilt per head from the triangle; what lies below its
-            // diagonal stays zero.
-            let mut pt = Matrix::zeros(*seq, *seq);
-            for b in 0..*batch {
-                for h in 0..*heads {
+            // `P`, rebuilt per head from the triangle by row copies as the
+            // forward builds it; what lies above its diagonal stays zero.
+            let mut p = Matrix::zeros(seq, seq);
+            for b in 0..batch {
+                for h in 0..heads {
                     let tri = &probs[b * heads + h];
                     let tri_row = |i: usize| &tri[i * (i + 1) / 2..][..=i];
-                    for i in 0..*seq {
-                        for (j, &pv) in tri_row(i).iter().enumerate() {
-                            pt.set(j, i, pv);
-                        }
+                    for i in 0..seq {
+                        p.row_mut(i)[..=i].copy_from_slice(tri_row(i));
                     }
-                    let qh = slice_head(qm, b, *seq, h, hd);
-                    let kh = slice_head(km, b, *seq, h, hd);
-                    let vh = slice_head(vm, b, *seq, h, hd);
-                    let doh = slice_head(&gout, b, *seq, h, hd);
-                    // dV = Pᵀ · dO (`matmul_transa(P, dO)` is this same
-                    // product after gathering `Pᵀ` itself)
-                    let dvh = pt.matmul(&doh);
+                    let qh = slice_head(qm, b, seq, h, hd);
+                    let kh = slice_head(km, b, seq, h, hd);
+                    let vh = slice_head(vm, b, seq, h, hd);
+                    let doh = slice_head(&gout, b, seq, h, hd);
+                    // dV = Pᵀ · dO
+                    let dvh = p.matmul_transa(&doh);
                     // dP = dO · Vᵀ
                     let dp = doh.matmul_transb(&vh);
                     // dS_ij = P_ij (dP_ij − Σ_k dP_ik P_ik)
-                    let mut ds = Matrix::zeros(*seq, *seq);
-                    for i in 0..*seq {
+                    let mut ds = Matrix::zeros(seq, seq);
+                    for i in 0..seq {
                         let prow = tri_row(i);
                         let dprow = dp.row(i);
                         // The masked tail's `0 · dP_ik` terms are summed
                         // too: the dot over the whole row, down to the sign
                         // of a zero sum and a non-finite `dP`.
-                        let masked = std::iter::repeat_n(&0.0, *seq - 1 - i);
+                        let masked = std::iter::repeat_n(&0.0, seq - 1 - i);
                         let dot: f32 = prow
                             .iter()
                             .chain(masked)
@@ -841,17 +835,17 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
                     dqh.scale_assign(scale);
                     let mut dkh = ds.matmul_transa(&qh);
                     dkh.scale_assign(scale);
-                    write_head(&mut dq, &dqh, b, *seq, h, hd);
-                    write_head(&mut dk, &dkh, b, *seq, h, hd);
-                    write_head(&mut dv, &dvh, b, *seq, h, hd);
+                    write_head(&mut dq, &dqh, b, seq, h, hd);
+                    write_head(&mut dk, &dkh, b, seq, h, hd);
+                    write_head(&mut dv, &dvh, b, seq, h, hd);
                 }
             }
-            grad_add(grads, *q, dq);
-            grad_add(grads, *k, dk);
-            grad_add(grads, *v, dv);
+            grad_add(grads, q, dq);
+            grad_add(grads, k, dk);
+            grad_add(grads, v, dv);
         }
         Op::Gather { table, ids, rows } => {
-            let mut dt = Matrix::zeros(*rows, gout.cols());
+            let mut dt = Matrix::zeros(rows, gout.cols());
             for (r, &id) in ids.iter().enumerate() {
                 let src = gout.row(r);
                 let dst = dt.row_mut(id as usize);
@@ -859,7 +853,7 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
                     *d += s;
                 }
             }
-            grad_add(grads, *table, dt);
+            grad_add(grads, table, dt);
         }
         Op::CrossEntropy {
             logits,
@@ -868,13 +862,13 @@ fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: &Op, gout: Ma
             denoms,
         } => {
             let upstream = gout.get(0, 0);
-            let dl = fused::fused_softmax_xent_bwd(exps, denoms, targets, upstream);
-            grad_add(grads, *logits, dl);
+            let dl = fused::fused_softmax_xent_bwd_in_place(exps, &denoms, &targets, upstream);
+            grad_add(grads, logits, dl);
         }
         Op::Sum(a, (rows, cols)) => {
             let s = gout.get(0, 0);
-            let da = Matrix::full(*rows, *cols, s);
-            grad_add(grads, *a, da);
+            let da = Matrix::full(rows, cols, s);
+            grad_add(grads, a, da);
         }
     }
 }

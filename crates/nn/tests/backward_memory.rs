@@ -21,15 +21,21 @@
 //!   from a best-fit pool, which could hand out more capacity than asked
 //!   for).
 //! - **Backward rise.** Measured from the end of the forward pass to the
-//!   highest point backward reaches, the heap may grow by less than half of
-//!   the tape. A walk that kept every intermediate gradient until the tape
-//!   dropped grew it by about 1.3× the tape; one that frees each node's
-//!   gradient, value and op caches as it passes, so the allocator reuses
-//!   their storage for later gradients, grows it by about a tenth
-//!   (1.81 MiB; 2.0 with the pool). Recomputing values in backward raises
-//!   the rise to 2.31 MiB, at the last layer's `down` arm, which holds the
-//!   rebuilt SwiGLU output and its `σ(gate)` at once; the step's live peak
-//!   still falls, 18.99 → 14.93 MiB.
+//!   highest point backward reaches. A walk that kept every intermediate
+//!   gradient until the tape dropped grew the heap by about 1.3× the tape;
+//!   one that frees each node's gradient, value and op caches as it passes,
+//!   so the allocator reuses their storage for later gradients, grows it by
+//!   about a tenth (1.81 MiB; 2.0 with the pool). Recomputing values in
+//!   backward moved the peak to the last layer's `down` arm, which holds
+//!   the rebuilt SwiGLU output and its `σ(gate)` while it makes the arm's
+//!   two gradients (2.31 MiB, with the whole transposed `down` weight packed
+//!   beside them and, earlier in the arm, a transposed copy of the SwiGLU
+//!   output). With the GEMM reading transposes where they lie and packing
+//!   one column block of an operand at a time, the rise is 1.96 MiB: those
+//!   four buffers, `4·(3·tokens·inter + inter·hidden)` = 1.875 MiB, and
+//!   the blocks and small gradients live beside them. The bound is the four
+//!   buffers plus the forward-end slack (2.125 MiB), which the whole-panel
+//!   pack does not fit.
 //! - **Nothing outlives the step.** Once the gradients, the tape and the
 //!   parameter node ids are dropped, live heap is back to its value before
 //!   the forward, byte for byte: the slack is 0 B, because that is what
@@ -91,7 +97,7 @@ static ALLOC: Counting = Counting;
 /// (measured at this shape before the consuming ops).
 const KEEP_EVERYTHING_TAPE: usize = 25_297_540;
 
-/// Slack on the forward-end bound.
+/// Slack on the forward-end and backward-rise bounds.
 const SLACK: usize = 1 << 18;
 
 /// Bytes of the values backward recomputes instead of the forward keeping
@@ -99,6 +105,15 @@ const SLACK: usize = 1 << 18;
 fn recomputed_bytes(cfg: &ModelConfig, batch: usize) -> usize {
     let (layers, tokens) = (cfg.n_layers, batch * cfg.max_seq);
     4 * ((2 * layers + 1) * tokens * cfg.hidden + layers * tokens * cfg.intermediate)
+}
+
+/// Bytes the last layer's `down` arm holds at the backward peak: the
+/// rebuilt SwiGLU output and its `σ(gate)` (`tokens × inter` each), the
+/// input gradient (`tokens × inter`) and the weight gradient
+/// (`inter × hidden`).
+fn down_arm_bytes(cfg: &ModelConfig, batch: usize) -> usize {
+    let (tokens, inter) = (batch * cfg.max_seq, cfg.intermediate);
+    4 * (3 * tokens * inter + inter * cfg.hidden)
 }
 
 /// Bytes of the values no backward arm reads, which the forward hands to
@@ -147,13 +162,14 @@ fn forward_end_and_backward_rise_fit_their_bounds() {
         KEEP_EVERYTHING_TAPE - handed_over_bytes(&cfg, batch) - recomputed_bytes(&cfg, batch)
             + SLACK;
     let kept = after_step as isize - before_forward as isize;
+    let rise_bound = down_arm_bytes(&cfg, batch) + SLACK;
     println!(
-        "tape {:.2} MiB (bound {:.2}), backward rise {:.2} MiB ({:.0} %), \
+        "tape {:.2} MiB (bound {:.2}), backward rise {:.2} MiB (bound {:.2}), \
          {kept} B live after the step",
         mib(tape),
         mib(bound),
         mib(rise),
-        100.0 * rise as f64 / tape as f64
+        mib(rise_bound)
     );
     assert!(
         tape <= bound,
@@ -163,10 +179,11 @@ fn forward_end_and_backward_rise_fit_their_bounds() {
         mib(bound)
     );
     assert!(
-        2 * rise < tape,
-        "backward grew the heap by {:.1} MiB, not under half the tape's {:.1} MiB",
+        rise <= rise_bound,
+        "backward grew the heap by {:.2} MiB, over the {:.2} MiB that the last \
+         `down` arm's rebuilt operands and gradients and the slack account for",
         mib(rise),
-        mib(tape)
+        mib(rise_bound)
     );
     assert!(
         kept == 0,

@@ -496,28 +496,34 @@ pub fn fused_softmax_xent_bwd(
     targets: &[u32],
     upstream: f32,
 ) -> Matrix {
+    fused_softmax_xent_bwd_in_place(exps.clone(), denoms, targets, upstream)
+}
+
+/// [`fused_softmax_xent_bwd`] that writes the gradient over `exps`' own
+/// buffer, for a caller done with the cache. Same bits.
+pub fn fused_softmax_xent_bwd_in_place(
+    mut exps: Matrix,
+    denoms: &[f32],
+    targets: &[u32],
+    upstream: f32,
+) -> Matrix {
     let (rows, cols) = exps.shape();
-    let n = rows as f32;
-    let f = upstream / n;
-    let mut dl = Matrix::zeros(rows, cols);
-    let es = exps.as_slice();
+    let f = upstream / rows as f32;
     let flops = rows * cols * AXPY_FLOPS;
     par_bands(
         rows,
         flops,
-        [(dl.as_mut_slice(), cols)],
-        |lo, hi, [band]| {
-            for r in lo..hi {
-                let erow = &es[r * cols..(r + 1) * cols];
-                let denom = denoms[r];
-                let drow = &mut band[(r - lo) * cols..(r - lo + 1) * cols];
-                for_each_lane(drow, |j| erow[j] / denom * f);
-                let t = targets[r] as usize;
-                drow[t] = (erow[t] / denom - 1.0) * f;
+        [(exps.as_mut_slice(), cols)],
+        |lo, _, [band]| {
+            for (r, drow) in (lo..).zip(band.chunks_exact_mut(cols)) {
+                let (denom, t) = (denoms[r], targets[r] as usize);
+                let et = drow[t];
+                drow.iter_mut().for_each(|e| *e = *e / denom * f);
+                drow[t] = (et / denom - 1.0) * f;
             }
         },
     );
-    dl
+    exps
 }
 
 // ----- rope ------------------------------------------------------------------
@@ -1329,6 +1335,38 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn softmax_xent_bwd_in_place_keeps_the_bits_and_the_buffer() {
+        // 64 × 5500 × 3 FLOPs cross the pool's 2^20 gate, so at two threads
+        // the banded writes run too.
+        let mut rng = crate::Rng::seed_from_u64(0x0e5);
+        let (rows, cols) = (64, 5500);
+        let logits = Matrix::randn(rows, cols, &mut rng);
+        let targets: Vec<u32> = (0..rows).map(|r| (r * 37 % cols) as u32).collect();
+        let (_, exps, denoms) = fused_softmax_xent_fwd(&logits, &targets);
+        let (_, probs) = reference::softmax_xent_fwd(&logits, &targets);
+        let want = reference::softmax_xent_bwd(&probs, &targets, 0.7);
+        for threads in [1, 2] {
+            let _pin = crate::ThreadOverrideGuard::new(threads);
+            let owned = exps.clone();
+            let buffer = owned.as_slice().as_ptr();
+            let got = fused_softmax_xent_bwd_in_place(owned, &denoms, &targets, 0.7);
+            assert_eq!(
+                got.as_slice().as_ptr(),
+                buffer,
+                "threads={threads}: a new buffer"
+            );
+            assert_eq!(got.shape(), want.shape());
+            for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "threads={threads} at {i}: {g} vs {w}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn rope_freqs_match_inline_powf() {

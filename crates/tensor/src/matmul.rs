@@ -1,16 +1,20 @@
 //! Matrix-multiplication kernels.
 //!
-//! The three kernels (`a·b`, `a·bᵀ`, `aᵀ·b`) share one register tile
+//! The three kernels (`a·b`, `a·bᵀ`, `aᵀ·b`) are thin wrappers over one
+//! product of two strided operands ([`Strided`]), so a transpose is a swap
+//! of strides and never a copy. That product runs one register tile
 //! ([`tile`]): outputs are computed in bands of [`NR`] columns whose
 //! accumulators live in registers for the whole `k` loop, so the per-`p`
 //! traffic is a handful of contiguous vector loads instead of a
-//! load+store sweep over the output row. Strided operands are packed into
-//! contiguous panels first (`aᵀ` by [`Matrix::transpose`], `bᵀ` interleaved
-//! panels), each built in write order with no zero-fill and dropped when
-//! the product is done; `a·b` with too few rows to amortise a pack
-//! reads `b`'s rows in place instead (`PACK_MIN_ROWS`). Both paths, all
-//! three kernels and every remainder band run the same tile body at
-//! different strides, row counts and literal widths.
+//! load+store sweep over the output row. The left operand is read where it
+//! lies, one broadcast per row and `p`. The right operand is read in place
+//! when its rows are contiguous and a row band has too few rows to amortise
+//! a pack (`PACK_MIN_ROWS`); otherwise one pack, driven by its strides,
+//! copies one column block of it at a time into a contiguous panel that the
+//! band sweeps next, built in write order with no zero-fill and reused for
+//! the next block. Both paths, all three kernels and every remainder band
+//! run the same tile body at different strides, row counts and literal
+//! widths.
 //!
 //! # One body, two lane types
 //!
@@ -147,10 +151,10 @@ const WIDE_ROWS: usize = 8;
 /// (see there).
 const WIDE_MIN_ROWS: usize = 16;
 
-/// `a · b` packs `b` into panels only from this many rows of `a` up. The
-/// pack copies `k·n` floats once per call, so its cost per row of `a` falls
-/// with `m`: which side wins is a property of the input, hence one
-/// threshold on `m` and nothing to tune.
+/// A row band packs a `b` whose rows are contiguous only from this many rows
+/// up. The pack copies `k·n` floats once per band, so its cost per row falls
+/// with the band's rows: which side wins is a property of the input, hence
+/// one threshold on the rows and nothing to tune.
 ///
 /// Measured on the reference box (AVX-512VL, 1 thread), µs per call,
 /// in-place / packed, on the decode and prefill shapes:
@@ -213,7 +217,8 @@ const PACK_MIN_ROWS: usize = 64;
 /// 64 rows at m = 8, and still 1.26× at 128. 64 is the best or within noise
 /// of it in every cold cell, and ties 32 there while losing less on hot
 /// ones. Tried on the same harness and not kept: 8 and 16 rows (behind 32
-/// in nearly every cell), and 48 and 96 (no cell outside 64's spread).
+/// in nearly every cell), and 48 and 96 (no cell outside 64's spread). A
+/// transposed `a` is walked in the same blocks ([`run_rows`]).
 const KB: usize = 64;
 
 /// FLOP count of an `m×k · k×n` multiplication (one multiply + one add per
@@ -312,140 +317,122 @@ impl Drop for ThreadOverrideGuard {
     }
 }
 
-/// Packs a row-major `k×n` operand (stride `n`) into column-band
-/// interleaved panels: the `w`-wide band at column `j0` is a contiguous
-/// `k×w` block at offset `j0·k` with `block[p·w + j] = src[p·n + j0 + j]`.
+/// A matrix operand read where it lies: element `(i, p)` is `data[i·rs +
+/// p·cs]`. A row-major matrix is `(data, cols, 1)` and its transpose
+/// `(data, 1, cols)`, so `aᵀ` and `bᵀ` cost nothing to form.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    fn of(m: &'a Matrix) -> Self {
+        Strided {
+            data: m.as_slice(),
+            rs: m.cols(),
+            cs: 1,
+        }
+    }
+
+    fn transposed(m: &'a Matrix) -> Self {
+        Strided {
+            data: m.as_slice(),
+            rs: 1,
+            cs: m.cols(),
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self, i: usize, p: usize) -> f32 {
+        self.data[i * self.rs + p * self.cs]
+    }
+
+    /// The operand from row `i` on.
+    fn skip_rows(self, i: usize) -> Self {
+        Strided {
+            data: &self.data[i * self.rs..],
+            ..self
+        }
+    }
+}
+
+/// Packs rows `ps` of the `w`-wide column band of `b` at column `j0` into
+/// `block`, a contiguous `ps.len()×w` panel: `block[(p − ps.start)·w + j] =
+/// b(p, j0 + j)`. One pack for either layout: a row-major `b` copies
+/// `w`-float runs, a transposed one gathers down its columns.
 ///
 /// One accumulation step of the micro-kernel then loads its `NR` lanes
 /// from a single contiguous 128-byte run instead of a 4·n-strided strip —
 /// the strided form costs a TLB/prefetch stall per `p` once `n` spans
 /// hundreds of pages.
-fn pack_panels(src: &[f32], k: usize, n: usize) -> Vec<f32> {
-    let mut panel = Vec::with_capacity(k * n);
-    if k == 0 {
-        return panel;
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        for srow in src.chunks_exact(n) {
-            panel.extend_from_slice(&srow[j0..j0 + w]);
+fn pack_band(b: Strided, ps: Range<usize>, j0: usize, w: usize, block: &mut Vec<f32>) {
+    block.clear();
+    for p in ps {
+        let run = &b.data[p * b.rs + j0 * b.cs..];
+        if b.cs == 1 {
+            block.extend_from_slice(&run[..w]);
+        } else {
+            block.extend((0..w).map(|j| run[j * b.cs]));
         }
-        j0 += w;
     }
-    panel
 }
 
-/// Packs the transpose of a row-major `n×k` operand into the same
-/// interleaved panel layout as [`pack_panels`]: `block[p·w + j] =
-/// src[(j0+j)·k + p]`, i.e. panel columns are `src` *rows* (the `a·bᵀ`
-/// case).
-fn pack_panels_transposed(src: &[f32], n: usize, k: usize) -> Vec<f32> {
-    let mut panel = Vec::with_capacity(k * n);
-    if k == 0 {
-        return panel;
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        let rows = &src[j0 * k..(j0 + w) * k];
-        for p in 0..k {
-            panel.extend((0..w).map(|j| rows[j * k + p]));
-        }
-        j0 += w;
-    }
-    panel
-}
-
-/// The shared band sweep: computes output rows `[lo, hi)` from row-major
-/// `a_rows` (stride `k`) against a packed panel of the second operand.
-/// Panel band outer, rows inner, so one `k×NR` block stays cache-hot
-/// across the whole row band.
-fn run_packed(
-    a_rows: &[f32],
+/// Output rows `[lo, hi)` of `a · b` (`k > 0`). `b` is read in place when
+/// its rows are contiguous and the band has too few rows to amortise a
+/// copy ([`PACK_MIN_ROWS`]); otherwise each column band is packed just
+/// before the rows sweep it ([`pack_band`]), so no more than one block of
+/// `b` is ever copied at a time. Column band outer, row tiles inner, so the
+/// band's lines stay cache-hot across the row tiles.
+fn run_rows<const AT: bool>(
+    a: Strided,
+    b: Strided,
     k: usize,
-    panel: &[f32],
     n: usize,
     lo: usize,
     hi: usize,
     out: &mut [f32],
 ) {
-    if k == 0 {
-        return; // out is pre-zeroed; an empty inner dim contributes nothing
-    }
-    let rows = &a_rows[lo * k..hi * k];
-    let wide = wide_tile(hi - lo);
-    let mut j0 = 0;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        let block = &panel[j0 * k..(j0 + w) * k];
-        let array_rows = if w == NR { PACKED_ROWS } else { MR };
-        sweep_band(
-            wide,
-            array_rows,
-            rows,
-            k,
-            0..k,
-            block,
-            w,
-            w,
-            &mut out[j0..],
-            n,
-        );
-        j0 += w;
-    }
-}
-
-/// The no-pack band sweep for a few rows: computes output rows `[lo, hi)`
-/// of `a_rows · b` reading the row-major `b` (stride `n`) in place — its
-/// rows are already contiguous per `p`, so a column band is `k` runs of
-/// [`NR`] floats, and with only a handful of rows to share it a packed
-/// copy of `b` costs more than it saves (see [`PACK_MIN_ROWS`]). Column
-/// band outer, row tiles inner, so the band's lines stay cache-hot across
-/// the row tiles.
-fn run_unpacked(
-    a_rows: &[f32],
-    k: usize,
-    b: &[f32],
-    n: usize,
-    lo: usize,
-    hi: usize,
-    out: &mut [f32],
-) {
-    if lo == hi || k == 0 {
-        // A zero-row product (an LM-head call with nothing to decode), or an
-        // empty inner dim: `b` has no row to take a band of and the
-        // pre-zeroed output is the answer.
+    if lo == hi {
+        // A zero-row product: an LM-head call with nothing to decode.
         return;
     }
-    let rows = &a_rows[lo * k..hi * k];
-    // A band that fits one 16-lane tile walks `b` in blocks of [`KB`] rows,
-    // every column band inside each block; any other band takes the whole
-    // of `k` in one block.
-    let blocked = hi - lo <= WIDE_ROWS && numerics::avx512f();
-    let (wide, kb) = if blocked {
-        (true, KB)
-    } else {
-        (wide_tile(hi - lo), k)
-    };
+    let (a, rows) = (a.skip_rows(lo), hi - lo);
+    let packed = b.cs != 1 || rows >= PACK_MIN_ROWS;
+    // A band that fits one 16-lane tile and reads `b` in place walks `b` in
+    // blocks of [`KB`] rows, every column band inside each block. So does a
+    // transposed `a`: a tile reads half a line of it per `p`, and the next
+    // tile the other half, which over the whole of `k` is gone from L1 by
+    // then (`1024×512ᵀ · 1024×512`: 1.2–1.3× the copying kernel's time
+    // unblocked, 0.8× blocked). Any other band takes `k` in one block.
+    let blocked = !packed && rows <= WIDE_ROWS && numerics::avx512f();
+    let wide = blocked || wide_tile(rows);
+    let kb = if blocked || AT { KB } else { k };
+    let mut block = Vec::with_capacity(if packed { kb.min(k) * NR } else { 0 });
     for p0 in (0..k).step_by(kb) {
         let ps = p0..k.min(p0 + kb);
-        let mut j0 = 0;
-        while j0 < n {
+        for j0 in (0..n).step_by(NR) {
             let w = NR.min(n - j0);
-            sweep_band(
+            let (band, stride, array_rows) = if packed {
+                pack_band(b, ps.clone(), j0, w, &mut block);
+                (&block[..], w, if w == NR { PACKED_ROWS } else { MR })
+            } else {
+                (&b.data[ps.start * b.rs + j0..], b.rs, MR)
+            };
+            let out = &mut out[j0..];
+            sweep_band::<AT>(
                 wide,
-                MR,
+                array_rows,
+                a,
                 rows,
-                k,
                 ps.clone(),
-                &b[j0..],
-                n,
+                band,
+                stride,
                 w,
-                &mut out[j0..],
+                out,
                 n,
             );
-            j0 += w;
         }
     }
 }
@@ -458,17 +445,17 @@ fn wide_tile(n_rows: usize) -> bool {
     n_rows >= WIDE_MIN_ROWS && numerics::avx512f()
 }
 
-/// Every row of `rows` (stride `k`) against one `w ≤ NR`-column band over
-/// the inner indices `ps`, on the 16-lane tile ([`WIDE_ROWS`] rows at a
-/// time) when `wide`, else on the array tile `array_rows` at a time. `out`
+/// The first `rows` rows of `a` against one `w ≤ NR`-column band over the
+/// inner indices `ps`, on the 16-lane tile ([`WIDE_ROWS`] rows at a time)
+/// when `wide`, else on the array tile `array_rows` at a time. `out`
 /// starts at the band's first column of the first row and has row stride
-/// `n`; `k > 0` (both callers return early on an empty inner dimension).
+/// `n`.
 #[allow(clippy::too_many_arguments)]
-fn sweep_band(
+fn sweep_band<const AT: bool>(
     wide: bool,
     array_rows: usize,
-    rows: &[f32],
-    k: usize,
+    a: Strided,
+    rows: usize,
     ps: Range<usize>,
     band: &[f32],
     stride: usize,
@@ -483,9 +470,9 @@ fn sweep_band(
         /// code, whatever the crate's own target is.
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
-        fn avx512(
-            rows: &[f32],
-            k: usize,
+        fn avx512<const AT: bool>(
+            a: Strided,
+            rows: usize,
             ps: Range<usize>,
             band: &[f32],
             stride: usize,
@@ -493,13 +480,13 @@ fn sweep_band(
             out: &mut [f32],
             n: usize,
         ) {
-            block_pieces::<Zmm>(WIDE_ROWS, rows, k, ps, band, stride, w, out, n)
+            block_pieces::<Zmm, AT>(WIDE_ROWS, a, rows, ps, band, stride, w, out, n)
         }
         // SAFETY: `wide` is true only after the probe found avx512f on this
-        // CPU (`wide_tile`, `run_unpacked`).
-        return unsafe { avx512(rows, k, ps, band, stride, w, out, n) };
+        // CPU (`wide_tile`, `run_rows`).
+        return unsafe { avx512::<AT>(a, rows, ps, band, stride, w, out, n) };
     }
-    block_pieces::<[f32; 16]>(array_rows, rows, k, ps, band, stride, w, out, n)
+    block_pieces::<[f32; 16], AT>(array_rows, a, rows, ps, band, stride, w, out, n)
 }
 
 /// A `w ≤ NR`-column band as literal-width pieces: the full band is two
@@ -515,10 +502,10 @@ fn sweep_band(
 /// all 1-wide piece).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn block_pieces<L16: ExactLanes>(
+fn block_pieces<L16: ExactLanes, const AT: bool>(
     max_rows: usize,
-    rows: &[f32],
-    k: usize,
+    a: Strided,
+    rows: usize,
     ps: Range<usize>,
     band: &[f32],
     stride: usize,
@@ -527,14 +514,14 @@ fn block_pieces<L16: ExactLanes>(
     n: usize,
 ) {
     if w == NR {
-        return sweep_rows::<L16, 2>(max_rows, rows, k, ps, band, stride, out, n);
+        return sweep_rows::<L16, 2, AT>(max_rows, a, rows, ps, band, stride, out, n);
     }
     let mut j = 0;
     macro_rules! piece {
         ($lanes:ty, $max_rows:expr) => {
             if w - j >= <$lanes>::W {
                 let (band, out) = (&band[j..], &mut out[j..]);
-                sweep_rows::<$lanes, 1>($max_rows, rows, k, ps.clone(), band, stride, out, n);
+                sweep_rows::<$lanes, 1, AT>($max_rows, a, rows, ps.clone(), band, stride, out, n);
                 j += <$lanes>::W;
             }
         };
@@ -553,31 +540,34 @@ fn block_pieces<L16: ExactLanes>(
     debug_assert_eq!(j, w);
 }
 
-/// Every row against one `V`-vector piece, `max_rows ≤ 8` rows per [`tile`]
-/// with one shorter tile for what is left.
+/// The first `rows` rows against one `V`-vector piece, `max_rows ≤ 8` rows
+/// per [`tile`] with one shorter tile for what is left.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn sweep_rows<L: ExactLanes, const V: usize>(
+fn sweep_rows<L: ExactLanes, const V: usize, const AT: bool>(
     max_rows: usize,
-    rows: &[f32],
-    k: usize,
+    a: Strided,
+    rows: usize,
     ps: Range<usize>,
     band: &[f32],
     stride: usize,
     out: &mut [f32],
     n: usize,
 ) {
-    for (a, o) in rows.chunks(max_rows * k).zip(out.chunks_mut(max_rows * n)) {
-        let ps = ps.clone();
-        match a.len() / k {
-            1 => tile::<L, V, 1>(a, k, ps, band, stride, o, n),
-            2 => tile::<L, V, 2>(a, k, ps, band, stride, o, n),
-            3 => tile::<L, V, 3>(a, k, ps, band, stride, o, n),
-            4 => tile::<L, V, 4>(a, k, ps, band, stride, o, n),
-            5 => tile::<L, V, 5>(a, k, ps, band, stride, o, n),
-            6 => tile::<L, V, 6>(a, k, ps, band, stride, o, n),
-            7 => tile::<L, V, 7>(a, k, ps, band, stride, o, n),
-            8 => tile::<L, V, 8>(a, k, ps, band, stride, o, n),
+    for (i0, o) in (0..rows)
+        .step_by(max_rows)
+        .zip(out.chunks_mut(max_rows * n))
+    {
+        let (a, ps) = (a.skip_rows(i0), ps.clone());
+        match max_rows.min(rows - i0) {
+            1 => tile::<L, V, 1, AT>(a, ps, band, stride, o, n),
+            2 => tile::<L, V, 2, AT>(a, ps, band, stride, o, n),
+            3 => tile::<L, V, 3, AT>(a, ps, band, stride, o, n),
+            4 => tile::<L, V, 4, AT>(a, ps, band, stride, o, n),
+            5 => tile::<L, V, 5, AT>(a, ps, band, stride, o, n),
+            6 => tile::<L, V, 6, AT>(a, ps, band, stride, o, n),
+            7 => tile::<L, V, 7, AT>(a, ps, band, stride, o, n),
+            8 => tile::<L, V, 8, AT>(a, ps, band, stride, o, n),
             rows => unreachable!("sweep_rows: a tile is 1 to 8 rows, not {rows}"),
         }
     }
@@ -670,12 +660,17 @@ impl ExactLanes for Zmm {
     }
 }
 
-/// The register tile, written once: `R` rows of `a` (stride `k`) against a
+/// The register tile, written once: `R` rows of `a` against a
 /// `V·L::W`-column piece of a band over the inner indices `ps`, `out[r·n +
-/// j] (+)= Σ_{p ∈ ps} a[r·k + p] · band[p·stride + j]`. The band is a packed
-/// block (`stride` = its width) or the row-major operand itself (`stride =
-/// n`), the slice starting at the piece's first column of row `p = 0`;
-/// `out` starts at the same column of the first row.
+/// j] (+)= Σ_{p ∈ ps} a(r, p) · band[(p − ps.start)·stride + j]`. `a` is
+/// read where it lies, one broadcast per row and `p`: row-major (`cs = 1`),
+/// or stored transposed (`rs = 1`) when `AT`. The layout is a type
+/// parameter because one body holding both loops ran small-`m` products
+/// 4–17 % slower than one loop alone ([`product`] reads it off `a`'s
+/// strides). The band is a packed block (`stride` = its width) or the
+/// row-major operand itself (`stride = n`), the slice starting at the
+/// piece's first column of row `p = ps.start`; `out` starts at the same
+/// column of the first row.
 ///
 /// Each output element is one lane of one accumulator, summed in ascending
 /// `p` with a separately rounded product — the reference loop's arithmetic,
@@ -695,13 +690,12 @@ impl ExactLanes for Zmm {
 ///
 /// # Panics
 ///
-/// Panics unless `a` holds `R` rows, `ps` ends by `k`, `band` reaches the
-/// piece's last column at `p = ps.end − 1` and `out` its last column in row
-/// `R − 1`.
+/// Panics unless `a` holds `R` rows through `ps`, `band` reaches the
+/// piece's last column in its row `p = ps.end − 1` and `out` its last column
+/// in row `R − 1`.
 #[inline(always)]
-fn tile<L: ExactLanes, const V: usize, const R: usize>(
-    a: &[f32],
-    k: usize,
+fn tile<L: ExactLanes, const V: usize, const R: usize, const AT: bool>(
+    a: Strided,
     ps: Range<usize>,
     band: &[f32],
     stride: usize,
@@ -709,15 +703,15 @@ fn tile<L: ExactLanes, const V: usize, const R: usize>(
     n: usize,
 ) {
     let w = V * L::W;
-    assert!(a.len() >= R * k, "tile: a holds fewer than R rows");
-    assert!(ps.end <= k, "tile: p range past k");
     assert!(
-        ps.is_empty() || band.len() >= (ps.end - 1) * stride + w,
+        ps.is_empty() || a.data.len() > (R - 1) * a.rs + (ps.end - 1) * a.cs,
+        "tile: a holds fewer than R rows"
+    );
+    assert!(
+        ps.is_empty() || band.len() >= (ps.len() - 1) * stride + w,
         "tile: band too short"
     );
     assert!(out.len() >= (R - 1) * n + w, "tile: out too short");
-    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + ps.start..r * k + ps.end]);
-    let band = &band[ps.start * stride..];
     let mut acc = [[L::splat(0.0); V]; R];
     if ps.start > 0 {
         for (r, accr) in acc.iter_mut().enumerate() {
@@ -726,13 +720,29 @@ fn tile<L: ExactLanes, const V: usize, const R: usize>(
             }
         }
     }
-    for p in 0..ps.len() {
-        let brow = &band[p * stride..p * stride + w];
-        let b: [L; V] = std::array::from_fn(|v| L::load(&brow[v * L::W..]));
-        for (accr, arow) in acc.iter_mut().zip(&arows) {
-            let av = L::splat(arow[p]);
-            for (x, &bv) in accr.iter_mut().zip(&b) {
-                *x = x.add_mul(av, bv);
+    // `a`'s `R` values at each `p`, one bounds check per row or per `p`
+    // rather than per value (which cost 5–25 % on the decode and transposed
+    // shapes): a row-major `a` gives `R` row slices the loop bound covers, a
+    // transposed one `R` neighbours in one of its rows.
+    let len = ps.len();
+    let band_row = |i: usize| -> [L; V] {
+        let brow = &band[i * stride..i * stride + w];
+        std::array::from_fn(|v| L::load(&brow[v * L::W..]))
+    };
+    if !AT {
+        let arows: [&[f32]; R] = std::array::from_fn(|r| &a.data[r * a.rs + ps.start..][..len]);
+        for i in 0..len {
+            let b = band_row(i);
+            for (accr, arow) in acc.iter_mut().zip(&arows) {
+                add_row(accr, arow[i], &b);
+            }
+        }
+    } else {
+        for i in 0..len {
+            let b = band_row(i);
+            let col: &[f32; R] = a.data[(ps.start + i) * a.cs..].first_chunk().unwrap();
+            for (accr, &av) in acc.iter_mut().zip(col) {
+                add_row(accr, av, &b);
             }
         }
     }
@@ -743,82 +753,75 @@ fn tile<L: ExactLanes, const V: usize, const R: usize>(
     }
 }
 
-/// An `m × n_out` output from `run(lo, hi, band_out)` over row bands
-/// ([`par_bands`]: on the worker pool when the FLOP gate passes, serially
-/// otherwise). Every row is computed independently, so the output is
-/// bit-identical for any thread count (including 1).
-fn parallel_rows(
-    m: usize,
-    flops: usize,
-    run: impl Fn(usize, usize, &mut [f32]) + Sync,
-    n_out: usize,
-) -> Vec<f32> {
-    let mut out = vec![0.0; m * n_out];
-    par_bands(m, flops, [(&mut out[..], n_out)], |lo, hi, [band]| {
-        run(lo, hi, band)
-    });
-    out
+/// One tile row's step: `accr += av · b`, lane by lane, never fused.
+#[inline(always)]
+fn add_row<L: ExactLanes, const V: usize>(accr: &mut [L; V], av: f32, b: &[L; V]) {
+    let av = L::splat(av);
+    for (x, &bv) in accr.iter_mut().zip(b) {
+        *x = x.add_mul(av, bv);
+    }
 }
 
-/// `1×k · k×n` product, the hot shape of a KV-cached decode step (one
-/// residual row against every weight matrix). Output *columns* are the
-/// units [`par_bands`] splits; each element still accumulates its `k`
-/// products in ascending-`p` order, so results are bit-identical to the
-/// reference loop and invariant across thread counts (the band partition is
-/// a pure function of `(n, threads)`).
-fn gemv(arow: &[f32], b: &Matrix) -> Vec<f32> {
-    let (k, n) = b.shape();
+/// `1×k · k×n` product with `b`'s rows contiguous, the hot shape of a
+/// KV-cached decode step (one residual row against every weight matrix) and
+/// a rank-1 projection: the row-band partition the tile paths parallelize
+/// over degenerates to one task at m = 1, so output *columns* are the units
+/// [`par_bands`] splits. Each element accumulates its `k` products in
+/// ascending-`p` order, `p` outer (one broadcast, contiguous `b` lanes
+/// inner), so results are bit-identical to the reference loop and invariant
+/// across thread counts (the band partition is a pure function of `(n,
+/// threads)`).
+fn gemv(a: Strided, b: Strided, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0; n];
-    let flops = matmul_flops(1, k, n);
-    par_bands(n, flops, [(&mut out[..], 1)], |lo, hi, [band]| {
-        gemv_band(arow, b, lo, hi, band)
-    });
+    par_bands(
+        n,
+        matmul_flops(1, k, n),
+        [(&mut out[..], 1)],
+        |lo, hi, [band]| gemv_band(a, b, k, lo, hi, band),
+    );
     out
 }
 
-/// One column band of the gemv: `out[j - lo] = Σ_p arow[p] · b[p, j]`,
-/// with `p` outer (one broadcast, contiguous `b` lanes inner) and
-/// ascending-`p` accumulation per element, as in the reference loop.
-fn gemv_band(arow: &[f32], b: &Matrix, lo: usize, hi: usize, out: &mut [f32]) {
-    for (p, &av) in arow.iter().enumerate() {
-        let brow = &b.row(p)[lo..hi];
-        for (ov, &bv) in out.iter_mut().zip(brow) {
+/// Output columns `[lo, hi)` of the gemv. A function of its own, so that
+/// `out` arrives as a `&mut` argument, which LLVM knows aliases nothing: in
+/// the closure it vectorizes behind runtime overlap checks (2–13 % slower
+/// per call at the decode shapes).
+fn gemv_band(a: Strided, b: Strided, k: usize, lo: usize, hi: usize, out: &mut [f32]) {
+    for p in 0..k {
+        let (av, brow) = (a.at(0, p), &b.data[p * b.rs..]);
+        for (ov, &bv) in out.iter_mut().zip(&brow[lo..hi]) {
             *ov += av * bv;
         }
     }
 }
 
-/// `rows · b` for `m` row-major rows of length `b.rows()`: the dispatch on
-/// output rows that [`matmul`] and [`matmul_transa`] share. Whichever arm
-/// runs, every output element accumulates its products in ascending-`p`
-/// order, so the arms agree bit for bit and the choice is only about speed.
-fn rows_times(a_rows: &[f32], m: usize, b: &Matrix) -> Matrix {
-    let (k, n) = b.shape();
-    // Single-row products — the KV-cached decode-step hot shape, and a
-    // rank-1 projection — go through the column-banded gemv path: the
-    // row-band partition the other paths parallelize over degenerates to
-    // one task at m = 1.
-    if m == 1 {
-        return Matrix::from_vec(1, n, gemv(a_rows, b));
+/// `a · b` for an `m×k` `a` and a `k×n` `b`, each read through its strides:
+/// the one product the three public kernels wrap. The dispatch is on the
+/// input only — the gemv at one row, otherwise row bands that read `b` in
+/// place or pack it ([`run_rows`]) — and every arm accumulates each output
+/// element in ascending-`p` order from `+0.0`, so the arms agree bit for
+/// bit and the choice is only about speed. The output is bit-identical for
+/// any thread count: rows (or, for the gemv, columns) are computed
+/// independently over [`par_bands`]' bands.
+fn product(a: Strided, b: Strided, m: usize, k: usize, n: usize) -> Matrix {
+    if k == 0 || n == 0 {
+        // Nothing to accumulate, or nothing to write: the zeros are the answer.
+        return Matrix::zeros(m, n);
     }
-    // Few rows: read `b` in place.
-    if m < PACK_MIN_ROWS {
-        let data = parallel_rows(
-            m,
-            matmul_flops(m, k, n),
-            |lo, hi, out| run_unpacked(a_rows, k, b.as_slice(), n, lo, hi, out),
-            n,
-        );
-        return Matrix::from_vec(m, n, data);
+    if m == 1 && b.cs == 1 {
+        return Matrix::from_vec(1, n, gemv(a, b, k, n));
     }
-    let panel = pack_panels(b.as_slice(), k, n);
-    let data = parallel_rows(
+    let mut out = vec![0.0; m * n];
+    par_bands(
         m,
         matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(a_rows, k, &panel, n, lo, hi, out),
-        n,
+        [(&mut out[..], n)],
+        |lo, hi, [band]| match a.cs {
+            1 => run_rows::<false>(a, b, k, n, lo, hi, band),
+            _ => run_rows::<true>(a, b, k, n, lo, hi, band),
+        },
     );
-    Matrix::from_vec(m, n, data)
+    Matrix::from_vec(m, n, out)
 }
 
 /// `a · b`.
@@ -836,16 +839,11 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    rows_times(a.as_slice(), a.rows(), b)
+    product(Strided::of(a), Strided::of(b), a.rows(), a.cols(), b.cols())
 }
 
-/// `a · bᵀ` without materializing the transpose.
-///
-/// `b`'s rows become output columns, so the kernel first packs `b` into
-/// column-interleaved panels (`panel[j0*k + p*w + j] = b[(j0+j)*k + p]` for
-/// the `w`-wide band at `j0`): the `NR` lanes of one accumulation step then
-/// load contiguously and each output element keeps its plain sequential
-/// dot-product order, bit-identical to the scalar loop.
+/// `a · bᵀ` without materializing the transpose: `b`'s rows are the output
+/// columns, so `b` is always packed, each block gathered down those rows.
 ///
 /// # Panics
 ///
@@ -860,43 +858,18 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    // Packing costs k·n writes against 2·m·k·n FLOPs of compute; below a
-    // few rows the scalar dot loop wins (and rank-1 projector products with
-    // k = 0 or n = 0 have nothing to pack).
-    if m < 4 || k == 0 || n == 0 {
-        let run = |lo: usize, hi: usize, out: &mut [f32]| {
-            for (band_r, r) in (lo..hi).enumerate() {
-                let arow = a.row(r);
-                for c in 0..n {
-                    let brow = b.row(c);
-                    let mut acc = 0.0f32;
-                    for p in 0..k {
-                        acc += arow[p] * brow[p];
-                    }
-                    out[band_r * n + c] = acc;
-                }
-            }
-        };
-        let data = parallel_rows(m, matmul_flops(m, k, n), run, n);
-        return Matrix::from_vec(m, n, data);
-    }
-    let panel = pack_panels_transposed(b.as_slice(), n, k);
-    let data = parallel_rows(
-        m,
-        matmul_flops(m, k, n),
-        |lo, hi, out| run_packed(a.as_slice(), k, &panel, n, lo, hi, out),
-        n,
-    );
-    Matrix::from_vec(m, n, data)
+    product(
+        Strided::of(a),
+        Strided::transposed(b),
+        a.rows(),
+        a.cols(),
+        b.rows(),
+    )
 }
 
-/// `aᵀ · b`.
-///
-/// `a`'s columns are the output rows: the kernel builds `aᵀ`
-/// ([`Matrix::transpose`]) once, then dispatches on its row count exactly
-/// as [`matmul`] does — gemv at one row, `b` read in place below
-/// [`PACK_MIN_ROWS`], packed panels above. Per-element accumulation is ascending-`p` on every arm.
+/// `aᵀ · b` without materializing the transpose: `a`'s columns are the
+/// output rows, read where they lie, and the dispatch on their count is
+/// [`matmul`]'s.
 ///
 /// # Panics
 ///
@@ -911,20 +884,34 @@ pub fn matmul_transa(a: &Matrix, b: &Matrix) -> Matrix {
         b.rows(),
         b.cols()
     );
-    let at = a.transpose();
-    rows_times(at.as_slice(), a.cols(), b)
+    product(
+        Strided::transposed(a),
+        Strided::of(b),
+        a.cols(),
+        a.rows(),
+        b.cols(),
+    )
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
 
-    /// [`block_pieces`] over the whole inner dimension.
+    /// `rows` read as a row-major operand with rows of `k`.
+    fn row_major(rows: &[f32], k: usize) -> Strided<'_> {
+        Strided {
+            data: rows,
+            rs: k,
+            cs: 1,
+        }
+    }
+
+    /// [`block_pieces`] over the whole inner dimension of every row of `a`.
     #[allow(clippy::too_many_arguments)]
     fn band_pieces<L16: ExactLanes>(
         max_rows: usize,
-        rows: &[f32],
+        a: Strided,
+        n_rows: usize,
         k: usize,
         band: &[f32],
         stride: usize,
@@ -932,7 +919,7 @@ mod tests {
         out: &mut [f32],
         n: usize,
     ) {
-        block_pieces::<L16>(max_rows, rows, k, 0..k, band, stride, w, out, n)
+        block_pieces::<L16, false>(max_rows, a, n_rows, 0..k, band, stride, w, out, n)
     }
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
@@ -1102,13 +1089,84 @@ mod tests {
                     // Untouched cells (the 3 columns between rows) keep
                     // their 7.0: a tile writes its `w` columns only.
                     let mut got = vec![7.0f32; want.len()];
-                    band_pieces::<[f32; 16]>(WIDE_ROWS, &a, k, &band, stride, w, &mut got, n);
+                    let a = row_major(&a, k);
+                    band_pieces::<[f32; 16]>(
+                        WIDE_ROWS, a, n_rows, k, &band, stride, w, &mut got, n,
+                    );
                     check("array", &got);
                     #[cfg(target_arch = "x86_64")]
                     if wide {
                         let mut got = vec![7.0f32; want.len()];
-                        band_pieces::<Zmm>(WIDE_ROWS, &a, k, &band, stride, w, &mut got, n);
+                        band_pieces::<Zmm>(WIDE_ROWS, a, n_rows, k, &band, stride, w, &mut got, n);
                         check("zmm", &got);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_left_operand_agrees_across_lane_types_and_with_the_scalar_loop() {
+        // `aᵀ·b` reads `a` where it lies: the tile's rows are neighbours in
+        // one row of the stored matrix. Every band width × 1–24 rows (every
+        // tile and remainder, and on the array form the 16-row-and-up bands
+        // an AVX-512 host otherwise runs on `Zmm` only) × ragged `k`, each
+        // lane type at each of its row counts, over the whole of `k` and in
+        // blocks of `KB` as `run_rows` walks it.
+        let wide = numerics::avx512f();
+        let mut rng = Rng::seed_from_u64(23);
+        for (case, &k) in [1usize, 7, 33, 130].iter().enumerate() {
+            for w in 1..=NR {
+                for n_rows in 1..=24 {
+                    let inf_in_a = (w + n_rows + case) % 3 == 0;
+                    let (a, band) = salted_operands(n_rows, k, w, w, inf_in_a, &mut rng);
+                    let at: Vec<f32> = (0..k * n_rows)
+                        .map(|i| a[(i % n_rows) * k + i / n_rows])
+                        .collect();
+                    let at = Strided {
+                        data: &at,
+                        rs: 1,
+                        cs: n_rows,
+                    };
+                    let mut want = vec![0.0f32; n_rows * w];
+                    for (r, row) in want.chunks_exact_mut(w).enumerate() {
+                        for (j, e) in row.iter_mut().enumerate() {
+                            for p in 0..k {
+                                *e += a[r * k + p] * band[p * w + j];
+                            }
+                        }
+                    }
+                    let tag = format!("rows={n_rows} k={k} w={w}");
+                    let check = |how: &str, got: &[f32]| {
+                        for (i, (g, e)) in got.iter().zip(&want).enumerate() {
+                            assert!(!e.is_nan(), "{tag}: the reference made a NaN at {i}");
+                            assert_eq!(g.to_bits(), e.to_bits(), "{how} {tag} at {i}: {g} vs {e}");
+                        }
+                    };
+                    let kb = if case % 2 == 0 { k } else { KB };
+                    let sweep = |how: &str, max_rows: usize, zmm: bool| {
+                        let mut got = vec![7.0f32; want.len()];
+                        for p0 in (0..k).step_by(kb) {
+                            let ps = p0..k.min(p0 + kb);
+                            let (band, out) = (&band[p0 * w..], &mut got[..]);
+                            #[cfg(target_arch = "x86_64")]
+                            if zmm {
+                                block_pieces::<Zmm, true>(
+                                    max_rows, at, n_rows, ps, band, w, w, out, w,
+                                );
+                                continue;
+                            }
+                            block_pieces::<[f32; 16], true>(
+                                max_rows, at, n_rows, ps, band, w, w, out, w,
+                            );
+                        }
+                        check(how, &got);
+                    };
+                    sweep("array/2", PACKED_ROWS, false);
+                    sweep("array/4", MR, false);
+                    sweep("array/8", WIDE_ROWS, false);
+                    if wide {
+                        sweep("zmm", WIDE_ROWS, true);
                     }
                 }
             }
@@ -1121,7 +1179,7 @@ mod tests {
         // in blocks of `KB` rows, each block resuming its accumulators from
         // `out`. Every such row count × every band width × inner dimensions
         // inside one block, on a block edge and ragged across several, with
-        // the infinities in `a` or in `b`: through `run_unpacked` (the walk
+        // the infinities in `a` or in `b`: through `run_rows` in place (the walk
         // this host selects) and through the blocked walk on each lane type.
         // The outputs start at 7.0, so the first block must not read them.
         let wide = numerics::avx512f();
@@ -1147,12 +1205,14 @@ mod tests {
                         }
                     };
                     let mut got = vec![7.0f32; want.len()];
-                    run_unpacked(&a, k, &b, w, 0, n_rows, &mut got);
-                    check("run_unpacked", &got);
+                    let (a, b) = (row_major(&a, k), row_major(&b, w));
+                    run_rows::<false>(a, b, k, w, 0, n_rows, &mut got);
+                    check("run_rows", &got);
                     let mut got = vec![7.0f32; want.len()];
                     for p0 in (0..k).step_by(KB) {
                         let ps = p0..k.min(p0 + KB);
-                        block_pieces::<[f32; 16]>(MR, &a, k, ps, &b, w, w, &mut got, w);
+                        let b = &b.data[p0 * w..];
+                        block_pieces::<[f32; 16], false>(MR, a, n_rows, ps, b, w, w, &mut got, w);
                     }
                     check("array", &got);
                     #[cfg(target_arch = "x86_64")]
@@ -1160,7 +1220,10 @@ mod tests {
                         let mut got = vec![7.0f32; want.len()];
                         for p0 in (0..k).step_by(KB) {
                             let ps = p0..k.min(p0 + KB);
-                            block_pieces::<Zmm>(WIDE_ROWS, &a, k, ps, &b, w, w, &mut got, w);
+                            let b = &b.data[p0 * w..];
+                            block_pieces::<Zmm, false>(
+                                WIDE_ROWS, a, n_rows, ps, b, w, w, &mut got, w,
+                            );
                         }
                         check("zmm", &got);
                     }
@@ -1176,21 +1239,21 @@ mod tests {
     #[should_panic(expected = "tile: a holds fewer than R rows")]
     fn tile_rejects_short_a() {
         let (a, band, mut out) = (vec![1.0; 2 * 5 - 1], vec![1.0; 5 * NR], vec![0.0; 2 * NR]);
-        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2, false>(row_major(&a, 5), 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]
     #[should_panic(expected = "tile: band too short")]
     fn tile_rejects_short_band() {
         let (a, band, mut out) = (vec![1.0; 2 * 5], vec![1.0; 5 * NR - 1], vec![0.0; 2 * NR]);
-        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2, false>(row_major(&a, 5), 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]
     #[should_panic(expected = "tile: out too short")]
     fn tile_rejects_short_out() {
         let (a, band, mut out) = (vec![1.0; 2 * 5], vec![1.0; 5 * NR], vec![0.0; 2 * NR - 1]);
-        tile::<[f32; 16], 2, 2>(&a, 5, 0..5, &band, NR, &mut out, NR);
+        tile::<[f32; 16], 2, 2, false>(row_major(&a, 5), 0..5, &band, NR, &mut out, NR);
     }
 
     #[test]

@@ -130,6 +130,10 @@ fn adversarial_shapes_match_reference_at_all_thread_counts() {
         (1, 521, 1031), // gemv crossing the FLOP gate: pooled column bands
         (4, 0, 40),     // empty inner dim, `b` in place: all zeros
         (70, 0, 40),    // empty inner dim, packed
+        (1, 0, 40),     // empty inner dim, one row
+        (1, 7, 0),      // no output columns: gemv row
+        (5, 7, 0),      // no output columns, `b` in place
+        (70, 7, 0),     // no output columns, packed
     ];
     for (si, &(m, k, n)) in shapes.iter().enumerate() {
         for &t in &THREAD_COUNTS {

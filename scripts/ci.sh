@@ -151,6 +151,20 @@ if METHOD_ERR=$(./target/release/apollo memory --method adamx 2>&1); then
 fi
 grep -q 'apollo-mini' <<<"$METHOD_ERR"
 
+echo "== fine-tuning smoke run (finetune on that checkpoint, thread-invariant)"
+# The Tables 4-5 protocol on the same throwaway checkpoint, for the first
+# task `apollo list` names, at 1 and 4 kernel threads. Fine-tuning is
+# bit-identical across thread counts, so the result line (accuracy and
+# final loss) must match byte for byte once its trailing wall time is cut.
+FT_TASK="$(./target/release/apollo list | awk '$1 == "TASKS" { print $2 }')"
+for t in 1 4; do
+    APOLLO_NUM_THREADS=$t ./target/release/apollo finetune \
+        --checkpoint "$TRACE_TMP/gen.ckpt" --task "$FT_TASK" --steps 6 \
+        | grep "^$FT_TASK: " | sed 's/, [0-9.]*s$//' >"$TRACE_TMP/ft$t.txt"
+    [ -s "$TRACE_TMP/ft$t.txt" ] || { echo "finetune at $t threads printed no result"; exit 1; }
+done
+cmp "$TRACE_TMP/ft1.txt" "$TRACE_TMP/ft4.txt"
+
 echo "== relaxed backend (INT8 weights + BF16 cache: ULP sweep, tolerance, generation)"
 # The exact stages above are untouched: this stage runs the relaxed tier,
 # which is the quantized backend and nothing else, in release mode — its
