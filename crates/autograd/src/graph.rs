@@ -123,7 +123,8 @@ enum Slot<'a> {
 ///
 /// Build the forward computation with the op methods, then call
 /// [`Graph::backward`] once on a scalar output. The walk frees each
-/// non-leaf node as soon as it has passed it, so afterwards the tape holds
+/// non-leaf value after the last arm that reads it, and everything else of
+/// a node as soon as it has passed it, so afterwards the tape holds
 /// only its leaves (their values and gradients) and the output's value:
 /// gradients are read with [`Graph::grad`] or moved out with
 /// [`Graph::take_grad`], the loss with [`Graph::value`]. Read any other
@@ -572,7 +573,7 @@ impl<'a> Graph<'a> {
     /// Drops `id`'s value now that the forward is done with it: call it
     /// once every op that reads the value is recorded. [`Graph::backward`]
     /// recomputes the value just before the first arm that reads it and
-    /// frees it again when the walk reaches `id`. Only outputs that are
+    /// frees it again after the last. Only outputs that are
     /// cheap to rebuild from what the tape keeps anyway qualify: an
     /// `rmsnorm` output, from its operands and cached `1 / rms` through the
     /// forward's own per-row expression, and a `swiglu` output, whose
@@ -631,7 +632,10 @@ impl<'a> Graph<'a> {
     /// caches again: the walk frees the value first (no arm reads its own
     /// node's output), takes the gradient, recomputes any rematerialized
     /// operand the arm reads, runs the arm, and drops the gradient and the
-    /// caches. What survives is each leaf's value and gradient and the
+    /// caches. A non-leaf value an arm reads goes sooner, once the last arm
+    /// that reads it is done with it: the `MatMul` arm frees `a` before it
+    /// makes `da`, and the walk frees the other operands after their arm.
+    /// What survives is each leaf's value and gradient and the
     /// output's value. A node a consuming op took over has no value by the
     /// time the walk starts; no arm reads one. No arithmetic depends on when
     /// a buffer is freed or rebuilt, so the gradients carry the same bits as
@@ -650,6 +654,11 @@ impl<'a> Graph<'a> {
         );
         self.walked = true;
         self.grads[output.0] = Some(Matrix::from_vec(1, 1, vec![1.0]));
+        // How many arms still to run read each node's value.
+        let mut reads_left = vec![0usize; self.ops.len()];
+        for operand in self.ops.iter().flat_map(Op::arm_reads).flatten() {
+            reads_left[operand.0] += 1;
+        }
 
         for idx in (0..self.ops.len()).rev() {
             if let Op::Leaf = self.ops[idx] {
@@ -663,12 +672,19 @@ impl<'a> Graph<'a> {
             let Some(gout) = self.grads[idx].take() else {
                 continue;
             };
-            for operand in op.arm_reads().into_iter().flatten() {
+            let reads = op.arm_reads();
+            for operand in reads.into_iter().flatten() {
                 self.rematerialize(operand);
+                reads_left[operand.0] -= 1;
             }
+            let ops = &self.ops;
+            let last_read = |id: NodeId| reads_left[id.0] == 0 && !matches!(ops[id.0], Op::Leaf);
             // Every operand id is strictly smaller than the node's own id
             // (the tape is define-by-run).
-            accumulate(&self.vals, &mut self.grads[..idx], op, gout);
+            accumulate(&mut self.vals, &mut self.grads[..idx], op, gout, last_read);
+            for operand in reads.into_iter().flatten().filter(|&id| last_read(id)) {
+                self.vals[operand.0] = Slot::Released;
+            }
         }
     }
 }
@@ -724,13 +740,25 @@ fn grad_add(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
 /// adds each operand's gradient into `grads` (the slots below the op's
 /// own). An arm whose operand gradient is `gout` itself, or `gout`
 /// transformed in place, hands it on by move; every other arm drops it.
-fn accumulate(vals: &[Slot<'_>], grads: &mut [Option<Matrix>], op: Op, gout: Matrix) {
+/// The `MatMul` arm frees `a`'s value once `db` is made if `last_read(a)`
+/// (no later arm reads it) and `b` is another node, so `a` and `da` are
+/// never live at once.
+fn accumulate(
+    vals: &mut [Slot<'_>],
+    grads: &mut [Option<Matrix>],
+    op: Op,
+    gout: Matrix,
+    last_read: impl Fn(NodeId) -> bool,
+) {
     let val = |id: NodeId| live(vals, id);
     match op {
         Op::Leaf | Op::Released => unreachable!("backward visits each non-leaf once"),
         Op::MatMul(a, b) => {
-            let db = val(a).matmul_transa(&gout);
-            let da = gout.matmul_transb(val(b));
+            let db = live(vals, a).matmul_transa(&gout);
+            if a != b && last_read(a) {
+                vals[a.0] = Slot::Released;
+            }
+            let da = gout.matmul_transb(live(vals, b));
             grad_add(grads, a, da);
             grad_add(grads, b, db);
         }
@@ -1666,6 +1694,22 @@ mod tests {
                 g.remat(act);
             }
             g.cross_entropy(out, &[3, 0, 1, 2, 3])
+        });
+    }
+
+    #[test]
+    fn a_value_both_sides_of_one_matmul_read_stays_for_both_gradients() {
+        // `h · h`: the arm's `db` and `da` both read `h`, so `h` is not freed
+        // between them, although no later arm reads it.
+        let leaves = remat_leaves(72, &[(6, 6), (1, 6)]);
+        check_remat(&leaves, |g, ids, remat| {
+            let &[x, gain] = ids else { unreachable!() };
+            let h = g.rmsnorm(x, gain, 1e-5);
+            let y = g.matmul(h, h);
+            if remat {
+                g.remat(h);
+            }
+            g.cross_entropy(y, &[0, 5, 2, 3, 1, 4])
         });
     }
 
