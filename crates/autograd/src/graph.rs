@@ -123,8 +123,7 @@ enum Slot<'a> {
 ///
 /// Build the forward computation with the op methods, then call
 /// [`Graph::backward`] once on a scalar output. The walk frees each
-/// non-leaf value after the last arm that reads it, and everything else of
-/// a node as soon as it has passed it, so afterwards the tape holds
+/// non-leaf node as soon as it has passed it, so afterwards the tape holds
 /// only its leaves (their values and gradients) and the output's value:
 /// gradients are read with [`Graph::grad`] or moved out with
 /// [`Graph::take_grad`], the loss with [`Graph::value`]. Read any other
@@ -573,7 +572,8 @@ impl<'a> Graph<'a> {
     /// Drops `id`'s value now that the forward is done with it: call it
     /// once every op that reads the value is recorded. [`Graph::backward`]
     /// recomputes the value just before the first arm that reads it and
-    /// frees it again after the last. Only outputs that are
+    /// frees it again when the walk reaches `id`, or inside the last arm that
+    /// reads it if that is a `MatMul` arm. Only outputs that are
     /// cheap to rebuild from what the tape keeps anyway qualify: an
     /// `rmsnorm` output, from its operands and cached `1 / rms` through the
     /// forward's own per-row expression, and a `swiglu` output, whose
@@ -632,14 +632,13 @@ impl<'a> Graph<'a> {
     /// caches again: the walk frees the value first (no arm reads its own
     /// node's output), takes the gradient, recomputes any rematerialized
     /// operand the arm reads, runs the arm, and drops the gradient and the
-    /// caches. A non-leaf value an arm reads goes sooner, once the last arm
-    /// that reads it is done with it: the `MatMul` arm frees `a` before it
-    /// makes `da`, and the walk frees the other operands after their arm.
-    /// What survives is each leaf's value and gradient and the
-    /// output's value. A node a consuming op took over has no value by the
-    /// time the walk starts; no arm reads one. No arithmetic depends on when
-    /// a buffer is freed or rebuilt, so the gradients carry the same bits as
-    /// a walk that kept everything.
+    /// caches. One value goes sooner: a `MatMul` arm that is the last to
+    /// read its non-leaf `a` frees it between `db` and `da`, so the two are
+    /// never live at once. What survives is each leaf's value and gradient
+    /// and the output's value. A node a consuming op took over has no value
+    /// by the time the walk starts; no arm reads one. No arithmetic depends
+    /// on when a buffer is freed or rebuilt, so the gradients carry the same
+    /// bits as a walk that kept everything.
     ///
     /// # Panics
     ///
@@ -672,8 +671,7 @@ impl<'a> Graph<'a> {
             let Some(gout) = self.grads[idx].take() else {
                 continue;
             };
-            let reads = op.arm_reads();
-            for operand in reads.into_iter().flatten() {
+            for operand in op.arm_reads().into_iter().flatten() {
                 self.rematerialize(operand);
                 reads_left[operand.0] -= 1;
             }
@@ -682,9 +680,6 @@ impl<'a> Graph<'a> {
             // Every operand id is strictly smaller than the node's own id
             // (the tape is define-by-run).
             accumulate(&mut self.vals, &mut self.grads[..idx], op, gout, last_read);
-            for operand in reads.into_iter().flatten().filter(|&id| last_read(id)) {
-                self.vals[operand.0] = Slot::Released;
-            }
         }
     }
 }
