@@ -30,14 +30,15 @@
 //!   the rebuilt SwiGLU output and its `σ(gate)` while it made the arm's
 //!   two gradients (2.31 MiB, with the whole transposed `down` weight packed
 //!   beside them; 1.96 once the GEMM packed one column block at a time).
-//!   Since the walk frees a value after its last read, that arm drops the
-//!   SwiGLU output before it makes `da`, and the peak is the same layer's
-//!   SwiGLU arm: `σ(gate)`, the upstream gradient it overwrites with `db`,
-//!   and `da` (`tokens × inter` each), beside the `down` and LM-head weight
-//!   gradients, less the cross-entropy's `exps` (`tokens × vocab`), which
-//!   the walk has freed. That is 1.75 MiB and the rise reads 1.75. The
-//!   bound adds half the forward-end slack (1.875 MiB), so the 1.96 MiB of
-//!   a `down` arm that keeps the SwiGLU output through `da` fails it.
+//!   Since a `MatMul` arm that is the last reader of its `a` frees it after
+//!   `db`, that arm drops the SwiGLU output before it makes `da`, and the
+//!   peak is the same layer's SwiGLU arm: `σ(gate)`, the upstream gradient
+//!   it overwrites with `db`, and `da` (`tokens × inter` each), beside the
+//!   `down` and LM-head weight gradients, less the cross-entropy's `exps`
+//!   (`tokens × vocab`), which the walk has freed. That is 1.75 MiB and
+//!   the rise reads 1.75. The bound adds half the forward-end slack
+//!   (1.875 MiB), so the 1.96 MiB of a `down` arm that keeps the SwiGLU
+//!   output through `da` fails it.
 //! - **Nothing outlives the step.** Once the gradients, the tape and the
 //!   parameter node ids are dropped, live heap is back to its value before
 //!   the forward, byte for byte: the slack is 0 B, because that is what
